@@ -4,11 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use oreo_core::{Dumts, DumtsConfig, TransitionPolicy};
-use oreo_layout::{build_exact_model, morton_encode, QdTreeBuilder, ZOrderLayout};
+use oreo_layout::{build_exact_model, morton_encode, LayoutSpec, QdTreeBuilder, ZOrderLayout};
 use oreo_query::QueryBuilder;
 use oreo_sim::offline_optimum;
-use oreo_storage::cost_vector_distance;
-use oreo_workload::{tpch, StreamConfig};
+use oreo_storage::{build_metadata, cost_vector_distance};
+use oreo_workload::{telemetry, tpch, StreamConfig};
 use std::hint::black_box;
 
 fn bench_morton(c: &mut Criterion) {
@@ -38,6 +38,32 @@ fn bench_qdtree_build(c: &mut Criterion) {
     );
     c.bench_function("qdtree_build_4k_sample_200q_k32", |b| {
         b.iter(|| black_box(QdTreeBuilder::new(32).build(&table, &stream.queries)))
+    });
+}
+
+/// The two whole-table passes of a rewrite (`oreo_engine::materialize`):
+/// route every row through a 64-leaf tree, then rebuild pruning metadata.
+fn bench_rewrite_passes(c: &mut Criterion) {
+    use rand::SeedableRng;
+    let table = telemetry::telemetry_table(300_000, 1);
+    let templates = telemetry::telemetry_templates(table.schema());
+    let stream = oreo_workload::generate_stream(
+        &templates,
+        StreamConfig {
+            total_queries: 100,
+            segments: 2,
+            seed: 3,
+            ..Default::default()
+        },
+    );
+    let sample = table.sample(&mut rand::rngs::StdRng::seed_from_u64(5), 1_500);
+    let tree = QdTreeBuilder::new(64).build(&sample, &stream.queries);
+    c.bench_function("qdtree_assign_300k_k64", |b| {
+        b.iter(|| black_box(LayoutSpec::assign(&tree, &table)))
+    });
+    let assignment = LayoutSpec::assign(&tree, &table);
+    c.bench_function("build_metadata_300k_k64", |b| {
+        b.iter(|| black_box(build_metadata(&table, &assignment, tree.k())))
     });
 }
 
@@ -71,7 +97,7 @@ fn bench_zorder_route(c: &mut Criterion) {
     let qty = table.schema().col("l_quantity").unwrap();
     let layout = ZOrderLayout::from_sample(&table, &[shipdate, qty], 8, 64);
     c.bench_function("zorder_assign_20k_rows", |b| {
-        b.iter(|| black_box(oreo_layout::LayoutSpec::assign(&layout, &table)))
+        b.iter(|| black_box(LayoutSpec::assign(&layout, &table)))
     });
 }
 
@@ -149,6 +175,7 @@ criterion_group!(
     config = Criterion::default().sample_size(20);
     targets = bench_morton,
         bench_qdtree_build,
+        bench_rewrite_passes,
         bench_cost_eval,
         bench_zorder_route,
         bench_dumts_step,

@@ -13,11 +13,23 @@
 //! `a`'s (never needs the yes-side), 0 otherwise. Frequent query shapes
 //! appear repeatedly in the workload sample, so benefits are naturally
 //! frequency-weighted.
+//!
+//! **Node independence.** Whether `q` is contained in or disjoint from `a`
+//! compares two satisfying sets and never looks at `R`, so the builder
+//! counts both kinds of query once per build (`n_sub`, `n_dis`) and the
+//! benefit of `a` at any node is the integer `n_sub·|R_no| + n_dis·|R_yes|`.
+//! Which rows `a` matches does not depend on the node either: each
+//! candidate is evaluated once over the whole sample, by the typed column
+//! kernels, into a bitmap, and a node's `|R_yes|` is the popcount of its
+//! own row bitmap ANDed with the candidate's. A build costs
+//! O(C·W + C·n + C·k·n/64) for C candidates, W window queries, n sample
+//! rows and k leaves, where the per-node row-by-row greedy paid
+//! O(k·C·(n + W)).
 
 use crate::satset::{predicate_satset, SatSet};
 use crate::spec::{LayoutGenerator, LayoutSpec, SharedSpec};
-use oreo_query::{Atom, ColId, CompareOp, Query};
-use oreo_storage::{atom_matches_ref, Table};
+use oreo_query::{Atom, ColId, CompareOp, CompiledPredicate, Predicate, Query};
+use oreo_storage::{atom_matches_ref, kernel, Table};
 use rand::rngs::StdRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -89,6 +101,39 @@ impl LayoutSpec for QdTree {
     fn describe(&self) -> String {
         self.name.clone()
     }
+
+    /// Column-at-a-time routing: each cut is evaluated by the typed column
+    /// kernels, once per block of rows, over exactly the rows that reach
+    /// its node.
+    fn assign(&self, table: &Table) -> Vec<u32> {
+        fn walk(node: &Node, table: &Table, rows: Vec<u32>, out: &mut [u32]) {
+            match node {
+                Node::Leaf(bid) => rows.iter().for_each(|&r| out[r as usize] = *bid),
+                Node::Inner { atom, yes, no } => {
+                    let yes_rows = matching_rows(atom, table, &rows);
+                    // `yes_rows` is a subsequence of `rows`: the rest is
+                    // the no-side, in order.
+                    let mut matched = yes_rows.iter().peekable();
+                    let no_rows = rows
+                        .into_iter()
+                        .filter(|r| matched.next_if_eq(&r).is_none())
+                        .collect();
+                    walk(yes, table, yes_rows, out);
+                    walk(no, table, no_rows, out);
+                }
+            }
+        }
+        // A block of rows at a time, so the row lists in flight stay
+        // cache-sized however large the table is.
+        const BLOCK_ROWS: usize = 1 << 16;
+        let n = table.num_rows();
+        let mut out = vec![0u32; n];
+        for start in (0..n).step_by(BLOCK_ROWS) {
+            let block = start as u32..(start + BLOCK_ROWS).min(n) as u32;
+            walk(&self.root, table, block.collect(), &mut out);
+        }
+        out
+    }
 }
 
 /// Configurable greedy builder.
@@ -136,6 +181,261 @@ impl QdTreeBuilder {
         let min_leaf = self
             .min_leaf_rows
             .unwrap_or_else(|| (nrows / (4 * self.k)).max(1));
+
+        // The node-independent part of every benefit, once per build: how
+        // many workload queries each candidate spares its no-side (`n_sub`)
+        // or its yes-side (`n_dis`), and which sample rows it matches. A
+        // candidate that spares no query has benefit 0 at every node and
+        // could never be picked, so it is dropped here.
+        struct Cut<'a> {
+            atom: &'a Atom,
+            n_sub: u64,
+            n_dis: u64,
+            rows: Vec<u64>,
+        }
+        let candidates = candidate_cuts(workload);
+        let all_rows: Vec<u32> = (0..nrows as u32).collect();
+        let mut query_sats: HashMap<ColId, Vec<SatSet>> = HashMap::new();
+        let mut cuts: Vec<Cut<'_>> = Vec::new();
+        for atom in &candidates {
+            let col = atom.col();
+            let sats = query_sats.entry(col).or_insert_with(|| {
+                let sat_on_col = |q: &Query| predicate_satset(&q.predicate, col);
+                workload.iter().filter_map(sat_on_col).collect()
+            });
+            let cut_sat = SatSet::of_atom(atom);
+            let (mut n_sub, mut n_dis) = (0u64, 0u64);
+            for qsat in sats.iter() {
+                if qsat.subset_of(&cut_sat) {
+                    n_sub += 1;
+                } else if qsat.disjoint_from(&cut_sat) {
+                    n_dis += 1;
+                }
+            }
+            if n_sub + n_dis > 0 {
+                cuts.push(Cut {
+                    atom,
+                    n_sub,
+                    n_dis,
+                    rows: bitmap(&matching_rows(atom, sample, &all_rows), nrows),
+                });
+            }
+        }
+
+        // The best feasible cut of a leaf: candidate order and a strict `>`,
+        // so the earliest candidate wins a tie.
+        let best_cut = |leaf: &[u64]| -> Option<(u64, usize)> {
+            let size: usize = leaf.iter().map(|w| w.count_ones() as usize).sum();
+            let mut best: Option<(u64, usize)> = None;
+            for (ci, cut) in cuts.iter().enumerate() {
+                let yes = and_count(leaf, &cut.rows);
+                let no = size - yes;
+                if yes < min_leaf || no < min_leaf {
+                    continue;
+                }
+                let benefit = cut.n_sub * no as u64 + cut.n_dis * yes as u64;
+                if benefit > 0 && best.is_none_or(|(b, _)| benefit > b) {
+                    best = Some((benefit, ci));
+                }
+            }
+            best
+        };
+
+        // Arena of tree slots; a leaf is the bitmap of its sample rows.
+        enum Slot<'a> {
+            Leaf(Vec<u64>),
+            Inner {
+                atom: &'a Atom,
+                yes: usize,
+                no: usize,
+            },
+        }
+        let mut slots: Vec<Slot<'_>> = Vec::new();
+        // (benefit, tiebreak, slot, cut) — max-heap by benefit, then
+        // *older* entries first for determinism. A slot is offered once,
+        // when it is created, so no entry goes stale, and the side sizes
+        // `best_cut` accepted are the sizes the split produces.
+        let mut heap: BinaryHeap<(u64, Reverse<u64>, usize, usize)> = BinaryHeap::new();
+        let mut counter: u64 = 0;
+        let mut add_leaf = |leaf: Vec<u64>, slots: &mut Vec<Slot<'_>>, heap: &mut BinaryHeap<_>| {
+            if let Some((benefit, ci)) = best_cut(&leaf) {
+                counter += 1;
+                heap.push((benefit, Reverse(counter), slots.len(), ci));
+            }
+            slots.push(Slot::Leaf(leaf));
+        };
+        add_leaf(bitmap(&all_rows, nrows), &mut slots, &mut heap);
+
+        let mut leaf_count = 1usize;
+        while leaf_count < self.k {
+            let Some((_, _, slot, cut)) = heap.pop() else {
+                break; // no more beneficial cuts
+            };
+            let Cut { atom, rows, .. } = &cuts[cut];
+            let (yes, no) = (slots.len(), slots.len() + 1);
+            let inner = Slot::Inner { atom, yes, no };
+            let Slot::Leaf(leaf) = std::mem::replace(&mut slots[slot], inner) else {
+                unreachable!("a slot is offered to the heap once, while it is a leaf");
+            };
+            let matched = leaf.iter().zip(rows);
+            let yes_rows = matched.clone().map(|(l, c)| l & c).collect();
+            let no_rows = matched.map(|(l, c)| l & !c).collect();
+            add_leaf(yes_rows, &mut slots, &mut heap);
+            add_leaf(no_rows, &mut slots, &mut heap);
+            leaf_count += 1;
+        }
+
+        // Assign leaf bids in DFS order and materialize the final tree.
+        fn freeze(slots: &[Slot<'_>], idx: usize, next_bid: &mut u32) -> Node {
+            match &slots[idx] {
+                Slot::Leaf(_) => {
+                    let bid = *next_bid;
+                    *next_bid += 1;
+                    Node::Leaf(bid)
+                }
+                Slot::Inner { atom, yes, no } => Node::Inner {
+                    atom: (*atom).clone(),
+                    yes: Box::new(freeze(slots, *yes, next_bid)),
+                    no: Box::new(freeze(slots, *no, next_bid)),
+                },
+            }
+        }
+        let mut next_bid = 0;
+        let root = freeze(&slots, 0, &mut next_bid);
+        let name = if self.tag.is_empty() {
+            format!("qdtree(k={})", next_bid)
+        } else {
+            format!("qdtree(k={},{})", next_bid, self.tag)
+        };
+        QdTree {
+            root,
+            k: next_bid as usize,
+            name,
+        }
+    }
+}
+
+/// Candidate cuts: deduplicated atoms from the workload, in first-use
+/// order, plus their half-range / equality decompositions — a narrow
+/// `BETWEEN lo AND hi` rarely makes a feasible cut by itself (its yes-side
+/// is tiny), but its component bounds `>= lo` / `<= hi` split well and
+/// compose hierarchically, which is how Qd-tree uses workload predicates.
+fn candidate_cuts(workload: &[Query]) -> Vec<Atom> {
+    let mut seen: HashSet<Atom> = HashSet::new();
+    let mut candidates: Vec<Atom> = Vec::new();
+    let mut push = |atom: Atom| {
+        if seen.insert(atom.clone()) {
+            candidates.push(atom);
+        }
+    };
+    for q in workload {
+        for a in q.predicate.atoms() {
+            push(a.clone());
+            match a {
+                Atom::Between { col, low, high } => {
+                    for (op, value) in [(CompareOp::Ge, low), (CompareOp::Le, high)] {
+                        push(Atom::Compare {
+                            col: *col,
+                            op,
+                            value: value.clone(),
+                        });
+                    }
+                }
+                Atom::InSet { col, set } if set.len() <= 4 => {
+                    for v in set {
+                        push(Atom::Compare {
+                            col: *col,
+                            op: CompareOp::Eq,
+                            value: v.clone(),
+                        });
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    candidates
+}
+
+/// The entries of `rows` (positions in `table`, order kept) that satisfy
+/// `atom`: one pass of the typed column kernels, not a `ValueRef` compare
+/// per cell.
+fn matching_rows(atom: &Atom, table: &Table, rows: &[u32]) -> Vec<u32> {
+    let compiled = CompiledPredicate::compile(&Predicate::new(vec![atom.clone()]));
+    let mut yes = rows.to_vec();
+    kernel::filter_rows(
+        compiled.columns()[0].plan(),
+        table.column(atom.col()),
+        &mut yes,
+    );
+    yes
+}
+
+/// The set `rows` as a bitmap over `0..nrows`, one bit per row in `u64`
+/// words (bits past `nrows` stay clear).
+fn bitmap(rows: &[u32], nrows: usize) -> Vec<u64> {
+    let mut words = vec![0u64; nrows.div_ceil(64)];
+    for &r in rows {
+        words[r as usize / 64] |= 1 << (r % 64);
+    }
+    words
+}
+
+/// `|a ∩ b|` of two equal-length bitmaps.
+fn and_count(a: &[u64], b: &[u64]) -> usize {
+    let words = a.iter().zip(b);
+    words.map(|(x, y)| (x & y).count_ones() as usize).sum()
+}
+
+/// Generator wrapper for the LAYOUT MANAGER.
+#[derive(Clone, Debug, Default)]
+pub struct QdTreeGenerator {
+    /// Minimum leaf rows override (`None` → `sample_rows / (4k)`, see
+    /// [`QdTreeBuilder::min_leaf_rows`]).
+    pub min_leaf_rows: Option<usize>,
+}
+
+impl QdTreeGenerator {
+    /// A generator with the default (unconstrained) leaf size.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl LayoutGenerator for QdTreeGenerator {
+    fn name(&self) -> &str {
+        "qdtree"
+    }
+
+    fn generate(
+        &self,
+        sample: &Table,
+        workload: &[Query],
+        k: usize,
+        _rng: &mut StdRng,
+    ) -> SharedSpec {
+        let mut builder = QdTreeBuilder::new(k);
+        if let Some(m) = self.min_leaf_rows {
+            builder = builder.with_min_leaf_rows(m);
+        }
+        Arc::new(builder.build(sample, workload))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::build_exact_model;
+    use oreo_query::{ColumnType, QueryBuilder, Scalar, Schema};
+    use oreo_storage::TableBuilder;
+
+    /// The per-node, row-by-row greedy this module shipped before the bitmap
+    /// builder, kept verbatim (the builder is `b`) as the differential oracle.
+    fn reference_build(b: &QdTreeBuilder, sample: &Table, workload: &[Query]) -> QdTree {
+        let nrows = sample.num_rows();
+        let min_leaf = b
+            .min_leaf_rows
+            .unwrap_or_else(|| (nrows / (4 * b.k)).max(1));
 
         // Candidate cuts: deduplicated atoms from the workload, plus their
         // half-range / equality decompositions — a narrow `BETWEEN lo AND
@@ -253,7 +553,7 @@ impl QdTreeBuilder {
             push_best(0, &rows, &mut heap, &mut query_sats, &mut counter);
         }
 
-        while leaf_count < self.k {
+        while leaf_count < b.k {
             let Some((_, _, slot_idx, cand_idx)) = heap.pop() else {
                 break; // no more beneficial cuts
             };
@@ -304,10 +604,10 @@ impl QdTreeBuilder {
         }
         let mut next_bid = 0;
         let root = freeze(&slots, 0, &mut next_bid);
-        let name = if self.tag.is_empty() {
+        let name = if b.tag.is_empty() {
             format!("qdtree(k={})", next_bid)
         } else {
-            format!("qdtree(k={},{})", next_bid, self.tag)
+            format!("qdtree(k={},{})", next_bid, b.tag)
         };
         QdTree {
             root,
@@ -315,48 +615,6 @@ impl QdTreeBuilder {
             name,
         }
     }
-}
-
-/// Generator wrapper for the LAYOUT MANAGER.
-#[derive(Clone, Debug, Default)]
-pub struct QdTreeGenerator {
-    /// Minimum leaf rows override (`None` → `sample_rows / 2k`).
-    pub min_leaf_rows: Option<usize>,
-}
-
-impl QdTreeGenerator {
-    /// A generator with the default (unconstrained) leaf size.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl LayoutGenerator for QdTreeGenerator {
-    fn name(&self) -> &str {
-        "qdtree"
-    }
-
-    fn generate(
-        &self,
-        sample: &Table,
-        workload: &[Query],
-        k: usize,
-        _rng: &mut StdRng,
-    ) -> SharedSpec {
-        let mut builder = QdTreeBuilder::new(k);
-        if let Some(m) = self.min_leaf_rows {
-            builder = builder.with_min_leaf_rows(m);
-        }
-        Arc::new(builder.build(sample, workload))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::spec::build_exact_model;
-    use oreo_query::{ColumnType, QueryBuilder, Scalar, Schema};
-    use oreo_storage::TableBuilder;
 
     fn table(n: i64) -> Table {
         let s = Arc::new(Schema::from_pairs([
@@ -506,5 +764,146 @@ mod tests {
         let a = tree.assign(&t);
         assert_eq!(a.len(), 1000);
         assert!(a.iter().all(|&b| (b as usize) < tree.k()));
+    }
+
+    #[test]
+    fn assign_spans_row_blocks() {
+        // more rows than one routing block, not a multiple of it
+        let t = table(150_001);
+        let tree = QdTreeBuilder::new(8).build(&t.project_rows(&[0, 7, 19, 40, 77]), &workload(&t));
+        let routed: Vec<u32> = (0..t.num_rows()).map(|r| tree.route(&t, r)).collect();
+        assert!(tree.k() > 1);
+        assert_eq!(tree.assign(&t), routed);
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        const WORDS: [&str; 6] = ["a", "ab", "b", "c", "d", "e"];
+
+        fn float_of(v: i64) -> Scalar {
+            Scalar::Float(match v {
+                -7 => f64::NAN,
+                0 => -0.0,
+                1 => 0.0,
+                v => v as f64 / 2.0,
+            })
+        }
+
+        /// Int, float and dictionary columns over small domains, so cuts
+        /// meet duplicates and the `-0.0` / `0.0` / NaN corners of
+        /// `total_cmp`.
+        fn table_of(rows: &[(i64, i64, usize)]) -> Table {
+            let s = Arc::new(Schema::from_pairs([
+                ("i", ColumnType::Int),
+                ("f", ColumnType::Float),
+                ("s", ColumnType::Str),
+            ]));
+            let mut b = TableBuilder::new(s);
+            for &(i, f, w) in rows {
+                b.push_row(&[Scalar::Int(i), float_of(f), Scalar::from(WORDS[w])]);
+            }
+            b.finish()
+        }
+
+        fn rows() -> impl Strategy<Value = Vec<(i64, i64, usize)>> {
+            proptest::collection::vec((-6i64..14, -7i64..9, 0usize..6), 0..130)
+        }
+
+        /// A literal for some column: of the column's type nine times in
+        /// ten, of a foreign type (which must match nothing) otherwise.
+        fn literal() -> impl Strategy<Value = (usize, Scalar)> {
+            (0usize..3, 0usize..10, -7i64..15).prop_map(|(col, foreign, v)| {
+                let value = match if foreign == 0 { (col + 1) % 3 } else { col } {
+                    0 => Scalar::Int(v),
+                    1 => float_of(v),
+                    _ => Scalar::from(WORDS[v.rem_euclid(6) as usize]),
+                };
+                (col, value)
+            })
+        }
+
+        fn atom() -> impl Strategy<Value = Atom> {
+            let op = prop_oneof![
+                Just(CompareOp::Lt),
+                Just(CompareOp::Le),
+                Just(CompareOp::Gt),
+                Just(CompareOp::Ge),
+                Just(CompareOp::Eq),
+            ];
+            prop_oneof![
+                (literal(), op).prop_map(|((col, value), op)| Atom::Compare { col, op, value }),
+                (literal(), literal()).prop_map(|((col, a), (_, b))| {
+                    let (low, high) = if a <= b { (a, b) } else { (b, a) };
+                    Atom::Between { col, low, high }
+                }),
+                // both sides of the `InSet ≤ 4` decomposition threshold
+                proptest::collection::vec(literal(), 1..8).prop_map(|lits| Atom::InSet {
+                    col: lits[0].0,
+                    set: lits.into_iter().map(|(_, v)| v).collect(),
+                }),
+            ]
+        }
+
+        /// A window drawn with repetition from a few query shapes: shapes
+        /// repeat, and the window may be empty.
+        fn workload() -> impl Strategy<Value = Vec<Query>> {
+            let shapes = proptest::collection::vec(proptest::collection::vec(atom(), 1..4), 1..6);
+            (shapes, proptest::collection::vec(0usize..6, 0..24)).prop_map(|(shapes, picks)| {
+                picks
+                    .iter()
+                    .map(|&p| Query::new(Predicate::new(shapes[p % shapes.len()].clone())))
+                    .collect()
+            })
+        }
+
+        fn builder() -> impl Strategy<Value = QdTreeBuilder> {
+            let k = prop_oneof![Just(1usize), Just(2), Just(8), Just(32)];
+            (k, 0usize..8).prop_map(|(k, min_leaf)| match min_leaf {
+                0 => QdTreeBuilder::new(k),
+                m => QdTreeBuilder::new(k).with_min_leaf_rows(m - 1),
+            })
+        }
+
+        proptest! {
+            /// The bitmap builder grows the very tree the row-by-row greedy
+            /// grew: same cuts in the same DFS order, same leaves, same
+            /// name, same routing.
+            #[test]
+            fn build_equals_reference_greedy(
+                rows in rows(),
+                workload in workload(),
+                builder in builder(),
+            ) {
+                let t = table_of(&rows);
+                let tree = builder.build(&t, &workload);
+                let oracle = reference_build(&builder, &t, &workload);
+                prop_assert_eq!(tree.cuts(), oracle.cuts());
+                prop_assert_eq!(tree.k(), oracle.k());
+                prop_assert_eq!(tree.describe(), oracle.describe());
+                prop_assert_eq!(tree.assign(&t), oracle.assign(&t));
+            }
+
+            /// Columnar `assign` sends every row where the per-row tree
+            /// walk sends it, on the sample the tree was built from and on
+            /// a superset of it.
+            #[test]
+            fn assign_equals_per_row_route(
+                rows in rows(),
+                stride in 1usize..5,
+                workload in workload(),
+                builder in builder(),
+            ) {
+                let full = table_of(&rows);
+                let picked: Vec<u32> = (0..rows.len() as u32).step_by(stride).collect();
+                let sample = full.project_rows(&picked);
+                let tree = builder.build(&sample, &workload);
+                for t in [&sample, &full] {
+                    let routed: Vec<u32> = (0..t.num_rows()).map(|r| tree.route(t, r)).collect();
+                    prop_assert_eq!(tree.assign(t), routed);
+                }
+            }
+        }
     }
 }

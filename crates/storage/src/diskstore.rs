@@ -492,10 +492,10 @@ mod tests {
         let total_bytes = store.total_bytes();
         drop(store);
 
-        let before = crate::format::partition_decodes();
+        let before = crate::format::thread_partition_decodes();
         let reopened = DiskStore::open(&dir, t.schema()).unwrap();
         assert_eq!(
-            crate::format::partition_decodes(),
+            crate::format::thread_partition_decodes(),
             before,
             "open must not decode any partition payload"
         );
@@ -546,10 +546,10 @@ mod tests {
             let bytes = crate::format::encode_partition_v1(&part);
             fs::write(dir.join(format!("part-{bid:05}.oreo")), &bytes).unwrap();
         }
-        let before = crate::format::partition_decodes();
+        let before = crate::format::thread_partition_decodes();
         let store = DiskStore::open(&dir, t.schema()).unwrap();
         assert!(
-            crate::format::partition_decodes() > before,
+            crate::format::thread_partition_decodes() > before,
             "v1 files require the decode fallback"
         );
         assert_eq!(store.total_rows(), 600);

@@ -60,6 +60,26 @@ const TAG_STR: u8 = 2;
 /// decode-everything-on-open behavior flagged in the ROADMAP.
 static DECODES: AtomicU64 = AtomicU64::new(0);
 
+#[cfg(test)]
+thread_local! {
+    /// The calling thread's share of [`DECODES`]. Tests that prove "this
+    /// call decodes nothing" read it instead of the process-wide count,
+    /// which sibling tests move from their own threads.
+    static THREAD_DECODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+fn count_decode() {
+    DECODES.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    THREAD_DECODES.with(|c| c.set(c.get() + 1));
+}
+
+/// Partition-payload decodes performed by the calling thread.
+#[cfg(test)]
+pub(crate) fn thread_partition_decodes() -> u64 {
+    THREAD_DECODES.with(std::cell::Cell::get)
+}
+
 /// Total partition-payload decodes ([`decode_partition`] +
 /// [`decode_partition_projected`]) since process start.
 pub fn partition_decodes() -> u64 {
@@ -412,7 +432,7 @@ fn check_v2_layout(
 /// back into a table. The schema is supplied externally (it is store-level,
 /// not per-file).
 pub fn decode_partition(schema: &Arc<Schema>, bytes: &[u8]) -> Result<Table> {
-    DECODES.fetch_add(1, Ordering::Relaxed);
+    count_decode();
     if has_footer(bytes) {
         let (footer, footer_off) = parse_footer(bytes)?;
         check_v2_layout(schema, bytes, &footer, footer_off)?;
@@ -576,7 +596,7 @@ pub fn decode_partition_projected(
     bytes: &[u8],
     cols: &[usize],
 ) -> Result<(usize, Vec<(usize, Column)>)> {
-    DECODES.fetch_add(1, Ordering::Relaxed);
+    count_decode();
     if has_footer(bytes) {
         let (footer, footer_off) = parse_footer(bytes)?;
         check_v2_layout(schema, bytes, &footer, footer_off)?;
@@ -740,9 +760,20 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let v2 = dir.join("v2.oreo");
         write_partition(&v2, &t).unwrap();
-        let before = partition_decodes();
+        // this thread's count: sibling tests decode on theirs meanwhile
+        let before = thread_partition_decodes();
         let footer = read_partition_footer(&v2).unwrap().expect("v2 footer");
-        assert_eq!(partition_decodes(), before, "footer read must not decode");
+        assert_eq!(
+            thread_partition_decodes(),
+            before,
+            "footer read must not decode"
+        );
+        read_partition(&v2, t.schema()).unwrap();
+        assert_eq!(
+            thread_partition_decodes(),
+            before + 1,
+            "the count the assertion above rests on does see a decode"
+        );
         assert_eq!(footer.nrows, 500);
         let v1 = dir.join("v1.oreo");
         fs::write(&v1, encode_partition_v1(&t)).unwrap();

@@ -252,6 +252,15 @@ impl<'a> ColumnKernel<'a> {
     }
 }
 
+/// Keep the entries of `sel` (row positions in `column`, order preserved)
+/// whose value satisfies `plan`. One typed kernel pass with no chunking or
+/// reordering: the entry point for callers that need a single column's
+/// verdict over an arbitrary row subset — layout routing and the Qd-tree
+/// builder — rather than a conjunction scan of a partition.
+pub fn filter_rows(plan: &ColumnPlan, column: &Column, sel: &mut Vec<u32>) {
+    ColumnKernel::build(plan, column).filter(0, sel)
+}
+
 /// Observed pass rate of a kernel (0.5 when it has never been evaluated, so
 /// unknown kernels sort between proven-selective and proven-permissive
 /// ones).
@@ -484,6 +493,37 @@ mod tests {
         }]);
         let (matches, _) = run(&c, &[&col], 10, 1024);
         assert!(matches.is_empty());
+    }
+
+    #[test]
+    fn filter_rows_keeps_matching_subset_in_order() {
+        use crate::column::atom_matches_ref;
+        let ints = Column::Int((0..40).map(|i| (i * 7) % 10).collect());
+        let mut b = DictBuilder::new();
+        (0..40).for_each(|i| b.push(["eu", "us", "apac"][i % 3]));
+        let strs = Column::Str(b.finish());
+        let subset: Vec<u32> = (0..40).filter(|r| r % 3 != 1).collect();
+        for (col, atom) in [
+            (&ints, between(0, 3, 6)),
+            (
+                &strs,
+                Atom::Compare {
+                    col: 0,
+                    op: CompareOp::Gt,
+                    value: Scalar::from("eu"),
+                },
+            ),
+        ] {
+            let c = compile(vec![atom.clone()]);
+            let mut sel = subset.clone();
+            filter_rows(c.columns()[0].plan(), col, &mut sel);
+            let expected: Vec<u32> = subset
+                .iter()
+                .copied()
+                .filter(|&r| atom_matches_ref(&atom, col.get(r as usize)))
+                .collect();
+            assert_eq!(sel, expected, "{atom:?}");
+        }
     }
 
     #[test]

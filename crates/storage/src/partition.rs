@@ -93,7 +93,9 @@ pub fn build_metadata_capped(
         rows[bid as usize] += 1;
     }
 
-    // Accumulate per column to stay cache-friendly in the typed arrays.
+    // Accumulate per column to stay cache-friendly in the typed arrays:
+    // one pass over each column's rows, then per-partition work that does
+    // not depend on the row count — never a second pass over the rows.
     let mut stats: Vec<Vec<ColumnStats>> = (0..k)
         .map(|_| (0..ncols).map(|_| ColumnStats::empty()).collect())
         .collect();
@@ -107,12 +109,19 @@ pub fn build_metadata_capped(
                 // months…) prune equality predicates far better with exact
                 // distinct sets than with min/max ranges — a range almost
                 // always straddles the probe value. Track a capped set per
-                // partition, dropping it on overflow.
+                // partition, dropping it on overflow; a value equal to the
+                // partition's previous one is already in the set (runs of
+                // zeros, sorted keys) and skips the tree.
                 let mut sets: Vec<Option<BTreeSet<i64>>> = vec![Some(BTreeSet::new()); k];
+                let mut last: Vec<Option<i64>> = vec![None; k];
                 for (row, &v) in values.iter().enumerate() {
                     let b = assignment[row] as usize;
                     min[b] = min[b].min(v);
                     max[b] = max[b].max(v);
+                    if last[b] == Some(v) {
+                        continue;
+                    }
+                    last[b] = Some(v);
                     if let Some(set) = sets[b].as_mut() {
                         set.insert(v);
                         if set.len() > distinct_cap {
@@ -149,49 +158,25 @@ pub fn build_metadata_capped(
                 }
             }
             Column::Str(dict) => {
-                // Track distinct codes per partition; degrade to range-only
-                // when a partition exceeds the cap.
-                let mut codes: Vec<Option<BTreeSet<u32>>> = vec![Some(BTreeSet::new()); k];
+                // Mark the codes each partition holds in a k × |dict| bitset
+                // (the only per-row work), then derive range and distinct
+                // set from the marked codes: |dict| string compares per
+                // partition at most, whatever its row count. Beyond the cap
+                // a partition keeps only the range.
+                let words = dict.cardinality().div_ceil(64);
+                let mut seen = vec![0u64; k * words];
                 for (row, &code) in dict.codes().iter().enumerate() {
                     let b = assignment[row] as usize;
-                    if let Some(set) = codes[b].as_mut() {
-                        set.insert(code);
-                        if set.len() > distinct_cap {
-                            codes[b] = None;
-                        }
-                    }
+                    seen[b * words + code as usize / 64] |= 1 << (code % 64);
                 }
-                for b in 0..k {
-                    if rows[b] == 0 {
-                        continue;
-                    }
-                    match &codes[b] {
-                        Some(set) => {
-                            let distinct: BTreeSet<Scalar> = set
-                                .iter()
-                                .map(|&c| Scalar::Str(dict.decode(c).to_owned()))
-                                .collect();
-                            let min = distinct.iter().next().cloned();
-                            let max = distinct.iter().next_back().cloned();
-                            stats[b][col_id].range = min.zip(max);
-                            stats[b][col_id].distinct = Some(distinct);
-                        }
-                        None => {
-                            // One extra pass for this partition's range.
-                            let mut min: Option<&str> = None;
-                            let mut max: Option<&str> = None;
-                            for (row, &code) in dict.codes().iter().enumerate() {
-                                if assignment[row] as usize != b {
-                                    continue;
-                                }
-                                let s = dict.decode(code);
-                                min = Some(min.map_or(s, |m| if s < m { s } else { m }));
-                                max = Some(max.map_or(s, |m| if s > m { s } else { m }));
-                            }
-                            stats[b][col_id].range = min.zip(max).map(|(lo, hi)| {
-                                (Scalar::Str(lo.to_owned()), Scalar::Str(hi.to_owned()))
-                            });
-                        }
+                for (b, marked) in seen.chunks(words.max(1)).enumerate() {
+                    let held: Vec<&str> = set_bits(marked).map(|c| dict.decode(c)).collect();
+                    let range = held.iter().min().zip(held.iter().max());
+                    stats[b][col_id].range =
+                        range.map(|(lo, hi)| (Scalar::from(*lo), Scalar::from(*hi)));
+                    if !held.is_empty() && held.len() <= distinct_cap {
+                        stats[b][col_id].distinct =
+                            Some(held.into_iter().map(Scalar::from).collect());
                     }
                 }
             }
@@ -206,6 +191,20 @@ pub fn build_metadata_capped(
             columns,
         })
         .collect()
+}
+
+/// Positions of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                w as u32 * 64 + bit
+            })
+        })
+    })
 }
 
 // ------------------------------------------------------- metadata codec --
@@ -345,6 +344,138 @@ mod tests {
     use oreo_query::{ColumnType, QueryBuilder, Schema};
     use std::sync::Arc;
 
+    /// The metadata pass this module shipped before the single-pass one (a
+    /// tree insert per row, a table rescan per overflowed partition per string
+    /// column), kept verbatim as the differential oracle.
+    fn reference_metadata_capped(
+        table: &Table,
+        assignment: &[u32],
+        k: usize,
+        distinct_cap: usize,
+    ) -> Vec<PartitionMetadata> {
+        assert_eq!(assignment.len(), table.num_rows(), "assignment length");
+        let ncols = table.num_columns();
+        let mut rows = vec![0u64; k];
+        for &bid in assignment {
+            rows[bid as usize] += 1;
+        }
+
+        // Accumulate per column to stay cache-friendly in the typed arrays.
+        let mut stats: Vec<Vec<ColumnStats>> = (0..k)
+            .map(|_| (0..ncols).map(|_| ColumnStats::empty()).collect())
+            .collect();
+
+        for (col_id, column) in table.columns().iter().enumerate() {
+            match column {
+                Column::Int(values) => {
+                    let mut min = vec![i64::MAX; k];
+                    let mut max = vec![i64::MIN; k];
+                    // Low-cardinality integer columns (nation keys, store ids,
+                    // months…) prune equality predicates far better with exact
+                    // distinct sets than with min/max ranges — a range almost
+                    // always straddles the probe value. Track a capped set per
+                    // partition, dropping it on overflow.
+                    let mut sets: Vec<Option<BTreeSet<i64>>> = vec![Some(BTreeSet::new()); k];
+                    for (row, &v) in values.iter().enumerate() {
+                        let b = assignment[row] as usize;
+                        min[b] = min[b].min(v);
+                        max[b] = max[b].max(v);
+                        if let Some(set) = sets[b].as_mut() {
+                            set.insert(v);
+                            if set.len() > distinct_cap {
+                                sets[b] = None;
+                            }
+                        }
+                    }
+                    for b in 0..k {
+                        if rows[b] > 0 {
+                            stats[b][col_id].range =
+                                Some((Scalar::Int(min[b]), Scalar::Int(max[b])));
+                            stats[b][col_id].distinct = sets[b]
+                                .take()
+                                .map(|s| s.into_iter().map(Scalar::Int).collect());
+                        }
+                    }
+                }
+                Column::Float(values) => {
+                    let mut min = vec![f64::INFINITY; k];
+                    let mut max = vec![f64::NEG_INFINITY; k];
+                    for (row, &v) in values.iter().enumerate() {
+                        let b = assignment[row] as usize;
+                        if v.total_cmp(&min[b]).is_lt() {
+                            min[b] = v;
+                        }
+                        if v.total_cmp(&max[b]).is_gt() {
+                            max[b] = v;
+                        }
+                    }
+                    for b in 0..k {
+                        if rows[b] > 0 {
+                            stats[b][col_id].range =
+                                Some((Scalar::Float(min[b]), Scalar::Float(max[b])));
+                        }
+                    }
+                }
+                Column::Str(dict) => {
+                    // Track distinct codes per partition; degrade to range-only
+                    // when a partition exceeds the cap.
+                    let mut codes: Vec<Option<BTreeSet<u32>>> = vec![Some(BTreeSet::new()); k];
+                    for (row, &code) in dict.codes().iter().enumerate() {
+                        let b = assignment[row] as usize;
+                        if let Some(set) = codes[b].as_mut() {
+                            set.insert(code);
+                            if set.len() > distinct_cap {
+                                codes[b] = None;
+                            }
+                        }
+                    }
+                    for b in 0..k {
+                        if rows[b] == 0 {
+                            continue;
+                        }
+                        match &codes[b] {
+                            Some(set) => {
+                                let distinct: BTreeSet<Scalar> = set
+                                    .iter()
+                                    .map(|&c| Scalar::Str(dict.decode(c).to_owned()))
+                                    .collect();
+                                let min = distinct.iter().next().cloned();
+                                let max = distinct.iter().next_back().cloned();
+                                stats[b][col_id].range = min.zip(max);
+                                stats[b][col_id].distinct = Some(distinct);
+                            }
+                            None => {
+                                // One extra pass for this partition's range.
+                                let mut min: Option<&str> = None;
+                                let mut max: Option<&str> = None;
+                                for (row, &code) in dict.codes().iter().enumerate() {
+                                    if assignment[row] as usize != b {
+                                        continue;
+                                    }
+                                    let s = dict.decode(code);
+                                    min = Some(min.map_or(s, |m| if s < m { s } else { m }));
+                                    max = Some(max.map_or(s, |m| if s > m { s } else { m }));
+                                }
+                                stats[b][col_id].range = min.zip(max).map(|(lo, hi)| {
+                                    (Scalar::Str(lo.to_owned()), Scalar::Str(hi.to_owned()))
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        stats
+            .into_iter()
+            .zip(rows)
+            .map(|(columns, r)| PartitionMetadata {
+                rows: r as f64,
+                columns,
+            })
+            .collect()
+    }
+
     fn table() -> Table {
         let s = Arc::new(Schema::from_pairs([
             ("v", ColumnType::Int),
@@ -460,5 +591,49 @@ mod tests {
         let mut meta = build_metadata(&t, &assignment, 1);
         meta[0].scale_rows(10.0);
         assert_eq!(meta[0].rows, 1000.0);
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The single-pass builder equals the old per-row / rescanning
+            /// one field for field: empty partitions, dictionaries that
+            /// straddle a 64-code bitset word, and partition cardinalities
+            /// on both sides of the cap.
+            #[test]
+            fn single_pass_equals_reference(
+                rows in proptest::collection::vec(
+                    (-4i64..12, -3i64..5, 0usize..150, 0usize..4),
+                    0..200,
+                ),
+                k in 1usize..9,
+                narrow in 1usize..150,
+                cap in prop_oneof![Just(0usize), Just(1), Just(3), Just(64)],
+            ) {
+                let s = Arc::new(Schema::from_pairs([
+                    ("v", ColumnType::Int),
+                    ("f", ColumnType::Float),
+                    ("c", ColumnType::Str),
+                ]));
+                let mut b = TableBuilder::new(Arc::clone(&s));
+                // Partition k − 1 stays empty; partition ids correlate with
+                // the values so some partitions stay under the cap.
+                let live = (k - 1).max(1);
+                let mut assignment = Vec::new();
+                for &(v, f, word, salt) in &rows {
+                    let word = word % narrow;
+                    let f = if f == -3 { f64::NAN } else { f as f64 / 2.0 };
+                    let word_str = Scalar::from(format!("w{word:03}"));
+                    b.push_row(&[Scalar::Int(v), Scalar::Float(f), word_str]);
+                    assignment.push(((word / 8 + salt / 3) % live) as u32);
+                }
+                let t = b.finish();
+                let got = build_metadata_capped(&t, &assignment, k, cap);
+                let want = reference_metadata_capped(&t, &assignment, k, cap);
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }

@@ -136,36 +136,7 @@ impl TableSnapshot {
         layout: LayoutId,
         name: impl Into<String>,
     ) -> Self {
-        assert_eq!(assignment.len(), base.num_rows(), "assignment length");
-        let mut groups: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for (row, &bid) in assignment.iter().enumerate() {
-            groups[bid as usize].push(row as u32);
-        }
-        let meta = build_metadata(base, assignment, k);
-        let partitions = groups
-            .into_iter()
-            .zip(meta)
-            .map(|(rows, meta)| {
-                let data = Arc::new(base.project_rows(&rows));
-                let bytes = data.memory_bytes() as u64;
-                SnapshotPartition {
-                    rows: rows.into(),
-                    data,
-                    meta,
-                    bytes,
-                    extents: None,
-                }
-            })
-            .collect();
-        Self {
-            layout,
-            name: name.into(),
-            epoch: 0,
-            partitions,
-            total_rows: base.num_rows() as u64,
-            generation: None,
-            delta: None,
-        }
+        Self::group(base, None, assignment, k, layout, name.into())
     }
 
     /// [`TableSnapshot::build`] for a base whose global row ids are *not*
@@ -186,9 +157,30 @@ impl TableSnapshot {
         layout: LayoutId,
         name: impl Into<String>,
     ) -> Self {
-        assert_eq!(assignment.len(), base.num_rows(), "assignment length");
         assert_eq!(row_ids.len(), base.num_rows(), "row-id length");
-        let mut groups: Vec<Vec<u32>> = vec![Vec::new(); k];
+        Self::group(base, Some(row_ids), assignment, k, layout, name.into())
+    }
+
+    /// Group `base` by `assignment`; a partition's global row ids are its
+    /// base positions, mapped through `row_ids` when given.
+    fn group(
+        base: &Table,
+        row_ids: Option<&[u32]>,
+        assignment: &[u32],
+        k: usize,
+        layout: LayoutId,
+        name: String,
+    ) -> Self {
+        assert_eq!(assignment.len(), base.num_rows(), "assignment length");
+        // Count first, so each partition's position list is allocated once
+        // at its exact size — and freed as soon as its partition is built,
+        // which keeps the rewrite's peak footprint down. (An id outside
+        // `0..k` indexes past `counts` and panics.)
+        let mut counts = vec![0usize; k];
+        for &bid in assignment {
+            counts[bid as usize] += 1;
+        }
+        let mut groups: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
         for (pos, &bid) in assignment.iter().enumerate() {
             groups[bid as usize].push(pos as u32);
         }
@@ -199,9 +191,12 @@ impl TableSnapshot {
             .map(|(positions, meta)| {
                 let data = Arc::new(base.project_rows(&positions));
                 let bytes = data.memory_bytes() as u64;
-                let rows: Vec<u32> = positions.iter().map(|&p| row_ids[p as usize]).collect();
+                let rows: Arc<[u32]> = match row_ids {
+                    None => positions.into(),
+                    Some(ids) => positions.iter().map(|&p| ids[p as usize]).collect(),
+                };
                 SnapshotPartition {
-                    rows: rows.into(),
+                    rows,
                     data,
                     meta,
                     bytes,
@@ -211,7 +206,7 @@ impl TableSnapshot {
             .collect();
         Self {
             layout,
-            name: name.into(),
+            name,
             epoch: 0,
             partitions,
             total_rows: base.num_rows() as u64,

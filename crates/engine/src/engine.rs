@@ -497,6 +497,33 @@ impl LiveMetrics {
             pool_pages_resident: g("pool.pages_resident"),
         }
     }
+
+    /// Publish one scan's accounting and its wall time — the only place a
+    /// scan's quantities are summed; [`Engine::shutdown`] reads them back.
+    fn record_scan(&self, scan: &SnapshotScan, wall: Duration) {
+        let ns = as_nanos_u64(wall);
+        self.rows_scanned.add(scan.rows_read);
+        self.rows_matched.add(scan.matches.len() as u64);
+        self.bytes_scanned.add(scan.bytes_scanned);
+        self.scan_ns.add(ns);
+        self.io_cold_bytes.add(scan.io_cold_bytes);
+        self.io_cached_bytes.add(scan.io_cached_bytes);
+        self.chunks_evaluated.add(scan.chunks_evaluated);
+        self.rows_short_circuited.add(scan.rows_short_circuited);
+        self.delta_bytes_scanned.add(scan.delta_bytes_scanned);
+        self.scan_us.record(as_micros_u64(wall));
+        // Temperature classification: a scan is "cold" when the majority
+        // of its page bytes came from disk. Memory scans (no pooled I/O at
+        // all) are warm by definition.
+        if scan.io_cold_bytes > 0 && scan.io_cold_bytes >= scan.io_cached_bytes {
+            self.cold_scans.inc();
+            self.cold_scan_bytes.add(scan.bytes_scanned);
+            self.cold_scan_ns.add(ns);
+        } else {
+            self.warm_scan_bytes.add(scan.bytes_scanned);
+            self.warm_scan_ns.add(ns);
+        }
+    }
 }
 
 /// One tenant's serving state: its write path, snapshot cell, disk tier,
@@ -518,19 +545,11 @@ struct Tenant {
     tiered: Option<TieredStore>,
     /// Queries whose bookkeeping completed for this tenant.
     observed: AtomicU64,
-    /// Queries fully served for this tenant.
-    completed: AtomicU64,
-    /// Snapshots the scheduler published for this tenant.
-    snapshots_published: AtomicU64,
     /// This tenant's switches the budget scheduler deferred at least once.
     deferrals: AtomicU64,
     /// Largest deferral window (bookkeeping steps, decision → admission)
     /// any of this tenant's switches waited.
     max_deferred_queries: AtomicU64,
-    /// Page bytes this tenant's pooled scans read from disk / served from
-    /// the shared pool.
-    io_cold_bytes: AtomicU64,
-    io_cached_bytes: AtomicU64,
     /// The tenant's namespaced metric handles (`tenant.<index>.<metric>`)
     /// — only in multi-tenant runs, so a single-tenant registry stays
     /// byte-identical to the pre-tenancy schema.
@@ -545,6 +564,35 @@ fn metric_views<'a>(
     tenant: &'a Tenant,
 ) -> impl Iterator<Item = &'a LiveMetrics> {
     std::iter::once(&shared.metrics).chain(tenant.metrics.as_ref())
+}
+
+/// Set a gauge whose aggregate series is the fleet *sum* (table bytes, WAL
+/// bytes, unfolded delta rows): `tenant`'s namespaced gauge takes `value`
+/// and the aggregate is republished as the sum over the tenants that have
+/// set theirs. A single-tenant engine has no namespaced series — the
+/// aggregate *is* the tenant. Callers serialize per tenant (ingest lock or
+/// scheduler thread), so a tenant's own gauge never goes backwards.
+fn set_fleet_gauge(
+    shared: &Shared,
+    tenant: &Tenant,
+    gauge: impl Fn(&LiveMetrics) -> &Gauge,
+    value: f64,
+) {
+    let Some(tm) = &tenant.metrics else {
+        return gauge(&shared.metrics).set(value);
+    };
+    gauge(tm).set(value);
+    let set_values = shared
+        .tenants
+        .iter()
+        .filter_map(|t| t.metrics.as_ref().map(|m| gauge(m).get()))
+        .filter(|v| v.is_finite());
+    gauge(&shared.metrics).set(set_values.sum());
+}
+
+/// Duration → whole nanoseconds, saturating (counters are integers).
+fn as_nanos_u64(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 struct Shared {
@@ -564,7 +612,6 @@ struct Shared {
     observed: AtomicU64,
     submitted: AtomicU64,
     completed: AtomicU64,
-    snapshots_published: AtomicU64,
     /// Cumulative service cost across all tenants, in micro-cost-units —
     /// the budget scheduler's admission denominator.
     query_cost_micros: AtomicU64,
@@ -580,34 +627,6 @@ struct Shared {
     sink: Arc<dyn EventSink>,
     /// Engine birth — the exporter's qps/elapsed origin.
     started: Instant,
-}
-
-#[derive(Default)]
-struct WorkerStats {
-    rows_scanned: u64,
-    rows_matched: u64,
-    bytes_scanned: u64,
-    scan_seconds: f64,
-    /// Scans whose bytes came mostly from disk (pool misses), and their
-    /// byte/second volumes — the cold α̂ calibration bucket.
-    cold_scans: u64,
-    cold_scan_bytes: u64,
-    cold_scan_seconds: f64,
-    /// Memory-resident or pool-hit scans — the warm bucket.
-    warm_scan_bytes: u64,
-    warm_scan_seconds: f64,
-    /// Page bytes read from disk / served from the pool across scans.
-    io_cold_bytes: u64,
-    io_cached_bytes: u64,
-    /// Pooled scans that failed (I/O or corruption) and fell back to the
-    /// in-memory snapshot scan.
-    scan_io_errors: u64,
-    /// Vectorized-kernel work: 1024-row chunks evaluated and rows the
-    /// adaptive AND order skipped later kernels for.
-    chunks_evaluated: u64,
-    rows_short_circuited: u64,
-    /// Bytes scanned in delta runs (a subset of `bytes_scanned`).
-    delta_bytes_scanned: u64,
 }
 
 /// One tenant's slice of a run, returned inside [`EngineStats::tenants`].
@@ -856,33 +875,47 @@ impl EngineStats {
     /// scans serve with in-memory byte accounting, so the scan-throughput
     /// calibration would mix units and the ratio would be wrong.
     pub fn empirical_alpha(&self) -> Option<f64> {
-        if !self.tiered_errors.is_empty() || self.scan_io_errors > 0 {
-            return None;
-        }
-        self.alpha_estimator().alpha()
+        self.alpha_readings()[0]
     }
 
     /// α̂ from the cold (disk) scan throughput only; `None` without cold
     /// scans or under the degradations that void [`Self::empirical_alpha`].
     pub fn alpha_cold(&self) -> Option<f64> {
-        if !self.tiered_errors.is_empty() || self.scan_io_errors > 0 {
-            return None;
-        }
-        self.alpha_estimator().alpha_cold()
+        self.alpha_readings()[1]
     }
 
     /// α̂ from the warm (pool-hit / memory) scan throughput only.
     pub fn alpha_warm(&self) -> Option<f64> {
-        if !self.tiered_errors.is_empty() || self.scan_io_errors > 0 {
-            return None;
-        }
-        self.alpha_estimator().alpha_warm()
+        self.alpha_readings()[2]
+    }
+
+    fn alpha_readings(&self) -> [Option<f64>; 3] {
+        alpha_readings(
+            &self.alpha_estimator(),
+            self.scan_io_errors,
+            self.tiered_errors.len() as u64,
+        )
     }
 
     /// Buffer-pool hit rate over the run (0.0 without a pool).
     pub fn pool_hit_rate(&self) -> f64 {
         self.pool.map_or(0.0, |p| p.hit_rate())
     }
+}
+
+/// `[α̂, α̂ cold, α̂ warm]` of `est` — the one rule the shutdown report and the
+/// live `alpha.*` gauges share: nothing is reported once a pooled scan or a
+/// tiered publish degraded, because the fallback scans serve with in-memory
+/// byte accounting and the scan-throughput calibration would mix units.
+fn alpha_readings(
+    est: &AlphaEstimator,
+    scan_io_errors: u64,
+    tiered_errors: u64,
+) -> [Option<f64>; 3] {
+    if scan_io_errors > 0 || tiered_errors > 0 {
+        return [None; 3];
+    }
+    [est.alpha(), est.alpha_cold(), est.alpha_warm()]
 }
 
 /// What the reorganization scheduler thread returns at join: every
@@ -896,7 +929,7 @@ type SchedulerOutcome = (Vec<ReorgWindow>, Vec<String>, f64);
 /// [`Engine::drain`] + [`Engine::shutdown`].
 pub struct Engine {
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<WorkerStats>>,
+    workers: Vec<JoinHandle<()>>,
     reorg: Option<JoinHandle<SchedulerOutcome>>,
     exporter: Option<JoinHandle<()>>,
     /// Tells the exporter thread to write its final snapshot and exit.
@@ -1045,12 +1078,8 @@ impl Engine {
                 cell: SnapshotCell::new(initial_snapshot),
                 tiered,
                 observed: AtomicU64::new(0),
-                completed: AtomicU64::new(0),
-                snapshots_published: AtomicU64::new(0),
                 deferrals: AtomicU64::new(0),
                 max_deferred_queries: AtomicU64::new(0),
-                io_cold_bytes: AtomicU64::new(0),
-                io_cached_bytes: AtomicU64::new(0),
                 metrics: tenant_metrics,
             });
         }
@@ -1076,7 +1105,6 @@ impl Engine {
             observed: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            snapshots_published: AtomicU64::new(0),
             query_cost_micros: AtomicU64::new(0),
             drain_lock: Mutex::new(()),
             drain_cv: Condvar::new(),
@@ -1113,15 +1141,10 @@ impl Engine {
         // last worker does.
         drop(reorg_tx);
 
-        let mut fleet_bytes = 0u64;
         for ten in &shared.tenants {
             let bytes = ten.cell.pin().total_bytes();
-            fleet_bytes += bytes;
-            if let Some(tm) = &ten.metrics {
-                tm.table_bytes.set(bytes as f64);
-            }
+            set_fleet_gauge(&shared, ten, |m| &m.table_bytes, bytes as f64);
         }
-        shared.metrics.table_bytes.set(fleet_bytes as f64);
 
         let exporter_stop = Arc::new((Mutex::new(false), Condvar::new()));
         let exporter = shared.config.obs.metrics_json.clone().map(|path| {
@@ -1240,27 +1263,19 @@ impl Engine {
             for m in metric_views(shared, ten) {
                 m.tiered_errors.inc();
             }
-        } else {
-            let wal_bytes = ing.wal.as_ref().map(Wal::bytes);
-            if let Some(b) = wal_bytes {
-                ing.wal_bytes = b;
-                for m in metric_views(shared, ten) {
-                    m.wal_bytes.set(b as f64);
-                }
-            }
+            set_fleet_gauge(shared, ten, |m| &m.wal_bytes, 0.0);
+        } else if let Some(wal) = &ing.wal {
+            set_fleet_gauge(shared, ten, |m| &m.wal_bytes, wal.bytes() as f64);
         }
         let receipt = ing.buffer.apply(ops)?;
-        ing.batches += 1;
-        ing.rows_appended += receipt.appended;
-        ing.rows_deleted += receipt.deleted;
-        ing.rows_written += receipt.rows_written;
         for m in metric_views(shared, ten) {
             m.ingest_batches.inc();
             m.ingest_rows.add(receipt.appended);
             m.ingest_deletes.add(receipt.deleted);
             m.ingest_rows_written.add(receipt.rows_written);
-            m.delta_rows.set(ing.buffer.delta_rows() as f64);
         }
+        let delta_rows = ing.buffer.delta_rows() as f64;
+        set_fleet_gauge(shared, ten, |m| &m.delta_rows, delta_rows);
         // Publish the new overlay: readers pin snapshots, so clone the
         // current one and re-attach. Still under the ingest lock — every
         // overlay-bearing publish is — so a racing fold can't lose it.
@@ -1374,49 +1389,33 @@ impl Engine {
     /// Snapshots published by the reorganization scheduler so far, across
     /// all tenants (a quiesce signal for tests and parity harnesses).
     pub fn snapshots_published(&self) -> u64 {
-        self.shared.snapshots_published.load(Ordering::Relaxed)
+        self.shared.metrics.snapshots_published.get()
     }
 
     /// Stop accepting work, wait for the pipeline (workers + reorganizer)
     /// to finish everything in flight, and return aggregate statistics.
     pub fn shutdown(mut self) -> EngineStats {
         self.shared.queue.close();
-        let mut totals = WorkerStats::default();
         for handle in self.workers.drain(..) {
-            let stats = handle.join().expect("worker panicked");
-            totals.rows_scanned += stats.rows_scanned;
-            totals.rows_matched += stats.rows_matched;
-            totals.bytes_scanned += stats.bytes_scanned;
-            totals.scan_seconds += stats.scan_seconds;
-            totals.cold_scans += stats.cold_scans;
-            totals.cold_scan_bytes += stats.cold_scan_bytes;
-            totals.cold_scan_seconds += stats.cold_scan_seconds;
-            totals.warm_scan_bytes += stats.warm_scan_bytes;
-            totals.warm_scan_seconds += stats.warm_scan_seconds;
-            totals.io_cold_bytes += stats.io_cold_bytes;
-            totals.io_cached_bytes += stats.io_cached_bytes;
-            totals.scan_io_errors += stats.scan_io_errors;
-            totals.chunks_evaluated += stats.chunks_evaluated;
-            totals.rows_short_circuited += stats.rows_short_circuited;
-            totals.delta_bytes_scanned += stats.delta_bytes_scanned;
+            handle.join().expect("worker panicked");
         }
         let (windows, mut tiered_errors, reorg_budget_spent) = match self.reorg.take() {
             Some(handle) => handle.join().expect("reorganizer panicked"),
             None => (Vec::new(), Vec::new(), 0.0),
         };
-        // Fold every tenant's write-path degradations and counters in
-        // (lock order: ingest before core).
-        let mut ingest_summary = (0u64, 0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
+        // Every tenant's write-path degradations, and what is still
+        // unfolded — read from the live buffer and log. A degraded WAL is
+        // gone and counts 0 bytes; so does one no batch ever reached (it
+        // is only its header, and its `ingest.wal_bytes` gauge is unset).
+        let (mut delta_rows, mut tombstones, mut wal_bytes) = (0u64, 0u64, 0u64);
         for ten in &self.shared.tenants {
             let ing = ten.ingest.lock().expect("ingest poisoned");
             tiered_errors.extend(ing.errors.iter().cloned());
-            ingest_summary.0 += ing.batches;
-            ingest_summary.1 += ing.rows_appended;
-            ingest_summary.2 += ing.rows_deleted;
-            ingest_summary.3 += ing.rows_written;
-            ingest_summary.4 += ing.buffer.delta_rows();
-            ingest_summary.5 += ing.buffer.tombstone_count() as u64;
-            ingest_summary.6 += ing.wal_bytes;
+            delta_rows += ing.buffer.delta_rows();
+            tombstones += ing.buffer.tombstone_count() as u64;
+            if ing.buffer.next_seq() > 1 {
+                wal_bytes += ing.wal.as_ref().map_or(0, Wal::bytes);
+            }
         }
         // Stop the exporter last among the threads so its final snapshot
         // sees the fully drained counters.
@@ -1446,28 +1445,29 @@ impl Engine {
             .sum();
         let core = self.shared.core.lock().expect("core poisoned");
         let queries = self.shared.completed.load(Ordering::Relaxed);
+        // The registry is the only accumulator: the report is a read of it.
+        let m = &self.shared.metrics;
+        let seconds = |ns: &Counter| ns.get() as f64 / 1e9;
         let tenants: Vec<TenantStats> = self
             .shared
             .tenants
             .iter()
             .map(|ten| {
                 let oreo = core.instance(&ten.name).expect("tenant registered");
-                let latency_hist = ten
-                    .metrics
-                    .as_ref()
-                    .map(|m| &m.latency_us)
-                    .unwrap_or(&self.shared.metrics.latency_us);
+                // A single tenant has no namespaced series: it is the
+                // aggregate.
+                let tm = ten.metrics.as_ref().unwrap_or(m);
                 TenantStats {
                     name: ten.name.clone(),
-                    queries: ten.completed.load(Ordering::Relaxed),
-                    latency: LatencyStats::from_histogram(latency_hist),
+                    queries: tm.queries_completed.get(),
+                    latency: LatencyStats::from_histogram(&tm.latency_us),
                     ledger: *oreo.ledger(),
                     switches: oreo.switches(),
-                    snapshots_published: ten.snapshots_published.load(Ordering::Relaxed),
+                    snapshots_published: tm.snapshots_published.get(),
                     reorg_deferrals: ten.deferrals.load(Ordering::Relaxed),
                     max_deferred_queries: ten.max_deferred_queries.load(Ordering::Relaxed),
-                    io_cold_bytes: ten.io_cold_bytes.load(Ordering::Relaxed),
-                    io_cached_bytes: ten.io_cached_bytes.load(Ordering::Relaxed),
+                    io_cold_bytes: tm.io_cold_bytes.get(),
+                    io_cached_bytes: tm.io_cached_bytes.get(),
                     final_physical: oreo.physical_layout(),
                     final_logical: oreo.logical_layout(),
                 }
@@ -1487,36 +1487,36 @@ impl Engine {
             } else {
                 0.0
             },
-            latency: LatencyStats::from_histogram(&self.shared.metrics.latency_us),
+            latency: LatencyStats::from_histogram(&m.latency_us),
             ledger: core.total_ledger(),
             switches: tenants.iter().map(|t| t.switches).sum(),
-            snapshots_published: self.shared.snapshots_published.load(Ordering::Relaxed),
+            snapshots_published: m.snapshots_published.get(),
             windows,
             tiered_errors,
             reorg_budget_spent,
-            rows_scanned: totals.rows_scanned,
-            rows_matched: totals.rows_matched,
-            bytes_scanned: totals.bytes_scanned,
-            scan_seconds: totals.scan_seconds,
-            cold_scans: totals.cold_scans,
-            cold_scan_bytes: totals.cold_scan_bytes,
-            cold_scan_seconds: totals.cold_scan_seconds,
-            warm_scan_bytes: totals.warm_scan_bytes,
-            warm_scan_seconds: totals.warm_scan_seconds,
-            io_cold_bytes: totals.io_cold_bytes,
-            io_cached_bytes: totals.io_cached_bytes,
+            rows_scanned: m.rows_scanned.get(),
+            rows_matched: m.rows_matched.get(),
+            bytes_scanned: m.bytes_scanned.get(),
+            scan_seconds: seconds(&m.scan_ns),
+            cold_scans: m.cold_scans.get(),
+            cold_scan_bytes: m.cold_scan_bytes.get(),
+            cold_scan_seconds: seconds(&m.cold_scan_ns),
+            warm_scan_bytes: m.warm_scan_bytes.get(),
+            warm_scan_seconds: seconds(&m.warm_scan_ns),
+            io_cold_bytes: m.io_cold_bytes.get(),
+            io_cached_bytes: m.io_cached_bytes.get(),
             pool: self.shared.pool.as_ref().map(|p| p.stats()),
-            scan_io_errors: totals.scan_io_errors,
-            chunks_evaluated: totals.chunks_evaluated,
-            rows_short_circuited: totals.rows_short_circuited,
-            delta_bytes_scanned: totals.delta_bytes_scanned,
-            ingest_batches: ingest_summary.0,
-            rows_appended: ingest_summary.1,
-            rows_deleted: ingest_summary.2,
-            ingest_rows_written: ingest_summary.3,
-            delta_rows: ingest_summary.4,
-            tombstones: ingest_summary.5,
-            wal_bytes: ingest_summary.6,
+            scan_io_errors: m.scan_io_errors.get(),
+            chunks_evaluated: m.chunks_evaluated.get(),
+            rows_short_circuited: m.rows_short_circuited.get(),
+            delta_bytes_scanned: m.delta_bytes_scanned.get(),
+            ingest_batches: m.ingest_batches.get(),
+            rows_appended: m.ingest_rows.get(),
+            rows_deleted: m.ingest_deletes.get(),
+            ingest_rows_written: m.ingest_rows_written.get(),
+            delta_rows,
+            tombstones,
+            wal_bytes,
             table_bytes,
             mode: self.shared.config.mode.clone(),
             final_physical: first.physical_layout(),
@@ -1545,7 +1545,7 @@ impl Drop for Engine {
 
 /// Recompute the derived gauges — qps, α̂ (rebuilt from the monotone
 /// scan/rewrite counters via [`AlphaEstimator`], `NaN` when a side has no
-/// samples yet), and the buffer-pool readings.
+/// samples yet or the run degraded), and the buffer-pool readings.
 fn update_derived_gauges(shared: &Shared) {
     let m = &shared.metrics;
     let elapsed = shared.started.elapsed().as_secs_f64();
@@ -1571,9 +1571,10 @@ fn update_derived_gauges(shared: &Shared) {
             m.persist_ns.get() as f64 / 1e9,
             m.persisted.get(),
         );
-        m.alpha_hat.set(est.alpha().unwrap_or(f64::NAN));
-        m.alpha_cold.set(est.alpha_cold().unwrap_or(f64::NAN));
-        m.alpha_warm.set(est.alpha_warm().unwrap_or(f64::NAN));
+        let [hat, cold, warm] = alpha_readings(&est, m.scan_io_errors.get(), m.tiered_errors.get());
+        m.alpha_hat.set(hat.unwrap_or(f64::NAN));
+        m.alpha_cold.set(cold.unwrap_or(f64::NAN));
+        m.alpha_warm.set(warm.unwrap_or(f64::NAN));
     }
 }
 
@@ -1620,18 +1621,15 @@ fn exporter_loop(shared: &Shared, stop: &(Mutex<bool>, Condvar), path: &std::pat
     write_one(shared, &mut writer);
 }
 
-fn worker_loop(
-    shared: &Shared,
-    home: usize,
-    reorg_tx: Option<Sender<ReorgRequest>>,
-) -> WorkerStats {
-    let mut stats = WorkerStats::default();
+fn worker_loop(shared: &Shared, home: usize, reorg_tx: Option<Sender<ReorgRequest>>) {
+    let mut warned = false;
     while let Some(batch) = shared.queue.pop_batch(home, shared.config.batch) {
         // Phase 1 — scans against the job's tenant's pinned snapshot, no
         // locks held. In tiered serving the scan reads partition pages
         // through the shared buffer pool (real disk I/O on misses); a
-        // pooled scan that fails degrades to the in-memory snapshot and is
-        // excluded from α̂ calibration.
+        // pooled scan that fails degrades to the in-memory snapshot. The
+        // failure voids α̂ for the run (`alpha_readings`); the query's wall
+        // time, failed attempt included, still lands in `engine.scan_us`.
         let mut scanned = Vec::with_capacity(batch.len());
         for job in batch {
             let picked = Instant::now();
@@ -1646,14 +1644,14 @@ fn worker_loop(
                 (Some(pool), Some(_)) => match snapshot.scan_pooled(&job.query.predicate, pool) {
                     Ok(scan) => scan,
                     Err(e) => {
-                        stats.scan_io_errors += 1;
                         for m in metric_views(shared, ten) {
                             m.scan_io_errors.inc();
                         }
                         // A persistent fault (unreadable file, bad disk)
                         // would otherwise print once per queued query;
                         // the full count lands in scan_io_errors.
-                        if stats.scan_io_errors == 1 {
+                        if !warned {
+                            warned = true;
                             eprintln!(
                                 "oreo-worker-{home}: pooled scan failed: {e} (memory \
                                  fallback; further errors counted silently)"
@@ -1665,52 +1663,8 @@ fn worker_loop(
                 _ => snapshot.scan(&job.query.predicate),
             };
             let scan_wall = picked.elapsed();
-            let elapsed = scan_wall.as_secs_f64();
-            let scan_ns = scan_wall.as_nanos().min(u128::from(u64::MAX)) as u64;
-            stats.scan_seconds += elapsed;
-            stats.rows_scanned += scan.rows_read;
-            stats.rows_matched += scan.matches.len() as u64;
-            stats.bytes_scanned += scan.bytes_scanned;
-            stats.io_cold_bytes += scan.io_cold_bytes;
-            stats.io_cached_bytes += scan.io_cached_bytes;
-            stats.chunks_evaluated += scan.chunks_evaluated;
-            stats.rows_short_circuited += scan.rows_short_circuited;
-            stats.delta_bytes_scanned += scan.delta_bytes_scanned;
-            ten.io_cold_bytes
-                .fetch_add(scan.io_cold_bytes, Ordering::Relaxed);
-            ten.io_cached_bytes
-                .fetch_add(scan.io_cached_bytes, Ordering::Relaxed);
             for m in metric_views(shared, ten) {
-                m.rows_scanned.add(scan.rows_read);
-                m.rows_matched.add(scan.matches.len() as u64);
-                m.bytes_scanned.add(scan.bytes_scanned);
-                m.scan_ns.add(scan_ns);
-                m.io_cold_bytes.add(scan.io_cold_bytes);
-                m.io_cached_bytes.add(scan.io_cached_bytes);
-                m.chunks_evaluated.add(scan.chunks_evaluated);
-                m.rows_short_circuited.add(scan.rows_short_circuited);
-                m.delta_bytes_scanned.add(scan.delta_bytes_scanned);
-                m.scan_us.record(as_micros_u64(scan_wall));
-            }
-            // Temperature classification: a scan is "cold" when the
-            // majority of its page bytes came from disk. Memory scans
-            // (no pooled I/O at all) are warm by definition.
-            if scan.io_cold_bytes > 0 && scan.io_cold_bytes >= scan.io_cached_bytes {
-                stats.cold_scans += 1;
-                stats.cold_scan_bytes += scan.bytes_scanned;
-                stats.cold_scan_seconds += elapsed;
-                for m in metric_views(shared, ten) {
-                    m.cold_scans.inc();
-                    m.cold_scan_bytes.add(scan.bytes_scanned);
-                    m.cold_scan_ns.add(scan_ns);
-                }
-            } else {
-                stats.warm_scan_bytes += scan.bytes_scanned;
-                stats.warm_scan_seconds += elapsed;
-                for m in metric_views(shared, ten) {
-                    m.warm_scan_bytes.add(scan.bytes_scanned);
-                    m.warm_scan_ns.add(scan_ns);
-                }
+                m.record_scan(&scan, scan_wall);
             }
             if shared.sink.enabled() {
                 shared.sink.emit(EventKind::QueryScanned {
@@ -1843,12 +1797,10 @@ fn worker_loop(
                 drop(v);
                 slot.ready.notify_all();
             }
-            ten.completed.fetch_add(1, Ordering::Relaxed);
             shared.completed.fetch_add(1, Ordering::Release);
         }
         shared.drain_cv.notify_all();
     }
-    stats
 }
 
 /// The reorganization scheduler, run on the `oreo-reorg` thread: switch
@@ -2079,8 +2031,7 @@ fn execute_reorg(
     if bytes_written > 0 {
         for m in metric_views(shared, ten) {
             m.persisted.inc();
-            m.persist_ns
-                .add((build + write).as_nanos().min(u128::from(u64::MAX)) as u64);
+            m.persist_ns.add(as_nanos_u64(build + write));
             m.reorg_bytes_written.add(bytes_written);
         }
         if shared.sink.enabled() {
@@ -2126,21 +2077,16 @@ fn execute_reorg(
                         m.tiered_errors.inc();
                     }
                 }
-                let wal_bytes = ing.wal.as_ref().map(Wal::bytes);
-                if let Some(b) = wal_bytes {
-                    ing.wal_bytes = b;
-                    for m in metric_views(shared, ten) {
-                        m.wal_bytes.set(b as f64);
-                    }
+                if let Some(wal) = &ing.wal {
+                    set_fleet_gauge(shared, ten, |m| &m.wal_bytes, wal.bytes() as f64);
                 }
             }
         }
         // Re-attach the live overlay (batches ingested during the build)
         // under the same lock every overlay publish takes.
         snapshot.set_delta(ing.buffer.overlay());
-        for m in metric_views(shared, ten) {
-            m.delta_rows.set(ing.buffer.delta_rows() as f64);
-        }
+        let delta_rows = ing.buffer.delta_rows() as f64;
+        set_fleet_gauge(shared, ten, |m| &m.delta_rows, delta_rows);
         ten.cell.publish(snapshot);
     }
     if folded_rows > 0 {
@@ -2173,20 +2119,10 @@ fn execute_reorg(
             });
         }
     }
-    shared.snapshots_published.fetch_add(1, Ordering::Relaxed);
-    ten.snapshots_published.fetch_add(1, Ordering::Relaxed);
     for m in metric_views(shared, ten) {
         m.snapshots_published.inc();
     }
-    if let Some(tm) = &ten.metrics {
-        tm.table_bytes.set(snapshot_bytes as f64);
-    }
-    let fleet_bytes: u64 = shared
-        .tenants
-        .iter()
-        .map(|t| t.cell.pin().total_bytes())
-        .sum();
-    shared.metrics.table_bytes.set(fleet_bytes as f64);
+    set_fleet_gauge(shared, ten, |m| &m.table_bytes, snapshot_bytes as f64);
     let measured = shared.config.delay == DelaySemantics::Measured;
     if measured || merged.is_some() {
         let mut core = shared.core.lock().expect("core poisoned");
@@ -2212,8 +2148,7 @@ fn execute_reorg(
         .saturating_sub(req.tenant_observed_at_decision);
     for m in metric_views(shared, ten) {
         m.reorg_windows.inc();
-        m.reorg_build_ns
-            .add(build.as_nanos().min(u128::from(u64::MAX)) as u64);
+        m.reorg_build_ns.add(as_nanos_u64(build));
         m.reorg_delta_queries.add(queries_during);
     }
     ReorgWindow {

@@ -45,17 +45,6 @@ pub(crate) struct IngestState {
     /// Write-path degradations (WAL open/append/truncate failures). Merged
     /// into `EngineStats::tiered_errors` at shutdown.
     pub errors: Vec<String>,
-    /// Batches accepted.
-    pub batches: u64,
-    /// Rows appended (including the re-append half of updates).
-    pub rows_appended: u64,
-    /// Rows tombstoned.
-    pub rows_deleted: u64,
-    /// Rows written building/merging delta runs — the write-amplification
-    /// numerator over `rows_appended`.
-    pub rows_written: u64,
-    /// WAL size after the last append/truncation.
-    pub wal_bytes: u64,
 }
 
 impl IngestState {
@@ -75,11 +64,6 @@ impl IngestState {
             ids_identity: true,
             folded: 0,
             errors,
-            batches: 0,
-            rows_appended: 0,
-            rows_deleted: 0,
-            rows_written: 0,
-            wal_bytes: 0,
         }
     }
 }

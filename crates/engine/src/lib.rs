@@ -698,6 +698,97 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// The worker's degrade path: a pooled scan that hits a damaged
+    /// partition file falls back to the in-memory snapshot — answers stay
+    /// exact — and the failure voids α̂ in the shutdown report *and* in the
+    /// live `alpha.*` gauges, which share one rule.
+    #[test]
+    fn damaged_partition_file_degrades_scans_and_voids_alpha() {
+        use engine::ObsConfig;
+
+        let t = table(2000);
+        let root = tmproot("degrade");
+        let prom_dir = tmproot("degrade-prom");
+        std::fs::create_dir_all(&prom_dir).unwrap();
+        let engine = start(
+            &t,
+            config(),
+            EngineConfig {
+                workers: 2,
+                // one 64 KiB page for a 16-partition table: every scan
+                // re-reads its partitions from disk
+                buffer_pool_bytes: 1,
+                ..Default::default()
+            }
+            .tiered(&root)
+            // the shutdown dump is what refreshes the derived gauges
+            .with_obs(ObsConfig {
+                metrics_prom: Some(prom_dir.join("metrics.prom")),
+                ..Default::default()
+            }),
+        );
+        let registry = Arc::clone(engine.registry());
+
+        // Healthy phase: run until a rewrite persisted, so α̂ is measurable
+        // and only the degradation rule can void it. Then wait out the
+        // reorganizer so the pinned generation is the one queries scan.
+        for q in drifting_queries(&t, 400) {
+            engine.submit(q);
+        }
+        engine.drain();
+        let decided = engine.ledger().switches;
+        assert!(decided >= 1, "stream never reorganized");
+        while engine.snapshots_published() < decided {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+
+        let pinned = engine.pin();
+        let generation = pinned.generation().expect("tiered snapshot");
+        let victim = generation.dir().join("part-00000.oreo");
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&victim)
+            .unwrap();
+        file.set_len(16).unwrap();
+        drop(file);
+
+        // Every partition holds some `a` in 0..=999, so this reads them
+        // all; twice, because the one-page pool may still hold partition
+        // 0's page the first time round.
+        let cover = QueryBuilder::new(t.schema()).between("a", 0, 999).build();
+        let mut queries = vec![cover.clone(), cover];
+        queries.extend(drifting_queries(&t, 100));
+        for q in &queries {
+            let out = engine.submit_tracked(q.clone()).wait();
+            let expected: Vec<u32> = (0..t.num_rows() as u32)
+                .filter(|&r| t.row_matches(r as usize, &q.predicate))
+                .collect();
+            assert_eq!(out.scan.matches, expected, "degraded scan lost rows");
+        }
+        drop(pinned);
+        let stats = engine.shutdown();
+
+        assert!(stats.scan_io_errors > 0, "no pooled scan hit the damage");
+        assert!(
+            stats.alpha_estimator().alpha().is_some(),
+            "the run measured both sides of α̂"
+        );
+        assert_eq!(stats.empirical_alpha(), None);
+        assert_eq!(stats.alpha_cold(), None);
+        assert_eq!(stats.alpha_warm(), None);
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter("engine.scan_io_errors"),
+            Some(stats.scan_io_errors)
+        );
+        for gauge in ["alpha.hat", "alpha.cold", "alpha.warm"] {
+            let v = snap.gauge(gauge).expect("gauge registered");
+            assert!(v.is_nan(), "{gauge} = {v} after a degraded scan");
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+        std::fs::remove_dir_all(&prom_dir).unwrap();
+    }
+
     /// Readers pinning concurrently with publishes never observe a snapshot
     /// that loses or duplicates rows — the epoch/CoW publish invariant.
     #[test]

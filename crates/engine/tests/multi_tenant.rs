@@ -120,6 +120,20 @@ fn run_solo(t: &Arc<Table>, oreo: OreoConfig, config: EngineConfig, ops: &[Op]) 
     engine.shutdown()
 }
 
+/// Three sentinel appends outside the base domain (a, b < 1000), numbered
+/// from `base`.
+fn sentinel_batch(base: i64) -> Vec<IngestOp> {
+    (base..base + 3)
+        .map(|i| IngestOp::Append {
+            values: vec![
+                Scalar::Int(10_000 + i),
+                Scalar::Int(5_000 + i),
+                Scalar::Int(0),
+            ],
+        })
+        .collect()
+}
+
 /// Materialize a proptest-generated `(tenant, kind, param)` trace into the
 /// interleaved script plus each tenant's substream (identical objects, so
 /// any divergence is the engine's, not the generator's).
@@ -141,20 +155,9 @@ fn materialize(tables: &[Arc<Table>], trace: &[(u8, u8, u16)]) -> (Vec<(usize, O
             query_seq[tenant] += 1;
             Op::Query(q)
         } else {
-            // Sentinel appends outside the base domain (a, b < 1000).
             let base = ingest_seq[tenant];
             ingest_seq[tenant] += 3;
-            Op::Ingest(
-                (base..base + 3)
-                    .map(|i| IngestOp::Append {
-                        values: vec![
-                            Scalar::Int(10_000 + i),
-                            Scalar::Int(5_000 + i),
-                            Scalar::Int(0),
-                        ],
-                    })
-                    .collect(),
-            )
+            Op::Ingest(sentinel_batch(base))
         };
         per_tenant[tenant].push(op.clone());
         script.push((tenant, op));
@@ -451,4 +454,172 @@ fn zero_budget_scheduler_never_starves_a_tenant() {
             .unwrap_or(0);
         assert_eq!(ten.max_deferred_queries, max_in_windows, "{}", ten.name);
     }
+}
+
+/// The fleet-sum gauges: with two tenants ingesting different volumes,
+/// the aggregate `ingest.wal_bytes` / `ingest.delta_rows` are the sum of
+/// the tenants' series — not the last writer's value — and equal what
+/// `EngineStats` reports, before and after folds.
+#[test]
+fn ingest_gauges_aggregate_as_fleet_sums() {
+    let tables = [table(0, 1200), table(3, 1200)];
+    let names = ["big", "small"];
+    let root = tmproot("gauges");
+    let specs = (0..2)
+        .map(|i| tenant_spec(names[i], &tables[i], oreo_config(61 + i as u64)))
+        .collect();
+    let engine = Engine::start_tenants(specs, EngineConfig::sequential_parity().tiered(&root));
+    let registry = Arc::clone(engine.registry());
+    // Tenant 0 writes five batches, tenant 1 two — and writes last.
+    for i in 0..5 {
+        engine.ingest_to(0, &sentinel_batch(3 * i)).unwrap();
+    }
+    for i in 0..2 {
+        engine.ingest_to(1, &sentinel_batch(3 * i)).unwrap();
+    }
+    let fleet = |series: &str| {
+        let snap = registry.snapshot();
+        let tenants: Vec<f64> = (0..2)
+            .map(|i| snap.gauge(&format!("tenant.{i}.{series}")).unwrap())
+            .collect();
+        (snap.gauge(series).unwrap(), tenants)
+    };
+    let wal_on_disk = || -> u64 {
+        names
+            .iter()
+            .map(|n| {
+                let wal = root.join(format!("tenant-{n}")).join("wal.log");
+                std::fs::metadata(wal).unwrap().len()
+            })
+            .sum()
+    };
+    let (delta_rows, per_tenant) = fleet("ingest.delta_rows");
+    assert_eq!(per_tenant, [15.0, 6.0]);
+    assert_eq!(delta_rows, 21.0, "aggregate holds one tenant's value");
+    let (wal_bytes, per_tenant) = fleet("ingest.wal_bytes");
+    assert!(per_tenant[0] > per_tenant[1] && per_tenant[1] > 8.0);
+    assert_eq!(wal_bytes, per_tenant[0] + per_tenant[1]);
+    assert_eq!(wal_bytes, wal_on_disk() as f64);
+
+    // Drift tenant 0 until a switch folds its deltas and truncates its log;
+    // tenant 1 stays unfolded.
+    let script: Vec<(usize, Op)> = (0..200)
+        .map(|i| {
+            let col = if i < 100 { "a" } else { "b" };
+            let lo = (i * 37) % 900;
+            let q = QueryBuilder::new(tables[0].schema())
+                .between(col, lo, lo + 60)
+                .build()
+                .with_seq(i as u64);
+            (0, Op::Query(q))
+        })
+        .collect();
+    drive(&engine, &script);
+    engine.drain();
+    let wal_at_rest = wal_on_disk();
+    let stats = engine.shutdown();
+    assert!(stats.folds() >= 1, "tenant 0 never folded");
+    let (delta_rows, per_tenant) = fleet("ingest.delta_rows");
+    assert_eq!(per_tenant, [0.0, 6.0]);
+    assert_eq!(delta_rows, stats.delta_rows as f64);
+    assert_eq!(stats.delta_rows, 6);
+    let (wal_bytes, per_tenant) = fleet("ingest.wal_bytes");
+    assert_eq!(wal_bytes, per_tenant[0] + per_tenant[1]);
+    assert_eq!(wal_bytes, stats.wal_bytes as f64);
+    assert_eq!(stats.wal_bytes, wal_at_rest);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Cost conservation on the multi-worker engine: with every query tracked,
+/// the per-query scan accounting handed back in `QueryOutcome` sums to the
+/// `EngineStats` totals, and — where per-tenant fields exist — to the sum
+/// of `TenantStats`. Four workers, two tenants, tiered + pooled, with
+/// ingest in the mix so every summed field is non-zero.
+#[test]
+fn scan_accounting_is_conserved_across_workers_and_tenants() {
+    let tables = [table(0, 1500), table(4, 1500)];
+    let names = ["left", "right"];
+    let root = tmproot("conserve");
+    let specs = (0..2)
+        .map(|i| tenant_spec(names[i], &tables[i], oreo_config(71 + i as u64)))
+        .collect();
+    let engine = Engine::start_tenants(
+        specs,
+        EngineConfig {
+            workers: 4,
+            batch: 4,
+            ..Default::default()
+        }
+        .tiered(&root),
+    );
+    let mut handles = Vec::new();
+    for i in 0..300i64 {
+        for (tenant, t) in tables.iter().enumerate() {
+            if i % 25 == 0 {
+                engine.ingest_to(tenant, &sentinel_batch(3 * i)).unwrap();
+            }
+            // drifting ranges, plus the odd query that reaches the deltas
+            let q = if i % 10 == 9 {
+                QueryBuilder::new(t.schema()).between("a", 5_000, 6_000)
+            } else {
+                let col = if i < 150 { "a" } else { "b" };
+                let lo = (i * 37) % 900;
+                QueryBuilder::new(t.schema()).between(col, lo, lo + 60)
+            };
+            handles.push((tenant, engine.submit_tracked_to(tenant, q.build())));
+        }
+    }
+    // [rows_read, matches, bytes, cold, cached, chunks, delta bytes]
+    let mut total = [0u64; 7];
+    let mut per_tenant = [[0u64; 7]; 2];
+    for (tenant, handle) in handles {
+        let scan = handle.wait().scan;
+        let fields = [
+            scan.rows_read,
+            scan.matches.len() as u64,
+            scan.bytes_scanned,
+            scan.io_cold_bytes,
+            scan.io_cached_bytes,
+            scan.chunks_evaluated,
+            scan.delta_bytes_scanned,
+        ];
+        for (slot, v) in fields.into_iter().enumerate() {
+            total[slot] += v;
+            per_tenant[tenant][slot] += v;
+        }
+    }
+    let stats = engine.shutdown();
+    assert_eq!(stats.scan_io_errors, 0, "a fallback would void the sums");
+    assert_eq!(
+        total,
+        [
+            stats.rows_scanned,
+            stats.rows_matched,
+            stats.bytes_scanned,
+            stats.io_cold_bytes,
+            stats.io_cached_bytes,
+            stats.chunks_evaluated,
+            stats.delta_bytes_scanned,
+        ],
+        "Σ QueryOutcome.scan != EngineStats"
+    );
+    assert!(
+        total.iter().all(|&v| v > 0),
+        "a summed field stayed 0: {total:?}"
+    );
+    assert_eq!(stats.queries, 600);
+    for (i, ten) in stats.tenants.iter().enumerate() {
+        assert_eq!(ten.queries, 300, "{}", ten.name);
+        assert_eq!(ten.io_cold_bytes, per_tenant[i][3], "{}", ten.name);
+        assert_eq!(ten.io_cached_bytes, per_tenant[i][4], "{}", ten.name);
+    }
+    assert_eq!(
+        stats
+            .tenants
+            .iter()
+            .map(|t| t.snapshots_published)
+            .sum::<u64>(),
+        stats.snapshots_published
+    );
+    std::fs::remove_dir_all(&root).unwrap();
 }

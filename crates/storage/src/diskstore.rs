@@ -11,6 +11,7 @@ use crate::column::DictBuilder;
 use crate::error::{Result, StorageError};
 use crate::format::{read_partition, read_partition_footer, write_partition_with_meta};
 use crate::partition::{build_metadata, PartitionMetadata};
+use crate::snapshot::RowwiseEvaluator;
 use crate::table::Table;
 use oreo_query::{Query, Schema};
 use std::fs;
@@ -220,13 +221,15 @@ impl DiskStore {
     /// Metadata-pruned, column-projected scan: read only partitions the
     /// predicate may match (the `BID IN (...)` rewrite of the paper's
     /// shallow Spark integration), decode only the predicate's columns, and
-    /// evaluate row by row. An empty predicate decodes column 0 as the
-    /// stand-in aggregate input.
+    /// evaluate through the snapshot scans' row-at-a-time reference
+    /// evaluator. An empty predicate decodes column 0 as the stand-in
+    /// aggregate input.
     pub fn scan(&self, query: &Query) -> Result<ScanStats> {
         let mut cols = query.predicate.columns();
         if cols.is_empty() {
             cols.push(0);
         }
+        let rowwise = RowwiseEvaluator::new(&query.predicate);
         let mut stats = ScanStats::default();
         for (handle, meta) in self.partitions.iter().zip(&self.metadata) {
             if !meta.may_match(&query.predicate) {
@@ -238,23 +241,19 @@ impl DiskStore {
             stats.partitions_read += 1;
             stats.rows_read += nrows as u64;
             stats.bytes_read += handle.bytes;
-            let lookup = |col: usize| {
-                decoded
-                    .iter()
-                    .find(|(c, _)| *c == col)
-                    .map(|(_, column)| column)
-                    .expect("projected column present")
-            };
-            for row in 0..nrows {
-                let hit = query
-                    .predicate
-                    .atoms()
-                    .iter()
-                    .all(|a| crate::column::atom_matches_ref(a, lookup(a.col()).get(row)));
-                if hit {
-                    stats.rows_matched += 1;
-                }
-            }
+            // Projected columns come back in file order; the evaluator
+            // wants the predicate's first-use order.
+            let by_use: Vec<&Column> = cols
+                .iter()
+                .map(|col| {
+                    let (_, column) = decoded
+                        .iter()
+                        .find(|(c, _)| c == col)
+                        .expect("projected column present");
+                    column
+                })
+                .collect();
+            rowwise.for_each_match(&by_use, nrows, |_| stats.rows_matched += 1);
         }
         Ok(stats)
     }

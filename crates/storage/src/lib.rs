@@ -32,14 +32,19 @@
 //!    split into cold (disk) and cached (pool) bytes — instead of bytes
 //!    merely accounted at file sizes.
 //!
-//! Both serving scan paths evaluate predicates through the vectorized
-//! [`kernel`] layer: compiled per-column plans ([`oreo_query::compile`])
-//! run over [`CHUNK_ROWS`]-row chunks into reusable selection vectors,
-//! ANDed cheapest-selectivity-first with late materialization of global row
-//! ids. The row-at-a-time interpreters survive as
-//! [`TableSnapshot::scan_rowwise`] / [`TableSnapshot::scan_pooled_rowwise`]
-//! — the correctness oracle the property tests and the `scan_kernels`
-//! microbench compare against.
+//! All snapshot scans run one driver (prune by metadata → fetch the
+//! predicate's columns → evaluate → sort, subtract tombstones),
+//! parameterised by where the columns come from (resident data, or pages
+//! through the [`BufferPool`]) and how rows are tested. Both serving
+//! entry points ([`TableSnapshot::scan`], [`TableSnapshot::scan_pooled`])
+//! evaluate through the vectorized [`kernel`] layer: compiled per-column
+//! plans ([`oreo_query::compile`]) run over [`CHUNK_ROWS`]-row chunks into
+//! reusable selection vectors, ANDed cheapest-selectivity-first with late
+//! materialization of global row ids. [`TableSnapshot::scan_rowwise`] /
+//! [`TableSnapshot::scan_pooled_rowwise`] are the same driver with the
+//! row-at-a-time reference evaluator — the correctness oracle the property
+//! tests and the `scan_kernels` microbench compare against, and the
+//! evaluator [`DiskStore::scan`] uses.
 
 pub mod bufpool;
 pub mod column;

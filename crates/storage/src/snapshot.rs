@@ -93,6 +93,72 @@ impl SnapshotScan {
     }
 }
 
+/// Where a scan gets a surviving base partition's predicate columns, and
+/// what reading them costs.
+#[derive(Clone, Copy)]
+enum ColumnSource<'a> {
+    /// Borrow the materialized `part.data`; charge `part.bytes`.
+    Resident,
+    /// Fetch the columns' page ranges of the backing generation through
+    /// the pool and decode them; charge the page bytes, split cold/cached.
+    Pooled(&'a BufferPool),
+}
+
+/// How a scan tests a partition's rows.
+#[derive(Clone, Copy)]
+enum Evaluator {
+    /// The vectorized [`kernel`] layer.
+    Kernel,
+    /// The row-at-a-time reference ([`RowwiseEvaluator`]).
+    Rowwise,
+}
+
+/// The row-at-a-time reference interpreter: every atom re-dispatched per
+/// row against its column's cell. Atom → column lookups go through a slot
+/// index computed once per scan, not a per-row search.
+pub(crate) struct RowwiseEvaluator<'p> {
+    predicate: &'p Predicate,
+    /// For each atom, the position of its column in
+    /// [`Predicate::columns`].
+    slots: Vec<usize>,
+}
+
+impl<'p> RowwiseEvaluator<'p> {
+    pub(crate) fn new(predicate: &'p Predicate) -> Self {
+        let cols = predicate.columns();
+        let slots = predicate
+            .atoms()
+            .iter()
+            .map(|a| {
+                cols.iter()
+                    .position(|&c| c == a.col())
+                    .expect("atom column in predicate.columns()")
+            })
+            .collect();
+        Self { predicate, slots }
+    }
+
+    /// Call `hit(row)` for each of the `nrows` rows satisfying every atom.
+    /// `cols` must align with [`Predicate::columns`].
+    pub(crate) fn for_each_match(
+        &self,
+        cols: &[&Column],
+        nrows: usize,
+        mut hit: impl FnMut(usize),
+    ) {
+        let atoms = self.predicate.atoms();
+        for row in 0..nrows {
+            if atoms
+                .iter()
+                .zip(&self.slots)
+                .all(|(a, &slot)| crate::column::atom_matches_ref(a, cols[slot].get(row)))
+            {
+                hit(row);
+            }
+        }
+    }
+}
+
 /// An immutable, fully materialized physical organization of one table.
 #[derive(Clone, Debug)]
 pub struct TableSnapshot {
@@ -323,81 +389,6 @@ impl TableSnapshot {
         }
     }
 
-    /// Partitions a scan considers: base partitions plus delta runs.
-    fn partitions_total(&self) -> usize {
-        self.partitions.len() + self.delta.as_ref().map_or(0, |d| d.runs.len())
-    }
-
-    /// Scan the delta runs through the vectorized kernel layer,
-    /// accumulating matches and accounting into `out`. Delta runs are
-    /// always memory-resident, so their bytes land in `bytes_scanned`
-    /// *and* `delta_bytes_scanned`, never in the I/O split. When
-    /// `payload_free_tautology` is set (the pooled paths), a tautological
-    /// predicate takes every run row without charging payload bytes,
-    /// mirroring the base-partition rule.
-    fn scan_delta_kernel(
-        &self,
-        compiled: &CompiledPredicate,
-        predicate: &Predicate,
-        payload_free_tautology: bool,
-        sel: &mut Vec<u32>,
-        counters: &mut KernelCounters,
-        out: &mut SnapshotScan,
-    ) {
-        let Some(delta) = &self.delta else { return };
-        let mut cols: Vec<&Column> = Vec::with_capacity(compiled.columns().len());
-        for run in &delta.runs {
-            if !run.meta.may_match(predicate) {
-                continue;
-            }
-            out.partitions_read += 1;
-            out.rows_read += run.data.num_rows() as u64;
-            if payload_free_tautology && compiled.is_tautology() {
-                out.matches.extend_from_slice(&run.rows);
-                continue;
-            }
-            out.bytes_scanned += run.bytes;
-            out.delta_bytes_scanned += run.bytes;
-            cols.clear();
-            cols.extend(
-                compiled
-                    .columns()
-                    .iter()
-                    .map(|cp| run.data.column(cp.col())),
-            );
-            kernel::scan_partition(compiled, &cols, &run.rows, sel, &mut out.matches, counters);
-        }
-    }
-
-    /// Row-at-a-time counterpart of [`TableSnapshot::scan_delta_kernel`]
-    /// for the oracle paths: identical accounting, per-row interpretation.
-    fn scan_delta_rowwise(
-        &self,
-        predicate: &Predicate,
-        payload_free_tautology: bool,
-        out: &mut SnapshotScan,
-    ) {
-        let Some(delta) = &self.delta else { return };
-        for run in &delta.runs {
-            if !run.meta.may_match(predicate) {
-                continue;
-            }
-            out.partitions_read += 1;
-            out.rows_read += run.data.num_rows() as u64;
-            if payload_free_tautology && predicate.atoms().is_empty() {
-                out.matches.extend_from_slice(&run.rows);
-                continue;
-            }
-            out.bytes_scanned += run.bytes;
-            out.delta_bytes_scanned += run.bytes;
-            for local in 0..run.data.num_rows() {
-                if run.data.row_matches(local, predicate) {
-                    out.matches.push(run.rows[local]);
-                }
-            }
-        }
-    }
-
     /// Drop tombstoned rows from a sorted match set. Tombstones are sorted
     /// unique global ids, so each removal check is a binary search.
     fn subtract_tombstones(&self, out: &mut SnapshotScan) {
@@ -409,84 +400,112 @@ impl TableSnapshot {
         }
     }
 
+    /// The one scan loop behind all four entry points: prune each partition
+    /// by metadata, count it, obtain the predicate's columns from `source`,
+    /// test its rows with `eval`, then sort the matches (ascending global
+    /// ids, so results are layout-independent) and subtract tombstones.
+    ///
+    /// Base partitions and delta runs share the body. A run is a resident
+    /// partition whatever the `source` — it is never on disk — whose bytes
+    /// also count as `delta_bytes_scanned`.
+    fn drive(
+        &self,
+        predicate: &Predicate,
+        source: ColumnSource<'_>,
+        eval: Evaluator,
+    ) -> Result<SnapshotScan> {
+        let pooled = match source {
+            ColumnSource::Resident => None,
+            ColumnSource::Pooled(pool) => Some((
+                self.generation.as_ref().ok_or_else(|| {
+                    StorageError::Corrupt("snapshot has no on-disk generation".into())
+                })?,
+                pool,
+            )),
+        };
+        let compiled = CompiledPredicate::compile(predicate);
+        let col_ids: Vec<ColId> = compiled.columns().iter().map(|cp| cp.col()).collect();
+        let rowwise = matches!(eval, Evaluator::Rowwise).then(|| RowwiseEvaluator::new(predicate));
+        // A tautology needs no cell values, so a pooled scan of one reads
+        // no payload: its honest I/O cost is zero bytes.
+        let payload_free = pooled.is_some() && compiled.is_tautology();
+        let mut out = SnapshotScan {
+            partitions_total: self.partitions.len()
+                + self.delta.as_ref().map_or(0, |d| d.runs.len()),
+            ..Default::default()
+        };
+        let mut counters = KernelCounters::default();
+        let mut sel: Vec<u32> = Vec::new();
+        let base = self
+            .partitions
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (Some(i), p));
+        let runs = self.delta.iter().flat_map(|d| &d.runs).map(|r| (None, r));
+        for (base_index, part) in base.chain(runs) {
+            if !part.meta.may_match(predicate) {
+                continue;
+            }
+            out.partitions_read += 1;
+            out.rows_read += part.rows.len() as u64;
+            if payload_free {
+                out.matches.extend_from_slice(&part.rows);
+                continue;
+            }
+            let fetched;
+            let cols: Vec<&Column> = match (pooled, base_index) {
+                (Some((generation, pool)), Some(index)) => {
+                    fetched = self.fetch_partition_columns(
+                        generation, index, part, &col_ids, pool, &mut out,
+                    )?;
+                    fetched.iter().collect()
+                }
+                _ => {
+                    out.bytes_scanned += part.bytes;
+                    if base_index.is_none() {
+                        out.delta_bytes_scanned += part.bytes;
+                    }
+                    col_ids.iter().map(|&c| part.data.column(c)).collect()
+                }
+            };
+            match &rowwise {
+                None => kernel::scan_partition(
+                    &compiled,
+                    &cols,
+                    &part.rows,
+                    &mut sel,
+                    &mut out.matches,
+                    &mut counters,
+                ),
+                Some(rowwise) => rowwise.for_each_match(&cols, part.rows.len(), |local| {
+                    out.matches.push(part.rows[local]);
+                }),
+            }
+        }
+        out.chunks_evaluated = counters.chunks_evaluated;
+        out.rows_short_circuited = counters.rows_short_circuited;
+        out.matches.sort_unstable();
+        self.subtract_tombstones(&mut out);
+        Ok(out)
+    }
+
     /// Execute one predicate against the snapshot: prune partitions by
     /// metadata, evaluate the survivors through the vectorized
     /// [`kernel`] layer, and report the matching *global*
     /// row ids (ascending, so results are layout-independent).
     pub fn scan(&self, predicate: &Predicate) -> SnapshotScan {
-        let compiled = CompiledPredicate::compile(predicate);
-        let mut out = SnapshotScan {
-            partitions_total: self.partitions_total(),
-            ..Default::default()
-        };
-        let mut counters = KernelCounters::default();
-        let mut sel: Vec<u32> = Vec::new();
-        let mut cols: Vec<&Column> = Vec::with_capacity(compiled.columns().len());
-        for part in &self.partitions {
-            if !part.meta.may_match(predicate) {
-                continue;
-            }
-            out.partitions_read += 1;
-            out.rows_read += part.data.num_rows() as u64;
-            out.bytes_scanned += part.bytes;
-            cols.clear();
-            cols.extend(
-                compiled
-                    .columns()
-                    .iter()
-                    .map(|cp| part.data.column(cp.col())),
-            );
-            kernel::scan_partition(
-                &compiled,
-                &cols,
-                &part.rows,
-                &mut sel,
-                &mut out.matches,
-                &mut counters,
-            );
-        }
-        self.scan_delta_kernel(
-            &compiled,
-            predicate,
-            false,
-            &mut sel,
-            &mut counters,
-            &mut out,
-        );
-        out.chunks_evaluated = counters.chunks_evaluated;
-        out.rows_short_circuited = counters.rows_short_circuited;
-        out.matches.sort_unstable();
-        self.subtract_tombstones(&mut out);
-        out
+        self.drive(predicate, ColumnSource::Resident, Evaluator::Kernel)
+            .expect("resident columns are borrowed, never fetched")
     }
 
     /// Row-at-a-time reference implementation of [`TableSnapshot::scan`]:
-    /// the original interpreter, kept as the correctness oracle for the
-    /// vectorized kernels (property tests assert result equality) and as
-    /// the baseline the `scan_kernels` microbench measures against. Kernel
-    /// counters stay zero.
+    /// the same driver with the original interpreter as evaluator, kept as
+    /// the correctness oracle for the vectorized kernels (property tests
+    /// assert result equality) and as the baseline the `scan_kernels`
+    /// microbench measures against. Kernel counters stay zero.
     pub fn scan_rowwise(&self, predicate: &Predicate) -> SnapshotScan {
-        let mut out = SnapshotScan {
-            partitions_total: self.partitions_total(),
-            ..Default::default()
-        };
-        for part in &self.partitions {
-            if !part.meta.may_match(predicate) {
-                continue;
-            }
-            out.partitions_read += 1;
-            out.rows_read += part.data.num_rows() as u64;
-            out.bytes_scanned += part.bytes;
-            for local in 0..part.data.num_rows() {
-                if part.data.row_matches(local, predicate) {
-                    out.matches.push(part.rows[local]);
-                }
-            }
-        }
-        self.scan_delta_rowwise(predicate, false, &mut out);
-        out.matches.sort_unstable();
-        self.subtract_tombstones(&mut out);
-        out
+        self.drive(predicate, ColumnSource::Resident, Evaluator::Rowwise)
+            .expect("resident columns are borrowed, never fetched")
     }
 
     /// Fetch and decode the payloads of `cols` for partition `index`
@@ -551,54 +570,7 @@ impl TableSnapshot {
     /// index existed) or on I/O/corruption errors; callers degrade to the
     /// in-memory [`TableSnapshot::scan`].
     pub fn scan_pooled(&self, predicate: &Predicate, pool: &BufferPool) -> Result<SnapshotScan> {
-        let generation = self
-            .generation
-            .as_ref()
-            .ok_or_else(|| StorageError::Corrupt("snapshot has no on-disk generation".into()))?;
-        let generation = Arc::clone(generation);
-        let compiled = CompiledPredicate::compile(predicate);
-        let cols: Vec<ColId> = compiled.columns().iter().map(|cp| cp.col()).collect();
-        let mut out = SnapshotScan {
-            partitions_total: self.partitions_total(),
-            ..Default::default()
-        };
-        let mut counters = KernelCounters::default();
-        let mut sel: Vec<u32> = Vec::new();
-        for (index, part) in self.partitions.iter().enumerate() {
-            if !part.meta.may_match(predicate) {
-                continue;
-            }
-            out.partitions_read += 1;
-            out.rows_read += part.rows.len() as u64;
-            if compiled.is_tautology() {
-                out.matches.extend_from_slice(&part.rows);
-                continue;
-            }
-            let decoded =
-                self.fetch_partition_columns(&generation, index, part, &cols, pool, &mut out)?;
-            let col_refs: Vec<&Column> = decoded.iter().collect();
-            kernel::scan_partition(
-                &compiled,
-                &col_refs,
-                &part.rows,
-                &mut sel,
-                &mut out.matches,
-                &mut counters,
-            );
-        }
-        self.scan_delta_kernel(
-            &compiled,
-            predicate,
-            true,
-            &mut sel,
-            &mut counters,
-            &mut out,
-        );
-        out.chunks_evaluated = counters.chunks_evaluated;
-        out.rows_short_circuited = counters.rows_short_circuited;
-        out.matches.sort_unstable();
-        self.subtract_tombstones(&mut out);
-        Ok(out)
+        self.drive(predicate, ColumnSource::Pooled(pool), Evaluator::Kernel)
     }
 
     /// Row-at-a-time reference implementation of
@@ -606,61 +578,13 @@ impl TableSnapshot {
     /// through the same pool, including the zero-I/O empty-predicate rule)
     /// but per-row atom interpretation — the correctness oracle for the
     /// pooled kernel path and the baseline the `scan_kernels` microbench
-    /// measures against. Atom column lookups go through a slot index
-    /// computed once per scan, not a per-row linear search. Kernel counters
-    /// stay zero.
+    /// measures against. Kernel counters stay zero.
     pub fn scan_pooled_rowwise(
         &self,
         predicate: &Predicate,
         pool: &BufferPool,
     ) -> Result<SnapshotScan> {
-        let generation = self
-            .generation
-            .as_ref()
-            .ok_or_else(|| StorageError::Corrupt("snapshot has no on-disk generation".into()))?;
-        let generation = Arc::clone(generation);
-        let cols = predicate.columns();
-        // Direct atom → decoded-column slot index, resolved once.
-        let atom_slots: Vec<usize> = predicate
-            .atoms()
-            .iter()
-            .map(|a| {
-                cols.iter()
-                    .position(|&c| c == a.col())
-                    .expect("atom column in predicate.columns()")
-            })
-            .collect();
-        let mut out = SnapshotScan {
-            partitions_total: self.partitions_total(),
-            ..Default::default()
-        };
-        for (index, part) in self.partitions.iter().enumerate() {
-            if !part.meta.may_match(predicate) {
-                continue;
-            }
-            out.partitions_read += 1;
-            let nrows = part.rows.len();
-            out.rows_read += nrows as u64;
-            if cols.is_empty() {
-                out.matches.extend_from_slice(&part.rows);
-                continue;
-            }
-            let decoded =
-                self.fetch_partition_columns(&generation, index, part, &cols, pool, &mut out)?;
-            for local in 0..nrows {
-                let hit =
-                    predicate.atoms().iter().zip(&atom_slots).all(|(a, &slot)| {
-                        crate::column::atom_matches_ref(a, decoded[slot].get(local))
-                    });
-                if hit {
-                    out.matches.push(part.rows[local]);
-                }
-            }
-        }
-        self.scan_delta_rowwise(predicate, true, &mut out);
-        out.matches.sort_unstable();
-        self.subtract_tombstones(&mut out);
-        Ok(out)
+        self.drive(predicate, ColumnSource::Pooled(pool), Evaluator::Rowwise)
     }
 
     /// The metadata-only [`LayoutModel`] view of this snapshot (exact, since
@@ -794,23 +718,101 @@ mod tests {
         assert_eq!(snap.layout(), 7);
     }
 
+    /// The driver-independent oracle: `Table::row_matches` over the live
+    /// rows — `base` rows under their positions as global ids, plus the
+    /// rows of `snap`'s delta runs, minus its tombstones — ascending.
+    fn live_filter(base: &Table, snap: &TableSnapshot, pred: &Predicate) -> Vec<u32> {
+        let mut hits: Vec<u32> = (0..base.num_rows() as u32)
+            .filter(|&r| base.row_matches(r as usize, pred))
+            .collect();
+        if let Some(delta) = snap.delta() {
+            for run in &delta.runs {
+                hits.extend(
+                    (0..run.rows.len())
+                        .filter(|&local| run.data.row_matches(local, pred))
+                        .map(|local| run.rows[local]),
+                );
+            }
+            hits.retain(|r| !delta.tombstones.contains(r));
+        }
+        hits.sort_unstable();
+        hits
+    }
+
     #[test]
     fn scan_matches_direct_filter_on_any_layout() {
+        use crate::delta::{DeltaBuffer, IngestOp, MergePolicy};
         let t = table(200);
         let pred = between(1, 10, 40); // on w = (i*7)%100
         let expected: Vec<u32> = (0..200u32)
             .filter(|&r| t.row_matches(r as usize, &pred))
             .collect();
+        // Writes for the second half: two runs (k = 2 keeps them apart),
+        // tombstones on base rows 5 and 77 and on delta row 200.
+        let mut buf = DeltaBuffer::new(two_col_schema(), 200, MergePolicy::KBinomial { k: 2 });
+        let append = |v: i64, w: i64| IngestOp::Append {
+            values: vec![Scalar::Int(v), Scalar::Int(w)],
+        };
+        buf.apply(&[append(500, 20), append(501, 90), append(30, 33)])
+            .unwrap();
+        buf.apply(&[
+            IngestOp::Delete { row: 5 },
+            IngestOp::Update {
+                row: 77,
+                values: vec![Scalar::Int(77), Scalar::Int(12)],
+            },
+            IngestOp::Delete { row: 200 },
+        ])
+        .unwrap();
+        let mut both_columns = between(0, 20, 90);
+        both_columns.push(pred.atoms()[0].clone());
         for (k, assign) in [
             (1, (0..200).map(|_| 0).collect::<Vec<u32>>()),
             (4, (0..200).map(|i| (i / 50) as u32).collect()),
             (8, (0..200).map(|i| (i % 8) as u32).collect()),
         ] {
-            let snap = TableSnapshot::build(&t, &assign, k, 0, "t");
+            let mut snap = TableSnapshot::build(&t, &assign, k, 0, "t");
             let scan = snap.scan(&pred);
             assert_eq!(scan.matches, expected, "k={k}");
             assert!(scan.rows_read >= expected.len() as u64);
             assert_eq!(scan.partitions_total, k);
+
+            // All four entry points share one driver, so none of them may
+            // serve as another's oracle: with delta runs and tombstones
+            // attached, each is held to the plain filter over live rows.
+            let root = std::env::temp_dir().join(format!(
+                "oreo-snap-oracle-{}-{}",
+                std::process::id(),
+                rand::random::<u64>()
+            ));
+            let (store, _) = crate::tiered::TieredStore::create(&root, &mut snap).unwrap();
+            let snap = snap.with_delta(buf.overlay());
+            assert!(snap.delta().unwrap().runs.len() >= 2);
+            let pool = crate::bufpool::BufferPool::new(crate::bufpool::BufferPoolConfig::default());
+            for pred in [
+                pred.clone(),
+                between(0, 0, 600), // every base and delta row's v
+                between(0, 490, 510),
+                both_columns.clone(),
+                Predicate::always_true(),
+            ] {
+                let want = live_filter(&t, &snap, &pred);
+                assert_eq!(snap.scan(&pred).matches, want, "k={k} {pred:?}");
+                assert_eq!(snap.scan_rowwise(&pred).matches, want, "k={k} {pred:?}");
+                for round in ["cold", "warm"] {
+                    let pooled = snap.scan_pooled(&pred, &pool).unwrap();
+                    assert_eq!(pooled.matches, want, "k={k} {round} {pred:?}");
+                    let pooled = snap.scan_pooled_rowwise(&pred, &pool).unwrap();
+                    assert_eq!(pooled.matches, want, "k={k} {round} {pred:?}");
+                }
+            }
+            assert_eq!(
+                live_filter(&t, &snap, &Predicate::always_true()).len() as u64,
+                snap.live_rows()
+            );
+            drop(store);
+            drop(snap);
+            let _ = std::fs::remove_dir_all(&root);
         }
     }
 
@@ -1033,6 +1035,7 @@ mod tests {
         let pool = crate::bufpool::BufferPool::new(crate::bufpool::BufferPoolConfig::default());
         let pred = between(0, 10, 130);
         let mem = snap.scan(&pred);
+        assert_eq!(mem.matches, live_filter(&t, &snap, &pred));
         for round in 0..2 {
             let pooled = snap.scan_pooled(&pred, &pool).unwrap();
             let oracle = snap.scan_pooled_rowwise(&pred, &pool).unwrap();

@@ -2,8 +2,10 @@
 //! evaluation ([`oreo_storage::kernel`]) vs the row-at-a-time interpreter
 //! it replaced, on the in-memory and buffer-pooled scan paths.
 //!
-//! Variants (all over the same TPC-H lineitem table and the same Q6-style
-//! multi-atom predicate):
+//! Variants (all over the same TPC-H lineitem table, round-robin layout):
+//!
+//! With the Q6-style multi-atom predicate, whose result is tiny, so the
+//! time is predicate evaluation:
 //!
 //! * `memory_rowwise` / `memory_vectorized` — memory-resident snapshot.
 //! * `pooled_warm_rowwise` / `pooled_warm_vectorized` — disk-backed
@@ -12,9 +14,17 @@
 //! * `pooled_cold_vectorized` — a fresh (empty) pool per scan: decode and
 //!   page-fetch cost dominates, bounding what kernel speedups can buy.
 //!
+//! With one wide `l_quantity` range keeping ~40 % of the rows — the
+//! matches ÷ rows-read ratio of the benchmark's dashboard streams — so the
+//! time is the output stage (late materialization and assembling the
+//! interleaved per-partition runs into one ascending result):
+//!
+//! * `memory_rowwise_wide` / `memory_vectorized_wide` /
+//!   `pooled_warm_vectorized_wide`.
+//!
 //! `--json <path>` writes a machine-readable report (rows/sec per variant
-//! plus vectorized-over-interpreted speedups); CI gates on the pool-warm
-//! speedup staying ≥ 2×.
+//! plus vectorized-over-interpreted speedups); CI gates on the memory
+//! speedup staying ≥ 2× and the pool-warm speedup ≥ 1.5×.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use oreo_bench::common::{json_path_arg, write_json_report, Json};
@@ -61,7 +71,7 @@ fn measure(
         mean_scan_us: elapsed / iters as f64 * 1e6,
     };
     println!(
-        "{:<24} {:>12.0} rows/sec  ({:>8.1} µs/scan, {} matches)",
+        "{:<28} {:>12.0} rows/sec  ({:>8.1} µs/scan, {} matches)",
         m.name,
         m.rows_per_sec,
         m.mean_scan_us,
@@ -81,6 +91,14 @@ fn bench_predicate(table: &oreo_storage::Table) -> Predicate {
         .build_predicate()
 }
 
+/// The wide predicate: one int range keeping 20 of `l_quantity`'s 50
+/// equally likely values.
+fn wide_predicate(table: &oreo_storage::Table) -> Predicate {
+    QueryBuilder::new(table.schema())
+        .between("l_quantity", 1, 20)
+        .build_predicate()
+}
+
 fn scan_kernels(c: &mut Criterion) {
     let quick = std::env::args().any(|a| a == "--quick");
     let rows: usize = if quick { 60_000 } else { 200_000 };
@@ -91,11 +109,14 @@ fn scan_kernels(c: &mut Criterion) {
     let assignment: Vec<u32> = (0..rows).map(|i| i as u32 % PARTITIONS).collect();
     let snap = TableSnapshot::build(&table, &assignment, PARTITIONS as usize, 0, "bench");
     let expected = snap.scan_rowwise(&pred).matches;
+    let wide = wide_predicate(&table);
+    let expected_wide = snap.scan_rowwise(&wide).matches;
 
     println!(
-        "== scan_kernels: {rows} rows, {PARTITIONS} partitions, 4-atom predicate, \
-         {} matches ==",
-        expected.len()
+        "== scan_kernels: {rows} rows, {PARTITIONS} partitions, 4-atom predicate \
+         ({} matches), wide 1-atom predicate ({} matches) ==",
+        expected.len(),
+        expected_wide.len()
     );
 
     // Criterion latency lines for the two memory variants.
@@ -112,6 +133,16 @@ fn scan_kernels(c: &mut Criterion) {
     let mem_vectorized = measure("memory_vectorized", rows, iters, &expected, || {
         snap.scan(&pred)
     });
+    let mem_rowwise_wide = measure("memory_rowwise_wide", rows, iters, &expected_wide, || {
+        snap.scan_rowwise(&wide)
+    });
+    let mem_vectorized_wide = measure(
+        "memory_vectorized_wide",
+        rows,
+        iters,
+        &expected_wide,
+        || snap.scan(&wide),
+    );
 
     // Disk-backed snapshot for the pooled variants.
     let root = std::env::temp_dir().join(format!(
@@ -134,6 +165,17 @@ fn scan_kernels(c: &mut Criterion) {
             .scan_pooled(&pred, &warm_pool)
             .expect("pooled scan")
     });
+    let warm_vectorized_wide = measure(
+        "pooled_warm_vectorized_wide",
+        rows,
+        iters,
+        &expected_wide,
+        || {
+            tiered_snap
+                .scan_pooled(&wide, &warm_pool)
+                .expect("pooled scan")
+        },
+    );
     let cold_iters = if quick { 3 } else { 5 };
     let cold_vectorized = measure(
         "pooled_cold_vectorized",
@@ -151,8 +193,10 @@ fn scan_kernels(c: &mut Criterion) {
     let kernel_scan = snap.scan(&pred);
     let speedup_memory = mem_vectorized.rows_per_sec / mem_rowwise.rows_per_sec;
     let speedup_pooled_warm = warm_vectorized.rows_per_sec / warm_rowwise.rows_per_sec;
+    let speedup_memory_wide = mem_vectorized_wide.rows_per_sec / mem_rowwise_wide.rows_per_sec;
     println!(
-        "vectorized speedup: {speedup_memory:.2}x memory, {speedup_pooled_warm:.2}x pool-warm \
+        "vectorized speedup: {speedup_memory:.2}x memory, {speedup_pooled_warm:.2}x pool-warm, \
+         {speedup_memory_wide:.2}x memory wide \
          ({} chunks, {} rows short-circuited per scan)",
         kernel_scan.chunks_evaluated, kernel_scan.rows_short_circuited
     );
@@ -164,6 +208,9 @@ fn scan_kernels(c: &mut Criterion) {
             &warm_rowwise,
             &warm_vectorized,
             &cold_vectorized,
+            &mem_rowwise_wide,
+            &mem_vectorized_wide,
+            &warm_vectorized_wide,
         ];
         let doc = Json::obj([
             ("benchmark", Json::from("scan_kernels")),
@@ -171,6 +218,7 @@ fn scan_kernels(c: &mut Criterion) {
             ("partitions", Json::from(PARTITIONS as u64)),
             ("predicate_atoms", Json::from(4u64)),
             ("matches", Json::from(expected.len())),
+            ("matches_wide", Json::from(expected_wide.len())),
             (
                 "variants",
                 Json::Arr(
@@ -188,6 +236,7 @@ fn scan_kernels(c: &mut Criterion) {
             ),
             ("speedup_memory", Json::from(speedup_memory)),
             ("speedup_pooled_warm", Json::from(speedup_pooled_warm)),
+            ("speedup_memory_wide", Json::from(speedup_memory_wide)),
             ("chunks_evaluated", Json::from(kernel_scan.chunks_evaluated)),
             (
                 "rows_short_circuited",

@@ -496,17 +496,28 @@ impl DeltaBuffer {
         }
     }
 
+    /// The live tombstones in the form [`DeltaOverlay::tombstones`] and
+    /// [`FoldCapture::tombstones`] promise — sorted ascending, unique —
+    /// which the snapshot's linear tombstone subtraction relies on.
+    fn sorted_tombstones(&self) -> Vec<u32> {
+        let mut tombs: Vec<u32> = self.tombstones.iter().map(|&(r, _)| r).collect();
+        tombs.sort_unstable();
+        debug_assert!(
+            tombs.windows(2).all(|w| w[0] < w[1]),
+            "a row was tombstoned twice"
+        );
+        tombs
+    }
+
     /// The scan-facing overlay of the current state (`None` when empty, so
     /// empty-delta scans cost nothing extra).
     pub fn overlay(&self) -> Option<Arc<DeltaOverlay>> {
         if self.is_empty() {
             return None;
         }
-        let mut tombs: Vec<u32> = self.tombstones.iter().map(|&(r, _)| r).collect();
-        tombs.sort_unstable();
         Some(Arc::new(DeltaOverlay {
             runs: self.runs.iter().map(|r| r.part.clone()).collect(),
-            tombstones: tombs.into(),
+            tombstones: self.sorted_tombstones().into(),
             delta_rows: self.delta_rows,
         }))
     }
@@ -529,11 +540,9 @@ impl DeltaBuffer {
         self.frozen_runs = self.runs.len();
         self.frozen_tombstones = self.tombstones.len();
         self.fold_watermark = Some(watermark);
-        let mut tombs: Vec<u32> = self.tombstones.iter().map(|&(r, _)| r).collect();
-        tombs.sort_unstable();
         Some(FoldCapture {
             runs: self.runs.iter().map(|r| r.part.clone()).collect(),
-            tombstones: tombs,
+            tombstones: self.sorted_tombstones(),
             watermark,
             next_row: self.next_row,
             delta_rows: self.delta_rows,

@@ -18,7 +18,15 @@
 //!    the AND after every chunk, so the most selective column is evaluated
 //!    on all rows and the rest only on survivors;
 //! 4. global row ids are materialized *late* — only survivors of the full
-//!    conjunction touch the partition's row-id array.
+//!    conjunction touch the partition's row-id array, and each chunk's
+//!    survivors are appended in one exact-size `extend`. Ids come out
+//!    ascending within a partition iff its row-id array is; ordering the
+//!    concatenation of all partitions (and subtracting tombstones) is the
+//!    snapshot driver's linear-time assembly step, not the kernels'.
+//!
+//! Everything a partition scan allocates — the selection vector, the
+//! specialized kernels, the adaptive AND order — lives in a caller-owned
+//! [`ScanScratch`], so a scan allocates it once, not once per partition.
 //!
 //! [`KernelCounters`] reports how much work the short-circuiting saved,
 //! which the serving layer surfaces through `SnapshotScan`.
@@ -44,53 +52,59 @@ pub struct KernelCounters {
     pub rows_short_circuited: u64,
 }
 
-/// One predicate column specialized against one physical column.
-enum ColumnKernel<'a> {
+/// One predicate column specialized against one physical column. The
+/// kernel holds only what the specialization computed; the column it was
+/// built against is passed back in at evaluation time, so kernels borrow
+/// nothing and their `Vec` is reusable across partitions.
+enum ColumnKernel {
     /// The plan admits no value of this column's type: nothing matches.
     Never,
     /// Inclusive `lo..=hi` over an `i64` column (strict bounds folded into
     /// the endpoints).
-    IntRange { values: &'a [i64], lo: i64, hi: i64 },
+    IntRange { lo: i64, hi: i64 },
     /// Sorted membership set over an `i64` column.
-    IntSet { values: &'a [i64], set: Vec<i64> },
+    IntSet { set: Vec<i64> },
     /// Range with `total_cmp` endpoint semantics over an `f64` column
     /// (`(endpoint, inclusive)`, absent bound = unbounded).
     FloatRange {
-        values: &'a [f64],
         lo: Option<(f64, bool)>,
         hi: Option<(f64, bool)>,
     },
     /// Membership set over an `f64` column. `total_cmp` equality is bit
     /// equality, so members are sorted bit patterns.
-    FloatSet { values: &'a [f64], set: Vec<u64> },
+    FloatSet { set: Vec<u64> },
     /// Any plan over a dictionary column: the plan pre-evaluated per
     /// dictionary entry, rows test `mask[code]`.
-    CodeMask { codes: &'a [u32], mask: Vec<bool> },
+    CodeMask { mask: Vec<bool> },
 }
 
-/// Branch-light full-chunk evaluation into an empty selection vector.
+/// Branch-light full-chunk evaluation: write the positions of `0..len`
+/// that pass into the front of `sel` and return how many there are. `sel`
+/// is a fixed buffer of at least `len` slots whose old contents are dead —
+/// every slot below the returned count is overwritten, so nothing clears it.
 #[inline]
-fn fill_with(len: usize, sel: &mut Vec<u32>, mut pred: impl FnMut(usize) -> bool) {
-    sel.clear();
-    sel.resize(len, 0);
+fn fill_with(len: usize, sel: &mut [u32], mut pred: impl FnMut(usize) -> bool) -> usize {
+    let sel = &mut sel[..len];
     let mut n = 0usize;
     for i in 0..len {
         sel[n] = i as u32;
         n += usize::from(pred(i));
     }
-    sel.truncate(n);
+    n
 }
 
-/// In-place filtering of an existing selection vector (order preserved).
+/// In-place filtering of the first `live` selected positions (order
+/// preserved); returns how many survive.
 #[inline]
-fn filter_with(sel: &mut Vec<u32>, mut pred: impl FnMut(usize) -> bool) {
+fn filter_with(sel: &mut [u32], live: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
+    let sel = &mut sel[..live];
     let mut n = 0usize;
-    for j in 0..sel.len() {
+    for j in 0..live {
         let i = sel[j];
         sel[n] = i;
         n += usize::from(pred(i as usize));
     }
-    sel.truncate(n);
+    n
 }
 
 #[inline]
@@ -104,11 +118,11 @@ fn float_bound_ok(x: f64, bound: &Option<(f64, bool)>, pass: Ordering) -> bool {
     }
 }
 
-impl<'a> ColumnKernel<'a> {
+impl ColumnKernel {
     /// Specialize `plan` against the physical `column`.
-    fn build(plan: &ColumnPlan, column: &'a Column) -> ColumnKernel<'a> {
+    fn build(plan: &ColumnPlan, column: &Column) -> ColumnKernel {
         match column {
-            Column::Int(values) => match plan {
+            Column::Int(_) => match plan {
                 ColumnPlan::Never => ColumnKernel::Never,
                 ColumnPlan::Range { lo, hi } => {
                     // Fold strict endpoints into the inclusive [lo, hi]
@@ -134,11 +148,7 @@ impl<'a> ColumnKernel<'a> {
                     if lo_i > hi_i {
                         ColumnKernel::Never
                     } else {
-                        ColumnKernel::IntRange {
-                            values,
-                            lo: lo_i,
-                            hi: hi_i,
-                        }
+                        ColumnKernel::IntRange { lo: lo_i, hi: hi_i }
                     }
                 }
                 ColumnPlan::Set(members) => {
@@ -148,11 +158,11 @@ impl<'a> ColumnKernel<'a> {
                     if set.is_empty() {
                         ColumnKernel::Never
                     } else {
-                        ColumnKernel::IntSet { values, set }
+                        ColumnKernel::IntSet { set }
                     }
                 }
             },
-            Column::Float(values) => match plan {
+            Column::Float(_) => match plan {
                 ColumnPlan::Never => ColumnKernel::Never,
                 ColumnPlan::Range { lo, hi } => {
                     let as_bound = |b: &Option<oreo_query::Bound>| match b {
@@ -163,7 +173,7 @@ impl<'a> ColumnKernel<'a> {
                         },
                     };
                     match (as_bound(lo), as_bound(hi)) {
-                        (Ok(lo), Ok(hi)) => ColumnKernel::FloatRange { values, lo, hi },
+                        (Ok(lo), Ok(hi)) => ColumnKernel::FloatRange { lo, hi },
                         _ => ColumnKernel::Never,
                     }
                 }
@@ -176,7 +186,7 @@ impl<'a> ColumnKernel<'a> {
                     if set.is_empty() {
                         ColumnKernel::Never
                     } else {
-                        ColumnKernel::FloatSet { values, set }
+                        ColumnKernel::FloatSet { set }
                     }
                 }
             },
@@ -185,10 +195,7 @@ impl<'a> ColumnKernel<'a> {
                 // rows then test a single bool per code.
                 let mask: Vec<bool> = dict.dict().iter().map(|s| plan.matches_str(s)).collect();
                 if mask.iter().any(|&m| m) {
-                    ColumnKernel::CodeMask {
-                        codes: dict.codes(),
-                        mask,
-                    }
+                    ColumnKernel::CodeMask { mask }
                 } else {
                     ColumnKernel::Never
                 }
@@ -196,58 +203,70 @@ impl<'a> ColumnKernel<'a> {
         }
     }
 
-    /// Evaluate rows `base..base + len` into `sel` (chunk-local positions).
-    fn fill(&self, base: usize, len: usize, sel: &mut Vec<u32>) {
-        match self {
-            ColumnKernel::Never => sel.clear(),
-            ColumnKernel::IntRange { values, lo, hi } => {
+    /// Evaluate rows `base..base + len` of `column` — the column this kernel
+    /// was built against — into `sel` (chunk-local positions); returns the
+    /// number selected.
+    fn fill(&self, column: &Column, base: usize, len: usize, sel: &mut [u32]) -> usize {
+        match (self, column) {
+            (ColumnKernel::Never, _) => 0,
+            (ColumnKernel::IntRange { lo, hi }, Column::Int(values)) => {
                 let v = &values[base..base + len];
                 fill_with(len, sel, |i| v[i] >= *lo && v[i] <= *hi)
             }
-            ColumnKernel::IntSet { values, set } => {
+            (ColumnKernel::IntSet { set }, Column::Int(values)) => {
                 let v = &values[base..base + len];
                 fill_with(len, sel, |i| set.binary_search(&v[i]).is_ok())
             }
-            ColumnKernel::FloatRange { values, lo, hi } => {
+            (ColumnKernel::FloatRange { lo, hi }, Column::Float(values)) => {
                 let v = &values[base..base + len];
                 fill_with(len, sel, |i| {
                     float_bound_ok(v[i], lo, Ordering::Greater)
                         && float_bound_ok(v[i], hi, Ordering::Less)
                 })
             }
-            ColumnKernel::FloatSet { values, set } => {
+            (ColumnKernel::FloatSet { set }, Column::Float(values)) => {
                 let v = &values[base..base + len];
                 fill_with(len, sel, |i| set.binary_search(&v[i].to_bits()).is_ok())
             }
-            ColumnKernel::CodeMask { codes, mask } => {
-                let c = &codes[base..base + len];
+            (ColumnKernel::CodeMask { mask }, Column::Str(dict)) => {
+                let c = &dict.codes()[base..base + len];
                 fill_with(len, sel, |i| mask[c[i] as usize])
             }
+            _ => unreachable!("kernel evaluated against a column it was not built for"),
         }
     }
 
-    /// Keep only the surviving positions of `sel` (chunk-local, relative to
-    /// `base`).
-    fn filter(&self, base: usize, sel: &mut Vec<u32>) {
-        match self {
-            ColumnKernel::Never => sel.clear(),
-            ColumnKernel::IntRange { values, lo, hi } => filter_with(sel, |i| {
-                let x = values[base + i];
-                x >= *lo && x <= *hi
-            }),
-            ColumnKernel::IntSet { values, set } => {
-                filter_with(sel, |i| set.binary_search(&values[base + i]).is_ok())
+    /// Keep only the survivors among the first `live` positions of `sel`
+    /// (chunk-local, relative to `base`); returns how many remain.
+    fn filter(&self, column: &Column, base: usize, sel: &mut [u32], live: usize) -> usize {
+        match (self, column) {
+            (ColumnKernel::Never, _) => 0,
+            (ColumnKernel::IntRange { lo, hi }, Column::Int(values)) => {
+                filter_with(sel, live, |i| {
+                    let x = values[base + i];
+                    x >= *lo && x <= *hi
+                })
             }
-            ColumnKernel::FloatRange { values, lo, hi } => filter_with(sel, |i| {
-                let x = values[base + i];
-                float_bound_ok(x, lo, Ordering::Greater) && float_bound_ok(x, hi, Ordering::Less)
-            }),
-            ColumnKernel::FloatSet { values, set } => filter_with(sel, |i| {
-                set.binary_search(&values[base + i].to_bits()).is_ok()
-            }),
-            ColumnKernel::CodeMask { codes, mask } => {
-                filter_with(sel, |i| mask[codes[base + i] as usize])
+            (ColumnKernel::IntSet { set }, Column::Int(values)) => {
+                filter_with(sel, live, |i| set.binary_search(&values[base + i]).is_ok())
             }
+            (ColumnKernel::FloatRange { lo, hi }, Column::Float(values)) => {
+                filter_with(sel, live, |i| {
+                    let x = values[base + i];
+                    float_bound_ok(x, lo, Ordering::Greater)
+                        && float_bound_ok(x, hi, Ordering::Less)
+                })
+            }
+            (ColumnKernel::FloatSet { set }, Column::Float(values)) => {
+                filter_with(sel, live, |i| {
+                    set.binary_search(&values[base + i].to_bits()).is_ok()
+                })
+            }
+            (ColumnKernel::CodeMask { mask }, Column::Str(dict)) => {
+                let codes = dict.codes();
+                filter_with(sel, live, |i| mask[codes[base + i] as usize])
+            }
+            _ => unreachable!("kernel evaluated against a column it was not built for"),
         }
     }
 }
@@ -258,19 +277,45 @@ impl<'a> ColumnKernel<'a> {
 /// verdict over an arbitrary row subset — layout routing and the Qd-tree
 /// builder — rather than a conjunction scan of a partition.
 pub fn filter_rows(plan: &ColumnPlan, column: &Column, sel: &mut Vec<u32>) {
-    ColumnKernel::build(plan, column).filter(0, sel)
+    let live = sel.len();
+    let kept = ColumnKernel::build(plan, column).filter(column, 0, sel, live);
+    sel.truncate(kept);
 }
 
-/// Observed pass rate of a kernel (0.5 when it has never been evaluated, so
-/// unknown kernels sort between proven-selective and proven-permissive
-/// ones).
-#[inline]
-fn pass_rate(evaluated: u64, passed: u64) -> f64 {
-    if evaluated == 0 {
-        0.5
-    } else {
-        passed as f64 / evaluated as f64
+/// One conjunct of a partition scan: a kernel, the slot of the column it
+/// was built against, and the pass rate it has shown so far.
+struct KernelSlot {
+    kernel: ColumnKernel,
+    /// Index into the scan's column slice.
+    col: usize,
+    evaluated: u64,
+    passed: u64,
+}
+
+impl KernelSlot {
+    /// Observed pass rate (0.5 when never evaluated, so unknown kernels
+    /// sort between proven-selective and proven-permissive ones).
+    #[inline]
+    fn pass_rate(&self) -> f64 {
+        if self.evaluated == 0 {
+            0.5
+        } else {
+            self.passed as f64 / self.evaluated as f64
+        }
     }
+}
+
+/// Buffers a partition scan works in, owned by the caller so a multi-
+/// partition scan allocates them once: the selection vector and the
+/// conjunction's kernels in their current AND order. Starts empty
+/// (`default()`); the buffers grow on first use.
+#[derive(Default)]
+pub struct ScanScratch {
+    /// Chunk-local selected positions; a fixed `chunk_rows`-slot buffer
+    /// whose live prefix length the scan loop tracks.
+    sel: Vec<u32>,
+    /// The partition's kernels, cheapest-selectivity-first.
+    slots: Vec<KernelSlot>,
 }
 
 /// Scan one partition with [`CHUNK_ROWS`]-row chunks. See
@@ -279,11 +324,11 @@ pub fn scan_partition(
     compiled: &CompiledPredicate,
     cols: &[&Column],
     rows: &[u32],
-    sel: &mut Vec<u32>,
+    scratch: &mut ScanScratch,
     matches: &mut Vec<u32>,
     counters: &mut KernelCounters,
 ) {
-    scan_partition_chunked(compiled, cols, rows, CHUNK_ROWS, sel, matches, counters)
+    scan_partition_chunked(compiled, cols, rows, CHUNK_ROWS, scratch, matches, counters)
 }
 
 /// Scan one partition's decoded columns with the compiled predicate,
@@ -291,9 +336,10 @@ pub fn scan_partition(
 ///
 /// `cols[i]` must be the physical column for `compiled.columns()[i]` and
 /// `rows` the partition's global row ids (`rows.len()` rows per column).
-/// `sel` is caller-owned scratch so repeated partition scans reuse one
-/// selection-vector allocation. Appended ids are ascending *within* the
-/// partition iff `rows` is; callers sort the full result as before.
+/// `scratch` is caller-owned so repeated partition scans reuse its
+/// allocations; nothing in it carries over between partitions. Appended ids
+/// are ascending *within* the partition iff `rows` is; ordering the full
+/// result is the caller's job.
 ///
 /// An empty (tautological) compiled predicate matches every row without
 /// evaluating any kernel — `counters` does not move.
@@ -302,7 +348,7 @@ pub fn scan_partition_chunked(
     cols: &[&Column],
     rows: &[u32],
     chunk_rows: usize,
-    sel: &mut Vec<u32>,
+    scratch: &mut ScanScratch,
     matches: &mut Vec<u32>,
     counters: &mut KernelCounters,
 ) {
@@ -312,46 +358,52 @@ pub fn scan_partition_chunked(
         matches.extend_from_slice(rows);
         return;
     }
-    let kernels: Vec<ColumnKernel<'_>> = compiled
-        .columns()
-        .iter()
-        .zip(cols)
-        .map(|(cp, col)| {
-            debug_assert_eq!(col.len(), rows.len(), "column row-count skew");
-            ColumnKernel::build(cp.plan(), col)
-        })
-        .collect();
-    let n = kernels.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut evaluated = vec![0u64; n];
-    let mut passed = vec![0u64; n];
+    let ScanScratch { sel, slots } = scratch;
+    if sel.len() < chunk_rows {
+        sel.resize(chunk_rows, 0);
+    }
+    slots.clear();
+    slots.extend(
+        compiled
+            .columns()
+            .iter()
+            .zip(cols)
+            .enumerate()
+            .map(|(col, (cp, column))| {
+                debug_assert_eq!(column.len(), rows.len(), "column row-count skew");
+                KernelSlot {
+                    kernel: ColumnKernel::build(cp.plan(), column),
+                    col,
+                    evaluated: 0,
+                    passed: 0,
+                }
+            }),
+    );
     let nrows = rows.len();
     let mut base = 0usize;
     while base < nrows {
         let len = chunk_rows.min(nrows - base);
         counters.chunks_evaluated += 1;
-        for (pos, &ki) in order.iter().enumerate() {
+        let mut live = 0usize;
+        for (pos, slot) in slots.iter_mut().enumerate() {
             if pos == 0 {
-                evaluated[ki] += len as u64;
-                kernels[ki].fill(base, len, sel);
+                slot.evaluated += len as u64;
+                live = slot.kernel.fill(cols[slot.col], base, len, sel);
             } else {
-                counters.rows_short_circuited += (len - sel.len()) as u64;
-                if !sel.is_empty() {
-                    evaluated[ki] += sel.len() as u64;
-                    kernels[ki].filter(base, sel);
+                counters.rows_short_circuited += (len - live) as u64;
+                if live > 0 {
+                    slot.evaluated += live as u64;
+                    live = slot.kernel.filter(cols[slot.col], base, sel, live);
                 }
             }
-            passed[ki] += sel.len() as u64;
+            slot.passed += live as u64;
         }
-        for &i in sel.iter() {
-            matches.push(rows[base + i as usize]);
-        }
-        if n > 1 {
+        let chunk_ids = &rows[base..base + len];
+        matches.extend(sel[..live].iter().map(|&i| chunk_ids[i as usize]));
+        if slots.len() > 1 {
             // Cheapest-selectivity-first: the kernel that has been letting
             // the fewest rows through runs first on the next chunk.
-            order.sort_by(|&a, &b| {
-                pass_rate(evaluated[a], passed[a]).total_cmp(&pass_rate(evaluated[b], passed[b]))
-            });
+            slots.sort_by(|a, b| a.pass_rate().total_cmp(&b.pass_rate()));
         }
         base += len;
     }
@@ -384,7 +436,7 @@ mod tests {
         chunk: usize,
     ) -> (Vec<u32>, KernelCounters) {
         let rows: Vec<u32> = (0..n as u32).collect();
-        let mut sel = Vec::new();
+        let mut scratch = ScanScratch::default();
         let mut matches = Vec::new();
         let mut counters = KernelCounters::default();
         scan_partition_chunked(
@@ -392,7 +444,7 @@ mod tests {
             cols,
             &rows,
             chunk,
-            &mut sel,
+            &mut scratch,
             &mut matches,
             &mut counters,
         );
@@ -530,10 +582,10 @@ mod tests {
     fn tautology_materializes_all_rows_without_chunks() {
         let c = compile(vec![]);
         let rows: Vec<u32> = vec![4, 9, 2];
-        let mut sel = Vec::new();
+        let mut scratch = ScanScratch::default();
         let mut matches = Vec::new();
         let mut counters = KernelCounters::default();
-        scan_partition(&c, &[], &rows, &mut sel, &mut matches, &mut counters);
+        scan_partition(&c, &[], &rows, &mut scratch, &mut matches, &mut counters);
         assert_eq!(matches, rows);
         assert_eq!(counters, KernelCounters::default());
     }

@@ -33,7 +33,8 @@
 //!    merely accounted at file sizes.
 //!
 //! All snapshot scans run one driver (prune by metadata → fetch the
-//! predicate's columns → evaluate → sort, subtract tombstones),
+//! predicate's columns → evaluate → assemble the ascending result minus
+//! tombstones in linear time),
 //! parameterised by where the columns come from (resident data, or pages
 //! through the [`BufferPool`]) and how rows are tested. Both serving
 //! entry points ([`TableSnapshot::scan`], [`TableSnapshot::scan_pooled`])

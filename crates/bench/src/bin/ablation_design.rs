@@ -12,7 +12,7 @@
 //!   materialized layouts turns cache-hit switches into cheap swaps.
 
 use oreo_bench::common::{banner, default_config, make_stream, Scale};
-use oreo_core::MultiCopyCache;
+use oreo_bench::multi_copy::MultiCopyCache;
 use oreo_sim::{fmt_f, fmt_pct_change, run_policy, AsciiTable, PolicySetup, Technique};
 use oreo_workload::tpch_bundle;
 

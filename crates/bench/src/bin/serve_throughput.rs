@@ -738,23 +738,15 @@ fn run_default(
         speedup_4, speedup_8
     );
     // Scan work runs lock-free, so the scaling target is >2x from 1→4
-    // workers on a host that actually has the cores. Enforcing a perf
-    // property on shared/undersized CI runners is flaky by construction,
-    // so the hard check is opt-in: OREO_ENFORCE_SCALING=1.
+    // workers on a host that actually has the cores. Report only: a perf
+    // property asserted on shared/undersized runners is flaky by
+    // construction.
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let enforce = std::env::var_os("OREO_ENFORCE_SCALING").is_some_and(|v| v == "1");
-    if enforce && hw >= 4 {
-        assert!(
-            speedup_4 > 2.0,
-            "expected >2x scan throughput from 1→4 workers, measured {speedup_4:.2}x"
-        );
-    } else if hw < 4 {
+    if hw < 4 {
         println!(
             "(only {hw} hardware thread(s) available — the >2x 1→4 scaling target \
              needs a multi-core host)"
         );
-    } else {
-        println!("(set OREO_ENFORCE_SCALING=1 to fail the run if 1→4 scaling is ≤2x)");
     }
 
     if let Some(path) = json_path {

@@ -20,3 +20,4 @@
 //! reports (see [`common::Json`]).
 
 pub mod common;
+pub mod multi_copy;

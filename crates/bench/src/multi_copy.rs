@@ -7,7 +7,7 @@
 //! full rebuild. This module provides the cache-and-charge policy that a
 //! multi-copy variant of Algorithm 4 plugs into, plus cost accounting.
 
-use crate::dumts::StateId;
+use oreo_core::StateId;
 use std::collections::VecDeque;
 
 /// LRU cache of materialized layouts with swap-vs-rebuild charging.
@@ -90,8 +90,7 @@ impl MultiCopyCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dumts::{Dumts, DumtsConfig};
-    use crate::predictor::TransitionPolicy;
+    use oreo_core::{Dumts, DumtsConfig, TransitionPolicy};
 
     #[test]
     fn hit_costs_beta_miss_costs_alpha() {

@@ -14,18 +14,15 @@
 //! * [`oreo`] — the assembled framework (Fig. 1) wiring both components to a
 //!   table, with reorganization-delay modeling and cost accounting.
 
-pub mod asymmetric;
 pub mod config;
 pub mod cost;
 pub mod dumts;
 pub mod layout_manager;
 pub mod mts;
-pub mod multi_copy;
 pub mod multi_table;
 pub mod oreo;
 pub mod predictor;
 
-pub use asymmetric::TwoStateAsymmetric;
 pub use config::{CandidateSourceConfig, OreoConfig};
 pub use cost::{AlphaEstimator, CostLedger};
 pub use dumts::{Dumts, DumtsConfig, StateId, StepOutcome};
@@ -33,7 +30,6 @@ pub use layout_manager::{
     CandidateSource, LayoutManager, ManagedLayout, ManagerConfig, ManagerEvent, ManagerStats,
 };
 pub use mts::Bls;
-pub use multi_copy::MultiCopyCache;
 pub use multi_table::{MultiTableOreo, TableQuery};
 pub use oreo::{Oreo, StepReport};
 pub use predictor::{median_or, TransitionPolicy};

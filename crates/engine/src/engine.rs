@@ -186,10 +186,8 @@ pub struct TenantSpec {
 /// Engine tuning knobs.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Scan worker threads.
+    /// Scan worker threads; the work queue has one shard per worker.
     pub workers: usize,
-    /// Work-queue shards (0 = one per worker).
-    pub shards: usize,
     /// Max queries a worker claims per queue pop (bookkeeping is one core
     /// lock per batch).
     pub batch: usize,
@@ -229,7 +227,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            shards: 0,
             batch: 16,
             background_reorg: true,
             delay: DelaySemantics::Measured,
@@ -248,7 +245,6 @@ impl EngineConfig {
     pub fn sequential_parity() -> Self {
         Self {
             workers: 1,
-            shards: 1,
             delay: DelaySemantics::Configured,
             ..Self::default()
         }
@@ -305,14 +301,6 @@ impl EngineConfig {
     pub fn with_budget(mut self, budget: ReorgBudget) -> Self {
         self.budget = Some(budget);
         self
-    }
-
-    fn effective_shards(&self) -> usize {
-        if self.shards == 0 {
-            self.workers.max(1)
-        } else {
-            self.shards
-        }
     }
 }
 
@@ -1092,7 +1080,6 @@ impl Engine {
                 .with_event_sink(Arc::clone(&sink)),
             )
         });
-        let effective_shards = config.effective_shards();
         let background_reorg = config.background_reorg;
         let worker_count = config.workers.max(1);
         let started = Instant::now();
@@ -1100,7 +1087,7 @@ impl Engine {
             core: Mutex::new(core),
             tenants,
             pool,
-            queue: ShardedQueue::new(effective_shards),
+            queue: ShardedQueue::new(worker_count),
             config,
             observed: AtomicU64::new(0),
             submitted: AtomicU64::new(0),

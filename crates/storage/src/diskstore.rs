@@ -93,9 +93,10 @@ impl DiskStore {
     /// directory, whose `part-*.oreo` files use the same format): list the
     /// partition files, verify their indices are contiguous from zero, and
     /// rebuild row counts plus pruning metadata **from the file footers** —
-    /// no column data is decoded, so opening a multi-GB store costs a few
-    /// footer reads. Legacy files without a footer fall back to a full
-    /// decode per file.
+    /// no column data is read or decoded, so opening a multi-GB store costs
+    /// a few small reads per file. A file that is truncated, lacks the
+    /// footer, or disagrees with `schema` fails with
+    /// [`StorageError::Corrupt`].
     ///
     /// A missing middle partition (say `part-00001.oreo` deleted out of
     /// three) is a hole in the table, not a smaller table: it fails with
@@ -137,35 +138,14 @@ impl DiskStore {
         let mut partitions = Vec::with_capacity(indexed.len());
         let mut metadata = Vec::with_capacity(indexed.len());
         for (_, path) in indexed {
-            match read_partition_footer(&path)? {
-                Some(footer) => {
-                    if footer.meta.columns.len() != schema.len() {
-                        return Err(StorageError::Corrupt(format!(
-                            "{} covers {} columns, schema expects {}",
-                            path.display(),
-                            footer.meta.columns.len(),
-                            schema.len()
-                        )));
-                    }
-                    let bytes = fs::metadata(&path)?.len();
-                    metadata.push(footer.meta);
-                    partitions.push(PartitionHandle {
-                        bytes,
-                        path,
-                        rows: footer.nrows,
-                    });
-                }
-                None => {
-                    // Legacy (version-1) file: no footer, full decode.
-                    let (table, meta, bytes) = open_partition_file(&path, schema)?;
-                    metadata.push(meta);
-                    partitions.push(PartitionHandle {
-                        bytes,
-                        path,
-                        rows: table.num_rows() as u64,
-                    });
-                }
-            }
+            let footer = read_partition_footer(&path, schema)?;
+            let bytes = fs::metadata(&path)?.len();
+            metadata.push(footer.meta);
+            partitions.push(PartitionHandle {
+                bytes,
+                path,
+                rows: footer.nrows,
+            });
         }
         Ok(Self {
             dir: dir.to_owned(),
@@ -299,23 +279,6 @@ impl DiskStore {
         fs::remove_dir_all(&self.dir)?;
         Ok(())
     }
-}
-
-/// Decode one partition file and rebuild its pruning metadata from its own
-/// rows (the recovery-path reconstruction: all rows in one group, so the
-/// ranges/distinct sets equal what the original build produced). Returns
-/// the table, its metadata, and the file's on-disk size — shared by
-/// [`DiskStore::open`] and [`crate::TieredStore::open`].
-pub(crate) fn open_partition_file(
-    path: &Path,
-    schema: &Arc<Schema>,
-) -> Result<(Table, PartitionMetadata, u64)> {
-    let table = read_partition(path, schema)?;
-    let bytes = fs::metadata(path)?.len();
-    let meta = build_metadata(&table, &vec![0; table.num_rows()], 1)
-        .pop()
-        .expect("k=1 metadata");
-    Ok((table, meta, bytes))
 }
 
 /// Concatenate tables sharing a schema. Dictionary columns are re-interned
@@ -532,31 +495,25 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Seed stores written before the footer existed (format v1) still
-    /// open — via the legacy full-decode path.
+    /// A partition file cut short or missing its footer is damage, not an
+    /// older format: `open` refuses it instead of guessing.
     #[test]
-    fn open_legacy_v1_store_falls_back_to_decode() {
+    fn open_rejects_truncated_and_footerless_files() {
         let t = table(600);
-        let dir = tmpdir("v1compat");
-        // fabricate a 2-partition v1 store by hand
-        for (bid, range) in [(0u32, 0..300u32), (1u32, 300..600u32)] {
-            let rows: Vec<u32> = range.collect();
-            let part = t.project_rows(&rows);
-            let bytes = crate::format::encode_partition_v1(&part);
-            fs::write(dir.join(format!("part-{bid:05}.oreo")), &bytes).unwrap();
+        let assignment: Vec<u32> = (0..600).map(|i| (i / 300) as u32).collect();
+        let dir = tmpdir("footerless");
+        drop(DiskStore::create(&dir, &t, &assignment, 2).unwrap());
+        let victim = dir.join("part-00001.oreo");
+        let whole = fs::read(&victim).unwrap();
+        // any truncation loses the trailing footer magic
+        for cut in [whole.len() - 1, whole.len() / 2, 0] {
+            fs::write(&victim, &whole[..cut]).unwrap();
+            let err = DiskStore::open(&dir, t.schema()).unwrap_err();
+            assert!(matches!(err, StorageError::Corrupt(_)), "cut {cut}: {err}");
         }
-        let before = crate::format::thread_partition_decodes();
-        let store = DiskStore::open(&dir, t.schema()).unwrap();
-        assert!(
-            crate::format::thread_partition_decodes() > before,
-            "v1 files require the decode fallback"
-        );
-        assert_eq!(store.total_rows(), 600);
-        let q = QueryBuilder::new(t.schema()).between("ts", 0, 299).build();
-        let stats = store.scan(&q).unwrap();
-        assert_eq!(stats.partitions_read, 1);
-        assert_eq!(stats.rows_matched, 300);
-        store.destroy().unwrap();
+        fs::write(&victim, &whole).unwrap();
+        assert_eq!(DiskStore::open(&dir, t.schema()).unwrap().total_rows(), 600);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

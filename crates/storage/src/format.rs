@@ -17,14 +17,19 @@
 //! int/timestamp → delta-zigzag varints; float → raw LE; string → dictionary
 //! (string list) + RLE-or-bitpacked codes.
 //!
-//! Version 2 (above) ends in a self-describing **footer**: per-column
-//! payload extents with their own checksums — the *page index* pooled scans
-//! use to fetch only the byte ranges a predicate touches — plus the
-//! partition's pruning metadata, so [`crate::DiskStore::open`] can reopen a
-//! store from a few footer bytes per file instead of decoding every
-//! partition. Version 1 files (no footer, one whole-file checksum) are
-//! still readable; [`read_partition_footer`] reports them as `None` and
-//! callers fall back to a full decode.
+//! The file ends in a self-describing **footer**: per-column payload
+//! extents with their own checksums — the *page index* pooled scans use to
+//! fetch only the byte ranges a predicate touches — plus the partition's
+//! pruning metadata, so [`crate::DiskStore::open`] can reopen a store from
+//! a few small reads per file instead of decoding every partition.
+//!
+//! Every reader ([`decode_partition`], [`decode_partition_projected`],
+//! [`read_partition_footer`]) runs the same parse: locate the tail, verify
+//! the footer checksum, cross-check header and in-stream prefixes against
+//! the footer, then decode the column payloads it was asked for. A file
+//! that fails any step — one that does not end in the footer magic
+//! included — is [`StorageError::Corrupt`]. There is one format: the
+//! version field is always 2.
 
 use crate::column::{Column, DictColumn};
 use crate::encode::*;
@@ -33,6 +38,7 @@ use crate::partition::{build_metadata, decode_metadata, encode_metadata, Partiti
 use crate::table::Table;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use oreo_query::Schema;
+use std::borrow::Cow;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -40,7 +46,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"OREOPART";
-const VERSION_V1: u16 = 1;
 const VERSION: u16 = 2;
 const FOOTER_MAGIC: &[u8; 8] = b"OREOFTR2";
 /// Fixed-size header: magic + version + ncols + nrows.
@@ -148,7 +153,7 @@ impl ColumnExtent {
     }
 }
 
-/// The self-describing tail of a version-2 partition file: row count,
+/// The self-describing tail of a partition file: row count,
 /// per-column payload extents (the page index), and the pruning metadata
 /// built at write time — everything a store needs to reopen without
 /// touching column data.
@@ -237,46 +242,6 @@ pub fn encode_partition(table: &Table) -> Bytes {
     encode_partition_with_meta(table, &meta).0
 }
 
-/// Serialize in the legacy version-1 layout (no footer, one whole-file
-/// checksum). Kept only so compatibility tests can fabricate files written
-/// before the page index existed; new files are always version 2.
-pub fn encode_partition_v1(table: &Table) -> Bytes {
-    let mut buf = BytesMut::with_capacity(table.memory_bytes() / 2 + 64);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION_V1);
-    buf.put_u16_le(table.num_columns() as u16);
-    buf.put_u64_le(table.num_rows() as u64);
-    for column in table.columns() {
-        let mut payload = BytesMut::new();
-        let tag = match column {
-            Column::Int(values) => {
-                encode_i64_block(&mut payload, values);
-                TAG_INT
-            }
-            Column::Float(values) => {
-                encode_f64_block(&mut payload, values);
-                TAG_FLOAT
-            }
-            Column::Str(dict) => {
-                encode_str_list(&mut payload, dict.dict());
-                encode_u32_block(&mut payload, dict.codes());
-                TAG_STR
-            }
-        };
-        buf.put_u8(tag);
-        buf.put_u64_le(payload.len() as u64);
-        buf.put_slice(&payload);
-    }
-    let checksum = fnv1a(&buf);
-    buf.put_u64_le(checksum);
-    buf.freeze()
-}
-
-/// Whether `bytes` carries a version-2 footer (trailing footer magic).
-fn has_footer(bytes: &[u8]) -> bool {
-    bytes.len() >= HEADER_LEN + TAIL_LEN && &bytes[bytes.len() - 8..] == FOOTER_MAGIC
-}
-
 /// Decode the shared per-column payload encoding. Advances `buf` past the
 /// payload it consumes; `col` only labels errors.
 fn decode_column_payload(tag: u8, buf: &mut &[u8], col: usize) -> Result<Column> {
@@ -349,36 +314,28 @@ fn parse_footer_body(body: &[u8], footer_off: u64) -> Result<PartitionFooter> {
     })
 }
 
-/// Locate, checksum-verify, and parse the footer of an in-memory v2 file.
-fn parse_footer(bytes: &[u8]) -> Result<(PartitionFooter, u64)> {
-    debug_assert!(has_footer(bytes));
-    let tail = &bytes[bytes.len() - TAIL_LEN..];
-    let stored_sum = u64::from_le_bytes(tail[0..8].try_into().expect("8 bytes"));
-    let footer_off = u64::from_le_bytes(tail[8..16].try_into().expect("8 bytes"));
-    if footer_off < HEADER_LEN as u64 || footer_off > (bytes.len() - TAIL_LEN) as u64 {
-        return Err(StorageError::Corrupt(format!(
-            "footer offset {footer_off} out of range"
-        )));
+/// The parser's `fetch` over a file already in memory: it lends slices.
+fn in_memory<'a>(bytes: &'a [u8]) -> impl FnMut(u64, u64) -> Result<Cow<'a, [u8]>> {
+    move |offset, len| {
+        Ok(Cow::Borrowed(
+            &bytes[offset as usize..(offset + len) as usize],
+        ))
     }
-    let body = &bytes[footer_off as usize..bytes.len() - TAIL_LEN];
-    if fnv1a(body) != stored_sum {
-        return Err(StorageError::Corrupt("footer checksum mismatch".into()));
-    }
-    Ok((parse_footer_body(body, footer_off)?, footer_off))
 }
 
-/// Validate a v2 file's header and in-stream column prefixes against its
+/// Validate a file's header and in-stream column prefixes against its
 /// parsed footer: header fields must agree with the footer's, extents must
 /// tile the data region exactly, and every in-stream `tag | len` prefix
 /// must match its extent — so any byte of the file is covered by a
 /// checksum or a cross-check and single-byte corruption never passes.
-fn check_v2_layout(
-    schema: &Arc<Schema>,
-    bytes: &[u8],
+fn check_layout<'a>(
+    schema: &Schema,
+    fetch: &mut impl FnMut(u64, u64) -> Result<Cow<'a, [u8]>>,
     footer: &PartitionFooter,
     footer_off: u64,
 ) -> Result<()> {
-    let mut buf = &bytes[..HEADER_LEN];
+    let header = fetch(0, HEADER_LEN as u64)?;
+    let mut buf = &header[..];
     let mut magic = [0u8; 8];
     buf.copy_to_slice(&mut magic);
     if &magic != MAGIC {
@@ -410,7 +367,7 @@ fn check_v2_layout(
                 cursor + COL_PREFIX
             )));
         }
-        let prefix = &bytes[cursor as usize..extent.offset as usize];
+        let prefix = fetch(cursor, COL_PREFIX)?;
         let tag = prefix[0];
         let len = u64::from_le_bytes(prefix[1..9].try_into().expect("8 bytes"));
         if tag != extent.tag || len != extent.len {
@@ -428,84 +385,73 @@ fn check_v2_layout(
     Ok(())
 }
 
-/// Parse bytes produced by [`encode_partition`] (or the legacy v1 layout)
-/// back into a table. The schema is supplied externally (it is store-level,
-/// not per-file).
-pub fn decode_partition(schema: &Arc<Schema>, bytes: &[u8]) -> Result<Table> {
-    count_decode();
-    if has_footer(bytes) {
-        let (footer, footer_off) = parse_footer(bytes)?;
-        check_v2_layout(schema, bytes, &footer, footer_off)?;
-        let nrows = footer.nrows as usize;
-        let mut columns = Vec::with_capacity(footer.columns.len());
-        for (col, extent) in footer.columns.iter().enumerate() {
-            let payload = &bytes[extent.offset as usize..(extent.offset + extent.len) as usize];
-            columns.push(extent.decode(payload, nrows, col)?);
-        }
-        Ok(Table::new(Arc::clone(schema), columns))
-    } else {
-        decode_partition_v1(schema, bytes)
+/// The one parse every reader runs: locate the tail, verify the footer
+/// checksum, [`check_layout`], then decode the payloads of the columns
+/// `want` selects (in file order).
+///
+/// `fetch(offset, len)` returns that byte range of the `file_len`-byte file
+/// and is only asked for ranges already checked to lie inside it: the tail,
+/// the footer, the header, the in-stream prefixes and the selected
+/// payloads — so a footer-only read of an open file never touches column
+/// data.
+fn parse_partition<'a>(
+    schema: &Schema,
+    file_len: u64,
+    mut fetch: impl FnMut(u64, u64) -> Result<Cow<'a, [u8]>>,
+    want: impl Fn(usize) -> bool,
+) -> Result<(PartitionFooter, Vec<(usize, Column)>)> {
+    if file_len < (HEADER_LEN + TAIL_LEN) as u64 {
+        return Err(StorageError::Corrupt(
+            "file shorter than header and footer tail".into(),
+        ));
     }
+    let body_end = file_len - TAIL_LEN as u64;
+    let tail = fetch(body_end, TAIL_LEN as u64)?;
+    if &tail[16..24] != FOOTER_MAGIC {
+        return Err(StorageError::Corrupt("missing footer magic".into()));
+    }
+    let stored_sum = u64::from_le_bytes(tail[0..8].try_into().expect("8 bytes"));
+    let footer_off = u64::from_le_bytes(tail[8..16].try_into().expect("8 bytes"));
+    if footer_off < HEADER_LEN as u64 || footer_off > body_end {
+        return Err(StorageError::Corrupt(format!(
+            "footer offset {footer_off} out of range"
+        )));
+    }
+    let body = fetch(footer_off, body_end - footer_off)?;
+    if fnv1a(&body) != stored_sum {
+        return Err(StorageError::Corrupt("footer checksum mismatch".into()));
+    }
+    let footer = parse_footer_body(&body, footer_off)?;
+    check_layout(schema, &mut fetch, &footer, footer_off)?;
+    let nrows = footer.nrows as usize;
+    let mut columns = Vec::new();
+    for (col, extent) in footer.columns.iter().enumerate() {
+        if want(col) {
+            let payload = fetch(extent.offset, extent.len)?;
+            columns.push((col, extent.decode(&payload, nrows, col)?));
+        }
+    }
+    Ok((footer, columns))
 }
 
-/// Legacy whole-file-checksum decode path for version-1 files.
-fn decode_partition_v1(schema: &Arc<Schema>, bytes: &[u8]) -> Result<Table> {
-    if bytes.len() < HEADER_LEN + 8 {
-        return Err(StorageError::Corrupt("file shorter than header".into()));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    if fnv1a(body) != stored {
-        return Err(StorageError::Corrupt("checksum mismatch".into()));
-    }
+/// [`decode_partition`] that also hands back the parsed footer — pruning
+/// metadata and page index — so recovery takes everything it needs from a
+/// partition file in one pass over its bytes.
+pub(crate) fn decode_partition_with_footer(
+    schema: &Arc<Schema>,
+    bytes: &[u8],
+) -> Result<(Table, PartitionFooter)> {
+    count_decode();
+    let (footer, columns) =
+        parse_partition(schema, bytes.len() as u64, in_memory(bytes), |_| true)?;
+    let columns = columns.into_iter().map(|(_, column)| column).collect();
+    Ok((Table::new(Arc::clone(schema), columns), footer))
+}
 
-    let mut buf = body;
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(StorageError::Corrupt("bad magic".into()));
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION_V1 {
-        return Err(StorageError::Corrupt(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let ncols = buf.get_u16_le() as usize;
-    if ncols != schema.len() {
-        return Err(StorageError::Corrupt(format!(
-            "file has {ncols} columns, schema expects {}",
-            schema.len()
-        )));
-    }
-    let nrows = buf.get_u64_le() as usize;
-
-    let mut columns = Vec::with_capacity(ncols);
-    for col in 0..ncols {
-        if buf.remaining() < 9 {
-            return Err(StorageError::Corrupt(format!(
-                "truncated header for column {col}"
-            )));
-        }
-        let tag = buf.get_u8();
-        let len = buf.get_u64_le() as usize;
-        if buf.remaining() < len {
-            return Err(StorageError::Corrupt(format!(
-                "truncated payload for column {col}"
-            )));
-        }
-        let mut payload = &buf[..len];
-        let column = decode_column_payload(tag, &mut payload, col)?;
-        if column.len() != nrows {
-            return Err(StorageError::Corrupt(format!(
-                "column {col} has {} rows, header says {nrows}",
-                column.len()
-            )));
-        }
-        buf.advance(len);
-        columns.push(column);
-    }
-    Ok(Table::new(Arc::clone(schema), columns))
+/// Parse bytes produced by [`encode_partition`] back into a table. The
+/// schema is supplied externally (it is store-level, not per-file).
+pub fn decode_partition(schema: &Arc<Schema>, bytes: &[u8]) -> Result<Table> {
+    decode_partition_with_footer(schema, bytes).map(|(table, _)| table)
 }
 
 /// Write a partition file (buffered, durably synced) with explicit footer
@@ -538,56 +484,34 @@ pub fn write_partition(path: &Path, table: &Table) -> Result<u64> {
 
 /// Read a partition file written by [`write_partition`].
 pub fn read_partition(path: &Path, schema: &Arc<Schema>) -> Result<Table> {
-    let mut file = fs::File::open(path)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    decode_partition(schema, &bytes)
+    decode_partition(schema, &fs::read(path)?)
 }
 
-/// Read only the footer of a partition file: two small reads (tail + footer
-/// body), no column decode. Returns `Ok(None)` for legacy version-1 files,
-/// which carry no footer — callers fall back to a full decode.
-pub fn read_partition_footer(path: &Path) -> Result<Option<PartitionFooter>> {
+/// Read only the footer of a partition file — a few small reads (tail,
+/// footer body, header, in-stream prefixes), no column payload read or
+/// decoded.
+pub fn read_partition_footer(path: &Path, schema: &Schema) -> Result<PartitionFooter> {
     let mut file = fs::File::open(path)?;
     let file_len = file.metadata()?.len();
-    if file_len < (HEADER_LEN + TAIL_LEN) as u64 {
-        return Ok(None);
-    }
-    let mut tail = [0u8; TAIL_LEN];
-    file.seek(SeekFrom::End(-(TAIL_LEN as i64)))?;
-    file.read_exact(&mut tail)?;
-    if &tail[16..24] != FOOTER_MAGIC {
-        return Ok(None);
-    }
-    let stored_sum = u64::from_le_bytes(tail[0..8].try_into().expect("8 bytes"));
-    let footer_off = u64::from_le_bytes(tail[8..16].try_into().expect("8 bytes"));
-    if footer_off < HEADER_LEN as u64 || footer_off > file_len - TAIL_LEN as u64 {
-        return Err(StorageError::Corrupt(format!(
-            "footer offset {footer_off} out of range"
-        )));
-    }
-    let mut body = vec![0u8; (file_len - TAIL_LEN as u64 - footer_off) as usize];
-    file.seek(SeekFrom::Start(footer_off))?;
-    file.read_exact(&mut body)?;
-    if fnv1a(&body) != stored_sum {
-        return Err(StorageError::Corrupt("footer checksum mismatch".into()));
-    }
-    Ok(Some(parse_footer_body(&body, footer_off)?))
+    let fetch = |offset, len: u64| {
+        let mut buf = vec![0u8; len as usize];
+        file.seek(SeekFrom::Start(offset))?;
+        file.read_exact(&mut buf)?;
+        Ok(Cow::Owned(buf))
+    };
+    parse_partition(schema, file_len, fetch, |_| false).map(|(footer, _)| footer)
 }
 
 /// Column-projected read: decode only `cols` (any order, deduplicated by
-/// the caller), skipping other payloads via the footer's page index (v2) or
-/// their length prefixes (legacy v1). Returns the partition's row count
-/// plus `(column id, decoded column)` pairs.
+/// the caller), skipping other payloads via the footer's page index.
+/// Returns the partition's row count plus `(column id, decoded column)`
+/// pairs in file order.
 pub fn read_partition_projected(
     path: &Path,
     schema: &Arc<Schema>,
     cols: &[usize],
 ) -> Result<(usize, Vec<(usize, Column)>)> {
-    let mut file = fs::File::open(path)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    decode_partition_projected(schema, &bytes, cols)
+    decode_partition_projected(schema, &fs::read(path)?, cols)
 }
 
 /// In-memory variant of [`read_partition_projected`].
@@ -597,84 +521,10 @@ pub fn decode_partition_projected(
     cols: &[usize],
 ) -> Result<(usize, Vec<(usize, Column)>)> {
     count_decode();
-    if has_footer(bytes) {
-        let (footer, footer_off) = parse_footer(bytes)?;
-        check_v2_layout(schema, bytes, &footer, footer_off)?;
-        let nrows = footer.nrows as usize;
-        let mut out = Vec::with_capacity(cols.len());
-        for (col, extent) in footer.columns.iter().enumerate() {
-            if cols.contains(&col) {
-                let payload = &bytes[extent.offset as usize..(extent.offset + extent.len) as usize];
-                out.push((col, extent.decode(payload, nrows, col)?));
-            }
-        }
-        return Ok((nrows, out));
-    }
-    decode_partition_projected_v1(schema, bytes, cols)
-}
-
-fn decode_partition_projected_v1(
-    schema: &Arc<Schema>,
-    bytes: &[u8],
-    cols: &[usize],
-) -> Result<(usize, Vec<(usize, Column)>)> {
-    if bytes.len() < HEADER_LEN + 8 {
-        return Err(StorageError::Corrupt("file shorter than header".into()));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    if fnv1a(body) != stored {
-        return Err(StorageError::Corrupt("checksum mismatch".into()));
-    }
-    let mut buf = body;
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(StorageError::Corrupt("bad magic".into()));
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION_V1 {
-        return Err(StorageError::Corrupt(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let ncols = buf.get_u16_le() as usize;
-    if ncols != schema.len() {
-        return Err(StorageError::Corrupt(format!(
-            "file has {ncols} columns, schema expects {}",
-            schema.len()
-        )));
-    }
-    let nrows = buf.get_u64_le() as usize;
-
-    let mut out = Vec::with_capacity(cols.len());
-    for col in 0..ncols {
-        if buf.remaining() < 9 {
-            return Err(StorageError::Corrupt(format!(
-                "truncated header for column {col}"
-            )));
-        }
-        let tag = buf.get_u8();
-        let len = buf.get_u64_le() as usize;
-        if buf.remaining() < len {
-            return Err(StorageError::Corrupt(format!(
-                "truncated payload for column {col}"
-            )));
-        }
-        if cols.contains(&col) {
-            let mut payload = &buf[..len];
-            let column = decode_column_payload(tag, &mut payload, col)?;
-            if column.len() != nrows {
-                return Err(StorageError::Corrupt(format!(
-                    "column {col} has {} rows, header says {nrows}",
-                    column.len()
-                )));
-            }
-            out.push((col, column));
-        }
-        buf.advance(len);
-    }
-    Ok((nrows, out))
+    let (footer, columns) = parse_partition(schema, bytes.len() as u64, in_memory(bytes), |col| {
+        cols.contains(&col)
+    })?;
+    Ok((footer.nrows as usize, columns))
 }
 
 #[cfg(test)]
@@ -716,21 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_round_trip() {
-        let t = sample_table();
-        let bytes = encode_partition_v1(&t);
-        let back = decode_partition(t.schema(), &bytes).unwrap();
-        assert_eq!(back.num_rows(), 500);
-        for col in 0..t.num_columns() {
-            assert_eq!(back.scalar(123, col), t.scalar(123, col));
-        }
-        // projected reads work on v1 files too
-        let (nrows, cols) = decode_partition_projected(t.schema(), &bytes, &[1, 3]).unwrap();
-        assert_eq!(nrows, 500);
-        assert_eq!(cols.len(), 2);
-    }
-
-    #[test]
     fn footer_carries_extents_and_metadata() {
         let t = sample_table();
         let (bytes, footer) = encode_partition_with_meta(
@@ -754,30 +589,27 @@ mod tests {
     }
 
     #[test]
-    fn read_footer_is_header_only_and_v1_has_none() {
+    fn read_footer_is_header_only() {
         let t = sample_table();
         let dir = std::env::temp_dir().join(format!("oreo-footer-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        let v2 = dir.join("v2.oreo");
-        write_partition(&v2, &t).unwrap();
+        let path = dir.join("p.oreo");
+        write_partition(&path, &t).unwrap();
         // this thread's count: sibling tests decode on theirs meanwhile
         let before = thread_partition_decodes();
-        let footer = read_partition_footer(&v2).unwrap().expect("v2 footer");
+        let footer = read_partition_footer(&path, t.schema()).unwrap();
         assert_eq!(
             thread_partition_decodes(),
             before,
             "footer read must not decode"
         );
-        read_partition(&v2, t.schema()).unwrap();
+        read_partition(&path, t.schema()).unwrap();
         assert_eq!(
             thread_partition_decodes(),
             before + 1,
             "the count the assertion above rests on does see a decode"
         );
         assert_eq!(footer.nrows, 500);
-        let v1 = dir.join("v1.oreo");
-        fs::write(&v1, encode_partition_v1(&t)).unwrap();
-        assert!(read_partition_footer(&v1).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 

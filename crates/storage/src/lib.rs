@@ -108,9 +108,12 @@ mod proptests {
             prop_assert_eq!(encode::decode_u32_block(&mut r).unwrap(), values);
         }
 
-        /// Any single-byte corruption of an encoded partition is detected
-        /// (checksum) — decoding never panics and never silently succeeds
-        /// with wrong data.
+        /// Any single-byte corruption of an encoded partition is detected by
+        /// every reader, since all of them run the one parser: decoding
+        /// never panics and never silently succeeds with wrong data. A
+        /// reader answers only for the bytes it reads — the footer-only
+        /// read and a projection that skips a column still succeed, with
+        /// the right answer, when the flip sits in a payload they skip.
         #[test]
         fn corruption_always_detected(
             rows in proptest::collection::vec((any::<i64>(), 0u32..4), 1..50),
@@ -125,11 +128,41 @@ mod proptests {
                 b.push_row(&[Scalar::Int(*v), Scalar::from(["a","b","c","d"][*t as usize])]);
             }
             let table = b.finish();
-            let mut bytes = format::encode_partition(&table).to_vec();
+            let meta = build_metadata(&table, &vec![0; table.num_rows()], 1).pop().unwrap();
+            let (clean, footer) = format::encode_partition_with_meta(&table, &meta);
+            let mut bytes = clean.to_vec();
             let pos = flip.0 % bytes.len();
             let mask = if flip.1 == 0 { 1 } else { flip.1 };
             bytes[pos] ^= mask;
+            let hit = footer.columns.iter().position(|e| {
+                (e.offset..e.offset + e.len).contains(&(pos as u64))
+            });
+
             prop_assert!(format::decode_partition(&schema, &bytes).is_err());
+            prop_assert!(format::decode_partition_projected(&schema, &bytes, &[0, 1]).is_err());
+            let only_tag = format::decode_partition_projected(&schema, &bytes, &[1]);
+            let path = std::env::temp_dir().join(format!(
+                "oreo-flip-{}-{}.oreo", std::process::id(), rand::random::<u32>()
+            ));
+            std::fs::write(&path, &bytes).unwrap();
+            let read_footer = format::read_partition_footer(&path, &schema);
+            std::fs::remove_file(&path).unwrap();
+            if hit == Some(0) {
+                let (nrows, cols) = only_tag.unwrap();
+                prop_assert_eq!(nrows, table.num_rows());
+                for row in 0..nrows {
+                    prop_assert_eq!(cols[0].1.scalar(row), table.scalar(row, 1));
+                }
+            } else {
+                prop_assert!(only_tag.is_err());
+            }
+            if hit.is_some() {
+                let read = read_footer.unwrap();
+                prop_assert_eq!(read.columns, footer.columns);
+                prop_assert_eq!(read.meta, footer.meta);
+            } else {
+                prop_assert!(read_footer.is_err());
+            }
         }
 
         /// Partition metadata is *sound*: every row routed to partition b

@@ -43,7 +43,8 @@ pub struct SnapshotPartition {
     pub bytes: u64,
     /// Per-column payload extents in the partition's on-disk file — the
     /// page index pooled scans use. Present once the snapshot is backed by
-    /// a footer-indexed generation file; `None` for memory-only snapshots.
+    /// a generation file; `None` for memory-only snapshots, which have no
+    /// file.
     pub extents: Option<Arc<[ColumnExtent]>>,
 }
 
@@ -417,12 +418,12 @@ impl TableSnapshot {
     pub(crate) fn attach_generation(
         &mut self,
         generation: Arc<Generation>,
-        files: Vec<(u64, Option<Arc<[ColumnExtent]>>)>,
+        files: Vec<(u64, Arc<[ColumnExtent]>)>,
     ) {
         debug_assert_eq!(files.len(), self.partitions.len());
         for (part, (bytes, extents)) in self.partitions.iter_mut().zip(files) {
             part.bytes = bytes;
-            part.extents = extents;
+            part.extents = Some(extents);
         }
         self.generation = Some(generation);
     }
@@ -673,9 +674,8 @@ impl TableSnapshot {
     /// column payload*: it needs no cell values, so its honest I/O cost is
     /// zero bytes.
     ///
-    /// Fails if the snapshot is not backed by a footer-indexed generation
-    /// (memory-only snapshots, or generations written before the page
-    /// index existed) or on I/O/corruption errors; callers degrade to the
+    /// Fails if the snapshot is memory-only (no generation, hence no page
+    /// index) or on I/O/corruption errors; callers degrade to the
     /// in-memory [`TableSnapshot::scan`].
     pub fn scan_pooled(&self, predicate: &Predicate, pool: &BufferPool) -> Result<SnapshotScan> {
         self.drive(predicate, ColumnSource::Pooled(pool), Evaluator::Kernel)

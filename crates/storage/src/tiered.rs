@@ -31,12 +31,9 @@
 //! restart and cleans up torn `.tmp` directories and stale older
 //! generations.
 
-use crate::diskstore::open_partition_file;
 use crate::encode::{decode_u32_block, encode_u32_block, fnv1a};
 use crate::error::{Result, StorageError};
-use crate::format::{
-    read_partition, read_partition_footer, write_partition_with_meta, ColumnExtent,
-};
+use crate::format::{decode_partition_with_footer, write_partition_with_meta, ColumnExtent};
 use crate::snapshot::{SnapshotPartition, TableSnapshot};
 use bytes::{Buf, BufMut, BytesMut};
 use oreo_query::Schema;
@@ -142,13 +139,10 @@ pub struct RecoveryReport {
     pub stale_removed: Vec<PathBuf>,
     /// Ingest fold watermark of the recovered generation: every WAL record
     /// with sequence ≤ this is already folded into the base and must be
-    /// skipped at replay. 0 when the generation never folded deltas (or
-    /// predates the write path).
+    /// skipped at replay. 0 when the generation never folded deltas.
     pub folded: u64,
     /// The row-id high-water mark at the recovered generation's fold
     /// point: replayed appends continue allocating global ids from here.
-    /// Defaults to the generation's row count for pre-write-path manifests
-    /// (identity ids).
     pub next_row: u64,
     /// Entries under the root that are neither committed generations nor
     /// torn rewrites (e.g. a sibling tenant subdirectory, a WAL, or a file
@@ -403,7 +397,7 @@ impl TieredStore {
         }
         committed.sort_unstable_by_key(|&(n, _)| std::cmp::Reverse(n));
 
-        let mut recovered: Option<(u64, TableSnapshot, u64, u64)> = None;
+        let mut recovered = None;
         for (number, path) in committed {
             if recovered.is_some() {
                 // Older than the recovered generation: superseded, clean up.
@@ -411,10 +405,8 @@ impl TieredStore {
                 report.stale_removed.push(path);
                 continue;
             }
-            match load_generation(&path, schema) {
-                Ok((snapshot, folded, next_row)) => {
-                    recovered = Some((number, snapshot, folded, next_row))
-                }
+            match load_generation(&path, number, table, schema) {
+                Ok(loaded) => recovered = Some(loaded),
                 Err(_) => {
                     // A committed directory that fails to decode (e.g. a
                     // half-deleted GC victim): treat as torn and fall back.
@@ -423,33 +415,11 @@ impl TieredStore {
                 }
             }
         }
-        let (number, mut snapshot, folded, next_row) =
+        let (generation, snapshot, manifest) =
             recovered.ok_or_else(|| StorageError::Corrupt("no complete generation".into()))?;
-        report.generation = number;
-        report.folded = folded;
-        report.next_row = next_row;
-
-        let dir = gen_dir(root, number);
-        let bytes = dir_bytes(&dir)?;
-        let generation = Arc::new(Generation {
-            number,
-            table,
-            dir,
-            bytes,
-            retired: AtomicBool::new(false),
-        });
-        let files: Vec<(u64, Option<Arc<[ColumnExtent]>>)> = snapshot
-            .partitions()
-            .iter()
-            .enumerate()
-            .map(|(i, part)| {
-                let file_bytes = fs::metadata(generation.dir.join(part_file(i)))
-                    .map(|m| m.len())
-                    .unwrap_or(0);
-                (file_bytes, part.extents.clone())
-            })
-            .collect();
-        snapshot.attach_generation(Arc::clone(&generation), files);
+        report.generation = generation.number;
+        report.folded = manifest.folded;
+        report.next_row = manifest.next_row;
         let store = Self {
             root: root.to_owned(),
             schema: Arc::clone(schema),
@@ -569,7 +539,7 @@ fn persist_generation(
 
     let mut bytes_written = 0u64;
     let mut files = 0usize;
-    let mut file_info: Vec<(u64, Option<Arc<[ColumnExtent]>>)> =
+    let mut file_info: Vec<(u64, Arc<[ColumnExtent]>)> =
         Vec::with_capacity(snapshot.num_partitions());
     for (i, part) in snapshot.partitions().iter().enumerate() {
         // The snapshot's pruning metadata goes into the file footer, so a
@@ -577,7 +547,7 @@ fn persist_generation(
         let (part_bytes, footer) =
             write_partition_with_meta(&tmp.join(part_file(i)), &part.data, &part.meta)?;
         bytes_written += part_bytes;
-        file_info.push((part_bytes, Some(Arc::from(footer.columns))));
+        file_info.push((part_bytes, Arc::from(footer.columns)));
         bytes_written += write_rows(&tmp.join(rows_file(i)), &part.rows)?;
         files += 2;
     }
@@ -614,28 +584,23 @@ fn persist_generation(
     Ok((generation, receipt))
 }
 
-/// Rebuild the serving snapshot from a committed generation directory,
-/// returning `(snapshot, folded watermark, next row id)`.
-fn load_generation(dir: &Path, schema: &Arc<Schema>) -> Result<(TableSnapshot, u64, u64)> {
-    let (layout, name, k, total_rows, folded, next_row) = read_manifest(&dir.join(MANIFEST))?;
-    let mut partitions = Vec::with_capacity(k);
-    for i in 0..k {
-        let path = dir.join(part_file(i));
-        // Footer-indexed files recover pruning metadata and the page index
-        // from the footer (one decode for the data); legacy v1 files fall
-        // back to rebuilding metadata from the decoded rows.
-        let (data, meta, extents) = match read_partition_footer(&path)? {
-            Some(footer) => {
-                let data = read_partition(&path, schema)?;
-                let extents: Arc<[ColumnExtent]> = Arc::from(footer.columns);
-                (data, footer.meta, Some(extents))
-            }
-            None => {
-                let (data, meta, _bytes) = open_partition_file(&path, schema)?;
-                (data, meta, None)
-            }
-        };
-        let data = Arc::new(data);
+/// Rebuild the serving snapshot from the committed generation directory
+/// `dir` (generation `number`) and pin it. Each partition file is read and
+/// validated once: data, pruning metadata, page index and file length all
+/// come from that pass.
+fn load_generation(
+    dir: &Path,
+    number: u64,
+    table: u32,
+    schema: &Arc<Schema>,
+) -> Result<(Arc<Generation>, TableSnapshot, Manifest)> {
+    let manifest = read_manifest(&dir.join(MANIFEST))?;
+    // Not pre-sized: the count is input from disk until the files bear it out.
+    let mut partitions = Vec::new();
+    let mut files = Vec::new();
+    for i in 0..manifest.partitions {
+        let bytes = fs::read(dir.join(part_file(i)))?;
+        let (data, footer) = decode_partition_with_footer(schema, &bytes)?;
         let rows = read_rows(&dir.join(rows_file(i)))?;
         if rows.len() != data.num_rows() {
             return Err(StorageError::Corrupt(format!(
@@ -644,24 +609,34 @@ fn load_generation(dir: &Path, schema: &Arc<Schema>) -> Result<(TableSnapshot, u
                 data.num_rows()
             )));
         }
+        files.push((bytes.len() as u64, Arc::from(footer.columns)));
         partitions.push(SnapshotPartition {
             rows: rows.into(),
-            data,
-            meta,
-            bytes: 0, // stamped by attach_generation
-            extents,
+            data: Arc::new(data),
+            meta: footer.meta,
+            // byte size and page index are stamped by attach_generation
+            bytes: 0,
+            extents: None,
         });
     }
-    let snapshot = TableSnapshot::from_parts(layout, name, partitions);
-    if snapshot.total_rows() != total_rows {
+    let mut snapshot =
+        TableSnapshot::from_parts(manifest.layout, manifest.name.clone(), partitions);
+    if snapshot.total_rows() != manifest.rows {
         return Err(StorageError::Corrupt(format!(
-            "generation holds {} rows, manifest says {total_rows}",
-            snapshot.total_rows()
+            "generation holds {} rows, manifest says {}",
+            snapshot.total_rows(),
+            manifest.rows
         )));
     }
-    // Pre-write-path manifests carry no next_row: their ids are identity.
-    let next_row = next_row.unwrap_or(total_rows);
-    Ok((snapshot, folded, next_row))
+    let generation = Arc::new(Generation {
+        number,
+        table,
+        dir: dir.to_owned(),
+        bytes: dir_bytes(dir)?,
+        retired: AtomicBool::new(false),
+    });
+    snapshot.attach_generation(Arc::clone(&generation), files);
+    Ok((generation, snapshot, manifest))
 }
 
 /// Write the global row ids of one partition:
@@ -728,39 +703,46 @@ fn write_manifest(
     Ok(text.len() as u64)
 }
 
-/// Parse a manifest into `(layout, name, partitions, rows, folded,
-/// next_row)`. The fold keys are optional (unknown keys were always
-/// ignored, so old and new manifests interoperate both ways): `folded`
-/// defaults to 0, a missing `next_row` stays `None` for the caller to
-/// default to the row count.
-#[allow(clippy::type_complexity)]
-fn read_manifest(path: &Path) -> Result<(u64, String, usize, u64, u64, Option<u64>)> {
+/// A parsed `MANIFEST`: the keys [`write_manifest`] emits that recovery
+/// uses (`folded` / `next_row` as in [`RecoveryReport`]).
+struct Manifest {
+    layout: u64,
+    name: String,
+    partitions: usize,
+    rows: u64,
+    folded: u64,
+    next_row: u64,
+}
+
+/// Parse a manifest. Every key [`write_manifest`] emits is required and
+/// every number must parse: a damaged line is [`StorageError::Corrupt`], so
+/// recovery treats the generation as torn instead of, say, resuming from
+/// fold watermark 0 and replaying WAL batches the base already holds.
+fn read_manifest(path: &Path) -> Result<Manifest> {
     let text = fs::read_to_string(path)?;
-    let mut lines = text.lines();
-    if lines.next() != Some(MANIFEST_MAGIC) {
+    if text.lines().next() != Some(MANIFEST_MAGIC) {
         return Err(StorageError::Corrupt("bad manifest magic".into()));
     }
-    let mut layout = None;
-    let mut name = None;
-    let mut partitions = None;
-    let mut rows = None;
-    let mut folded = 0;
-    let mut next_row = None;
-    for line in lines {
-        match line.split_once('=') {
-            Some(("layout", v)) => layout = v.parse().ok(),
-            Some(("name", v)) => name = Some(v.to_string()),
-            Some(("partitions", v)) => partitions = v.parse().ok(),
-            Some(("rows", v)) => rows = v.parse().ok(),
-            Some(("folded", v)) => folded = v.parse().unwrap_or(0),
-            Some(("next_row", v)) => next_row = v.parse().ok(),
-            _ => {}
-        }
-    }
-    match (layout, name, partitions, rows) {
-        (Some(l), Some(n), Some(k), Some(r)) => Ok((l, n, k, r, folded, next_row)),
-        _ => Err(StorageError::Corrupt("incomplete manifest".into())),
-    }
+    let value = |key: &str| {
+        text.lines()
+            .find_map(|line| line.strip_prefix(key)?.strip_prefix('='))
+            .ok_or_else(|| StorageError::Corrupt(format!("manifest lacks {key}")))
+    };
+    let number = |key: &str| {
+        value(key)?
+            .parse::<u64>()
+            .map_err(|_| StorageError::Corrupt(format!("manifest {key} is not a number")))
+    };
+    // Required like every emitted key; the directory name numbers the generation.
+    number("generation")?;
+    Ok(Manifest {
+        layout: number("layout")?,
+        name: value("name")?.to_string(),
+        partitions: number("partitions")? as usize,
+        rows: number("rows")?,
+        folded: number("folded")?,
+        next_row: number("next_row")?,
+    })
 }
 
 pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
@@ -901,7 +883,13 @@ mod tests {
         drop(store);
         drop(s1); // process "exits" — gen 1 never retired
 
+        let decodes = crate::format::thread_partition_decodes();
         let (store, recovered, report) = TieredStore::open(&root, &schema).unwrap();
+        assert_eq!(
+            crate::format::thread_partition_decodes() - decodes,
+            4,
+            "each partition file is decoded exactly once"
+        );
         assert_eq!(report.generation, 1);
         assert!(report.torn_removed.is_empty());
         assert!(report.stale_removed.is_empty());
@@ -957,8 +945,11 @@ mod tests {
         fs::remove_dir_all(&root).unwrap();
     }
 
-    /// A committed directory whose contents are corrupt is treated as torn:
-    /// recovery falls back to the next older complete generation.
+    /// A committed directory whose contents are damaged — a partition file
+    /// with a flipped byte, cut short or without its footer, a manifest
+    /// missing a key or holding an unparsable number — is treated as torn:
+    /// recovery falls back to the next older complete generation rather
+    /// than serving it (or resuming ingest from a defaulted watermark).
     #[test]
     fn corrupt_committed_generation_falls_back() {
         let t = table(300);
@@ -968,26 +959,60 @@ mod tests {
         let (store, _) = TieredStore::create(&root, &mut s1).unwrap();
         drop(store);
 
-        // Fabricate a "newer" generation with a corrupt partition file.
-        let bad = root.join("gen-000002");
-        fs::create_dir_all(&bad).unwrap();
-        for entry in fs::read_dir(root.join("gen-000001")).unwrap().flatten() {
-            fs::copy(entry.path(), bad.join(entry.file_name())).unwrap();
-        }
-        let victim = bad.join(part_file(0));
-        let mut bytes = fs::read(&victim).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        fs::write(&victim, bytes).unwrap();
+        // gen 1 never folded: its manifest says folded=0, next_row=300
+        let rewrite_manifest = |bad: &Path, from: &str, to: &str| {
+            let text = fs::read_to_string(bad.join(MANIFEST)).unwrap();
+            assert!(text.contains(from), "the damage must land");
+            fs::write(bad.join(MANIFEST), text.replace(from, to)).unwrap();
+        };
+        let cut_part = |bad: &Path, keep: &dyn Fn(usize) -> usize| {
+            let victim = bad.join(part_file(1));
+            let bytes = fs::read(&victim).unwrap();
+            fs::write(&victim, &bytes[..keep(bytes.len())]).unwrap();
+        };
+        type Damage<'a> = (&'a str, &'a dyn Fn(&Path));
+        let damages: [Damage; 6] = [
+            ("flipped byte", &|bad| {
+                let victim = bad.join(part_file(0));
+                let mut bytes = fs::read(&victim).unwrap();
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0xff;
+                fs::write(&victim, bytes).unwrap();
+            }),
+            ("truncated partition file", &|bad| {
+                cut_part(bad, &|len| len / 2)
+            }),
+            // minus the tail: footer checksum + footer offset + footer magic
+            ("footerless partition file", &|bad| {
+                cut_part(bad, &|len| len - 24)
+            }),
+            ("manifest without folded", &|bad| {
+                rewrite_manifest(bad, "folded=0\n", "")
+            }),
+            ("manifest without next_row", &|bad| {
+                rewrite_manifest(bad, "next_row=300\n", "")
+            }),
+            ("manifest with folded=x", &|bad| {
+                rewrite_manifest(bad, "folded=0\n", "folded=x\n")
+            }),
+        ];
+        for (what, damage) in damages {
+            // Fabricate a "newer" generation, then damage it.
+            let bad = root.join("gen-000002");
+            fs::create_dir_all(&bad).unwrap();
+            for entry in fs::read_dir(root.join("gen-000001")).unwrap().flatten() {
+                fs::copy(entry.path(), bad.join(entry.file_name())).unwrap();
+            }
+            damage(&bad);
 
-        let (store, recovered, report) = TieredStore::open(&root, &schema).unwrap();
-        assert_eq!(report.generation, 1);
-        assert_eq!(report.torn_removed, vec![bad.clone()]);
-        assert!(!bad.exists());
-        assert_eq!(recovered.total_rows(), 300);
+            let (_store, recovered, report) = TieredStore::open(&root, &schema).unwrap();
+            assert_eq!(report.generation, 1, "{what}");
+            assert_eq!(report.torn_removed, vec![bad.clone()], "{what}");
+            assert!(!bad.exists(), "{what}");
+            assert_eq!(recovered.total_rows(), 300, "{what}");
+            assert_eq!((report.folded, report.next_row), (0, 300), "{what}");
+        }
         drop(s1);
-        drop(store);
-        drop(recovered);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -1094,8 +1119,7 @@ mod tests {
     }
 
     /// Fold metadata (WAL watermark + row-id high-water mark) rides the
-    /// manifest and survives recovery; manifests without the keys default
-    /// to "never folded, identity ids".
+    /// manifest and survives recovery.
     #[test]
     fn fold_watermarks_round_trip_through_the_manifest() {
         let t = table(200);
@@ -1117,20 +1141,6 @@ mod tests {
         drop(store);
         drop(recovered);
 
-        // strip the fold keys → defaults (0, rows)
-        let manifest = root.join("gen-000002").join(MANIFEST);
-        let stripped: String = fs::read_to_string(&manifest)
-            .unwrap()
-            .lines()
-            .filter(|l| !l.starts_with("folded=") && !l.starts_with("next_row="))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        fs::write(&manifest, stripped).unwrap();
-        let (store, recovered, report) = TieredStore::open(&root, &schema).unwrap();
-        assert_eq!(report.folded, 0);
-        assert_eq!(report.next_row, 200, "defaults to the row count");
-        drop(store);
-        drop(recovered);
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -146,6 +146,39 @@ fn bench_codec(c: &mut Criterion) {
     c.bench_function("decode_partition_10k_rows", |b| {
         b.iter(|| black_box(oreo_storage::format::decode_partition(&schema, &bytes).unwrap()))
     });
+
+    // One integer column payload at the tiered-cold partition size
+    // (300k rows / k=64): the unit a pooled scan decodes per column read.
+    // `random34bit` is a key-like column no layout narrows; `clustered` is
+    // what a good layout leaves in a partition — a 12-bit band.
+    use oreo_storage::encode::{checksum, decode_i64_block, encode_i64_block};
+    use rand::{Rng, SeedableRng};
+    const ROWS: usize = 4687;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(20);
+    let random: Vec<i64> = (0..ROWS)
+        .map(|_| (rng.random::<u64>() >> 30) as i64)
+        .collect();
+    let clustered: Vec<i64> = (0..ROWS)
+        .map(|_| 1_000_000 + (rng.random::<u64>() >> 52) as i64)
+        .collect();
+    for (name, values) in [("random34bit", &random), ("clustered", &clustered)] {
+        let mut payload = Vec::new();
+        encode_i64_block(&mut payload, values);
+        c.bench_function(&format!("decode_int_payload_{ROWS}_{name}"), |b| {
+            b.iter(|| black_box(decode_i64_block(&mut black_box(&payload[..]), ROWS).unwrap()))
+        });
+    }
+    c.bench_function(&format!("encode_int_payload_{ROWS}_random34bit"), |b| {
+        b.iter(|| {
+            let mut payload = Vec::with_capacity(8 * ROWS);
+            encode_i64_block(&mut payload, black_box(&random));
+            black_box(payload)
+        })
+    });
+    let page: Vec<u8> = (0..16 * 1024).map(|i| (i * 31 % 251) as u8).collect();
+    c.bench_function("checksum_16k", |b| {
+        b.iter(|| black_box(checksum(black_box(&page))))
+    });
 }
 
 fn bench_offline_dp(c: &mut Criterion) {

@@ -25,7 +25,7 @@ use bytes::Bytes;
 use oreo_obs::{EventKind, EventSink, NullSink};
 use std::collections::{HashMap, HashSet};
 use std::fs;
-use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -278,7 +278,7 @@ impl BufferPool {
         let page_bytes = self.config.page_bytes as u64;
         let first = offset / page_bytes;
         let last = (offset + len - 1) / page_bytes;
-        let mut reader: Option<fs::File> = None;
+        let mut reader: Option<(fs::File, u64)> = None;
         let mut pinned: Vec<PageKey> = Vec::with_capacity((last - first + 1) as usize);
         let result = (|| -> Result<()> {
             for page in first..=last {
@@ -352,7 +352,7 @@ impl BufferPool {
         &self,
         key: PageKey,
         path: &Path,
-        reader: &mut Option<fs::File>,
+        reader: &mut Option<(fs::File, u64)>,
         cacheable: bool,
     ) -> Result<(Bytes, bool, bool)> {
         // Fast path: cache hit.
@@ -367,26 +367,23 @@ impl BufferPool {
                 return Ok((data, false, true));
             }
         }
-        // Miss: read the page from disk without holding the pool lock.
-        let file = match reader {
-            Some(f) => f,
+        // Miss: read the page from disk without holding the pool lock — one
+        // positioned read into a buffer of exactly the page's length (the
+        // file's last page is short), sized from the length taken when
+        // this read opened the file.
+        let (file, file_len) = match reader {
+            Some(opened) => opened,
             None => {
-                *reader = Some(fs::File::open(path)?);
-                reader.as_mut().expect("just set")
+                let file = fs::File::open(path)?;
+                let len = file.metadata()?.len();
+                reader.insert((file, len))
             }
         };
-        let page_bytes = self.config.page_bytes;
-        file.seek(SeekFrom::Start(key.page as u64 * page_bytes as u64))?;
-        let mut data = vec![0u8; page_bytes];
-        let mut filled = 0;
-        while filled < page_bytes {
-            let n = file.read(&mut data[filled..])?;
-            if n == 0 {
-                break;
-            }
-            filled += n;
-        }
-        data.truncate(filled);
+        let page_bytes = self.config.page_bytes as u64;
+        let start = key.page as u64 * page_bytes;
+        let len = file_len.saturating_sub(start).min(page_bytes);
+        let mut data = vec![0u8; len as usize];
+        file.read_exact_at(&mut data, start)?;
         let data = Bytes::from(data);
         self.misses.fetch_add(1, Ordering::Relaxed);
         if !cacheable {

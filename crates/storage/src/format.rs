@@ -7,15 +7,31 @@
 //! | column 0: tag u8 | payload_len u64 LE | payload bytes        |
 //! | column 1: ...                                                |
 //! | footer:  ncols u16 LE | nrows u64 LE                         |
-//! |   per column: tag u8 | offset u64 | len u64 | fnv1a u64      |
+//! |   per column: tag u8 | offset u64 | len u64 | sum u64        |
 //! |   pruning metadata (see [`crate::partition::encode_metadata`])|
-//! | footer fnv1a u64 | footer offset u64 | "OREOFTR2" (8B)       |
+//! | footer sum u64 | footer offset u64 | "OREOFTR2" (8B)         |
+//! +--------------------------------------------------------------+
+//!
+//! int / timestamp payload (version 3): count varint, then per 1024 rows
+//! +--------------------------------------------------------------+
+//! | width u8 (0..=64) | base i64 LE | ⌈n·width/8⌉ bytes:         |
+//! |   (v − base) for each of the frame's n values, LSB-first     |
 //! +--------------------------------------------------------------+
 //! ```
 //!
-//! Column payloads use the compressed encodings from [`crate::encode`]:
-//! int/timestamp → delta-zigzag varints; float → raw LE; string → dictionary
-//! (string list) + RLE-or-bitpacked codes.
+//! Column payloads use the encodings from [`crate::encode`]: int/timestamp
+//! → frame-of-reference bit-packed frames of [`FRAME_ROWS`] rows, each value
+//! addressable inside its frame and bounded by the frame's `base`/`width`;
+//! float → raw LE; string → dictionary (string list) + RLE-or-bitpacked
+//! codes.
+//!
+//! Both `sum`s are [`checksum`], the word-at-a-time sum that also guards the
+//! row-id sidecar and WAL records. The footer sum covers the footer body
+//! and is verified by every reader; a column's sum covers its payload bytes
+//! and is verified whenever they come off disk ([`ColumnExtent::decode`]) —
+//! a pooled read served entirely from cached pages skips it
+//! ([`ColumnExtent::decode_trusted`]). Header and in-stream prefixes carry
+//! no sum: they are cross-checked against the footer.
 //!
 //! The file ends in a self-describing **footer**: per-column payload
 //! extents with their own checksums — the *page index* pooled scans use to
@@ -29,7 +45,8 @@
 //! the footer, then decode the column payloads it was asked for. A file
 //! that fails any step — one that does not end in the footer magic
 //! included — is [`StorageError::Corrupt`]. There is one format: the
-//! version field is always 2.
+//! version field is always 3, and a file of any earlier version is corrupt
+//! like any other damaged file.
 
 use crate::column::{Column, DictColumn};
 use crate::encode::*;
@@ -46,7 +63,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"OREOPART";
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 const FOOTER_MAGIC: &[u8; 8] = b"OREOFTR2";
 /// Fixed-size header: magic + version + ncols + nrows.
 const HEADER_LEN: usize = 8 + 2 + 2 + 8;
@@ -102,7 +119,7 @@ pub struct ColumnExtent {
     pub offset: u64,
     /// Payload length in bytes.
     pub len: u64,
-    /// FNV-1a checksum of the payload bytes.
+    /// [`checksum`] of the payload bytes.
     pub checksum: u64,
 }
 
@@ -136,20 +153,12 @@ impl ColumnExtent {
                 self.len
             )));
         }
-        if verify && fnv1a(payload) != self.checksum {
+        if verify && checksum(payload) != self.checksum {
             return Err(StorageError::Corrupt(format!(
                 "column {col}: payload checksum mismatch"
             )));
         }
-        let mut buf = payload;
-        let column = decode_column_payload(self.tag, &mut buf, col)?;
-        if column.len() != nrows {
-            return Err(StorageError::Corrupt(format!(
-                "column {col} has {} rows, expected {nrows}",
-                column.len()
-            )));
-        }
-        Ok(column)
+        decode_column_payload(self.tag, &mut &payload[..], nrows, col)
     }
 }
 
@@ -203,7 +212,7 @@ pub fn encode_partition_with_meta(
             tag,
             offset: buf.len() as u64,
             len: payload.len() as u64,
-            checksum: fnv1a(&payload),
+            checksum: checksum(&payload),
         });
         buf.put_slice(&payload);
     }
@@ -218,7 +227,7 @@ pub fn encode_partition_with_meta(
         footer.put_u64_le(e.checksum);
     }
     encode_metadata(&mut footer, meta);
-    let footer_sum = fnv1a(&footer);
+    let footer_sum = checksum(&footer);
     buf.put_slice(&footer);
     buf.put_u64_le(footer_sum);
     buf.put_u64_le(footer_off);
@@ -242,15 +251,16 @@ pub fn encode_partition(table: &Table) -> Bytes {
     encode_partition_with_meta(table, &meta).0
 }
 
-/// Decode the shared per-column payload encoding. Advances `buf` past the
-/// payload it consumes; `col` only labels errors.
-fn decode_column_payload(tag: u8, buf: &mut &[u8], col: usize) -> Result<Column> {
+/// Decode the shared per-column payload encoding into a column of exactly
+/// `nrows` rows. Advances `buf` past the payload it consumes; `col` only
+/// labels errors.
+fn decode_column_payload(tag: u8, buf: &mut &[u8], nrows: usize, col: usize) -> Result<Column> {
     match tag {
-        TAG_INT => Ok(Column::Int(decode_i64_block(buf)?)),
-        TAG_FLOAT => Ok(Column::Float(decode_f64_block(buf)?)),
+        TAG_INT => Ok(Column::Int(decode_i64_block(buf, nrows)?)),
+        TAG_FLOAT => Ok(Column::Float(decode_f64_block(buf, nrows)?)),
         TAG_STR => {
             let dict = decode_str_list(buf)?;
-            let codes = decode_u32_block(buf)?;
+            let codes = decode_u32_block(buf, nrows)?;
             if codes.iter().any(|&c| c as usize >= dict.len()) {
                 return Err(StorageError::Corrupt(format!(
                     "dictionary code out of range in column {col}"
@@ -418,7 +428,7 @@ fn parse_partition<'a>(
         )));
     }
     let body = fetch(footer_off, body_end - footer_off)?;
-    if fnv1a(&body) != stored_sum {
+    if checksum(&body) != stored_sum {
         return Err(StorageError::Corrupt("footer checksum mismatch".into()));
     }
     let footer = parse_footer_body(&body, footer_off)?;

@@ -84,28 +84,128 @@ pub use wal::{Wal, WalRecord, WalRecovery};
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use bytes::BytesMut;
     use oreo_query::{ColumnType, Scalar, Schema};
     use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
     proptest! {
         /// i64 block encoding round-trips arbitrary data.
         #[test]
         fn i64_block_round_trip(values in proptest::collection::vec(any::<i64>(), 0..200)) {
-            let mut b = BytesMut::new();
+            let mut b = Vec::new();
             encode::encode_i64_block(&mut b, &values);
-            let mut r = b.freeze();
-            prop_assert_eq!(encode::decode_i64_block(&mut r).unwrap(), values);
+            prop_assert_eq!(encode::decode_i64_block(&mut &b[..], values.len()).unwrap(), values);
+        }
+
+        /// Frames round-trip at every width 0..=64 — spans up to the whole
+        /// of `i64::MIN..=i64::MAX`, all-equal frames at width 0 — and at
+        /// the lengths around the frame and pack-group boundaries, at the
+        /// size the width predicts.
+        #[test]
+        fn i64_frames_round_trip_at_every_width(
+            width in 0u32..=64,
+            len in 0usize..6,
+            anchor in any::<i64>(),
+            seed in any::<u64>(),
+        ) {
+            let n = [0usize, 1, 1023, 1024, 1025, 2049][len];
+            let span = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+            // `base` leaves room for the span, so the widest frames sit on
+            // i64::MIN and reach i64::MAX
+            let base = anchor.min(i64::MAX.wrapping_sub(span as i64));
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut values: Vec<i64> = (0..n)
+                .map(|_| base.wrapping_add((rng.random::<u64>() & span) as i64))
+                .collect();
+            // both ends of the span are present in every frame: the width is exact
+            for frame in values.chunks_mut(encode::FRAME_ROWS) {
+                if frame.len() >= 2 {
+                    frame[0] = base;
+                    *frame.last_mut().unwrap() = base.wrapping_add(span as i64);
+                }
+            }
+            let mut b = Vec::new();
+            encode::encode_i64_block(&mut b, &values);
+            let mut r = &b[..];
+            prop_assert_eq!(encode::decode_i64_block(&mut r, n).unwrap(), values.clone());
+            prop_assert!(r.is_empty());
+            if n >= 2 {
+                let payload: usize = values
+                    .chunks(encode::FRAME_ROWS)
+                    .map(|f| 9 + if f.len() >= 2 { (f.len() * width as usize).div_ceil(8) } else { 0 })
+                    .sum();
+                prop_assert_eq!(b.len(), 2 + payload);
+            }
         }
 
         /// u32 block encoding round-trips arbitrary data (RLE or packed).
         #[test]
         fn u32_block_round_trip(values in proptest::collection::vec(0u32..1 << 20, 0..300)) {
-            let mut b = BytesMut::new();
+            let mut b = Vec::new();
             encode::encode_u32_block(&mut b, &values);
-            let mut r = b.freeze();
-            prop_assert_eq!(encode::decode_u32_block(&mut r).unwrap(), values);
+            prop_assert_eq!(encode::decode_u32_block(&mut &b[..], values.len()).unwrap(), values);
+        }
+
+        /// Random damage fed through `decode_trusted` — the checksum is off,
+        /// as on a pooled read served from cached pages — never panics and
+        /// never yields a column of another length or a buffer that grew
+        /// past `nrows` values: a stored count sizes nothing. For every
+        /// column encoding: int frames, raw floats, dictionary codes under
+        /// RLE and under bit-packing.
+        #[test]
+        fn damaged_payload_never_panics_or_overallocates(
+            nrows in 1usize..2500,
+            flips in proptest::collection::vec(any::<(usize, u8)>(), 1..4),
+            cut in any::<(bool, usize)>(),
+        ) {
+            let schema = Arc::new(Schema::from_pairs([
+                ("i", ColumnType::Int),
+                ("f", ColumnType::Float),
+                ("runs", ColumnType::Str),
+                ("noise", ColumnType::Str),
+            ]));
+            let mut b = table::TableBuilder::new(Arc::clone(&schema));
+            let tags = ["a", "b", "c", "d", "e"];
+            for i in 0..nrows {
+                b.push_row(&[
+                    Scalar::Int((i * i) as i64 - 1000),
+                    Scalar::Float(i as f64 / 3.0),
+                    Scalar::from(tags[i * tags.len() / nrows]),
+                    Scalar::from(tags[i * 7919 % tags.len()]),
+                ]);
+            }
+            let table = b.finish();
+            let meta = build_metadata(&table, &vec![0; nrows], 1).pop().unwrap();
+            let (bytes, footer) = format::encode_partition_with_meta(&table, &meta);
+            for (col, extent) in footer.columns.iter().enumerate() {
+                let clean = &bytes[extent.offset as usize..(extent.offset + extent.len) as usize];
+                prop_assert!(extent.decode_trusted(clean, nrows, col).is_ok());
+                let mut payload = clean.to_vec();
+                for &(pos, mask) in &flips {
+                    let pos = pos % payload.len();
+                    payload[pos] ^= mask | 1;
+                }
+                let mut extent = *extent;
+                if cut.0 {
+                    payload.truncate(cut.1 % payload.len());
+                    extent.len = payload.len() as u64;
+                }
+                match extent.decode_trusted(&payload, nrows, col) {
+                    Err(e) => prop_assert!(matches!(e, StorageError::Corrupt(_))),
+                    Ok(column) => {
+                        prop_assert_eq!(column.len(), nrows);
+                        let capacity = match &column {
+                            Column::Int(v) => v.capacity(),
+                            Column::Float(v) => v.capacity(),
+                            Column::Str(d) => d.codes().len(),
+                        };
+                        prop_assert_eq!(capacity, nrows);
+                    }
+                }
+                // the row count is the caller's: the block's own never overrides it
+                prop_assert!(extent.decode_trusted(clean, nrows + 1, col).is_err());
+            }
         }
 
         /// Any single-byte corruption of an encoded partition is detected by

@@ -16,8 +16,9 @@
 //! ```
 //!
 //! The reorganizer writes the next generation *aside* into `gen-N.tmp/`,
-//! fsyncs every file and the directory, then commits with a single atomic
-//! `rename(gen-N.tmp, gen-N)` followed by an fsync of the root. Only after
+//! fsyncs every file (once they are all written) and the directory, then
+//! commits with a single atomic `rename(gen-N.tmp, gen-N)` followed by an
+//! fsync of the root. Only after
 //! the rename does the serving snapshot pointer swap (the engine's
 //! `SnapshotCell::publish`), so a crash at any point leaves either the old
 //! generation serving (the `.tmp` is garbage) or the new one fully
@@ -31,9 +32,9 @@
 //! restart and cleans up torn `.tmp` directories and stale older
 //! generations.
 
-use crate::encode::{decode_u32_block, encode_u32_block, fnv1a};
+use crate::encode::{checksum, decode_u32_block, encode_u32_block};
 use crate::error::{Result, StorageError};
-use crate::format::{decode_partition_with_footer, write_partition_with_meta, ColumnExtent};
+use crate::format::{decode_partition_with_footer, encode_partition_with_meta, ColumnExtent};
 use crate::snapshot::{SnapshotPartition, TableSnapshot};
 use bytes::{Buf, BufMut, BytesMut};
 use oreo_query::Schema;
@@ -518,10 +519,39 @@ fn rows_file(index: usize) -> String {
     format!("part-{index:05}.rows")
 }
 
+/// Handles [`persist_generation`] holds open before syncing them: files are
+/// written first and fsynced afterwards, so the kernel flushes them
+/// together instead of one journal commit per file. The handles are held
+/// rather than reopened by path — an fsync through the descriptor that
+/// wrote is the one guaranteed to report that write's error — and synced
+/// whenever this many are pending, so a generation of any k stays far
+/// below the process's descriptor limit.
+const SYNC_BATCH: usize = 256;
+
+/// Create `path` holding `bytes`, *not yet durable*: the handle joins
+/// `unsynced`, which is drained (every file fsynced) once [`SYNC_BATCH`]
+/// handles are pending and again by the caller before it commits.
+fn write_unsynced(path: &Path, bytes: &[u8], unsynced: &mut Vec<fs::File>) -> Result<u64> {
+    let mut file = fs::File::create(path)?;
+    file.write_all(bytes)?;
+    unsynced.push(file);
+    if unsynced.len() >= SYNC_BATCH {
+        sync_files(unsynced)?;
+    }
+    Ok(bytes.len() as u64)
+}
+
+fn sync_files(unsynced: &mut Vec<fs::File>) -> Result<()> {
+    for file in unsynced.drain(..) {
+        file.sync_all()?;
+    }
+    Ok(())
+}
+
 /// Write `snapshot` under `root` as generation `number`: everything goes to
-/// `gen-N.tmp/` first (each file written + fsynced, then the directory
-/// fsynced), and the commit is one atomic rename to `gen-N/` followed by an
-/// fsync of `root`.
+/// `gen-N.tmp/` first (all files written, then each fsynced, then the
+/// directory fsynced — every file durable before the rename), and the
+/// commit is one atomic rename to `gen-N/` followed by an fsync of `root`.
 fn persist_generation(
     root: &Path,
     table: u32,
@@ -538,21 +568,23 @@ fn persist_generation(
     fs::create_dir_all(&tmp)?;
 
     let mut bytes_written = 0u64;
-    let mut files = 0usize;
+    let mut unsynced = Vec::new();
     let mut file_info: Vec<(u64, Arc<[ColumnExtent]>)> =
         Vec::with_capacity(snapshot.num_partitions());
     for (i, part) in snapshot.partitions().iter().enumerate() {
         // The snapshot's pruning metadata goes into the file footer, so a
         // restart recovers it (and the page index) without decoding data.
-        let (part_bytes, footer) =
-            write_partition_with_meta(&tmp.join(part_file(i)), &part.data, &part.meta)?;
-        bytes_written += part_bytes;
+        let (encoded, footer) = encode_partition_with_meta(&part.data, &part.meta);
+        let part_bytes = write_unsynced(&tmp.join(part_file(i)), &encoded, &mut unsynced)?;
         file_info.push((part_bytes, Arc::from(footer.columns)));
-        bytes_written += write_rows(&tmp.join(rows_file(i)), &part.rows)?;
-        files += 2;
+        let rows = encode_rows(&part.rows);
+        bytes_written +=
+            part_bytes + write_unsynced(&tmp.join(rows_file(i)), &rows, &mut unsynced)?;
     }
-    bytes_written += write_manifest(&tmp.join(MANIFEST), snapshot, number, folded, next_row)?;
-    files += 1;
+    let manifest = manifest_text(snapshot, number, folded, next_row);
+    bytes_written += write_unsynced(&tmp.join(MANIFEST), manifest.as_bytes(), &mut unsynced)?;
+    let files = 2 * snapshot.num_partitions() + 1;
+    sync_files(&mut unsynced)?;
     sync_dir(&tmp)?;
 
     let dir = gen_dir(root, number);
@@ -639,22 +671,19 @@ fn load_generation(
     Ok((generation, snapshot, manifest))
 }
 
-/// Write the global row ids of one partition:
-/// `"OREOROWS" | count u64 LE | u32 block | fnv1a-64 checksum`.
-fn write_rows(path: &Path, rows: &[u32]) -> Result<u64> {
+/// Encode the global row ids of one partition:
+/// `"OREOROWS" | count u64 LE | u32 block | checksum u64 LE`.
+fn encode_rows(rows: &[u32]) -> BytesMut {
     let mut buf = BytesMut::new();
     buf.put_slice(ROWS_MAGIC);
     buf.put_u64_le(rows.len() as u64);
     encode_u32_block(&mut buf, rows);
-    let checksum = fnv1a(&buf);
-    buf.put_u64_le(checksum);
-    let mut file = fs::File::create(path)?;
-    file.write_all(&buf)?;
-    file.sync_all()?;
-    Ok(buf.len() as u64)
+    let sum = checksum(&buf);
+    buf.put_u64_le(sum);
+    buf
 }
 
-/// Read a sidecar written by [`write_rows`].
+/// Read a sidecar holding [`encode_rows`] output.
 fn read_rows(path: &Path) -> Result<Vec<u32>> {
     let mut bytes = Vec::new();
     fs::File::open(path)?.read_to_end(&mut bytes)?;
@@ -663,7 +692,7 @@ fn read_rows(path: &Path) -> Result<Vec<u32>> {
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    if fnv1a(body) != stored {
+    if checksum(body) != stored {
         return Err(StorageError::Corrupt("rows sidecar checksum".into()));
     }
     let mut buf = body;
@@ -672,38 +701,22 @@ fn read_rows(path: &Path) -> Result<Vec<u32>> {
     if &magic != ROWS_MAGIC {
         return Err(StorageError::Corrupt("rows sidecar magic".into()));
     }
-    let count = buf.get_u64_le() as usize;
-    let rows = decode_u32_block(&mut buf)?;
-    if rows.len() != count {
-        return Err(StorageError::Corrupt(format!(
-            "rows sidecar decoded {} ids, header says {count}",
-            rows.len()
-        )));
-    }
-    Ok(rows)
+    let count = usize::try_from(buf.get_u64_le())
+        .map_err(|_| StorageError::Corrupt("rows sidecar count exceeds usize".into()))?;
+    Ok(decode_u32_block(&mut buf, count)?)
 }
 
-fn write_manifest(
-    path: &Path,
-    snapshot: &TableSnapshot,
-    number: u64,
-    folded: u64,
-    next_row: u64,
-) -> Result<u64> {
+fn manifest_text(snapshot: &TableSnapshot, number: u64, folded: u64, next_row: u64) -> String {
     let name = snapshot.name().replace(['\n', '\r'], " ");
-    let text = format!(
+    format!(
         "{MANIFEST_MAGIC}\ngeneration={number}\nlayout={}\nname={name}\npartitions={}\nrows={}\nfolded={folded}\nnext_row={next_row}\n",
         snapshot.layout(),
         snapshot.num_partitions(),
         snapshot.total_rows(),
-    );
-    let mut file = fs::File::create(path)?;
-    file.write_all(text.as_bytes())?;
-    file.sync_all()?;
-    Ok(text.len() as u64)
+    )
 }
 
-/// A parsed `MANIFEST`: the keys [`write_manifest`] emits that recovery
+/// A parsed `MANIFEST`: the keys [`manifest_text`] emits that recovery
 /// uses (`folded` / `next_row` as in [`RecoveryReport`]).
 struct Manifest {
     layout: u64,
@@ -714,7 +727,7 @@ struct Manifest {
     next_row: u64,
 }
 
-/// Parse a manifest. Every key [`write_manifest`] emits is required and
+/// Parse a manifest. Every key [`manifest_text`] emits is required and
 /// every number must parse: a damaged line is [`StorageError::Corrupt`], so
 /// recovery treats the generation as torn instead of, say, resuming from
 /// fold watermark 0 and replaying WAL batches the base already holds.
@@ -946,7 +959,8 @@ mod tests {
     }
 
     /// A committed directory whose contents are damaged — a partition file
-    /// with a flipped byte, cut short or without its footer, a manifest
+    /// with a flipped byte, cut short, without its footer or of the previous
+    /// format version, a sidecar under the previous checksum, a manifest
     /// missing a key or holding an unparsable number — is treated as torn:
     /// recovery falls back to the next older complete generation rather
     /// than serving it (or resuming ingest from a defaulted watermark).
@@ -971,7 +985,7 @@ mod tests {
             fs::write(&victim, &bytes[..keep(bytes.len())]).unwrap();
         };
         type Damage<'a> = (&'a str, &'a dyn Fn(&Path));
-        let damages: [Damage; 6] = [
+        let damages: [Damage; 8] = [
             ("flipped byte", &|bad| {
                 let victim = bad.join(part_file(0));
                 let mut bytes = fs::read(&victim).unwrap();
@@ -985,6 +999,25 @@ mod tests {
             // minus the tail: footer checksum + footer offset + footer magic
             ("footerless partition file", &|bad| {
                 cut_part(bad, &|len| len - 24)
+            }),
+            // what the previous format wrote: version 2 in the header...
+            ("version-2 partition file", &|bad| {
+                let victim = bad.join(part_file(0));
+                let mut bytes = fs::read(&victim).unwrap();
+                assert_eq!(bytes[8..10], 3u16.to_le_bytes());
+                bytes[8..10].copy_from_slice(&2u16.to_le_bytes());
+                fs::write(&victim, bytes).unwrap();
+            }),
+            // ...and byte-serial FNV-1a where the word-wise sum now sits
+            ("sidecar carrying the old sum", &|bad| {
+                let victim = bad.join(rows_file(1));
+                let mut bytes = fs::read(&victim).unwrap();
+                let body = bytes.len() - 8;
+                let fnv1a = bytes[..body].iter().fold(0xcbf29ce484222325u64, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+                });
+                bytes[body..].copy_from_slice(&fnv1a.to_le_bytes());
+                fs::write(&victim, bytes).unwrap();
             }),
             ("manifest without folded", &|bad| {
                 rewrite_manifest(bad, "folded=0\n", "")
@@ -1238,7 +1271,7 @@ mod tests {
         fs::create_dir_all(&root).unwrap();
         let path = root.join("r.rows");
         let rows: Vec<u32> = (0..997).map(|i| i * 3 % 1000).collect();
-        write_rows(&path, &rows).unwrap();
+        fs::write(&path, encode_rows(&rows)).unwrap();
         assert_eq!(read_rows(&path).unwrap(), rows);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;

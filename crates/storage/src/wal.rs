@@ -4,9 +4,14 @@
 //! One append-only file (`wal.log` in the tiered root). Layout:
 //!
 //! ```text
-//! "OREOWAL1"                                  ← 8-byte magic
-//! [ len u32 LE | seq u64 LE | payload | fnv1a-64(seq ∥ payload) ] …
+//! "OREOWAL2"                                  ← 8-byte magic
+//! [ len u32 LE | seq u64 LE | payload | checksum(seq ∥ payload) ] …
 //! ```
+//!
+//! The sum is [`crate::encode::checksum`], the one the partition files use.
+//! The magic moved with it (`OREOWAL1` summed with FNV-1a): a log of the
+//! old format is [`StorageError::Corrupt`] at open, not a log whose every
+//! acked record reads as a torn tail and is truncated away.
 //!
 //! [`Wal::append`] writes one record and fsyncs — the fsync is the ack
 //! point of the engine's `ingest`. [`Wal::open`] replays every decodable
@@ -24,14 +29,14 @@
 //! skips folded records) or the new one.
 
 use crate::delta::IngestOp;
-use crate::encode::{fnv1a, get_varint, put_varint, unzigzag, zigzag};
+use crate::encode::{checksum, get_varint, put_varint, unzigzag, zigzag};
 use crate::error::{Result, StorageError};
 use bytes::{Buf, BufMut, BytesMut};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
-const WAL_MAGIC: &[u8; 8] = b"OREOWAL1";
+const WAL_MAGIC: &[u8; 8] = b"OREOWAL2";
 
 const OP_APPEND: u8 = 0;
 const OP_UPDATE: u8 = 1;
@@ -171,10 +176,8 @@ impl Wal {
         record.put_u32_le(payload.len() as u32);
         record.put_u64_le(seq);
         record.put_slice(&payload);
-        let mut sum_input = Vec::with_capacity(8 + payload.len());
-        sum_input.extend_from_slice(&seq.to_le_bytes());
-        sum_input.extend_from_slice(&payload);
-        record.put_u64_le(fnv1a(&sum_input));
+        let sum = checksum(&record[4..]); // seq ∥ payload
+        record.put_u64_le(sum);
         self.file.write_all(&record)?;
         self.file.sync_all()?;
         self.bytes += record.len() as u64;
@@ -263,10 +266,7 @@ fn parse_record(s: &[u8]) -> ParseOutcome {
     let seq = u64::from_le_bytes(s[4..12].try_into().expect("8 bytes"));
     let payload = &s[12..12 + len];
     let stored = u64::from_le_bytes(s[12 + len..total].try_into().expect("8 bytes"));
-    let mut sum_input = Vec::with_capacity(8 + len);
-    sum_input.extend_from_slice(&seq.to_le_bytes());
-    sum_input.extend_from_slice(payload);
-    if fnv1a(&sum_input) != stored {
+    if checksum(&s[4..12 + len]) != stored {
         return ParseOutcome::Torn;
     }
     match decode_ops(payload) {

@@ -7,7 +7,7 @@ use oreo_core::{Dumts, DumtsConfig, TransitionPolicy};
 use oreo_layout::{build_exact_model, morton_encode, LayoutSpec, QdTreeBuilder, ZOrderLayout};
 use oreo_query::QueryBuilder;
 use oreo_sim::offline_optimum;
-use oreo_storage::{build_metadata, cost_vector_distance};
+use oreo_storage::{build_metadata, cost_vector_distance, TableSnapshot, TieredStore};
 use oreo_workload::{telemetry, tpch, StreamConfig};
 use std::hint::black_box;
 
@@ -41,8 +41,9 @@ fn bench_qdtree_build(c: &mut Criterion) {
     });
 }
 
-/// The two whole-table passes of a rewrite (`oreo_engine::materialize`):
-/// route every row through a 64-leaf tree, then rebuild pruning metadata.
+/// The whole-table passes of a rewrite (`oreo_engine::materialize`, then a
+/// tiered publish): route every row through a 64-leaf tree, regroup with
+/// pruning metadata, persist the generation.
 fn bench_rewrite_passes(c: &mut Criterion) {
     use rand::SeedableRng;
     let table = telemetry::telemetry_table(300_000, 1);
@@ -65,6 +66,28 @@ fn bench_rewrite_passes(c: &mut Criterion) {
     c.bench_function("build_metadata_300k_k64", |b| {
         b.iter(|| black_box(build_metadata(&table, &assignment, tree.k())))
     });
+    // The reorganization window's two halves on the same rewrite: regroup
+    // + metadata in memory, then encode + write + fsync + rename. The
+    // publish timing includes removing the generation it supersedes.
+    c.bench_function("snapshot_build_300k_k64", |b| {
+        b.iter(|| black_box(TableSnapshot::build(&table, &assignment, tree.k(), 1, "qd")))
+    });
+    let root = std::env::temp_dir().join(format!("oreo-microbench-{}", std::process::id()));
+    let mut built = TableSnapshot::build(&table, &assignment, tree.k(), 1, "qd");
+    let (store, first) = TieredStore::create(&root, &mut built).expect("create tiered store");
+    println!(
+        "publish_generation_300k_k64: {} files, {} bytes per publish",
+        first.files, first.bytes_written
+    );
+    c.bench_function("publish_generation_300k_k64", |b| {
+        b.iter_batched(
+            || built.clone(),
+            |mut next| store.publish(&mut next).expect("publish"),
+            BatchSize::LargeInput,
+        )
+    });
+    drop((store, built));
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 fn bench_cost_eval(c: &mut Criterion) {

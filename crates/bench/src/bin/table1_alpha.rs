@@ -16,8 +16,9 @@
 //! With `--tiered` the rewrite goes through the **same code path the
 //! serving engine uses**: a `TieredStore` generation publish (re-route +
 //! regroup in memory, then encode + write + fsync + atomic rename into
-//! `gen-N/`), and the scan reads the committed generation directory back
-//! through `DiskStore::open`. That makes this offline α and the engine's
+//! `gen-N/`), and the scan reads the committed generation's segment back
+//! through `TieredStore::full_scan` (no buffer pool; every partition read,
+//! validated and decoded). That makes this offline α and the engine's
 //! in-vivo empirical α (`serve_throughput --tiered`) the same experiment —
 //! the table is already resident for the engine, so the tiered rewrite
 //! skips the initial disk read and its α is the serving-path lower bound.
@@ -135,19 +136,18 @@ fn measure_tiered(table: &Table, k: usize, runs: usize) -> Measurement {
     let _ = std::fs::remove_dir_all(&root);
     let mut initial = TableSnapshot::build(table, &assignment, k, 0, "arrival");
     let (store, _receipt) = TieredStore::create(&root, &mut initial).expect("create tiered");
-    // Partition-file bytes only (`total_bytes` is the sum of the committed
-    // `part-*.oreo` sizes after create), so the size column stays
-    // comparable with the DiskStore mode — the generation's row-id
-    // sidecars and manifest are rewrite overhead, not table data.
+    // Partition-blob bytes only (`total_bytes` is the sum of the committed
+    // blobs' sizes after create), so the size column stays comparable with
+    // the DiskStore mode — the segment's row ids and index and the manifest
+    // are rewrite overhead, not table data.
     let bytes = initial.total_bytes();
 
-    // full-scan timing against the committed generation directory
-    let gen_dir = store.current().dir().to_owned();
-    let disk = DiskStore::open(&gen_dir, table.schema()).expect("open generation");
+    // full-scan timing against the committed generation's segment
     let mut scan = 0.0;
     for _ in 0..runs {
         let t0 = Instant::now();
-        disk.full_scan().expect("scan");
+        let read = store.full_scan().expect("scan");
+        assert_eq!(read.bytes, bytes, "the scan read every blob");
         scan += t0.elapsed().as_secs_f64();
     }
     scan /= runs as f64;

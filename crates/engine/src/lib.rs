@@ -699,7 +699,7 @@ mod tests {
     }
 
     /// The worker's degrade path: a pooled scan that hits a damaged
-    /// partition file falls back to the in-memory snapshot — answers stay
+    /// partition blob falls back to the in-memory snapshot — answers stay
     /// exact — and the failure voids α̂ in the shutdown report *and* in the
     /// live `alpha.*` gauges, which share one rule.
     #[test]
@@ -744,7 +744,8 @@ mod tests {
 
         let pinned = engine.pin();
         let generation = pinned.generation().expect("tiered snapshot");
-        let victim = generation.dir().join("part-00000.oreo");
+        // Partition 0's blob opens the segment: cut the file inside it.
+        let victim = generation.dir().join("segment");
         let file = std::fs::OpenOptions::new()
             .write(true)
             .open(&victim)

@@ -50,8 +50,8 @@ pub struct ReorgWindow {
     /// Wall-clock of persisting the aside rewrite (encode + write + fsync +
     /// atomic rename). Zero in memory-only serving.
     pub write: Duration,
-    /// Bytes written by the aside rewrite (partition files, row-id
-    /// sidecars, manifest). Zero in memory-only serving.
+    /// Bytes written by the aside rewrite (segment and manifest). Zero in
+    /// memory-only serving.
     pub bytes_written: u64,
     /// On-disk generation number the rewrite committed as (0 in memory-only
     /// serving).

@@ -1,17 +1,26 @@
 //! A fixed-capacity, page-granular buffer pool over the disk tier's
-//! partition files.
+//! partition blobs.
 //!
-//! Tiered serving reads column payloads from `gen-N/part-*.oreo` files in
-//! fixed-size **pages** — the block-transfer unit of the external-memory
-//! cost model. The pool caches pages keyed by `(generation, file, page)`
-//! with CLOCK (second-chance) eviction, so a warm working set is served
-//! from memory while cold reads hit the disk, and both are *counted*:
-//! hit/miss/eviction totals plus cold (disk) and cached (pool) byte
-//! volumes feed the cold-vs-warm α̂ split in the serving reports.
+//! Tiered serving reads column payloads from the partition blobs of a
+//! generation's `gen-N/segment` in fixed-size **pages** — the
+//! block-transfer unit of the external-memory cost model. The pool caches
+//! pages keyed by `(table, generation, partition, page)` with CLOCK
+//! (second-chance) eviction, so a warm working set is served from memory
+//! while cold reads hit the disk, and both are *counted*: hit/miss/eviction
+//! totals plus cold (disk) and cached (pool) byte volumes feed the
+//! cold-vs-warm α̂ split in the serving reports.
+//!
+//! Pages are cut from each blob on its own, not from the segment: page `p`
+//! of a blob is bytes `[p·P, min((p + 1)·P, length))` of that blob, read at
+//! `blob offset + p·P` through the segment handle the [`Generation`] keeps
+//! open ([`BufferPool::read_blob`]). The geometry — which pages exist, how
+//! long the last one is, what a read of a column's extent costs — is that
+//! of one file per partition; sharing a file only removes the `open` +
+//! `fstat` + `close` each cold read used to pay.
 //!
 //! Integration with generation pinning: every read takes the
 //! [`Generation`] pin itself, so a page can only be fetched while its
-//! backing directory is alive, and page keys carry the generation number,
+//! backing segment is alive, and page keys carry the generation number,
 //! so pages of a superseded generation can never satisfy a read against
 //! its successor. [`BufferPool::invalidate_generation`] drops a retired
 //! generation's pages eagerly (the engine calls it at publish time) so a
@@ -77,9 +86,9 @@ struct PageKey {
     table: u32,
     /// On-disk generation number the page belongs to.
     generation: u64,
-    /// Partition-file index within the generation.
+    /// Partition (blob) index within the generation.
     file: u32,
-    /// Page number within the file (`offset / page_bytes`).
+    /// Page number within the blob (`offset / page_bytes`).
     page: u32,
 }
 
@@ -131,6 +140,49 @@ impl PoolInner {
     }
 }
 
+/// Where a miss reads a page's bytes from: the byte string the page loop's
+/// offsets and page numbers are relative to.
+enum PageSource<'a> {
+    /// `len` bytes starting at `base` of an already-open file — one
+    /// partition's blob in a generation's segment.
+    Open {
+        file: &'a fs::File,
+        base: u64,
+        len: u64,
+    },
+    /// A whole file, opened (and measured) on the first miss.
+    Path {
+        path: &'a Path,
+        opened: Option<(fs::File, u64)>,
+    },
+}
+
+impl PageSource<'_> {
+    /// Page `page` of the source: one positioned read into a buffer of
+    /// exactly the page's length (the last page is short, a page past the
+    /// end empty — never bytes beyond the source).
+    fn read_page(&mut self, page: u32, page_bytes: u64) -> Result<Vec<u8>> {
+        let (file, base, len) = match self {
+            PageSource::Open { file, base, len } => (*file, *base, *len),
+            PageSource::Path { path, opened } => {
+                let (file, len) = match opened {
+                    Some(opened) => opened,
+                    None => {
+                        let file = fs::File::open(path)?;
+                        let len = file.metadata()?.len();
+                        opened.insert((file, len))
+                    }
+                };
+                (&*file, 0, *len)
+            }
+        };
+        let start = u64::from(page) * page_bytes;
+        let mut data = vec![0u8; len.saturating_sub(start).min(page_bytes) as usize];
+        file.read_exact_at(&mut data, base + start)?;
+        Ok(data)
+    }
+}
+
 /// Counters snapshot of a [`BufferPool`] (monotone over the pool's life).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
@@ -178,7 +230,7 @@ pub struct ReadStats {
     pub cached_bytes: u64,
 }
 
-/// A fixed-capacity page cache over generation partition files with CLOCK
+/// A fixed-capacity page cache over generation partition blobs with CLOCK
 /// eviction. See the [module docs](self) for the design.
 pub struct BufferPool {
     config: BufferPoolConfig,
@@ -254,19 +306,67 @@ impl BufferPool {
         }
     }
 
-    /// Read `offset..offset + len` of `path` (partition file `file` of the
-    /// pinned `generation`) through the pool, returning the assembled bytes
-    /// plus this read's cold/cached byte split.
+    /// Read `offset..offset + len` of partition `partition`'s blob in the
+    /// pinned `generation`'s segment through the pool, returning the
+    /// assembled bytes plus this read's cold/cached byte split. Misses are
+    /// positioned reads through the handle the generation already holds.
+    ///
+    /// Offsets, page numbers and page lengths are relative to the blob: page
+    /// `p` is bytes `[p·P, min((p + 1)·P, blob length))` of it, so the
+    /// blob's last page is short and no page ever holds a byte of the
+    /// neighbouring blob — the geometry (and so every byte count) of one
+    /// file per partition.
     ///
     /// The generation pin in the signature is the safety contract: the
-    /// backing file cannot be garbage-collected while the caller holds it,
-    /// and the pages cached here are keyed under `generation.number()` so a
+    /// segment cannot be garbage-collected while the caller holds it, and
+    /// the pages cached here are keyed under `generation.number()` so a
     /// later generation can never be served stale bytes.
+    pub fn read_blob(
+        &self,
+        generation: &Generation,
+        partition: u32,
+        offset: u64,
+        len: u64,
+    ) -> Result<(Vec<u8>, ReadStats)> {
+        let (base, blob_len) = generation.blob(partition).ok_or_else(|| {
+            StorageError::Corrupt(format!(
+                "generation {} has no partition {partition}",
+                generation.number()
+            ))
+        })?;
+        let source = PageSource::Open {
+            file: generation.segment(),
+            base,
+            len: blob_len,
+        };
+        self.read_pages(generation, partition, source, offset, len)
+    }
+
+    /// Read `offset..offset + len` of the file at `path` through the pool,
+    /// caching its pages as file `file` of the pinned `generation`. A thin
+    /// wrapper over the page loop behind [`BufferPool::read_blob`]: the
+    /// source is the whole file, opened by path on the first miss, instead
+    /// of a blob inside the generation's open segment.
     pub fn read_range(
         &self,
         generation: &Generation,
         file: u32,
         path: &Path,
+        offset: u64,
+        len: u64,
+    ) -> Result<(Vec<u8>, ReadStats)> {
+        let source = PageSource::Path { path, opened: None };
+        self.read_pages(generation, file, source, offset, len)
+    }
+
+    /// The one page loop: assemble `offset..offset + len` of `source` from
+    /// pages keyed `(generation, file, page)`, pinning the touched frames
+    /// until the range is copied out.
+    fn read_pages(
+        &self,
+        generation: &Generation,
+        file: u32,
+        mut source: PageSource<'_>,
         offset: u64,
         len: u64,
     ) -> Result<(Vec<u8>, ReadStats)> {
@@ -278,7 +378,6 @@ impl BufferPool {
         let page_bytes = self.config.page_bytes as u64;
         let first = offset / page_bytes;
         let last = (offset + len - 1) / page_bytes;
-        let mut reader: Option<(fs::File, u64)> = None;
         let mut pinned: Vec<PageKey> = Vec::with_capacity((last - first + 1) as usize);
         let result = (|| -> Result<()> {
             for page in first..=last {
@@ -296,7 +395,7 @@ impl BufferPool {
                 // generation a second time). In-flight readers of retired
                 // generations read through without caching.
                 let cacheable = !generation.is_retired();
-                let (data, cold, inserted) = self.fetch_page(key, path, &mut reader, cacheable)?;
+                let (data, cold, inserted) = self.fetch_page(key, &mut source, cacheable)?;
                 if inserted {
                     pinned.push(key);
                 }
@@ -308,11 +407,10 @@ impl BufferPool {
                 // Copy the overlap of this page into the output range.
                 let page_start = page * page_bytes;
                 let copy_from = offset.max(page_start);
-                let copy_to = (offset + len).min(page_start + data.len() as u64);
-                if copy_to <= copy_from {
+                let copy_to = (offset + len).min(page_start + page_bytes);
+                if page_start + (data.len() as u64) < copy_to {
                     return Err(StorageError::Corrupt(format!(
-                        "page {page} of {} too short for range {offset}+{len}",
-                        path.display()
+                        "page {page} of file {file} too short for range {offset}+{len}"
                     )));
                 }
                 let src = &data[(copy_from - page_start) as usize..(copy_to - page_start) as usize];
@@ -343,16 +441,15 @@ impl BufferPool {
         Ok((out, stats))
     }
 
-    /// Fetch one page, through the cache or from disk. The returned flags
-    /// are `(data, cold, pinned)`: `cold` is `true` when the page came
-    /// from disk (a miss); `pinned` is `true` when the page sits in a
+    /// Fetch one page, through the cache or from `source`. The returned
+    /// flags are `(data, cold, pinned)`: `cold` is `true` when the page
+    /// came from disk (a miss); `pinned` is `true` when the page sits in a
     /// frame the caller must unpin (`cacheable: false` misses read
     /// through without touching the cache).
     fn fetch_page(
         &self,
         key: PageKey,
-        path: &Path,
-        reader: &mut Option<(fs::File, u64)>,
+        source: &mut PageSource<'_>,
         cacheable: bool,
     ) -> Result<(Bytes, bool, bool)> {
         // Fast path: cache hit.
@@ -367,24 +464,8 @@ impl BufferPool {
                 return Ok((data, false, true));
             }
         }
-        // Miss: read the page from disk without holding the pool lock — one
-        // positioned read into a buffer of exactly the page's length (the
-        // file's last page is short), sized from the length taken when
-        // this read opened the file.
-        let (file, file_len) = match reader {
-            Some(opened) => opened,
-            None => {
-                let file = fs::File::open(path)?;
-                let len = file.metadata()?.len();
-                reader.insert((file, len))
-            }
-        };
-        let page_bytes = self.config.page_bytes as u64;
-        let start = key.page as u64 * page_bytes;
-        let len = file_len.saturating_sub(start).min(page_bytes);
-        let mut data = vec![0u8; len as usize];
-        file.read_exact_at(&mut data, start)?;
-        let data = Bytes::from(data);
+        // Miss: read the page from disk without holding the pool lock.
+        let data = Bytes::from(source.read_page(key.page, self.config.page_bytes as u64)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         if !cacheable {
             return Ok((data, true, false));
@@ -726,6 +807,76 @@ mod tests {
         drop(sb);
         fs::remove_dir_all(&root_a).unwrap();
         fs::remove_dir_all(&root_b).unwrap();
+    }
+
+    /// Pages are cut from the blob, not from the segment: with blobs of
+    /// length 1, P − 1, P, P + 1 and 2P + 7 back to back in one file, page
+    /// `p` of a blob is exactly bytes `[p·P, min((p + 1)·P, len))` of that
+    /// blob, and every read returns the bytes and the cold/cached split a
+    /// file per blob gives — the path-based `read_range` over the same
+    /// bytes is the reference.
+    #[test]
+    fn blob_pages_never_cross_blobs() {
+        const P: u64 = 64;
+        let lens = [1, P - 1, P, P + 1, 2 * P + 7];
+        let total: u64 = lens.iter().sum();
+        // no two positions of the segment hold the same byte pair nearby
+        let bytes: Vec<u8> = (0..total).map(|i| (i * 31 % 251) as u8).collect();
+        let root = tmproot("blobs");
+        fs::create_dir_all(&root).unwrap();
+        fs::write(root.join("segment"), &bytes).unwrap();
+        let generation = Generation::over_blobs(
+            root.clone(),
+            fs::File::open(root.join("segment")).unwrap(),
+            &lens,
+        );
+        let config = BufferPoolConfig {
+            capacity_bytes: 1 << 20,
+            page_bytes: P as usize,
+        };
+        let (by_blob, by_file) = (BufferPool::new(config), BufferPool::new(config));
+        let mut base = 0u64;
+        for (i, &len) in lens.iter().enumerate() {
+            let blob = &bytes[base as usize..(base + len) as usize];
+            let path = root.join(format!("blob-{i}"));
+            fs::write(&path, blob).unwrap();
+            let i = i as u32;
+            // a range in the middle first, so later reads mix hits and misses
+            let mut ranges = vec![(len / 2, len - len / 2)];
+            ranges.extend((0..len.div_ceil(P)).map(|p| (p * P, P.min(len - p * P))));
+            ranges.extend([(0, len), (len - 1, 1), (0, 1)]);
+            if len > P {
+                ranges.push((P - 3, 4));
+            }
+            for (offset, n) in ranges {
+                let (got, stats) = by_blob.read_blob(&generation, i, offset, n).unwrap();
+                let want = &blob[offset as usize..(offset + n) as usize];
+                assert_eq!(got, want, "blob {i} range {offset}+{n}");
+                let (reference, reference_stats) = by_file
+                    .read_range(&generation, i, &path, offset, n)
+                    .unwrap();
+                assert_eq!(reference, want, "file {i} range {offset}+{n}");
+                assert_eq!(stats, reference_stats, "blob {i} range {offset}+{n}");
+            }
+            // the blob ends where its length says, whatever follows it
+            for (offset, n) in [(0, len + 1), (len, 1), (len.next_multiple_of(P), 1)] {
+                assert!(by_blob.read_blob(&generation, i, offset, n).is_err());
+                assert!(by_file
+                    .read_range(&generation, i, &path, offset, n)
+                    .is_err());
+            }
+            base += len;
+        }
+        assert!(by_blob
+            .read_blob(&generation, lens.len() as u32, 0, 1)
+            .is_err());
+        assert_eq!(by_blob.stats(), by_file.stats());
+        assert_eq!(
+            by_blob.stats().cold_bytes,
+            total,
+            "each byte read cold once"
+        );
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -89,8 +89,7 @@ impl DiskStore {
     }
 
     /// Open an existing partition directory (one written by
-    /// [`DiskStore::create`], or a [`crate::TieredStore`] generation
-    /// directory, whose `part-*.oreo` files use the same format): list the
+    /// [`DiskStore::create`]): list the
     /// partition files, verify their indices are contiguous from zero, and
     /// rebuild row counts plus pruning metadata **from the file footers** —
     /// no column data is read or decoded, so opening a multi-GB store costs

@@ -7,11 +7,11 @@
 //! kernel's chunk size), run-length encoding or bit-packing (whichever is
 //! smaller) for dictionary codes, raw little-endian words for floats. One
 //! bit packer and one unpacker serve the integer frames, the dictionary
-//! codes and the row-id sidecar; one word-at-a-time [`checksum`] guards
-//! every stored byte range (column payloads, footer, sidecar, WAL record).
+//! codes and the row-id blocks; one word-at-a-time [`checksum`] guards
+//! every stored byte range (column payloads, footer, row-id block, WAL record).
 //!
 //! Every block decoder takes the row count its caller already knows (from
-//! the checksummed footer or sidecar header) and refuses a block whose own
+//! the checksummed footer or row-id block header) and refuses a block whose own
 //! count differs *before* allocating, so no stored length sizes a buffer.
 
 use bytes::{Buf, BufMut};
@@ -271,7 +271,7 @@ pub fn decode_f64_block(buf: &mut &[u8], nrows: usize) -> Result<Vec<f64>> {
 const CODES_RLE: u8 = 0;
 const CODES_PACKED: u8 = 1;
 
-/// Encode dictionary codes (and row-id sidecars), choosing between RLE
+/// Encode dictionary codes (and row-id blocks), choosing between RLE
 /// (clustered data after a good layout!) and bit-packing, whichever is
 /// smaller. Layout: `count varint`, `tag u8`, then either `run varint |
 /// value varint` pairs or `width u8 | ⌈count·width/8⌉ packed bytes`.
@@ -383,7 +383,7 @@ pub fn decode_str_list(buf: &mut impl Buf) -> Result<Vec<String>> {
 // -------------------------------------------------------------- checksum --
 
 /// The integrity checksum of every stored byte range: column payloads, the
-/// partition footer, the row-id sidecar and WAL records.
+/// partition footer, the row-id blocks and WAL records.
 ///
 /// A word-at-a-time multiplicative sum: eight bytes per xor-multiply, tail
 /// bytes singly, the length folded in last. Each step `h ← (h ⊕ w)·M` with

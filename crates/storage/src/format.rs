@@ -26,7 +26,7 @@
 //! codes.
 //!
 //! Both `sum`s are [`checksum`], the word-at-a-time sum that also guards the
-//! row-id sidecar and WAL records. The footer sum covers the footer body
+//! row-id blocks and WAL records. The footer sum covers the footer body
 //! and is verified by every reader; a column's sum covers its payload bytes
 //! and is verified whenever they come off disk ([`ColumnExtent::decode`]) —
 //! a pooled read served entirely from cached pages skips it

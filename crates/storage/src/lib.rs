@@ -20,13 +20,14 @@
 //!    reorganizer builds the next layout aside and atomically publishes it;
 //!    the substrate of the concurrent serving layer (`oreo-engine`).
 //! 5. **The disk tier** ([`TieredStore`], [`Generation`]) — snapshot
-//!    generations persisted as `gen-N/` directories, committed by atomic
+//!    generations persisted as `gen-N/` directories (one segment of
+//!    partition blobs plus a manifest), committed by atomic
 //!    rename, pinned by readers, garbage-collected after the last unpin,
 //!    and recovered on restart. Backing the serving path with this tier
 //!    makes the measured α of Table I and the measured Δ of the engine
 //!    observables of the *same* run.
 //! 6. **A buffer pool** ([`BufferPool`]) — a fixed-capacity, page-granular
-//!    cache over generation partition files with CLOCK eviction. Tiered
+//!    cache over a generation's partition blobs with CLOCK eviction. Tiered
 //!    scans ([`TableSnapshot::scan_pooled`]) fetch only the pages their
 //!    predicate's columns touch, so scan cost is *real* block transfers —
 //!    split into cold (disk) and cached (pool) bytes — instead of bytes
@@ -78,7 +79,7 @@ pub use partition::{
 };
 pub use snapshot::{SnapshotCell, SnapshotPartition, SnapshotScan, TableSnapshot};
 pub use table::{Table, TableBuilder};
-pub use tiered::{Generation, PublishReceipt, RecoveryReport, TieredStore};
+pub use tiered::{FullScan, Generation, PublishReceipt, RecoveryReport, TieredStore};
 pub use wal::{Wal, WalRecord, WalRecovery};
 
 #[cfg(test)]

@@ -193,6 +193,91 @@ pub fn build_metadata_capped(
         .collect()
 }
 
+/// Metadata of the one partition made of all of `table`'s rows, under
+/// [`DEFAULT_DISTINCT_CAP`] — what [`build_metadata`] returns for `k = 1`,
+/// without an assignment to consult: every column is read front to back.
+///
+/// The rewrite path ([`crate::TableSnapshot::build`]) calls this on each
+/// partition's columns right after gathering them, while they are still in
+/// cache, instead of a second pass over the base table that scatters every
+/// row into `k` accumulators. [`build_metadata`] is its oracle.
+pub(crate) fn table_metadata(table: &Table) -> PartitionMetadata {
+    let rows = table.num_rows();
+    let columns = table.columns().iter().map(|column| {
+        if rows == 0 {
+            return ColumnStats::empty();
+        }
+        match column {
+            Column::Int(values) => {
+                let (min, max) = values
+                    .iter()
+                    .fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+                // The exact set `build_metadata_capped` keeps, given up at
+                // the first value past the cap — after a few dozen rows of
+                // a high-cardinality column, which is why it has a loop of
+                // its own. A value equal to its predecessor is already held.
+                let mut held: Vec<i64> = Vec::new();
+                let mut last = None;
+                for &v in values {
+                    if last == Some(v) {
+                        continue;
+                    }
+                    last = Some(v);
+                    if let Err(at) = held.binary_search(&v) {
+                        held.insert(at, v);
+                        if held.len() > DEFAULT_DISTINCT_CAP {
+                            break;
+                        }
+                    }
+                }
+                ColumnStats {
+                    range: Some((Scalar::Int(min), Scalar::Int(max))),
+                    distinct: (held.len() <= DEFAULT_DISTINCT_CAP)
+                        .then(|| held.into_iter().map(Scalar::Int).collect()),
+                }
+            }
+            Column::Float(values) => {
+                let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+                for &v in values {
+                    if v.total_cmp(&min).is_lt() {
+                        min = v;
+                    }
+                    if v.total_cmp(&max).is_gt() {
+                        max = v;
+                    }
+                }
+                ColumnStats {
+                    range: Some((Scalar::Float(min), Scalar::Float(max))),
+                    distinct: None,
+                }
+            }
+            Column::Str(dict) => {
+                // One mark per dictionary code, a byte wide so that marking
+                // is a plain store: rows of one partition keep hitting the
+                // same few codes, and a read-modify-write of a shared
+                // bitset word would chain each row behind the one before.
+                let mut seen = vec![false; dict.cardinality()];
+                for &code in dict.codes() {
+                    seen[code as usize] = true;
+                }
+                let held: Vec<&str> = (dict.dict().iter().zip(&seen))
+                    .filter_map(|(s, &marked)| marked.then_some(s.as_str()))
+                    .collect();
+                let range = held.iter().min().zip(held.iter().max());
+                ColumnStats {
+                    range: range.map(|(lo, hi)| (Scalar::from(*lo), Scalar::from(*hi))),
+                    distinct: (held.len() <= DEFAULT_DISTINCT_CAP)
+                        .then(|| held.into_iter().map(Scalar::from).collect()),
+                }
+            }
+        }
+    });
+    PartitionMetadata {
+        columns: columns.collect(),
+        rows: rows as f64,
+    }
+}
+
 /// Positions of the set bits of `words`, ascending.
 fn set_bits(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
     words.iter().enumerate().flat_map(|(w, &word)| {

@@ -20,9 +20,9 @@ use crate::error::{Result, StorageError};
 use crate::format::ColumnExtent;
 use crate::kernel::{self, KernelCounters, ScanScratch};
 use crate::layout_model::{LayoutId, LayoutModel};
-use crate::partition::{build_metadata, PartitionMetadata};
+use crate::partition::{table_metadata, PartitionMetadata};
 use crate::table::Table;
-use crate::tiered::{part_file, Generation};
+use crate::tiered::Generation;
 use oreo_query::{ColId, CompiledPredicate, Predicate};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -38,13 +38,12 @@ pub struct SnapshotPartition {
     /// Pruning metadata for this partition.
     pub meta: PartitionMetadata,
     /// Bytes a scan of this partition reads: in-memory column bytes for a
-    /// memory-resident snapshot, the encoded partition-file size once the
+    /// memory-resident snapshot, the encoded partition-blob size once the
     /// snapshot is backed by a [`crate::TieredStore`] generation.
     pub bytes: u64,
-    /// Per-column payload extents in the partition's on-disk file — the
+    /// Per-column payload extents in the partition's on-disk blob — the
     /// page index pooled scans use. Present once the snapshot is backed by
-    /// a generation file; `None` for memory-only snapshots, which have no
-    /// file.
+    /// a generation; `None` for memory-only snapshots, which have no blob.
     pub extents: Option<Arc<[ColumnExtent]>>,
 }
 
@@ -362,12 +361,13 @@ impl TableSnapshot {
         for (pos, &bid) in assignment.iter().enumerate() {
             groups[bid as usize].push(pos as u32);
         }
-        let meta = build_metadata(base, assignment, k);
         let partitions = groups
             .into_iter()
-            .zip(meta)
-            .map(|(positions, meta)| {
+            .map(|positions| {
                 let data = Arc::new(base.project_rows(&positions));
+                // Pruning metadata from the columns just gathered, not from
+                // a second scattered pass over `base`.
+                let meta = table_metadata(&data);
                 let bytes = data.memory_bytes() as u64;
                 let rows: Arc<[u32]> = match row_ids {
                     None => positions.into(),
@@ -413,7 +413,7 @@ impl TableSnapshot {
     }
 
     /// Attach the on-disk generation backing this snapshot: switch the
-    /// per-partition byte accounting to encoded file sizes and record each
+    /// per-partition byte accounting to encoded blob sizes and record each
     /// partition's page index (column payload extents) for pooled scans.
     pub(crate) fn attach_generation(
         &mut self,
@@ -634,7 +634,6 @@ impl TableSnapshot {
             .as_ref()
             .ok_or_else(|| StorageError::Corrupt(format!("partition {index} has no page index")))?;
         let nrows = part.rows.len();
-        let path = generation.dir().join(part_file(index));
         let mut decoded = Vec::with_capacity(cols.len());
         for &col in cols {
             let extent = extents.get(col).ok_or_else(|| {
@@ -643,7 +642,7 @@ impl TableSnapshot {
                 ))
             })?;
             let (payload, io) =
-                pool.read_range(generation, index as u32, &path, extent.offset, extent.len)?;
+                pool.read_blob(generation, index as u32, extent.offset, extent.len)?;
             out.io_cold_bytes += io.cold_bytes;
             out.io_cached_bytes += io.cached_bytes;
             out.bytes_scanned += io.cold_bytes + io.cached_bytes;
@@ -1480,6 +1479,78 @@ mod tests {
                     assembled(matches.clone(), &tombstones),
                     assemble_oracle(matches, &tombstones)
                 );
+            }
+        }
+
+        proptest! {
+            /// The metadata `build` derives from each partition's gathered
+            /// columns is, bit for bit, what `build_metadata` derives from
+            /// the base table and the assignment: random schemas (int,
+            /// float with NaN, dictionary strings), a partition holding
+            /// most rows beside empty ones, columns whose big partition
+            /// holds exactly `DEFAULT_DISTINCT_CAP` distinct values and one
+            /// more, global row ids given and not.
+            #[test]
+            fn group_metadata_equals_build_metadata(
+                types in proptest::collection::vec(0usize..3, 1..5),
+                spreads in proptest::collection::vec(0usize..7, 4),
+                n in 0usize..300,
+                k in 1usize..7,
+                scatter in proptest::collection::vec(0u32..12, 1..40),
+                with_ids in any::<bool>(),
+            ) {
+                use crate::partition::{build_metadata, DEFAULT_DISTINCT_CAP};
+                const CAP: i64 = DEFAULT_DISTINCT_CAP as i64;
+                let spreads: Vec<i64> = spreads
+                    .iter()
+                    .map(|&s| [1, 2, CAP - 1, CAP, CAP + 1, CAP + 2, 500][s])
+                    .collect();
+                let schema = Arc::new(Schema::from_pairs(types.iter().enumerate().map(
+                    |(c, &ty)| {
+                        let ty = [ColumnType::Int, ColumnType::Float, ColumnType::Str][ty];
+                        (format!("c{c}"), ty)
+                    },
+                )));
+                let mut b = TableBuilder::new(Arc::clone(&schema));
+                for r in 0..n as i64 {
+                    let row: Vec<Scalar> = types
+                        .iter()
+                        .zip(&spreads)
+                        .map(|(&ty, &spread)| {
+                            let v = r % spread;
+                            match ty {
+                                0 => Scalar::Int(v - 3),
+                                1 if v % 11 == 7 => Scalar::Float(f64::NAN),
+                                1 => Scalar::Float(v as f64 / 2.0 - 1.0),
+                                _ => Scalar::from(format!("w{v:03}")),
+                            }
+                        })
+                        .collect();
+                    b.push_row(&row);
+                }
+                let t = b.finish();
+                // The first 2·(CAP + 2) rows all land in partition 0, so a
+                // column of spread s ≤ CAP + 2 shows it exactly s distinct
+                // values; the rest scatter, partition k − 1 staying empty.
+                let live = (k - 1).max(1) as u32;
+                let assignment: Vec<u32> = (0..n)
+                    .map(|r| match scatter[r % scatter.len()] {
+                        _ if r < 2 * (DEFAULT_DISTINCT_CAP + 2) => 0,
+                        s if s < 6 => 0,
+                        s => s % live,
+                    })
+                    .collect();
+                let ids: Vec<u32> = (0..n as u32).map(|r| r * 3 + 1).collect();
+                let snap = if with_ids {
+                    TableSnapshot::build_with_rows(&t, &ids, &assignment, k, 9, "g")
+                } else {
+                    TableSnapshot::build(&t, &assignment, k, 9, "g")
+                };
+                let want = LayoutModel::new(9, "g", build_metadata(&t, &assignment, k));
+                let got = snap.model();
+                prop_assert_eq!(got.partitions(), want.partitions());
+                prop_assert_eq!(got.total_rows().to_bits(), want.total_rows().to_bits());
+                prop_assert_eq!((got.id(), got.name()), (want.id(), want.name()));
             }
         }
 

@@ -8,7 +8,7 @@ use oreo_layout::{build_exact_model, morton_encode, LayoutSpec, QdTreeBuilder, Z
 use oreo_query::QueryBuilder;
 use oreo_sim::offline_optimum;
 use oreo_storage::{build_metadata, cost_vector_distance, TableSnapshot, TieredStore};
-use oreo_workload::{telemetry, tpch, StreamConfig};
+use oreo_workload::{telemetry, tpch, Scenario, ScenarioConfig, StreamConfig};
 use std::hint::black_box;
 
 fn bench_morton(c: &mut Criterion) {
@@ -38,6 +38,26 @@ fn bench_qdtree_build(c: &mut Criterion) {
     );
     c.bench_function("qdtree_build_4k_sample_200q_k32", |b| {
         b.iter(|| black_box(QdTreeBuilder::new(32).build(&table, &stream.queries)))
+    });
+
+    // The build a generation boundary of the benchmark's `drift-small`
+    // makes: a 1 500-row sample of the telemetry table and one 100-query
+    // window of the zoo's `correlated` stream, whose literals rarely repeat
+    // (~600 candidate cuts where the TPC-H templates above give a few
+    // dozen) — milliseconds, not microseconds.
+    use rand::SeedableRng;
+    let table = telemetry::telemetry_table(20_000, 7);
+    let sample = table.sample(&mut rand::rngs::StdRng::seed_from_u64(5), 1_500);
+    let stream = Scenario::CorrelatedColumns.generate(
+        table.schema(),
+        ScenarioConfig {
+            total_queries: 8_000,
+            seed: 7,
+        },
+    );
+    let window = &stream.queries[4_000..4_100];
+    c.bench_function("qdtree_build_1500_sample_100q_k32_correlated", |b| {
+        b.iter(|| black_box(QdTreeBuilder::new(32).build(&sample, window)))
     });
 }
 

@@ -1098,8 +1098,10 @@ fn multitenant_queries(scale: Scale) -> usize {
 }
 
 /// Framework config for the *quiet* co-tenants of `--tenants` mode.
-/// Candidate generation runs on the serving path under the core lock (it
-/// is part of the framework's modeled cost), and one generation pass costs
+/// Candidate generation runs on the serving path (it is part of the
+/// framework's modeled cost; on a worker's own time in these measured-Δ
+/// cells, with the tenant's stream held a quarter interval past the
+/// boundary), and one generation pass costs
 /// tens of milliseconds — if a quiet tenant regenerates every 100 queries,
 /// its own p99 is generation stalls and the budget scheduler's effect on
 /// the tail is invisible. Quiet tenants are stable workloads: they

@@ -14,6 +14,17 @@
 //! 3. **Pruning** (§V-B): optionally cap the state-space size, evicting the
 //!    member of the closest pair (never a protected state, e.g. the one the
 //!    system currently lives in).
+//!
+//! A generation boundary is three steps, and only the first and last touch
+//! the manager: [`LayoutManager::capture`] pushes the query into the samples
+//! and, on a boundary, hands back a [`CandidateTask`] that owns everything
+//! generation reads; [`CandidateTask::build`] generates, models and costs
+//! the candidates on whatever thread holds the task; and
+//! [`LayoutManager::admit`] runs the ε-test against the states live *then*
+//! and installs the survivors. [`LayoutManager::observe`] is the three in a
+//! row. D-UMTS keeps its bound for states that join at any point of the
+//! stream (Theorem IV.1), so a driver may answer the boundary query — and
+//! many after it — before the candidate it triggered exists.
 
 use oreo_layout::{build_model, LayoutGenerator, SharedSpec};
 use oreo_query::Query;
@@ -83,8 +94,10 @@ pub struct ManagedLayout {
     pub id: LayoutId,
     /// The routing spec (how rows map to partitions).
     pub spec: SharedSpec,
-    /// Estimated per-partition metadata used for cost evaluation.
-    pub model: LayoutModel,
+    /// Estimated per-partition metadata used for cost evaluation. Shared:
+    /// a [`CandidateTask`] costs its candidate against every live state's
+    /// model, and capturing one is a pointer copy.
+    pub model: Arc<LayoutModel>,
 }
 
 impl std::fmt::Debug for ManagedLayout {
@@ -117,8 +130,96 @@ pub struct ManagerStats {
     pub rejected: u64,
     /// States evicted to respect the state-space cap.
     pub pruned: u64,
+    /// Generation boundaries whose [`CandidateTask`] a driver discarded
+    /// unbuilt because a newer boundary fired first
+    /// ([`LayoutManager::discard`]); always 0 under
+    /// [`LayoutManager::observe`].
+    pub superseded: u64,
     /// Largest state-space size observed (the paper's |S_max|).
     pub peak_states: usize,
+}
+
+/// One generation boundary's inputs, captured under whatever lock guards
+/// the manager and built without it: the workload sample(s) to generate
+/// from, the R-TBS admission sample, the generator, the data sample and the
+/// sample models of the states live at capture. `Send`, and everything
+/// large in it is behind an `Arc`.
+pub struct CandidateTask {
+    generator: Arc<dyn LayoutGenerator>,
+    data_sample: Arc<Table>,
+    full_rows: f64,
+    k: usize,
+    /// The manager's generator state at capture. Generation draws from this
+    /// copy, so what the samplers draw next does not depend on when — or
+    /// whether — the task is built.
+    rng: StdRng,
+    /// One workload per candidate ([`CandidateSource::Both`] captures two).
+    workloads: Vec<Vec<Query>>,
+    sample: Vec<Query>,
+    states: Vec<(LayoutId, Arc<LayoutModel>)>,
+    /// `queries_seen` at capture.
+    captured_at: u64,
+}
+
+/// A layout generated and costed by [`CandidateTask::build`], not yet
+/// ε-tested: the test is against the states live at admission.
+struct Candidate {
+    spec: SharedSpec,
+    /// Carries a provisional id until admission assigns the real one.
+    model: LayoutModel,
+    costs: Vec<f64>,
+}
+
+/// What [`CandidateTask::build`] produced, for [`LayoutManager::admit`].
+pub struct BuiltCandidates {
+    sample: Vec<Query>,
+    /// Cost vector over `sample` of every state captured, by id.
+    state_costs: BTreeMap<LayoutId, Vec<f64>>,
+    candidates: Vec<Candidate>,
+    captured_at: u64,
+}
+
+impl CandidateTask {
+    /// The construct step: `generate`, `build_model` and one cost vector
+    /// over the admission sample per candidate and per captured state —
+    /// the vector both Algorithm 5's ε-distance and the §IV-C predictor
+    /// weights are read from. Touches nothing but the task.
+    pub fn build(mut self) -> BuiltCandidates {
+        let candidates = (self.workloads.iter().filter(|w| !w.is_empty()))
+            .map(|workload| {
+                let spec =
+                    self.generator
+                        .generate(&self.data_sample, workload, self.k, &mut self.rng);
+                let model = build_model(spec.as_ref(), u64::MAX, &self.data_sample, self.full_rows);
+                let costs = model.cost_vector(&self.sample);
+                Candidate { spec, model, costs }
+            })
+            .collect();
+        let state_costs = (self.states.iter())
+            .map(|(id, model)| (*id, model.cost_vector(&self.sample)))
+            .collect();
+        BuiltCandidates {
+            sample: self.sample,
+            state_costs,
+            candidates,
+            captured_at: self.captured_at,
+        }
+    }
+}
+
+/// What [`LayoutManager::admit`] did with one boundary's candidates.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Admission {
+    /// Layouts that passed the ε-test and joined the state space, in
+    /// generation order.
+    pub admitted: Vec<LayoutId>,
+    /// Queries the manager observed between the boundary's capture and
+    /// this admission (0 under [`LayoutManager::observe`]).
+    pub lag_queries: u64,
+    /// §IV-C predictor score — skipped fraction on the admission sample,
+    /// `1 − mean cost` — of every state live after the admission. Empty
+    /// when the admission sample was.
+    pub weights: BTreeMap<LayoutId, f64>,
 }
 
 /// The LAYOUT MANAGER.
@@ -164,7 +265,7 @@ pub struct LayoutManager {
     config: ManagerConfig,
     generator: Arc<dyn LayoutGenerator>,
     /// Small data sample used for `generate_layout` and candidate costing.
-    data_sample: Table,
+    data_sample: Arc<Table>,
     /// Row count of the full table (for scaling sample metadata).
     full_rows: f64,
     /// Target partition count handed to the generator.
@@ -199,7 +300,7 @@ impl LayoutManager {
             rng: StdRng::seed_from_u64(config.seed),
             config,
             generator,
-            data_sample,
+            data_sample: Arc::new(data_sample),
             full_rows,
             k,
             states: BTreeMap::new(),
@@ -207,14 +308,17 @@ impl LayoutManager {
             queries_seen: 0,
             stats: ManagerStats::default(),
         };
-        let id = this.install(initial_spec);
+        let model = build_model(initial_spec.as_ref(), 0, &this.data_sample, full_rows);
+        let id = this.install(initial_spec, model);
         (this, id)
     }
 
-    fn install(&mut self, spec: SharedSpec) -> LayoutId {
+    /// Enter `spec` into the state space under the next id; `model` is its
+    /// sample model under any id.
+    fn install(&mut self, spec: SharedSpec, model: LayoutModel) -> LayoutId {
         let id = self.next_id;
         self.next_id += 1;
-        let model = build_model(spec.as_ref(), id, &self.data_sample, self.full_rows);
+        let model = Arc::new(model.with_id(id));
         self.states.insert(id, ManagedLayout { id, spec, model });
         self.stats.peak_states = self.stats.peak_states.max(self.states.len());
         id
@@ -247,68 +351,109 @@ impl LayoutManager {
 
     /// Observe one query: update samples; on generation boundaries, produce
     /// candidates and run admission. Returns state-space change events.
+    /// This is [`LayoutManager::capture`] → [`CandidateTask::build`] →
+    /// [`LayoutManager::admit`] with nothing in between.
     pub fn observe(&mut self, query: &Query) -> Vec<ManagerEvent> {
+        let Some(task) = self.capture(query) else {
+            return Vec::new();
+        };
+        let admission = self.admit(task.build());
+        let added = admission.admitted.into_iter();
+        added.map(ManagerEvent::Added).collect()
+    }
+
+    /// The capture step: push `query` into the samples and, on a
+    /// generation boundary, hand back everything candidate construction
+    /// reads. Cost is the samples' clones plus one pointer per live state.
+    pub fn capture(&mut self, query: &Query) -> Option<CandidateTask> {
         self.queries_seen += 1;
         self.window.push(query.clone());
         self.reservoir.push(query.clone(), &mut self.rng);
         self.rtbs.push(query.clone(), &mut self.rng);
 
-        let mut events = Vec::new();
         if !self
             .queries_seen
             .is_multiple_of(self.config.generation_interval)
         {
-            return events;
+            return None;
         }
-
-        let mut workloads: Vec<Vec<Query>> = Vec::new();
-        match self.config.source {
-            CandidateSource::SlidingWindow => workloads.push(self.window.to_vec()),
-            CandidateSource::Reservoir => workloads.push(self.reservoir.to_vec()),
-            CandidateSource::Both => {
-                workloads.push(self.window.to_vec());
-                workloads.push(self.reservoir.to_vec());
-            }
-        }
-
-        for workload in workloads {
-            if workload.is_empty() {
-                continue;
-            }
-            let spec = self
-                .generator
-                .generate(&self.data_sample, &workload, self.k, &mut self.rng);
-            self.stats.generated += 1;
-            if let Some(id) = self.try_admit(spec) {
-                events.push(ManagerEvent::Added(id));
-            }
-        }
-        events
+        let workloads = match self.config.source {
+            CandidateSource::SlidingWindow => vec![self.window.to_vec()],
+            CandidateSource::Reservoir => vec![self.reservoir.to_vec()],
+            CandidateSource::Both => vec![self.window.to_vec(), self.reservoir.to_vec()],
+        };
+        let states = self.states.values();
+        Some(CandidateTask {
+            generator: Arc::clone(&self.generator),
+            data_sample: Arc::clone(&self.data_sample),
+            full_rows: self.full_rows,
+            k: self.k,
+            rng: self.rng.clone(),
+            workloads,
+            sample: self.rtbs.to_vec(),
+            states: states.map(|s| (s.id, Arc::clone(&s.model))).collect(),
+            captured_at: self.queries_seen,
+        })
     }
 
-    /// Algorithm 5: admit `spec` iff its cost vector over the R-TBS sample
-    /// is at least ε away (normalized L1) from every existing state's.
-    fn try_admit(&mut self, spec: SharedSpec) -> Option<LayoutId> {
-        let sample = self.rtbs.to_vec();
-        let candidate_model = build_model(
-            spec.as_ref(),
-            u64::MAX, // provisional id; reassigned on install
-            &self.data_sample,
-            self.full_rows,
-        );
-        let c = candidate_model.cost_vector(&sample);
-        let min_dist = self
-            .states
-            .values()
-            .map(|s| cost_vector_distance(&c, &s.model.cost_vector(&sample)))
-            .fold(f64::INFINITY, f64::min);
-        if min_dist > self.config.epsilon {
-            self.stats.admitted += 1;
-            Some(self.install(spec))
-        } else {
-            self.stats.rejected += 1;
-            None
+    /// The admit step — Algorithm 5: a candidate joins iff its cost vector
+    /// over the boundary's R-TBS sample is more than ε away (normalized L1)
+    /// from that of every state live *now*, earlier candidates of the same
+    /// boundary included. A state that joined after the capture is costed
+    /// here, on the same sample; one that left is ignored. O(states)
+    /// vector distances when the state space did not change in between.
+    pub fn admit(&mut self, built: BuiltCandidates) -> Admission {
+        let BuiltCandidates {
+            sample,
+            mut state_costs,
+            candidates,
+            captured_at,
+        } = built;
+        let mut live: Vec<(LayoutId, Vec<f64>)> = (self.states.values())
+            .map(|s| {
+                let captured = state_costs.remove(&s.id);
+                (
+                    s.id,
+                    captured.unwrap_or_else(|| s.model.cost_vector(&sample)),
+                )
+            })
+            .collect();
+        let mut admitted = Vec::new();
+        for Candidate { spec, model, costs } in candidates {
+            self.stats.generated += 1;
+            let min_dist = (live.iter())
+                .map(|(_, state)| cost_vector_distance(&costs, state))
+                .fold(f64::INFINITY, f64::min);
+            if min_dist > self.config.epsilon {
+                self.stats.admitted += 1;
+                let id = self.install(spec, model);
+                live.push((id, costs));
+                admitted.push(id);
+            } else {
+                self.stats.rejected += 1;
+            }
         }
+        let weights = if sample.is_empty() {
+            BTreeMap::new()
+        } else {
+            let score = |costs: &[f64]| {
+                let mean = costs.iter().sum::<f64>() / costs.len() as f64;
+                (1.0 - mean).clamp(0.0, 1.0)
+            };
+            live.iter().map(|(id, c)| (*id, score(c))).collect()
+        };
+        Admission {
+            admitted,
+            lag_queries: self.queries_seen - captured_at,
+            weights,
+        }
+    }
+
+    /// Drop a captured boundary unbuilt — a driver that constructs off the
+    /// lock keeps only the newest boundary's task per table — and count it.
+    pub fn discard(&mut self, task: CandidateTask) {
+        drop(task);
+        self.stats.superseded += 1;
     }
 
     /// Enforce `max_states` by evicting members of the closest pairs
@@ -355,11 +500,6 @@ impl LayoutManager {
             events.push(ManagerEvent::Removed(victim));
         }
         events
-    }
-
-    /// The R-TBS query sample (diagnostics and tests).
-    pub fn admission_sample(&self) -> Vec<Query> {
-        self.rtbs.to_vec()
     }
 
     /// The sliding window contents (used by the Greedy/Regret baselines so

@@ -27,7 +27,8 @@ pub use config::{CandidateSourceConfig, OreoConfig};
 pub use cost::{AlphaEstimator, CostLedger};
 pub use dumts::{Dumts, DumtsConfig, StateId, StepOutcome};
 pub use layout_manager::{
-    CandidateSource, LayoutManager, ManagedLayout, ManagerConfig, ManagerEvent, ManagerStats,
+    Admission, BuiltCandidates, CandidateSource, CandidateTask, LayoutManager, ManagedLayout,
+    ManagerConfig, ManagerEvent, ManagerStats,
 };
 pub use mts::Bls;
 pub use multi_table::{MultiTableOreo, TableQuery};

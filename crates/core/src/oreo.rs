@@ -17,7 +17,9 @@
 use crate::config::OreoConfig;
 use crate::cost::CostLedger;
 use crate::dumts::{Dumts, DumtsConfig};
-use crate::layout_manager::{LayoutManager, ManagerEvent};
+use crate::layout_manager::{
+    Admission, BuiltCandidates, CandidateTask, LayoutManager, ManagerEvent,
+};
 use oreo_layout::{build_exact_model, LayoutGenerator, SharedSpec};
 use oreo_obs::{EventKind, EventSink, NullSink};
 use oreo_query::Query;
@@ -97,7 +99,7 @@ pub struct Oreo {
     reorganizer: Dumts,
     /// Estimated (sample-scaled) models per live state — the costing surface
     /// for D-UMTS counters. Kept in sync with the manager's state space.
-    estimated: HashMap<LayoutId, LayoutModel>,
+    estimated: HashMap<LayoutId, Arc<LayoutModel>>,
     /// Routing specs per live state (needed to materialize on switch).
     specs: HashMap<LayoutId, SharedSpec>,
     /// Exact models, materialized lazily the first time a layout becomes
@@ -153,7 +155,7 @@ impl Oreo {
         let mut estimated = HashMap::new();
         let mut specs = HashMap::new();
         let entry = manager.state(initial_id).expect("initial state installed");
-        estimated.insert(initial_id, entry.model.clone());
+        estimated.insert(initial_id, Arc::clone(&entry.model));
         specs.insert(initial_id, Arc::clone(&entry.spec));
 
         let mut exact = HashMap::new();
@@ -208,56 +210,76 @@ impl Oreo {
     /// sample-based predictor, and step the D-UMTS reorganizer. A switch
     /// decision charges α to the ledger immediately and enqueues the target
     /// as pending; the *physical* layout is untouched.
+    ///
+    /// This is [`Oreo::capture`] → [`CandidateTask::build`] →
+    /// [`Oreo::admit`] → [`Oreo::step`] with nothing in between: a
+    /// candidate exists before the query that triggered it is decided —
+    /// what the simulator, configured-Δ serving and every parity gate run.
+    /// A driver that must not build under its lock calls the pieces itself
+    /// and admits later; Theorem IV.1 holds for states that join at any
+    /// point of the stream.
     pub fn decide(&mut self, query: &Query) -> StepReport {
+        let (mut report, task) = self.capture(query);
+        if let Some(task) = task {
+            report.admitted = self.admit(task.build()).admitted;
+        }
+        self.step(query, &mut report);
+        report
+    }
+
+    /// Capture piece of [`Oreo::decide`]: assign the query its stream
+    /// position and push it into the manager's samples. On a generation
+    /// boundary the second value owns everything candidate construction
+    /// reads; build it anywhere and hand the result to [`Oreo::admit`].
+    pub fn capture(&mut self, query: &Query) -> (StepReport, Option<CandidateTask>) {
         let seq = self.seq;
         self.seq += 1;
-        let mut report = StepReport {
+        let report = StepReport {
             seq,
             ..Default::default()
         };
+        (report, self.manager.capture(query))
+    }
 
-        // 1. Layout manager: samples + candidate generation + admission.
-        for event in self.manager.observe(query) {
-            match event {
-                ManagerEvent::Added(id) => {
-                    let entry = self.manager.state(id).expect("just added");
-                    self.estimated.insert(id, entry.model.clone());
-                    self.specs.insert(id, Arc::clone(&entry.spec));
-                    self.reorganizer.add_state(id);
-                    report.admitted.push(id);
-                }
-                ManagerEvent::Removed(_) => unreachable!("observe never removes"),
-            }
+    /// Admit piece of [`Oreo::decide`]: ε-test a boundary's built
+    /// candidates against the states live now, install the survivors in
+    /// the manager and the reorganizer, and refresh the sample-based
+    /// predictor (§IV-C: transition scores = skipped fraction on the
+    /// boundary's admission sample). O(states); builds nothing.
+    pub fn admit(&mut self, built: BuiltCandidates) -> Admission {
+        let admission = self.manager.admit(built);
+        for &id in &admission.admitted {
+            let entry = self.manager.state(id).expect("just added");
+            self.estimated.insert(id, Arc::clone(&entry.model));
+            self.specs.insert(id, Arc::clone(&entry.spec));
+            self.reorganizer.add_state(id);
         }
-
-        // 1b. Refresh the sample-based predictor (§IV-C) on generation
-        // boundaries: transition scores = skipped fraction on the manager's
-        // admission sample.
-        if self.config.sample_predictor
-            && (!report.admitted.is_empty()
-                || (seq + 1).is_multiple_of(self.config.generation_interval))
-        {
-            let sample = self.manager.admission_sample();
-            if !sample.is_empty() {
-                let weights = self
-                    .estimated
-                    .iter()
-                    .map(|(&id, m)| (id, (1.0 - m.mean_cost(&sample)).clamp(0.0, 1.0)))
-                    .collect();
-                self.reorganizer.set_external_weights(Some(weights));
-            }
+        if self.config.sample_predictor && !admission.weights.is_empty() {
+            self.reorganizer
+                .set_external_weights(Some(admission.weights.clone()));
         }
-
         if self.sink.enabled() {
-            for &layout in &report.admitted {
+            for &layout in &admission.admitted {
                 self.sink.emit(EventKind::StateAdmitted {
-                    stream_seq: seq,
+                    stream_seq: self.seq.saturating_sub(1),
                     layout,
                 });
             }
         }
+        admission
+    }
 
-        // 2. Reorganizer step with estimated costs.
+    /// Drop a captured boundary unbuilt, counted in
+    /// [`crate::ManagerStats::superseded`] — for a driver that keeps only
+    /// the newest boundary's task while an older one is being built.
+    pub fn discard(&mut self, task: CandidateTask) {
+        self.manager.discard(task);
+    }
+
+    /// Step piece of [`Oreo::decide`]: one D-UMTS step over the estimated
+    /// costs of the states live now.
+    pub fn step(&mut self, query: &Query, report: &mut StepReport) {
+        let seq = report.seq;
         let logical_before = self.reorganizer.current();
         let estimated = &self.estimated;
         let outcome = self
@@ -283,7 +305,6 @@ impl Oreo {
                 });
             }
         }
-        report
     }
 
     /// Land every pending switch whose configured delay has elapsed by

@@ -7,13 +7,20 @@
 //! 1. a worker pins the current [`TableSnapshot`] and scans it — the only
 //!    expensive phase, and it runs with **no lock held**;
 //! 2. the worker feeds the query to [`oreo_core::Oreo::observe`] (or its
-//!    decide/settle halves in measured-Δ mode) under the core mutex, so
-//!    D-UMTS and layout-manager bookkeeping stay *identical* to the
+//!    capture/step/settle pieces in measured-Δ mode) under the core mutex,
+//!    so D-UMTS and layout-manager bookkeeping stay *identical* to the
 //!    sequential simulator;
 //! 3. a switch decision is handed to the reorganizer thread, which
 //!    materializes the target layout aside and atomically publishes it —
 //!    queries keep running on the old snapshot for the whole window, which
-//!    is exactly the paper's reorganization delay Δ, now measured.
+//!    is exactly the paper's reorganization delay Δ, now measured;
+//! 4. in measured-Δ mode a generation boundary only *captures* its inputs
+//!    under the core mutex. The worker that hit it finishes the batch,
+//!    fulfils its results, and then builds and costs the candidate layout
+//!    with no lock held, re-taking the mutex for the O(states) admission
+//!    ([`DelaySemantics::Measured`]). The mutex is held for bookkeeping,
+//!    never for a qd-tree; what a query can wait for is an admission, once
+//!    its tenant's stream is a quarter interval past the boundary.
 //!
 //! # Multi-tenant serving
 //!
@@ -38,7 +45,9 @@ use crate::ingest::{build_fold_snapshot, FoldBuild, IngestState};
 use crate::metrics::{as_micros_u64, LatencyStats};
 use crate::queue::ShardedQueue;
 use crate::reorg::{materialize, ReorgRequest, ReorgWindow};
-use oreo_core::{AlphaEstimator, CostLedger, MultiTableOreo, OreoConfig};
+use oreo_core::{
+    AlphaEstimator, CandidateTask, CostLedger, ManagerStats, MultiTableOreo, OreoConfig,
+};
 use oreo_layout::{LayoutGenerator, SharedSpec};
 use oreo_obs::{
     Counter, Event, EventKind, EventSink, Gauge, Histogram, Journal, NullSink, Registry,
@@ -50,12 +59,23 @@ use oreo_storage::{
     PoolStats, SnapshotCell, SnapshotScan, Table, TableSnapshot, TieredStore, Wal,
 };
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Fault guard on the run-ahead bound ([`DelaySemantics::Measured`]): a
+/// boundary whose candidate is still not admitted this long after its
+/// capture stops holding its tenant's stream back, so a generator that
+/// never returns costs a tenant its adaptation, not its service. It is not
+/// a policy parameter — a healthy construction takes milliseconds, and
+/// which states D-UMTS sees when is bounded in queries alone — and every
+/// query it lets through is counted in `core.admission_overruns`, which
+/// the test suite and the benchmark runs expect to read 0.
+pub const ADMISSION_GUARD: Duration = Duration::from_secs(2);
 
 /// When does the *logical* (cost-accounted) layout switch land?
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -64,8 +84,26 @@ pub enum DelaySemantics {
     /// queries after the decision, regardless of the physical build. Gives
     /// exact ledger parity with `oreo-sim` on the same stream.
     Configured,
-    /// Δ is measured: the switch lands when the background reorganization
-    /// publishes its snapshot. The engine's default.
+    /// Background work lands when it actually completes. Δ is measured:
+    /// the switch lands when the background reorganization publishes its
+    /// snapshot. And a generation boundary's candidate joins the state
+    /// space when it has been built: the boundary captures its inputs
+    /// under the core mutex (`Oreo::capture`), the worker that hit it
+    /// answers its batch first and then builds, costs and ε-tests the
+    /// candidate with no lock held, and re-takes the mutex only to admit
+    /// (`Oreo::admit`, O(states)). D-UMTS's 2·H(|S_max|) holds for states
+    /// that join at any point of the stream (Theorem IV.1), but the cost it
+    /// is competitive *with* is lower the sooner a candidate joins, so the
+    /// stream may run at most a quarter of a generation interval past a
+    /// boundary whose candidate is still being built: a worker that would
+    /// take it further answers the rest of its batch and then waits —
+    /// holding no lock — for the admission. The bound is in queries, not in
+    /// time, so a slow host changes latencies and never which states the
+    /// policy sees. One construction runs per engine at a time. Only past
+    /// [`ADMISSION_GUARD`] (a generator that does not return) do queries
+    /// flow again; a boundary that fires then replaces its tenant's waiting
+    /// task (latest wins, the older one is counted superseded). The engine's
+    /// default.
     #[default]
     Measured,
 }
@@ -414,6 +452,23 @@ struct LiveMetrics {
     pool_misses: Arc<Gauge>,
     pool_evictions: Arc<Gauge>,
     pool_pages_resident: Arc<Gauge>,
+    /// Time spent waiting for / holding the core mutex, per acquisition.
+    /// There is one core mutex per engine, so only the aggregate view
+    /// records these.
+    lock_wait_us: Arc<Histogram>,
+    lock_hold_us: Arc<Histogram>,
+    /// Generation boundaries whose candidates were built and ε-tested /
+    /// dropped unbuilt for a newer boundary.
+    candidates_built: Arc<Counter>,
+    candidates_superseded: Arc<Counter>,
+    /// Queries observed between a boundary's capture and its admission.
+    candidate_lag_queries: Arc<Histogram>,
+    /// Time a worker spent waiting for an admission with queries it held
+    /// back at the run-ahead allowance (recorded only when it waited).
+    admission_wait_us: Arc<Histogram>,
+    /// Queries served past the run-ahead allowance because their boundary
+    /// was older than [`ADMISSION_GUARD`]: 0 unless a generator hangs.
+    admission_overruns: Arc<Counter>,
 }
 
 impl LiveMetrics {
@@ -483,6 +538,13 @@ impl LiveMetrics {
             pool_misses: g("pool.misses"),
             pool_evictions: g("pool.evictions"),
             pool_pages_resident: g("pool.pages_resident"),
+            lock_wait_us: h("core.lock_wait_us"),
+            lock_hold_us: h("core.lock_hold_us"),
+            candidates_built: c("core.candidates_built"),
+            candidates_superseded: c("core.candidates_superseded"),
+            candidate_lag_queries: h("core.candidate_lag_queries"),
+            admission_wait_us: h("core.admission_wait_us"),
+            admission_overruns: c("core.admission_overruns"),
         }
     }
 
@@ -531,6 +593,15 @@ struct Tenant {
     cell: SnapshotCell,
     /// The tenant's disk tier, in [`ServeMode::Tiered`] runs.
     tiered: Option<TieredStore>,
+    /// The tenant's generation boundaries awaiting admission (measured-Δ
+    /// mode; see [`construct_candidates`]). Filled under the core mutex,
+    /// emptied with no other lock held.
+    boundaries: Mutex<Boundaries>,
+    /// Notified when one of `boundaries` is admitted.
+    admitted: Condvar,
+    /// Queries the tenant's stream may run past a boundary whose candidate
+    /// is not in yet: a quarter of its generation interval.
+    run_ahead: u64,
     /// Queries whose bookkeeping completed for this tenant.
     observed: AtomicU64,
     /// This tenant's switches the budget scheduler deferred at least once.
@@ -542,6 +613,62 @@ struct Tenant {
     /// — only in multi-tenant runs, so a single-tenant registry stays
     /// byte-identical to the pre-tenancy schema.
     metrics: Option<LiveMetrics>,
+}
+
+/// When a generation boundary was captured: the clock, and the tenant's
+/// `observed` count.
+#[derive(Clone, Copy)]
+struct Stamp {
+    at: Instant,
+    observed: u64,
+}
+
+/// A tenant's generation boundaries between capture and admission.
+#[derive(Default)]
+struct Boundaries {
+    /// The newest boundary nobody has started building. One deep: a newer
+    /// boundary replaces it (latest wins) — which takes a stream let past
+    /// its bound by [`ADMISSION_GUARD`], since the bound is under an
+    /// interval.
+    waiting: Option<(CandidateTask, Stamp)>,
+    /// The boundary a worker is building right now.
+    building: Option<Stamp>,
+}
+
+impl Boundaries {
+    /// The oldest boundary whose candidate is not in yet.
+    fn oldest(&self) -> Option<Stamp> {
+        self.building
+            .or(self.waiting.as_ref().map(|(_, stamp)| *stamp))
+    }
+}
+
+impl Tenant {
+    /// `None` when the tenant's stream may take another query; otherwise it
+    /// is a full run-ahead allowance past its oldest boundary in `b`, and
+    /// the value is what is left of that boundary's [`ADMISSION_GUARD`].
+    fn hold_left(&self, b: &Boundaries) -> Option<Duration> {
+        let stamp = b.oldest()?;
+        let ahead = self.observed.load(Ordering::Relaxed) - stamp.observed;
+        (ahead >= self.run_ahead)
+            .then(|| (stamp.at + ADMISSION_GUARD).saturating_duration_since(Instant::now()))
+    }
+
+    /// Must the tenant's next query wait for an admission? Called under the
+    /// core mutex. A query let past the bound by the guard is counted.
+    fn holds_back(&self, shared: &Shared) -> bool {
+        let b = self.boundaries.lock().expect("boundaries poisoned");
+        match self.hold_left(&b) {
+            None => false,
+            Some(left) if left.is_zero() => {
+                for m in metric_views(shared, self) {
+                    m.admission_overruns.inc();
+                }
+                false
+            }
+            Some(_) => true,
+        }
+    }
 }
 
 /// The aggregate metrics plus `tenant`'s namespaced copy, when present.
@@ -595,6 +722,9 @@ struct Shared {
     pool: Option<Arc<BufferPool>>,
     queue: ShardedQueue<Job>,
     config: EngineConfig,
+    /// Set while a worker is building candidates ([`construct_candidates`]):
+    /// at most one construction runs per engine.
+    constructing: AtomicBool,
     /// Queries whose bookkeeping completed across all tenants (drives
     /// measured-Δ windows and the scheduler's force-admit bound).
     observed: AtomicU64,
@@ -617,6 +747,50 @@ struct Shared {
     started: Instant,
 }
 
+/// The core mutex, held: derefs to the policy brain and, on drop, records
+/// how long it was held in `core.lock_hold_us`.
+struct CoreGuard<'a> {
+    core: MutexGuard<'a, MultiTableOreo>,
+    acquired: Instant,
+    hold_us: &'a Histogram,
+}
+
+impl Shared {
+    /// Take the core mutex, recording the wait in `core.lock_wait_us`.
+    /// Lock order is ingest → core → a tenant's `boundaries`.
+    fn lock_core(&self) -> CoreGuard<'_> {
+        let asked = Instant::now();
+        let core = self.core.lock().expect("core poisoned");
+        let acquired = Instant::now();
+        let waited = as_micros_u64(acquired - asked);
+        self.metrics.lock_wait_us.record(waited);
+        CoreGuard {
+            core,
+            acquired,
+            hold_us: &self.metrics.lock_hold_us,
+        }
+    }
+}
+
+impl Deref for CoreGuard<'_> {
+    type Target = MultiTableOreo;
+    fn deref(&self) -> &MultiTableOreo {
+        &self.core
+    }
+}
+
+impl DerefMut for CoreGuard<'_> {
+    fn deref_mut(&mut self) -> &mut MultiTableOreo {
+        &mut self.core
+    }
+}
+
+impl Drop for CoreGuard<'_> {
+    fn drop(&mut self) {
+        self.hold_us.record(as_micros_u64(self.acquired.elapsed()));
+    }
+}
+
 /// One tenant's slice of a run, returned inside [`EngineStats::tenants`].
 /// The ledger is the tenant's own OREO instance's — byte-identical to an
 /// independent single-tenant run over the same substream.
@@ -633,6 +807,10 @@ pub struct TenantStats {
     pub ledger: CostLedger,
     /// Switch decisions this tenant's instance made.
     pub switches: u64,
+    /// The tenant's layout-manager counters: candidates generated /
+    /// admitted / rejected, boundaries superseded, states pruned.
+    /// `generated == admitted + rejected` once the engine has shut down.
+    pub manager: ManagerStats,
     /// Snapshots the scheduler published for this tenant.
     pub snapshots_published: u64,
     /// Switches of this tenant the budget scheduler deferred at least
@@ -682,6 +860,8 @@ pub struct EngineStats {
     pub ledger: CostLedger,
     /// Switch decisions made.
     pub switches: u64,
+    /// Tenant 0's layout-manager counters (see [`TenantStats::manager`]).
+    pub manager: ManagerStats,
     /// Snapshots the background reorganizer published.
     pub snapshots_published: u64,
     /// Measured reorganization windows, in decision order.
@@ -1003,6 +1183,7 @@ impl Engine {
                 .instance_mut(&spec.name)
                 .expect("just-registered tenant");
             oreo.set_event_sink(Arc::clone(&sink));
+            let run_ahead = oreo.config().generation_interval / 4;
             let initial_id = oreo.physical_layout();
             let mut initial_snapshot = materialize(&spec.table, &spec.initial_spec, initial_id);
             // A single tenant keeps the pre-tenancy flat layout (store +
@@ -1065,6 +1246,9 @@ impl Engine {
                 ingest: Mutex::new(ingest),
                 cell: SnapshotCell::new(initial_snapshot),
                 tiered,
+                boundaries: Mutex::new(Boundaries::default()),
+                admitted: Condvar::new(),
+                run_ahead,
                 observed: AtomicU64::new(0),
                 deferrals: AtomicU64::new(0),
                 max_deferred_queries: AtomicU64::new(0),
@@ -1089,6 +1273,7 @@ impl Engine {
             pool,
             queue: ShardedQueue::new(worker_count),
             config,
+            constructing: AtomicBool::new(false),
             observed: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -1274,7 +1459,7 @@ impl Engine {
         // full rewrite, which costs α.
         if receipt.rows_written > 0 {
             let live = ing.base.num_rows() as u64 + ing.buffer.delta_rows();
-            let mut core = shared.core.lock().expect("core poisoned");
+            let mut core = shared.lock_core();
             let oreo = core.instance_mut(&ten.name).expect("tenant registered");
             let alpha = oreo.config().alpha;
             oreo.charge_compaction(
@@ -1296,7 +1481,10 @@ impl Engine {
         self.shared.tenants[tenant].cell.pin().live_rows()
     }
 
-    /// Block until every submitted query has completed.
+    /// Block until every submitted query has completed. Background work
+    /// those queries set off — a reorganization, the construction of the
+    /// last boundary's candidate — may still be in flight (see
+    /// [`Engine::snapshots_published`]; [`Engine::shutdown`] waits for both).
     pub fn drain(&self) {
         let mut guard = self.shared.drain_lock.lock().expect("drain poisoned");
         while self.shared.completed.load(Ordering::Acquire)
@@ -1352,16 +1540,12 @@ impl Engine {
     /// Snapshot of the bookkeeping ledger, aggregated across tenants (for
     /// a single-tenant engine this *is* the tenant's ledger).
     pub fn ledger(&self) -> CostLedger {
-        self.shared
-            .core
-            .lock()
-            .expect("core poisoned")
-            .total_ledger()
+        self.shared.lock_core().total_ledger()
     }
 
     /// Snapshot of one tenant's own ledger.
     pub fn ledger_of(&self, tenant: usize) -> CostLedger {
-        let core = self.shared.core.lock().expect("core poisoned");
+        let core = self.shared.lock_core();
         *core
             .instance(&self.shared.tenants[tenant].name)
             .expect("tenant registered")
@@ -1380,7 +1564,8 @@ impl Engine {
     }
 
     /// Stop accepting work, wait for the pipeline (workers + reorganizer)
-    /// to finish everything in flight, and return aggregate statistics.
+    /// to finish everything in flight — candidate constructions included —
+    /// and return aggregate statistics.
     pub fn shutdown(mut self) -> EngineStats {
         self.shared.queue.close();
         for handle in self.workers.drain(..) {
@@ -1431,6 +1616,24 @@ impl Engine {
             .map(|t| t.cell.pin().total_bytes())
             .sum();
         let core = self.shared.core.lock().expect("core poisoned");
+        for ten in &self.shared.tenants {
+            // The workers have exited, and a worker builds or supersedes
+            // every boundary it captured before it does.
+            let unresolved = ten.boundaries.lock().expect("boundaries poisoned").oldest();
+            assert!(
+                unresolved.is_none(),
+                "tenant {}: a boundary was dropped",
+                ten.name
+            );
+            let oreo = core.instance(&ten.name).expect("tenant registered");
+            let m = oreo.manager_stats();
+            assert_eq!(
+                m.generated,
+                m.admitted + m.rejected,
+                "tenant {}: a generated candidate was neither admitted nor rejected",
+                ten.name
+            );
+        }
         let queries = self.shared.completed.load(Ordering::Relaxed);
         // The registry is the only accumulator: the report is a read of it.
         let m = &self.shared.metrics;
@@ -1450,6 +1653,7 @@ impl Engine {
                     latency: LatencyStats::from_histogram(&tm.latency_us),
                     ledger: *oreo.ledger(),
                     switches: oreo.switches(),
+                    manager: oreo.manager_stats(),
                     snapshots_published: tm.snapshots_published.get(),
                     reorg_deferrals: ten.deferrals.load(Ordering::Relaxed),
                     max_deferred_queries: ten.max_deferred_queries.load(Ordering::Relaxed),
@@ -1477,6 +1681,7 @@ impl Engine {
             latency: LatencyStats::from_histogram(&m.latency_us),
             ledger: core.total_ledger(),
             switches: tenants.iter().map(|t| t.switches).sum(),
+            manager: first.manager_stats(),
             snapshots_published: m.snapshots_published.get(),
             windows,
             tiered_errors,
@@ -1664,130 +1869,268 @@ fn worker_loop(shared: &Shared, home: usize, reorg_tx: Option<Sender<ReorgReques
             scanned.push((job, picked, scan, snapshot.layout(), snapshot.epoch()));
         }
 
-        // Phase 2 — bookkeeping for the whole batch under one core lock.
-        // Each query flows through its own tenant's OREO instance, so the
-        // per-tenant decision stream is exactly the single-tenant one.
-        let mut fulfilled = Vec::with_capacity(scanned.len());
-        {
-            let mut core = shared.core.lock().expect("core poisoned");
-            let mut touched = vec![false; shared.tenants.len()];
-            for (job, picked, scan, served_layout, served_epoch) in scanned {
-                let tenant_index = job.tenant as usize;
-                let ten = &shared.tenants[tenant_index];
-                touched[tenant_index] = true;
-                let oreo = core.instance_mut(&ten.name).expect("tenant registered");
-                let report = match shared.config.delay {
-                    DelaySemantics::Configured => oreo.observe(&job.query),
-                    DelaySemantics::Measured => {
-                        let mut r = oreo.decide(&job.query);
-                        oreo.settle(&job.query, &mut r);
-                        r
-                    }
-                };
-                let observed_now = shared.observed.fetch_add(1, Ordering::Relaxed) + 1;
-                let tenant_observed_now = ten.observed.fetch_add(1, Ordering::Relaxed) + 1;
-                // Feed the budget scheduler's admission denominator, in
-                // micro-cost-units (integer atomics; costs are ≪ 1).
-                shared
-                    .query_cost_micros
-                    .fetch_add((report.service_cost * 1e6) as u64, Ordering::Relaxed);
-                if let Some(target) = report.reorg_decision {
-                    for m in metric_views(shared, ten) {
-                        m.switches.inc();
-                    }
-                    if let Some(tx) = &reorg_tx {
-                        let spec = oreo.spec(target).expect("decided target has a spec");
-                        let charge = oreo.config().alpha;
-                        // Send while holding the core lock so the build
-                        // queue and `Oreo::pending` stay in the same order.
-                        let _ = tx.send(ReorgRequest {
-                            tenant: job.tenant,
-                            target,
-                            spec,
-                            charge,
-                            decided_seq: report.seq,
-                            decided_at: Instant::now(),
-                            observed_at_decision: observed_now,
-                            tenant_observed_at_decision: tenant_observed_now,
-                        });
-                    }
-                }
-                fulfilled.push((
-                    picked,
-                    job.slot,
-                    job.submit_id,
-                    tenant_index,
-                    QueryOutcome {
-                        seq: report.seq,
-                        scan,
-                        served_layout,
-                        served_epoch,
-                        decision: report.reorg_decision,
-                        service_cost: report.service_cost,
-                        latency: Duration::ZERO,
-                    },
-                ));
-            }
-            // Batch-granular gauges, read while the lock already serializes
-            // the core: the live ledger and state-space views, aggregated
-            // across tenants plus the namespaced view of each tenant this
-            // batch touched.
-            let m = &shared.metrics;
-            let ledger = core.total_ledger();
-            m.ledger_query_cost.set(ledger.query_cost);
-            m.ledger_reorg_cost.set(ledger.reorg_cost);
-            m.ledger_total.set(ledger.total());
-            let mut num_states = 0usize;
-            let mut max_states = 0usize;
-            for ten in &shared.tenants {
-                let oreo = core.instance(&ten.name).expect("tenant registered");
-                num_states += oreo.num_states();
-                max_states += oreo.max_states_seen();
-            }
-            m.num_states.set(num_states as f64);
-            m.max_states_seen.set(max_states as f64);
-            for (tenant_index, ten) in shared.tenants.iter().enumerate() {
-                if !touched[tenant_index] {
-                    continue;
-                }
-                if let Some(tm) = &ten.metrics {
-                    let oreo = core.instance(&ten.name).expect("tenant registered");
-                    let ledger = oreo.ledger();
-                    tm.ledger_query_cost.set(ledger.query_cost);
-                    tm.ledger_reorg_cost.set(ledger.reorg_cost);
-                    tm.ledger_total.set(ledger.total());
-                    tm.num_states.set(oreo.num_states() as f64);
-                    tm.max_states_seen.set(oreo.max_states_seen() as f64);
-                }
+        // Phases 2–4 once for the whole batch, unless measured-Δ
+        // bookkeeping holds part of it back at a run-ahead bound: then
+        // again for that part, once the admission it waits for is in.
+        while !scanned.is_empty() {
+            scanned = serve_scanned(shared, scanned, reorg_tx.as_ref());
+            if let Some((job, ..)) = scanned.first() {
+                await_admission(shared, &shared.tenants[job.tenant as usize]);
             }
         }
-
-        // Phase 3 — fulfill results and wake drainers.
-        for (picked, slot, submit_id, tenant_index, mut outcome) in fulfilled {
-            let ten = &shared.tenants[tenant_index];
-            outcome.latency = picked.elapsed();
-            let latency_us = as_micros_u64(outcome.latency);
-            for m in metric_views(shared, ten) {
-                m.latency_us.record(latency_us);
-                m.queries_completed.inc();
-            }
-            if shared.sink.enabled() {
-                shared.sink.emit(EventKind::QueryCompleted {
-                    submit_id,
-                    stream_seq: outcome.seq,
-                    latency_us,
-                });
-            }
-            if let Some(slot) = slot {
-                let mut v = slot.value.lock().expect("result slot poisoned");
-                *v = Some(outcome);
-                drop(v);
-                slot.ready.notify_all();
-            }
-            shared.completed.fetch_add(1, Ordering::Release);
-        }
-        shared.drain_cv.notify_all();
     }
+}
+
+/// A scanned query awaiting its bookkeeping: the job, when a worker picked
+/// it up, its scan, and the layout and epoch of the snapshot that served it.
+type Scanned = (Job, Instant, SnapshotScan, LayoutId, u64);
+
+/// Phases 2–4 of [`worker_loop`] for one batch of scanned queries. Returns
+/// the queries it held back, in order: those whose tenant's stream is a full
+/// run-ahead allowance past a boundary still awaiting admission
+/// ([`DelaySemantics::Measured`]). Everything else is answered, and a
+/// boundary this batch captured is built, before it returns.
+fn serve_scanned(
+    shared: &Shared,
+    scanned: Vec<Scanned>,
+    reorg_tx: Option<&Sender<ReorgRequest>>,
+) -> Vec<Scanned> {
+    let measured = shared.config.delay == DelaySemantics::Measured;
+    let mut held = Vec::new();
+    // Phase 2 — bookkeeping for the whole batch under one core lock.
+    // Each query flows through its own tenant's OREO instance, so the
+    // per-tenant decision stream is exactly the single-tenant one.
+    let mut fulfilled = Vec::with_capacity(scanned.len());
+    {
+        let mut core = shared.lock_core();
+        let mut touched = vec![false; shared.tenants.len()];
+        for (job, picked, scan, served_layout, served_epoch) in scanned {
+            let tenant_index = job.tenant as usize;
+            let ten = &shared.tenants[tenant_index];
+            // `observed` moves under this lock only, so the bound is
+            // exact: no stream is ever further past a pending boundary
+            // than its allowance.
+            if measured && ten.holds_back(shared) {
+                held.push((job, picked, scan, served_layout, served_epoch));
+                continue;
+            }
+            touched[tenant_index] = true;
+            let oreo = core.instance_mut(&ten.name).expect("tenant registered");
+            let report = match shared.config.delay {
+                DelaySemantics::Configured => oreo.observe(&job.query),
+                DelaySemantics::Measured => {
+                    // `Oreo::decide` without its build: a boundary's
+                    // task waits with the tenant until this batch is
+                    // answered (`construct_candidates`). Latest wins: a
+                    // task it replaces (fault guard only) is never built.
+                    let (mut r, task) = oreo.capture(&job.query);
+                    if let Some(task) = task {
+                        let stamp = Stamp {
+                            at: Instant::now(),
+                            observed: ten.observed.load(Ordering::Relaxed),
+                        };
+                        let mut b = ten.boundaries.lock().expect("boundaries poisoned");
+                        if let Some((stale, _)) = b.waiting.replace((task, stamp)) {
+                            oreo.discard(stale);
+                            for m in metric_views(shared, ten) {
+                                m.candidates_superseded.inc();
+                            }
+                        }
+                    }
+                    oreo.step(&job.query, &mut r);
+                    oreo.settle(&job.query, &mut r);
+                    r
+                }
+            };
+            let observed_now = shared.observed.fetch_add(1, Ordering::Relaxed) + 1;
+            let tenant_observed_now = ten.observed.fetch_add(1, Ordering::Relaxed) + 1;
+            // Feed the budget scheduler's admission denominator, in
+            // micro-cost-units (integer atomics; costs are ≪ 1).
+            shared
+                .query_cost_micros
+                .fetch_add((report.service_cost * 1e6) as u64, Ordering::Relaxed);
+            if let Some(target) = report.reorg_decision {
+                for m in metric_views(shared, ten) {
+                    m.switches.inc();
+                }
+                if let Some(tx) = reorg_tx {
+                    let spec = oreo.spec(target).expect("decided target has a spec");
+                    let charge = oreo.config().alpha;
+                    // Send while holding the core lock so the build
+                    // queue and `Oreo::pending` stay in the same order.
+                    let _ = tx.send(ReorgRequest {
+                        tenant: job.tenant,
+                        target,
+                        spec,
+                        charge,
+                        decided_seq: report.seq,
+                        decided_at: Instant::now(),
+                        observed_at_decision: observed_now,
+                        tenant_observed_at_decision: tenant_observed_now,
+                    });
+                }
+            }
+            fulfilled.push((
+                picked,
+                job.slot,
+                job.submit_id,
+                tenant_index,
+                QueryOutcome {
+                    seq: report.seq,
+                    scan,
+                    served_layout,
+                    served_epoch,
+                    decision: report.reorg_decision,
+                    service_cost: report.service_cost,
+                    latency: Duration::ZERO,
+                },
+            ));
+        }
+        // Batch-granular gauges, read while the lock already serializes
+        // the core: the live ledger and state-space views, aggregated
+        // across tenants plus the namespaced view of each tenant this
+        // batch touched.
+        let m = &shared.metrics;
+        let ledger = core.total_ledger();
+        m.ledger_query_cost.set(ledger.query_cost);
+        m.ledger_reorg_cost.set(ledger.reorg_cost);
+        m.ledger_total.set(ledger.total());
+        let mut num_states = 0usize;
+        let mut max_states = 0usize;
+        for ten in &shared.tenants {
+            let oreo = core.instance(&ten.name).expect("tenant registered");
+            num_states += oreo.num_states();
+            max_states += oreo.max_states_seen();
+        }
+        m.num_states.set(num_states as f64);
+        m.max_states_seen.set(max_states as f64);
+        for (tenant_index, ten) in shared.tenants.iter().enumerate() {
+            if !touched[tenant_index] {
+                continue;
+            }
+            if let Some(tm) = &ten.metrics {
+                let oreo = core.instance(&ten.name).expect("tenant registered");
+                let ledger = oreo.ledger();
+                tm.ledger_query_cost.set(ledger.query_cost);
+                tm.ledger_reorg_cost.set(ledger.reorg_cost);
+                tm.ledger_total.set(ledger.total());
+                tm.num_states.set(oreo.num_states() as f64);
+                tm.max_states_seen.set(oreo.max_states_seen() as f64);
+            }
+        }
+    }
+
+    // Phase 3 — fulfill results and wake drainers.
+    for (picked, slot, submit_id, tenant_index, mut outcome) in fulfilled {
+        let ten = &shared.tenants[tenant_index];
+        outcome.latency = picked.elapsed();
+        let latency_us = as_micros_u64(outcome.latency);
+        for m in metric_views(shared, ten) {
+            m.latency_us.record(latency_us);
+            m.queries_completed.inc();
+        }
+        if shared.sink.enabled() {
+            shared.sink.emit(EventKind::QueryCompleted {
+                submit_id,
+                stream_seq: outcome.seq,
+                latency_us,
+            });
+        }
+        if let Some(slot) = slot {
+            let mut v = slot.value.lock().expect("result slot poisoned");
+            *v = Some(outcome);
+            drop(v);
+            slot.ready.notify_all();
+        }
+        shared.completed.fetch_add(1, Ordering::Release);
+    }
+    shared.drain_cv.notify_all();
+
+    // Phase 4 — candidate construction, after the batch is answered.
+    if measured {
+        construct_candidates(shared);
+    }
+    held
+}
+
+/// Wait, holding no lock, until `ten`'s stream may move again: until the
+/// boundary that holds it at its run-ahead bound is admitted (or, a fault,
+/// is older than [`ADMISSION_GUARD`]). The candidate is some other worker's
+/// to build: the caller has been through [`construct_candidates`] since it
+/// last captured a boundary, so it is not waiting for itself.
+fn await_admission(shared: &Shared, ten: &Tenant) {
+    let mut b = ten.boundaries.lock().expect("boundaries poisoned");
+    let mut waited_since = None;
+    while let Some(left) = ten.hold_left(&b).filter(|left| !left.is_zero()) {
+        waited_since.get_or_insert_with(Instant::now);
+        b = ten
+            .admitted
+            .wait_timeout(b, left)
+            .expect("boundaries poisoned")
+            .0;
+    }
+    if let Some(since) = waited_since {
+        let waited = as_micros_u64(since.elapsed());
+        shared.metrics.admission_wait_us.record(waited);
+    }
+}
+
+/// Build, cost and admit every waiting generation boundary, on the calling
+/// worker's thread: the construct and admit steps of `Oreo::decide`, which
+/// measured-Δ bookkeeping left out. Construction holds no lock; admission
+/// takes the core mutex for O(states) work.
+///
+/// At most one worker constructs at a time — a second would only admit
+/// candidates fitted to older windows later — and it does not return to the
+/// queue while any tenant has a boundary waiting. A worker that leaves one
+/// calls this after answering its batch, and either becomes the constructor
+/// or finds one that has yet to look again, so no task is left behind: when
+/// the last worker exits, every captured boundary has been admitted or
+/// superseded.
+fn construct_candidates(shared: &Shared) {
+    let none_waiting = |ten: &Tenant| {
+        let b = ten.boundaries.lock().expect("boundaries poisoned");
+        b.waiting.is_none()
+    };
+    loop {
+        if shared.constructing.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // Every tenant in each pass (no short circuit), so none starves.
+        let pass = |built: bool, ten| build_waiting(shared, ten) | built;
+        while shared.tenants.iter().fold(false, pass) {}
+        shared.constructing.store(false, Ordering::SeqCst);
+        // A boundary left after the last look, by a worker that then saw
+        // the flag still set and went away, is this worker's to build.
+        if shared.tenants.iter().all(none_waiting) {
+            return;
+        }
+    }
+}
+
+/// Build and admit `ten`'s waiting boundary, if it has one (whether it had).
+fn build_waiting(shared: &Shared, ten: &Tenant) -> bool {
+    let task = {
+        let mut b = ten.boundaries.lock().expect("boundaries poisoned");
+        let Some((task, stamp)) = b.waiting.take() else {
+            return false;
+        };
+        b.building = Some(stamp);
+        task
+    };
+    let built = task.build();
+    let admission = {
+        let mut core = shared.lock_core();
+        let oreo = core.instance_mut(&ten.name).expect("tenant registered");
+        oreo.admit(built)
+    };
+    ten.boundaries.lock().expect("boundaries poisoned").building = None;
+    ten.admitted.notify_all();
+    for m in metric_views(shared, ten) {
+        m.candidates_built.inc();
+        m.candidate_lag_queries.record(admission.lag_queries);
+    }
+    true
 }
 
 /// The reorganization scheduler, run on the `oreo-reorg` thread: switch
@@ -2112,7 +2455,7 @@ fn execute_reorg(
     set_fleet_gauge(shared, ten, |m| &m.table_bytes, snapshot_bytes as f64);
     let measured = shared.config.delay == DelaySemantics::Measured;
     if measured || merged.is_some() {
-        let mut core = shared.core.lock().expect("core poisoned");
+        let mut core = shared.lock_core();
         let oreo = core.instance_mut(&ten.name).expect("tenant registered");
         if let Some((table, _)) = merged {
             // Deltas folded in: the tenant's exact models must rebuild

@@ -7,15 +7,30 @@
 //! worker the queue degenerates to a strict FIFO, which is what gives the
 //! engine's single-threaded mode exact parity with the sequential
 //! simulator.
+//!
+//! An idle worker parks on its home shard's condvar, and a push wakes a
+//! parked worker *wherever* it is parked: a job that lands on the shard of
+//! a worker that is busy — away for milliseconds constructing a candidate
+//! layout, say — is stolen at once by an idle one, not when its park times
+//! out. The wake cannot be lost. A worker announces itself in its shard's
+//! `parked` count and then checks `len`, both under the shard lock; a push
+//! raises `len` and then reads the counts, and notifies under the lock of
+//! the shard it found a parked worker on. With every access `SeqCst`, one
+//! of the two sees the other. The park's timeout is a safety net only.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
+/// How long a park lasts when nothing wakes it.
+const PARK_TIMEOUT: Duration = Duration::from_millis(1);
+
 struct Shard<T> {
     items: Mutex<VecDeque<T>>,
     available: Condvar,
+    /// Workers parked (or about to park) on `available`.
+    parked: AtomicUsize,
 }
 
 /// A fixed-shard MPMC queue. Unbounded; `push` never blocks.
@@ -24,6 +39,11 @@ pub struct ShardedQueue<T> {
     cursor: AtomicUsize,
     len: AtomicUsize,
     closed: AtomicBool,
+    park_timeout: Duration,
+    /// Batches a worker found on the scan right after a park that *timed
+    /// out*: work the wake-up missed. Stays 0.
+    #[cfg(test)]
+    found_after_timeout: AtomicUsize,
 }
 
 impl<T> ShardedQueue<T> {
@@ -35,11 +55,15 @@ impl<T> ShardedQueue<T> {
                 .map(|_| Shard {
                     items: Mutex::new(VecDeque::new()),
                     available: Condvar::new(),
+                    parked: AtomicUsize::new(0),
                 })
                 .collect(),
             cursor: AtomicUsize::new(0),
             len: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
+            park_timeout: PARK_TIMEOUT,
+            #[cfg(test)]
+            found_after_timeout: AtomicUsize::new(0),
         }
     }
 
@@ -50,7 +74,7 @@ impl<T> ShardedQueue<T> {
 
     /// Items currently enqueued (racy, for monitoring).
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.len.load(Ordering::SeqCst)
     }
 
     /// Whether the queue is currently empty (racy, for monitoring).
@@ -58,18 +82,32 @@ impl<T> ShardedQueue<T> {
         self.len() == 0
     }
 
-    /// Enqueue one item on the next shard (round-robin).
+    /// Enqueue one item on the next shard (round-robin) and wake one parked
+    /// worker, whichever shard it is parked on.
     ///
     /// # Panics
     /// Panics if the queue is closed — producers must stop before close.
     pub fn push(&self, item: T) {
-        assert!(!self.closed.load(Ordering::Acquire), "queue closed");
-        let shard = &self.shards[self.cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len()];
-        self.len.fetch_add(1, Ordering::Relaxed);
-        let mut q = shard.items.lock().expect("queue shard poisoned");
+        assert!(!self.closed.load(Ordering::SeqCst), "queue closed");
+        let n = self.shards.len();
+        let target = self.cursor.fetch_add(1, Ordering::Relaxed) % n;
+        let mut q = self.shards[target]
+            .items
+            .lock()
+            .expect("queue shard poisoned");
         q.push_back(item);
+        self.len.fetch_add(1, Ordering::SeqCst);
         drop(q);
-        shard.available.notify_one();
+        let shards = (0..n).map(|i| &self.shards[(target + i) % n]);
+        for shard in shards {
+            if shard.parked.load(Ordering::SeqCst) > 0 {
+                // Under the shard lock, so the notify lands after the
+                // parker it counted has started waiting.
+                let _q = shard.items.lock().expect("queue shard poisoned");
+                shard.available.notify_one();
+                break;
+            }
+        }
     }
 
     /// Dequeue up to `max` items, preferring the `home` shard and stealing
@@ -78,6 +116,8 @@ impl<T> ShardedQueue<T> {
     pub fn pop_batch(&self, home: usize, max: usize) -> Option<Vec<T>> {
         let max = max.max(1);
         let n = self.shards.len();
+        #[cfg(test)]
+        let mut timed_out = false;
         loop {
             // Home shard first (FIFO within a shard), then steal.
             for i in 0..n {
@@ -87,30 +127,43 @@ impl<T> ShardedQueue<T> {
                     let take = max.min(q.len());
                     let batch: Vec<T> = q.drain(..take).collect();
                     drop(q);
-                    self.len.fetch_sub(batch.len(), Ordering::Relaxed);
+                    self.len.fetch_sub(batch.len(), Ordering::SeqCst);
+                    #[cfg(test)]
+                    if timed_out {
+                        self.found_after_timeout.fetch_add(1, Ordering::Relaxed);
+                    }
                     return Some(batch);
                 }
             }
-            if self.closed.load(Ordering::Acquire) && self.is_empty() {
+            if self.closed.load(Ordering::SeqCst) && self.is_empty() {
                 return None;
             }
-            // Park on the home shard; the timeout re-checks the steal lanes
-            // and the closed flag (a single condvar cannot observe pushes
-            // that landed on sibling shards).
+            // Park on the home shard until a push or `close` notifies it.
+            // Announce first, then look again: a push that missed the
+            // announcement raised `len` before it, and is seen here.
             let shard = &self.shards[home % n];
             let guard = shard.items.lock().expect("queue shard poisoned");
-            let _unused = shard
-                .available
-                .wait_timeout(guard, Duration::from_millis(1))
-                .expect("queue shard poisoned");
+            shard.parked.fetch_add(1, Ordering::SeqCst);
+            if self.len.load(Ordering::SeqCst) == 0 && !self.closed.load(Ordering::SeqCst) {
+                let (_guard, _wait) = shard
+                    .available
+                    .wait_timeout(guard, self.park_timeout)
+                    .expect("queue shard poisoned");
+                #[cfg(test)]
+                {
+                    timed_out = _wait.timed_out();
+                }
+            }
+            shard.parked.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
     /// Close the queue: wake all waiters; `pop_batch` returns `None` once
     /// the remaining items drain.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
+        self.closed.store(true, Ordering::SeqCst);
         for shard in &self.shards {
+            let _q = shard.items.lock().expect("queue shard poisoned");
             shard.available.notify_all();
         }
     }
@@ -203,6 +256,52 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 2_000, "duplicated or lost items");
+    }
+
+    /// A job that lands on the shard of a worker that is away is taken by
+    /// the idle worker parked on the other shard because the push woke it,
+    /// not because its park ran out.
+    #[test]
+    fn push_wakes_a_worker_parked_on_another_shard() {
+        use std::sync::mpsc::channel;
+        let mut q = ShardedQueue::new(2);
+        // Long enough that a missed wake-up cannot pass for a found job: it
+        // would surface, ten seconds late, in `found_after_timeout`.
+        q.park_timeout = Duration::from_secs(10);
+        let q = Arc::new(q);
+        let (held_tx, held_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let (done_tx, done_rx) = channel();
+        let busy = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let first = q.pop_batch(0, 1).expect("open queue");
+                held_tx.send(first).unwrap();
+                // Away from the queue — building a candidate, say.
+                let _ = release_rx.recv();
+            })
+        };
+        q.push(0u32); // shard 0: the busy worker's
+        assert_eq!(held_rx.recv().unwrap(), vec![0]);
+        let idle = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                while let Some(batch) = q.pop_batch(1, 1) {
+                    done_tx.send(batch[0]).unwrap();
+                }
+            })
+        };
+        // One at a time, so the idle worker is parked (or about to park)
+        // again at each push; every other job lands on shard 0.
+        for job in 1..=16u32 {
+            q.push(job);
+            assert_eq!(done_rx.recv().unwrap(), job);
+        }
+        assert_eq!(q.found_after_timeout.load(Ordering::Relaxed), 0);
+        drop(release_tx);
+        busy.join().unwrap();
+        q.close();
+        idle.join().unwrap();
     }
 
     #[test]

@@ -98,6 +98,34 @@ mod proptests {
             }
         }
 
+        /// disjoint_from decides exactly what intersect calls empty, so the
+        /// Qd-tree builder counts the same queries either way.
+        #[test]
+        fn disjoint_is_intersect_emptiness(
+            a in proptest::collection::vec(int_atom(), 1..3),
+            b in int_atom(),
+        ) {
+            let sa = predicate_satset(&oreo_query::Predicate::new(a), 0).expect("atoms on col 0");
+            let sb = SatSet::of_atom(&b);
+            prop_assert_eq!(sa.disjoint_from(&sb), sa.intersect(&sb) == SatSet::Empty);
+            prop_assert_eq!(sb.disjoint_from(&sa), sb.intersect(&sa) == SatSet::Empty);
+        }
+
+        /// The integer-interval keys decide subset and disjointness exactly
+        /// as the bound-by-bound checks do.
+        #[test]
+        fn int_interval_keys_agree_with_bounds(
+            a in proptest::collection::vec(int_atom(), 1..3),
+            b in int_atom(),
+        ) {
+            let sa = predicate_satset(&oreo_query::Predicate::new(a), 0).expect("atoms on col 0");
+            let sb = SatSet::of_atom(&b);
+            if let (Some((al, ah)), Some((bl, bh))) = (sa.int_interval_keys(), sb.int_interval_keys()) {
+                prop_assert_eq!(al >= bl && ah <= bh, sa.subset_of(&sb));
+                prop_assert_eq!(al.max(bl) > ah.min(bh), sa.disjoint_from(&sb));
+            }
+        }
+
         /// Morton encode/decode round-trips.
         #[test]
         fn morton_round_trip(x in 0u32..256, y in 0u32..256, z in 0u32..256) {

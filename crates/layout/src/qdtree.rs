@@ -28,7 +28,7 @@
 
 use crate::satset::{predicate_satset, SatSet};
 use crate::spec::{LayoutGenerator, LayoutSpec, SharedSpec};
-use oreo_query::{Atom, ColId, CompareOp, CompiledPredicate, Predicate, Query};
+use oreo_query::{Atom, ColId, ColumnPlan, CompareOp, Query};
 use oreo_storage::{atom_matches_ref, kernel, Table};
 use rand::rngs::StdRng;
 use std::cmp::Reverse;
@@ -194,22 +194,36 @@ impl QdTreeBuilder {
             rows: Vec<u64>,
         }
         let candidates = candidate_cuts(workload);
-        let all_rows: Vec<u32> = (0..nrows as u32).collect();
-        let mut query_sats: HashMap<ColId, Vec<SatSet>> = HashMap::new();
+        // Per column, the satisfying set of every query that constrains it
+        // — and, when each is an integer interval, its comparison keys.
+        type ColumnSats = (Vec<SatSet>, Option<Vec<(i128, i128)>>);
+        let mut query_sats: HashMap<ColId, ColumnSats> = HashMap::new();
         let mut cuts: Vec<Cut<'_>> = Vec::new();
         for atom in &candidates {
             let col = atom.col();
-            let sats = query_sats.entry(col).or_insert_with(|| {
+            let (sats, keys) = query_sats.entry(col).or_insert_with(|| {
                 let sat_on_col = |q: &Query| predicate_satset(&q.predicate, col);
-                workload.iter().filter_map(sat_on_col).collect()
+                let sats: Vec<SatSet> = workload.iter().filter_map(sat_on_col).collect();
+                let keys = sats.iter().map(SatSet::int_interval_keys).collect();
+                (sats, keys)
             });
             let cut_sat = SatSet::of_atom(atom);
             let (mut n_sub, mut n_dis) = (0u64, 0u64);
-            for qsat in sats.iter() {
-                if qsat.subset_of(&cut_sat) {
-                    n_sub += 1;
-                } else if qsat.disjoint_from(&cut_sat) {
-                    n_dis += 1;
+            if let (Some(keys), Some((cut_lo, cut_hi))) = (keys, cut_sat.int_interval_keys()) {
+                for &(lo, hi) in keys.iter() {
+                    if lo >= cut_lo && hi <= cut_hi {
+                        n_sub += 1;
+                    } else if lo.max(cut_lo) > hi.min(cut_hi) {
+                        n_dis += 1;
+                    }
+                }
+            } else {
+                for qsat in sats.iter() {
+                    if qsat.subset_of(&cut_sat) {
+                        n_sub += 1;
+                    } else if qsat.disjoint_from(&cut_sat) {
+                        n_dis += 1;
+                    }
                 }
             }
             if n_sub + n_dis > 0 {
@@ -217,23 +231,31 @@ impl QdTreeBuilder {
                     atom,
                     n_sub,
                     n_dis,
-                    rows: bitmap(&matching_rows(atom, sample, &all_rows), nrows),
+                    rows: kernel::matching_bitmap(&ColumnPlan::of_atom(atom), sample.column(col)),
                 });
             }
         }
 
-        // The best feasible cut of a leaf: candidate order and a strict `>`,
-        // so the earliest candidate wins a tie.
-        let best_cut = |leaf: &[u64]| -> Option<(u64, usize)> {
-            let size: usize = leaf.iter().map(|w| w.count_ones() as usize).sum();
+        // A leaf: its sample rows as a bitmap, how many there are, and the
+        // cuts that can still split it, each with the rows it would send to
+        // its yes-side. A side smaller than `min_leaf` at a node is smaller
+        // still at every descendant, so a child tests only its parent's
+        // list; and a cut's yes-rows in the no-child are its yes-rows in the
+        // parent less those in the yes-child, so a split intersects bitmaps
+        // for one child only.
+        struct Leaf {
+            rows: Vec<u64>,
+            size: usize,
+            feasible: Vec<(usize, usize)>,
+        }
+        let feasible_at = |size: usize, yes: usize| yes >= min_leaf && size - yes >= min_leaf;
+        // The best cut of a leaf: candidate order and a strict `>`, so the
+        // earliest candidate wins a tie.
+        let best_cut = |leaf: &Leaf| -> Option<(u64, usize)> {
             let mut best: Option<(u64, usize)> = None;
-            for (ci, cut) in cuts.iter().enumerate() {
-                let yes = and_count(leaf, &cut.rows);
-                let no = size - yes;
-                if yes < min_leaf || no < min_leaf {
-                    continue;
-                }
-                let benefit = cut.n_sub * no as u64 + cut.n_dis * yes as u64;
+            for &(ci, yes) in &leaf.feasible {
+                let no = leaf.size - yes;
+                let benefit = cuts[ci].n_sub * no as u64 + cuts[ci].n_dis * yes as u64;
                 if benefit > 0 && best.is_none_or(|(b, _)| benefit > b) {
                     best = Some((benefit, ci));
                 }
@@ -241,9 +263,9 @@ impl QdTreeBuilder {
             best
         };
 
-        // Arena of tree slots; a leaf is the bitmap of its sample rows.
+        // Arena of tree slots.
         enum Slot<'a> {
-            Leaf(Vec<u64>),
+            Leaf(Leaf),
             Inner {
                 atom: &'a Atom,
                 yes: usize,
@@ -257,14 +279,21 @@ impl QdTreeBuilder {
         // `best_cut` accepted are the sizes the split produces.
         let mut heap: BinaryHeap<(u64, Reverse<u64>, usize, usize)> = BinaryHeap::new();
         let mut counter: u64 = 0;
-        let mut add_leaf = |leaf: Vec<u64>, slots: &mut Vec<Slot<'_>>, heap: &mut BinaryHeap<_>| {
+        let mut add_leaf = |leaf: Leaf, slots: &mut Vec<Slot<'_>>, heap: &mut BinaryHeap<_>| {
             if let Some((benefit, ci)) = best_cut(&leaf) {
                 counter += 1;
                 heap.push((benefit, Reverse(counter), slots.len(), ci));
             }
             slots.push(Slot::Leaf(leaf));
         };
-        add_leaf(bitmap(&all_rows, nrows), &mut slots, &mut heap);
+        let root = Leaf {
+            rows: full_bitmap(nrows),
+            size: nrows,
+            feasible: (cuts.iter().map(|cut| count(&cut.rows)).enumerate())
+                .filter(|&(_, yes)| feasible_at(nrows, yes))
+                .collect(),
+        };
+        add_leaf(root, &mut slots, &mut heap);
 
         let mut leaf_count = 1usize;
         while leaf_count < self.k {
@@ -277,11 +306,32 @@ impl QdTreeBuilder {
             let Slot::Leaf(leaf) = std::mem::replace(&mut slots[slot], inner) else {
                 unreachable!("a slot is offered to the heap once, while it is a leaf");
             };
-            let matched = leaf.iter().zip(rows);
-            let yes_rows = matched.clone().map(|(l, c)| l & c).collect();
+            let matched = leaf.rows.iter().zip(rows);
+            let yes_rows: Vec<u64> = matched.clone().map(|(l, c)| l & c).collect();
             let no_rows = matched.map(|(l, c)| l & !c).collect();
-            add_leaf(yes_rows, &mut slots, &mut heap);
-            add_leaf(no_rows, &mut slots, &mut heap);
+            let yes_size = count(&yes_rows);
+            let no_size = leaf.size - yes_size;
+            let (mut yes_feasible, mut no_feasible) = (Vec::new(), Vec::new());
+            for (ci, in_leaf) in leaf.feasible {
+                let in_yes = and_count(&yes_rows, &cuts[ci].rows);
+                if feasible_at(yes_size, in_yes) {
+                    yes_feasible.push((ci, in_yes));
+                }
+                if feasible_at(no_size, in_leaf - in_yes) {
+                    no_feasible.push((ci, in_leaf - in_yes));
+                }
+            }
+            for (rows, size, feasible) in [
+                (yes_rows, yes_size, yes_feasible),
+                (no_rows, no_size, no_feasible),
+            ] {
+                let child = Leaf {
+                    rows,
+                    size,
+                    feasible,
+                };
+                add_leaf(child, &mut slots, &mut heap);
+            }
             leaf_count += 1;
         }
 
@@ -361,24 +411,28 @@ fn candidate_cuts(workload: &[Query]) -> Vec<Atom> {
 /// `atom`: one pass of the typed column kernels, not a `ValueRef` compare
 /// per cell.
 fn matching_rows(atom: &Atom, table: &Table, rows: &[u32]) -> Vec<u32> {
-    let compiled = CompiledPredicate::compile(&Predicate::new(vec![atom.clone()]));
     let mut yes = rows.to_vec();
     kernel::filter_rows(
-        compiled.columns()[0].plan(),
+        &ColumnPlan::of_atom(atom),
         table.column(atom.col()),
         &mut yes,
     );
     yes
 }
 
-/// The set `rows` as a bitmap over `0..nrows`, one bit per row in `u64`
-/// words (bits past `nrows` stay clear).
-fn bitmap(rows: &[u32], nrows: usize) -> Vec<u64> {
-    let mut words = vec![0u64; nrows.div_ceil(64)];
-    for &r in rows {
-        words[r as usize / 64] |= 1 << (r % 64);
+/// All of `0..nrows` as a bitmap, one bit per row in `u64` words (bits past
+/// `nrows` stay clear).
+fn full_bitmap(nrows: usize) -> Vec<u64> {
+    let mut words = vec![u64::MAX; nrows.div_ceil(64)];
+    if let (Some(last), tail @ 1..) = (words.last_mut(), nrows % 64) {
+        *last = (1 << tail) - 1;
     }
     words
+}
+
+/// `|a|` of a bitmap.
+fn count(a: &[u64]) -> usize {
+    a.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 /// `|a ∩ b|` of two equal-length bitmaps.
@@ -778,6 +832,7 @@ mod tests {
 
     mod proptests {
         use super::*;
+        use oreo_query::Predicate;
         use proptest::prelude::*;
 
         const WORDS: [&str; 6] = ["a", "ab", "b", "c", "d", "e"];

@@ -109,10 +109,13 @@ impl SatSet {
             (SatSet::Interval { low: l1, high: h1 }, SatSet::Interval { low: l2, high: h2 }) => {
                 let low = max_low(l1, l2);
                 let high = min_high(h1, h2);
-                if interval_empty(&low, &high) {
+                if interval_empty(low, high) {
                     SatSet::Empty
                 } else {
-                    SatSet::Interval { low, high }
+                    SatSet::Interval {
+                        low: low.clone(),
+                        high: high.clone(),
+                    }
                 }
             }
         }
@@ -155,47 +158,96 @@ impl SatSet {
         }
     }
 
+    /// An interval whose endpoints are integers (or absent) as a pair of
+    /// keys `(low, high)` such that, for two such intervals `a` and `b`,
+    /// `a.subset_of(b)` is `a.low >= b.low && a.high <= b.high` and
+    /// `a.disjoint_from(b)` is `max(a.low, b.low) > min(a.high, b.high)` —
+    /// the checks above, on two integer comparisons each. An endpoint `v`
+    /// keys as `2v`, one inward of that when exclusive; a missing one as
+    /// the far end of `i128`. `None` for every other set.
+    pub fn int_interval_keys(&self) -> Option<(i128, i128)> {
+        let SatSet::Interval { low, high } = self else {
+            return None;
+        };
+        let key = |bound: &Bound, unbounded: i128, inward: i128| match bound {
+            Bound::Unbounded => Some(unbounded),
+            Bound::Inclusive(Scalar::Int(v)) => Some(2 * i128::from(*v)),
+            Bound::Exclusive(Scalar::Int(v)) => Some(2 * i128::from(*v) + inward),
+            _ => None,
+        };
+        Some((key(low, i128::MIN, 1)?, key(high, i128::MAX, -1)?))
+    }
+
     /// Conservative disjointness check: `true` guarantees no common value.
+    /// Decides what [`SatSet::intersect`] would return `Empty` for, on
+    /// borrowed bounds and points, without building the intersection.
     pub fn disjoint_from(&self, other: &SatSet) -> bool {
-        matches!(self.intersect(other), SatSet::Empty)
+        match (self, other) {
+            (SatSet::Empty, _) | (_, SatSet::Empty) => true,
+            (SatSet::Points(a), SatSet::Points(b)) => a.is_disjoint(b),
+            (SatSet::Points(pts), iv @ SatSet::Interval { .. })
+            | (iv @ SatSet::Interval { .. }, SatSet::Points(pts)) => {
+                !pts.iter().any(|p| iv.contains(p))
+            }
+            (SatSet::Interval { low: l1, high: h1 }, SatSet::Interval { low: l2, high: h2 }) => {
+                interval_empty(max_low(l1, l2), min_high(h1, h2))
+            }
+        }
     }
 }
 
 /// The tighter (larger) of two lower bounds.
-fn max_low(a: &Bound, b: &Bound) -> Bound {
+fn max_low<'a>(a: &'a Bound, b: &'a Bound) -> &'a Bound {
     match (a, b) {
-        (Bound::Unbounded, x) | (x, Bound::Unbounded) => x.clone(),
-        (Bound::Inclusive(x), Bound::Inclusive(y)) => {
-            Bound::Inclusive(if x >= y { x.clone() } else { y.clone() })
-        }
-        (Bound::Exclusive(x), Bound::Exclusive(y)) => {
-            Bound::Exclusive(if x >= y { x.clone() } else { y.clone() })
-        }
-        (Bound::Inclusive(x), Bound::Exclusive(y)) | (Bound::Exclusive(y), Bound::Inclusive(x)) => {
-            if y >= x {
-                Bound::Exclusive(y.clone())
+        (Bound::Unbounded, x) | (x, Bound::Unbounded) => x,
+        (Bound::Inclusive(x), Bound::Inclusive(y)) | (Bound::Exclusive(x), Bound::Exclusive(y)) => {
+            if x >= y {
+                a
             } else {
-                Bound::Inclusive(x.clone())
+                b
+            }
+        }
+        // On a tie the exclusive bound is the tighter one.
+        (Bound::Inclusive(x), Bound::Exclusive(y)) => {
+            if y >= x {
+                b
+            } else {
+                a
+            }
+        }
+        (Bound::Exclusive(x), Bound::Inclusive(y)) => {
+            if x >= y {
+                a
+            } else {
+                b
             }
         }
     }
 }
 
 /// The tighter (smaller) of two upper bounds.
-fn min_high(a: &Bound, b: &Bound) -> Bound {
+fn min_high<'a>(a: &'a Bound, b: &'a Bound) -> &'a Bound {
     match (a, b) {
-        (Bound::Unbounded, x) | (x, Bound::Unbounded) => x.clone(),
-        (Bound::Inclusive(x), Bound::Inclusive(y)) => {
-            Bound::Inclusive(if x <= y { x.clone() } else { y.clone() })
-        }
-        (Bound::Exclusive(x), Bound::Exclusive(y)) => {
-            Bound::Exclusive(if x <= y { x.clone() } else { y.clone() })
-        }
-        (Bound::Inclusive(x), Bound::Exclusive(y)) | (Bound::Exclusive(y), Bound::Inclusive(x)) => {
-            if y <= x {
-                Bound::Exclusive(y.clone())
+        (Bound::Unbounded, x) | (x, Bound::Unbounded) => x,
+        (Bound::Inclusive(x), Bound::Inclusive(y)) | (Bound::Exclusive(x), Bound::Exclusive(y)) => {
+            if x <= y {
+                a
             } else {
-                Bound::Inclusive(x.clone())
+                b
+            }
+        }
+        (Bound::Inclusive(x), Bound::Exclusive(y)) => {
+            if y <= x {
+                b
+            } else {
+                a
+            }
+        }
+        (Bound::Exclusive(x), Bound::Inclusive(y)) => {
+            if x <= y {
+                a
+            } else {
+                b
             }
         }
     }

@@ -57,6 +57,14 @@ pub enum ColumnPlan {
 }
 
 impl ColumnPlan {
+    /// The plan of a single atom: what [`CompiledPredicate::compile`] gives
+    /// a one-atom predicate, without building either.
+    pub fn of_atom(atom: &Atom) -> ColumnPlan {
+        let mut folder = Folder::default();
+        folder.fold(atom);
+        folder.finish()
+    }
+
     /// Typed row evaluation of the plan against one value. Equivalent to
     /// evaluating the column's original atoms under `atom_matches_ref`
     /// semantics (type mismatch ⇒ false, floats via `total_cmp`).

@@ -269,6 +269,57 @@ impl ColumnKernel {
             _ => unreachable!("kernel evaluated against a column it was not built for"),
         }
     }
+
+    /// Every row of `column` — the column this kernel was built against —
+    /// as one bit per row in `u64` words (bits past the last row stay
+    /// clear).
+    fn bitmap(&self, column: &Column) -> Vec<u64> {
+        match (self, column) {
+            (ColumnKernel::Never, _) => vec![0; column.len().div_ceil(64)],
+            (ColumnKernel::IntRange { lo, hi }, Column::Int(values)) => {
+                // lo <= hi, so lo <= x <= hi is one unsigned comparison of
+                // offsets from lo.
+                let span = hi.wrapping_sub(*lo) as u64;
+                bits_with(values, |x| x.wrapping_sub(*lo) as u64 <= span)
+            }
+            (ColumnKernel::IntSet { set }, Column::Int(values)) => {
+                bits_with(values, |x| set.binary_search(&x).is_ok())
+            }
+            (ColumnKernel::FloatRange { lo, hi }, Column::Float(values)) => {
+                bits_with(values, |x| {
+                    float_bound_ok(x, lo, Ordering::Greater)
+                        && float_bound_ok(x, hi, Ordering::Less)
+                })
+            }
+            (ColumnKernel::FloatSet { set }, Column::Float(values)) => {
+                bits_with(values, |x| set.binary_search(&x.to_bits()).is_ok())
+            }
+            (ColumnKernel::CodeMask { mask }, Column::Str(dict)) => {
+                bits_with(dict.codes(), |c| mask[c as usize])
+            }
+            _ => unreachable!("kernel evaluated against a column it was not built for"),
+        }
+    }
+}
+
+/// `pred` of every value, one bit per value, a 64-value word at a time.
+#[inline]
+fn bits_with<T: Copy>(values: &[T], mut pred: impl FnMut(T) -> bool) -> Vec<u64> {
+    let word = |chunk: &[T]| {
+        let bits = chunk.iter().enumerate();
+        bits.fold(0u64, |w, (i, &x)| w | u64::from(pred(x)) << i)
+    };
+    values.chunks(64).map(word).collect()
+}
+
+/// The rows of `column` whose value satisfies `plan`, as a bitmap: bit
+/// `r % 64` of word `r / 64` is row `r`'s verdict. One typed kernel pass
+/// writing words directly — for a caller that wants a whole column's
+/// verdict as a set to intersect (the Qd-tree builder's candidate cuts),
+/// where [`filter_rows`] would have it copy, filter and re-scatter a row
+/// list.
+pub fn matching_bitmap(plan: &ColumnPlan, column: &Column) -> Vec<u64> {
+    ColumnKernel::build(plan, column).bitmap(column)
 }
 
 /// Keep the entries of `sel` (row positions in `column`, order preserved)
@@ -575,6 +626,44 @@ mod tests {
                 .filter(|&r| atom_matches_ref(&atom, col.get(r as usize)))
                 .collect();
             assert_eq!(sel, expected, "{atom:?}");
+        }
+    }
+
+    #[test]
+    fn matching_bitmap_is_the_row_verdict_per_bit() {
+        use crate::column::atom_matches_ref;
+        // 150 rows: two full words and a partial one
+        let n = 150usize;
+        let ints = Column::Int((0..n as i64).map(|i| (i * 7) % 10).collect());
+        let floats = Column::Float((0..n).map(|i| (i % 9) as f64 - 4.0).collect());
+        let mut b = DictBuilder::new();
+        (0..n).for_each(|i| b.push(["eu", "us", "apac"][i % 3]));
+        let strs = Column::Str(b.finish());
+        let ge = |value: Scalar| Atom::Compare {
+            col: 0,
+            op: CompareOp::Ge,
+            value,
+        };
+        for (col, atom) in [
+            (&ints, between(0, 3, 6)),
+            (
+                &ints,
+                Atom::InSet {
+                    col: 0,
+                    set: vec![Scalar::Int(9), Scalar::Int(0)],
+                },
+            ),
+            (&ints, ge(Scalar::from("foreign type"))),
+            (&floats, ge(Scalar::Float(0.0))),
+            (&strs, ge(Scalar::from("eu"))),
+        ] {
+            let words = matching_bitmap(&ColumnPlan::of_atom(&atom), col);
+            assert_eq!(words.len(), n.div_ceil(64));
+            for r in 0..words.len() * 64 {
+                let bit = words[r / 64] >> (r % 64) & 1 == 1;
+                let want = r < n && atom_matches_ref(&atom, col.get(r));
+                assert_eq!(bit, want, "{atom:?} row {r}");
+            }
         }
     }
 

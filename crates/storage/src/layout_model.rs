@@ -39,6 +39,13 @@ impl LayoutModel {
         self.id
     }
 
+    /// The same model under another identifier — how a candidate costed
+    /// before it had an id enters the state space without being rebuilt.
+    pub fn with_id(mut self, id: LayoutId) -> Self {
+        self.id = id;
+        self
+    }
+
     /// The layout's display name.
     pub fn name(&self) -> &str {
         &self.name

@@ -22,6 +22,17 @@
 //! * `memory_rowwise_wide` / `memory_vectorized_wide` /
 //!   `pooled_warm_vectorized_wide`.
 //!
+//! The same wide range over a *range layout on `l_quantity`*, the layout
+//! that serves it: the partitions that survive pruning lie inside the range
+//! but for the one it cuts, so the scan answers them from their metadata
+//! and the time is what is left — page reads and checksums (pooled), row-id
+//! copies and run assembly:
+//!
+//! * `memory_vectorized_covered` / `pooled_warm_vectorized_covered`.
+//!
+//! On the round-robin layout no partition is ever covered, so the variants
+//! above are this pair's bypass.
+//!
 //! `--json <path>` writes a machine-readable report (rows/sec per variant
 //! plus vectorized-over-interpreted speedups); CI gates on the memory
 //! speedup staying ≥ 2× and the pool-warm speedup ≥ 1.5×.
@@ -99,6 +110,23 @@ fn wide_predicate(table: &oreo_storage::Table) -> Predicate {
         .build_predicate()
 }
 
+/// A range layout on `l_quantity`: rows in the column's order (ties in row
+/// order), cut into [`PARTITIONS`] equal runs.
+fn quantity_range_assignment(table: &oreo_storage::Table) -> Vec<u32> {
+    let col = table.schema().col("l_quantity").expect("lineitem column");
+    let oreo_storage::Column::Int(quantity) = table.column(col) else {
+        unreachable!("l_quantity is an int column")
+    };
+    let rows = quantity.len();
+    let mut order: Vec<usize> = (0..rows).collect();
+    order.sort_by_key(|&r| quantity[r]);
+    let mut assignment = vec![0u32; rows];
+    for (rank, &row) in order.iter().enumerate() {
+        assignment[row] = (rank * PARTITIONS as usize / rows) as u32;
+    }
+    assignment
+}
+
 fn scan_kernels(c: &mut Criterion) {
     let quick = std::env::args().any(|a| a == "--quick");
     let rows: usize = if quick { 60_000 } else { 200_000 };
@@ -144,6 +172,17 @@ fn scan_kernels(c: &mut Criterion) {
         || snap.scan(&wide),
     );
 
+    let by_quantity = quantity_range_assignment(&table);
+    let mut covered_snap =
+        TableSnapshot::build(&table, &by_quantity, PARTITIONS as usize, 1, "bench-range");
+    let mem_vectorized_covered = measure(
+        "memory_vectorized_covered",
+        rows,
+        iters,
+        &expected_wide,
+        || covered_snap.scan(&wide),
+    );
+
     // Disk-backed snapshot for the pooled variants.
     let root = std::env::temp_dir().join(format!(
         "oreo-scan-kernels-{}-{}",
@@ -176,6 +215,25 @@ fn scan_kernels(c: &mut Criterion) {
                 .expect("pooled scan")
         },
     );
+    let covered_root = root.with_extension("range");
+    let (covered_store, _) =
+        TieredStore::create(&covered_root, &mut covered_snap).expect("create tiered store");
+    // a pool of its own: page keys name a generation, not a root
+    let covered_pool = BufferPool::new(BufferPoolConfig::default());
+    let warm_vectorized_covered = measure(
+        "pooled_warm_vectorized_covered",
+        rows,
+        iters,
+        &expected_wide,
+        || {
+            covered_snap
+                .scan_pooled(&wide, &covered_pool)
+                .expect("pooled scan")
+        },
+    );
+    let covered_scan = covered_snap
+        .scan_pooled(&wide, &covered_pool)
+        .expect("pooled scan");
     let cold_iters = if quick { 3 } else { 5 };
     let cold_vectorized = measure(
         "pooled_cold_vectorized",
@@ -200,6 +258,14 @@ fn scan_kernels(c: &mut Criterion) {
          ({} chunks, {} rows short-circuited per scan)",
         kernel_scan.chunks_evaluated, kernel_scan.rows_short_circuited
     );
+    println!(
+        "range layout on l_quantity, wide predicate: {} of {} partitions read answered from \
+         metadata, {} columns decoded, {} chunks",
+        covered_scan.partitions_covered,
+        covered_scan.partitions_read,
+        covered_scan.columns_decoded,
+        covered_scan.chunks_evaluated
+    );
 
     if let Some(path) = json_path_arg() {
         let variants = [
@@ -211,6 +277,8 @@ fn scan_kernels(c: &mut Criterion) {
             &mem_rowwise_wide,
             &mem_vectorized_wide,
             &warm_vectorized_wide,
+            &mem_vectorized_covered,
+            &warm_vectorized_covered,
         ];
         let doc = Json::obj([
             ("benchmark", Json::from("scan_kernels")),
@@ -237,6 +305,14 @@ fn scan_kernels(c: &mut Criterion) {
             ("speedup_memory", Json::from(speedup_memory)),
             ("speedup_pooled_warm", Json::from(speedup_pooled_warm)),
             ("speedup_memory_wide", Json::from(speedup_memory_wide)),
+            (
+                "partitions_covered",
+                Json::from(covered_scan.partitions_covered),
+            ),
+            (
+                "partitions_read_covered_layout",
+                Json::from(covered_scan.partitions_read),
+            ),
             ("chunks_evaluated", Json::from(kernel_scan.chunks_evaluated)),
             (
                 "rows_short_circuited",
@@ -249,6 +325,9 @@ fn scan_kernels(c: &mut Criterion) {
     drop(store);
     drop(tiered_snap);
     let _ = std::fs::remove_dir_all(&root);
+    drop(covered_store);
+    drop(covered_snap);
+    let _ = std::fs::remove_dir_all(&covered_root);
 }
 
 criterion_group!(

@@ -417,6 +417,10 @@ struct LiveMetrics {
     scan_io_errors: Arc<Counter>,
     chunks_evaluated: Arc<Counter>,
     rows_short_circuited: Arc<Counter>,
+    partitions_read: Arc<Counter>,
+    partitions_covered: Arc<Counter>,
+    columns_decoded: Arc<Counter>,
+    columns_read: Arc<Counter>,
     latency_us: Arc<Histogram>,
     scan_us: Arc<Histogram>,
     switches: Arc<Counter>,
@@ -503,6 +507,10 @@ impl LiveMetrics {
             scan_io_errors: c("engine.scan_io_errors"),
             chunks_evaluated: c("engine.chunks_evaluated"),
             rows_short_circuited: c("engine.rows_short_circuited"),
+            partitions_read: c("engine.scan.partitions_read"),
+            partitions_covered: c("engine.scan.partitions_covered"),
+            columns_decoded: c("engine.scan.columns_decoded"),
+            columns_read: c("engine.scan.columns_read"),
             latency_us: h("engine.latency_us"),
             scan_us: h("engine.scan_us"),
             switches: c("reorg.switches"),
@@ -550,8 +558,16 @@ impl LiveMetrics {
 
     /// Publish one scan's accounting and its wall time — the only place a
     /// scan's quantities are summed; [`Engine::shutdown`] reads them back.
-    fn record_scan(&self, scan: &SnapshotScan, wall: Duration) {
+    /// `predicate_columns` is how many columns the scanned predicate
+    /// constrains: with `partitions_read` it bounds what the scan can have
+    /// decoded.
+    fn record_scan(&self, scan: &SnapshotScan, predicate_columns: usize, wall: Duration) {
         let ns = as_nanos_u64(wall);
+        self.partitions_read.add(scan.partitions_read as u64);
+        self.partitions_covered.add(scan.partitions_covered as u64);
+        self.columns_decoded.add(scan.columns_decoded);
+        self.columns_read
+            .add((scan.partitions_read * predicate_columns) as u64);
         self.rows_scanned.add(scan.rows_read);
         self.rows_matched.add(scan.matches.len() as u64);
         self.bytes_scanned.add(scan.bytes_scanned);
@@ -823,6 +839,13 @@ pub struct TenantStats {
     pub io_cold_bytes: u64,
     /// Page bytes this tenant's pooled scans served from the shared pool.
     pub io_cached_bytes: u64,
+    /// Partitions this tenant's scans read (after pruning).
+    pub partitions_read: u64,
+    /// Partitions among them answered from their metadata alone (see
+    /// [`EngineStats::partitions_covered`]).
+    pub partitions_covered: u64,
+    /// Column payloads this tenant's pooled scans decoded.
+    pub columns_decoded: u64,
     /// Physical layout when the engine stopped.
     pub final_physical: LayoutId,
     /// Logical (D-UMTS) layout when the engine stopped.
@@ -912,6 +935,21 @@ pub struct EngineStats {
     /// Rows for which the adaptive AND order skipped at least one later
     /// kernel (already filtered out by a cheaper atom).
     pub rows_short_circuited: u64,
+    /// Partitions read across all scans (after pruning) — the count
+    /// behind the paper's fraction, and the base of
+    /// [`Self::partitions_covered`].
+    pub partitions_read: u64,
+    /// Partitions among [`Self::partitions_read`] whose min/max or
+    /// distinct-set metadata proved every row matches, so the scan
+    /// returned their row ids without decoding or evaluating a column.
+    /// They are read and billed like any other: this is the finer number
+    /// *beside* the fraction of data a layout cannot skip, the share of
+    /// that fraction it serves without looking.
+    pub partitions_covered: u64,
+    /// Column payloads pooled scans decoded — at most one per partition
+    /// read and predicate column, fewer where metadata decided a column
+    /// (0 in [`ServeMode::Memory`]).
+    pub columns_decoded: u64,
     /// Bytes scanned in delta runs across all scans (subset of
     /// [`Self::bytes_scanned`]; 0 when nothing was ingested).
     pub delta_bytes_scanned: u64,
@@ -1637,6 +1675,23 @@ impl Engine {
         let queries = self.shared.completed.load(Ordering::Relaxed);
         // The registry is the only accumulator: the report is a read of it.
         let m = &self.shared.metrics;
+        for tm in std::iter::once(m).chain(
+            self.shared
+                .tenants
+                .iter()
+                .filter_map(|t| t.metrics.as_ref()),
+        ) {
+            // A covered partition is a read one, and a scan decodes at
+            // most the predicate's columns of the partitions it read.
+            assert!(
+                tm.partitions_covered.get() <= tm.partitions_read.get(),
+                "more partitions answered from metadata than read"
+            );
+            assert!(
+                tm.columns_decoded.get() <= tm.columns_read.get(),
+                "more columns decoded than partitions read × predicate columns"
+            );
+        }
         let seconds = |ns: &Counter| ns.get() as f64 / 1e9;
         let tenants: Vec<TenantStats> = self
             .shared
@@ -1659,6 +1714,9 @@ impl Engine {
                     max_deferred_queries: ten.max_deferred_queries.load(Ordering::Relaxed),
                     io_cold_bytes: tm.io_cold_bytes.get(),
                     io_cached_bytes: tm.io_cached_bytes.get(),
+                    partitions_read: tm.partitions_read.get(),
+                    partitions_covered: tm.partitions_covered.get(),
+                    columns_decoded: tm.columns_decoded.get(),
                     final_physical: oreo.physical_layout(),
                     final_logical: oreo.logical_layout(),
                 }
@@ -1701,6 +1759,9 @@ impl Engine {
             scan_io_errors: m.scan_io_errors.get(),
             chunks_evaluated: m.chunks_evaluated.get(),
             rows_short_circuited: m.rows_short_circuited.get(),
+            partitions_read: m.partitions_read.get(),
+            partitions_covered: m.partitions_covered.get(),
+            columns_decoded: m.columns_decoded.get(),
             delta_bytes_scanned: m.delta_bytes_scanned.get(),
             ingest_batches: m.ingest_batches.get(),
             rows_appended: m.ingest_rows.get(),
@@ -1855,8 +1916,9 @@ fn worker_loop(shared: &Shared, home: usize, reorg_tx: Option<Sender<ReorgReques
                 _ => snapshot.scan(&job.query.predicate),
             };
             let scan_wall = picked.elapsed();
+            let predicate_columns = job.query.predicate.columns().len();
             for m in metric_views(shared, ten) {
-                m.record_scan(&scan, scan_wall);
+                m.record_scan(&scan, predicate_columns, scan_wall);
             }
             if shared.sink.enabled() {
                 shared.sink.emit(EventKind::QueryScanned {

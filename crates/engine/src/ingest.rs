@@ -127,13 +127,13 @@ pub(crate) fn build_fold_snapshot(
     for run in &cap.runs {
         // A tombstone can name a delta row (update/delete of a row
         // ingested earlier); carve those out of the run too.
-        let live: Vec<u32> = (0..run.rows.len() as u32)
-            .filter(|&pos| !dead(run.rows[pos as usize]))
+        let live: Vec<u32> = (0..run.rows().len() as u32)
+            .filter(|&pos| !dead(run.rows()[pos as usize]))
             .collect();
         if live.is_empty() {
             continue;
         }
-        ids.extend(live.iter().map(|&pos| run.rows[pos as usize]));
+        ids.extend(live.iter().map(|&pos| run.rows()[pos as usize]));
         parts.push(run.data.project_rows(&live));
     }
     let merged = Arc::new(concat_tables(base.schema(), &parts)?);

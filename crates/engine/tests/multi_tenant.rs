@@ -569,9 +569,10 @@ fn scan_accounting_is_conserved_across_workers_and_tenants() {
             handles.push((tenant, engine.submit_tracked_to(tenant, q.build())));
         }
     }
-    // [rows_read, matches, bytes, cold, cached, chunks, delta bytes]
-    let mut total = [0u64; 7];
-    let mut per_tenant = [[0u64; 7]; 2];
+    // [rows_read, matches, bytes, cold, cached, chunks, delta bytes,
+    //  partitions read, partitions covered, columns decoded]
+    let mut total = [0u64; 10];
+    let mut per_tenant = [[0u64; 10]; 2];
     for (tenant, handle) in handles {
         let scan = handle.wait().scan;
         let fields = [
@@ -582,6 +583,9 @@ fn scan_accounting_is_conserved_across_workers_and_tenants() {
             scan.io_cached_bytes,
             scan.chunks_evaluated,
             scan.delta_bytes_scanned,
+            scan.partitions_read as u64,
+            scan.partitions_covered as u64,
+            scan.columns_decoded,
         ];
         for (slot, v) in fields.into_iter().enumerate() {
             total[slot] += v;
@@ -600,6 +604,9 @@ fn scan_accounting_is_conserved_across_workers_and_tenants() {
             stats.io_cached_bytes,
             stats.chunks_evaluated,
             stats.delta_bytes_scanned,
+            stats.partitions_read,
+            stats.partitions_covered,
+            stats.columns_decoded,
         ],
         "Σ QueryOutcome.scan != EngineStats"
     );
@@ -612,6 +619,9 @@ fn scan_accounting_is_conserved_across_workers_and_tenants() {
         assert_eq!(ten.queries, 300, "{}", ten.name);
         assert_eq!(ten.io_cold_bytes, per_tenant[i][3], "{}", ten.name);
         assert_eq!(ten.io_cached_bytes, per_tenant[i][4], "{}", ten.name);
+        assert_eq!(ten.partitions_read, per_tenant[i][7], "{}", ten.name);
+        assert_eq!(ten.partitions_covered, per_tenant[i][8], "{}", ten.name);
+        assert_eq!(ten.columns_decoded, per_tenant[i][9], "{}", ten.name);
     }
     assert_eq!(
         stats

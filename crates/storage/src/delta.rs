@@ -447,7 +447,7 @@ impl DeltaBuffer {
             + 1;
         let mut ids: Vec<u32> = self.runs[first..]
             .iter()
-            .flat_map(|r| r.part.rows.iter().copied())
+            .flat_map(|r| r.part.rows().iter().copied())
             .collect();
         ids.extend_from_slice(&new_ids);
         let data = if merge_n == 0 {
@@ -461,24 +461,20 @@ impl DeltaBuffer {
             crate::diskstore::concat_tables(&self.schema, &parts)?
         };
         let rows_written = data.num_rows() as u64;
-        let bytes = data.memory_bytes() as u64;
         let meta = build_metadata(&data, &vec![0; data.num_rows()], 1)
             .pop()
             .expect("one partition of metadata");
-        let part = SnapshotPartition {
-            rows: ids.into(),
-            data: Arc::new(data),
-            meta,
-            bytes,
-            extents: None,
-        };
+        // Ids come off one counter and runs merge oldest first, so they
+        // ascend — which the constructor checks.
+        let part = SnapshotPartition::new(ids.into(), Arc::new(data), meta);
+        let bytes = part.bytes;
         self.runs.truncate(first);
         self.runs.push(DeltaRun {
             part,
             batches: merged_batches,
             max_seq: seq,
         });
-        self.delta_rows = self.runs.iter().map(|r| r.part.rows.len() as u64).sum();
+        self.delta_rows = self.runs.iter().map(|r| r.part.rows().len() as u64).sum();
         receipt.merged_runs = merge_n;
         receipt.rows_written = rows_written;
         receipt.bytes_written = bytes;
@@ -560,7 +556,7 @@ impl DeltaBuffer {
         self.frozen_runs = 0;
         self.frozen_tombstones = 0;
         self.fold_watermark = None;
-        self.delta_rows = self.runs.iter().map(|r| r.part.rows.len() as u64).sum();
+        self.delta_rows = self.runs.iter().map(|r| r.part.rows().len() as u64).sum();
     }
 
     /// Unfreeze without dropping anything (the fold failed before its
@@ -664,7 +660,7 @@ mod tests {
         let all: Vec<u32> = overlay
             .runs
             .iter()
-            .flat_map(|p| p.rows.iter().copied())
+            .flat_map(|p| p.rows().iter().copied())
             .collect();
         assert_eq!(all, (100..106).collect::<Vec<u32>>());
     }
@@ -765,7 +761,7 @@ mod tests {
         let ids: Vec<u32> = overlay
             .runs
             .iter()
-            .flat_map(|p| p.rows.iter().copied())
+            .flat_map(|p| p.rows().iter().copied())
             .collect();
         assert_eq!(ids, vec![2, 3], "post-freeze rows survive");
     }
@@ -799,7 +795,7 @@ mod tests {
         let r = buf.apply(&[append(1)]).unwrap();
         assert_eq!(r.seq, 8, "first post-recovery batch follows the watermark");
         let overlay = buf.overlay().unwrap();
-        assert_eq!(overlay.runs[0].rows.as_ref(), &[120]);
+        assert_eq!(overlay.runs[0].rows(), &[120]);
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! Both `sum`s are [`checksum`], the word-at-a-time sum that also guards the
 //! row-id blocks and WAL records. The footer sum covers the footer body
 //! and is verified by every reader; a column's sum covers its payload bytes
-//! and is verified whenever they come off disk ([`ColumnExtent::decode`]) —
-//! a pooled read served entirely from cached pages skips it
+//! and is verified whenever they come off disk ([`ColumnExtent::decode`],
+//! or [`ColumnExtent::verify`] alone for a column the scan will not look
+//! into) — a pooled read served entirely from cached pages skips it
 //! ([`ColumnExtent::decode_trusted`]). Header and in-stream prefixes carry
 //! no sum: they are cross-checked against the footer.
 //!
@@ -124,28 +125,8 @@ pub struct ColumnExtent {
 }
 
 impl ColumnExtent {
-    /// Decode this column from its payload bytes (as fetched from
-    /// `offset..offset + len` of the file), verifying length, checksum, and
-    /// the expected row count. `col` only labels errors.
-    pub fn decode(&self, payload: &[u8], nrows: usize, col: usize) -> Result<Column> {
-        self.decode_inner(payload, nrows, col, true)
-    }
-
-    /// [`ColumnExtent::decode`] without the checksum pass, for payloads
-    /// whose bytes already crossed the disk→memory trust boundary under a
-    /// checksum — e.g. a pooled read served entirely from cached pages.
-    /// Length and row-count validation still run.
-    pub fn decode_trusted(&self, payload: &[u8], nrows: usize, col: usize) -> Result<Column> {
-        self.decode_inner(payload, nrows, col, false)
-    }
-
-    fn decode_inner(
-        &self,
-        payload: &[u8],
-        nrows: usize,
-        col: usize,
-        verify: bool,
-    ) -> Result<Column> {
+    /// The fetched payload must be exactly the bytes the extent describes.
+    fn check_len(&self, payload: &[u8], col: usize) -> Result<()> {
         if payload.len() as u64 != self.len {
             return Err(StorageError::Corrupt(format!(
                 "column {col}: fetched {} payload bytes, extent says {}",
@@ -153,11 +134,38 @@ impl ColumnExtent {
                 self.len
             )));
         }
-        if verify && checksum(payload) != self.checksum {
+        Ok(())
+    }
+
+    /// Check payload bytes fetched from `offset..offset + len` of the file
+    /// against the extent's length and checksum without decoding them —
+    /// what a scan owes a payload that came off disk when the partition's
+    /// metadata already decides the column and no value will be looked at.
+    /// `col` only labels errors.
+    pub fn verify(&self, payload: &[u8], col: usize) -> Result<()> {
+        self.check_len(payload, col)?;
+        if checksum(payload) != self.checksum {
             return Err(StorageError::Corrupt(format!(
                 "column {col}: payload checksum mismatch"
             )));
         }
+        Ok(())
+    }
+
+    /// Decode this column from its payload bytes (as fetched from
+    /// `offset..offset + len` of the file): [`ColumnExtent::verify`], then
+    /// the decode against the expected row count. `col` only labels errors.
+    pub fn decode(&self, payload: &[u8], nrows: usize, col: usize) -> Result<Column> {
+        self.verify(payload, col)?;
+        decode_column_payload(self.tag, &mut &payload[..], nrows, col)
+    }
+
+    /// [`ColumnExtent::decode`] without the checksum pass, for payloads
+    /// whose bytes already crossed the disk→memory trust boundary under a
+    /// checksum — e.g. a pooled read served entirely from cached pages.
+    /// Length and row-count validation still run.
+    pub fn decode_trusted(&self, payload: &[u8], nrows: usize, col: usize) -> Result<Column> {
+        self.check_len(payload, col)?;
         decode_column_payload(self.tag, &mut &payload[..], nrows, col)
     }
 }

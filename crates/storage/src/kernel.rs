@@ -6,7 +6,7 @@
 //! once per (column plan, physical column) pair and then streams each
 //! partition in [`CHUNK_ROWS`]-row chunks:
 //!
-//! 1. each column's [`oreo_query::ColumnPlan`] is specialized against the
+//! 1. each conjunct's [`oreo_query::ColumnPlan`] is specialized against its
 //!    column's physical representation into a column kernel — tight
 //!    typed loops over `&[i64]` / `&[f64]`, or a precomputed per-dictionary
 //!    mask for string columns (the plan is evaluated once per *distinct*
@@ -28,11 +28,17 @@
 //! specialized kernels, the adaptive AND order — lives in a caller-owned
 //! [`ScanScratch`], so a scan allocates it once, not once per partition.
 //!
+//! The kernels see only the conjuncts the driver hands them. A predicate
+//! column that the partition's min/max or distinct-set metadata already
+//! proves every row passes ([`crate::partition::ColumnStats::covered_by`])
+//! never reaches this layer, and a partition with no conjunct left is
+//! answered from its row ids without building a kernel or counting a chunk.
+//!
 //! [`KernelCounters`] reports how much work the short-circuiting saved,
 //! which the serving layer surfaces through `SnapshotScan`.
 
 use crate::column::Column;
-use oreo_query::{ColumnPlan, CompiledPredicate};
+use oreo_query::ColumnPlan;
 use std::cmp::Ordering;
 
 /// Rows evaluated per selection-vector chunk. 1024 positions keep the
@@ -337,7 +343,7 @@ pub fn filter_rows(plan: &ColumnPlan, column: &Column, sel: &mut Vec<u32>) {
 /// was built against, and the pass rate it has shown so far.
 struct KernelSlot {
     kernel: ColumnKernel,
-    /// Index into the scan's column slice.
+    /// Index into the scan's conjunct slice.
     col: usize,
     evaluated: u64,
     passed: u64,
@@ -372,40 +378,41 @@ pub struct ScanScratch {
 /// Scan one partition with [`CHUNK_ROWS`]-row chunks. See
 /// [`scan_partition_chunked`].
 pub fn scan_partition(
-    compiled: &CompiledPredicate,
-    cols: &[&Column],
+    conjuncts: &[(&ColumnPlan, &Column)],
     rows: &[u32],
     scratch: &mut ScanScratch,
     matches: &mut Vec<u32>,
     counters: &mut KernelCounters,
 ) {
-    scan_partition_chunked(compiled, cols, rows, CHUNK_ROWS, scratch, matches, counters)
+    scan_partition_chunked(conjuncts, rows, CHUNK_ROWS, scratch, matches, counters)
 }
 
-/// Scan one partition's decoded columns with the compiled predicate,
-/// appending the global row ids of matching rows to `matches`.
+/// Scan one partition, appending the global row ids of the rows that
+/// satisfy every conjunct to `matches`.
 ///
-/// `cols[i]` must be the physical column for `compiled.columns()[i]` and
-/// `rows` the partition's global row ids (`rows.len()` rows per column).
-/// `scratch` is caller-owned so repeated partition scans reuse its
-/// allocations; nothing in it carries over between partitions. Appended ids
-/// are ascending *within* the partition iff `rows` is; ordering the full
-/// result is the caller's job.
+/// Each conjunct is one predicate column's plan with the physical column
+/// to evaluate it on; `rows` are the partition's global row ids
+/// (`rows.len()` rows per column). The caller passes only the columns it
+/// could not decide some other way — the snapshot driver leaves out every
+/// column the partition's metadata proves all rows pass. `scratch` is
+/// caller-owned so repeated partition scans reuse its allocations; nothing
+/// in it carries over between partitions. Appended ids are ascending
+/// *within* the partition iff `rows` is; ordering the full result is the
+/// caller's job.
 ///
-/// An empty (tautological) compiled predicate matches every row without
-/// evaluating any kernel — `counters` does not move.
+/// With no conjunct left (a tautological predicate, or a partition whose
+/// metadata decided every column) all of `rows` match and no kernel is
+/// built — `counters` does not move.
 pub fn scan_partition_chunked(
-    compiled: &CompiledPredicate,
-    cols: &[&Column],
+    conjuncts: &[(&ColumnPlan, &Column)],
     rows: &[u32],
     chunk_rows: usize,
     scratch: &mut ScanScratch,
     matches: &mut Vec<u32>,
     counters: &mut KernelCounters,
 ) {
-    debug_assert_eq!(compiled.columns().len(), cols.len(), "column slice skew");
     debug_assert!(chunk_rows > 0, "chunk size");
-    if compiled.is_tautology() {
+    if conjuncts.is_empty() {
         matches.extend_from_slice(rows);
         return;
     }
@@ -414,22 +421,15 @@ pub fn scan_partition_chunked(
         sel.resize(chunk_rows, 0);
     }
     slots.clear();
-    slots.extend(
-        compiled
-            .columns()
-            .iter()
-            .zip(cols)
-            .enumerate()
-            .map(|(col, (cp, column))| {
-                debug_assert_eq!(column.len(), rows.len(), "column row-count skew");
-                KernelSlot {
-                    kernel: ColumnKernel::build(cp.plan(), column),
-                    col,
-                    evaluated: 0,
-                    passed: 0,
-                }
-            }),
-    );
+    slots.extend(conjuncts.iter().enumerate().map(|(col, (plan, column))| {
+        debug_assert_eq!(column.len(), rows.len(), "column row-count skew");
+        KernelSlot {
+            kernel: ColumnKernel::build(plan, column),
+            col,
+            evaluated: 0,
+            passed: 0,
+        }
+    }));
     let nrows = rows.len();
     let mut base = 0usize;
     while base < nrows {
@@ -439,12 +439,12 @@ pub fn scan_partition_chunked(
         for (pos, slot) in slots.iter_mut().enumerate() {
             if pos == 0 {
                 slot.evaluated += len as u64;
-                live = slot.kernel.fill(cols[slot.col], base, len, sel);
+                live = slot.kernel.fill(conjuncts[slot.col].1, base, len, sel);
             } else {
                 counters.rows_short_circuited += (len - live) as u64;
                 if live > 0 {
                     slot.evaluated += live as u64;
-                    live = slot.kernel.filter(cols[slot.col], base, sel, live);
+                    live = slot.kernel.filter(conjuncts[slot.col].1, base, sel, live);
                 }
             }
             slot.passed += live as u64;
@@ -464,7 +464,7 @@ pub fn scan_partition_chunked(
 mod tests {
     use super::*;
     use crate::column::DictBuilder;
-    use oreo_query::{Atom, CompareOp, Predicate, Scalar};
+    use oreo_query::{Atom, CompareOp, CompiledPredicate, Predicate, Scalar};
 
     fn compile(atoms: Vec<Atom>) -> CompiledPredicate {
         CompiledPredicate::compile(&Predicate::new(atoms))
@@ -487,12 +487,17 @@ mod tests {
         chunk: usize,
     ) -> (Vec<u32>, KernelCounters) {
         let rows: Vec<u32> = (0..n as u32).collect();
+        let conjuncts: Vec<(&ColumnPlan, &Column)> = compiled
+            .columns()
+            .iter()
+            .zip(cols)
+            .map(|(cp, &column)| (cp.plan(), column))
+            .collect();
         let mut scratch = ScanScratch::default();
         let mut matches = Vec::new();
         let mut counters = KernelCounters::default();
         scan_partition_chunked(
-            compiled,
-            cols,
+            &conjuncts,
             &rows,
             chunk,
             &mut scratch,
@@ -669,12 +674,11 @@ mod tests {
 
     #[test]
     fn tautology_materializes_all_rows_without_chunks() {
-        let c = compile(vec![]);
         let rows: Vec<u32> = vec![4, 9, 2];
         let mut scratch = ScanScratch::default();
         let mut matches = Vec::new();
         let mut counters = KernelCounters::default();
-        scan_partition(&c, &[], &rows, &mut scratch, &mut matches, &mut counters);
+        scan_partition(&[], &rows, &mut scratch, &mut matches, &mut counters);
         assert_eq!(matches, rows);
         assert_eq!(counters, KernelCounters::default());
     }

@@ -4,12 +4,19 @@
 //! For every column a partition tracks its `[min, max]` range; categorical
 //! columns with low cardinality additionally keep the exact distinct-value
 //! set, which prunes `IN`/`=` filters much more sharply than a string range.
+//!
+//! The same statistics answer two questions about a predicate. *Can any
+//! row match?* ([`PartitionMetadata::may_match`]) — no skips the partition.
+//! *Must every row match?* ([`ColumnStats::covered_by`], per predicate
+//! column) — yes means the scan need not evaluate that column, and a
+//! partition every predicate column covers is answered whole, from its
+//! row ids alone.
 
 use crate::column::Column;
 use crate::encode::{get_varint, put_varint, unzigzag, zigzag, DecodeError};
 use crate::table::Table;
 use bytes::{Buf, BufMut};
-use oreo_query::{Predicate, Scalar};
+use oreo_query::{ColumnPlan, Predicate, Scalar};
 use std::collections::BTreeSet;
 
 /// Per-column pruning statistics.
@@ -27,6 +34,33 @@ impl ColumnStats {
         Self {
             range: None,
             distinct: None,
+        }
+    }
+
+    /// Does every value this column holds in the partition satisfy `plan`?
+    /// Conservative the other way round from
+    /// [`PartitionMetadata::may_match`]: `true` is a proof, `false` only
+    /// means the statistics cannot tell.
+    ///
+    /// A `Range` plan covers the column when the stored `min` and `max`
+    /// both satisfy [`ColumnPlan::matches`]: a range is convex in the order
+    /// the statistics were built in (exact for ints, `total_cmp` for floats
+    /// — NaN included —, [`Scalar`] order for strings), so everything
+    /// between two values it admits is admitted too. A `Set` plan covers
+    /// the column when the exact `distinct` set is a subset of it. Anything
+    /// else — no statistics, a distinct set given up at the cap, `Never`, a
+    /// literal of another type than the column — does not.
+    pub fn covered_by(&self, plan: &ColumnPlan) -> bool {
+        match plan {
+            ColumnPlan::Never => false,
+            ColumnPlan::Range { .. } => self
+                .range
+                .as_ref()
+                .is_some_and(|(min, max)| plan.matches(min) && plan.matches(max)),
+            ColumnPlan::Set(_) => self
+                .distinct
+                .as_ref()
+                .is_some_and(|held| held.iter().all(|v| plan.matches(v))),
         }
     }
 }

@@ -55,7 +55,7 @@
 use crate::encode::{checksum, decode_u32_block, encode_u32_block};
 use crate::error::{Result, StorageError};
 use crate::format::{decode_partition_with_footer, encode_partition_with_meta, ColumnExtent};
-use crate::snapshot::{SnapshotPartition, TableSnapshot};
+use crate::snapshot::{strictly_ascending, SnapshotPartition, TableSnapshot};
 use bytes::{Buf, BufMut, BytesMut};
 use oreo_query::Schema;
 use std::fs;
@@ -444,7 +444,7 @@ impl TieredStore {
         let mut scan = FullScan::default();
         read_generation(generation.dir(), &self.schema, |part, bytes, _| {
             scan.partitions += 1;
-            scan.rows += part.rows.len() as u64;
+            scan.rows += part.rows().len() as u64;
             scan.bytes += bytes;
         })?;
         Ok(scan)
@@ -654,7 +654,7 @@ fn persist_generation(
         // The snapshot's pruning metadata goes into the blob's footer, so a
         // restart recovers it (and the page index) without decoding data.
         let (encoded, footer) = encode_partition_with_meta(&part.data, &part.meta);
-        let rows = encode_rows(&part.rows);
+        let rows = encode_rows(part.rows());
         segment.write_all(&encoded)?;
         segment.write_all(&rows)?;
         let (data_len, rows_len) = (encoded.len() as u64, rows.len() as u64);
@@ -825,14 +825,8 @@ fn read_generation(
             )));
         }
         total_rows += rows.len() as u64;
-        let part = SnapshotPartition {
-            rows: rows.into(),
-            data: Arc::new(data),
-            meta: footer.meta,
-            // byte size and page index are stamped by attach_generation
-            bytes: 0,
-            extents: None,
-        };
+        // blob size and page index are stamped by attach_generation
+        let part = SnapshotPartition::new(rows.into(), Arc::new(data), footer.meta);
         each(part, entry.data_len, Arc::from(footer.columns));
     }
     if total_rows != manifest.rows {
@@ -885,7 +879,10 @@ fn encode_rows(rows: &[u32]) -> BytesMut {
     buf
 }
 
-/// Decode a row-id block holding [`encode_rows`] output.
+/// Decode a row-id block holding [`encode_rows`] output. A partition's ids
+/// are strictly ascending when written ([`SnapshotPartition::new`]) and
+/// every scan relies on it, so a block that decodes to anything else is
+/// damage like any other, however truthful its checksum.
 fn decode_rows(bytes: &[u8]) -> Result<Vec<u32>> {
     if bytes.len() < ROWS_MAGIC.len() + 8 + 8 {
         return Err(StorageError::Corrupt("row-id block too short".into()));
@@ -903,7 +900,13 @@ fn decode_rows(bytes: &[u8]) -> Result<Vec<u32>> {
     }
     let count = usize::try_from(buf.get_u64_le())
         .map_err(|_| StorageError::Corrupt("row-id block count exceeds usize".into()))?;
-    Ok(decode_u32_block(&mut buf, count)?)
+    let rows = decode_u32_block(&mut buf, count)?;
+    if !strictly_ascending(&rows) {
+        return Err(StorageError::Corrupt(
+            "row-id block not strictly ascending".into(),
+        ));
+    }
+    Ok(rows)
 }
 
 fn manifest_text(snapshot: &TableSnapshot, number: u64, folded: u64, next_row: u64) -> String {
@@ -1194,9 +1197,10 @@ mod tests {
 
     /// A committed directory whose contents are damaged — a partition blob
     /// with a flipped byte, cut short, without its footer or of the previous
-    /// format version, row ids under the previous checksum, an index that
-    /// holds fewer partitions than the manifest says, a manifest missing a
-    /// key or holding an unparsable number — is treated as torn: recovery
+    /// format version, row ids under the previous checksum or out of order
+    /// under a truthful one, an index that holds fewer partitions than the
+    /// manifest says, a manifest missing a key or holding an unparsable
+    /// number — is treated as torn: recovery
     /// falls back to the next older complete generation rather than
     /// serving it (or resuming ingest from a defaulted watermark). The
     /// blob damages sit inside an otherwise truthful segment, so it is the
@@ -1223,7 +1227,7 @@ mod tests {
             write_segment(bad, &parts);
         };
         type Damage<'a> = (&'a str, &'a dyn Fn(&Path));
-        let damages: [Damage; 9] = [
+        let damages: [Damage; 10] = [
             ("flipped byte", &|bad| {
                 rewrite_segment(bad, &|parts| {
                     let mid = parts[0].0.len() / 2;
@@ -1259,6 +1263,15 @@ mod tests {
                         (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
                     });
                     rows[body..].copy_from_slice(&fnv1a.to_le_bytes());
+                })
+            }),
+            // the right ids, two of them swapped, checksummed again: every
+            // scan would hand back that partition's matches out of order
+            ("row ids out of order", &|bad| {
+                rewrite_segment(bad, &|parts| {
+                    let mut ids = decode_rows(&parts[0].1).unwrap();
+                    ids.swap(10, 11);
+                    parts[0].1 = encode_rows(&ids).to_vec();
                 })
             }),
             // a well-formed segment of one partition under a manifest of two
@@ -1537,12 +1550,19 @@ mod tests {
 
     #[test]
     fn rows_sidecar_round_trips_and_detects_corruption() {
-        let rows: Vec<u32> = (0..997).map(|i| i * 3 % 1000).collect();
+        // strictly ascending with uneven gaps, as a partition's ids are
+        let mut rows: Vec<u32> = (0..997).map(|i| i * 3 + i * 7 % 3).collect();
         let mut bytes = encode_rows(&rows).to_vec();
         assert_eq!(decode_rows(&bytes).unwrap(), rows);
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         assert!(decode_rows(&bytes).is_err());
+        // ids out of order are damage even under a checksum that matches
+        rows.swap(400, 401);
+        assert!(matches!(
+            decode_rows(&encode_rows(&rows)),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     fn file_names(dir: &Path) -> Vec<String> {
@@ -1650,6 +1670,58 @@ mod tests {
     mod proptests {
         use super::*;
         use proptest::prelude::*;
+
+        proptest! {
+            /// A row-id block read back is the strictly ascending ids that
+            /// were written, or `Corrupt`: cut at any byte, with one to
+            /// three bytes changed, or — the damage a checksum cannot see,
+            /// because it is applied before the sum is taken — holding its
+            /// ids with two swapped or one repeated. Never a panic.
+            #[test]
+            fn decode_rows_returns_ascending_ids_or_corrupt(
+                gaps in proptest::collection::vec(1u32..5_000, 0..300),
+                flips in proptest::collection::vec((any::<u32>(), 1u8..=255), 1..4),
+                at in any::<usize>(),
+                other in any::<usize>(),
+            ) {
+                let mut ids = gaps.clone();
+                for i in 1..ids.len() {
+                    ids[i] += ids[i - 1];
+                }
+                let bytes = encode_rows(&ids).to_vec();
+                prop_assert_eq!(&decode_rows(&bytes).unwrap(), &ids);
+                for cut in 0..bytes.len() {
+                    prop_assert!(
+                        matches!(decode_rows(&bytes[..cut]), Err(StorageError::Corrupt(_))),
+                        "cut at {} of {}", cut, bytes.len()
+                    );
+                }
+                let mut damaged = bytes.clone();
+                for &(at, mask) in &flips {
+                    damaged[at as usize % bytes.len()] ^= mask;
+                }
+                match decode_rows(&damaged) {
+                    Ok(read) => prop_assert!(strictly_ascending(&read), "flipped {:?}", flips),
+                    Err(StorageError::Corrupt(_)) => {}
+                    Err(e) => prop_assert!(false, "flipped {:?}: {}", flips, e),
+                }
+                if ids.len() >= 2 {
+                    let (a, b) = (at % ids.len(), other % ids.len());
+                    let mut swapped = ids.clone();
+                    swapped.swap(a, b);
+                    let mut repeated = ids.clone();
+                    repeated[a.max(1)] = repeated[a.max(1) - 1];
+                    for disordered in [swapped, repeated] {
+                        if disordered != ids {
+                            prop_assert!(matches!(
+                                decode_rows(&encode_rows(&disordered)),
+                                Err(StorageError::Corrupt(_))
+                            ));
+                        }
+                    }
+                }
+            }
+        }
 
         proptest! {
             /// A segment whose trailer — index, checksum, index offset,

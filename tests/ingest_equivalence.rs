@@ -66,13 +66,13 @@ fn fold_tables(base: &Arc<Table>, base_ids: &[u32], cap: &FoldCapture) -> (Arc<T
     let mut ids: Vec<u32> = keep.iter().map(|&pos| base_ids[pos as usize]).collect();
     let mut parts = vec![base.project_rows(&keep)];
     for run in &cap.runs {
-        let live: Vec<u32> = (0..run.rows.len() as u32)
-            .filter(|&pos| !dead(run.rows[pos as usize]))
+        let live: Vec<u32> = (0..run.rows().len() as u32)
+            .filter(|&pos| !dead(run.rows()[pos as usize]))
             .collect();
         if live.is_empty() {
             continue;
         }
-        ids.extend(live.iter().map(|&pos| run.rows[pos as usize]));
+        ids.extend(live.iter().map(|&pos| run.rows()[pos as usize]));
         parts.push(run.data.project_rows(&live));
     }
     let merged = concat_tables(base.schema(), &parts).expect("fold concat");

@@ -16,31 +16,35 @@ use oreo_bench::common::{
     write_json_report, Json, Scale,
 };
 use oreo_sim::{default_spec, fmt_f, fmt_pct_change, AsciiTable, PolicySetup};
-use oreo_storage::DiskStore;
+use oreo_storage::{TableSnapshot, TieredStore};
 use std::time::Instant;
 
 /// Measure (full-scan seconds, reorganization seconds) on a physical copy
-/// of the bundle's table.
+/// of the bundle's table: a `TieredStore` generation under the default
+/// layout, read back by `TieredStore::full_scan`, then rewritten into two
+/// halves the way the engine rewrites (regroup + generation publish).
 fn measure_substrate(bundle: &oreo_workload::DatasetBundle, k: usize, seed: u64) -> (f64, f64) {
-    let dir = std::env::temp_dir().join(format!("oreo-fig3-{}-{}", std::process::id(), seed));
-    let spec = default_spec(bundle, k, seed);
-    let assignment = spec.assign(&bundle.table);
-    let store = DiskStore::create(&dir, &bundle.table, &assignment, k).expect("create store");
+    let root = std::env::temp_dir().join(format!("oreo-fig3-{}-{}", std::process::id(), seed));
+    let table = &bundle.table;
+    let assignment = default_spec(bundle, k, seed).assign(table);
+    let mut initial = TableSnapshot::build(table, &assignment, k, 0, "default");
+    let (store, _) = TieredStore::create(&root, &mut initial).expect("create store");
 
     let t0 = Instant::now();
     store.full_scan().expect("scan");
     let scan = t0.elapsed().as_secs_f64();
 
-    let dir2 = dir.join("reorg");
     let t0 = Instant::now();
-    let mid = bundle.table.num_rows() as u32 / 2;
-    let store2 = store
-        .reorganize(&dir2, 2, |_, row| u32::from(row as u32 >= mid))
-        .expect("reorg");
+    let mid = table.num_rows() as u32 / 2;
+    let halves: Vec<u32> = (0..table.num_rows() as u32)
+        .map(|row| u32::from(row >= mid))
+        .collect();
+    let mut next = TableSnapshot::build(table, &halves, 2, 1, "halves");
+    store.publish(&mut next).expect("reorg");
     let reorg = t0.elapsed().as_secs_f64();
 
-    store2.destroy().ok();
-    store.destroy().ok();
+    drop((initial, next, store));
+    let _ = std::fs::remove_dir_all(&root);
     (scan, reorg)
 }
 

@@ -6,31 +6,26 @@
 //! update the BID column, repartition by BID, compress + write), finding
 //! α ∈ [60×, 100×] — the basis of the α = 80 default.
 //!
-//! We do the same on our own columnar store: tables sized to hit target
-//! on-disk footprints, scanned in full and physically reorganized (read →
-//! re-route → regroup → compress + write). Absolute times differ from the
-//! paper's Spark setup; the point is the *ratio* and its rough stability
-//! across file sizes. Default sweeps 16–256 MB; pass `--max-mb 1024` (or
-//! more) to extend.
+//! We do the same on the store the serving engine uses: tables sized to hit
+//! target on-disk footprints, persisted as a `TieredStore` generation,
+//! scanned in full by `TieredStore::full_scan` (no buffer pool; every
+//! partition read, validated and decoded), and reorganized by the engine's
+//! own rewrite — re-route + regroup in memory, then a generation publish
+//! (encode + write + fsync + atomic rename into `gen-N/`). That makes this
+//! offline α and the engine's in-vivo empirical α
+//! (`serve_throughput --tiered`) the same experiment; the table is
+//! resident for the engine, so the rewrite has no initial disk read.
+//! Absolute times differ from the paper's Spark setup; the point is the
+//! *ratio* and its rough stability across file sizes. Default sweeps
+//! 16–256 MB; pass `--max-mb 1024` (or more) to extend.
 //!
-//! With `--tiered` the rewrite goes through the **same code path the
-//! serving engine uses**: a `TieredStore` generation publish (re-route +
-//! regroup in memory, then encode + write + fsync + atomic rename into
-//! `gen-N/`), and the scan reads the committed generation's segment back
-//! through `TieredStore::full_scan` (no buffer pool; every partition read,
-//! validated and decoded). That makes this offline α and the engine's
-//! in-vivo empirical α (`serve_throughput --tiered`) the same experiment —
-//! the table is already resident for the engine, so the tiered rewrite
-//! skips the initial disk read and its α is the serving-path lower bound.
-//!
-//! Flags: `--max-mb <n>`, `--tiered`, `--json <path>`.
+//! Flags: `--max-mb <n>`, `--json <path>`.
 
 use oreo_bench::common::{json_path_arg, write_json_report, Json};
 use oreo_sim::{fmt_f, AsciiTable};
-use oreo_storage::{DiskStore, Table, TableSnapshot, TieredStore};
+use oreo_storage::{Table, TableSnapshot, TieredStore};
 use oreo_workload::tpch;
 use rand::SeedableRng;
-use std::path::PathBuf;
 use std::time::Instant;
 
 fn parse_max_mb() -> u64 {
@@ -47,12 +42,6 @@ fn bytes_per_row() -> f64 {
     let probe = tpch::tpch_table(20_000, 7);
     let bytes = oreo_storage::format::encode_partition(&probe).len();
     bytes as f64 / probe.num_rows() as f64
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("oreo-table1-{}-{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
 }
 
 /// The Z-order target layout of the rewrite (shipdate × quantity × price —
@@ -72,7 +61,7 @@ fn zorder_spec(table: &Table, k: usize) -> oreo_layout::ZOrderLayout {
     )
 }
 
-/// The initial layout both modes rewrite *from*: arrival order (row-id
+/// The initial layout the rewrite starts *from*: arrival order (row-id
 /// ranges), `k` equal partitions.
 fn arrival_assignment(table: &Table, k: usize) -> Vec<u32> {
     let n = table.num_rows() as u32;
@@ -84,62 +73,26 @@ fn arrival_assignment(table: &Table, k: usize) -> Vec<u32> {
 struct Measurement {
     scan: f64,
     reorg: f64,
-    /// Disk-write portion of the rewrite (tiered mode only; part of
-    /// `reorg`).
+    /// Disk-write portion of the rewrite (part of `reorg`).
     write: f64,
     bytes: u64,
 }
 
-/// Classic Table I: `DiskStore` full scan vs `DiskStore::reorganize`
-/// (read → re-route → regroup → compress + write into a fresh directory).
-fn measure_diskstore(table: &Table, k: usize, runs: usize) -> Measurement {
+/// Table I on the serving path: the rewrite is a `TieredStore` generation
+/// publish (the engine's aside-rewrite code path), the scan reads the
+/// committed generation back from disk.
+fn measure(table: &Table, k: usize, runs: usize) -> Measurement {
     let assignment = arrival_assignment(table, k);
-    let dir = tmpdir(&format!("{}", table.num_rows()));
-    let store = DiskStore::create(&dir, table, &assignment, k).expect("create");
-    let bytes = store.total_bytes();
-
-    // full-scan timing (average of `runs`)
-    let mut scan = 0.0;
-    for _ in 0..runs {
-        let t0 = Instant::now();
-        store.full_scan().expect("scan");
-        scan += t0.elapsed().as_secs_f64();
-    }
-    scan /= runs as f64;
-
-    let zorder = zorder_spec(table, k);
-    let dir2 = tmpdir(&format!("{}-reorg", table.num_rows()));
-    let t0 = Instant::now();
-    let store2 = store
-        .reorganize(&dir2, k, |t, row| {
-            oreo_layout::LayoutSpec::route(&zorder, t, row)
-        })
-        .expect("reorg");
-    let reorg = t0.elapsed().as_secs_f64();
-
-    store2.destroy().ok();
-    store.destroy().ok();
-    Measurement {
-        scan,
-        reorg,
-        write: 0.0,
-        bytes,
-    }
-}
-
-/// Serving-path Table I: the rewrite is a `TieredStore` generation publish
-/// (the engine's aside-rewrite code path), the scan reads the committed
-/// generation back from disk.
-fn measure_tiered(table: &Table, k: usize, runs: usize) -> Measurement {
-    let assignment = arrival_assignment(table, k);
-    let root = tmpdir(&format!("{}-tiered", table.num_rows()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = std::env::temp_dir().join(format!(
+        "oreo-table1-{}-{}",
+        std::process::id(),
+        table.num_rows()
+    ));
     let mut initial = TableSnapshot::build(table, &assignment, k, 0, "arrival");
-    let (store, _receipt) = TieredStore::create(&root, &mut initial).expect("create tiered");
+    let (store, _receipt) = TieredStore::create(&root, &mut initial).expect("create");
     // Partition-blob bytes only (`total_bytes` is the sum of the committed
-    // blobs' sizes after create), so the size column stays comparable with
-    // the DiskStore mode — the segment's row ids and index and the manifest
-    // are rewrite overhead, not table data.
+    // blobs' sizes after create) — the segment's row ids and index and the
+    // manifest are rewrite overhead, not table data.
     let bytes = initial.total_bytes();
 
     // full-scan timing against the committed generation's segment
@@ -178,17 +131,12 @@ fn measure_tiered(table: &Table, k: usize, runs: usize) -> Measurement {
 
 fn main() {
     let max_mb = parse_max_mb();
-    let tiered = std::env::args().any(|a| a == "--tiered");
     let json_path = json_path_arg();
     println!("== Table I: measured relative reorganization cost α ==");
     let bpr = bytes_per_row();
     println!(
-        "substrate: TPC-H-shaped table, ~{bpr:.0} encoded bytes/row, rewrite path: {}\n",
-        if tiered {
-            "TieredStore generation publish (the serving engine's)"
-        } else {
-            "DiskStore reorganize (read → re-route → regroup → write)"
-        }
+        "substrate: TPC-H-shaped table, ~{bpr:.0} encoded bytes/row, rewrite path: \
+         TieredStore generation publish (the serving engine's)\n"
     );
 
     let sizes_mb: Vec<u64> = [16u64, 64, 256, 1024, 4096]
@@ -211,11 +159,7 @@ fn main() {
         let data = tpch::tpch_table(rows, 11);
         let k = 8;
         let runs = if mb <= 64 { 3 } else { 1 };
-        let m = if tiered {
-            measure_tiered(&data, k, runs)
-        } else {
-            measure_diskstore(&data, k, runs)
-        };
+        let m = measure(&data, k, runs);
         let alpha = m.reorg / m.scan;
         table.row([
             format!("{mb} MB"),
@@ -223,11 +167,7 @@ fn main() {
             rows.to_string(),
             fmt_f(m.scan, 2),
             fmt_f(m.reorg, 2),
-            if tiered {
-                fmt_f(m.write, 2)
-            } else {
-                "-".into()
-            },
+            fmt_f(m.write, 2),
             fmt_f(alpha, 1),
         ]);
         json_rows.push(Json::obj([
@@ -236,14 +176,7 @@ fn main() {
             ("rows", Json::from(rows)),
             ("scan_s", Json::from(m.scan)),
             ("reorg_s", Json::from(m.reorg)),
-            (
-                "write_s",
-                if tiered {
-                    Json::from(m.write)
-                } else {
-                    Json::Null
-                },
-            ),
+            ("write_s", Json::from(m.write)),
             ("alpha", Json::from(alpha)),
         ]));
     }
@@ -252,20 +185,14 @@ fn main() {
     println!(" substrate trades Spark's JVM overheads for tighter I/O, so absolute");
     println!(" times differ but the reorganization-to-scan ratio is the quantity");
     println!(" that feeds the cost model.)");
-    if tiered {
-        println!("(tiered: the rewrite is the engine's generation publish — the table");
-        println!(" is memory-resident for the serving path, so no initial disk read;");
-        println!(" compare with serve_throughput --tiered, which measures the same");
-        println!(" publish under live queries.)");
-    }
+    println!("(the rewrite is the engine's generation publish — the table is");
+    println!(" memory-resident for the serving path, so no initial disk read;");
+    println!(" compare with serve_throughput --tiered, which measures the same");
+    println!(" publish under live queries.)");
 
     if let Some(path) = json_path {
         let doc = Json::obj([
             ("benchmark", Json::from("table1_alpha")),
-            (
-                "rewrite_path",
-                Json::from(if tiered { "tiered" } else { "diskstore" }),
-            ),
             ("max_mb", Json::from(max_mb)),
             ("bytes_per_row", Json::from(bpr)),
             ("rows", Json::Arr(json_rows)),

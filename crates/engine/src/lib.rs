@@ -341,7 +341,7 @@ mod tests {
     }
 
     /// Memory-mode runs report scan bytes too (the satellite fix): the
-    /// ScanStats/SnapshotScan byte accounting must make Memory and Tiered
+    /// SnapshotScan byte accounting must make Memory and Tiered
     /// reports comparable.
     #[test]
     fn memory_mode_reports_scan_bytes() {

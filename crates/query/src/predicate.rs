@@ -142,8 +142,10 @@ impl Atom {
                 CompareOp::Ge => distinct.iter().next_back().is_some_and(|max| max >= value),
                 CompareOp::Eq => distinct.contains(value),
             },
+            // An inverted range matches nothing (and `BTreeSet::range`
+            // panics on one).
             Atom::Between { low, high, .. } => {
-                distinct.range(low.clone()..=high.clone()).next().is_some()
+                low <= high && distinct.range(low.clone()..=high.clone()).next().is_some()
             }
             Atom::InSet { set, .. } => set.iter().any(|v| distinct.contains(v)),
         }
@@ -370,6 +372,17 @@ mod tests {
             high: Scalar::from("b"),
         };
         assert!(between.may_match_set(&distinct)); // "apac" in [a, b]
+    }
+
+    #[test]
+    fn inverted_between_prunes_a_set() {
+        let distinct: BTreeSet<Scalar> = [1, 5].into_iter().map(Scalar::Int).collect();
+        let inverted = Atom::Between {
+            col: 0,
+            low: Scalar::Int(9),
+            high: Scalar::Int(2),
+        };
+        assert!(!inverted.may_match_set(&distinct));
     }
 
     #[test]

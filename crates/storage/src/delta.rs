@@ -34,9 +34,9 @@
 //! never races the write path.
 
 use crate::error::{Result, StorageError};
-use crate::partition::build_metadata;
+use crate::partition::table_metadata;
 use crate::snapshot::SnapshotPartition;
-use crate::table::{Table, TableBuilder};
+use crate::table::{concat_tables, Table, TableBuilder};
 use oreo_query::{Scalar, Schema};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -458,12 +458,10 @@ impl DeltaBuffer {
                 .map(|r| (*r.part.data).clone())
                 .collect();
             parts.push(batch_table);
-            crate::diskstore::concat_tables(&self.schema, &parts)?
+            concat_tables(&self.schema, &parts)?
         };
         let rows_written = data.num_rows() as u64;
-        let meta = build_metadata(&data, &vec![0; data.num_rows()], 1)
-            .pop()
-            .expect("one partition of metadata");
+        let meta = table_metadata(&data);
         // Ids come off one counter and runs merge oldest first, so they
         // ascend — which the constructor checks.
         let part = SnapshotPartition::new(ids.into(), Arc::new(data), meta);

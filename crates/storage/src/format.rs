@@ -1,4 +1,5 @@
-//! On-disk partition file format.
+//! On-disk partition format: one partition's *blob*, as a
+//! [`crate::TieredStore`] segment holds it.
 //!
 //! ```text
 //! +--------------------------------------------------------------+
@@ -34,32 +35,26 @@
 //! ([`ColumnExtent::decode_trusted`]). Header and in-stream prefixes carry
 //! no sum: they are cross-checked against the footer.
 //!
-//! The file ends in a self-describing **footer**: per-column payload
+//! The blob ends in a self-describing **footer**: per-column payload
 //! extents with their own checksums — the *page index* pooled scans use to
 //! fetch only the byte ranges a predicate touches — plus the partition's
-//! pruning metadata, so [`crate::DiskStore::open`] can reopen a store from
-//! a few small reads per file instead of decoding every partition.
+//! pruning metadata, so recovery takes data, metadata and page index from
+//! one pass over the blob.
 //!
-//! Every reader ([`decode_partition`], [`decode_partition_projected`],
-//! [`read_partition_footer`]) runs the same parse: locate the tail, verify
-//! the footer checksum, cross-check header and in-stream prefixes against
-//! the footer, then decode the column payloads it was asked for. A file
-//! that fails any step — one that does not end in the footer magic
-//! included — is [`StorageError::Corrupt`]. There is one format: the
-//! version field is always 3, and a file of any earlier version is corrupt
-//! like any other damaged file.
+//! [`decode_partition`] locates the tail, verifies the footer checksum,
+//! cross-checks header and in-stream prefixes against the footer, then
+//! decodes every column payload. A blob that fails any step — one that
+//! does not end in the footer magic included — is [`StorageError::Corrupt`].
+//! There is one format: the version field is always 3, and a blob of any
+//! earlier version is corrupt like any other damaged blob.
 
 use crate::column::{Column, DictColumn};
 use crate::encode::*;
 use crate::error::{Result, StorageError};
-use crate::partition::{build_metadata, decode_metadata, encode_metadata, PartitionMetadata};
+use crate::partition::{decode_metadata, encode_metadata, table_metadata, PartitionMetadata};
 use crate::table::Table;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use oreo_query::Schema;
-use std::borrow::Cow;
-use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -77,17 +72,16 @@ const TAG_INT: u8 = 0;
 const TAG_FLOAT: u8 = 1;
 const TAG_STR: u8 = 2;
 
-/// Count of partition-payload decodes (full or projected) performed by this
-/// process. Diagnostic only: restart-path tests assert that opening a
-/// footer-indexed store performs **zero** decodes — the fix for the
-/// decode-everything-on-open behavior flagged in the ROADMAP.
+/// Count of whole-partition decodes performed by this process. Diagnostic
+/// only: the restart-path test asserts recovery decodes each partition
+/// exactly once.
 static DECODES: AtomicU64 = AtomicU64::new(0);
 
 #[cfg(test)]
 thread_local! {
-    /// The calling thread's share of [`DECODES`]. Tests that prove "this
-    /// call decodes nothing" read it instead of the process-wide count,
-    /// which sibling tests move from their own threads.
+    /// The calling thread's share of [`DECODES`]. Tests that count "this
+    /// call's decodes" read it instead of the process-wide count, which
+    /// sibling tests move from their own threads.
     static THREAD_DECODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -97,26 +91,25 @@ fn count_decode() {
     THREAD_DECODES.with(|c| c.set(c.get() + 1));
 }
 
-/// Partition-payload decodes performed by the calling thread.
+/// Partition decodes performed by the calling thread.
 #[cfg(test)]
-pub(crate) fn thread_partition_decodes() -> u64 {
+pub(crate) fn decodes_on_this_thread() -> u64 {
     THREAD_DECODES.with(std::cell::Cell::get)
 }
 
-/// Total partition-payload decodes ([`decode_partition`] +
-/// [`decode_partition_projected`]) since process start.
+/// Total whole-partition decodes since process start.
 pub fn partition_decodes() -> u64 {
     DECODES.load(Ordering::Relaxed)
 }
 
-/// Location of one column's encoded payload inside a partition file: the
+/// Location of one column's encoded payload inside a partition blob: the
 /// page-index entry a pooled scan uses to fetch only the byte ranges (and
 /// hence pages) its predicate touches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ColumnExtent {
     /// Column encoding tag.
     pub tag: u8,
-    /// Absolute byte offset of the payload in the file.
+    /// Byte offset of the payload in the blob.
     pub offset: u64,
     /// Payload length in bytes.
     pub len: u64,
@@ -170,10 +163,9 @@ impl ColumnExtent {
     }
 }
 
-/// The self-describing tail of a partition file: row count,
-/// per-column payload extents (the page index), and the pruning metadata
-/// built at write time — everything a store needs to reopen without
-/// touching column data.
+/// The self-describing tail of a partition blob: row count, per-column
+/// payload extents (the page index), and the pruning metadata built at
+/// write time.
 #[derive(Clone, Debug)]
 pub struct PartitionFooter {
     /// Rows in the partition.
@@ -253,10 +245,7 @@ pub fn encode_partition_with_meta(
 /// Serialize a table (one partition's rows) into the on-disk byte format,
 /// building the footer's pruning metadata from the rows themselves.
 pub fn encode_partition(table: &Table) -> Bytes {
-    let meta = build_metadata(table, &vec![0; table.num_rows()], 1)
-        .pop()
-        .expect("k=1 metadata");
-    encode_partition_with_meta(table, &meta).0
+    encode_partition_with_meta(table, &table_metadata(table)).0
 }
 
 /// Decode the shared per-column payload encoding into a column of exactly
@@ -332,28 +321,18 @@ fn parse_footer_body(body: &[u8], footer_off: u64) -> Result<PartitionFooter> {
     })
 }
 
-/// The parser's `fetch` over a file already in memory: it lends slices.
-fn in_memory<'a>(bytes: &'a [u8]) -> impl FnMut(u64, u64) -> Result<Cow<'a, [u8]>> {
-    move |offset, len| {
-        Ok(Cow::Borrowed(
-            &bytes[offset as usize..(offset + len) as usize],
-        ))
-    }
-}
-
-/// Validate a file's header and in-stream column prefixes against its
+/// Validate a blob's header and in-stream column prefixes against its
 /// parsed footer: header fields must agree with the footer's, extents must
 /// tile the data region exactly, and every in-stream `tag | len` prefix
-/// must match its extent — so any byte of the file is covered by a
+/// must match its extent — so any byte of the blob is covered by a
 /// checksum or a cross-check and single-byte corruption never passes.
-fn check_layout<'a>(
+fn check_layout(
     schema: &Schema,
-    fetch: &mut impl FnMut(u64, u64) -> Result<Cow<'a, [u8]>>,
+    bytes: &[u8],
     footer: &PartitionFooter,
     footer_off: u64,
 ) -> Result<()> {
-    let header = fetch(0, HEADER_LEN as u64)?;
-    let mut buf = &header[..];
+    let mut buf = &bytes[..HEADER_LEN];
     let mut magic = [0u8; 8];
     buf.copy_to_slice(&mut magic);
     if &magic != MAGIC {
@@ -385,7 +364,7 @@ fn check_layout<'a>(
                 cursor + COL_PREFIX
             )));
         }
-        let prefix = fetch(cursor, COL_PREFIX)?;
+        let prefix = &bytes[cursor as usize..extent.offset as usize];
         let tag = prefix[0];
         let len = u64::from_le_bytes(prefix[1..9].try_into().expect("8 bytes"));
         if tag != extent.tag || len != extent.len {
@@ -403,151 +382,62 @@ fn check_layout<'a>(
     Ok(())
 }
 
-/// The one parse every reader runs: locate the tail, verify the footer
-/// checksum, [`check_layout`], then decode the payloads of the columns
-/// `want` selects (in file order).
-///
-/// `fetch(offset, len)` returns that byte range of the `file_len`-byte file
-/// and is only asked for ranges already checked to lie inside it: the tail,
-/// the footer, the header, the in-stream prefixes and the selected
-/// payloads — so a footer-only read of an open file never touches column
-/// data.
-fn parse_partition<'a>(
-    schema: &Schema,
-    file_len: u64,
-    mut fetch: impl FnMut(u64, u64) -> Result<Cow<'a, [u8]>>,
-    want: impl Fn(usize) -> bool,
-) -> Result<(PartitionFooter, Vec<(usize, Column)>)> {
-    if file_len < (HEADER_LEN + TAIL_LEN) as u64 {
-        return Err(StorageError::Corrupt(
-            "file shorter than header and footer tail".into(),
-        ));
-    }
-    let body_end = file_len - TAIL_LEN as u64;
-    let tail = fetch(body_end, TAIL_LEN as u64)?;
-    if &tail[16..24] != FOOTER_MAGIC {
-        return Err(StorageError::Corrupt("missing footer magic".into()));
-    }
-    let stored_sum = u64::from_le_bytes(tail[0..8].try_into().expect("8 bytes"));
-    let footer_off = u64::from_le_bytes(tail[8..16].try_into().expect("8 bytes"));
-    if footer_off < HEADER_LEN as u64 || footer_off > body_end {
-        return Err(StorageError::Corrupt(format!(
-            "footer offset {footer_off} out of range"
-        )));
-    }
-    let body = fetch(footer_off, body_end - footer_off)?;
-    if checksum(&body) != stored_sum {
-        return Err(StorageError::Corrupt("footer checksum mismatch".into()));
-    }
-    let footer = parse_footer_body(&body, footer_off)?;
-    check_layout(schema, &mut fetch, &footer, footer_off)?;
-    let nrows = footer.nrows as usize;
-    let mut columns = Vec::new();
-    for (col, extent) in footer.columns.iter().enumerate() {
-        if want(col) {
-            let payload = fetch(extent.offset, extent.len)?;
-            columns.push((col, extent.decode(&payload, nrows, col)?));
-        }
-    }
-    Ok((footer, columns))
-}
-
 /// [`decode_partition`] that also hands back the parsed footer — pruning
 /// metadata and page index — so recovery takes everything it needs from a
-/// partition file in one pass over its bytes.
+/// blob in one pass over its bytes: locate the tail, verify the footer
+/// checksum, [`check_layout`], then decode every column payload. Each
+/// range is sliced only after it has been checked to lie inside `bytes`.
 pub(crate) fn decode_partition_with_footer(
     schema: &Arc<Schema>,
     bytes: &[u8],
 ) -> Result<(Table, PartitionFooter)> {
     count_decode();
-    let (footer, columns) =
-        parse_partition(schema, bytes.len() as u64, in_memory(bytes), |_| true)?;
-    let columns = columns.into_iter().map(|(_, column)| column).collect();
+    if bytes.len() < HEADER_LEN + TAIL_LEN {
+        return Err(StorageError::Corrupt(
+            "file shorter than header and footer tail".into(),
+        ));
+    }
+    let body_end = bytes.len() - TAIL_LEN;
+    let tail = &bytes[body_end..];
+    if &tail[16..24] != FOOTER_MAGIC {
+        return Err(StorageError::Corrupt("missing footer magic".into()));
+    }
+    let stored_sum = u64::from_le_bytes(tail[0..8].try_into().expect("8 bytes"));
+    let footer_off = u64::from_le_bytes(tail[8..16].try_into().expect("8 bytes"));
+    if footer_off < HEADER_LEN as u64 || footer_off > body_end as u64 {
+        return Err(StorageError::Corrupt(format!(
+            "footer offset {footer_off} out of range"
+        )));
+    }
+    let body = &bytes[footer_off as usize..body_end];
+    if checksum(body) != stored_sum {
+        return Err(StorageError::Corrupt("footer checksum mismatch".into()));
+    }
+    let footer = parse_footer_body(body, footer_off)?;
+    check_layout(schema, bytes, &footer, footer_off)?;
+    let nrows = footer.nrows as usize;
+    let columns = footer
+        .columns
+        .iter()
+        .enumerate()
+        .map(|(col, extent)| {
+            let payload = &bytes[extent.offset as usize..(extent.offset + extent.len) as usize];
+            extent.decode(payload, nrows, col)
+        })
+        .collect::<Result<_>>()?;
     Ok((Table::new(Arc::clone(schema), columns), footer))
 }
 
 /// Parse bytes produced by [`encode_partition`] back into a table. The
-/// schema is supplied externally (it is store-level, not per-file).
+/// schema is supplied externally (it is store-level, not per-blob).
 pub fn decode_partition(schema: &Arc<Schema>, bytes: &[u8]) -> Result<Table> {
     decode_partition_with_footer(schema, bytes).map(|(table, _)| table)
-}
-
-/// Write a partition file (buffered, durably synced) with explicit footer
-/// metadata, returning the bytes written and the embedded footer.
-pub fn write_partition_with_meta(
-    path: &Path,
-    table: &Table,
-    meta: &PartitionMetadata,
-) -> Result<(u64, PartitionFooter)> {
-    let (bytes, footer) = encode_partition_with_meta(table, meta);
-    let file = fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    w.write_all(&bytes)?;
-    w.flush()?;
-    w.into_inner()
-        .map_err(|e| StorageError::Io(e.into_error()))?
-        .sync_all()?;
-    Ok((bytes.len() as u64, footer))
-}
-
-/// Write a partition file (buffered, durably synced) and return the number
-/// of bytes written. Reorganization in real systems persists its output;
-/// the fsync is part of the physical reorganization cost Table I measures.
-pub fn write_partition(path: &Path, table: &Table) -> Result<u64> {
-    let meta = build_metadata(table, &vec![0; table.num_rows()], 1)
-        .pop()
-        .expect("k=1 metadata");
-    write_partition_with_meta(path, table, &meta).map(|(bytes, _)| bytes)
-}
-
-/// Read a partition file written by [`write_partition`].
-pub fn read_partition(path: &Path, schema: &Arc<Schema>) -> Result<Table> {
-    decode_partition(schema, &fs::read(path)?)
-}
-
-/// Read only the footer of a partition file — a few small reads (tail,
-/// footer body, header, in-stream prefixes), no column payload read or
-/// decoded.
-pub fn read_partition_footer(path: &Path, schema: &Schema) -> Result<PartitionFooter> {
-    let mut file = fs::File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let fetch = |offset, len: u64| {
-        let mut buf = vec![0u8; len as usize];
-        file.seek(SeekFrom::Start(offset))?;
-        file.read_exact(&mut buf)?;
-        Ok(Cow::Owned(buf))
-    };
-    parse_partition(schema, file_len, fetch, |_| false).map(|(footer, _)| footer)
-}
-
-/// Column-projected read: decode only `cols` (any order, deduplicated by
-/// the caller), skipping other payloads via the footer's page index.
-/// Returns the partition's row count plus `(column id, decoded column)`
-/// pairs in file order.
-pub fn read_partition_projected(
-    path: &Path,
-    schema: &Arc<Schema>,
-    cols: &[usize],
-) -> Result<(usize, Vec<(usize, Column)>)> {
-    decode_partition_projected(schema, &fs::read(path)?, cols)
-}
-
-/// In-memory variant of [`read_partition_projected`].
-pub fn decode_partition_projected(
-    schema: &Arc<Schema>,
-    bytes: &[u8],
-    cols: &[usize],
-) -> Result<(usize, Vec<(usize, Column)>)> {
-    count_decode();
-    let (footer, columns) = parse_partition(schema, bytes.len() as u64, in_memory(bytes), |col| {
-        cols.contains(&col)
-    })?;
-    Ok((footer.nrows as usize, columns))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::build_metadata;
     use crate::table::TableBuilder;
     use oreo_query::{ColumnType, Scalar};
 
@@ -604,44 +494,6 @@ mod tests {
             footer.meta,
             build_metadata(&t, &vec![0; t.num_rows()], 1).pop().unwrap()
         );
-    }
-
-    #[test]
-    fn read_footer_is_header_only() {
-        let t = sample_table();
-        let dir = std::env::temp_dir().join(format!("oreo-footer-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("p.oreo");
-        write_partition(&path, &t).unwrap();
-        // this thread's count: sibling tests decode on theirs meanwhile
-        let before = thread_partition_decodes();
-        let footer = read_partition_footer(&path, t.schema()).unwrap();
-        assert_eq!(
-            thread_partition_decodes(),
-            before,
-            "footer read must not decode"
-        );
-        read_partition(&path, t.schema()).unwrap();
-        assert_eq!(
-            thread_partition_decodes(),
-            before + 1,
-            "the count the assertion above rests on does see a decode"
-        );
-        assert_eq!(footer.nrows, 500);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let t = sample_table();
-        let dir = std::env::temp_dir().join(format!("oreo-fmt-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("p0.oreo");
-        let written = write_partition(&path, &t).unwrap();
-        assert_eq!(written, fs::metadata(&path).unwrap().len());
-        let back = read_partition(&path, t.schema()).unwrap();
-        assert_eq!(back.num_rows(), 500);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The partitioned columnar storage substrate OREO optimizes over.
 //!
-//! Six layers:
+//! Five layers:
 //!
 //! 1. **In-memory tables** ([`Table`], [`Column`]) — immutable columnar data
 //!    with typed columns (`i64`, `f64`, dictionary strings) used by the
@@ -11,22 +11,19 @@
 //!    min/max ranges and distinct sets per column per partition. This is the
 //!    entire costing surface of OREO: `c(s, q)` is the fraction of rows in
 //!    partitions the predicate cannot skip, computed from metadata alone.
-//! 3. **An on-disk store** ([`DiskStore`]) — one compressed columnar file per
-//!    partition, metadata-pruned scans, and physical reorganization
-//!    (read → re-route → regroup → compress + write). This replaces the
-//!    paper's Spark/Parquet setup and provides the measured α of Table I.
-//! 4. **Copy-on-write snapshots** ([`TableSnapshot`], [`SnapshotCell`]) —
+//! 3. **Copy-on-write snapshots** ([`TableSnapshot`], [`SnapshotCell`]) —
 //!    immutable materialized partition sets readers pin while a background
 //!    reorganizer builds the next layout aside and atomically publishes it;
 //!    the substrate of the concurrent serving layer (`oreo-engine`).
-//! 5. **The disk tier** ([`TieredStore`], [`Generation`]) — snapshot
+//! 4. **The disk tier** ([`TieredStore`], [`Generation`]) — snapshot
 //!    generations persisted as `gen-N/` directories (one segment of
-//!    partition blobs plus a manifest), committed by atomic
-//!    rename, pinned by readers, garbage-collected after the last unpin,
-//!    and recovered on restart. Backing the serving path with this tier
-//!    makes the measured α of Table I and the measured Δ of the engine
-//!    observables of the *same* run.
-//! 6. **A buffer pool** ([`BufferPool`]) — a fixed-capacity, page-granular
+//!    compressed columnar partition blobs plus a manifest), committed by
+//!    atomic rename, pinned by readers, garbage-collected after the last
+//!    unpin, and recovered on restart. It is the only on-disk store: the
+//!    engine serves from it, and Table I's measured α is one of its
+//!    publishes over one of its full scans, so α and the engine's measured
+//!    Δ are observables of the *same* store.
+//! 5. **A buffer pool** ([`BufferPool`]) — a fixed-capacity, page-granular
 //!    cache over a generation's partition blobs with CLOCK eviction. Tiered
 //!    scans ([`TableSnapshot::scan_pooled`]) fetch only the pages their
 //!    predicate's columns touch, so scan cost is *real* block transfers —
@@ -45,13 +42,11 @@
 //! materialization of global row ids. [`TableSnapshot::scan_rowwise`] /
 //! [`TableSnapshot::scan_pooled_rowwise`] are the same driver with the
 //! row-at-a-time reference evaluator — the correctness oracle the property
-//! tests and the `scan_kernels` microbench compare against, and the
-//! evaluator [`DiskStore::scan`] uses.
+//! tests and the `scan_kernels` microbench compare against.
 
 pub mod bufpool;
 pub mod column;
 pub mod delta;
-pub mod diskstore;
 pub mod encode;
 pub mod error;
 pub mod format;
@@ -69,7 +64,6 @@ pub use delta::{
     kbinomial_sizes, ApplyReceipt, DeltaBuffer, DeltaOverlay, DeltaRun, FoldCapture, IngestOp,
     MergePolicy,
 };
-pub use diskstore::{concat_tables, DiskStore, PartitionHandle, ScanStats};
 pub use error::{Result, StorageError};
 pub use format::{ColumnExtent, PartitionFooter};
 pub use kernel::{KernelCounters, CHUNK_ROWS};
@@ -78,7 +72,7 @@ pub use partition::{
     build_metadata, build_metadata_capped, PartitionMetadata, DEFAULT_DISTINCT_CAP,
 };
 pub use snapshot::{SnapshotCell, SnapshotPartition, SnapshotScan, TableSnapshot};
-pub use table::{Table, TableBuilder};
+pub use table::{concat_tables, Table, TableBuilder};
 pub use tiered::{FullScan, Generation, PublishReceipt, RecoveryReport, TieredStore};
 pub use wal::{Wal, WalRecord, WalRecovery};
 
@@ -209,12 +203,12 @@ mod proptests {
             }
         }
 
-        /// Any single-byte corruption of an encoded partition is detected by
-        /// every reader, since all of them run the one parser: decoding
-        /// never panics and never silently succeeds with wrong data. A
-        /// reader answers only for the bytes it reads — the footer-only
-        /// read and a projection that skips a column still succeed, with
-        /// the right answer, when the flip sits in a payload they skip.
+        /// Any single-byte corruption of an encoded partition is detected:
+        /// decoding never panics and never silently succeeds with wrong
+        /// data. A reader answers only for the bytes it reads — a flip
+        /// inside one column's payload fails that extent's
+        /// `ColumnExtent::verify` (what a pooled scan runs on the payload
+        /// it fetched) and no other extent's.
         #[test]
         fn corruption_always_detected(
             rows in proptest::collection::vec((any::<i64>(), 0u32..4), 1..50),
@@ -235,34 +229,12 @@ mod proptests {
             let pos = flip.0 % bytes.len();
             let mask = if flip.1 == 0 { 1 } else { flip.1 };
             bytes[pos] ^= mask;
-            let hit = footer.columns.iter().position(|e| {
-                (e.offset..e.offset + e.len).contains(&(pos as u64))
-            });
 
             prop_assert!(format::decode_partition(&schema, &bytes).is_err());
-            prop_assert!(format::decode_partition_projected(&schema, &bytes, &[0, 1]).is_err());
-            let only_tag = format::decode_partition_projected(&schema, &bytes, &[1]);
-            let path = std::env::temp_dir().join(format!(
-                "oreo-flip-{}-{}.oreo", std::process::id(), rand::random::<u32>()
-            ));
-            std::fs::write(&path, &bytes).unwrap();
-            let read_footer = format::read_partition_footer(&path, &schema);
-            std::fs::remove_file(&path).unwrap();
-            if hit == Some(0) {
-                let (nrows, cols) = only_tag.unwrap();
-                prop_assert_eq!(nrows, table.num_rows());
-                for row in 0..nrows {
-                    prop_assert_eq!(cols[0].1.scalar(row), table.scalar(row, 1));
-                }
-            } else {
-                prop_assert!(only_tag.is_err());
-            }
-            if hit.is_some() {
-                let read = read_footer.unwrap();
-                prop_assert_eq!(read.columns, footer.columns);
-                prop_assert_eq!(read.meta, footer.meta);
-            } else {
-                prop_assert!(read_footer.is_err());
+            for (col, e) in footer.columns.iter().enumerate() {
+                let payload = &bytes[e.offset as usize..(e.offset + e.len) as usize];
+                let hit = (e.offset..e.offset + e.len).contains(&(pos as u64));
+                prop_assert_eq!(e.verify(payload, col).is_err(), hit, "column {}", col);
             }
         }
 

@@ -1240,6 +1240,34 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// `tag BETWEEN 'z' AND 'a'` on a dictionary column matches nothing:
+    /// every partition's distinct set prunes it, resident or pooled.
+    #[test]
+    fn inverted_between_on_a_dictionary_column_returns_no_rows() {
+        let t = rich_table(300);
+        let assign: Vec<u32> = (0..300).map(|i| (i % 3) as u32).collect();
+        let mut snap = TableSnapshot::build(&t, &assign, 3, 0, "mod3");
+        let root = std::env::temp_dir().join(format!(
+            "oreo-snap-inverted-{}-{}",
+            std::process::id(),
+            rand::random::<u64>()
+        ));
+        let (store, _) = crate::tiered::TieredStore::create(&root, &mut snap).unwrap();
+        let pool = crate::bufpool::BufferPool::new(crate::bufpool::BufferPoolConfig::default());
+        let pred = Predicate::new(vec![Atom::Between {
+            col: 3,
+            low: Scalar::from("z"),
+            high: Scalar::from("a"),
+        }]);
+        for scan in [snap.scan(&pred), snap.scan_pooled(&pred, &pool).unwrap()] {
+            assert!(scan.matches.is_empty());
+            assert_eq!(scan.partitions_read, 0);
+        }
+        drop(store);
+        drop(snap);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     fn two_col_schema() -> Arc<Schema> {
         Arc::new(Schema::from_pairs([
             ("v", ColumnType::Int),

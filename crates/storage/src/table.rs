@@ -1,6 +1,7 @@
 //! The in-memory table: a schema plus one [`Column`] per schema entry.
 
 use crate::column::{atom_matches_ref, Column, DictBuilder, ValueRef};
+use crate::error::{Result, StorageError};
 use oreo_query::{ColId, ColumnType, Predicate, Scalar, Schema};
 use rand::Rng;
 use std::sync::Arc;
@@ -207,6 +208,50 @@ impl TableBuilder {
     }
 }
 
+/// Concatenate tables sharing a schema. Dictionary columns are re-interned
+/// because each file carries its own dictionary.
+pub fn concat_tables(schema: &Arc<Schema>, parts: &[Table]) -> Result<Table> {
+    let ncols = schema.len();
+    let total: usize = parts.iter().map(Table::num_rows).sum();
+    let mut columns = Vec::with_capacity(ncols);
+    for col in 0..ncols {
+        let mut ints: Option<Vec<i64>> = None;
+        let mut floats: Option<Vec<f64>> = None;
+        let mut dict: Option<DictBuilder> = None;
+        for part in parts {
+            if part.schema().as_ref() != schema.as_ref() {
+                return Err(StorageError::Corrupt("schema mismatch in concat".into()));
+            }
+            match part.column(col) {
+                Column::Int(v) => ints
+                    .get_or_insert_with(|| Vec::with_capacity(total))
+                    .extend(v),
+                Column::Float(v) => floats
+                    .get_or_insert_with(|| Vec::with_capacity(total))
+                    .extend(v),
+                Column::Str(d) => {
+                    let b = dict.get_or_insert_with(DictBuilder::new);
+                    for row in 0..d.len() {
+                        b.push(d.get(row));
+                    }
+                }
+            }
+        }
+        let column = if let Some(v) = ints {
+            Column::Int(v)
+        } else if let Some(v) = floats {
+            Column::Float(v)
+        } else if let Some(b) = dict {
+            Column::Str(b.finish())
+        } else {
+            // no parts at all: produce an empty column of the schema's type
+            Column::empty(schema.column_type(col))
+        };
+        columns.push(column);
+    }
+    Ok(Table::new(Arc::clone(schema), columns))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,6 +332,22 @@ mod tests {
         let t = small_table();
         let mut rng = StdRng::seed_from_u64(7);
         assert_eq!(t.sample(&mut rng, 1000).num_rows(), 90);
+    }
+
+    #[test]
+    fn concat_reinterns_dictionaries() {
+        let s = Arc::new(Schema::from_pairs([("tag", ColumnType::Str)]));
+        let mut b1 = TableBuilder::new(Arc::clone(&s));
+        b1.push_row(&[Scalar::from("x")]);
+        b1.push_row(&[Scalar::from("y")]);
+        let mut b2 = TableBuilder::new(Arc::clone(&s));
+        b2.push_row(&[Scalar::from("y")]);
+        b2.push_row(&[Scalar::from("z")]);
+        let t = concat_tables(&s, &[b1.finish(), b2.finish()]).unwrap();
+        assert_eq!(t.num_rows(), 4);
+        assert_eq!(t.scalar(1, 0), Scalar::from("y"));
+        assert_eq!(t.scalar(2, 0), Scalar::from("y"));
+        assert_eq!(t.scalar(3, 0), Scalar::from("z"));
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //!   trailer: index sum u64 | index offset u64 | "OREOSEG1"      (all u64 LE)
 //! ```
 //!
-//! A *blob* is one partition in the [`crate::format`] encoding, byte for
-//! byte what a partition file of its own would hold (its footer carries
-//! the pruning metadata and the page index, its sums guard footer and
-//! column payloads); *rows* is the partition's global row ids, with their
+//! A *blob* is one partition in the [`crate::format`] encoding (its footer
+//! carries the pruning metadata and the page index, its sums guard footer
+//! and column payloads); *rows* is the partition's global row ids, with their
 //! own sum. The trailer's sum guards the index, and recovery accepts an
 //! index only if it tiles the file exactly — `k` as the manifest says,
 //! every extent starting where the last one ended, the last one ending at
@@ -1099,10 +1098,10 @@ mod tests {
         drop(store);
         drop(s1); // process "exits" — gen 1 never retired
 
-        let decodes = crate::format::thread_partition_decodes();
+        let decodes = crate::format::decodes_on_this_thread();
         let (store, recovered, report) = TieredStore::open(&root, &schema).unwrap();
         assert_eq!(
-            crate::format::thread_partition_decodes() - decodes,
+            crate::format::decodes_on_this_thread() - decodes,
             4,
             "each partition file is decoded exactly once"
         );
@@ -1421,6 +1420,31 @@ mod tests {
         drop(s1);
         drop(s2);
         drop(s3);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn empty_partitions_are_valid() {
+        use crate::bufpool::{BufferPool, BufferPoolConfig};
+        let t = table(100);
+        let schema = Arc::clone(t.schema());
+        let root = tmproot("empty-parts");
+        // everything to BID 0; BIDs 1..4 empty
+        let mut s = TableSnapshot::build(&t, &[0; 100], 4, 0, "one-full");
+        let (store, _) = TieredStore::create(&root, &mut s).unwrap();
+        let scan = store.full_scan().unwrap();
+        assert_eq!((scan.partitions, scan.rows), (4, 100));
+        drop(store);
+        drop(s);
+
+        let (store, recovered, _) = TieredStore::open(&root, &schema).unwrap();
+        assert_eq!(recovered.num_partitions(), 4);
+        let pool = BufferPool::new(BufferPoolConfig::default());
+        let pooled = recovered.scan_pooled(&between(0, 49), &pool).unwrap();
+        assert_eq!(pooled.partitions_read, 1);
+        assert_eq!(pooled.matches, (0..50u32).collect::<Vec<_>>());
+        drop(store);
+        drop(recovered);
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -7,9 +7,10 @@
 //! cargo run --release --example measure_alpha
 //! ```
 //!
-//! Writes a physical store, times a full-scan query versus a physical
-//! reorganization (read → re-route → regroup → compress + write + sync),
-//! and runs the framework with the measured ratio as its α.
+//! Writes a physical store (a `TieredStore` generation), times a full-scan
+//! query versus a physical reorganization (re-route → regroup → compress +
+//! write + sync, the engine's generation publish), and runs the framework
+//! with the measured ratio as its α.
 
 use oreo::layout::LayoutSpec;
 use oreo::prelude::*;
@@ -23,11 +24,12 @@ fn main() -> oreo::storage::Result<()> {
     let k = 16;
     let by_key = RangeLayout::from_sample(table, bundle.default_sort_col, k);
     let dir = std::env::temp_dir().join(format!("oreo-measure-{}", std::process::id()));
-    let store = DiskStore::create(&dir, table, &by_key.assign(table), k)?;
+    let mut snap = TableSnapshot::build(table, &by_key.assign(table), k, 0, "by-key");
+    let (store, _) = TieredStore::create(&dir, &mut snap)?;
     println!(
         "store: {} partitions, {:.1} MB on disk",
-        store.num_partitions(),
-        store.total_bytes() as f64 / 1e6
+        snap.num_partitions(),
+        snap.total_bytes() as f64 / 1e6
     );
 
     // 2. Measure the scan/reorganization ratio (Table I's methodology).
@@ -40,12 +42,13 @@ fn main() -> oreo::storage::Result<()> {
     let ship = table.schema().col("l_shipdate").expect("shipdate");
     let by_ship = RangeLayout::from_sample(table, ship, k);
     let t0 = Instant::now();
-    let store2 = store.reorganize(&dir.join("reorg"), k, |t, row| by_ship.route(t, row))?;
+    let mut next = TableSnapshot::build(table, &by_ship.assign(table), k, 1, "by-ship");
+    store.publish(&mut next)?;
     let reorg = t0.elapsed().as_secs_f64();
     let alpha = (reorg / scan).max(1.0);
     println!("measured: full scan {scan:.3}s, reorganization {reorg:.3}s → α ≈ {alpha:.0}");
-    store2.destroy()?;
-    store.destroy()?;
+    drop((snap, next, store));
+    std::fs::remove_dir_all(&dir)?;
 
     // 3. Run OREO with the measured α against the do-nothing default.
     let stream = bundle.stream(StreamConfig {

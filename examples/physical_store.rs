@@ -1,16 +1,19 @@
-//! The physical storage substrate: on-disk partitions, metadata-pruned
-//! scans, and a real reorganization — the machinery behind Table I.
+//! The physical storage substrate: partitions on disk, metadata-pruned
+//! scans through a buffer pool, and a real reorganization — the machinery
+//! behind Table I.
 //!
 //! ```text
 //! cargo run --release --example physical_store
 //! ```
 //!
-//! Writes a telemetry-shaped table to disk partitioned by arrival time,
-//! runs pruned scans, then physically reorganizes to a collector-major
-//! Qd-tree layout and shows how the same queries' I/O changes.
+//! Writes a telemetry-shaped table to disk partitioned by arrival time (a
+//! `TieredStore` generation), runs pruned scans through a `BufferPool`,
+//! then physically reorganizes to a collector-major Qd-tree layout (the
+//! next generation) and shows how the same queries' I/O changes.
 
 use oreo::layout::{build_exact_model, LayoutSpec, QdTreeBuilder};
 use oreo::prelude::*;
+use oreo::storage::{BufferPool, BufferPoolConfig};
 use std::time::Instant;
 
 fn main() -> oreo::storage::Result<()> {
@@ -20,16 +23,17 @@ fn main() -> oreo::storage::Result<()> {
 
     // initial on-disk layout: range partitions on arrival_time
     let by_time = RangeLayout::from_sample(table, 0, k);
-    let assignment = by_time.assign(table);
     let dir = std::env::temp_dir().join(format!("oreo-example-store-{}", std::process::id()));
     let t0 = Instant::now();
-    let store = DiskStore::create(&dir, table, &assignment, k)?;
+    let mut snap = TableSnapshot::build(table, &by_time.assign(table), k, 0, "by-time");
+    let (store, receipt) = TieredStore::create(&dir, &mut snap)?;
     println!(
         "wrote {} partitions, {:.1} MB compressed, in {:?}",
-        store.num_partitions(),
-        store.total_bytes() as f64 / 1e6,
+        snap.num_partitions(),
+        receipt.bytes_written as f64 / 1e6,
         t0.elapsed()
     );
+    let pool = BufferPool::new(BufferPoolConfig::default());
 
     // two queries from the production mix
     let schema = table.schema();
@@ -45,12 +49,13 @@ fn main() -> oreo::storage::Result<()> {
         ("3-day time range", &time_q),
         ("collector filter", &collector_q),
     ] {
-        let stats = store.scan(q)?;
+        let scan = snap.scan_pooled(&q.predicate, &pool)?;
         println!(
-            "[by-time layout] {name}: read {}/{} partitions, {} rows matched",
-            stats.partitions_read,
-            store.num_partitions(),
-            stats.rows_matched
+            "[by-time layout] {name}: read {}/{} partitions ({:.1} KB of pages), {} rows matched",
+            scan.partitions_read,
+            snap.num_partitions(),
+            scan.bytes_scanned as f64 / 1e3,
+            scan.matches.len()
         );
     }
 
@@ -63,11 +68,11 @@ fn main() -> oreo::storage::Result<()> {
         })
         .collect();
     let tree = QdTreeBuilder::new(k).build(table, &workload);
-    let dir2 = dir.join("reorg");
     let t0 = Instant::now();
-    let store2 = store.reorganize(&dir2, tree.k(), |t, row| tree.route(t, row))?;
+    let mut next = TableSnapshot::build(table, &tree.assign(table), tree.k(), 1, tree.describe());
+    store.publish(&mut next)?;
     println!(
-        "\nphysical reorganization to {} took {:?} (read → re-route → regroup → compress + write)",
+        "\nphysical reorganization to {} took {:?} (re-route → regroup → compress + write)",
         tree.describe(),
         t0.elapsed()
     );
@@ -76,12 +81,13 @@ fn main() -> oreo::storage::Result<()> {
         ("3-day time range", &time_q),
         ("collector filter", &collector_q),
     ] {
-        let stats = store2.scan(q)?;
+        let scan = next.scan_pooled(&q.predicate, &pool)?;
         println!(
-            "[qd-tree layout] {name}: read {}/{} partitions, {} rows matched",
-            stats.partitions_read,
-            store2.num_partitions(),
-            stats.rows_matched
+            "[qd-tree layout] {name}: read {}/{} partitions ({:.1} KB of pages), {} rows matched",
+            scan.partitions_read,
+            next.num_partitions(),
+            scan.bytes_scanned as f64 / 1e3,
+            scan.matches.len()
         );
     }
 
@@ -92,7 +98,7 @@ fn main() -> oreo::storage::Result<()> {
         model.cost(&collector_q) * 100.0
     );
 
-    store2.destroy()?;
-    store.destroy()?;
+    drop((snap, next, store));
+    std::fs::remove_dir_all(&dir)?;
     Ok(())
 }

@@ -12,7 +12,7 @@
 //!
 //! * [`query`] — predicates, schemas, queries;
 //! * [`storage`] — partitioned columnar tables, metadata, data skipping,
-//!   and an on-disk store with physical reorganization;
+//!   and the on-disk generation store physical reorganization publishes to;
 //! * [`sampling`] — sliding windows, reservoirs, R-TBS;
 //! * [`layout`] — Range / Z-order / Qd-tree layout generation;
 //! * [`core`] — the D-UMTS reorganizer, layout manager, and the assembled
@@ -88,7 +88,7 @@ pub mod prelude {
     };
     pub use oreo_query::{ColumnType, Predicate, Query, QueryBuilder, Scalar, Schema};
     pub use oreo_storage::{
-        DiskStore, LayoutModel, SnapshotCell, Table, TableBuilder, TableSnapshot,
+        LayoutModel, SnapshotCell, Table, TableBuilder, TableSnapshot, TieredStore,
     };
     pub use oreo_workload::{DatasetBundle, StreamConfig};
 }

@@ -5,7 +5,8 @@
 
 use oreo::layout::{build_exact_model, LayoutSpec, QdTreeBuilder, RangeLayout, ZOrderLayout};
 use oreo::prelude::*;
-use std::path::PathBuf;
+use oreo::storage::{concat_tables, BufferPool, BufferPoolConfig};
+use std::path::{Path, PathBuf};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -16,6 +17,22 @@ fn tmpdir(tag: &str) -> PathBuf {
     ));
     std::fs::create_dir_all(&d).unwrap();
     d
+}
+
+/// `table` under `assignment`, persisted as generation 1 of a store at `dir`.
+fn persist(
+    dir: &Path,
+    table: &Table,
+    assignment: &[u32],
+    k: usize,
+) -> (TieredStore, TableSnapshot) {
+    let mut snap = TableSnapshot::build(table, assignment, k, 0, "layout");
+    let (store, _) = TieredStore::create(dir, &mut snap).unwrap();
+    (store, snap)
+}
+
+fn pool() -> BufferPool {
+    BufferPool::new(BufferPoolConfig::default())
 }
 
 #[test]
@@ -49,11 +66,15 @@ fn logical_cost_equals_physical_rows_read() {
     for (name, spec) in specs {
         let assignment = spec.assign(table);
         let dir = tmpdir(name);
-        let store = DiskStore::create(&dir, table, &assignment, spec.k()).unwrap();
+        let (store, snap) = persist(&dir, table, &assignment, spec.k());
         let model = build_exact_model(spec.as_ref(), 0, table);
+        let pool = pool();
 
-        for q in stream.queries.iter().take(12) {
-            let stats = store.scan(q).unwrap();
+        for (i, q) in stream.queries.iter().take(12).enumerate() {
+            let stats = snap.scan_pooled(&q.predicate, &pool).unwrap();
+            if i == 0 {
+                assert!(stats.io_cold_bytes > 0, "{name}: the first scan reads disk");
+            }
             let physical_fraction = stats.rows_read as f64 / table.num_rows() as f64;
             let logical = model.cost(q);
             assert!(
@@ -62,7 +83,8 @@ fn logical_cost_equals_physical_rows_read() {
                 q.predicate
             );
         }
-        store.destroy().unwrap();
+        drop((store, snap));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -84,23 +106,27 @@ fn matched_rows_are_identical_across_layouts() {
 
     let dir1 = tmpdir("layout-a");
     let dir2 = tmpdir("layout-b");
-    let store_a = DiskStore::create(&dir1, table, &by_time.assign(table), by_time.k()).unwrap();
-    let store_b = DiskStore::create(&dir2, table, &tree.assign(table), tree.k()).unwrap();
+    let (store_a, snap_a) = persist(&dir1, table, &by_time.assign(table), by_time.k());
+    let (store_b, snap_b) = persist(&dir2, table, &tree.assign(table), tree.k());
+    // one pool per store: both stores number their generation 1
+    let (pool_a, pool_b) = (pool(), pool());
 
     for q in &stream.queries {
-        let a = store_a.scan(q).unwrap();
-        let b = store_b.scan(q).unwrap();
+        let a = snap_a.scan_pooled(&q.predicate, &pool_a).unwrap();
+        let b = snap_b.scan_pooled(&q.predicate, &pool_b).unwrap();
         assert_eq!(
-            a.rows_matched, b.rows_matched,
+            a.matches.len(),
+            b.matches.len(),
             "layouts disagree on results for {:?}",
             q.predicate
         );
         // and both agree with the in-memory ground truth
-        let truth = (table.selectivity(&q.predicate) * table.num_rows() as f64).round() as u64;
-        assert_eq!(a.rows_matched, truth);
+        let truth = (table.selectivity(&q.predicate) * table.num_rows() as f64).round() as usize;
+        assert_eq!(a.matches.len(), truth);
     }
-    store_a.destroy().unwrap();
-    store_b.destroy().unwrap();
+    drop((store_a, snap_a, store_b, snap_b));
+    std::fs::remove_dir_all(&dir1).unwrap();
+    std::fs::remove_dir_all(&dir2).unwrap();
 }
 
 #[test]
@@ -109,7 +135,7 @@ fn physical_reorganization_preserves_content() {
     let table = &bundle.table;
     let by_ticket = RangeLayout::from_sample(table, 0, 5);
     let dir = tmpdir("content");
-    let store = DiskStore::create(&dir, table, &by_ticket.assign(table), 5).unwrap();
+    let (store, snap) = persist(&dir, table, &by_ticket.assign(table), 5);
 
     let stream = bundle.stream(StreamConfig {
         total_queries: 30,
@@ -118,13 +144,21 @@ fn physical_reorganization_preserves_content() {
         ..Default::default()
     });
     let tree = QdTreeBuilder::new(8).build(table, &stream.queries);
-    let dir2 = tmpdir("content-reorg");
-    let store2 = store
-        .reorganize(&dir2, tree.k(), |t, row| tree.route(t, row))
-        .unwrap();
+    let mut next = TableSnapshot::build(table, &tree.assign(table), tree.k(), 1, "qdtree");
+    store.publish(&mut next).unwrap();
+    drop((store, snap));
+    let (store2, recovered, _) = TieredStore::open(&dir, table.schema()).unwrap();
+    for (published, read) in next.partitions().iter().zip(recovered.partitions()) {
+        assert_eq!(published.rows(), read.rows());
+    }
 
-    assert_eq!(store2.total_rows(), table.num_rows() as u64);
-    let back = store2.load_table().unwrap();
+    assert_eq!(recovered.total_rows(), table.num_rows() as u64);
+    let parts: Vec<Table> = recovered
+        .partitions()
+        .iter()
+        .map(|p| (*p.data).clone())
+        .collect();
+    let back = concat_tables(table.schema(), &parts).unwrap();
     // same multiset of ticket numbers (the unique key)
     let mut original: Vec<i64> = (0..table.num_rows())
         .map(|r| table.scalar(r, 0).as_int().unwrap())
@@ -136,6 +170,6 @@ fn physical_reorganization_preserves_content() {
     roundtrip.sort_unstable();
     assert_eq!(original, roundtrip);
 
-    store2.destroy().unwrap();
-    store.destroy().unwrap();
+    drop((store2, recovered, next));
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use oreo_core::{Dumts, DumtsConfig, TransitionPolicy};
-use oreo_layout::{build_exact_model, morton_encode, LayoutSpec, QdTreeBuilder, ZOrderLayout};
+use oreo_layout::{
+    build_exact_model, build_model, morton_encode, LayoutSpec, QdTreeBuilder, ZOrderLayout,
+};
 use oreo_query::QueryBuilder;
 use oreo_sim::offline_optimum;
 use oreo_storage::{build_metadata, cost_vector_distance, TableSnapshot, TieredStore};
@@ -131,6 +133,33 @@ fn bench_cost_eval(c: &mut Criterion) {
     let sample = &stream.queries[..64.min(stream.queries.len())];
     c.bench_function("cost_vector_64q_k64", |b| {
         b.iter(|| black_box(model.cost_vector(sample)))
+    });
+
+    // What `drift-small` costs on every query, once per live state: a
+    // qd-tree's sample model (1 500 rows over 32 leaves, ~47 rows each, so
+    // even the wide int columns keep exact distinct sets) against the
+    // `correlated` stream's two-int-BETWEEN queries; and what each
+    // generation boundary costs per state and candidate, one vector over
+    // a 64-query admission sample.
+    use rand::SeedableRng;
+    let table = telemetry::telemetry_table(20_000, 7);
+    let data_sample = table.sample(&mut rand::rngs::StdRng::seed_from_u64(5), 1_500);
+    let stream = Scenario::CorrelatedColumns.generate(
+        table.schema(),
+        ScenarioConfig {
+            total_queries: 8_000,
+            seed: 7,
+        },
+    );
+    let tree = QdTreeBuilder::new(32).build(&data_sample, &stream.queries[4_000..4_100]);
+    let model = build_model(&tree, 0, &data_sample, table.num_rows() as f64);
+    let q = &stream.queries[4_100];
+    c.bench_function("layout_cost_eval_k32_sample_correlated", |b| {
+        b.iter(|| black_box(model.cost(q)))
+    });
+    let admission = &stream.queries[4_100..4_164];
+    c.bench_function("cost_vector_64q_k32_sample_correlated", |b| {
+        b.iter(|| black_box(model.cost_vector(admission)))
     });
 }
 

@@ -4,9 +4,35 @@
 //! cost `c(s, q)` of a query on a layout requires only the layout's
 //! partition metadata, never the data itself (§III-B of the paper, the
 //! `eval_skipped` functionality).
+//!
+//! The D-UMTS step costs every live state on every query, and each
+//! generation boundary costs every state and candidate over the admission
+//! sample (Algorithm 5), so [`LayoutModel::new`] compiles the partitions'
+//! [`PartitionMetadata`] once, in one pass over the statistics, into
+//! per-column arrays a query is costed on in one pass:
+//!
+//! * every statistic becomes an integer key whose order is [`Scalar`]'s:
+//!   an int is itself, a float its `total_cmp` image, a string its position
+//!   in the column's sorted dictionary of the strings its statistics hold,
+//!   each above its type's rank — so a literal of another runtime type than
+//!   the column compares exactly the way `Scalar` compares it, through the
+//!   same code;
+//! * per partition a column keeps a `min` and a `max` key, one bit saying
+//!   whether it has statistics at all and one saying whether an exact
+//!   distinct set answers it, that set being a sorted slice of one key
+//!   buffer per column;
+//! * an atom is evaluated across 64 partitions at a time into a bit mask
+//!   — only on the partitions the atoms before it kept —, a conjunction
+//!   ANDs its atoms' masks, and the rows of the set bits are summed in
+//!   partition order.
+//!
+//! [`PartitionMetadata::may_match`] is the reference semantics: the cost is
+//! the same f64 sum, in the same order, of the rows of the partitions it
+//! keeps, so every ledger built on it is unchanged to the bit.
 
-use crate::partition::PartitionMetadata;
-use oreo_query::Query;
+use crate::partition::{word_bits, ColumnStats, PartitionMetadata};
+use oreo_query::{Atom, CompareOp, Predicate, Query, Scalar};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Monotonically increasing identifier for layouts created during a run.
@@ -18,7 +44,8 @@ pub struct LayoutModel {
     id: LayoutId,
     /// Human-readable provenance, e.g. `"qdtree(window@1400)"`.
     name: String,
-    partitions: Arc<[PartitionMetadata]>,
+    /// Shared by clones: a model is compiled once and costed many times.
+    stats: Arc<CompiledStats>,
     total_rows: f64,
 }
 
@@ -29,7 +56,7 @@ impl LayoutModel {
         Self {
             id,
             name: name.into(),
-            partitions: partitions.into(),
+            stats: Arc::new(CompiledStats::new(&partitions)),
             total_rows,
         }
     }
@@ -53,12 +80,7 @@ impl LayoutModel {
 
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// The per-partition skipping metadata.
-    pub fn partitions(&self) -> &[PartitionMetadata] {
-        &self.partitions
+        self.stats.rows.len()
     }
 
     /// Total rows across all partitions.
@@ -68,12 +90,7 @@ impl LayoutModel {
 
     /// Partition ids that must be read for `query` (cannot be skipped).
     pub fn relevant_partitions(&self, query: &Query) -> Vec<usize> {
-        self.partitions
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.may_match(&query.predicate))
-            .map(|(i, _)| i)
-            .collect()
+        self.stats.relevant(&query.predicate).collect()
     }
 
     /// Service cost `c(s, q) ∈ [0, 1]`: the fraction of rows living in
@@ -83,12 +100,8 @@ impl LayoutModel {
         if self.total_rows <= 0.0 {
             return 0.0;
         }
-        let accessed: f64 = self
-            .partitions
-            .iter()
-            .filter(|p| p.may_match(&query.predicate))
-            .map(|p| p.rows)
-            .sum();
+        let rows = &self.stats.rows;
+        let accessed: f64 = self.stats.relevant(&query.predicate).map(|p| rows[p]).sum();
         accessed / self.total_rows
     }
 
@@ -109,6 +122,268 @@ impl LayoutModel {
             return 0.0;
         }
         self.cost_vector(queries).iter().sum::<f64>() / queries.len() as f64
+    }
+}
+
+/// A layout's partition metadata compiled for mask evaluation. Every bit
+/// mask holds one `u64` word per 64 partitions; partition `p` is bit
+/// `p % 64` of word `p / 64`.
+#[derive(Debug)]
+struct CompiledStats {
+    /// Row count per partition — possibly sample-scaled.
+    rows: Vec<f64>,
+    /// Partitions with rows: `may_match` skips the others whatever the
+    /// predicate.
+    live: Vec<u64>,
+    /// Indexed by [`oreo_query::ColId`].
+    columns: Vec<ColumnArrays>,
+}
+
+impl CompiledStats {
+    fn new(partitions: &[PartitionMetadata]) -> Self {
+        let mut live = vec![0u64; partitions.len().div_ceil(64)];
+        for (p, meta) in partitions.iter().enumerate() {
+            // `may_match` tests `rows <= 0`, which a NaN row count fails.
+            if meta.rows > 0.0 || meta.rows.is_nan() {
+                live[p / 64] |= 1 << (p % 64);
+            }
+        }
+        let ncols = partitions.iter().map(|p| p.columns.len()).max();
+        Self {
+            rows: partitions.iter().map(|p| p.rows).collect(),
+            live,
+            columns: (0..ncols.unwrap_or(0))
+                .map(|col| ColumnArrays::new(partitions, col))
+                .collect(),
+        }
+    }
+
+    /// The partitions `predicate` cannot skip, ascending: per word of 64
+    /// partitions, the live mask ANDed with every atom's mask. An atom is
+    /// only evaluated on the partitions the atoms before it kept.
+    fn relevant<'a>(&'a self, predicate: &'a Predicate) -> impl Iterator<Item = usize> + 'a {
+        self.live.iter().enumerate().flat_map(move |(word, &live)| {
+            let mask = predicate.atoms().iter().fold(live, |mask, atom| {
+                // A column past the metadata's has no statistics, so no
+                // partition can match it.
+                match self.columns.get(atom.col()) {
+                    Some(column) if mask != 0 => column.mask(atom, word, mask),
+                    _ => 0,
+                }
+            });
+            word_bits(mask, word * 64)
+        })
+    }
+}
+
+/// The statistics [`PartitionMetadata::may_match`] consults for one
+/// partition's column: the distinct set when there is one, else the range.
+enum Held<'a> {
+    Set(&'a BTreeSet<Scalar>),
+    Range(&'a Scalar, &'a Scalar),
+    /// No range, or an empty distinct set: no atom can match.
+    Nothing,
+}
+
+impl<'a> Held<'a> {
+    fn of(stats: Option<&'a ColumnStats>) -> Self {
+        match stats {
+            Some(ColumnStats {
+                distinct: Some(set),
+                ..
+            }) if set.is_empty() => Held::Nothing,
+            Some(ColumnStats {
+                distinct: Some(set),
+                ..
+            }) => Held::Set(set),
+            Some(ColumnStats {
+                range: Some((min, max)),
+                ..
+            }) => Held::Range(min, max),
+            _ => Held::Nothing,
+        }
+    }
+}
+
+/// An integer image of a [`Scalar`] under one column's string dictionary:
+/// for any two scalars, comparing their keys gives `Scalar::cmp`.
+type Key = i128;
+
+/// `value`'s key under the sorted `dict`. A string outside it gets the
+/// even slot between its neighbours', so it orders correctly and equals no
+/// member.
+fn key(dict: &[String], value: &Scalar) -> Key {
+    match value {
+        Scalar::Int(v) => compose(0, *v),
+        // `f64::total_cmp`'s own mapping onto signed integers.
+        Scalar::Float(v) => {
+            let bits = v.to_bits() as i64;
+            compose(1, bits ^ (((bits >> 63) as u64) >> 1) as i64)
+        }
+        Scalar::Str(s) => {
+            let slot = match dict.binary_search(s) {
+                Ok(at) => 2 * at + 1,
+                Err(at) => 2 * at,
+            };
+            compose(2, slot as i64)
+        }
+    }
+}
+
+/// A type's rank (`Int < Float < Str`, [`Scalar`]'s cross-type order)
+/// above an order-preserving image of the payload.
+fn compose(rank: Key, image: i64) -> Key {
+    (rank << 64) | Key::from((image as u64) ^ (1 << 63))
+}
+
+/// One column's statistics across every partition.
+#[derive(Debug)]
+struct ColumnArrays {
+    /// Partitions a range or a non-empty distinct set answers.
+    has_stats: Vec<u64>,
+    /// The subset of `has_stats` a distinct set answers.
+    has_set: Vec<u64>,
+    /// Per partition, the first and last key it holds — a set's smallest
+    /// and largest member, a range's `min` and `max`; 0 without statistics.
+    min: Vec<Key>,
+    max: Vec<Key>,
+    /// Partition `p` holds `keys[start[p]..start[p + 1]]`: its distinct set
+    /// ascending, or its range's `min` and `max`.
+    start: Vec<usize>,
+    keys: Vec<Key>,
+    /// The strings the column's statistics hold, sorted and deduplicated.
+    dict: Vec<String>,
+}
+
+impl ColumnArrays {
+    fn new(partitions: &[PartitionMetadata], col: usize) -> Self {
+        let words = partitions.len().div_ceil(64);
+        let (mut has_stats, mut has_set) = (vec![0; words], vec![0; words]);
+        let mut start = vec![0];
+        let mut held: Vec<&Scalar> = Vec::new();
+        for (p, meta) in partitions.iter().enumerate() {
+            let bit = 1 << (p % 64);
+            match Held::of(meta.columns.get(col)) {
+                Held::Set(set) => {
+                    has_set[p / 64] |= bit;
+                    has_stats[p / 64] |= bit;
+                    held.extend(set);
+                }
+                Held::Range(min, max) => {
+                    has_stats[p / 64] |= bit;
+                    held.extend([min, max]);
+                }
+                Held::Nothing => {}
+            }
+            start.push(held.len());
+        }
+        // The strings' dictionary positions: one hash lookup per string
+        // held, then a sort of the distinct ones — the same strings recur
+        // in partition after partition.
+        let mut ids: HashMap<&str, usize> = HashMap::new();
+        let first_seen: Vec<Option<usize>> = (held.iter())
+            .map(|v| {
+                let next = ids.len();
+                v.as_str().map(|s| *ids.entry(s).or_insert(next))
+            })
+            .collect();
+        let mut by_id = vec![""; ids.len()];
+        for (s, id) in ids {
+            by_id[id] = s;
+        }
+        let mut sorted: Vec<usize> = (0..by_id.len()).collect();
+        sorted.sort_unstable_by_key(|&id| by_id[id]);
+        let mut position = vec![0; by_id.len()];
+        for (at, &id) in sorted.iter().enumerate() {
+            position[id] = at;
+        }
+        let keys: Vec<Key> = (held.iter().zip(first_seen))
+            .map(|(v, id)| match id {
+                Some(id) => compose(2, (2 * position[id] + 1) as i64),
+                None => key(&[], v),
+            })
+            .collect();
+        let first_last = |p: usize| {
+            let own = &keys[start[p]..start[p + 1]];
+            own.first()
+                .zip(own.last())
+                .map_or((0, 0), |(&a, &b)| (a, b))
+        };
+        let (min, max) = (0..partitions.len()).map(first_last).unzip();
+        ColumnArrays {
+            has_stats,
+            has_set,
+            min,
+            max,
+            start,
+            keys,
+            dict: sorted.iter().map(|&id| by_id[id].to_owned()).collect(),
+        }
+    }
+
+    /// The partitions among `among` (bits of word `word`) the statistics
+    /// cannot rule out for `atom` — [`Atom::may_match_set`] on the set
+    /// partitions and [`Atom::may_match_range`] on the others, rule for
+    /// rule.
+    fn mask(&self, atom: &Atom, word: usize, among: u64) -> u64 {
+        let stats = among & self.has_stats[word];
+        let sets = stats & self.has_set[word];
+        match atom {
+            Atom::Compare { op, value, .. } => {
+                let v = key(&self.dict, value);
+                // Ordered ops on a set only need its extremes, as on a range.
+                match op {
+                    CompareOp::Lt => self.select(stats, word, |p| self.min[p] < v),
+                    CompareOp::Le => self.select(stats, word, |p| self.min[p] <= v),
+                    CompareOp::Gt => self.select(stats, word, |p| self.max[p] > v),
+                    CompareOp::Ge => self.select(stats, word, |p| self.max[p] >= v),
+                    CompareOp::Eq => self.holding(stats, sets, word, v, v),
+                }
+            }
+            Atom::Between { low, high, .. } => {
+                let (lo, hi) = (key(&self.dict, low), key(&self.dict, high));
+                if lo <= hi {
+                    return self.holding(stats, sets, word, lo, hi);
+                }
+                // An inverted BETWEEN: no set member lies in it, but the
+                // range rule still admits a range it straddles.
+                let (min, max) = (&self.min, &self.max);
+                self.select(stats & !sets, word, |p| !(hi < min[p] || lo > max[p]))
+            }
+            Atom::InSet { set, .. } => set.iter().fold(0, |found, v| {
+                let v = key(&self.dict, v);
+                let open = stats & !found;
+                found | self.holding(open, sets & open, word, v, v)
+            }),
+        }
+    }
+
+    /// The partitions among `stats` holding a value in `[lo, hi]` (`lo <=
+    /// hi`) as far as their statistics tell: a range that meets it, or a
+    /// distinct set — `sets` — with a member in it.
+    fn holding(&self, stats: u64, sets: u64, word: usize, lo: Key, hi: Key) -> u64 {
+        self.select(stats, word, |p| {
+            let (min, max) = (self.min[p], self.max[p]);
+            if hi < min || lo > max {
+                return false;
+            }
+            // A set whose smallest or largest member lies in `[lo, hi]`
+            // needs no search.
+            if sets & (1 << (p % 64)) == 0 || lo <= min || max <= hi {
+                return true;
+            }
+            let set = &self.keys[self.start[p]..self.start[p + 1]];
+            let at = set.partition_point(|&k| k < lo);
+            set.get(at).is_some_and(|&k| k <= hi)
+        })
+    }
+
+    /// The partitions among `among` (bits of word `word`) that satisfy
+    /// `pred`, which takes a partition id.
+    fn select(&self, among: u64, word: usize, pred: impl Fn(usize) -> bool) -> u64 {
+        word_bits(among, word * 64)
+            .filter(|&p| pred(p))
+            .fold(0, |mask, p| mask | 1 << (p % 64))
     }
 }
 
@@ -185,5 +460,60 @@ mod tests {
     #[should_panic(expected = "align")]
     fn distance_requires_same_length() {
         cost_vector_distance(&[0.0], &[0.0, 1.0]);
+    }
+
+    mod proptests {
+        use super::*;
+        use crate::partition::arb;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The compiled model costs a query exactly as
+            /// [`PartitionMetadata::may_match`] prunes it — the partitions
+            /// kept, and the f64 sum of their rows in partition order to
+            /// the bit — on sample metadata scaled the way `build_model`
+            /// scales it: empty partitions, sets of exactly the cap and
+            /// ranges past it, floats with NaN, ±0.0 and ±∞, foreign
+            /// literals, inverted `BETWEEN`s, `IN` lists of 1–7 literals,
+            /// two atoms on one column, and layouts of more than 64 (and
+            /// of exactly 128) partitions.
+            #[test]
+            fn model_cost_equals_may_match(
+                shapes in arb::shapes(),
+                pad in prop_oneof![Just(0usize), Just(60), Just(127)],
+                full_rows in prop_oneof![Just(0.0), (1u32..400).prop_map(|r| r as f64 * 37.5)],
+                queries in proptest::collection::vec(arb::raw_atoms(), 1..6),
+            ) {
+                let k = shapes.len() + pad;
+                let (t, assignment) = arb::table(&shapes, k);
+                let mut meta = build_metadata(&t, &assignment, k);
+                if t.num_rows() > 0 && full_rows > 0.0 {
+                    let factor = full_rows / t.num_rows() as f64;
+                    for m in &mut meta {
+                        m.scale_rows(factor);
+                    }
+                }
+                let model = LayoutModel::new(3, "arb", meta.clone());
+                let total: f64 = meta.iter().map(|m| m.rows).sum();
+                prop_assert_eq!(model.num_partitions(), k);
+                prop_assert_eq!(model.total_rows().to_bits(), total.to_bits());
+                let queries: Vec<Query> = (queries.iter())
+                    .map(|raw| Query::new(arb::predicate(raw)))
+                    .collect();
+                let mut want = Vec::new();
+                for q in &queries {
+                    let kept: Vec<usize> = (0..k)
+                        .filter(|&p| meta[p].may_match(&q.predicate))
+                        .collect();
+                    let accessed: f64 = kept.iter().map(|&p| meta[p].rows).sum();
+                    let cost = if total <= 0.0 { 0.0 } else { accessed / total };
+                    prop_assert_eq!(model.relevant_partitions(q), kept, "{:?}", q);
+                    prop_assert_eq!(model.cost(q).to_bits(), cost.to_bits(), "{:?}", q);
+                    want.push(cost.to_bits());
+                }
+                let got: Vec<u64> = model.cost_vector(&queries).iter().map(|c| c.to_bits()).collect();
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }

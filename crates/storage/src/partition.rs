@@ -314,14 +314,19 @@ pub(crate) fn table_metadata(table: &Table) -> PartitionMetadata {
 
 /// Positions of the set bits of `words`, ascending.
 fn set_bits(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
-    words.iter().enumerate().flat_map(|(w, &word)| {
-        let mut rest = word;
-        std::iter::from_fn(move || {
-            (rest != 0).then(|| {
-                let bit = rest.trailing_zeros();
-                rest &= rest - 1;
-                w as u32 * 64 + bit
-            })
+    (words.iter().enumerate())
+        .flat_map(|(w, &word)| word_bits(word, w * 64))
+        .map(|bit| bit as u32)
+}
+
+/// `base` plus the position of each set bit of `word`, ascending.
+pub(crate) fn word_bits(word: u64, base: usize) -> impl Iterator<Item = usize> {
+    let mut rest = word;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            base + bit
         })
     })
 }
@@ -753,6 +758,186 @@ mod tests {
                 let want = reference_metadata_capped(&t, &assignment, k, cap);
                 prop_assert_eq!(got, want);
             }
+
+            /// Both questions the statistics answer are sound on any
+            /// predicate — floats with NaN, ±0.0 and ±∞, literals of another
+            /// type than their column, inverted and mixed-type ranges, two
+            /// atoms on one column: a partition `may_match` rules out holds
+            /// no row matching under `atom_matches_ref`, and a column
+            /// `covered_by` a compiled plan holds no row failing one of the
+            /// column's atoms.
+            #[test]
+            fn may_match_and_covered_by_are_sound(
+                shapes in arb::shapes(),
+                pad in prop_oneof![Just(0usize), Just(3)],
+                raw in arb::raw_atoms(),
+            ) {
+                use crate::column::atom_matches_ref;
+                use oreo_query::CompiledPredicate;
+                let k = shapes.len() + pad;
+                let (t, assignment) = arb::table(&shapes, k);
+                let meta = build_metadata(&t, &assignment, k);
+                // The conjunction, and each atom on its own (which matches
+                // rows far more often).
+                let singles = raw.iter().map(|a| arb::predicate(std::slice::from_ref(a)));
+                for predicate in std::iter::once(arb::predicate(&raw)).chain(singles) {
+                    let compiled = CompiledPredicate::compile(&predicate);
+                    for (r, &p) in assignment.iter().enumerate() {
+                        let meta = &meta[p as usize];
+                        prop_assert!(
+                            meta.may_match(&predicate) || !t.row_matches(r, &predicate),
+                            "partition {} skipped but row {} matches {:?}", p, r, predicate
+                        );
+                        for column in compiled.columns() {
+                            let col = column.col();
+                            if meta.columns[col].covered_by(column.plan()) {
+                                let on_col = predicate.atoms().iter().filter(|a| a.col() == col);
+                                prop_assert!(
+                                    on_col.clone().all(|a| atom_matches_ref(a, t.get(r, col))),
+                                    "column {} of partition {} covered but row {} fails {:?}",
+                                    col, p, r, on_col.collect::<Vec<_>>()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
+    }
+}
+
+/// Random tables, layouts and predicates for the property tests of the
+/// statistics (here) and of [`crate::LayoutModel`], which must cost a query
+/// exactly as [`PartitionMetadata::may_match`] prunes it.
+#[cfg(test)]
+pub(crate) mod arb {
+    use super::DEFAULT_DISTINCT_CAP;
+    use crate::table::{Table, TableBuilder};
+    use oreo_query::{Atom, ColumnType, CompareOp, Predicate, Scalar, Schema};
+    use proptest::prelude::*;
+    use std::sync::Arc;
+
+    /// An int, a timestamp, a float and a string column.
+    const COLUMNS: usize = 4;
+
+    /// One atom as drawn: its column, its kind and its literals, each a
+    /// type selector and a seed (see [`atom`]).
+    pub type RawAtom = (usize, usize, Vec<(usize, i64)>);
+
+    /// Column `col`'s value for seed `v`. Distinct seeds give distinct
+    /// ints, timestamps and strings; floats cycle through NaN of both
+    /// signs, −0.0, 0.0, ±∞ and quarters. A negative seed gives a string
+    /// no table holds, between two that it may.
+    fn cell(col: usize, v: i64) -> Scalar {
+        match col {
+            0 => Scalar::Int(v),
+            1 => Scalar::Int(v * 1_000 - 7),
+            2 => Scalar::Float(match v.rem_euclid(16) {
+                1 => f64::NAN,
+                2 => -f64::NAN,
+                3 => -0.0,
+                4 => f64::INFINITY,
+                5 => f64::NEG_INFINITY,
+                _ => (v - 8) as f64 / 4.0,
+            }),
+            _ if v >= 0 => Scalar::from(format!("s{v:03}")),
+            _ => Scalar::from(format!("s{:03}x", -v)),
+        }
+    }
+
+    /// One `(class, seed)` per partition; see [`table`].
+    pub fn shapes() -> impl Strategy<Value = Vec<(usize, i64)>> {
+        proptest::collection::vec((0usize..5, 0i64..64), 1..12)
+    }
+
+    /// A table of `k` partitions, the shapes repeated as needed, and its
+    /// row → partition assignment. By class, a partition is empty, holds a
+    /// few rows of a narrow domain, holds exactly [`DEFAULT_DISTINCT_CAP`]
+    /// distinct values per column (floats aside) or one more — with
+    /// repeats —, or holds 20 rows of a wider spread.
+    pub fn table(shapes: &[(usize, i64)], k: usize) -> (Table, Vec<u32>) {
+        let cap = DEFAULT_DISTINCT_CAP as i64;
+        let schema = Arc::new(Schema::from_pairs([
+            ("i", ColumnType::Int),
+            ("t", ColumnType::Timestamp),
+            ("f", ColumnType::Float),
+            ("s", ColumnType::Str),
+        ]));
+        let mut b = TableBuilder::new(schema);
+        let mut assignment = Vec::new();
+        for (p, &(class, seed)) in shapes.iter().cycle().take(k).enumerate() {
+            let seeds: Vec<i64> = match class {
+                0 => Vec::new(),
+                1 => (0..=seed % 6).map(|j| (seed + 13 * j) % 70).collect(),
+                2 | 3 => (0..cap + class as i64 - 2)
+                    .chain(0..seed % 5)
+                    .map(|j| seed % 8 + j)
+                    .collect(),
+                _ => (0..20).map(|j| (seed * 7 + 29 * j) % 200).collect(),
+            };
+            for v in seeds {
+                let row: Vec<Scalar> = (0..COLUMNS).map(|c| cell(c, v)).collect();
+                b.push_row(&row);
+                assignment.push(p as u32);
+            }
+        }
+        (b.finish(), assignment)
+    }
+
+    /// Up to three atoms, on any of the columns — often two on one.
+    pub fn raw_atoms() -> impl Strategy<Value = Vec<RawAtom>> {
+        let literals = proptest::collection::vec((0usize..8, -8i64..80), 1..8);
+        proptest::collection::vec((0..COLUMNS, 0usize..8, literals), 0..4)
+    }
+
+    /// The atom `raw` stands for. Kinds 0–4 compare the first literal
+    /// under each [`CompareOp`]; 5 is `BETWEEN` the first and last literal
+    /// in order, 6 the same as drawn (inverted about half the time); 7 is
+    /// `IN` every literal (1–7 of them). A literal has its column's type
+    /// for selectors 0–5 and one of the other two types for 6 and 7.
+    fn atom(raw: &RawAtom) -> Atom {
+        let (col, kind, literals) = raw;
+        let col = *col;
+        let foreign = match col {
+            0 | 1 => [2, 3],
+            2 => [0, 3],
+            _ => [0, 2],
+        };
+        let literals: Vec<Scalar> = (literals.iter())
+            .map(|&(ty, v)| cell(if ty < 6 { col } else { foreign[ty - 6] }, v))
+            .collect();
+        let (first, last) = (literals[0].clone(), literals[literals.len() - 1].clone());
+        match kind {
+            0..=4 => {
+                let op = [
+                    CompareOp::Lt,
+                    CompareOp::Le,
+                    CompareOp::Gt,
+                    CompareOp::Ge,
+                    CompareOp::Eq,
+                ][*kind];
+                Atom::Compare {
+                    col,
+                    op,
+                    value: first,
+                }
+            }
+            5 if first > last => Atom::Between {
+                col,
+                low: last,
+                high: first,
+            },
+            5 | 6 => Atom::Between {
+                col,
+                low: first,
+                high: last,
+            },
+            _ => Atom::InSet { col, set: literals },
+        }
+    }
+
+    /// The conjunction of the drawn atoms.
+    pub fn predicate(raw: &[RawAtom]) -> Predicate {
+        Predicate::new(raw.iter().map(atom).collect())
     }
 }

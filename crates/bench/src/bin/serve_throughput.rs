@@ -60,17 +60,14 @@
 //! guarantee).
 //!
 //! `--tenants <N>` switches to the multi-tenant harness: N tables behind
-//! one engine — one worker pool, one buffer pool, one reorganization
-//! scheduler. Tenant 0 serves the zoo's flash-crowd stream (the
-//! reorg-hungry aggressor); tenants 1..N serve quiet diurnal streams over
-//! their own tables. The harness first asserts per-tenant FIFO ledger
-//! parity (every tenant's ledger byte-identical to an independent
-//! `oreo-sim` run of its substream), then measures the adversarial
-//! co-tenant case without and with the global α budget scheduler, three
-//! runs of each, interleaved, and reports per-tenant qps/p50/p99, pool
-//! hit%, and reorg deferrals. The run gates on the victim tenant's median
-//! p99 improving under the budget scheduler and writes
-//! `BENCH_multitenant.json`.
+//! one engine — one worker pool, one buffer pool, one reorganizer, one
+//! OREO instance per tenant (§VIII). Tenant 0 serves the zoo's adaptive
+//! adversary (the reorg-hungry tenant); tenants 1..N serve quiet diurnal
+//! streams over their own tables. The harness asserts per-tenant FIFO
+//! ledger parity (every tenant's ledger byte-identical to an independent
+//! `oreo-sim` run of its substream), then measures one closed-loop cell
+//! and reports per-tenant qps, p50/p99, pool hit%, switches, completed
+//! reorgs and total cost. It writes `BENCH_multitenant.json`.
 //!
 //! Flags: `--quick` (reduced scale), `--tiered` (disk-tiered serving),
 //! `--buffer-pool-mb <n>` (tiered page-cache capacity), `--ingest-rate
@@ -83,9 +80,9 @@
 use oreo_bench::common::{
     default_config, json_path_arg, make_stream, write_json_report, Json, Scale,
 };
-use oreo_core::{median_or, CostLedger};
+use oreo_core::CostLedger;
 use oreo_engine::{
-    Engine, EngineConfig, EngineStats, ObsConfig, ReorgBudget, ServeMode, TenantSpec, TenantStats,
+    Engine, EngineConfig, EngineStats, ObsConfig, ServeMode, TenantSpec, TenantStats,
 };
 use oreo_obs::render_trace;
 use oreo_sim::{
@@ -1100,12 +1097,12 @@ fn multitenant_queries(scale: Scale) -> usize {
 
 /// Framework config for the *quiet* co-tenants of `--tenants` mode.
 /// Candidate generation runs on the serving path (it is part of the
-/// framework's modeled cost; on a worker's own time in these measured-Δ
-/// cells, with the tenant's stream held a quarter interval past the
+/// framework's modeled cost; on a worker's own time in the measured-Δ
+/// cell, with the tenant's stream held a quarter interval past the
 /// boundary), and one generation pass costs
 /// tens of milliseconds — if a quiet tenant regenerates every 100 queries,
-/// its own p99 is generation stalls and the budget scheduler's effect on
-/// the tail is invisible. Quiet tenants are stable workloads: they
+/// its own p99 is generation stalls, not co-tenant interference. Quiet
+/// tenants are stable workloads: they
 /// regenerate rarely (well under 1% of queries), keep a small training
 /// sample, and a halved partition count.
 fn multitenant_config(seed: u64) -> oreo_core::OreoConfig {
@@ -1131,11 +1128,11 @@ struct TenantCase {
     /// footprint is small either way) while its reorganization pressure
     /// rides on α and cadence, not on query volume.
     stride: usize,
-    /// Per-tenant concurrency cap in the closed-loop cells — the
+    /// Per-tenant concurrency cap in the closed-loop cell — the
     /// frontend-fairness knob a real multi-tenant gateway applies. The
     /// aggressor is capped at 1 so its (possibly slow) scans can occupy at
-    /// most one worker; otherwise every cell's victim tail is just the
-    /// aggressor's service time and the scheduler's effect is invisible.
+    /// most one worker; otherwise every quiet tenant's tail is just the
+    /// aggressor's service time.
     inflight: usize,
 }
 
@@ -1152,7 +1149,7 @@ impl TenantCase {
 }
 
 /// In-flight queries per *quiet* tenant in the measured (closed-loop)
-/// cells (the aggressor is capped at 1 — see [`TenantCase::inflight`]). An
+/// cell (the aggressor is capped at 1 — see [`TenantCase::inflight`]). An
 /// open loop would submit every stream instantly and measure queue
 /// backlog; a small bounded window keeps the engine busy while latency
 /// still reflects service time plus co-tenant interference.
@@ -1162,7 +1159,7 @@ const MT_INFLIGHT: usize = 4;
 /// interleaved (each tenant firing every [`TenantCase::stride`] rounds),
 /// drain, and return (elapsed, stats). `closed_loop` bounds each tenant
 /// to its [`TenantCase::inflight`] outstanding queries (the measured
-/// cells); the parity replay runs open-loop — bookkeeping order is all
+/// cell); the parity replay runs open-loop — bookkeeping order is all
 /// that matters there.
 fn run_multitenant_cell(
     cases: &[TenantCase],
@@ -1228,17 +1225,14 @@ fn tenant_json(case: &TenantCase, ten: &TenantStats, elapsed: f64, tiered: bool)
         ),
         ("switches", Json::from(ten.switches)),
         ("reorgs_completed", Json::from(ten.snapshots_published)),
-        ("reorg_deferrals", Json::from(ten.reorg_deferrals)),
-        ("max_deferred_queries", Json::from(ten.max_deferred_queries)),
         ("total_cost", Json::from(ten.ledger.total())),
     ])
 }
 
-/// The multi-tenant harness (`--tenants N`): one flash-crowd aggressor +
+/// The multi-tenant harness (`--tenants N`): one adversarial tenant +
 /// N−1 quiet co-tenants behind one engine. Asserts per-tenant ledger
-/// parity against independent `oreo-sim` runs, measures the adversarial
-/// co-tenant case with the α budget scheduler off and on, and gates on the
-/// victim's p99 improving under the budget.
+/// parity against independent `oreo-sim` runs and measures one
+/// closed-loop cell.
 fn run_multitenant(
     n: usize,
     scale: Scale,
@@ -1248,24 +1242,20 @@ fn run_multitenant(
     obs: &ObsFlags,
 ) {
     let queries = multitenant_queries(scale);
-    // The aggressor serves the zoo's adaptive MTS adversary: a stream
-    // engineered so reorganizations barely pay for themselves. Deferring
-    // its switches costs it almost nothing (the next drift arrives before
-    // a layout amortizes) while *executing* them bills the shared serving
-    // plane — builds, generation writes + fsync, pool invalidations. That
-    // is exactly the tenant a global α budget exists to contain. It runs
-    // *sparse* (a quarter of the co-tenants' query volume, spread evenly
-    // via `stride`) so its own service footprint is bounded either way and
-    // the two cells differ in rebuild interference, not in how much of the
-    // CPU the aggressor's scans take.
+    // Tenant 0 serves the zoo's adaptive MTS adversary: a stream engineered
+    // so reorganizations barely pay for themselves, so it switches often
+    // and each switch bills the shared serving plane — builds, generation
+    // writes + fsync, pool invalidations. It runs *sparse* (a quarter of
+    // the co-tenants' query volume, spread evenly via `stride`) so its own
+    // scans take a bounded share of the workers.
     let crowd = Scenario::from_name("adversarial").expect("zoo scenario");
     let quiet = Scenario::from_name("diurnal").expect("zoo scenario");
     const CROWD_STRIDE: usize = 4;
 
-    println!("== Multi-tenant serving: {n} tables, one engine, one α budget ==");
+    println!("== Multi-tenant serving: {n} tables, one engine, one OREO per tenant ==");
     println!(
-        "scale: {} ({} rows/co-tenant, {} rows for the aggressor, {} queries/co-tenant, \
-         {} for the aggressor, serve mode: {})",
+        "scale: {} ({} rows/co-tenant, {} rows for tenant 0, {} queries/co-tenant, \
+         {} for tenant 0, serve mode: {})",
         scale.label(),
         scale.rows(),
         scale.rows() * 8,
@@ -1278,7 +1268,7 @@ fn run_multitenant(
         },
     );
     println!(
-        "tenant 0 \"crowd\" serves the {} stream (reorg-hungry aggressor); \
+        "tenant 0 \"crowd\" serves the {} stream (reorg-hungry); \
          tenants 1..{n} serve {} streams",
         crowd.name(),
         quiet.name(),
@@ -1373,117 +1363,67 @@ fn run_multitenant(
     );
     println!();
 
-    // The adversarial co-tenant case: budget scheduler off (every aggressor
-    // switch rebuilds immediately, stealing the serving plane from the
-    // victims) vs on (admission paced by the global α budget; deferred
-    // switches keep their guarantee via force-admission). One run's p99 is
-    // a few dozen queries, and on a 2-core host the gap between the cells
-    // is within one run's noise, so each cell runs `MT_REPS` times, off and
-    // on interleaved, and the gate reads the median victim p99 of each.
-    const MT_REPS: usize = 3;
+    // One measured closed-loop cell: the engine's default configuration
+    // (measured Δ, background reorganizer) on two workers.
     let alpha = cases[0].config.alpha;
-    let budget = ReorgBudget {
-        fraction: 0.02,
-        burst: alpha,
-        max_defer_queries: (n * queries) as u64,
-    };
-    let mut cells: Vec<Json> = Vec::new();
-    let mut victim_runs: [Vec<f64>; 2] = Default::default();
-    let mut budget_deferrals = 0u64;
-    let reps = (1..=MT_REPS).flat_map(|rep| [(rep, 0usize, false), (rep, 1usize, true)]);
-    for (rep, slot, with_budget) in reps {
-        let label = if with_budget {
-            format!("budget_on #{rep}")
-        } else {
-            format!("budget_off #{rep}")
-        };
-        let cell = format!("mt-{}-{rep}", if with_budget { "on" } else { "off" });
-        let mode = serve_mode(tiered, &cell);
-        let mut config = EngineConfig::default()
-            .with_workers(2)
-            .with_mode(mode.clone())
-            .with_buffer_pool_bytes(pool_mb * 1024 * 1024)
-            .with_obs(obs.cell_config(cell));
-        if with_budget {
-            config = config.with_budget(budget);
-        }
-        let (elapsed, stats) = run_multitenant_cell(&cases, config, true);
-        cleanup(&mode);
-        println!(
-            "[{label}] {:.2}s, {} qps total, {} switches, {} reorgs completed in-run, \
-             budget spent {:.0} of α·switches {:.0}",
-            elapsed,
-            fmt_f(stats.queries as f64 / elapsed, 0),
-            stats.switches,
-            stats.snapshots_published,
-            stats.reorg_budget_spent,
-            alpha * stats.switches as f64,
-        );
-        for ten in &stats.tenants {
-            println!(
-                "[{label}]   {:>8}: {:>7} qps, p50 {:>6} µs, p99 {:>7} µs, \
-                 {} switches, {} deferrals (max {} queries deferred){}",
-                ten.name,
-                fmt_f(ten.queries as f64 / elapsed, 0),
-                fmt_f(ten.latency.p50_us, 0),
-                fmt_f(ten.latency.p99_us, 0),
-                ten.switches,
-                ten.reorg_deferrals,
-                ten.max_deferred_queries,
-                if tiered {
-                    format!(", pool hit {:.1}%", ten.pool_hit_rate() * 100.0)
-                } else {
-                    String::new()
-                },
-            );
-        }
-        // The victim: the first quiet co-tenant sharing the engine with
-        // the aggressor.
-        victim_runs[slot].push(stats.tenants[1].latency.p99_us);
-        if with_budget {
-            budget_deferrals += stats.tenants.iter().map(|t| t.reorg_deferrals).sum::<u64>();
-        }
-        cells.push(Json::obj([
-            ("rep", Json::from(rep)),
-            ("budget", Json::from(with_budget)),
-            ("elapsed_s", Json::from(elapsed)),
-            ("qps_total", Json::from(stats.queries as f64 / elapsed)),
-            ("switches", Json::from(stats.switches)),
-            ("reorgs_completed", Json::from(stats.snapshots_published)),
-            ("reorg_budget_spent", Json::from(stats.reorg_budget_spent)),
-            (
-                "pool_hit_rate",
-                if tiered {
-                    Json::from(stats.pool_hit_rate())
-                } else {
-                    Json::Null
-                },
-            ),
-            (
-                "tenants",
-                Json::Arr(
-                    cases
-                        .iter()
-                        .zip(&stats.tenants)
-                        .map(|(c, t)| tenant_json(c, t, elapsed, tiered))
-                        .collect(),
-                ),
-            ),
-        ]));
-    }
-
-    let victim_p99 = victim_runs.each_ref().map(|runs| median_or(runs, 0.0));
-    let improvement = victim_p99[0] / victim_p99[1].max(1e-9);
-    println!();
+    let mode = serve_mode(tiered, "mt-serve");
+    let config = EngineConfig::default()
+        .with_workers(2)
+        .with_mode(mode.clone())
+        .with_buffer_pool_bytes(pool_mb * 1024 * 1024)
+        .with_obs(obs.cell_config("mt-serve".into()));
+    let (elapsed, stats) = run_multitenant_cell(&cases, config, true);
+    cleanup(&mode);
     println!(
-        "victim (quiet-1) p99, median of {MT_REPS}: {} µs without budget → {} µs with budget \
-         ({:.2}x); runs {:?} → {:?} µs",
-        fmt_f(victim_p99[0], 0),
-        fmt_f(victim_p99[1], 0),
-        improvement,
-        victim_runs[0],
-        victim_runs[1],
+        "[serve] {:.2}s, {} qps total, {} switches, {} reorgs completed in-run",
+        elapsed,
+        fmt_f(stats.queries as f64 / elapsed, 0),
+        stats.switches,
+        stats.snapshots_published,
     );
+    for ten in &stats.tenants {
+        println!(
+            "[serve]   {:>8}: {:>7} qps, p50 {:>6} µs, p99 {:>7} µs, {} switches, \
+             {} reorgs, total cost {:.1}{}",
+            ten.name,
+            fmt_f(ten.queries as f64 / elapsed, 0),
+            fmt_f(ten.latency.p50_us, 0),
+            fmt_f(ten.latency.p99_us, 0),
+            ten.switches,
+            ten.snapshots_published,
+            ten.ledger.total(),
+            if tiered {
+                format!(", pool hit {:.1}%", ten.pool_hit_rate() * 100.0)
+            } else {
+                String::new()
+            },
+        );
+    }
+    let cell = Json::obj([
+        ("elapsed_s", Json::from(elapsed)),
+        ("qps_total", Json::from(stats.queries as f64 / elapsed)),
+        ("switches", Json::from(stats.switches)),
+        ("reorgs_completed", Json::from(stats.snapshots_published)),
+        ("total_cost", Json::from(stats.ledger.total())),
+        (
+            "pool_hit_rate",
+            if tiered {
+                Json::from(stats.pool_hit_rate())
+            } else {
+                Json::Null
+            },
+        ),
+        (
+            "tenants",
+            Json::Arr(
+                cases
+                    .iter()
+                    .zip(&stats.tenants)
+                    .map(|(c, t)| tenant_json(c, t, elapsed, tiered))
+                    .collect(),
+            ),
+        ),
+    ]);
 
     let doc = Json::obj([
         ("benchmark", Json::from("serve_multitenant")),
@@ -1505,53 +1445,8 @@ fn run_multitenant(
         ("queries_per_tenant", Json::from(queries)),
         ("alpha", Json::from(alpha)),
         ("ledger_parity_per_tenant", Json::from(parity_ok)),
-        (
-            "budget",
-            Json::obj([
-                ("fraction", Json::from(budget.fraction)),
-                ("burst", Json::from(budget.burst)),
-                ("max_defer_queries", Json::from(budget.max_defer_queries)),
-            ]),
-        ),
-        ("victim", Json::from("quiet-1")),
-        ("repetitions", Json::from(MT_REPS)),
-        ("victim_p99_budget_off_us", Json::from(victim_p99[0])),
-        ("victim_p99_budget_on_us", Json::from(victim_p99[1])),
-        ("victim_p99_improvement", Json::from(improvement)),
-        (
-            "victim_p99_budget_off_runs_us",
-            Json::Arr(victim_runs[0].iter().map(|&p| Json::from(p)).collect()),
-        ),
-        (
-            "victim_p99_budget_on_runs_us",
-            Json::Arr(victim_runs[1].iter().map(|&p| Json::from(p)).collect()),
-        ),
-        ("budget_deferrals", Json::from(budget_deferrals)),
-        ("cells", Json::Arr(cells)),
+        ("cell", cell),
     ]);
     let path = json_path.unwrap_or_else(|| PathBuf::from("BENCH_multitenant.json"));
     write_json_report(&path, &doc);
-
-    // The harness's regression claims: the budget scheduler demonstrably
-    // engaged (switches were deferred, yet every one still published), and
-    // pacing the aggressor's heavy rebuilds under the global α budget
-    // protected the victim's latency tail.
-    assert!(
-        budget_deferrals > 0,
-        "the α budget scheduler never deferred a switch — the aggressor \
-         case is not exercising admission control"
-    );
-    assert!(
-        victim_p99[1] < victim_p99[0],
-        "budget scheduler must improve the victim's median p99 \
-         (off {:.0} µs vs on {:.0} µs; runs {:?} vs {:?})",
-        victim_p99[0],
-        victim_p99[1],
-        victim_runs[0],
-        victim_runs[1],
-    );
-    println!(
-        "multitenant ok: budget scheduler improves the victim's median p99 ({improvement:.2}x), \
-         {budget_deferrals} switch deferrals, every deferred switch still published"
-    );
 }

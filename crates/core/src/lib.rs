@@ -19,7 +19,6 @@ pub mod cost;
 pub mod dumts;
 pub mod layout_manager;
 pub mod mts;
-pub mod multi_table;
 pub mod oreo;
 pub mod predictor;
 
@@ -31,7 +30,6 @@ pub use layout_manager::{
     ManagerConfig, ManagerEvent, ManagerStats,
 };
 pub use mts::Bls;
-pub use multi_table::{MultiTableOreo, TableQuery};
 pub use oreo::{Oreo, StepReport};
 pub use predictor::{median_or, TransitionPolicy};
 

@@ -22,32 +22,24 @@
 //!    never for a qd-tree; what a query can wait for is an admission, once
 //!    its tenant's stream is a quarter interval past the boundary.
 //!
-//! # Multi-tenant serving
+//! # One OREO per tenant
 //!
-//! The engine serves N tenants (tables) from one process: a tenant map of
-//! [`SnapshotCell`]s and per-tenant write-path state, one shared worker
-//! pool consuming a unified query stream tagged by tenant, one shared
-//! [`BufferPool`] whose page keys carry the tenant's table id, and one
-//! [`oreo_core::MultiTableOreo`] policy brain behind the core mutex so
-//! each tenant's D-UMTS bookkeeping stays byte-identical to an independent
-//! single-tenant run. The single reorganizer becomes a *scheduler*: switch
-//! decisions queue per tenant (FIFO within a tenant — the order
-//! `Oreo::pending` expects) and are admitted under an optional global α
-//! budget ([`ReorgBudget`]): total reorganization spend may not outrun a
-//! configured fraction of the fleet's cumulative query cost. A deferred
-//! tenant keeps accruing D-UMTS pressure — its counters and ledger are
-//! untouched by deferral — and a hard deferral bound force-admits its
-//! switch so no tenant is starved. Single-tenant construction
-//! ([`Engine::start`]) is the N = 1 special case and behaves exactly as
-//! before.
+//! The engine serves N tenants (tables) from one process, as §VIII puts
+//! it: "each table can maintain its own instance of OREO". The core mutex
+//! guards one [`oreo_core::Oreo`] per tenant, indexed by the tenant index
+//! that jobs, pool page keys and tiered generations carry, so each
+//! tenant's D-UMTS bookkeeping is byte-identical to an independent
+//! single-tenant run. The tenants share one worker pool, one
+//! [`BufferPool`] and one reorganizer thread, which executes switch
+//! decisions in the order they were made (FIFO overall, hence within a
+//! tenant — the order `Oreo::pending` expects). Single-tenant construction
+//! ([`Engine::start`]) is the N = 1 case.
 
 use crate::ingest::{build_fold_snapshot, FoldBuild, IngestState};
 use crate::metrics::{as_micros_u64, LatencyStats};
 use crate::queue::ShardedQueue;
 use crate::reorg::{materialize, ReorgRequest, ReorgWindow};
-use oreo_core::{
-    AlphaEstimator, CandidateTask, CostLedger, ManagerStats, MultiTableOreo, OreoConfig,
-};
+use oreo_core::{AlphaEstimator, CandidateTask, CostLedger, ManagerStats, Oreo, OreoConfig};
 use oreo_layout::{LayoutGenerator, SharedSpec};
 use oreo_obs::{
     Counter, Event, EventKind, EventSink, Gauge, Histogram, Journal, NullSink, Registry,
@@ -58,11 +50,10 @@ use oreo_storage::{
     ApplyReceipt, BufferPool, BufferPoolConfig, DeltaBuffer, IngestOp, LayoutId, MergePolicy,
     PoolStats, SnapshotCell, SnapshotScan, Table, TableSnapshot, TieredStore, Wal,
 };
-use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -172,37 +163,6 @@ impl ObsConfig {
     }
 }
 
-/// The global α budget the reorganization scheduler admits switches
-/// under: across all tenants, cumulative reorganization spend (each
-/// admitted switch bills its tenant's α into the global budget ledger)
-/// may not exceed `fraction` of the fleet's cumulative query cost plus a
-/// `burst` allowance. A switch that fails admission stays queued — its
-/// tenant's D-UMTS counters and ledger keep accruing exactly as if it had
-/// run, so no guarantee is lost — and is force-admitted once it has waited
-/// `max_defer_queries` bookkeeping steps, which bounds every tenant's
-/// deferral window (starvation freedom).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReorgBudget {
-    /// Admissible reorg spend as a fraction of cumulative query cost.
-    pub fraction: f64,
-    /// Flat allowance on top of the fraction, in cost units — lets the
-    /// first switches through before any query cost has accumulated.
-    pub burst: f64,
-    /// Hard deferral bound: a queued switch is admitted unconditionally
-    /// once this many queries completed bookkeeping since its decision.
-    pub max_defer_queries: u64,
-}
-
-impl Default for ReorgBudget {
-    fn default() -> Self {
-        Self {
-            fraction: 0.5,
-            burst: 1.0,
-            max_defer_queries: 10_000,
-        }
-    }
-}
-
 /// One tenant of a multi-tenant engine: its table, initial layout,
 /// candidate generator, and OREO configuration (see
 /// [`Engine::start_tenants`]).
@@ -254,11 +214,6 @@ pub struct EngineConfig {
     pub merge_policy: MergePolicy,
     /// Observability: event journal + metric exporters.
     pub obs: ObsConfig,
-    /// Global α budget for the reorganization scheduler. `None` (the
-    /// default) admits every switch immediately in decision order —
-    /// exactly the single-reorganizer behavior, and what ledger-parity
-    /// runs use.
-    pub budget: Option<ReorgBudget>,
 }
 
 impl Default for EngineConfig {
@@ -272,7 +227,6 @@ impl Default for EngineConfig {
             buffer_pool_bytes: oreo_storage::bufpool::DEFAULT_CAPACITY_BYTES,
             merge_policy: MergePolicy::KBinomial { k: 2 },
             obs: ObsConfig::default(),
-            budget: None,
         }
     }
 }
@@ -332,12 +286,6 @@ impl EngineConfig {
     /// Sets the full observability configuration.
     pub fn with_obs(mut self, obs: ObsConfig) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Sets the global α budget for the reorganization scheduler.
-    pub fn with_budget(mut self, budget: ReorgBudget) -> Self {
-        self.budget = Some(budget);
         self
     }
 }
@@ -594,11 +542,11 @@ impl LiveMetrics {
 
 /// One tenant's serving state: its write path, snapshot cell, disk tier,
 /// and the counters its per-tenant report is assembled from. The policy
-/// state lives in the shared [`MultiTableOreo`] behind the core mutex,
-/// keyed by `name`; the tenant's *index* is the table id stamped on pool
-/// page keys and tiered generations.
+/// state is the `Oreo` at the tenant's *index* behind the core mutex; the
+/// same index is the table id stamped on pool page keys and tiered
+/// generations.
 struct Tenant {
-    /// Tenant name — the `MultiTableOreo` key and the report label.
+    /// Tenant name — the report label.
     name: String,
     /// The tenant's write path: delta buffer, WAL, and base identity. Lock
     /// order is strictly ingest → core; every snapshot publish (ingest
@@ -620,11 +568,6 @@ struct Tenant {
     run_ahead: u64,
     /// Queries whose bookkeeping completed for this tenant.
     observed: AtomicU64,
-    /// This tenant's switches the budget scheduler deferred at least once.
-    deferrals: AtomicU64,
-    /// Largest deferral window (bookkeeping steps, decision → admission)
-    /// any of this tenant's switches waited.
-    max_deferred_queries: AtomicU64,
     /// The tenant's namespaced metric handles (`tenant.<index>.<metric>`)
     /// — only in multi-tenant runs, so a single-tenant registry stays
     /// byte-identical to the pre-tenancy schema.
@@ -702,7 +645,7 @@ fn metric_views<'a>(
 /// and the aggregate is republished as the sum over the tenants that have
 /// set theirs. A single-tenant engine has no namespaced series — the
 /// aggregate *is* the tenant. Callers serialize per tenant (ingest lock or
-/// scheduler thread), so a tenant's own gauge never goes backwards.
+/// reorganizer thread), so a tenant's own gauge never goes backwards.
 fn set_fleet_gauge(
     shared: &Shared,
     tenant: &Tenant,
@@ -727,10 +670,10 @@ fn as_nanos_u64(d: Duration) -> u64 {
 }
 
 struct Shared {
-    /// The policy brain: one OREO instance per tenant behind one lock, so
-    /// each tenant's D-UMTS bookkeeping stays byte-identical to an
-    /// independent single-tenant run.
-    core: Mutex<MultiTableOreo>,
+    /// The policy brain: one OREO instance per tenant, indexed like
+    /// `tenants`, behind one lock, so each tenant's D-UMTS bookkeeping stays
+    /// byte-identical to an independent single-tenant run.
+    core: Mutex<Vec<Oreo>>,
     /// The tenant map, indexed by the `tenant` tag jobs carry.
     tenants: Vec<Tenant>,
     /// Page cache shared by every tenant's tiered scans (page keys carry
@@ -741,14 +684,8 @@ struct Shared {
     /// Set while a worker is building candidates ([`construct_candidates`]):
     /// at most one construction runs per engine.
     constructing: AtomicBool,
-    /// Queries whose bookkeeping completed across all tenants (drives
-    /// measured-Δ windows and the scheduler's force-admit bound).
-    observed: AtomicU64,
     submitted: AtomicU64,
     completed: AtomicU64,
-    /// Cumulative service cost across all tenants, in micro-cost-units —
-    /// the budget scheduler's admission denominator.
-    query_cost_micros: AtomicU64,
     drain_lock: Mutex<()>,
     drain_cv: Condvar,
     /// The live metrics registry (always on).
@@ -766,7 +703,7 @@ struct Shared {
 /// The core mutex, held: derefs to the policy brain and, on drop, records
 /// how long it was held in `core.lock_hold_us`.
 struct CoreGuard<'a> {
-    core: MutexGuard<'a, MultiTableOreo>,
+    core: MutexGuard<'a, Vec<Oreo>>,
     acquired: Instant,
     hold_us: &'a Histogram,
 }
@@ -789,14 +726,14 @@ impl Shared {
 }
 
 impl Deref for CoreGuard<'_> {
-    type Target = MultiTableOreo;
-    fn deref(&self) -> &MultiTableOreo {
+    type Target = [Oreo];
+    fn deref(&self) -> &[Oreo] {
         &self.core
     }
 }
 
 impl DerefMut for CoreGuard<'_> {
-    fn deref_mut(&mut self) -> &mut MultiTableOreo {
+    fn deref_mut(&mut self) -> &mut [Oreo] {
         &mut self.core
     }
 }
@@ -827,14 +764,8 @@ pub struct TenantStats {
     /// admitted / rejected, boundaries superseded, states pruned.
     /// `generated == admitted + rejected` once the engine has shut down.
     pub manager: ManagerStats,
-    /// Snapshots the scheduler published for this tenant.
+    /// Snapshots the reorganizer published for this tenant.
     pub snapshots_published: u64,
-    /// Switches of this tenant the budget scheduler deferred at least
-    /// once before admitting.
-    pub reorg_deferrals: u64,
-    /// Largest deferral window (bookkeeping steps, decision → admission)
-    /// any of this tenant's switches waited.
-    pub max_deferred_queries: u64,
     /// Page bytes this tenant's pooled scans read from disk.
     pub io_cold_bytes: u64,
     /// Page bytes this tenant's pooled scans served from the shared pool.
@@ -896,9 +827,6 @@ pub struct EngineStats {
     /// Per-tenant breakdowns, in tenant-index order (exactly one entry
     /// for a single-tenant engine).
     pub tenants: Vec<TenantStats>,
-    /// Cumulative α the scheduler billed into the global budget ledger —
-    /// one charge per admitted switch (0.0 without a reorganizer).
-    pub reorg_budget_spent: f64,
     /// Rows read across all scans (after pruning).
     pub rows_scanned: u64,
     /// Rows matched across all scans.
@@ -1124,10 +1052,9 @@ fn alpha_readings(
     [est.alpha(), est.alpha_cold(), est.alpha_warm()]
 }
 
-/// What the reorganization scheduler thread returns at join: every
-/// completed window, the disk-tier degradation messages, and the
-/// cumulative α billed into the global budget ledger.
-type SchedulerOutcome = (Vec<ReorgWindow>, Vec<String>, f64);
+/// What the reorganizer thread returns at join: every completed window and
+/// the disk-tier degradation messages.
+type ReorgOutcome = (Vec<ReorgWindow>, Vec<String>);
 
 /// The concurrent serving engine. See the [module docs](self) for the data
 /// path; construct with [`Engine::start`], feed with [`Engine::submit`] /
@@ -1136,7 +1063,7 @@ type SchedulerOutcome = (Vec<ReorgWindow>, Vec<String>, f64);
 pub struct Engine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    reorg: Option<JoinHandle<SchedulerOutcome>>,
+    reorg: Option<JoinHandle<ReorgOutcome>>,
     exporter: Option<JoinHandle<()>>,
     /// Tells the exporter thread to write its final snapshot and exit.
     exporter_stop: Arc<(Mutex<bool>, Condvar)>,
@@ -1171,7 +1098,7 @@ impl Engine {
 
     /// Boot an N-tenant engine: one OREO instance, snapshot cell, and
     /// write path per tenant; one shared worker pool, buffer pool, and
-    /// reorganization scheduler. Tenant *index* (position in `specs`) is
+    /// reorganizer. Tenant *index* (position in `specs`) is
     /// the table id on pool page keys and tiered generations, and the id
     /// queries are routed by ([`Engine::submit_to`]). With more than one
     /// tenant, tiered serving stores tenant `i` under
@@ -1206,23 +1133,20 @@ impl Engine {
             None => Arc::new(NullSink),
         };
         let multi_tenant = specs.len() > 1;
-        let mut core = MultiTableOreo::new();
+        let mut core = Vec::with_capacity(specs.len());
         let mut tenants = Vec::with_capacity(specs.len());
         let mut any_tiered = false;
         for (index, spec) in specs.into_iter().enumerate() {
-            core.register(
-                spec.name.clone(),
+            let mut oreo = Oreo::new(
                 Arc::clone(&spec.table),
                 Arc::clone(&spec.initial_spec),
-                Arc::clone(&spec.generator),
+                spec.generator,
                 spec.oreo,
             );
-            let oreo = core
-                .instance_mut(&spec.name)
-                .expect("just-registered tenant");
             oreo.set_event_sink(Arc::clone(&sink));
             let run_ahead = oreo.config().generation_interval / 4;
             let initial_id = oreo.physical_layout();
+            core.push(oreo);
             let mut initial_snapshot = materialize(&spec.table, &spec.initial_spec, initial_id);
             // A single tenant keeps the pre-tenancy flat layout (store +
             // wal.log directly at the root); N tenants get subdirectories.
@@ -1288,8 +1212,6 @@ impl Engine {
                 admitted: Condvar::new(),
                 run_ahead,
                 observed: AtomicU64::new(0),
-                deferrals: AtomicU64::new(0),
-                max_deferred_queries: AtomicU64::new(0),
                 metrics: tenant_metrics,
             });
         }
@@ -1312,10 +1234,8 @@ impl Engine {
             queue: ShardedQueue::new(worker_count),
             config,
             constructing: AtomicBool::new(false),
-            observed: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            query_cost_micros: AtomicU64::new(0),
             drain_lock: Mutex::new(()),
             drain_cv: Condvar::new(),
             registry,
@@ -1330,7 +1250,7 @@ impl Engine {
             let shared2 = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name("oreo-reorg".into())
-                .spawn(move || scheduler_loop(&shared2, &rx))
+                .spawn(move || reorg_loop(&shared2, &rx))
                 .expect("spawn reorganizer");
             (Some(tx), Some(handle))
         } else {
@@ -1498,7 +1418,7 @@ impl Engine {
         if receipt.rows_written > 0 {
             let live = ing.base.num_rows() as u64 + ing.buffer.delta_rows();
             let mut core = shared.lock_core();
-            let oreo = core.instance_mut(&ten.name).expect("tenant registered");
+            let oreo = &mut core[tenant];
             let alpha = oreo.config().alpha;
             oreo.charge_compaction(
                 alpha * receipt.rows_written as f64 / live.max(1) as f64,
@@ -1578,16 +1498,12 @@ impl Engine {
     /// Snapshot of the bookkeeping ledger, aggregated across tenants (for
     /// a single-tenant engine this *is* the tenant's ledger).
     pub fn ledger(&self) -> CostLedger {
-        self.shared.lock_core().total_ledger()
+        total_ledger(&self.shared.lock_core())
     }
 
     /// Snapshot of one tenant's own ledger.
     pub fn ledger_of(&self, tenant: usize) -> CostLedger {
-        let core = self.shared.lock_core();
-        *core
-            .instance(&self.shared.tenants[tenant].name)
-            .expect("tenant registered")
-            .ledger()
+        *self.shared.lock_core()[tenant].ledger()
     }
 
     /// Queries fully served so far.
@@ -1595,7 +1511,7 @@ impl Engine {
         self.shared.completed.load(Ordering::Relaxed)
     }
 
-    /// Snapshots published by the reorganization scheduler so far, across
+    /// Snapshots published by the reorganizer so far, across
     /// all tenants (a quiesce signal for tests and parity harnesses).
     pub fn snapshots_published(&self) -> u64 {
         self.shared.metrics.snapshots_published.get()
@@ -1609,9 +1525,9 @@ impl Engine {
         for handle in self.workers.drain(..) {
             handle.join().expect("worker panicked");
         }
-        let (windows, mut tiered_errors, reorg_budget_spent) = match self.reorg.take() {
+        let (windows, mut tiered_errors) = match self.reorg.take() {
             Some(handle) => handle.join().expect("reorganizer panicked"),
-            None => (Vec::new(), Vec::new(), 0.0),
+            None => (Vec::new(), Vec::new()),
         };
         // Every tenant's write-path degradations, and what is still
         // unfolded — read from the live buffer and log. A degraded WAL is
@@ -1654,7 +1570,7 @@ impl Engine {
             .map(|t| t.cell.pin().total_bytes())
             .sum();
         let core = self.shared.core.lock().expect("core poisoned");
-        for ten in &self.shared.tenants {
+        for (ten, oreo) in self.shared.tenants.iter().zip(core.iter()) {
             // The workers have exited, and a worker builds or supersedes
             // every boundary it captured before it does.
             let unresolved = ten.boundaries.lock().expect("boundaries poisoned").oldest();
@@ -1663,7 +1579,6 @@ impl Engine {
                 "tenant {}: a boundary was dropped",
                 ten.name
             );
-            let oreo = core.instance(&ten.name).expect("tenant registered");
             let m = oreo.manager_stats();
             assert_eq!(
                 m.generated,
@@ -1697,8 +1612,8 @@ impl Engine {
             .shared
             .tenants
             .iter()
-            .map(|ten| {
-                let oreo = core.instance(&ten.name).expect("tenant registered");
+            .zip(core.iter())
+            .map(|(ten, oreo)| {
                 // A single tenant has no namespaced series: it is the
                 // aggregate.
                 let tm = ten.metrics.as_ref().unwrap_or(m);
@@ -1710,8 +1625,6 @@ impl Engine {
                     switches: oreo.switches(),
                     manager: oreo.manager_stats(),
                     snapshots_published: tm.snapshots_published.get(),
-                    reorg_deferrals: ten.deferrals.load(Ordering::Relaxed),
-                    max_deferred_queries: ten.max_deferred_queries.load(Ordering::Relaxed),
                     io_cold_bytes: tm.io_cold_bytes.get(),
                     io_cached_bytes: tm.io_cached_bytes.get(),
                     partitions_read: tm.partitions_read.get(),
@@ -1724,9 +1637,7 @@ impl Engine {
             .collect();
         // Single-tenant compatibility: the engine-level layout/state-space
         // readings are tenant 0's.
-        let first = core
-            .instance(&self.shared.tenants[0].name)
-            .expect("tenant registered");
+        let first = &core[0];
         EngineStats {
             workers: self.shared.config.workers.max(1),
             queries,
@@ -1737,13 +1648,12 @@ impl Engine {
                 0.0
             },
             latency: LatencyStats::from_histogram(&m.latency_us),
-            ledger: core.total_ledger(),
+            ledger: total_ledger(&core),
             switches: tenants.iter().map(|t| t.switches).sum(),
             manager: first.manager_stats(),
             snapshots_published: m.snapshots_published.get(),
             windows,
             tiered_errors,
-            reorg_budget_spent,
             rows_scanned: m.rows_scanned.get(),
             rows_matched: m.rows_matched.get(),
             bytes_scanned: m.bytes_scanned.get(),
@@ -1977,7 +1887,7 @@ fn serve_scanned(
                 continue;
             }
             touched[tenant_index] = true;
-            let oreo = core.instance_mut(&ten.name).expect("tenant registered");
+            let oreo = &mut core[tenant_index];
             let report = match shared.config.delay {
                 DelaySemantics::Configured => oreo.observe(&job.query),
                 DelaySemantics::Measured => {
@@ -2004,31 +1914,22 @@ fn serve_scanned(
                     r
                 }
             };
-            let observed_now = shared.observed.fetch_add(1, Ordering::Relaxed) + 1;
-            let tenant_observed_now = ten.observed.fetch_add(1, Ordering::Relaxed) + 1;
-            // Feed the budget scheduler's admission denominator, in
-            // micro-cost-units (integer atomics; costs are ≪ 1).
-            shared
-                .query_cost_micros
-                .fetch_add((report.service_cost * 1e6) as u64, Ordering::Relaxed);
+            let observed_now = ten.observed.fetch_add(1, Ordering::Relaxed) + 1;
             if let Some(target) = report.reorg_decision {
                 for m in metric_views(shared, ten) {
                     m.switches.inc();
                 }
                 if let Some(tx) = reorg_tx {
                     let spec = oreo.spec(target).expect("decided target has a spec");
-                    let charge = oreo.config().alpha;
                     // Send while holding the core lock so the build
                     // queue and `Oreo::pending` stay in the same order.
                     let _ = tx.send(ReorgRequest {
                         tenant: job.tenant,
                         target,
                         spec,
-                        charge,
                         decided_seq: report.seq,
                         decided_at: Instant::now(),
-                        observed_at_decision: observed_now,
-                        tenant_observed_at_decision: tenant_observed_now,
+                        tenant_observed_at_decision: observed_now,
                     });
                 }
             }
@@ -2053,25 +1954,19 @@ fn serve_scanned(
         // across tenants plus the namespaced view of each tenant this
         // batch touched.
         let m = &shared.metrics;
-        let ledger = core.total_ledger();
+        let ledger = total_ledger(&core);
         m.ledger_query_cost.set(ledger.query_cost);
         m.ledger_reorg_cost.set(ledger.reorg_cost);
         m.ledger_total.set(ledger.total());
-        let mut num_states = 0usize;
-        let mut max_states = 0usize;
-        for ten in &shared.tenants {
-            let oreo = core.instance(&ten.name).expect("tenant registered");
-            num_states += oreo.num_states();
-            max_states += oreo.max_states_seen();
-        }
+        let num_states: usize = core.iter().map(Oreo::num_states).sum();
+        let max_states: usize = core.iter().map(Oreo::max_states_seen).sum();
         m.num_states.set(num_states as f64);
         m.max_states_seen.set(max_states as f64);
-        for (tenant_index, ten) in shared.tenants.iter().enumerate() {
+        for (tenant_index, (ten, oreo)) in shared.tenants.iter().zip(core.iter()).enumerate() {
             if !touched[tenant_index] {
                 continue;
             }
             if let Some(tm) = &ten.metrics {
-                let oreo = core.instance(&ten.name).expect("tenant registered");
                 let ledger = oreo.ledger();
                 tm.ledger_query_cost.set(ledger.query_cost);
                 tm.ledger_reorg_cost.set(ledger.reorg_cost);
@@ -2159,8 +2054,8 @@ fn construct_candidates(shared: &Shared) {
             return;
         }
         // Every tenant in each pass (no short circuit), so none starves.
-        let pass = |built: bool, ten| build_waiting(shared, ten) | built;
-        while shared.tenants.iter().fold(false, pass) {}
+        let pass = |built: bool, tenant_index| build_waiting(shared, tenant_index) | built;
+        while (0..shared.tenants.len()).fold(false, pass) {}
         shared.constructing.store(false, Ordering::SeqCst);
         // A boundary left after the last look, by a worker that then saw
         // the flag still set and went away, is this worker's to build.
@@ -2170,8 +2065,10 @@ fn construct_candidates(shared: &Shared) {
     }
 }
 
-/// Build and admit `ten`'s waiting boundary, if it has one (whether it had).
-fn build_waiting(shared: &Shared, ten: &Tenant) -> bool {
+/// Build and admit the waiting boundary of the tenant at `tenant_index`, if
+/// it has one (whether it had).
+fn build_waiting(shared: &Shared, tenant_index: usize) -> bool {
+    let ten = &shared.tenants[tenant_index];
     let task = {
         let mut b = ten.boundaries.lock().expect("boundaries poisoned");
         let Some((task, stamp)) = b.waiting.take() else {
@@ -2181,11 +2078,7 @@ fn build_waiting(shared: &Shared, ten: &Tenant) -> bool {
         task
     };
     let built = task.build();
-    let admission = {
-        let mut core = shared.lock_core();
-        let oreo = core.instance_mut(&ten.name).expect("tenant registered");
-        oreo.admit(built)
-    };
+    let admission = shared.lock_core()[tenant_index].admit(built);
     ten.boundaries.lock().expect("boundaries poisoned").building = None;
     ten.admitted.notify_all();
     for m in metric_views(shared, ten) {
@@ -2195,134 +2088,31 @@ fn build_waiting(shared: &Shared, ten: &Tenant) -> bool {
     true
 }
 
-/// The reorganization scheduler, run on the `oreo-reorg` thread: switch
-/// decisions queue per tenant (FIFO within a tenant — the order
-/// `Oreo::pending` expects) and the oldest *admissible* request executes
-/// next. Without a budget every request is admissible, so the
-/// oldest-arrival pick degenerates to the exact global FIFO the single
-/// reorganizer ran — ledger-parity runs are untouched.
-///
-/// Deferral never touches a tenant's D-UMTS state: the switch was decided,
-/// its α is already in the tenant's ledger, and the logical switch keeps
-/// its configured/measured semantics — the scheduler only delays the
-/// *physical* build + publish. A request is force-admitted once
-/// [`ReorgBudget::max_defer_queries`] bookkeeping steps have passed since
-/// its decision (starvation freedom), and once the channel disconnects
-/// (all workers exited) every queued request is flushed regardless of
-/// budget, so measured-Δ runs always drain `Oreo::pending`.
-///
-/// Returns the completed windows, surviving tiered errors, and the total α
-/// billed to the global budget ledger.
-fn scheduler_loop(shared: &Shared, rx: &Receiver<ReorgRequest>) -> SchedulerOutcome {
+/// The reorganizer, run on the `oreo-reorg` thread: switch decisions
+/// execute one at a time in the order the workers sent them, which is the
+/// order each tenant's `Oreo::pending` expects. It exits once every worker
+/// has, so measured-Δ runs always drain `Oreo::pending`.
+fn reorg_loop(shared: &Shared, rx: &Receiver<ReorgRequest>) -> ReorgOutcome {
     let mut windows = Vec::new();
     let mut tiered_errors = Vec::new();
-    let budget = shared.config.budget;
-    let mut queues: Vec<VecDeque<(u64, ReorgRequest)>> =
-        (0..shared.tenants.len()).map(|_| VecDeque::new()).collect();
-    // Whether the current head of each queue has been counted as deferred.
-    let mut deferral_counted = vec![false; shared.tenants.len()];
-    let mut arrivals = 0u64;
-    let mut spent = 0.0f64;
-    let mut disconnected = false;
-    loop {
-        if queues.iter().all(|q| q.is_empty()) {
-            if disconnected {
-                break;
-            }
-            match rx.recv() {
-                Ok(req) => {
-                    queues[req.tenant as usize].push_back((arrivals, req));
-                    arrivals += 1;
-                }
-                Err(_) => {
-                    disconnected = true;
-                    continue;
-                }
-            }
-        }
-        while let Ok(req) = rx.try_recv() {
-            queues[req.tenant as usize].push_back((arrivals, req));
-            arrivals += 1;
-        }
-        let observed = shared.observed.load(Ordering::Relaxed);
-        let query_cost = shared.query_cost_micros.load(Ordering::Relaxed) as f64 / 1e6;
-        let mut pick: Option<(u64, usize)> = None;
-        for (tenant_index, queue) in queues.iter().enumerate() {
-            if let Some((arrival, req)) = queue.front() {
-                let admissible = disconnected
-                    || match budget {
-                        None => true,
-                        Some(b) => {
-                            spent + req.charge <= b.fraction * query_cost + b.burst
-                                || observed.saturating_sub(req.observed_at_decision)
-                                    >= b.max_defer_queries
-                        }
-                    };
-                if admissible && pick.is_none_or(|(best, _)| *arrival < best) {
-                    pick = Some((*arrival, tenant_index));
-                }
-            }
-        }
-        let Some((_, tenant_index)) = pick else {
-            // Every queued switch is over budget: count first-time
-            // deferrals, then wait for more query cost to accrue (or for
-            // new requests / shutdown).
-            for (tenant_index, queue) in queues.iter().enumerate() {
-                if !queue.is_empty() && !deferral_counted[tenant_index] {
-                    deferral_counted[tenant_index] = true;
-                    shared.tenants[tenant_index]
-                        .deferrals
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            match rx.recv_timeout(Duration::from_millis(1)) {
-                Ok(req) => {
-                    queues[req.tenant as usize].push_back((arrivals, req));
-                    arrivals += 1;
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => disconnected = true,
-            }
-            continue;
-        };
-        let (_, req) = queues[tenant_index]
-            .pop_front()
-            .expect("picked head exists");
-        deferral_counted[tenant_index] = false;
-        // Bill the admitted switch into the global budget ledger; the
-        // tenant's own ledger was already charged at decision time.
-        spent += req.charge;
-        let deferred_queries = shared
-            .observed
-            .load(Ordering::Relaxed)
-            .saturating_sub(req.observed_at_decision);
-        shared.tenants[tenant_index]
-            .max_deferred_queries
-            .fetch_max(deferred_queries, Ordering::Relaxed);
-        windows.push(execute_reorg(
-            shared,
-            tenant_index,
-            req,
-            deferred_queries,
-            &mut tiered_errors,
-        ));
+    for req in rx {
+        windows.push(execute_reorg(shared, req, &mut tiered_errors));
     }
-    (windows, tiered_errors, spent)
+    (windows, tiered_errors)
 }
 
-/// Execute one admitted reorganization for the tenant at `tenant_index`:
+/// Execute one reorganization for the tenant that decided it:
 /// freeze the tenant's delta prefix (the reorganization is also the
 /// compaction), build the target snapshot aside, persist it to the
 /// tenant's disk tier, publish, invalidate the superseded generation's
 /// pages in the shared pool, and land the logical switch in the tenant's
-/// OREO instance. Runs on the scheduler thread; readers never block.
+/// OREO instance. Runs on the reorganizer thread; readers never block.
 fn execute_reorg(
     shared: &Shared,
-    tenant_index: usize,
     req: ReorgRequest,
-    deferred_queries: u64,
     tiered_errors: &mut Vec<String>,
 ) -> ReorgWindow {
+    let tenant_index = req.tenant as usize;
     let ten = &shared.tenants[tenant_index];
     let build_start = Instant::now();
     // Freeze the delta prefix: captured runs and tombstones fold into the
@@ -2518,7 +2308,7 @@ fn execute_reorg(
     let measured = shared.config.delay == DelaySemantics::Measured;
     if measured || merged.is_some() {
         let mut core = shared.lock_core();
-        let oreo = core.instance_mut(&ten.name).expect("tenant registered");
+        let oreo = &mut core[tenant_index];
         if let Some((table, _)) = merged {
             // Deltas folded in: the tenant's exact models must rebuild
             // against the merged base, and the merge work beyond the
@@ -2553,9 +2343,16 @@ fn execute_reorg(
         bytes_written,
         generation,
         queries_during,
-        deferred_queries,
         rows,
         partitions,
         folded_rows,
     }
+}
+
+/// The fleet's ledger: every tenant's, merged (the bill the user pays).
+fn total_ledger(core: &[Oreo]) -> CostLedger {
+    core.iter().fold(CostLedger::new(), |mut total, oreo| {
+        total.merge(oreo.ledger());
+        total
+    })
 }

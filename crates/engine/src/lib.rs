@@ -93,8 +93,8 @@ pub mod queue;
 pub mod reorg;
 
 pub use engine::{
-    DelaySemantics, Engine, EngineConfig, EngineStats, ObsConfig, QueryOutcome, ReorgBudget,
-    ResultHandle, ServeMode, TenantSpec, TenantStats,
+    DelaySemantics, Engine, EngineConfig, EngineStats, ObsConfig, QueryOutcome, ResultHandle,
+    ServeMode, TenantSpec, TenantStats,
 };
 pub use metrics::LatencyStats;
 pub use oreo_storage::{ApplyReceipt, IngestOp, MergePolicy};

@@ -6,7 +6,7 @@ use oreo_layout::SharedSpec;
 use oreo_storage::{LayoutId, Table, TableSnapshot};
 use std::time::{Duration, Instant};
 
-/// A switch decision handed to the reorganization scheduler.
+/// A switch decision handed to the reorganizer.
 #[derive(Clone)]
 pub struct ReorgRequest {
     /// Index of the deciding tenant in the engine's tenant map.
@@ -15,17 +15,10 @@ pub struct ReorgRequest {
     pub target: LayoutId,
     /// Routing spec to materialize.
     pub spec: SharedSpec,
-    /// α the scheduler bills into the global budget ledger on admission
-    /// (the tenant's configured α — its ledger was already charged at
-    /// decision time).
-    pub charge: f64,
     /// Stream position of the decision (the tenant's own stream).
     pub decided_seq: u64,
     /// Wall-clock instant of the decision.
     pub decided_at: Instant,
-    /// Queries observed engine-wide when the decision was made — the
-    /// budget scheduler's deferral clock.
-    pub observed_at_decision: u64,
     /// Queries the deciding tenant had observed when the decision was made
     /// — the measured-Δ origin.
     pub tenant_observed_at_decision: u64,
@@ -60,11 +53,6 @@ pub struct ReorgWindow {
     /// measured Δ in queries, the unit `OreoConfig::reorg_delay`
     /// configures in the sequential simulator.
     pub queries_during: u64,
-    /// Queries (engine-wide) between the switch decision and the budget
-    /// scheduler admitting it — 0 whenever the scheduler was idle and
-    /// under budget, bounded by `ReorgBudget::max_defer_queries` plus
-    /// scheduling slack otherwise.
-    pub deferred_queries: u64,
     /// Rows re-routed into the new snapshot.
     pub rows: u64,
     /// Partitions in the new snapshot.

@@ -2,17 +2,14 @@
 //!
 //! The load-bearing property of the N-tenant refactor is *per-tenant
 //! ledger parity*: serving N tenants interleaved through one engine — one
-//! worker pool, one buffer pool, one reorganization scheduler — must
-//! produce, for every tenant, a `CostLedger` byte-identical to an
-//! independent single-tenant engine run over that tenant's substream
-//! alone. The tests here drive interleaved query/ingest/fold streams
-//! (randomized and deterministic, memory and tiered+pooled) against that
-//! oracle, and a zero-budget starvation test asserts the scheduler's
-//! force-admit bound: every tenant's due switch lands within a bounded
-//! deferral window even when the α budget admits nothing.
+//! worker pool, one buffer pool, one reorganizer — must produce, for
+//! every tenant, a `CostLedger` byte-identical to an independent
+//! single-tenant engine run over that tenant's substream alone. The tests
+//! here drive interleaved query/ingest/fold streams (randomized and
+//! deterministic, memory and tiered+pooled) against that oracle.
 
 use oreo_core::OreoConfig;
-use oreo_engine::{Engine, EngineConfig, EngineStats, ReorgBudget, TenantSpec};
+use oreo_engine::{Engine, EngineConfig, EngineStats, TenantSpec};
 use oreo_layout::RangeLayout;
 use oreo_query::{ColumnType, Query, QueryBuilder, Scalar, Schema};
 use oreo_storage::{IngestOp, Table, TableBuilder};
@@ -378,84 +375,6 @@ fn single_tenant_registry_schema_is_unchanged() {
     assert_eq!(stats.tenants[0].ledger, stats.ledger);
 }
 
-/// Starvation freedom under a zero α budget: nothing is admissible on
-/// budget alone, so *every* switch must land through the force-admit
-/// bound. Each tenant's due switches all publish, deferral is observed
-/// and recorded, and no window's deferral exceeds the configured bound
-/// plus bounded scheduling slack.
-#[test]
-fn zero_budget_scheduler_never_starves_a_tenant() {
-    let tables = [table(0, 1500), table(4, 1500)];
-    let names = ["aggressor", "victim"];
-    const PER_TENANT: u64 = 700;
-    const MAX_DEFER: u64 = 150;
-    let specs = (0..2)
-        .map(|i| tenant_spec(names[i], &tables[i], oreo_config(43 + i as u64)))
-        .collect();
-    let engine = Engine::start_tenants(
-        specs,
-        EngineConfig::sequential_parity().with_budget(ReorgBudget {
-            fraction: 0.0,
-            burst: 0.0,
-            max_defer_queries: MAX_DEFER,
-        }),
-    );
-    // Both tenants drift a → b so both *need* switches; the zero budget
-    // defers every one of them until the force-admit clock fires.
-    for i in 0..PER_TENANT {
-        for (tenant, t) in tables.iter().enumerate() {
-            let col = if i < PER_TENANT / 2 { "a" } else { "b" };
-            let lo = ((i * 37) % 900) as i64;
-            let q = QueryBuilder::new(t.schema())
-                .between(col, lo, lo + 60)
-                .build();
-            // Tracked waits keep the observed clock moving at query
-            // granularity, so deferral windows are measured tightly.
-            engine.submit_tracked_to(tenant, q).wait();
-        }
-    }
-    engine.drain();
-    let stats = engine.shutdown();
-    let total_observed = 2 * PER_TENANT;
-    assert!(stats.reorg_budget_spent > 0.0, "switches were admitted");
-    for ten in &stats.tenants {
-        assert!(ten.switches >= 1, "{} never reorganized", ten.name);
-        assert_eq!(
-            ten.snapshots_published, ten.switches,
-            "{}: a due switch never landed",
-            ten.name
-        );
-    }
-    assert!(
-        stats.tenants.iter().map(|t| t.reorg_deferrals).sum::<u64>() >= 1,
-        "a zero budget must actually defer"
-    );
-    // The deferral window is bounded: force-admit fires MAX_DEFER steps
-    // after the decision; the admitted build may then wait behind a
-    // bounded number of in-flight builds, never until end-of-stream.
-    let slack = total_observed / 2;
-    for w in &stats.windows {
-        assert!(
-            w.deferred_queries <= MAX_DEFER + slack,
-            "window for {} deferred {} queries (bound {})",
-            w.tenant,
-            w.deferred_queries,
-            MAX_DEFER + slack
-        );
-    }
-    // And the recorded per-tenant maximum agrees with the windows.
-    for ten in &stats.tenants {
-        let max_in_windows = stats
-            .windows
-            .iter()
-            .filter(|w| w.tenant == ten.name)
-            .map(|w| w.deferred_queries)
-            .max()
-            .unwrap_or(0);
-        assert_eq!(ten.max_deferred_queries, max_in_windows, "{}", ten.name);
-    }
-}
-
 /// The fleet-sum gauges: with two tenants ingesting different volumes,
 /// the aggregate `ingest.wal_bytes` / `ingest.delta_rows` are the sum of
 /// the tenants' series — not the last writer's value — and equal what
@@ -534,7 +453,9 @@ fn ingest_gauges_aggregate_as_fleet_sums() {
 /// the per-query scan accounting handed back in `QueryOutcome` sums to the
 /// `EngineStats` totals, and — where per-tenant fields exist — to the sum
 /// of `TenantStats`. Four workers, two tenants, tiered + pooled, with
-/// ingest in the mix so every summed field is non-zero.
+/// ingest in the mix so every summed field is non-zero. In the same default
+/// (measured-Δ) configuration every decided switch publishes, and the
+/// reorganizer runs each tenant's switches in decision order.
 #[test]
 fn scan_accounting_is_conserved_across_workers_and_tenants() {
     let tables = [table(0, 1500), table(4, 1500)];
@@ -631,5 +552,28 @@ fn scan_accounting_is_conserved_across_workers_and_tenants() {
             .sum::<u64>(),
         stats.snapshots_published
     );
+    for ten in &stats.tenants {
+        assert_eq!(
+            ten.snapshots_published, ten.switches,
+            "{}: a decided switch never published",
+            ten.name
+        );
+        let seqs: Vec<u64> = stats
+            .windows
+            .iter()
+            .filter(|w| w.tenant == ten.name)
+            .map(|w| w.decided_seq)
+            .collect();
+        assert!(
+            seqs.is_sorted(),
+            "{}: windows out of decision order: {seqs:?}",
+            ten.name
+        );
+    }
+    assert!(
+        stats.tenants.iter().any(|t| t.switches >= 1),
+        "the drift never reorganized a tenant"
+    );
+    assert_eq!(stats.windows.len() as u64, stats.switches);
     std::fs::remove_dir_all(&root).unwrap();
 }

@@ -1,8 +1,8 @@
 //! Multi-tenant serving quickstart: N tables behind one engine — one
-//! worker pool, one shared buffer pool, one reorganizer pacing every
-//! tenant's layout switches under a global α budget.
+//! worker pool, one shared buffer pool, one reorganizer running every
+//! tenant's layout switches in decision order.
 //!
-//! Each tenant keeps its own bookkeeping core, so its cost ledger is
+//! Each tenant keeps its own OREO instance (§VIII), so its cost ledger is
 //! byte-identical to what a dedicated single-tenant engine (or the
 //! sequential simulator) would have produced on the same substream.
 //!
@@ -46,21 +46,10 @@ fn main() {
         },
     ];
 
-    // One engine for both tables. The budget scheduler admits switches
-    // only while cumulative reorganization spend stays within a fraction
-    // of the query work the stream itself generated (plus a burst
-    // allowance); deferred switches are never lost — they are
-    // force-admitted after a bounded wait, so every tenant keeps its
-    // worst-case guarantee.
     let engine = Engine::start_tenants(
         tenants,
         EngineConfig {
             workers: 2,
-            budget: Some(ReorgBudget {
-                fraction: 0.05,
-                burst: config.alpha,
-                max_defer_queries: 2_000,
-            }),
             ..Default::default()
         },
     );
@@ -98,17 +87,22 @@ fn main() {
     );
     for ten in &stats.tenants {
         println!(
-            "  {:>10}: {} queries, {} switches ({} deferred by the budget, all \
-             published), ledger {:.1} — exactly what a solo run would bill",
+            "  {:>10}: {} queries, p50 {:.0} µs, p99 {:.0} µs, {} switches ({} published)",
             ten.name,
             ten.queries,
+            ten.latency.p50_us,
+            ten.latency.p99_us,
             ten.switches,
-            ten.reorg_deferrals,
+            ten.snapshots_published,
+        );
+        println!(
+            "  {:>10}  ledger: query {:.1} + reorg {:.1} = {:.1} — exactly what a solo run \
+             would bill",
+            "",
+            ten.ledger.query_cost,
+            ten.ledger.reorg_cost,
             ten.ledger.total(),
         );
     }
-    println!(
-        "global α budget: {:.0} billed across all tenants",
-        stats.reorg_budget_spent
-    );
+    println!("fleet ledger: {:.1}", stats.ledger.total());
 }

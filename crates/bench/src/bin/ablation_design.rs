@@ -11,12 +11,13 @@
 //! * `multi-copy cache` — Appendix D direction: keeping the last m
 //!   materialized layouts turns cache-hit switches into cheap swaps.
 
-use oreo_bench::common::{banner, default_config, make_stream, Scale};
+use oreo_bench::common::{banner, check_args, default_config, make_stream, Scale};
 use oreo_bench::multi_copy::MultiCopyCache;
 use oreo_sim::{fmt_f, fmt_pct_change, run_policy, AsciiTable, PolicySetup, Technique};
 use oreo_workload::tpch_bundle;
 
 fn main() {
+    check_args(&["--quick"]);
     let scale = Scale::from_args();
     banner("Design-choice ablations (TPC-H, Qd-tree)", scale);
 

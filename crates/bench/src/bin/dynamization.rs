@@ -20,7 +20,7 @@
 //! shrinks the stream; a release-profile mirror of the bound assertion
 //! lives in `tests/dynamization.rs`.
 
-use oreo_bench::common::{json_path_arg, write_json_report, Json, Scale};
+use oreo_bench::common::{check_args, json_path_arg, write_json_report, Json, Scale};
 use oreo_query::{ColumnType, Scalar, Schema};
 use oreo_storage::{DeltaBuffer, IngestOp, MergePolicy};
 use std::path::PathBuf;
@@ -89,6 +89,7 @@ fn drive(policy: MergePolicy, m: u64) -> PolicyRun {
 }
 
 fn main() {
+    check_args(&["--quick", "--json <path>"]);
     let scale = Scale::from_args();
     let m = batches(scale);
 
@@ -127,6 +128,17 @@ fn main() {
     }
     println!();
 
+    let labels: Vec<&str> = runs.iter().map(|r| r.label.as_str()).collect();
+    assert_eq!(
+        labels,
+        [
+            "naive-full-merge",
+            "kbinomial-2",
+            "kbinomial-3",
+            "kbinomial-4"
+        ],
+        "the report's policy names"
+    );
     let naive = &runs[0];
     let kbin = &runs[1];
     println!(

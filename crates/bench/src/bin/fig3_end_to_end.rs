@@ -12,7 +12,7 @@
 //! optimized static layout by up to 32% in combined time.
 
 use oreo_bench::common::{
-    banner, default_config, fig3_grid, json_path_arg, make_stream, run_fig3_policies,
+    banner, check_args, default_config, fig3_grid, json_path_arg, make_stream, run_fig3_policies,
     write_json_report, Json, Scale,
 };
 use oreo_sim::{default_spec, fmt_f, fmt_pct_change, AsciiTable, PolicySetup};
@@ -49,6 +49,7 @@ fn measure_substrate(bundle: &oreo_workload::DatasetBundle, k: usize, seed: u64)
 }
 
 fn main() {
+    check_args(&["--quick", "--json <path>"]);
     let scale = Scale::from_args();
     let json_path = json_path_arg();
     banner("Fig. 3: end-to-end query + reorganization time", scale);

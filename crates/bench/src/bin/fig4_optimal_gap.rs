@@ -7,11 +7,12 @@
 //! than Offline Optimal's; Offline Optimal makes one layout change per
 //! template switch, OREO 22–29, MTS Optimal 27–30.
 
-use oreo_bench::common::{banner, default_config, make_stream, Scale};
+use oreo_bench::common::{banner, check_args, default_config, make_stream, Scale};
 use oreo_sim::{fmt_f, fmt_pct_change, run_policy, AsciiTable, PolicySetup, Technique};
 use oreo_workload::{tpcds_bundle, tpch_bundle};
 
 fn main() {
+    check_args(&["--quick"]);
     let scale = Scale::from_args();
     banner("Fig. 4: gap to optimal algorithms (logical costs)", scale);
 

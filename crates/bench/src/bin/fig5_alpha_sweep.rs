@@ -6,11 +6,12 @@
 //! (35 at α=10 → 18 at α=300) with noticeable drops around α ≈ 80 and 170,
 //! which also makes the total cost non-monotone in α.
 
-use oreo_bench::common::{banner, default_config, make_stream, Scale};
+use oreo_bench::common::{banner, check_args, default_config, make_stream, Scale};
 use oreo_sim::{fmt_f, run_policy, AsciiTable, PolicySetup, Technique};
 use oreo_workload::tpch_bundle;
 
 fn main() {
+    check_args(&["--quick"]);
     let scale = Scale::from_args();
     banner(
         "Fig. 5: impact of reorganization cost α (TPC-H, Qd-tree)",

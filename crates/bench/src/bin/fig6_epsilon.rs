@@ -5,11 +5,12 @@
 //! cost rises slightly, but overall performance is not very sensitive to ε
 //! — defaults are easy to pick.
 
-use oreo_bench::common::{banner, default_config, make_stream, Scale};
+use oreo_bench::common::{banner, check_args, default_config, make_stream, Scale};
 use oreo_sim::{fmt_f, run_policy, AsciiTable, PolicySetup, Technique};
 use oreo_workload::tpch_bundle;
 
 fn main() {
+    check_args(&["--quick"]);
     let scale = Scale::from_args();
     banner(
         "Fig. 6: impact of admission threshold ε (TPC-H, Qd-tree)",

@@ -19,9 +19,10 @@
 //! *ratio* and its rough stability across file sizes. Default sweeps
 //! 16–256 MB; pass `--max-mb 1024` (or more) to extend.
 //!
-//! Flags: `--max-mb <n>`, `--json <path>`.
+//! Flags: `--max-mb <n>`, `--json <path>`. Every row asserts α finite and
+//! above 1 and a measured write time.
 
-use oreo_bench::common::{json_path_arg, write_json_report, Json};
+use oreo_bench::common::{arg_value, check_args, json_path_arg, write_json_report, Json};
 use oreo_sim::{fmt_f, AsciiTable};
 use oreo_storage::{Table, TableSnapshot, TieredStore};
 use oreo_workload::tpch;
@@ -29,10 +30,7 @@ use rand::SeedableRng;
 use std::time::Instant;
 
 fn parse_max_mb() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--max-mb")
-        .and_then(|i| args.get(i + 1))
+    arg_value("--max-mb")
         .and_then(|v| v.parse().ok())
         .unwrap_or(256)
 }
@@ -130,6 +128,7 @@ fn measure(table: &Table, k: usize, runs: usize) -> Measurement {
 }
 
 fn main() {
+    check_args(&["--max-mb <n>", "--json <path>"]);
     let max_mb = parse_max_mb();
     let json_path = json_path_arg();
     println!("== Table I: measured relative reorganization cost α ==");
@@ -161,6 +160,13 @@ fn main() {
         let runs = if mb <= 64 { 3 } else { 1 };
         let m = measure(&data, k, runs);
         let alpha = m.reorg / m.scan;
+        // A rewrite cheaper than a scan, or one that wrote nothing
+        // measurable, means the experiment measured something else.
+        assert!(
+            alpha.is_finite() && alpha > 1.0 && m.write > 0.0,
+            "{mb} MB: α = {alpha}, write {} s",
+            m.write
+        );
         table.row([
             format!("{mb} MB"),
             format!("{:.0} MB", m.bytes as f64 / 1024.0 / 1024.0),

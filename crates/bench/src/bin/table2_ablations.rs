@@ -12,7 +12,7 @@
 //! Rows in **bold** in the paper are the defaults (γ=1, SW, Δ=0); here the
 //! default row is marked with `*`.
 
-use oreo_bench::common::{banner, default_config, make_stream, Scale};
+use oreo_bench::common::{banner, check_args, default_config, make_stream, Scale};
 use oreo_core::CandidateSourceConfig;
 use oreo_sim::{fmt_f, fmt_pct_change, run_policy, AsciiTable, PolicySetup, Technique};
 use oreo_workload::all_bundles;
@@ -39,6 +39,7 @@ fn run_variant(
 }
 
 fn main() {
+    check_args(&["--quick"]);
     let scale = Scale::from_args();
     banner(
         "Table II: γ / SW-vs-RS / reorganization-delay ablations",

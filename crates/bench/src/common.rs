@@ -17,7 +17,8 @@ pub enum Scale {
 
 impl Scale {
     /// Parse from CLI args (`--quick` selects [`Scale::Quick`]; default is
-    /// the paper-scale run).
+    /// the paper-scale run). Binaries reject misspelled flags first
+    /// ([`check_args`]).
     pub fn from_args() -> Scale {
         if std::env::args().any(|a| a == "--quick") {
             Scale::Quick
@@ -248,15 +249,53 @@ impl From<bool> for Json {
     }
 }
 
+/// The argument after `flag` on the command line, if `flag` is present.
+pub fn arg_value(flag: &str) -> Option<String> {
+    let mut args = std::env::args();
+    args.find(|a| a == flag)?;
+    args.next()
+}
+
 /// Parse `--json <path>` from the CLI args, if present.
 pub fn json_path_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next().map(std::path::PathBuf::from);
+    arg_value("--json").map(std::path::PathBuf::from)
+}
+
+/// Check the command line against the flags a binary parses, or print the
+/// error and those flags and exit with status 2 — so a mistyped flag fails
+/// instead of silently running the paper-scale experiment. Each entry of
+/// `accepted` is a bare flag (`"--quick"`), a flag taking any value
+/// (`"--json <path>"`), or a flag taking one fixed value
+/// (`"--scenario suite"`).
+pub fn check_args(accepted: &[&str]) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = validate_args(&args, accepted) {
+        eprintln!("{e}\naccepted flags: {}", accepted.join(", "));
+        std::process::exit(2);
+    }
+}
+
+/// The rule [`check_args`] applies to `args`, the arguments after the
+/// program name.
+fn validate_args(args: &[String], accepted: &[&str]) -> Result<(), String> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let (flag, value) = accepted
+            .iter()
+            .map(|spec| spec.split_once(' ').unwrap_or((*spec, "")))
+            .find(|(flag, _)| flag == arg)
+            .ok_or_else(|| format!("unknown argument {arg:?}"))?;
+        if value.is_empty() {
+            continue;
+        }
+        let given = args
+            .next()
+            .ok_or_else(|| format!("{flag} needs a value: {flag} {value}"))?;
+        if !value.starts_with('<') && given != value {
+            return Err(format!("{flag} takes only {value:?}, got {given:?}"));
         }
     }
-    None
+    Ok(())
 }
 
 /// Write a JSON report to `path` (creating parent directories) and echo
@@ -335,6 +374,26 @@ mod tests {
              \"ok\":true,\"none\":null,\"rows\":[1,2.5]}"
         );
         assert_eq!(Json::Num(f64::NAN).render(), "null");
+    }
+
+    #[test]
+    fn args_outside_the_accepted_flags_are_rejected() {
+        let accepted = ["--quick", "--json <path>", "--scenario suite"];
+        let check = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            validate_args(&args, &accepted)
+        };
+        assert_eq!(check(&[]), Ok(()));
+        assert_eq!(check(&["--quick", "--json", "out.json"]), Ok(()));
+        assert_eq!(check(&["--scenario", "suite", "--quick"]), Ok(()));
+        // a value-taking flag consumes the next argument, whatever it is
+        assert_eq!(check(&["--json", "--quick"]), Ok(()));
+        assert!(check(&["--tiered"]).unwrap_err().contains("--tiered"));
+        assert!(check(&["--quick", "quick"]).is_err(), "a stray word");
+        assert!(check(&["--json"]).unwrap_err().contains("needs a value"));
+        assert!(check(&["--scenario", "diurnal"])
+            .unwrap_err()
+            .contains("\"diurnal\""));
     }
 
     #[test]

@@ -189,14 +189,6 @@ pub struct EngineConfig {
     /// Max queries a worker claims per queue pop (bookkeeping is one core
     /// lock per batch).
     pub batch: usize,
-    /// Run the background reorganizer thread. When `false`, switch
-    /// decisions still enter the ledger but the served snapshot never
-    /// changes — the "no concurrent reorganization" baseline. Without a
-    /// reorganizer nothing can complete a measured-Δ switch, so
-    /// [`Engine::start`] forces [`DelaySemantics::Configured`] in this mode
-    /// (otherwise `Oreo`'s pending queue — and the states it protects from
-    /// pruning — would grow for the engine's lifetime).
-    pub background_reorg: bool,
     /// Logical switch semantics.
     pub delay: DelaySemantics,
     /// Snapshot persistence: memory-only or disk-tiered.
@@ -221,7 +213,6 @@ impl Default for EngineConfig {
         Self {
             workers: 4,
             batch: 16,
-            background_reorg: true,
             delay: DelaySemantics::Measured,
             mode: ServeMode::Memory,
             buffer_pool_bytes: oreo_storage::bufpool::DEFAULT_CAPACITY_BYTES,
@@ -245,12 +236,6 @@ impl EngineConfig {
     /// Sets the worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Enables or disables the background reorganizer.
-    pub fn with_background_reorg(mut self, on: bool) -> Self {
-        self.background_reorg = on;
         self
     }
 
@@ -1106,19 +1091,13 @@ impl Engine {
     ///
     /// # Panics
     /// Panics on an empty tenant list or duplicate tenant names.
-    pub fn start_tenants(specs: Vec<TenantSpec>, mut config: EngineConfig) -> Self {
+    pub fn start_tenants(specs: Vec<TenantSpec>, config: EngineConfig) -> Self {
         assert!(!specs.is_empty(), "engine needs at least one tenant");
         {
             let mut names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
             names.sort_unstable();
             names.dedup();
             assert_eq!(names.len(), specs.len(), "tenant names must be unique");
-        }
-        if !config.background_reorg {
-            // No reorganizer means nothing ever calls complete_reorg; fall
-            // back to the simulator's configured-delay application so the
-            // pending queue drains (see `background_reorg` docs).
-            config.delay = DelaySemantics::Configured;
         }
         let registry = Arc::new(Registry::new());
         let metrics = LiveMetrics::new(&registry);
@@ -1224,7 +1203,6 @@ impl Engine {
                 .with_event_sink(Arc::clone(&sink)),
             )
         });
-        let background_reorg = config.background_reorg;
         let worker_count = config.workers.max(1);
         let started = Instant::now();
         let shared = Arc::new(Shared {
@@ -1245,16 +1223,13 @@ impl Engine {
             started,
         });
 
-        let (reorg_tx, reorg) = if background_reorg {
-            let (tx, rx) = channel::<ReorgRequest>();
-            let shared2 = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
+        let (reorg_tx, rx) = channel::<ReorgRequest>();
+        let reorg = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
                 .name("oreo-reorg".into())
-                .spawn(move || reorg_loop(&shared2, &rx))
-                .expect("spawn reorganizer");
-            (Some(tx), Some(handle))
-        } else {
-            (None, None)
+                .spawn(move || reorg_loop(&shared, &rx))
+                .expect("spawn reorganizer")
         };
 
         let workers = (0..worker_count)
@@ -1289,7 +1264,7 @@ impl Engine {
         Self {
             shared,
             workers,
-            reorg,
+            reorg: Some(reorg),
             exporter,
             exporter_stop,
             started,
@@ -1525,10 +1500,12 @@ impl Engine {
         for handle in self.workers.drain(..) {
             handle.join().expect("worker panicked");
         }
-        let (windows, mut tiered_errors) = match self.reorg.take() {
-            Some(handle) => handle.join().expect("reorganizer panicked"),
-            None => (Vec::new(), Vec::new()),
-        };
+        let (windows, mut tiered_errors) = self
+            .reorg
+            .take()
+            .expect("shutdown runs once")
+            .join()
+            .expect("reorganizer panicked");
         // Every tenant's write-path degradations, and what is still
         // unfolded — read from the live buffer and log. A degraded WAL is
         // gone and counts 0 bytes; so does one no batch ever reached (it
@@ -1784,7 +1761,7 @@ fn exporter_loop(shared: &Shared, stop: &(Mutex<bool>, Condvar), path: &std::pat
     write_one(shared, &mut writer);
 }
 
-fn worker_loop(shared: &Shared, home: usize, reorg_tx: Option<Sender<ReorgRequest>>) {
+fn worker_loop(shared: &Shared, home: usize, reorg_tx: Sender<ReorgRequest>) {
     let mut warned = false;
     while let Some(batch) = shared.queue.pop_batch(home, shared.config.batch) {
         // Phase 1 — scans against the job's tenant's pinned snapshot, no
@@ -1845,7 +1822,7 @@ fn worker_loop(shared: &Shared, home: usize, reorg_tx: Option<Sender<ReorgReques
         // bookkeeping holds part of it back at a run-ahead bound: then
         // again for that part, once the admission it waits for is in.
         while !scanned.is_empty() {
-            scanned = serve_scanned(shared, scanned, reorg_tx.as_ref());
+            scanned = serve_scanned(shared, scanned, &reorg_tx);
             if let Some((job, ..)) = scanned.first() {
                 await_admission(shared, &shared.tenants[job.tenant as usize]);
             }
@@ -1865,7 +1842,7 @@ type Scanned = (Job, Instant, SnapshotScan, LayoutId, u64);
 fn serve_scanned(
     shared: &Shared,
     scanned: Vec<Scanned>,
-    reorg_tx: Option<&Sender<ReorgRequest>>,
+    reorg_tx: &Sender<ReorgRequest>,
 ) -> Vec<Scanned> {
     let measured = shared.config.delay == DelaySemantics::Measured;
     let mut held = Vec::new();
@@ -1919,19 +1896,17 @@ fn serve_scanned(
                 for m in metric_views(shared, ten) {
                     m.switches.inc();
                 }
-                if let Some(tx) = reorg_tx {
-                    let spec = oreo.spec(target).expect("decided target has a spec");
-                    // Send while holding the core lock so the build
-                    // queue and `Oreo::pending` stay in the same order.
-                    let _ = tx.send(ReorgRequest {
-                        tenant: job.tenant,
-                        target,
-                        spec,
-                        decided_seq: report.seq,
-                        decided_at: Instant::now(),
-                        tenant_observed_at_decision: observed_now,
-                    });
-                }
+                let spec = oreo.spec(target).expect("decided target has a spec");
+                // Send while holding the core lock so the build queue and
+                // `Oreo::pending` stay in the same order.
+                let _ = reorg_tx.send(ReorgRequest {
+                    tenant: job.tenant,
+                    target,
+                    spec,
+                    decided_seq: report.seq,
+                    decided_at: Instant::now(),
+                    tenant_observed_at_decision: observed_now,
+                });
             }
             fulfilled.push((
                 picked,
@@ -2173,7 +2148,6 @@ fn execute_reorg(
     }
     let rows = snapshot.total_rows();
     let partitions = snapshot.num_partitions();
-    let snapshot_bytes = snapshot.total_bytes();
     // The snapshot's metadata *is* the target's exact model; hand it to
     // the core so the next settle() does not rebuild it under the serving
     // mutex.
@@ -2210,6 +2184,9 @@ fn execute_reorg(
         },
         None => (Duration::ZERO, 0, 0),
     };
+    // Read after the publish, which sizes the partitions as their encoded
+    // blobs: the unit `EngineStats::table_bytes` and its α̂ use.
+    let snapshot_bytes = snapshot.total_bytes();
     if bytes_written > 0 {
         for m in metric_views(shared, ten) {
             m.persisted.inc();

@@ -258,31 +258,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn disabled_reorg_keeps_initial_snapshot() {
-        let t = table(1500);
-        let queries = drifting_queries(&t, 300);
-        let engine = start(
-            &t,
-            config(),
-            EngineConfig {
-                workers: 2,
-                background_reorg: false,
-                ..Default::default()
-            },
-        );
-        let initial_epoch = engine.epoch();
-        for q in &queries {
-            engine.submit(q.clone());
-        }
-        engine.drain();
-        assert_eq!(engine.epoch(), initial_epoch);
-        let stats = engine.shutdown();
-        assert_eq!(stats.snapshots_published, 0);
-        assert!(stats.windows.is_empty());
-        assert_eq!(stats.queries, 300);
-    }
-
     fn tmproot(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "oreo-engine-{tag}-{}-{}",
@@ -296,21 +271,27 @@ mod tests {
     /// Tiered serving: every publish commits an on-disk generation, old
     /// generations are garbage-collected once unpinned, and the same run
     /// yields an empirical α (write bill vs scan throughput) next to the
-    /// measured Δ.
+    /// measured Δ — in the report and in the live `alpha.hat` gauge alike.
     #[test]
     fn tiered_mode_persists_generations_and_measures_alpha() {
         let t = table(2000);
         let queries = drifting_queries(&t, 400);
         let root = tmproot("tiered");
+        let prom = root.with_extension("prom");
         let engine = start(
             &t,
             config(),
             EngineConfig {
                 workers: 2,
+                obs: ObsConfig {
+                    metrics_prom: Some(prom.clone()),
+                    ..Default::default()
+                },
                 ..Default::default()
             }
             .tiered(&root),
         );
+        let registry = Arc::clone(engine.registry());
         assert!(root.join("gen-000001").exists(), "initial gen persisted");
         for q in &queries {
             engine.submit(q.clone());
@@ -337,6 +318,17 @@ mod tests {
             stats.reorg_bytes_written(),
             stats.windows.iter().map(|w| w.bytes_written).sum::<u64>()
         );
+        // The Prometheus dump at shutdown refreshes the derived gauges from
+        // the drained counters: the live α̂ is the report's, one rule.
+        let gauge = registry
+            .snapshot()
+            .gauge("alpha.hat")
+            .expect("alpha.hat gauge");
+        assert!(
+            (gauge - alpha).abs() <= 1e-9 * alpha,
+            "alpha.hat gauge {gauge} vs EngineStats::empirical_alpha {alpha}"
+        );
+        std::fs::remove_file(&prom).unwrap();
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -34,7 +34,7 @@ pub use policies::{
     StaticPolicy, TemplateLayouts,
 };
 pub use policy::{run_policy, ReorgPolicy, RunResult, StepCost};
-pub use report::{fmt_f, fmt_pct_change, AsciiTable, ThroughputReport};
+pub use report::{fmt_f, fmt_pct_change, AsciiTable};
 pub use setup::{default_spec, make_generator, PolicySetup, Technique};
 pub use zoo::{adversarial_bound, compare_oreo_static, zoo_stream, AdversarialBound, OreoOracle};
 

@@ -1,6 +1,5 @@
 //! Minimal ASCII table rendering for the benchmark harnesses (the paper's
-//! tables and figure series are reprinted as monospace tables), plus the
-//! [`ThroughputReport`] rows the concurrent-serving harness emits.
+//! tables and figure series are reprinted as monospace tables).
 
 use std::fmt::Write as _;
 
@@ -85,209 +84,9 @@ pub fn fmt_pct_change(base: f64, v: f64) -> String {
     }
 }
 
-/// One measured serving configuration of the `serve_throughput` harness:
-/// a worker count × reorganization mode cell, with its throughput and
-/// latency percentiles.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ThroughputReport {
-    /// Configuration label, e.g. `"reorg on"` / `"reorg off"`.
-    pub label: String,
-    /// Serving mode: `"memory"` (snapshots live in memory only) or
-    /// `"tiered"` (every publish persists an on-disk generation).
-    pub serve_mode: String,
-    /// Scan worker threads.
-    pub workers: usize,
-    /// Queries served.
-    pub queries: u64,
-    /// Wall-clock seconds from first submit to full drain.
-    pub elapsed_s: f64,
-    /// Queries per second.
-    pub qps: f64,
-    /// Median per-query service latency (worker pickup → completion),
-    /// microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile latency, microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile latency, microseconds.
-    pub p99_us: f64,
-    /// Maximum latency, microseconds.
-    pub max_us: f64,
-    /// Mean latency, microseconds.
-    pub mean_us: f64,
-    /// Layout switches decided during the run.
-    pub switches: u64,
-    /// Background reorganizations completed (snapshots published).
-    pub reorgs_completed: u64,
-    /// Mean measured reorganization window Δ, in queries (the quantity
-    /// `OreoConfig::reorg_delay` configures in the sequential simulator).
-    pub mean_delta_queries: f64,
-    /// Mean measured reorganization window Δ, in seconds.
-    pub mean_delta_s: f64,
-    /// Bytes read across all scans (in-memory bytes in memory mode, page
-    /// bytes fetched through the buffer pool in tiered mode).
-    pub bytes_scanned: u64,
-    /// Bytes written by aside rewrites (0 in memory mode).
-    pub reorg_bytes_written: u64,
-    /// Empirical α measured on this run — mean aside-rewrite wall-clock
-    /// over extrapolated full-scan wall-clock (0 when not measurable,
-    /// e.g. no completed rewrite). Cold-preferring: extrapolated from
-    /// disk-throughput samples when the run produced any.
-    pub alpha_empirical: f64,
-    /// α̂ from cold (disk) scan throughput only (0 when not measurable).
-    pub alpha_cold: f64,
-    /// α̂ from warm (pool-hit / memory) scan throughput (0 when not
-    /// measurable).
-    pub alpha_warm: f64,
-    /// Buffer-pool page hits over the run (0 in memory mode).
-    pub pool_hits: u64,
-    /// Buffer-pool page misses over the run (0 in memory mode).
-    pub pool_misses: u64,
-    /// Buffer-pool evictions over the run (0 in memory mode).
-    pub pool_evictions: u64,
-    /// Pool hits over total page requests, 0.0..=1.0 (0 in memory mode).
-    pub pool_hit_rate: f64,
-    /// Page bytes read from disk across scans (0 in memory mode).
-    pub io_cold_bytes: u64,
-    /// Page bytes served from the pool across scans (0 in memory mode).
-    pub io_cached_bytes: u64,
-    /// 1024-row chunks the vectorized scan kernels evaluated across scans.
-    pub chunks_evaluated: u64,
-    /// Rows the adaptive AND order skipped later kernels for (already
-    /// rejected by a cheaper atom).
-    pub rows_short_circuited: u64,
-    /// Total ledger cost (query + reorg, logical units).
-    pub total_cost: f64,
-}
-
-impl ThroughputReport {
-    /// Header row matching [`ThroughputReport::table_row`].
-    pub fn table_headers() -> Vec<&'static str> {
-        vec![
-            "mode",
-            "serve",
-            "workers",
-            "queries",
-            "qps",
-            "p50(µs)",
-            "p95(µs)",
-            "p99(µs)",
-            "max(µs)",
-            "switches",
-            "reorgs",
-            "Δ(queries)",
-            "Δ(s)",
-            "α̂",
-            "hit%",
-        ]
-    }
-
-    /// This report as one ASCII-table row.
-    pub fn table_row(&self) -> Vec<String> {
-        vec![
-            self.label.clone(),
-            self.serve_mode.clone(),
-            self.workers.to_string(),
-            self.queries.to_string(),
-            fmt_f(self.qps, 0),
-            fmt_f(self.p50_us, 0),
-            fmt_f(self.p95_us, 0),
-            fmt_f(self.p99_us, 0),
-            fmt_f(self.max_us, 0),
-            self.switches.to_string(),
-            self.reorgs_completed.to_string(),
-            fmt_f(self.mean_delta_queries, 1),
-            fmt_f(self.mean_delta_s, 3),
-            if self.alpha_empirical > 0.0 {
-                fmt_f(self.alpha_empirical, 1)
-            } else {
-                "-".into()
-            },
-            if self.pool_hits + self.pool_misses > 0 {
-                fmt_f(self.pool_hit_rate * 100.0, 1)
-            } else {
-                "-".into()
-            },
-        ]
-    }
-
-    /// Render a set of reports as one ASCII table.
-    pub fn render_table(reports: &[ThroughputReport]) -> String {
-        let mut t = AsciiTable::new(Self::table_headers());
-        for r in reports {
-            t.row(r.table_row());
-        }
-        t.render()
-    }
-
-    /// Throughput scaling of `self` relative to a baseline run (e.g. the
-    /// 1-worker cell), as a multiplier.
-    pub fn speedup_over(&self, baseline: &ThroughputReport) -> f64 {
-        if baseline.qps == 0.0 {
-            return 0.0;
-        }
-        self.qps / baseline.qps
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn throughput_rows_align_with_headers() {
-        let r = ThroughputReport {
-            label: "reorg on".into(),
-            serve_mode: "tiered".into(),
-            workers: 4,
-            queries: 1000,
-            qps: 2512.3,
-            p50_us: 410.0,
-            p95_us: 1400.0,
-            p99_us: 1900.0,
-            max_us: 4200.0,
-            switches: 3,
-            reorgs_completed: 3,
-            mean_delta_queries: 41.5,
-            mean_delta_s: 0.012,
-            bytes_scanned: 1 << 20,
-            reorg_bytes_written: 1 << 19,
-            alpha_empirical: 72.4,
-            alpha_cold: 72.4,
-            alpha_warm: 410.0,
-            pool_hits: 900,
-            pool_misses: 100,
-            pool_hit_rate: 0.9,
-            ..Default::default()
-        };
-        assert_eq!(r.table_row().len(), ThroughputReport::table_headers().len());
-        let rendered = ThroughputReport::render_table(std::slice::from_ref(&r));
-        assert!(rendered.contains("reorg on"));
-        assert!(rendered.contains("tiered"));
-        assert!(rendered.contains("2512"));
-        assert!(rendered.contains("72.4"));
-        assert!(rendered.contains("90.0"), "hit rate rendered as percent");
-        // an unmeasured α (and an absent pool) render as "-"
-        let none = ThroughputReport::default();
-        assert_eq!(*none.table_row().last().unwrap(), "-");
-        assert_eq!(none.table_row()[13], "-", "α̂ column");
-        // all five latency summary fields show up in the row
-        assert!(rendered.contains("1400"), "p95 rendered");
-        assert!(rendered.contains("4200"), "max rendered");
-    }
-
-    #[test]
-    fn speedup_is_qps_ratio() {
-        let base = ThroughputReport {
-            qps: 100.0,
-            ..Default::default()
-        };
-        let fast = ThroughputReport {
-            qps: 250.0,
-            ..Default::default()
-        };
-        assert!((fast.speedup_over(&base) - 2.5).abs() < 1e-12);
-        assert_eq!(fast.speedup_over(&ThroughputReport::default()), 0.0);
-    }
 
     #[test]
     fn renders_aligned_columns() {

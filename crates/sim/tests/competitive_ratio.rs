@@ -9,10 +9,11 @@
 //! cargo test --release -p oreo-sim --test competitive_ratio
 //! ```
 //!
-//! The configuration mirrors `serve_throughput --scenario suite` exactly
-//! (α = 80, 64 partitions, 100-query candidate cadence, 1 500-query zoo
-//! phases), so a failure here reproduces under the bench binary and vice
-//! versa.
+//! The configuration mirrors `serve_throughput --quick --scenario suite`
+//! exactly (α = 80, 64 partitions, 100-query candidate cadence, 1 500-query
+//! zoo phases), so a failure here reproduces under the bench binary and vice
+//! versa. The binary asserts the same two claims, and also the FIFO
+//! engine's ledger parity with these OREO runs on every scenario.
 
 #![cfg(not(debug_assertions))]
 

@@ -163,7 +163,7 @@ impl Scenario {
         Scenario::Adversarial,
     ];
 
-    /// Stable CLI name (`serve_throughput --scenario <name>`).
+    /// Stable name, the `scenario` key of `BENCH_scenarios.json`.
     pub fn name(self) -> &'static str {
         match self {
             Scenario::FlashCrowd => "flash-crowd",

@@ -1,12 +1,12 @@
-//! Empirical verification of PR 9's **second worst-case guarantee**: on an
-//! adversarial stream of `m` single-row append batches, the k-binomial
+//! Empirical verification of the delta-merge write-amplification bound:
+//! on an adversarial stream of `m` single-row append batches, the k-binomial
 //! merge policy's measured write amplification stays within its
 //! `k·m^{1/k} + 1` bound (Mathieu et al., arXiv:2011.02615), the naive
 //! full merge stays within `(m+1)/2 + 1`, and the transform strictly beats
-//! the naive policy. Mirrors the gating assertions of the `dynamization`
-//! bench (which runs the same stream at `--quick`/full scale and emits
+//! the naive policy. Mirrors the assertions of the `dynamization` bench
+//! binary (which runs the same stream at `--quick`/full scale and emits
 //! `BENCH_dynamization.json`), the way `competitive_ratio.rs` mirrors the
-//! `serve_throughput` α-bound.
+//! 2·H(n) gate of `serve_throughput --scenario suite`.
 
 use oreo::query::{ColumnType, Scalar, Schema};
 use oreo::storage::{kbinomial_sizes, DeltaBuffer, IngestOp, MergePolicy};

@@ -13,7 +13,7 @@
 //! default row is marked with `*`.
 
 use oreo_bench::common::{banner, check_args, default_config, make_stream, Scale};
-use oreo_core::CandidateSourceConfig;
+use oreo_core::CandidateSource;
 use oreo_sim::{fmt_f, fmt_pct_change, run_policy, AsciiTable, PolicySetup, Technique};
 use oreo_workload::all_bundles;
 
@@ -68,9 +68,9 @@ fn main() {
     // ------------------------------------------------------- SW vs RS --
     let mut rows: Vec<(String, Vec<Cell>)> = Vec::new();
     for (label, source) in [
-        ("SW *", CandidateSourceConfig::SlidingWindow),
-        ("RS", CandidateSourceConfig::Reservoir),
-        ("SW+RS", CandidateSourceConfig::Both),
+        ("SW *", CandidateSource::SlidingWindow),
+        ("RS", CandidateSource::Reservoir),
+        ("SW+RS", CandidateSource::Both),
     ] {
         let cells: Vec<Cell> = bundles
             .iter()

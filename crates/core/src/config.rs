@@ -1,6 +1,7 @@
 //! Framework-level configuration. Defaults reproduce the paper's §VI-A3
 //! experimental setup.
 
+use crate::dumts::DumtsConfig;
 use crate::layout_manager::{CandidateSource, ManagerConfig};
 use crate::predictor::TransitionPolicy;
 use serde::{Deserialize, Serialize};
@@ -29,7 +30,7 @@ pub struct OreoConfig {
     /// R-TBS decay λ.
     pub rtbs_lambda: f64,
     /// Workload-sample source for candidate generation (SW/RS/Both).
-    pub candidate_source: CandidateSourceConfig,
+    pub candidate_source: CandidateSource,
     /// Optional cap on the dynamic state-space size.
     pub max_states: Option<usize>,
     /// Stay in the current state on phase reset (§IV-A optimization).
@@ -50,27 +51,6 @@ pub struct OreoConfig {
     pub seed: u64,
 }
 
-/// Serializable mirror of [`CandidateSource`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CandidateSourceConfig {
-    /// Candidates from the sliding window only.
-    SlidingWindow,
-    /// Candidates from the uniform reservoir only.
-    Reservoir,
-    /// Candidates from both sources (§VI-D4 SW+RS ablation).
-    Both,
-}
-
-impl From<CandidateSourceConfig> for CandidateSource {
-    fn from(c: CandidateSourceConfig) -> Self {
-        match c {
-            CandidateSourceConfig::SlidingWindow => CandidateSource::SlidingWindow,
-            CandidateSourceConfig::Reservoir => CandidateSource::Reservoir,
-            CandidateSourceConfig::Both => CandidateSource::Both,
-        }
-    }
-}
-
 impl Default for OreoConfig {
     fn default() -> Self {
         Self {
@@ -83,7 +63,7 @@ impl Default for OreoConfig {
             data_sample_rows: 2000,
             rtbs_capacity: 64,
             rtbs_lambda: 0.005,
-            candidate_source: CandidateSourceConfig::SlidingWindow,
+            candidate_source: CandidateSource::SlidingWindow,
             max_states: None,
             stay_on_reset: true,
             mid_phase_admission: true,
@@ -104,6 +84,17 @@ impl OreoConfig {
         }
     }
 
+    /// Derive the reorganizer slice of the configuration.
+    pub fn dumts_config(&self) -> DumtsConfig {
+        DumtsConfig {
+            alpha: self.alpha,
+            transition: self.transition_policy(),
+            stay_on_reset: self.stay_on_reset,
+            mid_phase_admission: self.mid_phase_admission,
+            seed: self.seed,
+        }
+    }
+
     /// Derive the layout-manager slice of the configuration.
     pub fn manager_config(&self) -> ManagerConfig {
         ManagerConfig {
@@ -113,7 +104,7 @@ impl OreoConfig {
             reservoir_capacity: self.window,
             rtbs_capacity: self.rtbs_capacity,
             rtbs_lambda: self.rtbs_lambda,
-            source: self.candidate_source.into(),
+            source: self.candidate_source,
             max_states: self.max_states,
             // decorrelate manager sampling from reorganizer transitions
             seed: self.seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1),
@@ -169,7 +160,7 @@ mod tests {
         assert_eq!(c.gamma, 1.0);
         assert_eq!(c.window, 200);
         assert_eq!(c.reorg_delay, 0);
-        assert_eq!(c.candidate_source, CandidateSourceConfig::SlidingWindow);
+        assert_eq!(c.candidate_source, CandidateSource::SlidingWindow);
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! D-UMTS: the dynamic uniform metrical task system solver (Algorithm 4).
 //!
 //! This is the paper's core algorithmic contribution. It extends the classic
-//! Borodin–Linial–Saks counter algorithm (Algorithms 1–3, [`crate::mts`])
-//! with *state update queries* that add and remove states mid-stream while
-//! preserving a tight competitive ratio of `2·H(|S_max|)` (Theorem IV.1):
+//! Borodin–Linial–Saks counter algorithm (Algorithms 1–3; Borodin, Linial &
+//! Saks, JACM 1992) with *state update queries* that add and remove states
+//! mid-stream while preserving a tight competitive ratio of `2·H(|S_max|)`
+//! (Theorem IV.1). With no add/remove events it *is* the classic algorithm
+//! over a fixed state space: [`TransitionPolicy::Uniform`] with
+//! `stay_on_reset` and `mid_phase_admission` off is the textbook solver.
+//!
 //!
 //! * every state carries a counter accumulating its service costs; a counter
 //!   is **full** at `α` (the uniform switching cost);
@@ -399,6 +403,7 @@ impl Dumts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     fn uniform_config(alpha: f64, seed: u64) -> DumtsConfig {
         DumtsConfig {
@@ -407,6 +412,15 @@ mod tests {
             stay_on_reset: true,
             mid_phase_admission: false,
             seed,
+        }
+    }
+
+    /// The textbook fixed-space algorithm: uniform transitions and a random
+    /// move at each phase start.
+    fn classic_config(alpha: f64, seed: u64) -> DumtsConfig {
+        DumtsConfig {
+            stay_on_reset: false,
+            ..uniform_config(alpha, seed)
         }
     }
 
@@ -559,7 +573,6 @@ mod tests {
     /// active counters are below α.
     #[test]
     fn counter_invariant_holds_under_random_stream() {
-        use rand::Rng;
         let mut rng = StdRng::seed_from_u64(99);
         let mut d = Dumts::new(&[1, 2, 3, 4, 5], uniform_config(6.0, 100));
         for step in 0..2000 {
@@ -590,5 +603,99 @@ mod tests {
             assert!(d.states().contains(&d.current()));
         }
         assert!(d.max_states_seen() >= 5);
+    }
+
+    /// Theorem IV.1's per-phase argument: against any *oblivious* input
+    /// (costs fixed before seeing the algorithm's random choices), the
+    /// expected algorithm cost per phase is at most `2·α·H(n)`.
+    ///
+    /// The adversary here pre-commits a harsh random stream; the algorithm's
+    /// measured per-phase cost (service + α per move), averaged over seeds,
+    /// must respect the bound.
+    #[test]
+    fn oblivious_stream_phase_cost_bound() {
+        let n = 8usize;
+        let alpha = 10.0;
+        let states: Vec<StateId> = (0..n as u64).collect();
+        // Pre-commit the cost stream: per query, every state gets a cost
+        // in [0.5, 1.0] — high pressure, but independent of our state.
+        let mut adv = StdRng::seed_from_u64(7777);
+        let stream: Vec<Vec<f64>> = (0..8_000)
+            .map(|_| (0..n).map(|_| 0.5 + 0.5 * adv.random::<f64>()).collect())
+            .collect();
+
+        let trials = 30;
+        let mut total_cost = 0.0;
+        let mut total_phases = 0u64;
+        for seed in 0..trials {
+            let mut d = Dumts::new(&states, classic_config(alpha, seed));
+            let mut cost = 0.0;
+            for q in &stream {
+                let o = d.observe_query(|s| q[s as usize]);
+                cost += q[d.current() as usize];
+                if o.switched_to.is_some() {
+                    cost += alpha;
+                }
+            }
+            total_cost += cost;
+            total_phases += d.phases();
+        }
+        let avg_cost_per_phase = total_cost / total_phases as f64;
+        let h_n: f64 = (1..=n).map(|i| 1.0 / i as f64).sum();
+        let bound = 2.0 * alpha * h_n;
+        assert!(
+            avg_cost_per_phase <= bound,
+            "avg per-phase cost {avg_cost_per_phase:.1} exceeds 2αH(n) = {bound:.1}"
+        );
+    }
+
+    /// With i.i.d. random costs the algorithm should switch rarely relative
+    /// to the query count (each phase lasts ≥ α queries by construction:
+    /// counters grow at most 1 per query).
+    #[test]
+    fn phases_last_at_least_alpha_queries() {
+        let alpha = 25.0;
+        let states: Vec<StateId> = (0..5).collect();
+        let mut d = Dumts::new(&states, classic_config(alpha, 3));
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut queries_in_phase = 0u64;
+        for _ in 0..5000 {
+            let costs: Vec<f64> = (0..5).map(|_| rng.random::<f64>()).collect();
+            let o = d.observe_query(|s| costs[s as usize]);
+            queries_in_phase += 1;
+            if o.phase_reset {
+                assert!(
+                    queries_in_phase as f64 >= alpha,
+                    "phase ended after only {queries_in_phase} queries"
+                );
+                queries_in_phase = 0;
+            }
+        }
+    }
+
+    /// Classic vs stay-in-place: the optimization must not increase the
+    /// number of switches (it strictly removes the per-phase initial jump).
+    #[test]
+    fn stay_in_place_reduces_switches() {
+        let states: Vec<StateId> = (0..6).collect();
+        let alpha = 8.0;
+        let mut classic_switches = 0u64;
+        let mut stay_switches = 0u64;
+        for seed in 0..20 {
+            let mut classic = Dumts::new(&states, classic_config(alpha, seed));
+            let mut stay = Dumts::new(&states, uniform_config(alpha, seed));
+            let mut rng = StdRng::seed_from_u64(1000 + seed);
+            for _ in 0..4000 {
+                let costs: Vec<f64> = (0..6).map(|_| rng.random::<f64>()).collect();
+                classic.observe_query(|s| costs[s as usize]);
+                stay.observe_query(|s| costs[s as usize]);
+            }
+            classic_switches += classic.switches();
+            stay_switches += stay.switches();
+        }
+        assert!(
+            stay_switches < classic_switches,
+            "stay {stay_switches} vs classic {classic_switches}"
+        );
     }
 }

@@ -26,17 +26,19 @@
 //! stream (Theorem IV.1), so a driver may answer the boundary query — and
 //! many after it — before the candidate it triggered exists.
 
+use crate::config::OreoConfig;
 use oreo_layout::{build_model, LayoutGenerator, SharedSpec};
 use oreo_query::Query;
 use oreo_sampling::{Reservoir, SlidingWindow, TimeBiasedReservoir};
 use oreo_storage::{cost_vector_distance, LayoutId, LayoutModel, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Which workload sample feeds `generate_layout` (§VI-D4 ablation).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CandidateSource {
     /// Sliding window only (paper default, best overall).
     SlidingWindow,
@@ -207,6 +209,18 @@ impl CandidateTask {
     }
 }
 
+impl BuiltCandidates {
+    /// The boundary's candidates before the ε-test, in generation order, as
+    /// `(spec, sample model)` pairs — for a driver that weighs candidates by
+    /// its own rule instead of admitting them (the Greedy and Regret
+    /// baselines). Each model carries a placeholder id.
+    pub fn into_candidates(self) -> Vec<(SharedSpec, LayoutModel)> {
+        (self.candidates.into_iter())
+            .map(|c| (c.spec, c.model))
+            .collect()
+    }
+}
+
 /// What [`LayoutManager::admit`] did with one boundary's candidates.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Admission {
@@ -311,6 +325,28 @@ impl LayoutManager {
         let model = build_model(initial_spec.as_ref(), 0, &this.data_sample, full_rows);
         let id = this.install(initial_spec, model);
         (this, id)
+    }
+
+    /// The manager [`crate::Oreo::new`] builds over `table`: generation runs
+    /// on a `data_sample_rows` sample of `table` (drawn with seed
+    /// `seed ^ 0xD5A7`), `initial_spec` is state 0, and the rest is
+    /// [`OreoConfig::manager_config`].
+    pub fn for_table(
+        table: &Table,
+        initial_spec: SharedSpec,
+        generator: Arc<dyn LayoutGenerator>,
+        config: &OreoConfig,
+    ) -> (Self, LayoutId) {
+        let mut sample_rng = StdRng::seed_from_u64(config.seed ^ 0xD5A7);
+        let data_sample = table.sample(&mut sample_rng, config.data_sample_rows);
+        Self::new(
+            data_sample,
+            table.num_rows() as f64,
+            generator,
+            config.partitions,
+            initial_spec,
+            config.manager_config(),
+        )
     }
 
     /// Enter `spec` into the state space under the next id; `model` is its
@@ -502,8 +538,9 @@ impl LayoutManager {
         events
     }
 
-    /// The sliding window contents (used by the Greedy/Regret baselines so
-    /// all online policies share identical candidate inputs).
+    /// The sliding window contents. The Greedy baseline weighs each
+    /// boundary's candidates on it; the candidates themselves come from
+    /// this manager too, so every online policy sees the same ones.
     pub fn window_queries(&self) -> Vec<Query> {
         self.window.to_vec()
     }

@@ -3,11 +3,10 @@
 //! The paper's primary contribution: an online reorganization framework with
 //! a worst-case guarantee, built from
 //!
-//! * [`mts`] — the classic Borodin–Linial–Saks counter algorithm for uniform
-//!   metrical task systems (Algorithms 1–3);
 //! * [`dumts`] — **D-UMTS**, the dynamic-state-space extension (Algorithm 4)
-//!   achieving the asymptotically tight `2·H(|S_max|)` competitive ratio of
-//!   Theorem IV.1;
+//!   of the classic Borodin–Linial–Saks counter algorithm (Algorithms 1–3,
+//!   its fixed-state-space special case), achieving the asymptotically tight
+//!   `2·H(|S_max|)` competitive ratio of Theorem IV.1;
 //! * [`predictor`] — γ-biased transition distributions (§IV-C, Theorem IV.2);
 //! * [`layout_manager`] — the LAYOUT MANAGER: candidate generation from
 //!   workload samples and ε-distance admission (Algorithm 5);
@@ -18,18 +17,16 @@ pub mod config;
 pub mod cost;
 pub mod dumts;
 pub mod layout_manager;
-pub mod mts;
 pub mod oreo;
 pub mod predictor;
 
-pub use config::{CandidateSourceConfig, OreoConfig};
+pub use config::OreoConfig;
 pub use cost::{AlphaEstimator, CostLedger};
 pub use dumts::{Dumts, DumtsConfig, StateId, StepOutcome};
 pub use layout_manager::{
     Admission, BuiltCandidates, CandidateSource, CandidateTask, LayoutManager, ManagedLayout,
     ManagerConfig, ManagerEvent, ManagerStats,
 };
-pub use mts::Bls;
 pub use oreo::{Oreo, StepReport};
 pub use predictor::{median_or, TransitionPolicy};
 

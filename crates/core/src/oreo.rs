@@ -16,7 +16,7 @@
 
 use crate::config::OreoConfig;
 use crate::cost::CostLedger;
-use crate::dumts::{Dumts, DumtsConfig};
+use crate::dumts::Dumts;
 use crate::layout_manager::{
     Admission, BuiltCandidates, CandidateTask, LayoutManager, ManagerEvent,
 };
@@ -24,8 +24,6 @@ use oreo_layout::{build_exact_model, LayoutGenerator, SharedSpec};
 use oreo_obs::{EventKind, EventSink, NullSink};
 use oreo_query::Query;
 use oreo_storage::{LayoutId, LayoutModel, Table};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -129,28 +127,11 @@ impl Oreo {
         generator: Arc<dyn LayoutGenerator>,
         config: OreoConfig,
     ) -> Self {
-        let mut sample_rng = StdRng::seed_from_u64(config.seed ^ 0xD5A7);
-        let data_sample = table.sample(&mut sample_rng, config.data_sample_rows);
-        let (manager, initial_id) = LayoutManager::new(
-            data_sample,
-            table.num_rows() as f64,
-            generator,
-            config.partitions,
-            Arc::clone(&initial_spec),
-            config.manager_config(),
-        );
+        let (manager, initial_id) =
+            LayoutManager::for_table(&table, Arc::clone(&initial_spec), generator, &config);
 
-        let reorganizer = Dumts::new(
-            &[initial_id],
-            DumtsConfig {
-                alpha: config.alpha,
-                transition: config.transition_policy(),
-                stay_on_reset: config.stay_on_reset,
-                mid_phase_admission: config.mid_phase_admission,
-                seed: config.seed,
-            },
-        )
-        .with_initial_state(initial_id);
+        let reorganizer =
+            Dumts::new(&[initial_id], config.dumts_config()).with_initial_state(initial_id);
 
         let mut estimated = HashMap::new();
         let mut specs = HashMap::new();

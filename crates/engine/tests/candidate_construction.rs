@@ -11,7 +11,7 @@
 //! dropped, and the ledger stays conserved. The synchronous composition
 //! (`Oreo::decide`) must equal the pieces.
 
-use oreo_core::{CandidateSourceConfig, CostLedger, Oreo, OreoConfig};
+use oreo_core::{CandidateSource, CostLedger, Oreo, OreoConfig};
 use oreo_engine::{DelaySemantics, Engine, EngineConfig, EngineStats, IngestOp};
 use oreo_layout::{LayoutGenerator, QdTreeGenerator, RangeLayout, SharedSpec};
 use oreo_obs::{EventSink, Journal, Registry};
@@ -264,9 +264,9 @@ fn decide_is_capture_build_admit() {
         },
     );
     for source in [
-        CandidateSourceConfig::SlidingWindow,
-        CandidateSourceConfig::Reservoir,
-        CandidateSourceConfig::Both,
+        CandidateSource::SlidingWindow,
+        CandidateSource::Reservoir,
+        CandidateSource::Both,
     ] {
         let config = OreoConfig {
             alpha: 20.0,

@@ -4,10 +4,10 @@
 //! paper's evaluation over identical query streams:
 //!
 //! * [`policy`] — the [`ReorgPolicy`] interface + the stream runner;
-//! * [`feed`] — the shared candidate-layout feed (§VI-A3: all online
-//!   methods see the same candidates);
 //! * [`policies`] — Static, Greedy, Regret, OREO, MTS-Optimal and
-//!   Offline-Optimal implementations;
+//!   Offline-Optimal implementations. Greedy and Regret draw their
+//!   candidates from OREO's own `LayoutManager` (§VI-A3: all online methods
+//!   see the same candidates);
 //! * [`mutable`] — the row-level mutable oracle the live-ingestion
 //!   equivalence tests compare delta-aware scans against;
 //! * [`offline_dp`] — the *true* offline UMTS optimum by dynamic
@@ -17,7 +17,6 @@
 //! * [`zoo`] — the workload zoo's live adversary oracle and the 2·H(n)
 //!   bound measurement against the offline DP.
 
-pub mod feed;
 pub mod mutable;
 pub mod offline_dp;
 pub mod policies;
@@ -26,12 +25,11 @@ pub mod report;
 pub mod setup;
 pub mod zoo;
 
-pub use feed::{Candidate, CandidateFeed};
 pub use mutable::MutableOracle;
 pub use offline_dp::{offline_optimum, OfflineOptimum};
 pub use policies::{
-    GreedyPolicy, MtsOptimalPolicy, OfflineTemplatePolicy, OreoPolicy, RegretPolicy, SatPolicy,
-    StaticPolicy, TemplateLayouts,
+    GreedyPolicy, MtsOptimalPolicy, OfflineTemplatePolicy, OreoPolicy, RegretPolicy, StaticPolicy,
+    TemplateLayouts,
 };
 pub use policy::{run_policy, ReorgPolicy, RunResult, StepCost};
 pub use report::{fmt_f, fmt_pct_change, AsciiTable};
@@ -41,7 +39,7 @@ pub use zoo::{adversarial_bound, compare_oreo_static, zoo_stream, AdversarialBou
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oreo_core::{Bls, DumtsConfig, OreoConfig, TransitionPolicy};
+    use oreo_core::{Dumts, DumtsConfig, OreoConfig, TransitionPolicy};
     use oreo_workload::{tpch_bundle, StreamConfig};
 
     // NOTE: the former `policy_ordering_matches_paper_narrative` test
@@ -92,7 +90,7 @@ mod tests {
         let mut total = 0.0;
         for seed in 0..trials {
             let states: Vec<u64> = (0..n as u64).collect();
-            let mut bls = Bls::with_config(
+            let mut d = Dumts::new(
                 &states,
                 DumtsConfig {
                     alpha,
@@ -104,8 +102,8 @@ mod tests {
             );
             let mut cost = 0.0;
             for row in &costs {
-                let o = bls.observe_query(|s| row[s as usize]);
-                cost += row[bls.current() as usize];
+                let o = d.observe_query(|s| row[s as usize]);
+                cost += row[d.current() as usize];
                 if o.switched_to.is_some() {
                     cost += alpha;
                 }
@@ -156,5 +154,52 @@ mod tests {
             rm.ledger.query_cost
         );
         assert_eq!(roff.switches as usize, stream.segments.len() - 1);
+    }
+
+    /// Greedy and Regret's bills on a small fixed TPC-H stream with Qd-tree
+    /// and Z-order candidates, pinned to the bit (f64s compared exactly).
+    /// Both take each boundary's candidates from OREO's `LayoutManager`
+    /// (sliding-window source, no ε-test), so a change to which candidates
+    /// they see, or when, shows here.
+    #[test]
+    fn greedy_and_regret_ledgers_are_pinned() {
+        let bundle = tpch_bundle(8_000, 4);
+        let stream = bundle.stream(StreamConfig {
+            total_queries: 1_200,
+            segments: 4,
+            seed: 11,
+            ..Default::default()
+        });
+        let config = OreoConfig {
+            alpha: 20.0,
+            partitions: 16,
+            window: 100,
+            generation_interval: 100,
+            data_sample_rows: 1_000,
+            seed: 3,
+            ..Default::default()
+        };
+        // (technique, [(query_cost, reorg_cost, switches)] for Greedy, Regret)
+        let pinned = [
+            (
+                Technique::QdTree,
+                [(218.66812499999583, 120.0, 6), (286.7026250000031, 60.0, 3)],
+            ),
+            (
+                Technique::ZOrder,
+                [(440.30775000000654, 80.0, 4), (435.52725000000464, 40.0, 2)],
+            ),
+        ];
+        for (technique, expected) in pinned {
+            let setup = PolicySetup::new(bundle.clone(), technique, config.clone());
+            let runs = [
+                run_policy(&mut setup.greedy(), &stream.queries, 0),
+                run_policy(&mut setup.regret(), &stream.queries, 0),
+            ];
+            for (run, want) in runs.iter().zip(expected) {
+                let got = (run.ledger.query_cost, run.ledger.reorg_cost, run.switches);
+                assert_eq!(got, want, "{} on {}", run.name, technique.label());
+            }
+        }
     }
 }

@@ -3,42 +3,19 @@
 //! current layout's and switch if the candidate is better — ignoring the
 //! reorganization cost entirely.
 
-use crate::feed::CandidateFeed;
+use super::online::OnlineBaseline;
 use crate::policy::{ReorgPolicy, StepCost};
-use oreo_layout::build_exact_model;
 use oreo_query::Query;
-use oreo_storage::{LayoutModel, Table};
-use std::sync::Arc;
 
 /// Greedy reorganizer.
 pub struct GreedyPolicy {
-    feed: CandidateFeed,
-    table: Arc<Table>,
-    alpha: f64,
-    /// Estimated model of the current layout (decision surface).
-    current_estimate: LayoutModel,
-    /// Exact model of the current layout (billing surface).
-    current_exact: LayoutModel,
-    switches: u64,
+    base: OnlineBaseline,
 }
 
 impl GreedyPolicy {
     /// A greedy policy switching to the cheapest candidate each interval.
-    pub fn new(
-        table: Arc<Table>,
-        feed: CandidateFeed,
-        initial_estimate: LayoutModel,
-        initial_exact: LayoutModel,
-        alpha: f64,
-    ) -> Self {
-        Self {
-            feed,
-            table,
-            alpha,
-            current_estimate: initial_estimate,
-            current_exact: initial_exact,
-            switches: 0,
-        }
+    pub(crate) fn new(base: OnlineBaseline) -> Self {
+        Self { base }
     }
 }
 
@@ -48,26 +25,26 @@ impl ReorgPolicy for GreedyPolicy {
     }
 
     fn observe(&mut self, query: &Query) -> StepCost {
-        let mut cost = StepCost::default();
-        if let Some(candidate) = self.feed.observe(query) {
-            let window = self.feed.window_queries();
-            let cand_cost = candidate.model.mean_cost(&window);
-            let cur_cost = self.current_estimate.mean_cost(&window);
-            if cand_cost < cur_cost {
+        let candidates = self.base.candidates(query);
+        let mut switched = false;
+        if !candidates.is_empty() {
+            let window = self.base.window();
+            let cur_cost = self.base.estimate().mean_cost(&window);
+            let best = (candidates.into_iter())
+                .map(|(spec, model)| (model.mean_cost(&window), spec, model))
+                .min_by(|a, b| a.0.total_cmp(&b.0));
+            if let Some((cand_cost, spec, model)) = best {
                 // switch unconditionally on improvement — α be damned
-                self.switches += 1;
-                cost.reorg = self.alpha;
-                cost.switched = true;
-                self.current_exact =
-                    build_exact_model(candidate.spec.as_ref(), candidate.id, &self.table);
-                self.current_estimate = candidate.model;
+                if cand_cost < cur_cost {
+                    self.base.switch_to(&spec, model);
+                    switched = true;
+                }
             }
         }
-        cost.service = self.current_exact.cost(query);
-        cost
+        self.base.bill(query, switched)
     }
 
     fn switches(&self) -> u64 {
-        self.switches
+        self.base.switches()
     }
 }

@@ -4,17 +4,17 @@
 pub mod greedy;
 pub mod mts_optimal;
 pub mod offline_template;
+mod online;
 pub mod oreo_adapter;
 pub mod regret;
-pub mod sat;
 pub mod static_layout;
 pub mod templates;
 
 pub use greedy::GreedyPolicy;
 pub use mts_optimal::MtsOptimalPolicy;
 pub use offline_template::OfflineTemplatePolicy;
+pub(crate) use online::OnlineBaseline;
 pub use oreo_adapter::OreoPolicy;
 pub use regret::RegretPolicy;
-pub use sat::SatPolicy;
 pub use static_layout::StaticPolicy;
-pub use templates::{SegmentLayout, TemplateLayouts};
+pub use templates::TemplateLayouts;

@@ -22,7 +22,7 @@ impl MtsOptimalPolicy {
     pub fn new(layouts: &TemplateLayouts, config: DumtsConfig) -> Self {
         assert!(!layouts.is_empty());
         let alpha = config.alpha;
-        let models: Vec<LayoutModel> = layouts.layouts.iter().map(|l| l.exact.clone()).collect();
+        let models = layouts.models().to_vec();
         let ids: Vec<u64> = (0..models.len() as u64).collect();
         let reorganizer = Dumts::new(&ids, config);
         Self {

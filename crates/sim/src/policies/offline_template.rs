@@ -25,10 +25,8 @@ impl OfflineTemplatePolicy {
     pub fn new(layouts: &TemplateLayouts, segments: &[Segment], alpha: f64) -> Self {
         assert!(!segments.is_empty());
         assert_eq!(layouts.len(), segments.len(), "one layout per segment");
-        let plan = segments
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.start as u64, layouts.get(i).exact.clone()))
+        let plan = (segments.iter().zip(layouts.models()))
+            .map(|(s, model)| (s.start as u64, model.clone()))
             .collect();
         Self {
             plan,

@@ -5,13 +5,12 @@
 //! replay the queries serviced on the current layout to initialize their
 //! saving counters.
 
-use crate::feed::{Candidate, CandidateFeed};
+use super::online::OnlineBaseline;
 use crate::policy::{ReorgPolicy, StepCost};
-use oreo_layout::build_exact_model;
+use oreo_layout::SharedSpec;
 use oreo_query::Query;
-use oreo_storage::{LayoutModel, Table};
+use oreo_storage::LayoutModel;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Cap on the replay history per current layout, bounding the retroactive
 /// evaluation cost of each new candidate. Long histories add nothing: a
@@ -19,59 +18,47 @@ use std::sync::Arc;
 /// them incrementally after admission anyway.
 const MAX_HISTORY: usize = 4_000;
 
+/// Cap on tracked alternatives (oldest evicted first).
+const MAX_ALTERNATIVES: usize = 16;
+
 struct Alternative {
-    candidate: Candidate,
+    spec: SharedSpec,
+    model: LayoutModel,
     /// Σ (c(current, q) − c(alt, q)) since this layout became current.
     saving: f64,
 }
 
 /// Regret-based reorganizer.
 pub struct RegretPolicy {
-    feed: CandidateFeed,
-    table: Arc<Table>,
-    alpha: f64,
-    current_estimate: LayoutModel,
-    current_exact: LayoutModel,
+    base: OnlineBaseline,
     alternatives: Vec<Alternative>,
     /// Queries serviced on the current layout (bounded replay buffer).
     history: VecDeque<Query>,
-    switches: u64,
-    /// Cap on tracked alternatives (oldest evicted first).
-    max_alternatives: usize,
 }
 
 impl RegretPolicy {
     /// A regret-triggered policy (switch when accumulated regret exceeds α).
-    pub fn new(
-        table: Arc<Table>,
-        feed: CandidateFeed,
-        initial_estimate: LayoutModel,
-        initial_exact: LayoutModel,
-        alpha: f64,
-    ) -> Self {
+    pub(crate) fn new(base: OnlineBaseline) -> Self {
         Self {
-            feed,
-            table,
-            alpha,
-            current_estimate: initial_estimate,
-            current_exact: initial_exact,
+            base,
             alternatives: Vec::new(),
             history: VecDeque::new(),
-            switches: 0,
-            max_alternatives: 16,
         }
     }
 
-    fn admit_candidate(&mut self, candidate: Candidate) {
+    fn admit_candidate(&mut self, spec: SharedSpec, model: LayoutModel) {
         // Retroactive saving over the replay buffer (the paper: "using all
         // queries that have been serviced on the current layout").
-        let saving: f64 = self
-            .history
-            .iter()
-            .map(|q| self.current_estimate.cost(q) - candidate.model.cost(q))
+        let current = self.base.estimate();
+        let saving: f64 = (self.history.iter())
+            .map(|q| current.cost(q) - model.cost(q))
             .sum();
-        self.alternatives.push(Alternative { candidate, saving });
-        if self.alternatives.len() > self.max_alternatives {
+        self.alternatives.push(Alternative {
+            spec,
+            model,
+            saving,
+        });
+        if self.alternatives.len() > MAX_ALTERNATIVES {
             self.alternatives.remove(0);
         }
     }
@@ -83,15 +70,14 @@ impl ReorgPolicy for RegretPolicy {
     }
 
     fn observe(&mut self, query: &Query) -> StepCost {
-        let mut cost = StepCost::default();
-        if let Some(candidate) = self.feed.observe(query) {
-            self.admit_candidate(candidate);
+        for (spec, model) in self.base.candidates(query) {
+            self.admit_candidate(spec, model);
         }
 
         // Update cumulative savings with this query.
-        let cur = self.current_estimate.cost(query);
+        let cur = self.base.estimate().cost(query);
         for alt in &mut self.alternatives {
-            alt.saving += cur - alt.candidate.model.cost(query);
+            alt.saving += cur - alt.model.cost(query);
         }
         self.history.push_back(query.clone());
         if self.history.len() > MAX_HISTORY {
@@ -99,34 +85,21 @@ impl ReorgPolicy for RegretPolicy {
         }
 
         // Switch when the best accumulated saving exceeds α.
-        let best = self
-            .alternatives
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.saving.total_cmp(&b.1.saving));
-        if let Some((idx, alt)) = best {
-            if alt.saving > self.alpha {
-                let chosen = self.alternatives.swap_remove(idx);
-                self.switches += 1;
-                cost.reorg = self.alpha;
-                cost.switched = true;
-                self.current_exact = build_exact_model(
-                    chosen.candidate.spec.as_ref(),
-                    chosen.candidate.id,
-                    &self.table,
-                );
-                self.current_estimate = chosen.candidate.model;
-                // savings were measured against the old current; restart
-                self.alternatives.clear();
-                self.history.clear();
-            }
+        let best = (self.alternatives.iter().enumerate())
+            .max_by(|a, b| a.1.saving.total_cmp(&b.1.saving))
+            .filter(|(_, alt)| alt.saving > self.base.alpha())
+            .map(|(idx, _)| idx);
+        if let Some(idx) = best {
+            let chosen = self.alternatives.swap_remove(idx);
+            self.base.switch_to(&chosen.spec, chosen.model);
+            // savings were measured against the old current; restart
+            self.alternatives.clear();
+            self.history.clear();
         }
-
-        cost.service = self.current_exact.cost(query);
-        cost
+        self.base.bill(query, best.is_some())
     }
 
     fn switches(&self) -> u64 {
-        self.switches
+        self.base.switches()
     }
 }

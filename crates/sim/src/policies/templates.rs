@@ -7,29 +7,17 @@
 //! segment anchors one instantiation of a template family, so the natural
 //! state space has one layout per segment (the paper's 20).
 
-use oreo_layout::{build_exact_model, build_model, LayoutGenerator, SharedSpec};
+use oreo_layout::{build_exact_model, LayoutGenerator};
 use oreo_storage::{LayoutModel, Table};
 use oreo_workload::QueryStream;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// One precomputed layout per stream segment.
-pub struct SegmentLayout {
-    /// Index into the stream's segment list.
-    pub segment: usize,
-    /// The layout built from that segment's queries.
-    pub spec: SharedSpec,
-    /// Estimated (sample-scaled) model.
-    pub estimate: LayoutModel,
-    /// Exact model over the full table.
-    pub exact: LayoutModel,
-}
-
-/// The precomputed state space for the §VI-C comparison methods.
+/// The precomputed state space for the §VI-C comparison methods: one exact
+/// model (over the full table) per stream segment, indexed by segment.
 pub struct TemplateLayouts {
-    /// One precomputed layout per stream segment.
-    pub layouts: Vec<SegmentLayout>,
+    exact: Vec<LayoutModel>,
 }
 
 impl TemplateLayouts {
@@ -46,40 +34,29 @@ impl TemplateLayouts {
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let data_sample = table.sample(&mut rng, data_sample_rows);
-        let mut layouts = Vec::with_capacity(stream.segments.len());
-        for (i, seg) in stream.segments.iter().enumerate() {
-            let take = seg.len.min(queries_per_segment);
-            let workload = &stream.queries[seg.start..seg.start + take];
-            let spec = generator.generate(&data_sample, workload, k, &mut rng);
-            let estimate = build_model(
-                spec.as_ref(),
-                i as u64,
-                &data_sample,
-                table.num_rows() as f64,
-            );
-            let exact = build_exact_model(spec.as_ref(), i as u64, table);
-            layouts.push(SegmentLayout {
-                segment: i,
-                spec,
-                estimate,
-                exact,
-            });
-        }
-        Self { layouts }
+        let exact = (stream.segments.iter().enumerate())
+            .map(|(i, seg)| {
+                let take = seg.len.min(queries_per_segment);
+                let workload = &stream.queries[seg.start..seg.start + take];
+                let spec = generator.generate(&data_sample, workload, k, &mut rng);
+                build_exact_model(spec.as_ref(), i as u64, table)
+            })
+            .collect();
+        Self { exact }
     }
 
-    /// The precomputed layout for `segment`.
-    pub fn get(&self, segment: usize) -> &SegmentLayout {
-        &self.layouts[segment]
+    /// Every segment's exact model, in segment order.
+    pub fn models(&self) -> &[LayoutModel] {
+        &self.exact
     }
 
     /// Number of precomputed layouts.
     pub fn len(&self) -> usize {
-        self.layouts.len()
+        self.exact.len()
     }
 
     /// Whether no layouts were precomputed.
     pub fn is_empty(&self) -> bool {
-        self.layouts.is_empty()
+        self.exact.is_empty()
     }
 }

@@ -1,22 +1,17 @@
 //! Assembly helpers: build comparable policy instances for a dataset bundle
 //! so that every harness wires baselines identically.
 
-use crate::feed::CandidateFeed;
 use crate::policies::greedy::GreedyPolicy;
 use crate::policies::mts_optimal::MtsOptimalPolicy;
 use crate::policies::offline_template::OfflineTemplatePolicy;
 use crate::policies::oreo_adapter::OreoPolicy;
 use crate::policies::regret::RegretPolicy;
-use crate::policies::sat::SatPolicy;
 use crate::policies::static_layout::StaticPolicy;
 use crate::policies::templates::TemplateLayouts;
-use oreo_core::{DumtsConfig, OreoConfig, TransitionPolicy};
-use oreo_layout::{
-    build_exact_model, build_model, LayoutGenerator, QdTreeGenerator, RangeLayout, SharedSpec,
-    ZOrderGenerator,
-};
+use crate::policies::OnlineBaseline;
+use oreo_core::OreoConfig;
+use oreo_layout::{LayoutGenerator, QdTreeGenerator, RangeLayout, SharedSpec, ZOrderGenerator};
 use oreo_query::Query;
-use oreo_storage::Table;
 use oreo_workload::{DatasetBundle, Segment};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,90 +85,40 @@ impl PolicySetup {
         make_generator(self.technique, &self.bundle)
     }
 
-    fn data_sample(&self) -> Table {
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xD5A7);
-        self.bundle
-            .table
-            .sample(&mut rng, self.config.data_sample_rows)
-    }
-
-    fn feed(&self) -> CandidateFeed {
-        CandidateFeed::new(
-            self.data_sample(),
-            self.bundle.table.num_rows() as f64,
-            self.generator(),
-            self.config.partitions,
-            self.config.window,
-            self.config.generation_interval,
-            self.config.seed,
-        )
-    }
-
-    /// Initial (estimated, exact) models of the default layout.
-    fn initial_models(
-        &self,
-    ) -> (
-        oreo_storage::LayoutModel,
-        oreo_storage::LayoutModel,
-        SharedSpec,
-    ) {
-        let spec = default_spec(&self.bundle, self.config.partitions, self.config.seed);
-        let estimate = build_model(
-            spec.as_ref(),
-            0,
-            &self.data_sample(),
-            self.bundle.table.num_rows() as f64,
-        );
-        let exact = build_exact_model(spec.as_ref(), 0, &self.bundle.table);
-        (estimate, exact, spec)
+    /// The layout every online method starts from.
+    fn initial_spec(&self) -> SharedSpec {
+        default_spec(&self.bundle, self.config.partitions, self.config.seed)
     }
 
     /// The OREO policy.
     pub fn oreo(&self) -> OreoPolicy {
-        let (_, _, spec) = self.initial_models();
         OreoPolicy::new(
             Arc::clone(&self.bundle.table),
-            spec,
+            self.initial_spec(),
             self.generator(),
             self.config.clone(),
         )
     }
 
+    /// What Greedy and Regret share: OREO's candidate producer over the
+    /// same start layout.
+    fn online_baseline(&self) -> OnlineBaseline {
+        OnlineBaseline::new(
+            Arc::clone(&self.bundle.table),
+            self.initial_spec(),
+            self.generator(),
+            &self.config,
+        )
+    }
+
     /// The Greedy baseline.
     pub fn greedy(&self) -> GreedyPolicy {
-        let (estimate, exact, _) = self.initial_models();
-        GreedyPolicy::new(
-            Arc::clone(&self.bundle.table),
-            self.feed(),
-            estimate,
-            exact,
-            self.config.alpha,
-        )
+        GreedyPolicy::new(self.online_baseline())
     }
 
     /// The Regret baseline.
     pub fn regret(&self) -> RegretPolicy {
-        let (estimate, exact, _) = self.initial_models();
-        RegretPolicy::new(
-            Arc::clone(&self.bundle.table),
-            self.feed(),
-            estimate,
-            exact,
-            self.config.alpha,
-        )
-    }
-
-    /// The SAT-style heuristic baseline (§VII-2): ratio-triggered
-    /// reorganization with threshold τ = 0.3.
-    pub fn sat(&self) -> SatPolicy {
-        let (_, exact, _) = self.initial_models();
-        SatPolicy::new(
-            Arc::clone(&self.bundle.table),
-            self.feed(),
-            exact,
-            self.config.alpha,
-            0.3,
-        )
+        RegretPolicy::new(self.online_baseline())
     }
 
     /// The Static baseline (needs the whole workload in advance).
@@ -206,22 +151,7 @@ impl PolicySetup {
 
     /// MTS Optimal over a precomputed per-template state space.
     pub fn mts_optimal(&self, layouts: &TemplateLayouts) -> MtsOptimalPolicy {
-        MtsOptimalPolicy::new(
-            layouts,
-            DumtsConfig {
-                alpha: self.config.alpha,
-                transition: if self.config.gamma == 0.0 {
-                    TransitionPolicy::Uniform
-                } else {
-                    TransitionPolicy::SkippedWeighted {
-                        gamma: self.config.gamma,
-                    }
-                },
-                stay_on_reset: self.config.stay_on_reset,
-                mid_phase_admission: self.config.mid_phase_admission,
-                seed: self.config.seed,
-            },
-        )
+        MtsOptimalPolicy::new(layouts, self.config.dumts_config())
     }
 
     /// Offline Optimal switching at template boundaries.

@@ -23,4 +23,3 @@
 //! ([`common::check_args`]).
 
 pub mod common;
-pub mod multi_copy;

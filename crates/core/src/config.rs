@@ -1,5 +1,8 @@
 //! Framework-level configuration. Defaults reproduce the paper's §VI-A3
-//! experimental setup.
+//! experimental setup. The §IV choices the paper always makes are fixed,
+//! not configured: D-UMTS stays in its state on a phase reset (§IV-A),
+//! admits mid-phase states into the running phase, and draws jumps from
+//! the sample predictor (§IV-C).
 
 use crate::dumts::DumtsConfig;
 use crate::layout_manager::{CandidateSource, ManagerConfig};
@@ -25,25 +28,10 @@ pub struct OreoConfig {
     /// Rows in the data sample used for layout generation (the paper uses
     /// 0.1–1% of the table).
     pub data_sample_rows: usize,
-    /// R-TBS admission-sample capacity.
-    pub rtbs_capacity: usize,
-    /// R-TBS decay λ.
-    pub rtbs_lambda: f64,
     /// Workload-sample source for candidate generation (SW/RS/Both).
     pub candidate_source: CandidateSource,
     /// Optional cap on the dynamic state-space size.
     pub max_states: Option<usize>,
-    /// Stay in the current state on phase reset (§IV-A optimization).
-    pub stay_on_reset: bool,
-    /// §IV-C: admit states added mid-phase into the current phase with a
-    /// median-initialized counter (instead of deferring them to the next
-    /// phase), so freshly generated layouts are immediately switchable-to.
-    pub mid_phase_admission: bool,
-    /// §IV-C: use a sample-based predictor `p(s, S_A)` for jump draws —
-    /// transition scores are the fraction of data each state skips on the
-    /// manager's R-TBS query sample, refreshed every generation round.
-    /// When `false`, jumps use last-phase weights only.
-    pub sample_predictor: bool,
     /// Reorganization delay Δ in queries: the physical layout switch takes
     /// effect this many queries after the decision (§VI-D5).
     pub reorg_delay: u64,
@@ -61,13 +49,8 @@ impl Default for OreoConfig {
             generation_interval: 200,
             partitions: 32,
             data_sample_rows: 2000,
-            rtbs_capacity: 64,
-            rtbs_lambda: 0.005,
             candidate_source: CandidateSource::SlidingWindow,
             max_states: None,
-            stay_on_reset: true,
-            mid_phase_admission: true,
-            sample_predictor: true,
             reorg_delay: 0,
             seed: 0,
         }
@@ -89,8 +72,8 @@ impl OreoConfig {
         DumtsConfig {
             alpha: self.alpha,
             transition: self.transition_policy(),
-            stay_on_reset: self.stay_on_reset,
-            mid_phase_admission: self.mid_phase_admission,
+            stay_on_reset: true,
+            mid_phase_admission: true,
             seed: self.seed,
         }
     }
@@ -102,8 +85,6 @@ impl OreoConfig {
             window: self.window,
             generation_interval: self.generation_interval,
             reservoir_capacity: self.window,
-            rtbs_capacity: self.rtbs_capacity,
-            rtbs_lambda: self.rtbs_lambda,
             source: self.candidate_source,
             max_states: self.max_states,
             // decorrelate manager sampling from reorganizer transitions
@@ -151,6 +132,7 @@ impl OreoConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout_manager::{RTBS_CAPACITY, RTBS_LAMBDA};
 
     #[test]
     fn defaults_match_paper() {
@@ -161,6 +143,10 @@ mod tests {
         assert_eq!(c.window, 200);
         assert_eq!(c.reorg_delay, 0);
         assert_eq!(c.candidate_source, CandidateSource::SlidingWindow);
+        let d = c.dumts_config();
+        assert!(d.stay_on_reset && d.mid_phase_admission);
+        assert_eq!(RTBS_CAPACITY, 64);
+        assert_eq!(RTBS_LAMBDA, 0.005);
     }
 
     #[test]

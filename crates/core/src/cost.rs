@@ -113,8 +113,8 @@ impl CostLedger {
 ///   which calibrate the substrate's scan throughput; a *full* scan is then
 ///   `table_bytes / throughput` seconds — queries are pruned, so the full
 ///   scan the α denominator wants is extrapolated, not assumed;
-/// * background reorganizations (bytes written + wall-clock of the aside
-///   rewrite, fsync and commit included), the α numerator.
+/// * background reorganizations (wall-clock of the aside rewrite, fsync
+///   and commit included), the α numerator.
 ///
 /// Scans come in two temperatures. [`AlphaEstimator::record_scan`] records
 /// a **warm** sample — a memory-resident or buffer-pool-served scan.
@@ -135,8 +135,7 @@ impl CostLedger {
 /// let mut a = AlphaEstimator::new(1_000_000);
 /// a.record_scan(500_000, 0.005);
 /// a.record_scan(250_000, 0.0025);
-/// a.record_reorg(1_000_000, 0.8);
-/// assert!((a.full_scan_seconds().unwrap() - 0.01).abs() < 1e-9);
+/// a.record_reorg(0.8);
 /// assert!((a.alpha().unwrap() - 80.0).abs() < 1e-6);
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -144,16 +143,10 @@ pub struct AlphaEstimator {
     table_bytes: u64,
     warm_bytes: u64,
     warm_seconds: f64,
-    warm_scans: u64,
     cold_bytes: u64,
     cold_seconds: f64,
-    cold_scans: u64,
-    reorg_bytes: u64,
     reorg_seconds: f64,
     reorgs: u64,
-    merge_bytes: u64,
-    merge_seconds: f64,
-    merges: u64,
 }
 
 impl AlphaEstimator {
@@ -171,7 +164,6 @@ impl AlphaEstimator {
     pub fn record_scan(&mut self, bytes: u64, seconds: f64) {
         self.warm_bytes += bytes;
         self.warm_seconds += seconds;
-        self.warm_scans += 1;
     }
 
     /// Record one served *cold* query — a scan whose bytes came mostly
@@ -179,75 +171,43 @@ impl AlphaEstimator {
     pub fn record_cold_scan(&mut self, bytes: u64, seconds: f64) {
         self.cold_bytes += bytes;
         self.cold_seconds += seconds;
-        self.cold_scans += 1;
     }
 
-    /// Record one completed reorganization: bytes written by the aside
-    /// rewrite and its wall-clock seconds (build + write + fsync + commit).
-    pub fn record_reorg(&mut self, bytes: u64, seconds: f64) {
-        self.record_reorgs(bytes, seconds, 1);
+    /// Record one completed reorganization: the wall-clock seconds of the
+    /// aside rewrite (build + write + fsync + commit).
+    pub fn record_reorg(&mut self, seconds: f64) {
+        self.record_reorgs(seconds, 1);
     }
 
     /// Record `count` completed reorganizations at once from their
-    /// *totals* — what a live exporter has (monotone byte/second counters
-    /// plus a rewrite count) when it rebuilds an estimator per snapshot.
-    /// Equivalent to `count` [`AlphaEstimator::record_reorg`] calls
-    /// summing to the same totals; a no-op when `count == 0`.
-    pub fn record_reorgs(&mut self, bytes: u64, seconds: f64, count: u64) {
+    /// *total* seconds — what a live exporter has (a monotone seconds
+    /// counter plus a rewrite count) when it rebuilds an estimator per
+    /// snapshot. Equivalent to `count` [`AlphaEstimator::record_reorg`]
+    /// calls summing to the same total; a no-op when `count == 0`.
+    pub fn record_reorgs(&mut self, seconds: f64, count: u64) {
         if count == 0 {
             return;
         }
-        self.reorg_bytes += bytes;
         self.reorg_seconds += seconds;
         self.reorgs += count;
     }
 
-    /// Record one ingest-side delta merge (a [`MergePolicy`] run rewrite
-    /// or a background fold's delta portion): bytes rewritten and
-    /// wall-clock. Tracked separately from reorganizations so α̂ keeps
-    /// Table I's meaning (one *layout rewrite* over one full scan) while
-    /// the merge tax stays observable next to it.
-    ///
-    /// [`MergePolicy`]: oreo_storage::MergePolicy
-    pub fn record_merge(&mut self, bytes: u64, seconds: f64) {
-        self.record_merges(bytes, seconds, 1);
-    }
-
-    /// Record `count` merges from their totals (exporter rebuild path);
-    /// a no-op when `count == 0`.
-    pub fn record_merges(&mut self, bytes: u64, seconds: f64, count: u64) {
-        if count == 0 {
-            return;
-        }
-        self.merge_bytes += bytes;
-        self.merge_seconds += seconds;
-        self.merges += count;
-    }
-
-    /// Mean write amplification tax per merge relative to a full rewrite:
-    /// mean merge bytes over the table's full-scan bytes. `None` until a
-    /// merge has been recorded.
-    pub fn mean_merge_fraction(&self) -> Option<f64> {
-        (self.merges > 0 && self.table_bytes > 0)
-            .then(|| self.merge_bytes as f64 / self.merges as f64 / self.table_bytes as f64)
-    }
-
     /// Combined (warm + cold) scan throughput in bytes/second (`None` until
     /// a scan with nonzero bytes and time has been recorded).
-    pub fn scan_bytes_per_second(&self) -> Option<f64> {
+    fn scan_bytes_per_second(&self) -> Option<f64> {
         let bytes = self.warm_bytes + self.cold_bytes;
         let seconds = self.warm_seconds + self.cold_seconds;
         (bytes > 0 && seconds > 0.0).then(|| bytes as f64 / seconds)
     }
 
     /// Cold-scan throughput in bytes/second (`None` without cold samples).
-    pub fn cold_scan_bytes_per_second(&self) -> Option<f64> {
+    fn cold_scan_bytes_per_second(&self) -> Option<f64> {
         (self.cold_bytes > 0 && self.cold_seconds > 0.0)
             .then(|| self.cold_bytes as f64 / self.cold_seconds)
     }
 
     /// Warm-scan throughput in bytes/second (`None` without warm samples).
-    pub fn warm_scan_bytes_per_second(&self) -> Option<f64> {
+    fn warm_scan_bytes_per_second(&self) -> Option<f64> {
         (self.warm_bytes > 0 && self.warm_seconds > 0.0)
             .then(|| self.warm_bytes as f64 / self.warm_seconds)
     }
@@ -255,9 +215,8 @@ impl AlphaEstimator {
     /// Extrapolated wall-clock of one *full* table scan — the α
     /// denominator. Uses the cold (disk) throughput when cold samples
     /// exist; otherwise falls back to the combined throughput, which for a
-    /// memory-resident run means α̂ is extrapolated from memory bandwidth
-    /// (the pre-buffer-pool behavior).
-    pub fn full_scan_seconds(&self) -> Option<f64> {
+    /// memory-resident run means α̂ is extrapolated from memory bandwidth.
+    fn full_scan_seconds(&self) -> Option<f64> {
         self.cold_scan_bytes_per_second()
             .or_else(|| self.scan_bytes_per_second())
             .map(|bps| self.table_bytes as f64 / bps)
@@ -265,19 +224,13 @@ impl AlphaEstimator {
 
     /// Mean wall-clock of one reorganization — the α numerator (`None`
     /// until a reorganization has been recorded).
-    pub fn mean_reorg_seconds(&self) -> Option<f64> {
+    fn mean_reorg_seconds(&self) -> Option<f64> {
         (self.reorgs > 0).then(|| self.reorg_seconds / self.reorgs as f64)
     }
 
-    /// Mean bytes written per reorganization.
-    pub fn mean_reorg_bytes(&self) -> Option<f64> {
-        (self.reorgs > 0).then(|| self.reorg_bytes as f64 / self.reorgs as f64)
-    }
-
     /// The empirical α: mean reorganization time over extrapolated
-    /// full-scan time (cold-preferring, see
-    /// [`AlphaEstimator::full_scan_seconds`]). `None` until both sides
-    /// have samples.
+    /// full-scan time (the cold throughput when cold samples exist,
+    /// otherwise the combined one). `None` until both sides have samples.
     pub fn alpha(&self) -> Option<f64> {
         match (self.mean_reorg_seconds(), self.full_scan_seconds()) {
             (Some(reorg), Some(scan)) if scan > 0.0 => Some(reorg / scan),
@@ -301,61 +254,6 @@ impl AlphaEstimator {
             (Some(reorg), Some(bps)) if bps > 0.0 => Some(reorg / (self.table_bytes as f64 / bps)),
             _ => None,
         }
-    }
-
-    /// Bytes a full scan of the table reads.
-    pub fn table_bytes(&self) -> u64 {
-        self.table_bytes
-    }
-
-    /// Scans recorded (warm + cold).
-    pub fn scans(&self) -> u64 {
-        self.warm_scans + self.cold_scans
-    }
-
-    /// Cold scans recorded.
-    pub fn cold_scans(&self) -> u64 {
-        self.cold_scans
-    }
-
-    /// Total bytes scanned across recorded queries (warm + cold).
-    pub fn scan_bytes(&self) -> u64 {
-        self.warm_bytes + self.cold_bytes
-    }
-
-    /// Total scan wall-clock seconds across recorded queries (warm + cold).
-    pub fn scan_seconds(&self) -> f64 {
-        self.warm_seconds + self.cold_seconds
-    }
-
-    /// Reorganizations recorded.
-    pub fn reorgs(&self) -> u64 {
-        self.reorgs
-    }
-
-    /// Total bytes written across recorded reorganizations.
-    pub fn reorg_bytes(&self) -> u64 {
-        self.reorg_bytes
-    }
-
-    /// Total reorganization wall-clock seconds.
-    pub fn reorg_seconds(&self) -> f64 {
-        self.reorg_seconds
-    }
-
-    /// Ingest merges recorded.
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
-
-    /// Total bytes rewritten across recorded ingest merges.
-    pub fn merge_bytes(&self) -> u64 {
-        self.merge_bytes
-    }
-
-    /// Total ingest-merge wall-clock seconds.
-    pub fn merge_seconds(&self) -> f64 {
-        self.merge_seconds
     }
 }
 
@@ -388,11 +286,9 @@ mod tests {
         a.record_scan(1_000_000, 0.01); // 100 MB/s → full scan 0.02 s
         assert_eq!(a.alpha(), None, "no reorg recorded yet");
         assert!((a.full_scan_seconds().unwrap() - 0.02).abs() < 1e-12);
-        a.record_reorg(2_000_000, 1.0);
-        a.record_reorg(2_000_000, 3.0); // mean 2.0 s
+        a.record_reorg(1.0);
+        a.record_reorg(3.0); // mean 2.0 s
         assert!((a.alpha().unwrap() - 100.0).abs() < 1e-9);
-        assert_eq!(a.reorgs(), 2);
-        assert_eq!(a.mean_reorg_bytes(), Some(2_000_000.0));
     }
 
     #[test]
@@ -401,22 +297,19 @@ mod tests {
         // warm: 1 GB/s; cold: 100 MB/s — a 10x temperature gap
         a.record_scan(1_000_000, 0.001);
         a.record_cold_scan(1_000_000, 0.01);
-        a.record_reorg(1_000_000, 1.0);
+        a.record_reorg(1.0);
         // denominator uses the cold throughput: full scan = 0.01 s → α = 100
         assert!((a.alpha().unwrap() - 100.0).abs() < 1e-9);
         assert!((a.alpha_cold().unwrap() - 100.0).abs() < 1e-9);
         // the warm reading is 10x larger (scan looks 10x cheaper)
         assert!((a.alpha_warm().unwrap() - 1000.0).abs() < 1e-9);
-        assert_eq!(a.scans(), 2);
-        assert_eq!(a.cold_scans(), 1);
-        assert_eq!(a.scan_bytes(), 2_000_000);
     }
 
     #[test]
     fn warm_only_runs_fall_back_to_combined_throughput() {
         let mut a = AlphaEstimator::new(1_000_000);
         a.record_scan(500_000, 0.005); // 100 MB/s
-        a.record_reorg(1_000_000, 0.8);
+        a.record_reorg(0.8);
         assert!((a.alpha().unwrap() - 80.0).abs() < 1e-6);
         assert_eq!(a.alpha_cold(), None, "no cold samples");
         assert!((a.alpha_warm().unwrap() - 80.0).abs() < 1e-6);
@@ -426,8 +319,9 @@ mod tests {
     fn alpha_estimator_ignores_zero_byte_scans() {
         let mut a = AlphaEstimator::new(1_000);
         a.record_scan(0, 0.5); // fully pruned queries calibrate nothing
+        a.record_reorg(1.0);
         assert_eq!(a.scan_bytes_per_second(), None);
-        assert_eq!(a.scans(), 1);
+        assert_eq!(a.alpha(), None);
     }
 
     #[test]
@@ -470,14 +364,14 @@ mod tests {
     fn record_reorgs_matches_repeated_record_reorg() {
         let mut one_by_one = AlphaEstimator::new(1_000_000);
         one_by_one.record_scan(500_000, 0.005);
-        one_by_one.record_reorg(1_000_000, 0.5);
-        one_by_one.record_reorg(1_000_000, 1.5);
+        one_by_one.record_reorg(0.5);
+        one_by_one.record_reorg(1.5);
         let mut bulk = AlphaEstimator::new(1_000_000);
         bulk.record_scan(500_000, 0.005);
-        bulk.record_reorgs(2_000_000, 2.0, 2);
+        bulk.record_reorgs(2.0, 2);
         assert_eq!(one_by_one, bulk);
         // count == 0 records nothing
-        bulk.record_reorgs(999, 9.9, 0);
+        bulk.record_reorgs(9.9, 0);
         assert_eq!(one_by_one, bulk);
     }
 
@@ -525,29 +419,6 @@ mod tests {
         let read_only = CostLedger::new();
         assert_eq!(read_only.compaction_cost, 0.0);
         assert_eq!(read_only.total(), 0.0);
-    }
-
-    #[test]
-    fn merge_samples_stay_out_of_alpha() {
-        let mut a = AlphaEstimator::new(1_000_000);
-        a.record_scan(500_000, 0.005);
-        a.record_reorg(1_000_000, 0.8);
-        let alpha_before = a.alpha().unwrap();
-        a.record_merge(250_000, 0.1);
-        a.record_merge(250_000, 0.1);
-        assert_eq!(a.alpha().unwrap(), alpha_before, "α keeps Table I meaning");
-        assert_eq!(a.merges(), 2);
-        assert_eq!(a.merge_bytes(), 500_000);
-        assert!((a.merge_seconds() - 0.2).abs() < 1e-12);
-        assert!((a.mean_merge_fraction().unwrap() - 0.25).abs() < 1e-12);
-        // bulk form matches one-by-one
-        let mut bulk = AlphaEstimator::new(1_000_000);
-        bulk.record_scan(500_000, 0.005);
-        bulk.record_reorg(1_000_000, 0.8);
-        bulk.record_merges(500_000, 0.2, 2);
-        assert_eq!(a, bulk);
-        bulk.record_merges(9, 9.9, 0);
-        assert_eq!(a, bulk);
     }
 
     #[test]

@@ -37,6 +37,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Capacity of the R-TBS admission sample.
+pub(crate) const RTBS_CAPACITY: usize = 64;
+/// Decay rate λ of the R-TBS admission sample.
+pub(crate) const RTBS_LAMBDA: f64 = 0.005;
+
 /// Which workload sample feeds `generate_layout` (§VI-D4 ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CandidateSource {
@@ -59,10 +64,6 @@ pub struct ManagerConfig {
     pub generation_interval: u64,
     /// Capacity of the uniform reservoir (ablation source).
     pub reservoir_capacity: usize,
-    /// Capacity of the R-TBS admission sample.
-    pub rtbs_capacity: usize,
-    /// R-TBS decay rate λ.
-    pub rtbs_lambda: f64,
     /// Workload sample source for candidate generation.
     pub source: CandidateSource,
     /// Hard cap on the state-space size (`None` = unbounded; admission's ε
@@ -79,8 +80,6 @@ impl Default for ManagerConfig {
             window: 200,
             generation_interval: 200,
             reservoir_capacity: 200,
-            rtbs_capacity: 64,
-            rtbs_lambda: 0.005,
             source: CandidateSource::SlidingWindow,
             max_states: None,
             seed: 0,
@@ -310,7 +309,7 @@ impl LayoutManager {
         let mut this = Self {
             window: SlidingWindow::new(config.window),
             reservoir: Reservoir::new(config.reservoir_capacity),
-            rtbs: TimeBiasedReservoir::new(config.rtbs_capacity, config.rtbs_lambda),
+            rtbs: TimeBiasedReservoir::new(RTBS_CAPACITY, RTBS_LAMBDA),
             rng: StdRng::seed_from_u64(config.seed),
             config,
             generator,

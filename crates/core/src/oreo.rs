@@ -235,7 +235,7 @@ impl Oreo {
             self.specs.insert(id, Arc::clone(&entry.spec));
             self.reorganizer.add_state(id);
         }
-        if self.config.sample_predictor && !admission.weights.is_empty() {
+        if !admission.weights.is_empty() {
             self.reorganizer
                 .set_external_weights(Some(admission.weights.clone()));
         }

@@ -168,8 +168,9 @@ impl ObsConfig {
 /// [`Engine::start_tenants`]).
 pub struct TenantSpec {
     /// Tenant name — the key queries and reports are routed by. Tiered
-    /// serving stores the tenant under `root/tenant-<name>/`, so names
-    /// should be filesystem-safe.
+    /// serving stores the tenant under `root/tenant-<name>/`, so a name is
+    /// non-empty ASCII alphanumerics, `-` and `_` ([`Engine::start_tenants`]
+    /// panics otherwise).
     pub name: String,
     /// The tenant's table.
     pub table: Arc<Table>,
@@ -198,12 +199,6 @@ pub struct EngineConfig {
     /// (cold misses hit the disk, warm hits are served from memory);
     /// ignored in [`ServeMode::Memory`].
     pub buffer_pool_bytes: u64,
-    /// How [`Engine::ingest`] batches merge into delta runs. The default,
-    /// `KBinomial { k: 2 }`, keeps at most 2 runs with amortized write
-    /// amplification O(2·√m) over m batches (arXiv:2011.02615);
-    /// [`MergePolicy::NaiveFullMerge`] is the one-run baseline the
-    /// `dynamization` bench compares against.
-    pub merge_policy: MergePolicy,
     /// Observability: event journal + metric exporters.
     pub obs: ObsConfig,
 }
@@ -216,7 +211,6 @@ impl Default for EngineConfig {
             delay: DelaySemantics::Measured,
             mode: ServeMode::Memory,
             buffer_pool_bytes: oreo_storage::bufpool::DEFAULT_CAPACITY_BYTES,
-            merge_policy: MergePolicy::KBinomial { k: 2 },
             obs: ObsConfig::default(),
         }
     }
@@ -253,12 +247,6 @@ impl EngineConfig {
     /// Sets the tiered-scan buffer-pool capacity in bytes.
     pub fn with_buffer_pool_bytes(mut self, bytes: u64) -> Self {
         self.buffer_pool_bytes = bytes;
-        self
-    }
-
-    /// Sets the delta-run merge policy for [`Engine::ingest`].
-    pub fn with_merge_policy(mut self, policy: MergePolicy) -> Self {
-        self.merge_policy = policy;
         self
     }
 
@@ -965,7 +953,7 @@ impl EngineStats {
     /// (disk-dominated) and warm (memory/pool-served) scans feed separate
     /// buckets, so α̂ extrapolates a full *disk* scan from the cold
     /// throughput instead of from memory bandwidth — and every *persisted*
-    /// rewrite contributes its bytes + wall-clock (build + write).
+    /// rewrite contributes its wall-clock (build + write).
     /// Memory-only rewrites (`bytes_written == 0`) are excluded — Table
     /// I's α is the cost of the physical rewrite, and a build-only ratio
     /// would silently under-report it by the whole disk persist.
@@ -980,7 +968,7 @@ impl EngineStats {
             est.record_scan(self.warm_scan_bytes, self.warm_scan_seconds);
         }
         for w in self.windows.iter().filter(|w| w.bytes_written > 0) {
-            est.record_reorg(w.bytes_written, (w.build + w.write).as_secs_f64());
+            est.record_reorg((w.build + w.write).as_secs_f64());
         }
         est
     }
@@ -1090,7 +1078,9 @@ impl Engine {
     /// `root/tenant-<name>/`.
     ///
     /// # Panics
-    /// Panics on an empty tenant list or duplicate tenant names.
+    /// Panics on an empty tenant list, duplicate tenant names, or a name
+    /// that is empty or holds anything but ASCII alphanumerics, `-` and
+    /// `_` (tiered serving joins it under `root`).
     pub fn start_tenants(specs: Vec<TenantSpec>, config: EngineConfig) -> Self {
         assert!(!specs.is_empty(), "engine needs at least one tenant");
         {
@@ -1098,6 +1088,15 @@ impl Engine {
             names.sort_unstable();
             names.dedup();
             assert_eq!(names.len(), specs.len(), "tenant names must be unique");
+            for name in names {
+                assert!(
+                    !name.is_empty()
+                        && name
+                            .bytes()
+                            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_'),
+                    "tenant name {name:?} must be non-empty ASCII alphanumerics, '-' or '_'"
+                );
+            }
         }
         let registry = Arc::new(Registry::new());
         let metrics = LiveMetrics::new(&registry);
@@ -1170,11 +1169,13 @@ impl Engine {
                     }
                 }
             });
+            // At most 2 delta runs, amortized write amplification
+            // O(2·√m) over m batches (arXiv:2011.02615).
             let ingest = IngestState::new(
                 DeltaBuffer::new(
                     Arc::clone(spec.table.schema()),
                     spec.table.num_rows() as u64,
-                    config.merge_policy,
+                    MergePolicy::KBinomial { k: 2 },
                 ),
                 wal,
                 Arc::clone(&spec.table),
@@ -1409,11 +1410,6 @@ impl Engine {
         self.shared.tenants[0].cell.pin().live_rows()
     }
 
-    /// [`Engine::live_rows`] for the tenant at `tenant`.
-    pub fn live_rows_of(&self, tenant: usize) -> u64 {
-        self.shared.tenants[tenant].cell.pin().live_rows()
-    }
-
     /// Block until every submitted query has completed. Background work
     /// those queries set off — a reorganization, the construction of the
     /// last boundary's candidate — may still be in flight (see
@@ -1437,31 +1433,15 @@ impl Engine {
         self.shared.tenants[0].cell.pin()
     }
 
-    /// Pin the currently served snapshot of the tenant at `tenant`.
-    pub fn pin_of(&self, tenant: usize) -> Arc<TableSnapshot> {
-        self.shared.tenants[tenant].cell.pin()
-    }
-
     /// Epoch of tenant 0's currently served snapshot.
     pub fn epoch(&self) -> u64 {
         self.shared.tenants[0].cell.epoch()
-    }
-
-    /// Number of tenants this engine serves.
-    pub fn num_tenants(&self) -> usize {
-        self.shared.tenants.len()
     }
 
     /// The disk tier backing tenant 0's snapshots, in [`ServeMode::Tiered`]
     /// runs.
     pub fn tiered(&self) -> Option<&TieredStore> {
         self.shared.tenants[0].tiered.as_ref()
-    }
-
-    /// The disk tier of the tenant at `tenant`, in [`ServeMode::Tiered`]
-    /// runs.
-    pub fn tiered_of(&self, tenant: usize) -> Option<&TieredStore> {
-        self.shared.tenants[tenant].tiered.as_ref()
     }
 
     /// The shared buffer pool tiered scans read through, in
@@ -1474,11 +1454,6 @@ impl Engine {
     /// a single-tenant engine this *is* the tenant's ledger).
     pub fn ledger(&self) -> CostLedger {
         total_ledger(&self.shared.lock_core())
-    }
-
-    /// Snapshot of one tenant's own ledger.
-    pub fn ledger_of(&self, tenant: usize) -> CostLedger {
-        *self.shared.lock_core()[tenant].ledger()
     }
 
     /// Queries fully served so far.
@@ -1706,11 +1681,7 @@ fn update_derived_gauges(shared: &Shared) {
         let mut est = AlphaEstimator::new(table_bytes as u64);
         est.record_cold_scan(m.cold_scan_bytes.get(), m.cold_scan_ns.get() as f64 / 1e9);
         est.record_scan(m.warm_scan_bytes.get(), m.warm_scan_ns.get() as f64 / 1e9);
-        est.record_reorgs(
-            m.reorg_bytes_written.get(),
-            m.persist_ns.get() as f64 / 1e9,
-            m.persisted.get(),
-        );
+        est.record_reorgs(m.persist_ns.get() as f64 / 1e9, m.persisted.get());
         let [hat, cold, warm] = alpha_readings(&est, m.scan_io_errors.get(), m.tiered_errors.get());
         m.alpha_hat.set(hat.unwrap_or(f64::NAN));
         m.alpha_cold.set(cold.unwrap_or(f64::NAN));

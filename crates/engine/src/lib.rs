@@ -97,7 +97,7 @@ pub use engine::{
     ServeMode, TenantSpec, TenantStats,
 };
 pub use metrics::LatencyStats;
-pub use oreo_storage::{ApplyReceipt, IngestOp, MergePolicy};
+pub use oreo_storage::{ApplyReceipt, IngestOp};
 pub use queue::ShardedQueue;
 pub use reorg::{materialize, ReorgRequest, ReorgWindow};
 

@@ -67,11 +67,6 @@ impl<T> ShardedQueue<T> {
         }
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Items currently enqueued (racy, for monitoring).
     pub fn len(&self) -> usize {
         self.len.load(Ordering::SeqCst)

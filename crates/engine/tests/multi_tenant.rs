@@ -577,3 +577,18 @@ fn scan_accounting_is_conserved_across_workers_and_tenants() {
     assert_eq!(stats.windows.len() as u64, stats.switches);
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+/// Tiered serving stores each tenant under `root/tenant-<name>/`, so a name
+/// holding a path separator or `..` would create a store, sweep generations
+/// and remove a `wal.log` outside `root`. The engine refuses it at start.
+#[test]
+#[should_panic(expected = "tenant name")]
+fn tenant_name_cannot_escape_the_tiered_root() {
+    let t = table(0, 200);
+    let root = tmproot("escape").join("root");
+    let specs = ["ok", "a/../../x"]
+        .into_iter()
+        .map(|name| tenant_spec(name, &t, oreo_config(3)))
+        .collect();
+    Engine::start_tenants(specs, EngineConfig::sequential_parity().tiered(&root));
+}

@@ -147,9 +147,6 @@ pub struct QdTreeBuilder {
     /// workload region (e.g. a one-month window over seven years) can still
     /// be isolated into its own partition.
     pub min_leaf_rows: Option<usize>,
-    /// Tag appended to the layout name for provenance (e.g. the window
-    /// position that produced the workload sample).
-    pub tag: String,
 }
 
 impl QdTreeBuilder {
@@ -159,14 +156,7 @@ impl QdTreeBuilder {
         Self {
             k,
             min_leaf_rows: None,
-            tag: String::new(),
         }
-    }
-
-    /// Attaches a provenance tag to the built tree's name.
-    pub fn with_tag(mut self, tag: impl Into<String>) -> Self {
-        self.tag = tag.into();
-        self
     }
 
     /// Overrides the minimum sample rows a leaf may hold.
@@ -352,11 +342,7 @@ impl QdTreeBuilder {
         }
         let mut next_bid = 0;
         let root = freeze(&slots, 0, &mut next_bid);
-        let name = if self.tag.is_empty() {
-            format!("qdtree(k={})", next_bid)
-        } else {
-            format!("qdtree(k={},{})", next_bid, self.tag)
-        };
+        let name = format!("qdtree(k={})", next_bid);
         QdTree {
             root,
             k: next_bid as usize,
@@ -658,11 +644,7 @@ mod tests {
         }
         let mut next_bid = 0;
         let root = freeze(&slots, 0, &mut next_bid);
-        let name = if b.tag.is_empty() {
-            format!("qdtree(k={})", next_bid)
-        } else {
-            format!("qdtree(k={},{})", next_bid, b.tag)
-        };
+        let name = format!("qdtree(k={})", next_bid);
         QdTree {
             root,
             k: next_bid as usize,

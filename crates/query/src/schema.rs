@@ -108,17 +108,6 @@ impl Schema {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Rebuild the name index (needed after serde deserialization, which
-    /// skips the derived map).
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name.clone(), i))
-            .collect();
-    }
 }
 
 impl fmt::Display for Schema {

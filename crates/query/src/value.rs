@@ -30,12 +30,6 @@ impl ColumnType {
     pub fn is_int_backed(self) -> bool {
         matches!(self, ColumnType::Int | ColumnType::Timestamp)
     }
-
-    /// Whether this type is categorical (no meaningful ordering for ranges,
-    /// pruned via distinct sets).
-    pub fn is_categorical(self) -> bool {
-        matches!(self, ColumnType::Str)
-    }
 }
 
 impl fmt::Display for ColumnType {

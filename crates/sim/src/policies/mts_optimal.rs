@@ -31,11 +31,6 @@ impl MtsOptimalPolicy {
             alpha,
         }
     }
-
-    /// The segment whose layout the policy currently sits on.
-    pub fn current_segment(&self) -> usize {
-        self.reorganizer.current() as usize
-    }
 }
 
 impl ReorgPolicy for MtsOptimalPolicy {

@@ -65,14 +65,6 @@ impl Default for BufferPoolConfig {
 }
 
 impl BufferPoolConfig {
-    /// A default-page-size pool with the given capacity in mebibytes.
-    pub fn with_capacity_mb(mb: u64) -> Self {
-        Self {
-            capacity_bytes: mb * 1024 * 1024,
-            ..Self::default()
-        }
-    }
-
     fn max_pages(&self) -> usize {
         ((self.capacity_bytes / self.page_bytes.max(1) as u64) as usize).max(1)
     }

@@ -759,6 +759,32 @@ mod tests {
                 prop_assert_eq!(got, want);
             }
 
+            /// Footers are read back from disk, so the codec sees arbitrary
+            /// bytes: random ones, and a real encoding with one byte
+            /// overwritten and its tail cut anywhere. Each decodes to a
+            /// value or an error and never panics.
+            #[test]
+            fn decode_metadata_never_panics(
+                noise in proptest::collection::vec(any::<u8>(), 0..200),
+                shapes in arb::shapes(),
+                at in any::<usize>(),
+                byte in any::<u8>(),
+                cut in any::<usize>(),
+            ) {
+                let _ = decode_metadata(&mut &noise[..]);
+                let (t, assignment) = arb::table(&shapes, shapes.len());
+                let mut buf = bytes::BytesMut::new();
+                for meta in build_metadata(&t, &assignment, shapes.len()) {
+                    encode_metadata(&mut buf, &meta);
+                }
+                let mut bytes = buf.to_vec();
+                let len = bytes.len();
+                bytes[at % len] = byte;
+                bytes.truncate(cut % (len + 1));
+                let mut r = &bytes[..];
+                while !r.is_empty() && decode_metadata(&mut r).is_ok() {}
+            }
+
             /// Both questions the statistics answer are sound on any
             /// predicate — floats with NaN, ±0.0 and ±∞, literals of another
             /// type than their column, inverted and mixed-type ranges, two

@@ -555,4 +555,64 @@ mod tests {
         assert_eq!(wal.bytes(), WAL_MAGIC.len() as u64);
         fs::remove_dir_all(&root).unwrap();
     }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// A log is read back from disk, so `Wal::open` sees whatever
+            /// follows the magic: random bytes (mode 0), a record with a
+            /// valid length and checksum around a random payload (1), or
+            /// around a real payload with one byte overwritten (2). It
+            /// returns an error or truncates the log to the records it
+            /// parsed, never panics, and a log it opened reopens clean.
+            #[test]
+            fn open_survives_arbitrary_bytes(
+                mode in 0u8..3,
+                noise in proptest::collection::vec(any::<u8>(), 0..200),
+                seq in any::<u64>(),
+                at in any::<usize>(),
+                byte in any::<u8>(),
+            ) {
+                let root = tmproot("fuzz");
+                let path = root.join("wal.log");
+                let mut bytes = WAL_MAGIC.to_vec();
+                let payload = match mode {
+                    0 => None,
+                    1 => Some(noise.clone()),
+                    _ => {
+                        let mut buf = BytesMut::new();
+                        encode_ops(&mut buf, &ops(seq as i64));
+                        let mut payload = buf.to_vec();
+                        let len = payload.len();
+                        payload[at % len] = byte;
+                        Some(payload)
+                    }
+                };
+                match payload {
+                    None => bytes.extend_from_slice(&noise),
+                    Some(payload) => {
+                        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                        let start = bytes.len();
+                        bytes.extend_from_slice(&seq.to_le_bytes());
+                        bytes.extend_from_slice(&payload);
+                        let sum = checksum(&bytes[start..]);
+                        bytes.extend_from_slice(&sum.to_le_bytes());
+                    }
+                }
+                fs::write(&path, &bytes).unwrap();
+                if let Ok((wal, rec)) = Wal::open(&path) {
+                    let kept = fs::metadata(&path).unwrap().len();
+                    prop_assert_eq!(kept, wal.bytes());
+                    prop_assert_eq!(kept + rec.torn_bytes, bytes.len() as u64);
+                    drop(wal);
+                    let (_, again) = Wal::open(&path).unwrap();
+                    prop_assert_eq!(again.torn_bytes, 0);
+                    prop_assert_eq!(again.records, rec.records);
+                }
+                fs::remove_dir_all(&root).unwrap();
+            }
+        }
+    }
 }

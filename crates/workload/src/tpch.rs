@@ -329,12 +329,6 @@ pub fn tpch_bundle(rows: usize, seed: u64) -> DatasetBundle {
     }
 }
 
-/// Convenience: instantiate one query from each template (tests, examples).
-pub fn one_of_each(templates: &[Template], seed: u64) -> Vec<oreo_query::Query> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    templates.iter().map(|t| t.instantiate(&mut rng)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -152,6 +152,11 @@ fn bench_cost_eval(c: &mut Criterion) {
         },
     );
     let tree = QdTreeBuilder::new(32).build(&data_sample, &stream.queries[4_000..4_100]);
+    // The other half of a candidate's construction, after the tree: route
+    // the sample, gather its metadata, compile the model.
+    c.bench_function("build_model_1500_sample_k32_correlated", |b| {
+        b.iter(|| black_box(build_model(&tree, 0, &data_sample, table.num_rows() as f64)))
+    });
     let model = build_model(&tree, 0, &data_sample, table.num_rows() as f64);
     let q = &stream.queries[4_100];
     c.bench_function("layout_cost_eval_k32_sample_correlated", |b| {

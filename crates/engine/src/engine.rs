@@ -1974,7 +1974,9 @@ fn await_admission(shared: &Shared, ten: &Tenant) {
     }
     if let Some(since) = waited_since {
         let waited = as_micros_u64(since.elapsed());
-        shared.metrics.admission_wait_us.record(waited);
+        for m in metric_views(shared, ten) {
+            m.admission_wait_us.record(waited);
+        }
     }
 }
 

@@ -11,6 +11,7 @@
 use oreo_core::OreoConfig;
 use oreo_engine::{Engine, EngineConfig, EngineStats, TenantSpec};
 use oreo_layout::RangeLayout;
+use oreo_obs::MetricsSnapshot;
 use oreo_query::{ColumnType, Query, QueryBuilder, Scalar, Schema};
 use oreo_storage::{IngestOp, Table, TableBuilder};
 use proptest::prelude::*;
@@ -248,6 +249,19 @@ proptest! {
     }
 }
 
+/// Every admission wait the fleet series counts is counted in exactly one
+/// tenant's series too.
+fn assert_admission_waits_add_up(snap: &MetricsSnapshot, tenants: usize) {
+    let waits = |prefix: &str| {
+        let name = format!("{prefix}core.admission_wait_us");
+        snap.histogram(&name)
+            .unwrap_or_else(|| panic!("{name} registered"))
+            .count
+    };
+    let per_tenant: u64 = (0..tenants).map(|i| waits(&format!("tenant.{i}."))).sum();
+    assert_eq!(waits(""), per_tenant, "admission waits: fleet != Σ tenants");
+}
+
 /// Deterministic three-tenant fold parity through tiered+pooled serving,
 /// plus the layout/namespace contracts the refactor promises: per-tenant
 /// store subdirectories, per-tenant metric namespaces next to intact
@@ -308,6 +322,7 @@ fn three_tenants_fold_parity_and_namespaces_tiered() {
         Some(per_tenant_completed),
         "aggregate must equal the sum of tenant series"
     );
+    assert_admission_waits_add_up(&snap, 3);
 
     let multi = engine.shutdown();
     assert!(multi.tiered_errors.is_empty(), "{:?}", multi.tiered_errors);
@@ -513,6 +528,7 @@ fn scan_accounting_is_conserved_across_workers_and_tenants() {
             per_tenant[tenant][slot] += v;
         }
     }
+    assert_admission_waits_add_up(&engine.registry().snapshot(), 2);
     let stats = engine.shutdown();
     assert_eq!(stats.scan_io_errors, 0, "a fallback would void the sums");
     assert_eq!(

@@ -18,18 +18,23 @@
 //! compares two satisfying sets and never looks at `R`, so the builder
 //! counts both kinds of query once per build (`n_sub`, `n_dis`) and the
 //! benefit of `a` at any node is the integer `n_sub·|R_no| + n_dis·|R_yes|`.
-//! Which rows `a` matches does not depend on the node either: each
-//! candidate is evaluated once over the whole sample, by the typed column
-//! kernels, into a bitmap, and a node's `|R_yes|` is the popcount of its
-//! own row bitmap ANDed with the candidate's. A build costs
-//! O(C·W + C·n + C·k·n/64) for C candidates, W window queries, n sample
-//! rows and k leaves, where the per-node row-by-row greedy paid
-//! O(k·C·(n + W)).
+//! When every query's set on a column is an integer interval, both counts
+//! are binary searches over the window's interval ends, sorted once per
+//! column (a cut bounded on both sides still counts `n_sub` query by
+//! query). Which rows `a` matches does not depend on the node either: each
+//! candidate is evaluated once over the whole sample into a bitmap — an
+//! integer range from a [`RankIndex`] of its column, sorted once per build,
+//! anything else by a typed column kernel pass — and a node's `|R_yes|` is
+//! the popcount of its own row bitmap ANDed with the candidate's. A build
+//! costs O(Σ n log n + C·(log n + n/64) + C·W + C·k·n/64) for C
+//! candidates, W window queries, n sample rows, k leaves and one sort per
+//! cut column, where the per-node row-by-row greedy paid O(k·C·(n + W)).
 
 use crate::satset::{predicate_satset, SatSet};
 use crate::spec::{LayoutGenerator, LayoutSpec, SharedSpec};
 use oreo_query::{Atom, ColId, ColumnPlan, CompareOp, Query};
-use oreo_storage::{atom_matches_ref, kernel, Table};
+use oreo_storage::kernel::{self, RankIndex};
+use oreo_storage::{atom_matches_ref, Table};
 use rand::rngs::StdRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -184,44 +189,28 @@ impl QdTreeBuilder {
             rows: Vec<u64>,
         }
         let candidates = candidate_cuts(workload);
-        // Per column, the satisfying set of every query that constrains it
-        // — and, when each is an integer interval, its comparison keys.
-        type ColumnSats = (Vec<SatSet>, Option<Vec<(i128, i128)>>);
         let mut query_sats: HashMap<ColId, ColumnSats> = HashMap::new();
+        let mut indexes: HashMap<ColId, RankIndex<'_>> = HashMap::new();
         let mut cuts: Vec<Cut<'_>> = Vec::new();
         for atom in &candidates {
             let col = atom.col();
-            let (sats, keys) = query_sats.entry(col).or_insert_with(|| {
-                let sat_on_col = |q: &Query| predicate_satset(&q.predicate, col);
-                let sats: Vec<SatSet> = workload.iter().filter_map(sat_on_col).collect();
-                let keys = sats.iter().map(SatSet::int_interval_keys).collect();
-                (sats, keys)
-            });
+            let sats = query_sats
+                .entry(col)
+                .or_insert_with(|| ColumnSats::new(workload, col));
             let cut_sat = SatSet::of_atom(atom);
-            let (mut n_sub, mut n_dis) = (0u64, 0u64);
-            if let (Some(keys), Some((cut_lo, cut_hi))) = (keys, cut_sat.int_interval_keys()) {
-                for &(lo, hi) in keys.iter() {
-                    if lo >= cut_lo && hi <= cut_hi {
-                        n_sub += 1;
-                    } else if lo.max(cut_lo) > hi.min(cut_hi) {
-                        n_dis += 1;
-                    }
-                }
-            } else {
-                for qsat in sats.iter() {
-                    if qsat.subset_of(&cut_sat) {
-                        n_sub += 1;
-                    } else if qsat.disjoint_from(&cut_sat) {
-                        n_dis += 1;
-                    }
-                }
-            }
+            let (n_sub, n_dis) = match (&sats.keys, cut_sat.int_interval_keys()) {
+                (Some(keys), Some(cut)) => keys.counts(cut),
+                _ => sats.counts(&cut_sat),
+            };
             if n_sub + n_dis > 0 {
+                let index = indexes
+                    .entry(col)
+                    .or_insert_with(|| RankIndex::new(sample.column(col)));
                 cuts.push(Cut {
                     atom,
                     n_sub,
                     n_dis,
-                    rows: kernel::matching_bitmap(&ColumnPlan::of_atom(atom), sample.column(col)),
+                    rows: index.bitmap(&ColumnPlan::of_atom(atom)),
                 });
             }
         }
@@ -348,6 +337,84 @@ impl QdTreeBuilder {
             k: next_bid as usize,
             name,
         }
+    }
+}
+
+/// The satisfying sets the window's queries place on one column, for
+/// counting the queries a cut on it contains (`n_sub`) or is disjoint from
+/// (`n_dis`).
+struct ColumnSats {
+    /// One set per query that constrains the column, in window order.
+    sats: Vec<SatSet>,
+    /// The same sets as keys, when every one is an integer interval.
+    keys: Option<IntervalKeys>,
+}
+
+impl ColumnSats {
+    fn new(workload: &[Query], col: ColId) -> Self {
+        let sat_on_col = |q: &Query| predicate_satset(&q.predicate, col);
+        let sats: Vec<SatSet> = workload.iter().filter_map(sat_on_col).collect();
+        let keys: Option<Vec<_>> = sats.iter().map(SatSet::int_interval_keys).collect();
+        ColumnSats {
+            sats,
+            keys: keys.map(IntervalKeys::new),
+        }
+    }
+
+    /// `(n_sub, n_dis)` of a cut, set by set.
+    fn counts(&self, cut: &SatSet) -> (u64, u64) {
+        let (mut n_sub, mut n_dis) = (0u64, 0u64);
+        for qsat in &self.sats {
+            if qsat.subset_of(cut) {
+                n_sub += 1;
+            } else if qsat.disjoint_from(cut) {
+                n_dis += 1;
+            }
+        }
+        (n_sub, n_dis)
+    }
+}
+
+/// A column's query intervals as [`SatSet::int_interval_keys`] pairs, with
+/// each end also sorted on its own.
+struct IntervalKeys {
+    pairs: Vec<(i128, i128)>,
+    lows: Vec<i128>,
+    highs: Vec<i128>,
+}
+
+impl IntervalKeys {
+    fn new(pairs: Vec<(i128, i128)>) -> Self {
+        // `predicate_satset` returns `Empty`, not an inverted interval, for
+        // a contradiction, so every pair is ordered.
+        debug_assert!(pairs.iter().all(|(lo, hi)| lo <= hi));
+        let mut lows: Vec<i128> = pairs.iter().map(|p| p.0).collect();
+        let mut highs: Vec<i128> = pairs.iter().map(|p| p.1).collect();
+        lows.sort_unstable();
+        highs.sort_unstable();
+        IntervalKeys { pairs, lows, highs }
+    }
+
+    /// `(n_sub, n_dis)` of a cut keyed `(lo, hi)`, `lo <= hi`. An interval
+    /// is disjoint from the cut iff it ends below `lo` or starts above `hi`
+    /// (one at most, as it is ordered), and is then not inside it; so
+    /// `n_dis` is two binary searches, and so is `n_sub` of a cut open on
+    /// one side. Only a cut bounded on both sides counts `n_sub` pair by
+    /// pair.
+    fn counts(&self, (lo, hi): (i128, i128)) -> (u64, u64) {
+        let below = |keys: &[i128], k: i128| keys.partition_point(|&x| x < k);
+        let at_most = |keys: &[i128], k: i128| keys.partition_point(|&x| x <= k);
+        let n = self.pairs.len();
+        let n_dis = below(&self.highs, lo) + (n - at_most(&self.lows, hi));
+        let n_sub = if hi == i128::MAX {
+            n - below(&self.lows, lo)
+        } else if lo == i128::MIN {
+            at_most(&self.highs, hi)
+        } else {
+            let inside = |&&(l, h): &&(i128, i128)| l >= lo && h <= hi;
+            self.pairs.iter().filter(inside).count()
+        };
+        (n_sub as u64, n_dis as u64)
     }
 }
 
@@ -895,6 +962,29 @@ mod tests {
             })
         }
 
+        /// An integer-interval atom on column 0 over a tiny domain, so
+        /// endpoints coincide often, strict and inclusive alike.
+        fn int_interval() -> impl Strategy<Value = Atom> {
+            let op = prop_oneof![
+                Just(CompareOp::Lt),
+                Just(CompareOp::Le),
+                Just(CompareOp::Gt),
+                Just(CompareOp::Ge),
+            ];
+            prop_oneof![
+                (op, -4i64..5).prop_map(|(op, v)| Atom::Compare {
+                    col: 0,
+                    op,
+                    value: Scalar::Int(v),
+                }),
+                (-4i64..5, 0i64..5).prop_map(|(lo, span)| Atom::Between {
+                    col: 0,
+                    low: Scalar::Int(lo),
+                    high: Scalar::Int(lo + span),
+                }),
+            ]
+        }
+
         fn builder() -> impl Strategy<Value = QdTreeBuilder> {
             let k = prop_oneof![Just(1usize), Just(2), Just(8), Just(32)];
             (k, 0usize..8).prop_map(|(k, min_leaf)| match min_leaf {
@@ -920,6 +1010,26 @@ mod tests {
                 prop_assert_eq!(tree.k(), oracle.k());
                 prop_assert_eq!(tree.describe(), oracle.describe());
                 prop_assert_eq!(tree.assign(&t), oracle.assign(&t));
+            }
+
+            /// Where every query on a column is an integer interval, the
+            /// binary-search counts equal the set-by-set ones for any cut.
+            #[test]
+            fn interval_key_counts_equal_set_counts(
+                queries in proptest::collection::vec(
+                    proptest::collection::vec(int_interval(), 1..3),
+                    0..30,
+                ),
+                cut in int_interval(),
+            ) {
+                let workload: Vec<Query> =
+                    queries.into_iter().map(|q| Query::new(Predicate::new(q))).collect();
+                let sats = ColumnSats::new(&workload, 0);
+                let cut_sat = SatSet::of_atom(&cut);
+                // a contradictory query's set is `Empty`, which has no keys
+                if let (Some(keys), Some(cut_keys)) = (&sats.keys, cut_sat.int_interval_keys()) {
+                    prop_assert_eq!(keys.counts(cut_keys), sats.counts(&cut_sat));
+                }
             }
 
             /// Columnar `assign` sends every row where the per-row tree

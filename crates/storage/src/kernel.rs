@@ -39,6 +39,7 @@
 
 use crate::column::Column;
 use oreo_query::ColumnPlan;
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 
 /// Rows evaluated per selection-vector chunk. 1024 positions keep the
@@ -318,14 +319,100 @@ fn bits_with<T: Copy>(values: &[T], mut pred: impl FnMut(T) -> bool) -> Vec<u64>
     values.chunks(64).map(word).collect()
 }
 
-/// The rows of `column` whose value satisfies `plan`, as a bitmap: bit
-/// `r % 64` of word `r / 64` is row `r`'s verdict. One typed kernel pass
-/// writing words directly — for a caller that wants a whole column's
-/// verdict as a set to intersect (the Qd-tree builder's candidate cuts),
+/// One column's verdicts on many plans, each as a bitmap: bit `r % 64` of
+/// word `r / 64` is row `r`'s verdict. For a caller that wants whole-column
+/// verdicts as sets to intersect (the Qd-tree builder's candidate cuts),
 /// where [`filter_rows`] would have it copy, filter and re-scatter a row
 /// list.
-pub fn matching_bitmap(plan: &ColumnPlan, column: &Column) -> Vec<u64> {
-    ColumnKernel::build(plan, column).bitmap(column)
+///
+/// A plan that folds to an integer range is answered from a rank index
+/// built on first use: the rows sorted by `(value, row)`, and the bitmap of
+/// the first `64·j` ranked rows for every `j`. The rows in `lo..=hi` are
+/// the ranks `start..end` found by two binary searches, so their bitmap is
+/// `prefix(end) ⊕ prefix(start)` — two stored prefixes and at most 2 × 63
+/// single-bit fix-ups, O(log n + n/64) where a scan is O(n). Every other
+/// plan is one typed kernel pass.
+pub struct RankIndex<'a> {
+    column: &'a Column,
+    ranks: OnceCell<IntRanks>,
+}
+
+/// An integer column in value order, with every 64th prefix as a bitmap.
+struct IntRanks {
+    /// The column's values, ascending.
+    values: Vec<i64>,
+    /// Row ids in `(value, row)` order.
+    rows: Vec<u32>,
+    /// The bitmaps of `rows[..64·j]` for `j = 0..=n/64`, back to back.
+    prefixes: Vec<u64>,
+}
+
+impl IntRanks {
+    fn new(column: &[i64]) -> IntRanks {
+        let mut ranked: Vec<(i64, u32)> =
+            (column.iter().zip(0u32..)).map(|(&v, r)| (v, r)).collect();
+        ranked.sort_unstable();
+        let (values, rows): (Vec<i64>, Vec<u32>) = ranked.into_iter().unzip();
+        let words = rows.len().div_ceil(64);
+        let mut prefixes = Vec::with_capacity((rows.len() / 64 + 1) * words);
+        let mut acc = vec![0u64; words];
+        prefixes.extend_from_slice(&acc);
+        for block in rows.chunks_exact(64) {
+            block.iter().for_each(|&r| toggle(&mut acc, r));
+            prefixes.extend_from_slice(&acc);
+        }
+        IntRanks {
+            values,
+            rows,
+            prefixes,
+        }
+    }
+
+    /// The rows of ranks `start..end` as a bitmap.
+    fn between(&self, start: usize, end: usize) -> Vec<u64> {
+        let words = self.rows.len().div_ceil(64);
+        let prefix = |j: usize| &self.prefixes[j * words..(j + 1) * words];
+        let (a, b) = (start / 64, end / 64);
+        let mut out: Vec<u64> = (prefix(a).iter().zip(prefix(b)))
+            .map(|(x, y)| x ^ y)
+            .collect();
+        let fix_ups = self.rows[a * 64..start]
+            .iter()
+            .chain(&self.rows[b * 64..end]);
+        fix_ups.for_each(|&r| toggle(&mut out, r));
+        out
+    }
+}
+
+/// Flip row `r`'s bit.
+#[inline]
+fn toggle(words: &mut [u64], r: u32) {
+    words[r as usize / 64] ^= 1 << (r % 64);
+}
+
+impl<'a> RankIndex<'a> {
+    /// An index over `column`; it sorts nothing until an integer range is
+    /// asked for.
+    pub fn new(column: &'a Column) -> Self {
+        RankIndex {
+            column,
+            ranks: OnceCell::new(),
+        }
+    }
+
+    /// The rows whose value satisfies `plan`, as a bitmap (bits past the
+    /// last row stay clear).
+    pub fn bitmap(&self, plan: &ColumnPlan) -> Vec<u64> {
+        match (ColumnKernel::build(plan, self.column), self.column) {
+            (ColumnKernel::IntRange { lo, hi }, Column::Int(values)) => {
+                let ranks = self.ranks.get_or_init(|| IntRanks::new(values));
+                let start = ranks.values.partition_point(|&v| v < lo);
+                let end = ranks.values.partition_point(|&v| v <= hi);
+                ranks.between(start, end)
+            }
+            (kernel, column) => kernel.bitmap(column),
+        }
+    }
 }
 
 /// Keep the entries of `sel` (row positions in `column`, order preserved)
@@ -661,13 +748,105 @@ mod tests {
             (&ints, ge(Scalar::from("foreign type"))),
             (&floats, ge(Scalar::Float(0.0))),
             (&strs, ge(Scalar::from("eu"))),
+            // answered from the rank index: inclusive, strict, one-sided
+            (&ints, ge(Scalar::Int(4))),
+            (
+                &ints,
+                Atom::Compare {
+                    col: 0,
+                    op: CompareOp::Lt,
+                    value: Scalar::Int(7),
+                },
+            ),
         ] {
-            let words = matching_bitmap(&ColumnPlan::of_atom(&atom), col);
+            let words = RankIndex::new(col).bitmap(&ColumnPlan::of_atom(&atom));
             assert_eq!(words.len(), n.div_ceil(64));
             for r in 0..words.len() * 64 {
                 let bit = words[r / 64] >> (r % 64) & 1 == 1;
                 let want = r < n && atom_matches_ref(&atom, col.get(r));
                 assert_eq!(bit, want, "{atom:?} row {r}");
+            }
+        }
+    }
+
+    mod proptests {
+        use super::*;
+        use crate::column::atom_matches_ref;
+        use proptest::prelude::*;
+
+        /// The lengths around the index's 64-row prefix stride, and the
+        /// sample size of a generation boundary.
+        const LENGTHS: [usize; 7] = [0, 1, 63, 64, 65, 128, 1_500];
+
+        /// An integer: mostly from a tiny domain (heavy duplicates), else a
+        /// domain edge or anything at all.
+        fn int() -> impl Strategy<Value = i64> {
+            (0usize..10, -4i64..5, any::<i64>()).prop_map(|(kind, small, wide)| match kind {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2 => i64::MIN + 1,
+                3 => i64::MAX - 1,
+                4 => wide,
+                _ => small,
+            })
+        }
+
+        /// A literal for the int column: an int nine times in ten, else a
+        /// float or a string (which must match nothing).
+        fn literal() -> impl Strategy<Value = Scalar> {
+            (0usize..20, int()).prop_map(|(kind, v)| match kind {
+                0 => Scalar::Float(v as f64),
+                1 => Scalar::from("foreign"),
+                _ => Scalar::Int(v),
+            })
+        }
+
+        /// Every atom shape; `BETWEEN` bounds are not ordered, so some
+        /// are inverted.
+        fn atom() -> impl Strategy<Value = Atom> {
+            let op = prop_oneof![
+                Just(CompareOp::Lt),
+                Just(CompareOp::Le),
+                Just(CompareOp::Gt),
+                Just(CompareOp::Ge),
+                Just(CompareOp::Eq),
+            ];
+            prop_oneof![
+                (op, literal()).prop_map(|(op, value)| Atom::Compare { col: 0, op, value }),
+                (literal(), literal()).prop_map(|(low, high)| Atom::Between { col: 0, low, high }),
+                proptest::collection::vec(literal(), 1..5)
+                    .prop_map(|set| Atom::InSet { col: 0, set }),
+            ]
+        }
+
+        proptest! {
+            /// Every plan the index answers — one atom's, or two atoms'
+            /// folded together — is the row-by-row verdict, bit for bit,
+            /// from one index shared by all of them.
+            #[test]
+            fn rank_index_bitmap_is_the_row_verdict(
+                len in 0usize..LENGTHS.len(),
+                values in proptest::collection::vec(int(), 1_500),
+                atoms in proptest::collection::vec(atom(), 1..8),
+            ) {
+                let n = LENGTHS[len];
+                let col = Column::Int(values[..n].to_vec());
+                let index = RankIndex::new(&col);
+                let mut plans: Vec<(ColumnPlan, Vec<&Atom>)> = atoms
+                    .iter()
+                    .map(|a| (ColumnPlan::of_atom(a), vec![a]))
+                    .collect();
+                let both = compile(atoms[..2.min(atoms.len())].to_vec());
+                plans.push((both.columns()[0].plan().clone(), atoms.iter().take(2).collect()));
+                for (plan, conj) in &plans {
+                    let words = index.bitmap(plan);
+                    prop_assert_eq!(words.len(), n.div_ceil(64));
+                    for r in 0..words.len() * 64 {
+                        let bit = words[r / 64] >> (r % 64) & 1 == 1;
+                        let want = r < n && conj.iter().all(|a| atom_matches_ref(a, col.get(r)));
+                        prop_assert_eq!(bit, want, "{:?} row {}", conj, r);
+                    }
+                }
             }
         }
     }

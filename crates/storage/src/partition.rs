@@ -143,10 +143,11 @@ pub fn build_metadata_capped(
                 // months…) prune equality predicates far better with exact
                 // distinct sets than with min/max ranges — a range almost
                 // always straddles the probe value. Track a capped set per
-                // partition, dropping it on overflow; a value equal to the
-                // partition's previous one is already in the set (runs of
-                // zeros, sorted keys) and skips the tree.
-                let mut sets: Vec<Option<BTreeSet<i64>>> = vec![Some(BTreeSet::new()); k];
+                // partition as a sorted vector (as `table_metadata` does),
+                // dropping it on overflow; a value equal to the partition's
+                // previous one is already in the set (runs of zeros, sorted
+                // keys) and skips the search.
+                let mut sets: Vec<Option<Vec<i64>>> = vec![Some(Vec::new()); k];
                 let mut last: Vec<Option<i64>> = vec![None; k];
                 for (row, &v) in values.iter().enumerate() {
                     let b = assignment[row] as usize;
@@ -157,9 +158,11 @@ pub fn build_metadata_capped(
                     }
                     last[b] = Some(v);
                     if let Some(set) = sets[b].as_mut() {
-                        set.insert(v);
-                        if set.len() > distinct_cap {
-                            sets[b] = None;
+                        if let Err(at) = set.binary_search(&v) {
+                            set.insert(at, v);
+                            if set.len() > distinct_cap {
+                                sets[b] = None;
+                            }
                         }
                     }
                 }

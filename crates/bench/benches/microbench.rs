@@ -245,6 +245,53 @@ fn bench_codec(c: &mut Criterion) {
             b.iter(|| black_box(decode_i64_block(&mut black_box(&payload[..]), ROWS).unwrap()))
         });
     }
+    // The same payloads as a pooled scan reads them: the frame headers
+    // walked, then one range keeping half of the values' band evaluated on
+    // the packed frames — no `Vec<i64>` is built.
+    use oreo_storage::encode::IntFrames;
+    use oreo_storage::kernel::{scan_partition, ColumnInput, ScanScratch};
+    use oreo_storage::KernelCounters;
+    let rows: Vec<u32> = (0..ROWS as u32).collect();
+    for (name, values, band) in [
+        ("random34bit", &random, (0, 1i64 << 34)),
+        (
+            "clustered",
+            &clustered,
+            (1_000_000, 1_000_000 + (1i64 << 12)),
+        ),
+    ] {
+        let mut payload = Vec::new();
+        encode_i64_block(&mut payload, values);
+        let half = QueryBuilder::new(&std::sync::Arc::new(oreo_query::Schema::from_pairs([(
+            "v",
+            oreo_query::ColumnType::Int,
+        )])))
+        .between("v", band.0, (band.0 + band.1) / 2 - 1)
+        .build_predicate();
+        let compiled = oreo_query::CompiledPredicate::compile(&half);
+        let plan = compiled.columns()[0].plan();
+        let mut scratch = ScanScratch::default();
+        let mut matches = Vec::with_capacity(ROWS);
+        c.bench_function(&format!("eval_int_payload_{ROWS}_{name}"), |b| {
+            b.iter_batched(
+                || payload.clone(),
+                |payload| {
+                    let frames = IntFrames::new(payload, ROWS).unwrap();
+                    matches.clear();
+                    let mut counters = KernelCounters::default();
+                    scan_partition(
+                        &[(plan, ColumnInput::Packed(&frames))],
+                        &rows,
+                        &mut scratch,
+                        &mut matches,
+                        &mut counters,
+                    );
+                    matches.len()
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
     c.bench_function(&format!("encode_int_payload_{ROWS}_random34bit"), |b| {
         b.iter(|| {
             let mut payload = Vec::with_capacity(8 * ROWS);
@@ -255,6 +302,29 @@ fn bench_codec(c: &mut Criterion) {
     let page: Vec<u8> = (0..16 * 1024).map(|i| (i * 31 % 251) as u8).collect();
     c.bench_function("checksum_16k", |b| {
         b.iter(|| black_box(checksum(black_box(&page))))
+    });
+}
+
+/// A fold's concatenation of dictionary columns: the string columns of a
+/// 70 k-row telemetry base and two 2.5 k-row delta runs, each part with
+/// its own dictionary.
+fn bench_concat(c: &mut Criterion) {
+    use oreo_query::{ColumnType, Schema};
+    use oreo_storage::{concat_tables, Table};
+    use std::sync::Arc;
+    let parts: Vec<Table> = [(70_000, 1), (2_500, 2), (2_500, 3)]
+        .into_iter()
+        .map(|(rows, seed)| {
+            let t = telemetry::telemetry_table(rows, seed);
+            let cols = t.schema().columns_of_type(ColumnType::Str);
+            let defs = cols.iter().map(|&c| t.schema().column(c).clone());
+            let schema = Arc::new(Schema::new(defs.collect()));
+            Table::new(schema, cols.iter().map(|&c| t.column(c).clone()).collect())
+        })
+        .collect();
+    let schema = Arc::clone(parts[0].schema());
+    c.bench_function("concat_str_columns_fold_75k", |b| {
+        b.iter(|| black_box(concat_tables(&schema, &parts).unwrap()))
     });
 }
 
@@ -291,6 +361,7 @@ criterion_group!(
         bench_dumts_step,
         bench_admission_distance,
         bench_codec,
+        bench_concat,
         bench_offline_dp,
         bench_queries
 );

@@ -341,6 +341,7 @@ struct LiveMetrics {
     partitions_read: Arc<Counter>,
     partitions_covered: Arc<Counter>,
     columns_decoded: Arc<Counter>,
+    frames_decided: Arc<Counter>,
     columns_read: Arc<Counter>,
     latency_us: Arc<Histogram>,
     scan_us: Arc<Histogram>,
@@ -431,6 +432,7 @@ impl LiveMetrics {
             partitions_read: c("engine.scan.partitions_read"),
             partitions_covered: c("engine.scan.partitions_covered"),
             columns_decoded: c("engine.scan.columns_decoded"),
+            frames_decided: c("engine.scan.frames_decided"),
             columns_read: c("engine.scan.columns_read"),
             latency_us: h("engine.latency_us"),
             scan_us: h("engine.scan_us"),
@@ -487,6 +489,7 @@ impl LiveMetrics {
         self.partitions_read.add(scan.partitions_read as u64);
         self.partitions_covered.add(scan.partitions_covered as u64);
         self.columns_decoded.add(scan.columns_decoded);
+        self.frames_decided.add(scan.frames_decided);
         self.columns_read
             .add((scan.partitions_read * predicate_columns) as u64);
         self.rows_scanned.add(scan.rows_read);
@@ -748,8 +751,12 @@ pub struct TenantStats {
     /// Partitions among them answered from their metadata alone (see
     /// [`EngineStats::partitions_covered`]).
     pub partitions_covered: u64,
-    /// Column payloads this tenant's pooled scans decoded.
+    /// Column payloads this tenant's pooled scans decoded, or read as
+    /// packed frames.
     pub columns_decoded: u64,
+    /// Packed integer frames whose header answered a kernel for this
+    /// tenant's pooled scans (see [`EngineStats::frames_decided`]).
+    pub frames_decided: u64,
     /// Physical layout when the engine stopped.
     pub final_physical: LayoutId,
     /// Logical (D-UMTS) layout when the engine stopped.
@@ -847,10 +854,15 @@ pub struct EngineStats {
     /// *beside* the fraction of data a layout cannot skip, the share of
     /// that fraction it serves without looking.
     pub partitions_covered: u64,
-    /// Column payloads pooled scans decoded — at most one per partition
-    /// read and predicate column, fewer where metadata decided a column
-    /// (0 in [`ServeMode::Memory`]).
+    /// Column payloads pooled scans decoded, or read as packed frames —
+    /// at most one per partition read and predicate column, fewer where
+    /// metadata decided a column (0 in [`ServeMode::Memory`]).
     pub columns_decoded: u64,
+    /// Kernel evaluations of a packed integer frame that the frame's
+    /// header answered without unpacking a value: the frame lies wholly
+    /// outside the predicate's range or wholly inside it (0 in
+    /// [`ServeMode::Memory`]).
+    pub frames_decided: u64,
     /// Bytes scanned in delta runs across all scans (subset of
     /// [`Self::bytes_scanned`]; 0 when nothing was ingested).
     pub delta_bytes_scanned: u64,
@@ -1582,6 +1594,7 @@ impl Engine {
                     partitions_read: tm.partitions_read.get(),
                     partitions_covered: tm.partitions_covered.get(),
                     columns_decoded: tm.columns_decoded.get(),
+                    frames_decided: tm.frames_decided.get(),
                     final_physical: oreo.physical_layout(),
                     final_logical: oreo.logical_layout(),
                 }
@@ -1624,6 +1637,7 @@ impl Engine {
             partitions_read: m.partitions_read.get(),
             partitions_covered: m.partitions_covered.get(),
             columns_decoded: m.columns_decoded.get(),
+            frames_decided: m.frames_decided.get(),
             delta_bytes_scanned: m.delta_bytes_scanned.get(),
             ingest_batches: m.ingest_batches.get(),
             rows_appended: m.ingest_rows.get(),

@@ -784,6 +784,9 @@ mod tests {
 
     /// Readers pinning concurrently with publishes never observe a snapshot
     /// that loses or duplicates rows — the epoch/CoW publish invariant.
+    /// The publisher starts once every reader runs, and each reader pins
+    /// before it first looks at `stop`, so the readers pin at least once
+    /// however the threads are scheduled.
     #[test]
     fn pin_publish_never_loses_or_duplicates_rows() {
         use oreo_storage::{SnapshotCell, TableSnapshot};
@@ -798,11 +801,14 @@ mod tests {
             "init",
         )));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let start = Arc::new(std::sync::Barrier::new(4));
 
         let publisher = {
             let cell = Arc::clone(&cell);
             let t = Arc::clone(&t);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
                 for gen in 1..40u32 {
                     let k = (gen % 7 + 1) as usize;
                     let assignment: Vec<u32> = (0..t.num_rows())
@@ -822,16 +828,21 @@ mod tests {
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 let stop = Arc::clone(&stop);
+                let start = Arc::clone(&start);
                 let expected = expected.clone();
                 std::thread::spawn(move || {
                     let mut pins = 0u64;
                     let mut last_epoch = 0;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    start.wait();
+                    loop {
                         let snap = cell.pin();
                         assert!(snap.epoch() >= last_epoch, "epoch went backwards");
                         last_epoch = snap.epoch();
                         assert_eq!(snap.row_cover(), expected, "partition cover broken");
                         pins += 1;
+                        if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                            break;
+                        }
                     }
                     pins
                 })

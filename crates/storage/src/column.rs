@@ -149,16 +149,37 @@ impl DictBuilder {
 
     /// Appends one string cell.
     pub fn push(&mut self, value: &str) {
-        let code = match self.index.get(value) {
-            Some(&c) => c,
-            None => {
-                let c = self.dict.len() as u32;
-                self.dict.push(value.to_owned());
-                self.index.insert(value.to_owned(), c);
-                c
-            }
-        };
+        let code = self.intern(value);
         self.codes.push(code);
+    }
+
+    /// Appends every row of `column`. Each dictionary entry is interned
+    /// once, the first time a row uses it, through a table from the
+    /// column's codes to the builder's; so the dictionary and the codes are
+    /// exactly those of pushing the rows one by one, and entries no row
+    /// uses are left out, but no row's string is hashed.
+    pub fn push_column(&mut self, column: &DictColumn) {
+        const UNSEEN: u32 = u32::MAX;
+        let mut remap = vec![UNSEEN; column.dict.len()];
+        self.codes.reserve(column.len());
+        for &code in &column.codes {
+            let slot = &mut remap[code as usize];
+            if *slot == UNSEEN {
+                *slot = self.intern(&column.dict[code as usize]);
+            }
+            self.codes.push(*slot);
+        }
+    }
+
+    /// The code of `value`, added to the dictionary if it is new.
+    fn intern(&mut self, value: &str) -> u32 {
+        if let Some(&code) = self.index.get(value) {
+            return code;
+        }
+        let code = self.dict.len() as u32;
+        self.dict.push(value.to_owned());
+        self.index.insert(value.to_owned(), code);
+        code
     }
 
     /// Finalizes into an immutable dictionary column.

@@ -13,6 +13,13 @@
 //! Every block decoder takes the row count its caller already knows (from
 //! the checksummed footer or row-id block header) and refuses a block whose own
 //! count differs *before* allocating, so no stored length sizes a buffer.
+//!
+//! An integer block need not be decoded to be read: [`IntFrames`] walks its
+//! frame headers with every check [`decode_i64_block`] makes and leaves the
+//! values packed. A pooled scan evaluates its predicates on those frames
+//! ([`crate::kernel::ColumnInput::Packed`]) — a frame's `base` and `width`
+//! bound its values, so a header alone often decides a whole chunk, and
+//! only the frames it cannot decide are unpacked, one at a time.
 
 use bytes::{Buf, BufMut};
 
@@ -181,11 +188,24 @@ fn unpack_bits<T: Copy>(
     let mut words = [0u64; GROUP + 1];
     for (group, first) in src.chunks(8 * w).zip((0..n).step_by(GROUP)) {
         staged[..group.len()].copy_from_slice(group);
+        let fields = 0..GROUP.min(n - first);
+        if w <= 57 {
+            // A field starts at most 7 bits into its first byte, so one
+            // 8-byte load from that byte holds all of it: one load and
+            // one shift a field. The index mask only proves the load in
+            // bounds — the field's byte is below 8·57 = 456 anyway.
+            out.extend(fields.map(|j| {
+                let (byte, s) = (((j * w) >> 3) & 511, (j * w) & 7);
+                let bytes = staged[byte..byte + 8].try_into().expect("8 bytes");
+                map((u64::from_le_bytes(bytes) >> s) & mask)
+            }));
+            continue;
+        }
         for (word, bytes) in words.iter_mut().zip(staged[..8 * w].chunks_exact(8)) {
             *word = u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
         }
-        out.extend((0..GROUP.min(n - first)).map(|j| {
-            let (i, s) = ((j * w) >> 6, (j * w) & 63);
+        out.extend(fields.map(|j| {
+            let (i, s) = (((j * w) >> 6) & 63, (j * w) & 63);
             map(((words[i] >> s) | ((words[i + 1] << 1) << (63 - s))) & mask)
         }));
     }
@@ -225,8 +245,26 @@ pub fn encode_i64_block(buf: &mut impl BufMut, values: &[i64]) {
 pub fn decode_i64_block(buf: &mut &[u8], nrows: usize) -> Result<Vec<i64>> {
     expect_count(buf, nrows, "i64")?;
     let mut out = alloc(nrows)?;
-    while out.len() < nrows {
-        let n = (nrows - out.len()).min(FRAME_ROWS);
+    for_each_frame(buf, nrows, |header, packed, n| {
+        unpack_bits(packed, header.width, n, &mut out, |v| {
+            header.base.wrapping_add(v as i64)
+        });
+    })?;
+    Ok(out)
+}
+
+/// Walk the frames of an `i64` block whose count (`nrows`) the caller has
+/// already checked, advancing `buf` past them. Each frame's header is
+/// checked (`width <= 64`) and its packed bytes bounded before
+/// `frame(header, packed, n)` sees them, `n` being the frame's row count.
+fn for_each_frame<'b>(
+    buf: &mut &'b [u8],
+    nrows: usize,
+    mut frame: impl FnMut(FrameHeader, &'b [u8], usize),
+) -> Result<()> {
+    let mut done = 0;
+    while done < nrows {
+        let n = (nrows - done).min(FRAME_ROWS);
         need(buf, FRAME_HEADER, "frame header")?;
         let width = u32::from(buf.get_u8());
         let base = buf.get_i64_le();
@@ -236,10 +274,89 @@ pub fn decode_i64_block(buf: &mut &[u8], nrows: usize) -> Result<Vec<i64>> {
         let len = packed_len(n, width)?;
         need(buf, len, "frame values")?;
         let (packed, rest) = buf.split_at(len);
-        unpack_bits(packed, width, n, &mut out, |v| base.wrapping_add(v as i64));
+        frame(FrameHeader { base, width }, packed, n);
         *buf = rest;
+        done += n;
     }
-    Ok(out)
+    Ok(())
+}
+
+/// One frame's header: its values are `base + offset`, each offset a
+/// `width`-bit field.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct FrameHeader {
+    /// The frame's minimum.
+    pub(crate) base: i64,
+    /// Bits per offset, `0..=64`.
+    pub(crate) width: u32,
+}
+
+impl FrameHeader {
+    /// The largest offset `width` bits hold, `2^width − 1`: every value
+    /// of the frame lies in `base ..= base + max_offset()` (as `i128`).
+    pub(crate) fn max_offset(self) -> u64 {
+        u64::MAX.checked_shr(64 - self.width).unwrap_or(0)
+    }
+}
+
+/// An [`encode_i64_block`] payload with its frame headers walked and
+/// checked — exactly the checks of [`decode_i64_block`], which succeeds on
+/// the same bytes — and its values left packed. Frame `f` holds rows
+/// `f·FRAME_ROWS ..` of the column, so it is the scan kernel's chunk `f`.
+#[derive(Debug)]
+pub struct IntFrames {
+    /// The payload bytes, as fetched.
+    bytes: Vec<u8>,
+    /// Each frame's header and where its packed offsets start in `bytes`.
+    frames: Vec<(FrameHeader, usize)>,
+    /// Values in the block.
+    rows: usize,
+}
+
+impl IntFrames {
+    /// Walk the frames of `bytes`, a block that must hold exactly `nrows`
+    /// values (bytes past the block are ignored, as the decoder ignores
+    /// them).
+    pub fn new(bytes: Vec<u8>, nrows: usize) -> Result<IntFrames> {
+        let mut buf = &bytes[..];
+        expect_count(&mut buf, nrows, "i64")?;
+        let mut frames = alloc(nrows.div_ceil(FRAME_ROWS))?;
+        let mut at = bytes.len() - buf.len();
+        for_each_frame(&mut buf, nrows, |header, packed, _| {
+            frames.push((header, at + FRAME_HEADER));
+            at += FRAME_HEADER + packed.len();
+        })?;
+        Ok(IntFrames {
+            bytes,
+            frames,
+            rows: nrows,
+        })
+    }
+
+    /// Values in the block.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Whether the block holds no value.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Frame `f`'s header.
+    pub(crate) fn header(&self, f: usize) -> FrameHeader {
+        self.frames[f].0
+    }
+
+    /// Replace the contents of `out` with frame `f`'s offsets from its
+    /// `base`, one per row.
+    pub(crate) fn unpack(&self, f: usize, out: &mut Vec<u64>) {
+        let (header, start) = self.frames[f];
+        let n = (self.rows - f * FRAME_ROWS).min(FRAME_ROWS);
+        let len = packed_len(n, header.width).expect("bounded by the walk");
+        out.clear();
+        unpack_bits(&self.bytes[start..start + len], header.width, n, out, |v| v);
+    }
 }
 
 // ------------------------------------------------------------ f64 blocks --
@@ -480,6 +597,101 @@ mod tests {
         assert_eq!(i64_block(&monotone).len(), 1261);
         // A constant frame is its header alone.
         assert_eq!(i64_block(&[42; 1000]).len(), 2 + 9);
+    }
+
+    /// Frame `f`'s values through [`IntFrames::unpack`].
+    fn frame_values(frames: &IntFrames, f: usize) -> Vec<i64> {
+        let mut offsets = Vec::new();
+        frames.unpack(f, &mut offsets);
+        let base = frames.header(f).base;
+        offsets
+            .iter()
+            .map(|&o| base.wrapping_add(o as i64))
+            .collect()
+    }
+
+    #[test]
+    fn frames_hold_what_the_decoder_decodes() {
+        let n = 2 * FRAME_ROWS + 5;
+        let mut values: Vec<i64> = vec![7; FRAME_ROWS]; // a constant frame
+        values.extend((0..FRAME_ROWS as i64).map(|i| i64::MIN + i * i)); // a wide one
+        values.extend([i64::MIN, i64::MAX, 0, -1, 1]); // width 64
+        let block = i64_block(&values);
+        let frames = IntFrames::new(block.clone(), n).unwrap();
+        assert_eq!(frames.len(), n);
+        let widths: Vec<u32> = (0..3).map(|f| frames.header(f).width).collect();
+        assert_eq!(widths[0], 0);
+        assert_eq!(widths[2], 64);
+        assert_eq!(frames.header(2).max_offset(), u64::MAX);
+        assert_eq!(frames.header(0).max_offset(), 0);
+        let unpacked: Vec<i64> = (0..3).flat_map(|f| frame_values(&frames, f)).collect();
+        assert_eq!(unpacked, decode_i64_block(&mut &block[..], n).unwrap());
+        assert!(IntFrames::new(block.clone(), n + 1).is_err());
+        assert!(IntFrames::new(block[..block.len() - 1].to_vec(), n).is_err());
+        assert!(IntFrames::new(i64_block(&[]), 0).unwrap().is_empty());
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A block of up to three frames, then damaged: bytes overwritten,
+        /// cut short, or replaced outright by arbitrary bytes.
+        fn damaged_block() -> impl Strategy<Value = (Vec<u8>, usize)> {
+            (
+                proptest::collection::vec(any::<i64>(), 0..3 * FRAME_ROWS + 1),
+                0usize..4,
+                proptest::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+                any::<usize>(),
+                proptest::collection::vec(any::<u8>(), 0..64),
+                -1i64..=1,
+            )
+                .prop_map(|(values, how, writes, cut, noise, skew)| {
+                    let mut block = Vec::new();
+                    // narrow values half the time, so widths vary
+                    let narrow = values.first().is_some_and(|v| v % 2 == 0);
+                    let values: Vec<i64> = if narrow {
+                        values.iter().map(|v| v % 1000).collect()
+                    } else {
+                        values
+                    };
+                    encode_i64_block(&mut block, &values);
+                    let nrows = (values.len() as i64 + skew).max(0) as usize;
+                    match how {
+                        0 => {}
+                        1 => {
+                            for (at, byte) in writes {
+                                let at = at % block.len();
+                                block[at] = byte;
+                            }
+                        }
+                        2 => block.truncate(cut % (block.len() + 1)),
+                        _ => block = noise,
+                    }
+                    (block, nrows)
+                })
+        }
+
+        proptest! {
+            /// The header walk never panics on any bytes, succeeds exactly
+            /// when the decoder does, and then its frames unpack to the
+            /// decoder's values.
+            #[test]
+            fn frame_walk_accepts_exactly_what_the_decoder_accepts(
+                damaged in damaged_block(),
+            ) {
+                let (block, nrows) = damaged;
+                let decoded = decode_i64_block(&mut &block[..], nrows);
+                let walked = IntFrames::new(block.clone(), nrows);
+                prop_assert_eq!(walked.is_ok(), decoded.is_ok());
+                if let (Ok(frames), Ok(values)) = (walked, decoded) {
+                    let unpacked: Vec<i64> = (0..nrows.div_ceil(FRAME_ROWS))
+                        .flat_map(|f| frame_values(&frames, f))
+                        .collect();
+                    prop_assert_eq!(unpacked, values);
+                }
+            }
+        }
     }
 
     #[test]

@@ -161,6 +161,26 @@ impl ColumnExtent {
         self.check_len(payload, col)?;
         decode_column_payload(self.tag, &mut &payload[..], nrows, col)
     }
+
+    /// Whether the payload is an integer column's frames.
+    pub(crate) fn is_int(&self) -> bool {
+        self.tag == TAG_INT
+    }
+
+    /// [`ColumnExtent::decode_trusted`] of an integer payload
+    /// ([`ColumnExtent::is_int`]), leaving its values packed: the length
+    /// check, then the frame-header walk ([`IntFrames::new`]), which accepts
+    /// exactly the bytes the decoder accepts.
+    pub(crate) fn frames_trusted(
+        &self,
+        payload: Vec<u8>,
+        nrows: usize,
+        col: usize,
+    ) -> Result<IntFrames> {
+        debug_assert!(self.is_int(), "column {col} is not an integer payload");
+        self.check_len(&payload, col)?;
+        Ok(IntFrames::new(payload, nrows)?)
+    }
 }
 
 /// The self-describing tail of a partition blob: row count, per-column

@@ -1,5 +1,5 @@
 //! Vectorized scan kernels: chunked, selection-vector predicate evaluation
-//! over decoded columns.
+//! over decoded columns and over packed integer frames.
 //!
 //! The row-at-a-time scan interpreter re-dispatches on the atom list and the
 //! column representation for every row. The kernel layer does that dispatch
@@ -10,7 +10,16 @@
 //!    column's physical representation into a column kernel — tight
 //!    typed loops over `&[i64]` / `&[f64]`, or a precomputed per-dictionary
 //!    mask for string columns (the plan is evaluated once per *distinct*
-//!    value, then rows test one `bool` per code);
+//!    value, then rows test one `bool` per code). An integer column a
+//!    pooled scan fetched stays in its frame-of-reference frames
+//!    ([`ColumnInput::Packed`]); a frame is a chunk, and its header
+//!    `(base, width)` bounds its values, so a range kernel first asks the
+//!    header — the partition metadata's decide-first rule at chunk grain:
+//!    a frame disjoint from the range passes nothing, a frame inside it
+//!    passes every row ([`KernelCounters::frames_decided`] counts both),
+//!    and only a frame that straddles the range is unpacked, into a
+//!    scratch buffer, and its offsets compared against the range shifted
+//!    by `base`;
 //! 2. the first kernel fills a reusable `u32` selection vector with the
 //!    chunk-local positions that pass; each further kernel filters the
 //!    surviving positions in place (the conjunctive AND);
@@ -19,7 +28,8 @@
 //!    on all rows and the rest only on survivors;
 //! 4. global row ids are materialized *late* — only survivors of the full
 //!    conjunction touch the partition's row-id array, and each chunk's
-//!    survivors are appended in one exact-size `extend`. Ids come out
+//!    survivors are appended in one exact-size `extend` (one slice copy
+//!    when the whole chunk passed). Ids come out
 //!    ascending within a partition iff its row-id array is; ordering the
 //!    concatenation of all partitions (and subtracting tombstones) is the
 //!    snapshot driver's linear-time assembly step, not the kernels'.
@@ -38,6 +48,7 @@
 //! which the serving layer surfaces through `SnapshotScan`.
 
 use crate::column::Column;
+use crate::encode::{FrameHeader, IntFrames, FRAME_ROWS};
 use oreo_query::ColumnPlan;
 use std::cell::OnceCell;
 use std::cmp::Ordering;
@@ -57,6 +68,37 @@ pub struct KernelCounters {
     /// row-at-a-time interpreter with short-circuit `&&` would also skip,
     /// plus whole-kernel skips once a chunk's selection empties).
     pub rows_short_circuited: u64,
+    /// Kernel evaluations of a packed frame ([`ColumnInput::Packed`]) its
+    /// header answered without unpacking a value: the frame lies wholly
+    /// outside the kernel's range (no row passes) or wholly inside it
+    /// (every row does).
+    pub frames_decided: u64,
+}
+
+/// What one conjunct's kernel reads.
+#[derive(Clone, Copy, Debug)]
+pub enum ColumnInput<'a> {
+    /// A decoded column.
+    Decoded(&'a Column),
+    /// An integer column's frame-of-reference frames, still packed. Frame
+    /// `f` is chunk `f` ([`FRAME_ROWS`] is [`CHUNK_ROWS`]).
+    Packed(&'a IntFrames),
+}
+
+impl ColumnInput<'_> {
+    /// Rows in the column.
+    fn len(&self) -> usize {
+        match self {
+            ColumnInput::Decoded(column) => column.len(),
+            ColumnInput::Packed(frames) => frames.len(),
+        }
+    }
+}
+
+impl<'a> From<&'a Column> for ColumnInput<'a> {
+    fn from(column: &'a Column) -> Self {
+        ColumnInput::Decoded(column)
+    }
 }
 
 /// One predicate column specialized against one physical column. The
@@ -83,6 +125,21 @@ enum ColumnKernel {
     /// Any plan over a dictionary column: the plan pre-evaluated per
     /// dictionary entry, rows test `mask[code]`.
     CodeMask { mask: Vec<bool> },
+}
+
+/// What a packed frame's header says about an integer kernel.
+enum FrameVerdict<'k> {
+    /// The kernel passes nothing whatever the frame holds (a
+    /// [`ColumnKernel::Never`]): not the header's doing.
+    Nothing,
+    /// The header decides: no value the frame can hold passes (`false`),
+    /// or every one does (`true`).
+    Decided(bool),
+    /// The rows whose offset `o` from `base` has `o − lo <= span` pass.
+    Offsets { lo: u64, span: u64 },
+    /// The rows whose value is one of these (sorted) pass: values are
+    /// tested one by one.
+    Members(&'k [i64]),
 }
 
 /// Branch-light full-chunk evaluation: write the positions of `0..len`
@@ -127,9 +184,9 @@ fn float_bound_ok(x: f64, bound: &Option<(f64, bool)>, pass: Ordering) -> bool {
 
 impl ColumnKernel {
     /// Specialize `plan` against the physical `column`.
-    fn build(plan: &ColumnPlan, column: &Column) -> ColumnKernel {
+    fn build(plan: &ColumnPlan, column: ColumnInput<'_>) -> ColumnKernel {
         match column {
-            Column::Int(_) => match plan {
+            ColumnInput::Decoded(Column::Int(_)) | ColumnInput::Packed(_) => match plan {
                 ColumnPlan::Never => ColumnKernel::Never,
                 ColumnPlan::Range { lo, hi } => {
                     // Fold strict endpoints into the inclusive [lo, hi]
@@ -169,7 +226,7 @@ impl ColumnKernel {
                     }
                 }
             },
-            Column::Float(_) => match plan {
+            ColumnInput::Decoded(Column::Float(_)) => match plan {
                 ColumnPlan::Never => ColumnKernel::Never,
                 ColumnPlan::Range { lo, hi } => {
                     let as_bound = |b: &Option<oreo_query::Bound>| match b {
@@ -197,7 +254,7 @@ impl ColumnKernel {
                     }
                 }
             },
-            Column::Str(dict) => {
+            ColumnInput::Decoded(Column::Str(dict)) => {
                 // Evaluate the plan once per distinct dictionary entry;
                 // rows then test a single bool per code.
                 let mask: Vec<bool> = dict.dict().iter().map(|s| plan.matches_str(s)).collect();
@@ -274,6 +331,102 @@ impl ColumnKernel {
                 filter_with(sel, live, |i| mask[codes[base + i] as usize])
             }
             _ => unreachable!("kernel evaluated against a column it was not built for"),
+        }
+    }
+
+    /// What frame `header`'s bounds alone say about this kernel, one of
+    /// the integer kernels.
+    fn frame_verdict(&self, header: FrameHeader) -> FrameVerdict<'_> {
+        match self {
+            ColumnKernel::Never => FrameVerdict::Nothing,
+            ColumnKernel::IntRange { lo, hi } => {
+                // The range relative to `base`, against the frame's
+                // `0..=max_offset`; i128 holds both without overflow.
+                let top = i128::from(header.max_offset());
+                let lo = i128::from(*lo) - i128::from(header.base);
+                let hi = i128::from(*hi) - i128::from(header.base);
+                if hi < 0 || lo > top {
+                    FrameVerdict::Decided(false)
+                } else if lo <= 0 && hi >= top {
+                    FrameVerdict::Decided(true)
+                } else {
+                    let (lo, hi) = (lo.max(0) as u64, hi.min(top) as u64);
+                    FrameVerdict::Offsets { lo, span: hi - lo }
+                }
+            }
+            ColumnKernel::IntSet { set } => FrameVerdict::Members(set),
+            _ => unreachable!("a non-integer kernel evaluated against packed frames"),
+        }
+    }
+
+    /// [`ColumnKernel::fill`] over frame `f` of `frames`: the header
+    /// decides, or the frame is unpacked into `offsets`.
+    fn fill_frame(
+        &self,
+        frames: &IntFrames,
+        f: usize,
+        len: usize,
+        sel: &mut [u32],
+        offsets: &mut Vec<u64>,
+        counters: &mut KernelCounters,
+    ) -> usize {
+        let header = frames.header(f);
+        match self.frame_verdict(header) {
+            FrameVerdict::Nothing => 0,
+            FrameVerdict::Decided(all) => {
+                counters.frames_decided += 1;
+                if !all {
+                    return 0;
+                }
+                sel[..len].iter_mut().zip(0u32..).for_each(|(s, i)| *s = i);
+                len
+            }
+            FrameVerdict::Offsets { lo, span } => {
+                frames.unpack(f, offsets);
+                fill_with(len, sel, |i| offsets[i].wrapping_sub(lo) <= span)
+            }
+            FrameVerdict::Members(set) => {
+                frames.unpack(f, offsets);
+                fill_with(len, sel, |i| {
+                    set.binary_search(&header.base.wrapping_add(offsets[i] as i64))
+                        .is_ok()
+                })
+            }
+        }
+    }
+
+    /// [`ColumnKernel::filter`] over frame `f` of `frames`.
+    fn filter_frame(
+        &self,
+        frames: &IntFrames,
+        f: usize,
+        sel: &mut [u32],
+        live: usize,
+        offsets: &mut Vec<u64>,
+        counters: &mut KernelCounters,
+    ) -> usize {
+        let header = frames.header(f);
+        match self.frame_verdict(header) {
+            FrameVerdict::Nothing => 0,
+            FrameVerdict::Decided(all) => {
+                counters.frames_decided += 1;
+                if all {
+                    live
+                } else {
+                    0
+                }
+            }
+            FrameVerdict::Offsets { lo, span } => {
+                frames.unpack(f, offsets);
+                filter_with(sel, live, |i| offsets[i].wrapping_sub(lo) <= span)
+            }
+            FrameVerdict::Members(set) => {
+                frames.unpack(f, offsets);
+                filter_with(sel, live, |i| {
+                    set.binary_search(&header.base.wrapping_add(offsets[i] as i64))
+                        .is_ok()
+                })
+            }
         }
     }
 
@@ -403,7 +556,7 @@ impl<'a> RankIndex<'a> {
     /// The rows whose value satisfies `plan`, as a bitmap (bits past the
     /// last row stay clear).
     pub fn bitmap(&self, plan: &ColumnPlan) -> Vec<u64> {
-        match (ColumnKernel::build(plan, self.column), self.column) {
+        match (ColumnKernel::build(plan, self.column.into()), self.column) {
             (ColumnKernel::IntRange { lo, hi }, Column::Int(values)) => {
                 let ranks = self.ranks.get_or_init(|| IntRanks::new(values));
                 let start = ranks.values.partition_point(|&v| v < lo);
@@ -422,7 +575,7 @@ impl<'a> RankIndex<'a> {
 /// builder — rather than a conjunction scan of a partition.
 pub fn filter_rows(plan: &ColumnPlan, column: &Column, sel: &mut Vec<u32>) {
     let live = sel.len();
-    let kept = ColumnKernel::build(plan, column).filter(column, 0, sel, live);
+    let kept = ColumnKernel::build(plan, column.into()).filter(column, 0, sel, live);
     sel.truncate(kept);
 }
 
@@ -450,9 +603,10 @@ impl KernelSlot {
 }
 
 /// Buffers a partition scan works in, owned by the caller so a multi-
-/// partition scan allocates them once: the selection vector and the
-/// conjunction's kernels in their current AND order. Starts empty
-/// (`default()`); the buffers grow on first use.
+/// partition scan allocates them once: the selection vector, the
+/// conjunction's kernels in their current AND order, and the one frame a
+/// packed column has unpacked. Starts empty (`default()`); the buffers grow
+/// on first use.
 #[derive(Default)]
 pub struct ScanScratch {
     /// Chunk-local selected positions; a fixed `chunk_rows`-slot buffer
@@ -460,12 +614,15 @@ pub struct ScanScratch {
     sel: Vec<u32>,
     /// The partition's kernels, cheapest-selectivity-first.
     slots: Vec<KernelSlot>,
+    /// The offsets of the packed frame being evaluated ([`FRAME_ROWS`]
+    /// values, 8 KiB: an L1-resident chunk like a decoded one).
+    offsets: Vec<u64>,
 }
 
 /// Scan one partition with [`CHUNK_ROWS`]-row chunks. See
 /// [`scan_partition_chunked`].
 pub fn scan_partition(
-    conjuncts: &[(&ColumnPlan, &Column)],
+    conjuncts: &[(&ColumnPlan, ColumnInput<'_>)],
     rows: &[u32],
     scratch: &mut ScanScratch,
     matches: &mut Vec<u32>,
@@ -478,7 +635,8 @@ pub fn scan_partition(
 /// satisfy every conjunct to `matches`.
 ///
 /// Each conjunct is one predicate column's plan with the physical column
-/// to evaluate it on; `rows` are the partition's global row ids
+/// to evaluate it on — decoded, or as packed frames, which need
+/// `chunk_rows == CHUNK_ROWS`; `rows` are the partition's global row ids
 /// (`rows.len()` rows per column). The caller passes only the columns it
 /// could not decide some other way — the snapshot driver leaves out every
 /// column the partition's metadata proves all rows pass. `scratch` is
@@ -491,7 +649,7 @@ pub fn scan_partition(
 /// metadata decided every column) all of `rows` match and no kernel is
 /// built — `counters` does not move.
 pub fn scan_partition_chunked(
-    conjuncts: &[(&ColumnPlan, &Column)],
+    conjuncts: &[(&ColumnPlan, ColumnInput<'_>)],
     rows: &[u32],
     chunk_rows: usize,
     scratch: &mut ScanScratch,
@@ -503,13 +661,21 @@ pub fn scan_partition_chunked(
         matches.extend_from_slice(rows);
         return;
     }
-    let ScanScratch { sel, slots } = scratch;
+    let ScanScratch {
+        sel,
+        slots,
+        offsets,
+    } = scratch;
     if sel.len() < chunk_rows {
         sel.resize(chunk_rows, 0);
     }
     slots.clear();
-    slots.extend(conjuncts.iter().enumerate().map(|(col, (plan, column))| {
+    slots.extend(conjuncts.iter().enumerate().map(|(col, &(plan, column))| {
         debug_assert_eq!(column.len(), rows.len(), "column row-count skew");
+        assert!(
+            matches!(column, ColumnInput::Decoded(_)) || chunk_rows == FRAME_ROWS,
+            "packed frames are scanned a frame a chunk"
+        );
         KernelSlot {
             kernel: ColumnKernel::build(plan, column),
             col,
@@ -524,20 +690,41 @@ pub fn scan_partition_chunked(
         counters.chunks_evaluated += 1;
         let mut live = 0usize;
         for (pos, slot) in slots.iter_mut().enumerate() {
+            let column = conjuncts[slot.col].1;
             if pos == 0 {
                 slot.evaluated += len as u64;
-                live = slot.kernel.fill(conjuncts[slot.col].1, base, len, sel);
+                live = match column {
+                    ColumnInput::Decoded(column) => slot.kernel.fill(column, base, len, sel),
+                    ColumnInput::Packed(frames) => {
+                        let f = base / FRAME_ROWS;
+                        slot.kernel
+                            .fill_frame(frames, f, len, sel, offsets, counters)
+                    }
+                };
             } else {
                 counters.rows_short_circuited += (len - live) as u64;
                 if live > 0 {
                     slot.evaluated += live as u64;
-                    live = slot.kernel.filter(conjuncts[slot.col].1, base, sel, live);
+                    live = match column {
+                        ColumnInput::Decoded(column) => slot.kernel.filter(column, base, sel, live),
+                        ColumnInput::Packed(frames) => {
+                            let f = base / FRAME_ROWS;
+                            slot.kernel
+                                .filter_frame(frames, f, sel, live, offsets, counters)
+                        }
+                    };
                 }
             }
             slot.passed += live as u64;
         }
         let chunk_ids = &rows[base..base + len];
-        matches.extend(sel[..live].iter().map(|&i| chunk_ids[i as usize]));
+        if live == len {
+            // Every row passed (a frame inside the range, say): the
+            // selection is the identity, so the ids are one copy.
+            matches.extend_from_slice(chunk_ids);
+        } else {
+            matches.extend(sel[..live].iter().map(|&i| chunk_ids[i as usize]));
+        }
         if slots.len() > 1 {
             // Cheapest-selectivity-first: the kernel that has been letting
             // the fewest rows through runs first on the next chunk.
@@ -574,11 +761,11 @@ mod tests {
         chunk: usize,
     ) -> (Vec<u32>, KernelCounters) {
         let rows: Vec<u32> = (0..n as u32).collect();
-        let conjuncts: Vec<(&ColumnPlan, &Column)> = compiled
+        let conjuncts: Vec<(&ColumnPlan, ColumnInput)> = compiled
             .columns()
             .iter()
             .zip(cols)
-            .map(|(cp, &column)| (cp.plan(), column))
+            .map(|(cp, &column)| (cp.plan(), column.into()))
             .collect();
         let mut scratch = ScanScratch::default();
         let mut matches = Vec::new();
@@ -819,7 +1006,164 @@ mod tests {
             ]
         }
 
+        /// A column of up to three frames, each frame of one shape: a
+        /// constant (width 0), a narrow band at an arbitrary base, values
+        /// spanning the whole domain with `i64::MIN` and `i64::MAX` in it
+        /// (width 64), or `int()`'s mix of duplicates and domain edges.
+        fn frames_column() -> impl Strategy<Value = Vec<i64>> {
+            (
+                0usize..=3 * CHUNK_ROWS,
+                proptest::collection::vec((0usize..4, any::<i64>()), 3),
+                proptest::collection::vec((any::<u64>(), int()), 3 * CHUNK_ROWS),
+            )
+                .prop_map(|(n, shapes, cells)| {
+                    (0..n)
+                        .map(|r| {
+                            let (shape, base) = shapes[r / CHUNK_ROWS];
+                            let (noise, mixed) = cells[r];
+                            match (shape, r % CHUNK_ROWS) {
+                                (0, _) => base,
+                                (1, _) => base.saturating_add((noise % 64) as i64),
+                                (2, 0) => i64::MIN,
+                                (2, 1) => i64::MAX,
+                                (2, _) => noise as i64,
+                                _ => mixed,
+                            }
+                        })
+                        .collect()
+                })
+        }
+
+        /// A literal for one of two frame columns, resolved against the
+        /// columns: a cell's value nudged by -2..=2, a domain edge,
+        /// anything, or a float or a string (which match nothing).
+        #[derive(Clone, Debug)]
+        enum Lit {
+            Cell(usize, i64),
+            Edge(bool),
+            Any(i64),
+            Foreign(bool),
+        }
+
+        fn lit() -> impl Strategy<Value = Lit> {
+            (0usize..10, any::<usize>(), -2i64..=2, any::<i64>()).prop_map(|(kind, r, d, v)| {
+                match kind {
+                    0 => Lit::Edge(v < 0),
+                    1 => Lit::Any(v),
+                    2 => Lit::Foreign(v < 0),
+                    _ => Lit::Cell(r, d),
+                }
+            })
+        }
+
+        fn resolve(lit: &Lit, column: &[i64]) -> Scalar {
+            match *lit {
+                Lit::Cell(_, d) if column.is_empty() => Scalar::Int(d),
+                Lit::Cell(r, d) => Scalar::Int(column[r % column.len()].saturating_add(d)),
+                Lit::Edge(max) => Scalar::Int(if max { i64::MAX } else { i64::MIN }),
+                Lit::Any(v) => Scalar::Int(v),
+                Lit::Foreign(float) if float => Scalar::Float(0.0),
+                Lit::Foreign(_) => Scalar::from("foreign"),
+            }
+        }
+
+        /// An atom shape on column `col` over unresolved literals; some
+        /// `BETWEEN`s are inverted.
+        fn frame_atom() -> impl Strategy<Value = (usize, usize, Vec<Lit>)> {
+            (0usize..2, 0usize..7, proptest::collection::vec(lit(), 1..4))
+        }
+
+        fn build_atom(col: usize, shape: usize, lits: &[Scalar]) -> Atom {
+            let op = [
+                CompareOp::Lt,
+                CompareOp::Le,
+                CompareOp::Gt,
+                CompareOp::Ge,
+                CompareOp::Eq,
+            ];
+            match shape {
+                0..=4 => Atom::Compare {
+                    col,
+                    op: op[shape],
+                    value: lits[0].clone(),
+                },
+                5 => Atom::Between {
+                    col,
+                    low: lits[0].clone(),
+                    high: lits[lits.len() - 1].clone(),
+                },
+                _ => Atom::InSet {
+                    col,
+                    set: lits.to_vec(),
+                },
+            }
+        }
+
         proptest! {
+            /// A scan over packed frames is the scan over the decoded
+            /// columns — same matches, same chunks and short-circuited
+            /// rows — and both are the row-by-row verdict. Two columns,
+            /// so the second conjunct's `filter` runs on frames too.
+            #[test]
+            fn packed_frames_scan_equals_decoded_scan(
+                columns in proptest::collection::vec(frames_column(), 2),
+                atoms in proptest::collection::vec(frame_atom(), 1..4),
+            ) {
+                use crate::encode::{encode_i64_block, IntFrames};
+                let n = columns[0].len().min(columns[1].len());
+                let columns: Vec<Vec<i64>> = columns.iter().map(|c| c[..n].to_vec()).collect();
+                let atoms: Vec<Atom> = atoms
+                    .iter()
+                    .map(|(col, shape, lits)| {
+                        let lits: Vec<Scalar> =
+                            lits.iter().map(|l| resolve(l, &columns[*col])).collect();
+                        build_atom(*col, *shape, &lits)
+                    })
+                    .collect();
+                let compiled = compile(atoms.clone());
+                let decoded: Vec<Column> = columns.iter().cloned().map(Column::Int).collect();
+                let frames: Vec<IntFrames> = columns
+                    .iter()
+                    .map(|c| {
+                        let mut payload = Vec::new();
+                        encode_i64_block(&mut payload, c);
+                        IntFrames::new(payload, n).unwrap()
+                    })
+                    .collect();
+                let rows: Vec<u32> = (0..n as u32).collect();
+                let scan = |inputs: [ColumnInput; 2]| {
+                    let conjuncts: Vec<(&ColumnPlan, ColumnInput)> = compiled
+                        .columns()
+                        .iter()
+                        .map(|cp| (cp.plan(), inputs[cp.col()]))
+                        .collect();
+                    let mut matches = Vec::new();
+                    let mut counters = KernelCounters::default();
+                    let mut scratch = ScanScratch::default();
+                    scan_partition(&conjuncts, &rows, &mut scratch, &mut matches, &mut counters);
+                    (matches, counters)
+                };
+                let (on_frames, packed) =
+                    scan([ColumnInput::Packed(&frames[0]), ColumnInput::Packed(&frames[1])]);
+                let (on_columns, plain) = scan([(&decoded[0]).into(), (&decoded[1]).into()]);
+                let want: Vec<u32> = rows
+                    .iter()
+                    .copied()
+                    .filter(|&r| {
+                        atoms
+                            .iter()
+                            .all(|a| atom_matches_ref(a, decoded[a.col()].get(r as usize)))
+                    })
+                    .collect();
+                prop_assert_eq!(&on_columns, &want);
+                prop_assert_eq!(&on_frames, &want);
+                prop_assert_eq!(plain.frames_decided, 0);
+                prop_assert_eq!(
+                    (packed.chunks_evaluated, packed.rows_short_circuited),
+                    (plain.chunks_evaluated, plain.rows_short_circuited)
+                );
+            }
+
             /// Every plan the index answers — one atom's, or two atoms'
             /// folded together — is the row-by-row verdict, bit for bit,
             /// from one index shared by all of them.
@@ -882,6 +1226,45 @@ mod tests {
             "expected substantial short-circuiting, got {}",
             counters.rows_short_circuited
         );
+    }
+
+    /// A frame's header decides a range kernel when the frame's bounds lie
+    /// wholly outside or wholly inside the range; only a straddling frame
+    /// is unpacked. Three frames: a constant 5, values 100..1124 (width
+    /// 10, so bounded by 100..=1123), and 0..=3 (width 2).
+    #[test]
+    fn frame_headers_decide_whole_chunks() {
+        use crate::encode::{encode_i64_block, IntFrames};
+        let mut values = vec![5i64; CHUNK_ROWS];
+        values.extend((0..CHUNK_ROWS as i64).map(|i| 100 + i));
+        values.extend((0..300).map(|i| i % 4));
+        let n = values.len();
+        let mut payload = Vec::new();
+        encode_i64_block(&mut payload, &values);
+        let frames = IntFrames::new(payload, n).unwrap();
+        let rows: Vec<u32> = (0..n as u32).collect();
+        for (lo, hi, decided) in [
+            (0, 4, 3),       // frames 0 and 1 outside, frame 2 inside
+            (2, 1200, 2),    // frames 0 and 1 inside, frame 2 straddles
+            (200, 300, 2),   // frame 1 straddles, the others are outside
+            (-10, 2000, 3),  // everything inside
+            (1124, 2000, 3), // frame 1's bound is 1123: all outside
+        ] {
+            let c = compile(vec![between(0, lo, hi)]);
+            let conjuncts = [(c.columns()[0].plan(), ColumnInput::Packed(&frames))];
+            let mut matches = Vec::new();
+            let mut counters = KernelCounters::default();
+            let mut scratch = ScanScratch::default();
+            scan_partition(&conjuncts, &rows, &mut scratch, &mut matches, &mut counters);
+            let want: Vec<u32> = rows
+                .iter()
+                .copied()
+                .filter(|&r| (lo..=hi).contains(&values[r as usize]))
+                .collect();
+            assert_eq!(matches, want, "{lo}..={hi}");
+            assert_eq!(counters.frames_decided, decided, "{lo}..={hi}");
+            assert_eq!(counters.chunks_evaluated, 3);
+        }
     }
 
     #[test]

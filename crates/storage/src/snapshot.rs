@@ -20,8 +20,9 @@
 //! before it touches a value: *can any row match* — no skips the partition
 //! — and, per predicate column, *must every row match*
 //! ([`ColumnStats::covered_by`](crate::partition::ColumnStats::covered_by)).
-//! Only the columns the metadata cannot decide are decoded and handed to
-//! the [`kernel`] layer; a partition with none left is answered from its
+//! Only the columns the metadata cannot decide are handed to the [`kernel`]
+//! layer — a pooled scan's integer payloads as their packed frames, its
+//! other payloads decoded; a partition with none left is answered from its
 //! row ids. Every partition contributes one ascending *run* of matches
 //! (its row ids are strictly ascending — [`SnapshotPartition`] checks that
 //! once, at construction), so the result's order and span come from the
@@ -30,9 +31,10 @@
 use crate::bufpool::BufferPool;
 use crate::column::Column;
 use crate::delta::DeltaOverlay;
+use crate::encode::IntFrames;
 use crate::error::{Result, StorageError};
 use crate::format::ColumnExtent;
-use crate::kernel::{self, KernelCounters, ScanScratch};
+use crate::kernel::{self, ColumnInput, KernelCounters, ScanScratch};
 use crate::layout_model::{LayoutId, LayoutModel};
 use crate::partition::{table_metadata, PartitionMetadata};
 use crate::table::Table;
@@ -128,11 +130,15 @@ pub struct SnapshotScan {
     /// paper's fraction, not a replacement for it. On the row-at-a-time
     /// oracle paths only a tautological predicate covers anything.
     pub partitions_covered: usize,
-    /// Column payloads a pooled scan decoded: one per surviving base
-    /// partition and predicate column the metadata could not decide, at
-    /// most `partitions_read ×` the predicate's columns. Zero for
-    /// memory-resident scans, which decode nothing.
+    /// Column payloads a pooled scan decoded, or read as packed frames:
+    /// one per surviving base partition and predicate column the metadata
+    /// could not decide, at most `partitions_read ×` the predicate's
+    /// columns. Zero for memory-resident scans, which decode nothing.
     pub columns_decoded: u64,
+    /// Kernel evaluations of a packed integer frame that its header
+    /// answered without unpacking ([`KernelCounters::frames_decided`]).
+    /// Zero for memory-resident scans and on the oracle paths.
+    pub frames_decided: u64,
     /// Total partitions in the snapshot.
     pub partitions_total: usize,
     /// Page bytes this scan read from disk (buffer-pool misses). Zero for
@@ -177,6 +183,24 @@ enum ColumnSource<'a> {
     /// Fetch the columns' page ranges of the backing generation through
     /// the pool and decode them; charge the page bytes, split cold/cached.
     Pooled(&'a BufferPool),
+}
+
+/// A predicate column a pooled scan fetched.
+enum Fetched {
+    /// Decoded (every column on the oracle path; float and dictionary
+    /// columns on the kernel path).
+    Decoded(Column),
+    /// An integer payload's frames, left packed for the kernels.
+    Packed(IntFrames),
+}
+
+impl Fetched {
+    fn input(&self) -> ColumnInput<'_> {
+        match self {
+            Fetched::Decoded(column) => ColumnInput::Decoded(column),
+            Fetched::Packed(frames) => ColumnInput::Packed(frames),
+        }
+    }
 }
 
 /// How a scan tests a partition's rows.
@@ -683,7 +707,7 @@ impl TableSnapshot {
         let mut scratch = ScanScratch::default();
         // Resident columns all borrow from `self`, so one buffer of
         // conjuncts serves every partition of the scan.
-        let mut resident: Vec<(&ColumnPlan, &Column)> = Vec::with_capacity(plans.len());
+        let mut resident: Vec<(&ColumnPlan, ColumnInput)> = Vec::with_capacity(plans.len());
         let base = self
             .partitions
             .iter()
@@ -706,13 +730,13 @@ impl TableSnapshot {
                 rowwise.is_some() || !part.meta.columns[cp.col()].covered_by(cp.plan())
             };
             let fetched;
-            let fetched_refs: Vec<(&ColumnPlan, &Column)>;
-            let conjuncts: &[(&ColumnPlan, &Column)] = match (pooled, base_index) {
-                (Some((generation, pool)), Some(index)) => {
-                    fetched = self.fetch_undecided_columns(
-                        generation, index, plans, undecided, pool, &mut out,
-                    )?;
-                    fetched_refs = fetched.iter().map(|(plan, col)| (*plan, col)).collect();
+            let fetched_refs: Vec<(&ColumnPlan, ColumnInput)>;
+            let conjuncts: &[(&ColumnPlan, ColumnInput)] = match (pooled, base_index) {
+                (Some(tier), Some(index)) => {
+                    let packed = rowwise.is_none();
+                    fetched = self
+                        .fetch_undecided_columns(tier, index, plans, undecided, packed, &mut out)?;
+                    fetched_refs = fetched.iter().map(|(plan, c)| (*plan, c.input())).collect();
                     &fetched_refs
                 }
                 _ => {
@@ -722,7 +746,7 @@ impl TableSnapshot {
                     }
                     resident.clear();
                     let left = plans.iter().filter(|cp| undecided(cp));
-                    resident.extend(left.map(|cp| (cp.plan(), part.data.column(cp.col()))));
+                    resident.extend(left.map(|cp| (cp.plan(), part.data.column(cp.col()).into())));
                     &resident
                 }
             };
@@ -736,9 +760,15 @@ impl TableSnapshot {
                     &mut counters,
                 ),
                 Some(rowwise) => {
-                    // Undecided is everything here: the columns line up
-                    // with `Predicate::columns`.
-                    let cols: Vec<&Column> = conjuncts.iter().map(|&(_, col)| col).collect();
+                    // Undecided is everything here, and decoded: the
+                    // columns line up with `Predicate::columns`.
+                    let cols: Vec<&Column> = conjuncts
+                        .iter()
+                        .map(|&(_, input)| match input {
+                            ColumnInput::Decoded(column) => column,
+                            ColumnInput::Packed(_) => unreachable!("the oracle decodes"),
+                        })
+                        .collect();
                     rowwise.for_each_match(&cols, part.rows.len(), |local| {
                         out.matches.push(part.rows[local]);
                     })
@@ -747,6 +777,7 @@ impl TableSnapshot {
         }
         out.chunks_evaluated = counters.chunks_evaluated;
         out.rows_short_circuited = counters.rows_short_circuited;
+        out.frames_decided = counters.frames_decided;
         let tombstones = self.delta.as_ref().map_or(&[][..], |d| &d.tombstones);
         assemble_runs(&mut out.matches, &run_starts, tombstones);
         Ok(out)
@@ -776,8 +807,10 @@ impl TableSnapshot {
 
     /// Read the payload of every predicate column (`plans`) of base
     /// partition `index` through the pool, accumulating byte accounting
-    /// into `out`, and decode the ones `undecided` selects; returned in
-    /// `plans` order, each with its plan.
+    /// into `out`, and open the ones `undecided` selects; returned in
+    /// `plans` order, each with its plan. With `packed`, an integer payload
+    /// is opened as its frames — headers walked, values left packed —
+    /// instead of decoded.
     ///
     /// A decided column is read all the same — same page ranges, same
     /// hits, misses and evictions, same `bytes_scanned` — because
@@ -789,20 +822,20 @@ impl TableSnapshot {
     /// physical bytes apart.
     fn fetch_undecided_columns<'p>(
         &self,
-        generation: &Arc<Generation>,
+        (generation, pool): (&Arc<Generation>, &BufferPool),
         index: usize,
         plans: &'p [ColumnPredicate],
         undecided: impl Fn(&ColumnPredicate) -> bool,
-        pool: &BufferPool,
+        packed: bool,
         out: &mut SnapshotScan,
-    ) -> Result<Vec<(&'p ColumnPlan, Column)>> {
+    ) -> Result<Vec<(&'p ColumnPlan, Fetched)>> {
         let part = &self.partitions[index];
         let extents = part
             .extents
             .as_ref()
             .ok_or_else(|| StorageError::Corrupt(format!("partition {index} has no page index")))?;
         let nrows = part.rows.len();
-        let mut decoded = Vec::with_capacity(plans.len());
+        let mut fetched = Vec::with_capacity(plans.len());
         for cp in plans {
             let col = cp.col();
             let extent = extents.get(col).ok_or_else(|| {
@@ -816,27 +849,26 @@ impl TableSnapshot {
             out.io_cached_bytes += io.cached_bytes;
             out.bytes_scanned += io.cold_bytes + io.cached_bytes;
             // Checksums guard the disk→memory boundary: a read that touched
-            // disk verifies the payload, decoded or not; a read served
+            // disk verifies the payload, opened or not; a read served
             // entirely from cached pages re-reads bytes a cold read already
-            // verified.
-            let cold = io.cold_bytes > 0;
+            // verified, and only its length is checked.
+            if io.cold_bytes > 0 {
+                extent.verify(&payload, col)?;
+            }
             if !undecided(cp) {
-                if cold {
-                    extent.verify(&payload, col)?;
-                }
                 continue;
             }
             out.columns_decoded += 1;
-            decoded.push((
+            fetched.push((
                 cp.plan(),
-                if cold {
-                    extent.decode(&payload, nrows, col)?
+                if packed && extent.is_int() {
+                    Fetched::Packed(extent.frames_trusted(payload, nrows, col)?)
                 } else {
-                    extent.decode_trusted(&payload, nrows, col)?
+                    Fetched::Decoded(extent.decode_trusted(&payload, nrows, col)?)
                 },
             ));
         }
-        Ok(decoded)
+        Ok(fetched)
     }
 
     /// Execute one predicate against the snapshot's *on-disk* generation
@@ -1563,6 +1595,45 @@ mod tests {
         std::fs::write(&segment, &bytes).unwrap();
         let pool = crate::bufpool::BufferPool::new(config);
         assert_eq!(snap.scan_pooled(&inner, &pool).unwrap().matches.len(), 2000);
+        drop(store);
+        drop(snap);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A pooled scan reads an undecided `Int` column as its packed frames:
+    /// a frame whose header bound lies outside or inside the range is
+    /// answered without unpacking, and the result and the bill are the
+    /// oracle's. One partition of `v = 0..6000` — six frames of 1 024
+    /// consecutive values — cut by `1500..=4000`.
+    #[test]
+    fn pooled_scan_decides_frames_by_header() {
+        let t = table(6000);
+        let mut snap = TableSnapshot::build(&t, &vec![0; 6000], 1, 0, "one");
+        let root = std::env::temp_dir().join(format!(
+            "oreo-snap-frames-{}-{}",
+            std::process::id(),
+            rand::random::<u64>()
+        ));
+        let (store, _) = crate::tiered::TieredStore::create(&root, &mut snap).unwrap();
+        let pred = between(0, 1500, 4000);
+        let want = live_filter(&t, &snap, &pred);
+        let pool = crate::bufpool::BufferPool::new(crate::bufpool::BufferPoolConfig::default());
+        for round in ["cold", "warm"] {
+            let scan = snap.scan_pooled(&pred, &pool).unwrap();
+            assert_eq!(scan.matches, want, "{round}");
+            // frames 0, 4 and 5 lie outside, frame 2 inside; 1 and 3 straddle
+            assert_eq!((scan.frames_decided, scan.chunks_evaluated), (4, 6));
+            assert_eq!(scan.columns_decoded, 1);
+            let oracle = snap.scan_pooled_rowwise(&pred, &pool).unwrap();
+            assert_eq!(oracle.matches, want);
+            assert_eq!((oracle.frames_decided, oracle.columns_decoded), (0, 1));
+            assert_eq!(scan.bytes_scanned, oracle.bytes_scanned);
+        }
+        assert_eq!(
+            snap.scan(&pred).frames_decided,
+            0,
+            "resident columns are decoded"
+        );
         drop(store);
         drop(snap);
         let _ = std::fs::remove_dir_all(&root);

@@ -209,7 +209,8 @@ impl TableBuilder {
 }
 
 /// Concatenate tables sharing a schema. Dictionary columns are re-interned
-/// because each file carries its own dictionary.
+/// because each file carries its own dictionary — once per dictionary
+/// entry a row uses ([`DictBuilder::push_column`]), not once per row.
 pub fn concat_tables(schema: &Arc<Schema>, parts: &[Table]) -> Result<Table> {
     let ncols = schema.len();
     let total: usize = parts.iter().map(Table::num_rows).sum();
@@ -229,12 +230,7 @@ pub fn concat_tables(schema: &Arc<Schema>, parts: &[Table]) -> Result<Table> {
                 Column::Float(v) => floats
                     .get_or_insert_with(|| Vec::with_capacity(total))
                     .extend(v),
-                Column::Str(d) => {
-                    let b = dict.get_or_insert_with(DictBuilder::new);
-                    for row in 0..d.len() {
-                        b.push(d.get(row));
-                    }
-                }
+                Column::Str(d) => dict.get_or_insert_with(DictBuilder::new).push_column(d),
             }
         }
         let column = if let Some(v) = ints {
@@ -348,6 +344,68 @@ mod tests {
         assert_eq!(t.scalar(1, 0), Scalar::from("y"));
         assert_eq!(t.scalar(2, 0), Scalar::from("y"));
         assert_eq!(t.scalar(3, 0), Scalar::from("z"));
+    }
+
+    mod proptests {
+        use super::*;
+        use crate::column::DictColumn;
+        use proptest::prelude::*;
+
+        const VOCAB: [&str; 8] = ["", "eu", "us", "apac", "é", "eu-west", "us ", "ZZ"];
+
+        /// One string part: a dictionary of distinct words drawn from a
+        /// shared vocabulary (so parts share strings), some of which no row
+        /// uses, and codes into it.
+        fn part() -> impl Strategy<Value = (Vec<String>, Vec<u32>)> {
+            (
+                proptest::collection::vec(0usize..VOCAB.len(), 0..8),
+                proptest::collection::vec(any::<u32>(), 0..40),
+            )
+                .prop_map(|(words, picks)| {
+                    let mut dict: Vec<String> = Vec::new();
+                    for w in words {
+                        if !dict.iter().any(|d| d == VOCAB[w]) {
+                            dict.push(VOCAB[w].to_string());
+                        }
+                    }
+                    let codes = if dict.is_empty() {
+                        Vec::new()
+                    } else {
+                        picks.iter().map(|p| p % dict.len() as u32).collect()
+                    };
+                    (dict, codes)
+                })
+        }
+
+        proptest! {
+            /// Concatenation interns each dictionary entry once, yet builds
+            /// exactly the dictionary and codes of pushing every row's
+            /// string in order.
+            #[test]
+            fn concat_equals_per_row_interning(
+                parts in proptest::collection::vec(part(), 0..5),
+            ) {
+                let s = Arc::new(Schema::from_pairs([("tag", ColumnType::Str)]));
+                let tables: Vec<Table> = parts
+                    .iter()
+                    .map(|(dict, codes)| {
+                        let column = DictColumn::from_parts(dict.clone(), codes.clone());
+                        Table::new(Arc::clone(&s), vec![Column::Str(column)])
+                    })
+                    .collect();
+                let mut reference = DictBuilder::new();
+                for (dict, codes) in &parts {
+                    codes.iter().for_each(|&c| reference.push(&dict[c as usize]));
+                }
+                let reference = reference.finish();
+                let joined = concat_tables(&s, &tables).unwrap();
+                let Column::Str(joined) = joined.column(0) else {
+                    panic!("a string column");
+                };
+                prop_assert_eq!(joined.dict(), reference.dict());
+                prop_assert_eq!(joined.codes(), reference.codes());
+            }
+        }
     }
 
     #[test]

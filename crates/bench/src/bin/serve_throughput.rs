@@ -2,13 +2,15 @@
 //! provide, and one measured serving cell.
 //!
 //! The default mode replays the TPC-H drift stream through `oreo-sim`'s
-//! sequential OREO and through a single-worker FIFO engine with the event
+//! served-order OREO ([`oreo_sim::ServedOrderPolicy`]) and through the engine's
+//! default configuration at two workers, driven in lockstep (each query
+//! submitted once the engine has drained the one before) with the event
 //! journal enabled, and asserts two parities: the engine's ledger equals
 //! the simulator's (the unskipped fraction per query plus α per switch),
 //! and replaying the journal reproduces the engine's ledger bit-for-bit.
 //! Concurrency and the disk tier change the serving plane, never the
-//! bookkeeping. It then measures one cell on the engine's default
-//! configuration at two workers: qps, p50/p99, switches and completed
+//! bookkeeping. It then measures one cell on the same configuration,
+//! submitted open-loop: qps, p50/p99, switches and completed
 //! reorganizations, and the delay Δ of §VI-D5 as a **measured** window
 //! (wall-clock and queries served during a switch) — the experiment the
 //! paper's simulator cannot run. Closed-loop qps against committed
@@ -23,17 +25,19 @@
 //!
 //! `--scenario suite` runs the workload zoo (`oreo-workload::scenarios`,
 //! over the telemetry dataset). Per scenario it compares OREO with the
-//! fully informed Static baseline in the simulator and asserts the FIFO
-//! engine's parity with that same OREO run; on the adaptive adversary it
-//! asserts the offline-DP 2·H(n) bound. It writes `BENCH_scenarios.json`.
+//! fully informed Static baseline in the simulator, asserts the lockstep
+//! engine's two parities against the served-order OREO run of the same
+//! stream, and on the adaptive adversary asserts the offline-DP 2·H(n)
+//! bound. It writes `BENCH_scenarios.json`.
 //!
 //! `--tenants <N>` switches to the multi-tenant harness: N tables behind
 //! one engine — one worker pool, one buffer pool, one reorganizer, one
 //! OREO instance per tenant (§VIII). Tenant 0 serves the zoo's adaptive
 //! adversary (the reorg-hungry tenant); tenants 1..N serve quiet diurnal
-//! streams over their own tables. The harness asserts per-tenant FIFO
-//! ledger parity (every tenant's ledger byte-identical to an independent
-//! `oreo-sim` run of its substream), then measures one closed-loop cell,
+//! streams over their own tables. The harness drives the interleaved
+//! streams in lockstep and asserts per-tenant ledger parity (every
+//! tenant's ledger byte-identical to an independent served-order `oreo-sim`
+//! run of its substream), then measures one closed-loop cell,
 //! asserts that every tenant's decided switches all published, and
 //! reports per-tenant qps, p50/p99, pool hit%, switches, completed reorgs
 //! and total cost. It writes `BENCH_multitenant.json`.
@@ -90,7 +94,8 @@ fn serving_queries(scale: Scale) -> usize {
 
 /// Queries per scenario in `--scenario suite` mode: long enough that every
 /// zoo phase amortizes α at the paper's ratio (~1 500 queries per phase at
-/// α = 80; see ROADMAP.md on `policy_ordering`) *and* that enough distinct
+/// α = 80; see the header of `oreo-sim`'s `tests/policy_ordering.rs`) *and*
+/// that enough distinct
 /// phase anchors accumulate to overflow the fully informed Static layout's
 /// partition budget — the zoo's ordering claim needs ≥ 8 phases.
 fn suite_queries(scale: Scale) -> usize {
@@ -181,7 +186,7 @@ impl ObsFlags {
     }
 }
 
-/// The two parities of one FIFO replay, each from its own comparison.
+/// The two parities of one lockstep replay, each from its own comparison.
 struct Parity {
     /// The engine's ledger and switch count equal the simulator's.
     ledger: bool,
@@ -189,12 +194,13 @@ struct Parity {
     journal: bool,
 }
 
-/// Replay `stream` through a single-worker FIFO engine in the measured
-/// serve mode — with the event journal enabled — and assert two parities:
-/// the engine's ledger equals `sim`, `oreo-sim`'s sequential OREO run of
-/// the same stream under `config`, and replaying the journal's policy
-/// events ([`CostLedger::replay`]) reproduces the engine's ledger
-/// bit-for-bit. Writes the rendered decision trace to `trace`, if given.
+/// Replay `stream` through the engine's default configuration at
+/// [`CELL_WORKERS`] workers in the measured serve mode, in lockstep and
+/// with the event journal enabled, and assert two parities: the engine's
+/// ledger equals `sim`, the served-order `oreo-sim` run of the same stream
+/// under `config`, and replaying the journal's policy events
+/// ([`CostLedger::replay`]) reproduces the engine's ledger bit-for-bit.
+/// Writes the rendered decision trace to `trace`, if given.
 fn assert_parity(
     bundle: &DatasetBundle,
     stream: &QueryStream,
@@ -205,28 +211,30 @@ fn assert_parity(
 ) -> Parity {
     let mode = serve_mode(tiered, "parity");
     // Lifecycle spans cost ~5 events/query plus policy events; size the
-    // ring so a full FIFO replay never overwrites.
+    // ring so a full replay never overwrites.
     let journal_capacity = stream.queries.len() * 8 + 4096;
     let engine = Engine::start(
         Arc::clone(&bundle.table),
         default_spec(bundle, config.partitions, config.seed),
         make_generator(Technique::QdTree, bundle),
         config.clone(),
-        EngineConfig::sequential_parity()
+        EngineConfig::default()
+            .with_workers(CELL_WORKERS)
             .with_mode(mode.clone())
             .with_journal_capacity(journal_capacity),
     );
     for q in &stream.queries {
         engine.submit(q.clone());
+        engine.drain();
     }
-    engine.drain();
     let parity = engine.shutdown();
     cleanup(&mode);
     let ledger = parity.ledger == sim.ledger && parity.switches == sim.switches;
     println!(
-        "ledger parity vs oreo-sim sequential OREO ({} FIFO): {} (engine total {:.2}, \
-         sim total {:.2}, switches {} / {})",
+        "ledger parity vs oreo-sim served-order OREO ({}, {} workers, lockstep): {} (engine \
+         total {:.2}, sim total {:.2}, switches {} / {})",
         parity.mode.label(),
+        parity.workers,
         if ledger { "EXACT" } else { "MISMATCH" },
         parity.ledger.total(),
         sim.ledger.total(),
@@ -235,7 +243,7 @@ fn assert_parity(
     );
     assert!(
         ledger,
-        "single-threaded engine ledger must replay oreo-sim exactly"
+        "the lockstep engine's ledger must replay oreo-sim's served order exactly"
     );
     let replayed = CostLedger::replay(&parity.events);
     let journal = parity.events_dropped == 0 && replayed == parity.ledger;
@@ -278,8 +286,8 @@ fn cell_fields(elapsed: f64, stats: &EngineStats, tiered: bool) -> Vec<(&'static
     vec![
         ("elapsed_s", Json::from(elapsed)),
         ("qps_total", Json::from(stats.queries as f64 / elapsed)),
-        ("p50_us", Json::from(stats.latency.p50_us)),
-        ("p99_us", Json::from(stats.latency.p99_us)),
+        ("p50_us", Json::from(stats.latency.p50)),
+        ("p99_us", Json::from(stats.latency.p99)),
         ("switches", Json::from(stats.switches)),
         ("reorgs_completed", Json::from(stats.snapshots_published)),
         ("mean_delta_queries", opt(stats.mean_delta_queries())),
@@ -310,8 +318,8 @@ fn main() {
     }
 }
 
-/// The TPC-H drift stream: FIFO ledger and journal-replay parity, then one
-/// measured cell.
+/// The TPC-H drift stream: lockstep ledger and journal-replay parity, then
+/// one measured cell.
 fn run_default(scale: Scale, tiered: bool, json_path: Option<PathBuf>, obs: &ObsFlags) {
     let queries = serving_queries(scale);
     let hw = std::thread::available_parallelism().map_or(0, |n| n.get());
@@ -332,7 +340,7 @@ fn run_default(scale: Scale, tiered: bool, json_path: Option<PathBuf>, obs: &Obs
     // Parity runs in the *same* serve mode as the measured cell, so the
     // check covers the tiered path too.
     let setup = PolicySetup::new(bundle.clone(), Technique::QdTree, config.clone());
-    let sim = run_policy(&mut setup.oreo(), &stream.queries, 0);
+    let sim = run_policy(&mut setup.served_order(), &stream.queries, 0);
     let parity = assert_parity(
         &bundle,
         &stream,
@@ -369,8 +377,8 @@ fn run_default(scale: Scale, tiered: bool, json_path: Option<PathBuf>, obs: &Obs
         "[cell] {CELL_WORKERS} workers: {} qps, p50 {} µs, p99 {} µs, {} switches, {} reorgs, \
          mean Δ = {} queries / {}s",
         fmt_f(stats.queries as f64 / elapsed, 0),
-        fmt_f(stats.latency.p50_us, 0),
-        fmt_f(stats.latency.p99_us, 0),
+        fmt_f(stats.latency.p50, 0),
+        fmt_f(stats.latency.p99, 0),
         stats.switches,
         stats.snapshots_published,
         stats
@@ -418,9 +426,9 @@ fn run_default(scale: Scale, tiered: bool, json_path: Option<PathBuf>, obs: &Obs
 }
 
 /// The whole zoo: per scenario, the simulator comparison (OREO vs Static;
-/// the 2·H(n) offline-DP bound for the adversary) and the FIFO engine's
-/// parity with the simulator's OREO run. Asserts the zoo's regression
-/// claims and writes `BENCH_scenarios.json`.
+/// the 2·H(n) offline-DP bound for the adversary) and the lockstep engine's
+/// parity with the simulator's served-order OREO run. Asserts the zoo's
+/// regression claims and writes `BENCH_scenarios.json`.
 fn run_suite(scale: Scale, tiered: bool, json_path: Option<PathBuf>) {
     let seed = 3;
     let queries = suite_queries(scale);
@@ -471,7 +479,8 @@ fn run_suite(scale: Scale, tiered: bool, json_path: Option<PathBuf>) {
             ((oreo_total - static_total) / static_total * 100.0).abs(),
             oreo_run.switches,
         );
-        let parity = assert_parity(&bundle, &stream, &config, &oreo_run, tiered, None);
+        let served = run_policy(&mut setup.served_order(), &stream.queries, 0);
+        let parity = assert_parity(&bundle, &stream, &config, &served, tiered, None);
 
         if let Some(b) = &bound {
             println!(
@@ -544,7 +553,7 @@ fn run_suite(scale: Scale, tiered: bool, json_path: Option<PathBuf>) {
     write_json_report(&path, &doc);
 
     // The zoo's two regression claims, asserted so a run of this mode gates
-    // on them (FIFO parity is asserted per scenario above).
+    // on them (engine parity is asserted per scenario above).
     assert!(
         bound_failure.is_none(),
         "2·H(n) adversarial bound violated: {}",
@@ -556,7 +565,7 @@ fn run_suite(scale: Scale, tiered: bool, json_path: Option<PathBuf>) {
     );
     println!(
         "suite ok: 2·H(n) bound holds on the adversary; OREO beats Static on all {} \
-         non-adversarial scenarios; FIFO engine parity EXACT on all {}",
+         non-adversarial scenarios; lockstep engine parity EXACT on all {}",
         Scenario::ALL.len() - 1,
         Scenario::ALL.len(),
     );
@@ -574,7 +583,7 @@ fn multitenant_queries(scale: Scale) -> usize {
 
 /// Framework config for the *quiet* co-tenants of `--tenants` mode.
 /// Candidate generation runs on the serving path (it is part of the
-/// framework's modeled cost; on a worker's own time in the measured-Δ
+/// framework's modeled cost; on a worker's own time in the measured
 /// cell, with the tenant's stream held a quarter interval past the
 /// boundary), and one generation pass costs
 /// tens of milliseconds — if a quiet tenant regenerates every 100 queries,
@@ -593,7 +602,7 @@ fn multitenant_config(seed: u64) -> OreoConfig {
 }
 
 /// One tenant of the multi-tenant harness: its own table, framework
-/// config, zoo stream, and sim setup (for the per-tenant parity oracle).
+/// config and zoo stream.
 struct TenantCase {
     name: String,
     scenario: Scenario,
@@ -636,8 +645,8 @@ const MT_INFLIGHT: usize = 4;
 /// interleaved (each tenant firing every [`TenantCase::stride`] rounds),
 /// drain, and return (elapsed, stats). `closed_loop` bounds each tenant
 /// to its [`TenantCase::inflight`] outstanding queries (the measured
-/// cell); the parity replay runs open-loop — bookkeeping order is all
-/// that matters there.
+/// cell); otherwise the run is the parity replay, in lockstep: each query
+/// is submitted once the engine has drained the one before.
 fn run_multitenant_cell(
     cases: &[TenantCase],
     config: EngineConfig,
@@ -665,6 +674,7 @@ fn run_multitenant_cell(
                     inflight[t].push_back(engine.submit_tracked_to(t, q.clone()));
                 } else {
                     engine.submit_to(t, q.clone());
+                    engine.drain();
                 }
             }
         }
@@ -687,9 +697,9 @@ fn tenant_json(case: &TenantCase, ten: &TenantStats, elapsed: f64, tiered: bool)
         ("scenario", Json::from(case.scenario.name())),
         ("queries", Json::from(ten.queries)),
         ("qps", Json::from(ten.queries as f64 / elapsed)),
-        ("p50_us", Json::from(ten.latency.p50_us)),
-        ("p99_us", Json::from(ten.latency.p99_us)),
-        ("mean_us", Json::from(ten.latency.mean_us)),
+        ("p50_us", Json::from(ten.latency.p50)),
+        ("p99_us", Json::from(ten.latency.p99)),
+        ("mean_us", Json::from(ten.latency.mean)),
         (
             "pool_hit_rate",
             if tiered {
@@ -706,8 +716,8 @@ fn tenant_json(case: &TenantCase, ten: &TenantStats, elapsed: f64, tiered: bool)
 
 /// The multi-tenant harness (`--tenants N`): one adversarial tenant +
 /// N−1 quiet co-tenants behind one engine. Asserts per-tenant ledger
-/// parity against independent `oreo-sim` runs and measures one
-/// closed-loop cell.
+/// parity against independent served-order `oreo-sim` runs and measures
+/// one closed-loop cell.
 fn run_multitenant(
     n: usize,
     scale: Scale,
@@ -802,21 +812,24 @@ fn run_multitenant(
         })
         .collect();
 
-    // Per-tenant FIFO ledger parity: the N-tenant engine's interleaved
-    // stream must leave every tenant's ledger byte-identical to an
-    // independent sequential `oreo-sim` run of that tenant's substream —
-    // co-tenancy changes the serving plane, never the bookkeeping.
+    // Per-tenant ledger parity: the N-tenant engine's interleaved stream,
+    // driven in lockstep on the default configuration, must leave every
+    // tenant's ledger byte-identical to an independent served-order
+    // `oreo-sim` run of that tenant's substream — co-tenancy changes the
+    // serving plane, never the bookkeeping.
     let parity_mode = serve_mode(tiered, "mt-parity");
     let (_, parity) = run_multitenant_cell(
         &cases,
-        EngineConfig::sequential_parity().with_mode(parity_mode.clone()),
+        EngineConfig::default()
+            .with_workers(CELL_WORKERS)
+            .with_mode(parity_mode.clone()),
         false,
     );
     cleanup(&parity_mode);
     let mut parity_ok = true;
     for (case, ten) in cases.iter().zip(&parity.tenants) {
         let setup = PolicySetup::new(case.bundle.clone(), Technique::QdTree, case.config.clone());
-        let sim = run_policy(&mut setup.oreo(), &case.stream.queries, 0);
+        let sim = run_policy(&mut setup.served_order(), &case.stream.queries, 0);
         let matches = ten.ledger == sim.ledger && ten.switches == sim.switches;
         parity_ok &= matches;
         println!(
@@ -831,7 +844,8 @@ fn run_multitenant(
     }
     assert!(
         parity_ok,
-        "every tenant of the N-tenant engine must replay its independent oreo-sim run exactly"
+        "every tenant of the N-tenant engine must replay its independent served-order oreo-sim \
+         run exactly"
     );
     println!();
 
@@ -858,8 +872,8 @@ fn run_multitenant(
              {} reorgs, total cost {:.1}{}",
             ten.name,
             fmt_f(ten.queries as f64 / elapsed, 0),
-            fmt_f(ten.latency.p50_us, 0),
-            fmt_f(ten.latency.p99_us, 0),
+            fmt_f(ten.latency.p50, 0),
+            fmt_f(ten.latency.p99, 0),
             ten.switches,
             ten.snapshots_published,
             ten.ledger.total(),

@@ -12,7 +12,7 @@
 //! | `fig6_epsilon`     | Fig. 6 — effect of the admission threshold ε |
 //! | `table1_alpha`     | Table I — physically measured α on the disk substrate |
 //! | `table2_ablations` | Table II — γ, SW/RS/SW+RS, and reorganization delay Δ |
-//! | `serve_throughput` | Beyond the paper — asserted FIFO ledger and journal-replay parity with `oreo-sim`, one measured engine cell (qps, p50/p99, Δ, α̂), the workload-zoo suite and the multi-tenant harness |
+//! | `serve_throughput` | Beyond the paper — asserted lockstep ledger and journal-replay parity with `oreo-sim`, one measured engine cell (qps, p50/p99, Δ, α̂), the workload-zoo suite and the multi-tenant harness |
 //! | `dynamization`     | Beyond the paper — measured write amplification vs the k-binomial bound |
 //!
 //! Run with `--quick` for a reduced-scale pass (fewer queries); the default

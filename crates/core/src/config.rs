@@ -33,7 +33,9 @@ pub struct OreoConfig {
     /// Optional cap on the dynamic state-space size.
     pub max_states: Option<usize>,
     /// Reorganization delay Δ in queries: the physical layout switch takes
-    /// effect this many queries after the decision (§VI-D5).
+    /// effect this many queries after the decision (§VI-D5). The simulator's
+    /// [`crate::Oreo::observe`] applies it; the serving engine ignores it,
+    /// because there a switch lands when its rebuilt snapshot publishes.
     pub reorg_delay: u64,
     /// Master RNG seed.
     pub seed: u64,

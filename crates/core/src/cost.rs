@@ -74,7 +74,7 @@ impl CostLedger {
     /// [`EventKind::QueryObserved`] replays `add_query(service_cost)`, in
     /// journal order. `Oreo` emits those events at the exact ledger
     /// operation sites (under whatever lock serializes the framework), so
-    /// for a sequential FIFO run the replay reproduces the live ledger
+    /// for one framework's run the replay reproduces the live ledger
     /// **bit-for-bit** — f64 addition order included. That turns ledger
     /// parity from one end-of-run equality into an auditable event
     /// stream: any divergence pinpoints the first mis-accounted event.

@@ -6,21 +6,39 @@
 //!
 //! 1. a worker pins the current [`TableSnapshot`] and scans it — the only
 //!    expensive phase, and it runs with **no lock held**;
-//! 2. the worker feeds the query to [`oreo_core::Oreo::observe`] (or its
-//!    capture/step/settle pieces in measured-Δ mode) under the core mutex,
-//!    so D-UMTS and layout-manager bookkeeping stay *identical* to the
-//!    sequential simulator;
+//! 2. the worker feeds the query to [`oreo_core::Oreo`]'s capture, step and
+//!    settle pieces under the core mutex, so D-UMTS and layout-manager
+//!    bookkeeping run the same code as the sequential simulator;
 //! 3. a switch decision is handed to the reorganizer thread, which
 //!    materializes the target layout aside and atomically publishes it —
 //!    queries keep running on the old snapshot for the whole window, which
-//!    is exactly the paper's reorganization delay Δ, now measured;
-//! 4. in measured-Δ mode a generation boundary only *captures* its inputs
-//!    under the core mutex. The worker that hit it finishes the batch,
-//!    fulfils its results, and then builds and costs the candidate layout
-//!    with no lock held, re-taking the mutex for the O(states) admission
-//!    ([`DelaySemantics::Measured`]). The mutex is held for bookkeeping,
-//!    never for a qd-tree; what a query can wait for is an admission, once
-//!    its tenant's stream is a quarter interval past the boundary.
+//!    is exactly the paper's reorganization delay Δ, now measured: the
+//!    logical switch lands when the snapshot publishes
+//!    ([`oreo_core::Oreo::complete_reorg_with`]), and the engine ignores
+//!    `OreoConfig::reorg_delay`;
+//! 4. a generation boundary only *captures* its inputs under the core
+//!    mutex. The worker that hit it finishes the batch, fulfils its results,
+//!    and then builds and costs the candidate layout with no lock held,
+//!    re-taking the mutex for the O(states) admission. The mutex is held for
+//!    bookkeeping, never for a qd-tree. D-UMTS's 2·H(|S_max|) holds for
+//!    states that join at any point of the stream (Theorem IV.1), but the
+//!    cost it is competitive *with* is lower the sooner a candidate joins,
+//!    so a tenant's stream may run at most a quarter of a generation
+//!    interval past a boundary whose candidate is still being built: a
+//!    worker that would take it further answers the rest of its batch and
+//!    then waits — holding no lock — for the admission. The bound is in
+//!    queries, not in time, so a slow host changes latencies and never
+//!    which states the policy sees. One construction runs per engine at a
+//!    time. Only past [`ADMISSION_GUARD`] (a generator that does not
+//!    return) do queries flow again; a boundary that fires then replaces
+//!    its tenant's waiting task (latest wins, the older one is counted
+//!    superseded).
+//!
+//! Driven in lockstep — each query submitted once [`Engine::drain`] has
+//! returned for the previous one — the engine runs each query's capture →
+//! step → settle, then its boundary's admission, then the landing of the
+//! switch it decided: the *served order* `oreo_sim::ServedOrderPolicy`
+//! replays, so on any worker count the ledger equals that replay exactly.
 //!
 //! # One OREO per tenant
 //!
@@ -36,14 +54,14 @@
 //! ([`Engine::start`]) is the N = 1 case.
 
 use crate::ingest::{build_fold_snapshot, FoldBuild, IngestState};
-use crate::metrics::{as_micros_u64, LatencyStats};
+use crate::metrics::as_micros_u64;
 use crate::queue::ShardedQueue;
 use crate::reorg::{materialize, ReorgRequest, ReorgWindow};
 use oreo_core::{AlphaEstimator, CandidateTask, CostLedger, ManagerStats, Oreo, OreoConfig};
 use oreo_layout::{LayoutGenerator, SharedSpec};
 use oreo_obs::{
-    Counter, Event, EventKind, EventSink, Gauge, Histogram, Journal, NullSink, Registry,
-    ReorgPhaseKind, SnapshotWriter,
+    Counter, Event, EventKind, EventSink, Gauge, Histogram, HistogramStats, Journal, NullSink,
+    Registry, ReorgPhaseKind, SnapshotWriter,
 };
 use oreo_query::Query;
 use oreo_storage::{
@@ -58,7 +76,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Fault guard on the run-ahead bound ([`DelaySemantics::Measured`]): a
+/// Fault guard on the run-ahead bound (see the [module docs](self)): a
 /// boundary whose candidate is still not admitted this long after its
 /// capture stops holding its tenant's stream back, so a generator that
 /// never returns costs a tenant its adaptation, not its service. It is not
@@ -67,37 +85,6 @@ use std::time::{Duration, Instant};
 /// query it lets through is counted in `core.admission_overruns`, which
 /// the test suite and the benchmark runs expect to read 0.
 pub const ADMISSION_GUARD: Duration = Duration::from_secs(2);
-
-/// When does the *logical* (cost-accounted) layout switch land?
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DelaySemantics {
-    /// The sequential simulator's semantics: Δ = `OreoConfig::reorg_delay`
-    /// queries after the decision, regardless of the physical build. Gives
-    /// exact ledger parity with `oreo-sim` on the same stream.
-    Configured,
-    /// Background work lands when it actually completes. Δ is measured:
-    /// the switch lands when the background reorganization publishes its
-    /// snapshot. And a generation boundary's candidate joins the state
-    /// space when it has been built: the boundary captures its inputs
-    /// under the core mutex (`Oreo::capture`), the worker that hit it
-    /// answers its batch first and then builds, costs and ε-tests the
-    /// candidate with no lock held, and re-takes the mutex only to admit
-    /// (`Oreo::admit`, O(states)). D-UMTS's 2·H(|S_max|) holds for states
-    /// that join at any point of the stream (Theorem IV.1), but the cost it
-    /// is competitive *with* is lower the sooner a candidate joins, so the
-    /// stream may run at most a quarter of a generation interval past a
-    /// boundary whose candidate is still being built: a worker that would
-    /// take it further answers the rest of its batch and then waits —
-    /// holding no lock — for the admission. The bound is in queries, not in
-    /// time, so a slow host changes latencies and never which states the
-    /// policy sees. One construction runs per engine at a time. Only past
-    /// [`ADMISSION_GUARD`] (a generator that does not return) do queries
-    /// flow again; a boundary that fires then replaces its tenant's waiting
-    /// task (latest wins, the older one is counted superseded). The engine's
-    /// default.
-    #[default]
-    Measured,
-}
 
 /// Where snapshots live between publishes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -190,8 +177,6 @@ pub struct EngineConfig {
     /// Max queries a worker claims per queue pop (bookkeeping is one core
     /// lock per batch).
     pub batch: usize,
-    /// Logical switch semantics.
-    pub delay: DelaySemantics,
     /// Snapshot persistence: memory-only or disk-tiered.
     pub mode: ServeMode,
     /// Buffer-pool capacity for [`ServeMode::Tiered`] scans, in bytes.
@@ -208,7 +193,6 @@ impl Default for EngineConfig {
         Self {
             workers: 4,
             batch: 16,
-            delay: DelaySemantics::Measured,
             mode: ServeMode::Memory,
             buffer_pool_bytes: oreo_storage::bufpool::DEFAULT_CAPACITY_BYTES,
             obs: ObsConfig::default(),
@@ -217,16 +201,6 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Configuration whose bookkeeping replays the sequential simulator
-    /// exactly: one worker, one FIFO shard, configured Δ.
-    pub fn sequential_parity() -> Self {
-        Self {
-            workers: 1,
-            delay: DelaySemantics::Configured,
-            ..Self::default()
-        }
-    }
-
     /// Sets the worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -533,9 +507,9 @@ struct Tenant {
     cell: SnapshotCell,
     /// The tenant's disk tier, in [`ServeMode::Tiered`] runs.
     tiered: Option<TieredStore>,
-    /// The tenant's generation boundaries awaiting admission (measured-Δ
-    /// mode; see [`construct_candidates`]). Filled under the core mutex,
-    /// emptied with no other lock held.
+    /// The tenant's generation boundaries awaiting admission (see
+    /// [`construct_candidates`]). Filled under the core mutex, emptied with
+    /// no other lock held.
     boundaries: Mutex<Boundaries>,
     /// Notified when one of `boundaries` is admitted.
     admitted: Condvar,
@@ -685,6 +659,21 @@ struct CoreGuard<'a> {
 }
 
 impl Shared {
+    /// Nothing in flight (see [`Engine::drain`]). A query's boundary is
+    /// captured and its switch counted before the `Release` increment of
+    /// `completed` that this `Acquire` load pairs with, so both are seen
+    /// once the query is; a switch's window is counted after it lands.
+    fn quiescent(&self) -> bool {
+        let idle = |ten: &Tenant| {
+            let b = ten.boundaries.lock().expect("boundaries poisoned");
+            b.oldest().is_none()
+        };
+        let m = &self.metrics;
+        self.completed.load(Ordering::Acquire) >= self.submitted.load(Ordering::Relaxed)
+            && self.tenants.iter().all(idle)
+            && m.reorg_windows.get() >= m.switches.get()
+    }
+
     /// Take the core mutex, recording the wait in `core.lock_wait_us`.
     /// Lock order is ingest → core → a tenant's `boundaries`.
     fn lock_core(&self) -> CoreGuard<'_> {
@@ -729,9 +718,9 @@ pub struct TenantStats {
     pub name: String,
     /// Queries fully served for this tenant.
     pub queries: u64,
-    /// Per-query service latency summary for this tenant. In a
+    /// Per-query service latency summary for this tenant, in µs. In a
     /// single-tenant run this is the aggregate histogram.
-    pub latency: LatencyStats,
+    pub latency: HistogramStats,
     /// The tenant's own D-UMTS cost ledger.
     pub ledger: CostLedger,
     /// Switch decisions this tenant's instance made.
@@ -787,8 +776,9 @@ pub struct EngineStats {
     pub elapsed: Duration,
     /// Queries per second over `elapsed`.
     pub qps: f64,
-    /// Per-query service latency summary (worker pickup → completion).
-    pub latency: LatencyStats,
+    /// Per-query service latency summary (worker pickup → completion), in
+    /// µs.
+    pub latency: HistogramStats,
     /// The bookkeeping core's cost ledger (identical semantics to the
     /// sequential simulator).
     pub ledger: CostLedger,
@@ -895,9 +885,9 @@ pub struct EngineStats {
     /// |S_max| of the competitive bound.
     pub max_states_seen: usize,
     /// The drained event journal, seq-ordered (empty unless
-    /// [`ObsConfig::journal_capacity`] was set). For a sequential FIFO
-    /// run, `CostLedger::replay(&events)` reproduces [`Self::ledger`]
-    /// bit-for-bit.
+    /// [`ObsConfig::journal_capacity`] was set). For a single-tenant run,
+    /// on any number of workers, `CostLedger::replay(&events)` reproduces
+    /// [`Self::ledger`] bit-for-bit.
     pub events: Vec<Event>,
     /// Events the journal overwrote because a ring filled. Replay parity
     /// requires 0.
@@ -1422,21 +1412,21 @@ impl Engine {
         self.shared.tenants[0].cell.pin().live_rows()
     }
 
-    /// Block until every submitted query has completed. Background work
-    /// those queries set off — a reorganization, the construction of the
-    /// last boundary's candidate — may still be in flight (see
-    /// [`Engine::snapshots_published`]; [`Engine::shutdown`] waits for both).
+    /// Block until the engine is quiescent: every submitted query has
+    /// completed, no tenant has a generation boundary waiting or building,
+    /// and every decided switch has landed. An engine driven in lockstep —
+    /// submit one query, then `drain` — thus runs the served order of the
+    /// [module docs](self). It never takes the core mutex, so it adds no
+    /// samples to `core.lock_wait_us` or `core.lock_hold_us`.
     pub fn drain(&self) {
-        let mut guard = self.shared.drain_lock.lock().expect("drain poisoned");
-        while self.shared.completed.load(Ordering::Acquire)
-            < self.shared.submitted.load(Ordering::Relaxed)
-        {
-            let (g, _) = self
-                .shared
+        let shared = &self.shared;
+        let mut guard = shared.drain_lock.lock().expect("drain poisoned");
+        while !shared.quiescent() {
+            guard = shared
                 .drain_cv
                 .wait_timeout(guard, Duration::from_millis(1))
-                .expect("drain poisoned");
-            guard = g;
+                .expect("drain poisoned")
+                .0;
         }
     }
 
@@ -1471,12 +1461,6 @@ impl Engine {
     /// Queries fully served so far.
     pub fn completed(&self) -> u64 {
         self.shared.completed.load(Ordering::Relaxed)
-    }
-
-    /// Snapshots published by the reorganizer so far, across
-    /// all tenants (a quiesce signal for tests and parity harnesses).
-    pub fn snapshots_published(&self) -> u64 {
-        self.shared.metrics.snapshots_published.get()
     }
 
     /// Stop accepting work, wait for the pipeline (workers + reorganizer)
@@ -1584,7 +1568,7 @@ impl Engine {
                 TenantStats {
                     name: ten.name.clone(),
                     queries: tm.queries_completed.get(),
-                    latency: LatencyStats::from_histogram(&tm.latency_us),
+                    latency: tm.latency_us.stats(),
                     ledger: *oreo.ledger(),
                     switches: oreo.switches(),
                     manager: oreo.manager_stats(),
@@ -1612,7 +1596,7 @@ impl Engine {
             } else {
                 0.0
             },
-            latency: LatencyStats::from_histogram(&m.latency_us),
+            latency: m.latency_us.stats(),
             ledger: total_ledger(&core),
             switches: tenants.iter().map(|t| t.switches).sum(),
             manager: first.manager_stats(),
@@ -1803,9 +1787,9 @@ fn worker_loop(shared: &Shared, home: usize, reorg_tx: Sender<ReorgRequest>) {
             scanned.push((job, picked, scan, snapshot.layout(), snapshot.epoch()));
         }
 
-        // Phases 2–4 once for the whole batch, unless measured-Δ
-        // bookkeeping holds part of it back at a run-ahead bound: then
-        // again for that part, once the admission it waits for is in.
+        // Phases 2–4 once for the whole batch, unless the bookkeeping
+        // holds part of it back at a run-ahead bound: then again for that
+        // part, once the admission it waits for is in.
         while !scanned.is_empty() {
             scanned = serve_scanned(shared, scanned, &reorg_tx);
             if let Some((job, ..)) = scanned.first() {
@@ -1821,15 +1805,14 @@ type Scanned = (Job, Instant, SnapshotScan, LayoutId, u64);
 
 /// Phases 2–4 of [`worker_loop`] for one batch of scanned queries. Returns
 /// the queries it held back, in order: those whose tenant's stream is a full
-/// run-ahead allowance past a boundary still awaiting admission
-/// ([`DelaySemantics::Measured`]). Everything else is answered, and a
-/// boundary this batch captured is built, before it returns.
+/// run-ahead allowance past a boundary still awaiting admission. Everything
+/// else is answered, and a boundary this batch captured is built, before it
+/// returns.
 fn serve_scanned(
     shared: &Shared,
     scanned: Vec<Scanned>,
     reorg_tx: &Sender<ReorgRequest>,
 ) -> Vec<Scanned> {
-    let measured = shared.config.delay == DelaySemantics::Measured;
     let mut held = Vec::new();
     // Phase 2 — bookkeeping for the whole batch under one core lock.
     // Each query flows through its own tenant's OREO instance, so the
@@ -1844,38 +1827,32 @@ fn serve_scanned(
             // `observed` moves under this lock only, so the bound is
             // exact: no stream is ever further past a pending boundary
             // than its allowance.
-            if measured && ten.holds_back(shared) {
+            if ten.holds_back(shared) {
                 held.push((job, picked, scan, served_layout, served_epoch));
                 continue;
             }
             touched[tenant_index] = true;
             let oreo = &mut core[tenant_index];
-            let report = match shared.config.delay {
-                DelaySemantics::Configured => oreo.observe(&job.query),
-                DelaySemantics::Measured => {
-                    // `Oreo::decide` without its build: a boundary's
-                    // task waits with the tenant until this batch is
-                    // answered (`construct_candidates`). Latest wins: a
-                    // task it replaces (fault guard only) is never built.
-                    let (mut r, task) = oreo.capture(&job.query);
-                    if let Some(task) = task {
-                        let stamp = Stamp {
-                            at: Instant::now(),
-                            observed: ten.observed.load(Ordering::Relaxed),
-                        };
-                        let mut b = ten.boundaries.lock().expect("boundaries poisoned");
-                        if let Some((stale, _)) = b.waiting.replace((task, stamp)) {
-                            oreo.discard(stale);
-                            for m in metric_views(shared, ten) {
-                                m.candidates_superseded.inc();
-                            }
-                        }
+            // `Oreo::decide` without its build: a boundary's task waits
+            // with the tenant until this batch is answered
+            // (`construct_candidates`). Latest wins: a task it replaces
+            // (fault guard only) is never built.
+            let (mut report, task) = oreo.capture(&job.query);
+            if let Some(task) = task {
+                let stamp = Stamp {
+                    at: Instant::now(),
+                    observed: ten.observed.load(Ordering::Relaxed),
+                };
+                let mut b = ten.boundaries.lock().expect("boundaries poisoned");
+                if let Some((stale, _)) = b.waiting.replace((task, stamp)) {
+                    oreo.discard(stale);
+                    for m in metric_views(shared, ten) {
+                        m.candidates_superseded.inc();
                     }
-                    oreo.step(&job.query, &mut r);
-                    oreo.settle(&job.query, &mut r);
-                    r
                 }
-            };
+            }
+            oreo.step(&job.query, &mut report);
+            oreo.settle(&job.query, &mut report);
             let observed_now = ten.observed.fetch_add(1, Ordering::Relaxed) + 1;
             if let Some(target) = report.reorg_decision {
                 for m in metric_views(shared, ten) {
@@ -1964,9 +1941,7 @@ fn serve_scanned(
     shared.drain_cv.notify_all();
 
     // Phase 4 — candidate construction, after the batch is answered.
-    if measured {
-        construct_candidates(shared);
-    }
+    construct_candidates(shared);
     held
 }
 
@@ -1996,8 +1971,8 @@ fn await_admission(shared: &Shared, ten: &Tenant) {
 
 /// Build, cost and admit every waiting generation boundary, on the calling
 /// worker's thread: the construct and admit steps of `Oreo::decide`, which
-/// measured-Δ bookkeeping left out. Construction holds no lock; admission
-/// takes the core mutex for O(states) work.
+/// the bookkeeping under the core mutex left out. Construction holds no
+/// lock; admission takes the core mutex for O(states) work.
 ///
 /// At most one worker constructs at a time — a second would only admit
 /// candidates fitted to older windows later — and it does not return to the
@@ -2047,13 +2022,14 @@ fn build_waiting(shared: &Shared, tenant_index: usize) -> bool {
         m.candidates_built.inc();
         m.candidate_lag_queries.record(admission.lag_queries);
     }
+    shared.drain_cv.notify_all();
     true
 }
 
 /// The reorganizer, run on the `oreo-reorg` thread: switch decisions
 /// execute one at a time in the order the workers sent them, which is the
 /// order each tenant's `Oreo::pending` expects. It exits once every worker
-/// has, so measured-Δ runs always drain `Oreo::pending`.
+/// has, so a run always drains `Oreo::pending`.
 fn reorg_loop(shared: &Shared, rx: &Receiver<ReorgRequest>) -> ReorgOutcome {
     let mut windows = Vec::new();
     let mut tiered_errors = Vec::new();
@@ -2269,8 +2245,7 @@ fn execute_reorg(
         m.snapshots_published.inc();
     }
     set_fleet_gauge(shared, ten, |m| &m.table_bytes, snapshot_bytes as f64);
-    let measured = shared.config.delay == DelaySemantics::Measured;
-    if measured || merged.is_some() {
+    {
         let mut core = shared.lock_core();
         let oreo = &mut core[tenant_index];
         if let Some((table, _)) = merged {
@@ -2284,9 +2259,7 @@ fn execute_reorg(
                 oreo.charge_compaction(alpha * folded_rows as f64 / live as f64, folded_rows);
             }
         }
-        if measured {
-            oreo.complete_reorg_with(req.target, Some(exact));
-        }
+        oreo.complete_reorg_with(req.target, Some(exact));
     }
     let queries_during = ten
         .observed
@@ -2297,6 +2270,7 @@ fn execute_reorg(
         m.reorg_build_ns.add(as_nanos_u64(build));
         m.reorg_delta_queries.add(queries_during);
     }
+    shared.drain_cv.notify_all();
     ReorgWindow {
         tenant: ten.name.clone(),
         target: req.target,

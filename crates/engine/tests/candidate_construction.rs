@@ -1,4 +1,4 @@
-//! Candidate construction off the core mutex (measured-Δ serving).
+//! Candidate construction off the core mutex.
 //!
 //! A generation boundary captures its inputs under the lock; the worker
 //! that hit it builds, costs and ε-tests the candidate with no lock held
@@ -9,10 +9,12 @@
 //! burst client adapts as a sequential one does, past the fault guard a
 //! boundary that fires meanwhile supersedes the waiting one, no boundary is
 //! dropped, and the ledger stays conserved. The synchronous composition
-//! (`Oreo::decide`) must equal the pieces.
+//! (`Oreo::decide`) must equal the pieces. One test makes builds merely
+//! slow, with a generator that sleeps, to check that `Engine::drain` waits
+//! for them; nothing there depends on how long the sleep is.
 
 use oreo_core::{CandidateSource, CostLedger, Oreo, OreoConfig};
-use oreo_engine::{DelaySemantics, Engine, EngineConfig, EngineStats, IngestOp};
+use oreo_engine::{Engine, EngineConfig, EngineStats, IngestOp};
 use oreo_layout::{LayoutGenerator, QdTreeGenerator, RangeLayout, SharedSpec};
 use oreo_obs::{EventSink, Journal, Registry};
 use oreo_query::{ColumnType, Query, QueryBuilder, Scalar, Schema};
@@ -64,14 +66,6 @@ fn config() -> OreoConfig {
         data_sample_rows: 800,
         partitions: 16,
         seed: 11,
-        ..Default::default()
-    }
-}
-
-fn measured(workers: usize) -> EngineConfig {
-    EngineConfig {
-        workers,
-        delay: DelaySemantics::Measured,
         ..Default::default()
     }
 }
@@ -163,7 +157,7 @@ fn candidate_construction_does_not_hold_the_core_lock() {
         generation_interval: interval as u64,
         ..config()
     };
-    let engine = start_with(&t, generator, oreo, measured(2));
+    let engine = start_with(&t, generator, oreo, EngineConfig::default().with_workers(2));
     let registry = Arc::clone(engine.registry());
     let waits = registry.histogram("core.admission_wait_us");
 
@@ -221,7 +215,7 @@ fn two_boundaries_during_one_build_supersede() {
     let engine = start(
         &t,
         Arc::clone(&generator) as Arc<dyn LayoutGenerator>,
-        measured(2),
+        EngineConfig::default().with_workers(2),
     );
     let registry = Arc::clone(engine.registry());
 
@@ -339,11 +333,13 @@ fn sentinel_batch(base: i64) -> Vec<IngestOp> {
         .collect()
 }
 
-/// Everything the conservation test reads from one measured-Δ run.
+/// Everything the conservation test reads from one run.
 fn conservation_run(workers: usize) -> (EngineStats, f64, u64, u64) {
     let t = table(3000);
     let queries = drifting_queries(&t, 600);
-    let cfg = measured(workers).with_journal_capacity(1 << 14);
+    let cfg = EngineConfig::default()
+        .with_workers(workers)
+        .with_journal_capacity(1 << 14);
     let engine = start(&t, Arc::new(QdTreeGenerator::new()), cfg);
     let registry = Arc::clone(engine.registry());
     let mut handles = Vec::with_capacity(queries.len());
@@ -366,7 +362,7 @@ fn conservation_run(workers: usize) -> (EngineStats, f64, u64, u64) {
     (stats, served, built, superseded)
 }
 
-/// (d) Measured-Δ conservation with deferred admission, on 2 and 4 workers.
+/// (d) Conservation with deferred admission, on 2 and 4 workers.
 #[test]
 fn measured_mode_conserves_costs_with_deferred_admission() {
     for workers in [2, 4] {
@@ -417,7 +413,11 @@ fn measured_mode_conserves_costs_with_deferred_admission() {
 fn one_worker_constructs_inline_and_drains() {
     let t = table(3000);
     let queries = drifting_queries(&t, 300);
-    let engine = start(&t, Arc::new(QdTreeGenerator::new()), measured(1));
+    let engine = start(
+        &t,
+        Arc::new(QdTreeGenerator::new()),
+        EngineConfig::default().with_workers(1),
+    );
     let registry = Arc::clone(engine.registry());
     for q in &queries {
         engine.submit(q.clone());
@@ -436,4 +436,51 @@ fn one_worker_constructs_inline_and_drains() {
     assert_eq!(registry.histogram("core.admission_wait_us").count(), 0);
     assert_eq!(counter(&registry, "core.admission_overruns"), 0);
     assert!(stats.manager.admitted >= 1);
+}
+
+/// A qd-tree generator that sleeps inside `generate`: a slow build.
+struct SlowGenerator(QdTreeGenerator);
+
+impl LayoutGenerator for SlowGenerator {
+    fn name(&self) -> &str {
+        "slow-qdtree"
+    }
+
+    fn generate(
+        &self,
+        sample: &Table,
+        workload: &[Query],
+        k: usize,
+        rng: &mut StdRng,
+    ) -> SharedSpec {
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        self.0.generate(sample, workload, k, rng)
+    }
+}
+
+/// (f) `Engine::drain` returns only once the background work its queries
+/// set off is done: the last boundary's candidates are admitted and every
+/// decided switch has landed, however long a build takes.
+#[test]
+fn drain_waits_for_admissions_and_landings() {
+    let t = table(3000);
+    let queries = drifting_queries(&t, 300);
+    let generator = Arc::new(SlowGenerator(QdTreeGenerator::new()));
+    let engine = start(&t, generator, EngineConfig::default().with_workers(2));
+    let registry = Arc::clone(engine.registry());
+    for q in &queries {
+        engine.submit(q.clone());
+    }
+    engine.drain();
+    // The stream's last query is its sixth boundary.
+    assert_eq!(
+        counter(&registry, "core.candidates_built"),
+        (300 / INTERVAL) as u64
+    );
+    let switches = counter(&registry, "reorg.switches");
+    assert!(switches >= 1, "stream never decided a switch");
+    assert_eq!(counter(&registry, "reorg.snapshots_published"), switches);
+    assert_eq!(counter(&registry, "reorg.windows"), switches);
+    let stats = engine.shutdown();
+    assert_eq!(stats.manager.superseded, 0);
 }

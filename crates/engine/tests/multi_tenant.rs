@@ -16,7 +16,6 @@ use oreo_query::{ColumnType, Query, QueryBuilder, Scalar, Schema};
 use oreo_storage::{IngestOp, Table, TableBuilder};
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 fn table(kind: u64, n: i64) -> Arc<Table> {
     let schema = Arc::new(Schema::from_pairs([
@@ -74,25 +73,17 @@ enum Op {
     Ingest(Vec<IngestOp>),
 }
 
-/// Drive `script` through `engine` in lockstep: each query completes (and,
-/// if it decided a switch, the switch *publishes*) before the next op
-/// runs. The quiesce after every decision is what makes fold contents —
-/// and therefore compaction charges — deterministic, so the interleaved
-/// run is byte-comparable to the per-tenant oracles.
+/// Drive `script` through `engine` in lockstep: each query completes, and
+/// the candidates it set off are admitted and the switch it decided lands,
+/// before the next op runs. The quiesce after every query is what makes
+/// fold contents — and therefore compaction charges — deterministic, so the
+/// interleaved run is byte-comparable to the per-tenant oracles.
 fn drive(engine: &Engine, script: &[(usize, Op)]) {
-    let mut switches = 0u64;
     for (tenant, op) in script {
         match op {
             Op::Query(q) => {
-                let out = engine.submit_tracked_to(*tenant, q.clone()).wait();
-                if out.decision.is_some() {
-                    switches += 1;
-                    let deadline = Instant::now() + Duration::from_secs(30);
-                    while engine.snapshots_published() < switches {
-                        assert!(Instant::now() < deadline, "decided switch never published");
-                        std::thread::sleep(Duration::from_micros(100));
-                    }
-                }
+                engine.submit_to(*tenant, q.clone());
+                engine.drain();
             }
             Op::Ingest(ops) => {
                 engine.ingest_to(*tenant, ops).expect("ingest accepted");
@@ -114,7 +105,6 @@ fn run_solo(t: &Arc<Table>, oreo: OreoConfig, config: EngineConfig, ops: &[Op]) 
     );
     let script: Vec<(usize, Op)> = ops.iter().map(|op| (0, op.clone())).collect();
     drive(&engine, &script);
-    engine.drain();
     engine.shutdown()
 }
 
@@ -188,24 +178,26 @@ fn parity_case(trace: &[(u8, u8, u16)], tiered: bool) {
     let names = ["alpha", "beta"];
     let (config, root) = if tiered {
         let root = tmproot("parity");
-        (EngineConfig::sequential_parity().tiered(&root), Some(root))
+        (
+            EngineConfig::default().with_workers(2).tiered(&root),
+            Some(root),
+        )
     } else {
-        (EngineConfig::sequential_parity(), None)
+        (EngineConfig::default().with_workers(2), None)
     };
     let specs = (0..2)
         .map(|i| tenant_spec(names[i], &tables[i], oreo_config(17 + i as u64)))
         .collect();
     let engine = Engine::start_tenants(specs, config);
     drive(&engine, &script);
-    engine.drain();
     let multi = engine.shutdown();
     assert!(multi.tiered_errors.is_empty(), "{:?}", multi.tiered_errors);
     for i in 0..2 {
         let (solo_cfg, solo_root) = if tiered {
             let r = tmproot(names[i]);
-            (EngineConfig::sequential_parity().tiered(&r), Some(r))
+            (EngineConfig::default().with_workers(2).tiered(&r), Some(r))
         } else {
-            (EngineConfig::sequential_parity(), None)
+            (EngineConfig::default().with_workers(2), None)
         };
         let solo = run_solo(
             &tables[i],
@@ -290,7 +282,8 @@ fn three_tenants_fold_parity_and_namespaces_tiered() {
     let specs = (0..3)
         .map(|i| tenant_spec(names[i], &tables[i], oreo_config(29 + i as u64)))
         .collect();
-    let engine = Engine::start_tenants(specs, EngineConfig::sequential_parity().tiered(&root));
+    let engine =
+        Engine::start_tenants(specs, EngineConfig::default().with_workers(2).tiered(&root));
     // Tenant stores live under per-tenant subdirectories of one data dir.
     for name in names {
         assert!(
@@ -305,7 +298,6 @@ fn three_tenants_fold_parity_and_namespaces_tiered() {
         );
     }
     drive(&engine, &script);
-    engine.drain();
 
     // Per-tenant metric namespaces exist and agree with the aggregates.
     let snap = engine.registry().snapshot();
@@ -348,7 +340,7 @@ fn three_tenants_fold_parity_and_namespaces_tiered() {
         let solo = run_solo(
             &tables[i],
             oreo_config(29 + i as u64),
-            EngineConfig::sequential_parity().tiered(&solo_root),
+            EngineConfig::default().with_workers(2).tiered(&solo_root),
             &per_tenant[i],
         );
         assert_tenant_parity(&multi, i, &solo, "three-tenant tiered");
@@ -367,7 +359,7 @@ fn single_tenant_registry_schema_is_unchanged() {
         Arc::new(RangeLayout::from_sample(&t, 0, 8)),
         Arc::new(oreo_layout::QdTreeGenerator::new()),
         oreo_config(1),
-        EngineConfig::sequential_parity(),
+        EngineConfig::default().with_workers(2),
     );
     for i in 0..50i64 {
         let q = QueryBuilder::new(t.schema())
@@ -402,7 +394,8 @@ fn ingest_gauges_aggregate_as_fleet_sums() {
     let specs = (0..2)
         .map(|i| tenant_spec(names[i], &tables[i], oreo_config(61 + i as u64)))
         .collect();
-    let engine = Engine::start_tenants(specs, EngineConfig::sequential_parity().tiered(&root));
+    let engine =
+        Engine::start_tenants(specs, EngineConfig::default().with_workers(2).tiered(&root));
     let registry = Arc::clone(engine.registry());
     // Tenant 0 writes five batches, tenant 1 two — and writes last.
     for i in 0..5 {
@@ -449,7 +442,6 @@ fn ingest_gauges_aggregate_as_fleet_sums() {
         })
         .collect();
     drive(&engine, &script);
-    engine.drain();
     let wal_at_rest = wal_on_disk();
     let stats = engine.shutdown();
     assert!(stats.folds() >= 1, "tenant 0 never folded");
@@ -468,8 +460,8 @@ fn ingest_gauges_aggregate_as_fleet_sums() {
 /// the per-query scan accounting handed back in `QueryOutcome` sums to the
 /// `EngineStats` totals, and — where per-tenant fields exist — to the sum
 /// of `TenantStats`. Four workers, two tenants, tiered + pooled, with
-/// ingest in the mix so every summed field is non-zero. In the same default
-/// (measured-Δ) configuration every decided switch publishes, and the
+/// ingest in the mix so every summed field is non-zero. In the same run
+/// every decided switch publishes, and the
 /// reorganizer runs each tenant's switches in decision order.
 #[test]
 fn scan_accounting_is_conserved_across_workers_and_tenants() {
@@ -613,5 +605,5 @@ fn tenant_name_cannot_escape_the_tiered_root() {
         .into_iter()
         .map(|name| tenant_spec(name, &t, oreo_config(3)))
         .collect();
-    Engine::start_tenants(specs, EngineConfig::sequential_parity().tiered(&root));
+    Engine::start_tenants(specs, EngineConfig::default().with_workers(2).tiered(&root));
 }

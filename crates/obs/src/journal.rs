@@ -14,7 +14,7 @@
 //!   forever.
 //! * **Ordered.** Every event is stamped from one global atomic sequence
 //!   at emit time, so a drained journal sorts into a single total order —
-//!   which is what lets a FIFO run's policy events replay the
+//!   which is what lets a single-tenant run's policy events replay the
 //!   `CostLedger` bit-for-bit: events are emitted *under the core mutex*
 //!   at the exact ledger-operation sites, so seq order is ledger order.
 //! * **Low contention.** Threads are assigned round-robin to a small set

@@ -14,8 +14,8 @@
 //!   switch decisions with cost deltas, reorg window phases, pool
 //!   evictions, tiered degradations). Instrumented code holds an
 //!   `Arc<dyn EventSink>`; the [`NullSink`] makes instrumentation free
-//!   when disabled. A FIFO run's journal replays to exactly the
-//!   engine's `CostLedger`.
+//!   when disabled. A single-tenant run's journal replays to exactly
+//!   the engine's `CostLedger`, on any number of workers.
 //! * [`export`] — JSON / Prometheus-text renderings of a
 //!   [`MetricsSnapshot`], a [`SnapshotWriter`] for periodic JSONL
 //!   snapshot files, and [`render_trace`] for the human-readable

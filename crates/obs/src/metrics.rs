@@ -349,21 +349,86 @@ mod tests {
         assert_eq!(h.quantile(0.5), 0.0);
     }
 
+    /// Nearest-rank percentile over an ascending-sorted slice: the exact
+    /// answer the streaming quantiles approximate.
+    fn nearest_rank(sorted: &[u64], p: f64) -> f64 {
+        let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1] as f64
+    }
+
     #[test]
-    fn merge_equals_concatenated_recording() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let both = Histogram::new();
-        for v in [1u64, 7, 31, 32, 900, 1_000_000] {
-            a.record(v);
-            both.record(v);
+    fn percentiles_are_nearest_rank() {
+        let s: Vec<u64> = (1..=100).collect();
+        assert_eq!(nearest_rank(&s, 0.50), 50.0);
+        assert_eq!(nearest_rank(&s, 0.95), 95.0);
+        assert_eq!(nearest_rank(&s, 0.99), 99.0);
+        assert_eq!(nearest_rank(&s, 1.0), 100.0);
+    }
+
+    #[test]
+    fn single_sample_is_every_percentile() {
+        // 42 lands in a width-2 bucket, [42, 43], whose midpoint is 42.
+        let h = Histogram::new();
+        h.record(42);
+        let s = h.stats();
+        assert_eq!((s.p50, s.p95, s.p99), (42.0, 42.0, 42.0));
+        assert_eq!((s.min, s.max, s.mean), (42, 42, 42.0));
+    }
+
+    /// Mixed-magnitude latency samples: microseconds spanning the exact
+    /// range through multi-second outliers.
+    fn samples_strategy() -> impl proptest::strategy::Strategy<Value = Vec<u64>> {
+        proptest::collection::vec(0u64..5_000_000, 1..400)
+    }
+
+    proptest::proptest! {
+        // Log-bucketed p50/p95/p99 stay within one bucket's relative error
+        // of the exact sorted-sample answer; count, mean and max are exact.
+        #[test]
+        fn histogram_percentiles_match_oracle(samples in samples_strategy()) {
+            let mut sorted = samples;
+            let h = Histogram::new();
+            for &v in &sorted {
+                h.record(v);
+            }
+            sorted.sort_unstable();
+            let s = h.stats();
+            let sum: u64 = sorted.iter().sum();
+            proptest::prop_assert_eq!(s.count, sorted.len() as u64);
+            proptest::prop_assert!((s.mean - sum as f64 / sorted.len() as f64).abs() < 1e-6);
+            proptest::prop_assert_eq!(s.max, *sorted.last().expect("non-empty"));
+            for (got, p) in [(s.p50, 0.50), (s.p95, 0.95), (s.p99, 0.99)] {
+                let exact = nearest_rank(&sorted, p);
+                proptest::prop_assert!(
+                    (got - exact).abs() <= exact * RELATIVE_ERROR + 1e-9,
+                    "histogram {} vs exact {} at p{}", got, exact, p
+                );
+            }
         }
-        for v in [0u64, 5, 64, 70_000, 900, u64::MAX] {
-            b.record(v);
-            both.record(v);
+
+        // Merging two histograms equals histogramming the concatenation —
+        // the guarantee that lets per-worker histograms fold into one
+        // summary.
+        #[test]
+        fn merge_equals_concatenation(
+            a in samples_strategy(),
+            b in samples_strategy(),
+        ) {
+            let ha = Histogram::new();
+            for &v in &a {
+                ha.record(v);
+            }
+            let hb = Histogram::new();
+            for &v in &b {
+                hb.record(v);
+            }
+            ha.merge(&hb);
+            let concat = Histogram::new();
+            for &v in a.iter().chain(&b) {
+                concat.record(v);
+            }
+            proptest::prop_assert_eq!(ha.stats(), concat.stats());
+            proptest::prop_assert_eq!(ha.bucket_counts(), concat.bucket_counts());
         }
-        a.merge(&b);
-        assert_eq!(a.bucket_counts(), both.bucket_counts());
-        assert_eq!(a.stats(), both.stats());
     }
 }

@@ -7,7 +7,8 @@
 //! * [`policies`] — Static, Greedy, Regret, OREO, MTS-Optimal and
 //!   Offline-Optimal implementations. Greedy and Regret draw their
 //!   candidates from OREO's own `LayoutManager` (§VI-A3: all online methods
-//!   see the same candidates);
+//!   see the same candidates). [`ServedOrderPolicy`] feeds OREO in the
+//!   serving engine's order, the reference of every engine ledger parity;
 //! * [`mutable`] — the row-level mutable oracle the live-ingestion
 //!   equivalence tests compare delta-aware scans against;
 //! * [`offline_dp`] — the *true* offline UMTS optimum by dynamic
@@ -28,8 +29,8 @@ pub mod zoo;
 pub use mutable::MutableOracle;
 pub use offline_dp::{offline_optimum, OfflineOptimum};
 pub use policies::{
-    GreedyPolicy, MtsOptimalPolicy, OfflineTemplatePolicy, OreoPolicy, RegretPolicy, StaticPolicy,
-    TemplateLayouts,
+    GreedyPolicy, MtsOptimalPolicy, OfflineTemplatePolicy, OreoPolicy, RegretPolicy,
+    ServedOrderPolicy, StaticPolicy, TemplateLayouts,
 };
 pub use policy::{run_policy, ReorgPolicy, RunResult, StepCost};
 pub use report::{fmt_f, fmt_pct_change, AsciiTable};
@@ -51,7 +52,8 @@ mod tests {
     // absorb ~α of cost before every switch), so *no* tuning of γ/ε could
     // make OREO beat the fully-informed Static baseline there. At the
     // paper's segment-length-to-α ratio (§VI-A3: 1 500-query segments,
-    // α=80) the narrative holds with a wide margin; see ROADMAP.md.
+    // α=80) the narrative holds with a wide margin; the header of
+    // `tests/policy_ordering.rs` records the finding.
 
     /// Theorem IV.1 empirically: the classic algorithm's expected cost is
     /// within 2(1 + ln n)·OPT + O(α) of the DP optimum on oblivious random

@@ -4,7 +4,7 @@
 use crate::policies::greedy::GreedyPolicy;
 use crate::policies::mts_optimal::MtsOptimalPolicy;
 use crate::policies::offline_template::OfflineTemplatePolicy;
-use crate::policies::oreo_adapter::OreoPolicy;
+use crate::policies::oreo_adapter::{OreoPolicy, ServedOrderPolicy};
 use crate::policies::regret::RegretPolicy;
 use crate::policies::static_layout::StaticPolicy;
 use crate::policies::templates::TemplateLayouts;
@@ -98,6 +98,12 @@ impl PolicySetup {
             self.generator(),
             self.config.clone(),
         )
+    }
+
+    /// The OREO policy fed in the serving engine's order (see
+    /// [`ServedOrderPolicy`]).
+    pub fn served_order(&self) -> ServedOrderPolicy {
+        ServedOrderPolicy::from(self.oreo())
     }
 
     /// What Greedy and Regret share: OREO's candidate producer over the

@@ -12,8 +12,8 @@
 //! The configuration mirrors `serve_throughput --quick --scenario suite`
 //! exactly (α = 80, 64 partitions, 100-query candidate cadence, 1 500-query
 //! zoo phases), so a failure here reproduces under the bench binary and vice
-//! versa. The binary asserts the same two claims, and also the FIFO
-//! engine's ledger parity with these OREO runs on every scenario.
+//! versa. The binary asserts the same two claims, and also the lockstep
+//! engine's ledger parity with served-order OREO runs on every scenario.
 
 #![cfg(not(debug_assertions))]
 

@@ -9,8 +9,8 @@
 //! cargo test --release -p oreo-sim --test policy_ordering
 //! ```
 //!
-//! Configuration notes (the outcome of the tuning investigation tracked in
-//! ROADMAP.md): the narrative needs the paper's segment-length-to-α ratio.
+//! Configuration notes (the outcome of a tuning investigation): the
+//! narrative needs the paper's segment-length-to-α ratio.
 //! The evaluation setup (§VI-A3) drifts every ~1 500 queries with α=80 —
 //! D-UMTS must absorb ~α of service cost on its counters before each
 //! switch, so segments only a few multiples of α long (like the previous

@@ -339,7 +339,8 @@ pub(crate) fn word_bits(word: u64, base: usize) -> impl Iterator<Item = usize> {
 // Partition files (format version 2) persist their pruning metadata in the
 // footer so a store can reopen header-only: row counts, ranges, and
 // distinct sets come from a few hundred footer bytes instead of a full
-// decode of every partition (the ROADMAP-flagged double decode at restart).
+// decode of every partition: without them, opening a store decoded every
+// partition just to rebuild its metadata, and its scans decoded it again.
 
 const SCALAR_INT: u8 = 0;
 const SCALAR_FLOAT: u8 = 1;

@@ -104,7 +104,8 @@ impl LayoutOracle for RotorOracle {
 /// Zoo stream parameters. Phase lengths are derived from
 /// [`ScenarioConfig::total_queries`] so segments stay long enough to
 /// amortize α at the paper's ratio (§VI-A3: ~1 500 queries per segment at
-/// α = 80; see the `policy_ordering` investigation in ROADMAP.md).
+/// α = 80; the header of `oreo-sim`'s `tests/policy_ordering.rs` records
+/// the investigation).
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioConfig {
     /// Total queries in the generated stream.

@@ -29,19 +29,15 @@ fn main() {
         ..Default::default()
     };
 
-    // Boot the engine: 4 scan workers, background reorganizer on, measured
-    // delay semantics (the logical switch lands when the rebuilt snapshot
-    // is published, not after a configured number of queries).
+    // Boot the engine: 4 scan workers, background reorganizer on. Δ is
+    // measured: the logical switch lands when the rebuilt snapshot is
+    // published, not after a configured number of queries.
     let engine = Engine::start(
         Arc::clone(&bundle.table),
         default_spec(&bundle, config.partitions, config.seed),
         make_generator(Technique::QdTree, &bundle),
         config,
-        EngineConfig {
-            workers: 4,
-            delay: DelaySemantics::Measured,
-            ..Default::default()
-        },
+        EngineConfig::default().with_workers(4),
     );
 
     // Feed the stream from this thread (any number of threads may submit).
@@ -75,11 +71,11 @@ fn main() {
     );
     println!(
         "latency: p50 {:.0} µs, p99 {:.0} µs",
-        stats.latency.p50_us, stats.latency.p99_us
+        stats.latency.p50, stats.latency.p99
     );
     println!(
-        "ledger: query cost {:.1}, reorg cost {:.1} ({} switches) — identical to the \
-         sequential simulator's accounting",
+        "ledger: query cost {:.1}, reorg cost {:.1} ({} switches) — the simulator's \
+         accounting code, run in the order the engine served",
         stats.ledger.query_cost, stats.ledger.reorg_cost, stats.switches
     );
     for w in &stats.windows {

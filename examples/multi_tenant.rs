@@ -2,9 +2,10 @@
 //! worker pool, one shared buffer pool, one reorganizer running every
 //! tenant's layout switches in decision order.
 //!
-//! Each tenant keeps its own OREO instance (§VIII), so its cost ledger is
-//! byte-identical to what a dedicated single-tenant engine (or the
-//! sequential simulator) would have produced on the same substream.
+//! Each tenant keeps its own OREO instance (§VIII), so co-tenants never
+//! touch its bookkeeping: driven in lockstep, its cost ledger is
+//! byte-identical to a dedicated single-tenant engine's, or `oreo-sim`'s
+//! served-order run, on the same substream.
 //!
 //! ```sh
 //! cargo run --release --example multi_tenant
@@ -90,14 +91,13 @@ fn main() {
             "  {:>10}: {} queries, p50 {:.0} µs, p99 {:.0} µs, {} switches ({} published)",
             ten.name,
             ten.queries,
-            ten.latency.p50_us,
-            ten.latency.p99_us,
+            ten.latency.p50,
+            ten.latency.p99,
             ten.switches,
             ten.snapshots_published,
         );
         println!(
-            "  {:>10}  ledger: query {:.1} + reorg {:.1} = {:.1} — exactly what a solo run \
-             would bill",
+            "  {:>10}  ledger: query {:.1} + reorg {:.1} = {:.1} — billed by its own OREO",
             "",
             ten.ledger.query_cost,
             ten.ledger.reorg_cost,

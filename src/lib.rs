@@ -80,9 +80,7 @@ pub use oreo_workload as workload;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use oreo_core::{CostLedger, Dumts, DumtsConfig, Oreo, OreoConfig, TransitionPolicy};
-    pub use oreo_engine::{
-        DelaySemantics, Engine, EngineConfig, EngineStats, TenantSpec, TenantStats,
-    };
+    pub use oreo_engine::{Engine, EngineConfig, EngineStats, TenantSpec, TenantStats};
     pub use oreo_layout::{
         LayoutGenerator, LayoutSpec, QdTreeGenerator, RangeGenerator, RangeLayout, ZOrderGenerator,
     };

@@ -4,7 +4,7 @@
 //! *what* they return or *what* the bookkeeping decides.
 
 use oreo::core::OreoConfig;
-use oreo::engine::{DelaySemantics, Engine, EngineConfig};
+use oreo::engine::{Engine, EngineConfig};
 use oreo::sim::{default_spec, make_generator, run_policy, PolicySetup, Technique};
 use oreo::storage::{SnapshotCell, TableSnapshot, TieredStore};
 use oreo::workload::{tpch_bundle, StreamConfig};
@@ -23,10 +23,10 @@ fn config(seed: u64) -> OreoConfig {
     }
 }
 
-/// The concurrent engine on a fixed single-threaded FIFO stream produces
-/// *exactly* the ledger and switch decisions of `oreo-sim`'s sequential
-/// OREO policy — concurrency changes the serving plane, never the
-/// bookkeeping (the PR's acceptance criterion).
+/// The default engine on two workers, driven in lockstep over a fixed
+/// stream, produces *exactly* the ledger, switch decisions, final layouts
+/// and state-space peak of `oreo-sim`'s served-order OREO — concurrency
+/// changes the serving plane, never the bookkeeping.
 #[test]
 fn engine_ledger_matches_sequential_sim_on_fixed_stream() {
     let seed = 3;
@@ -39,24 +39,29 @@ fn engine_ledger_matches_sequential_sim_on_fixed_stream() {
     });
 
     let setup = PolicySetup::new(bundle.clone(), Technique::QdTree, config(seed));
-    let mut sequential = setup.oreo();
-    let sim = run_policy(&mut sequential, &stream.queries, 0);
+    let mut reference = setup.served_order();
+    let sim = run_policy(&mut reference, &stream.queries, 0);
+    let reference = reference.framework();
 
     let engine = Engine::start(
         Arc::clone(&bundle.table),
         default_spec(&bundle, config(seed).partitions, seed),
         make_generator(Technique::QdTree, &bundle),
         config(seed),
-        EngineConfig::sequential_parity(),
+        EngineConfig::default().with_workers(2),
     );
     for q in &stream.queries {
         engine.submit(q.clone());
+        engine.drain();
     }
-    engine.drain();
     let stats = engine.shutdown();
 
     assert_eq!(stats.ledger, sim.ledger, "ledger diverged from oreo-sim");
     assert_eq!(stats.switches, sim.switches, "switch decisions diverged");
+    assert!(stats.switches >= 1, "stream never reorganized");
+    assert_eq!(stats.final_physical, reference.physical_layout());
+    assert_eq!(stats.final_logical, reference.logical_layout());
+    assert_eq!(stats.max_states_seen, reference.max_states_seen());
     assert_eq!(stats.queries, 600);
 
     // PR 9 regression: with ingestion never invoked, the write path is
@@ -94,7 +99,6 @@ fn concurrent_scans_during_reorg_return_sequential_row_sets() {
         EngineConfig {
             workers: 4,
             batch: 8,
-            delay: DelaySemantics::Measured,
             ..Default::default()
         },
     );
@@ -133,8 +137,8 @@ fn concurrent_scans_during_reorg_return_sequential_row_sets() {
 
 /// Disk-tiered serving changes *where* snapshots live (every publish
 /// commits a `gen-N/` directory before the pointer swap), not *what* the
-/// bookkeeping decides: a single-worker tiered FIFO engine replays
-/// `oreo-sim`'s ledger decisions exactly, while the same run also measures
+/// bookkeeping decides: the tiered default engine, driven in lockstep,
+/// replays `oreo-sim`'s served-order ledger exactly, while the same run also measures
 /// the rewrite's byte/wall-clock bill (the empirical α inputs) and
 /// recovers its last committed generation after a restart.
 #[test]
@@ -149,8 +153,7 @@ fn tiered_engine_replays_sim_ledger_and_recovers_generation() {
     });
 
     let setup = PolicySetup::new(bundle.clone(), Technique::QdTree, config(seed));
-    let mut sequential = setup.oreo();
-    let sim = run_policy(&mut sequential, &stream.queries, 0);
+    let sim = run_policy(&mut setup.served_order(), &stream.queries, 0);
 
     let root = std::env::temp_dir().join(format!("oreo-itest-tiered-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -159,15 +162,15 @@ fn tiered_engine_replays_sim_ledger_and_recovers_generation() {
         default_spec(&bundle, config(seed).partitions, seed),
         make_generator(Technique::QdTree, &bundle),
         config(seed),
-        EngineConfig::sequential_parity().tiered(&root),
+        EngineConfig::default().with_workers(2).tiered(&root),
     );
     for q in &stream.queries {
         engine.submit(q.clone());
+        engine.drain();
     }
-    engine.drain();
     let stats = engine.shutdown();
 
-    // the acceptance criterion: tiered FIFO replays the ledger exactly
+    // the acceptance criterion: the tiered engine replays the ledger exactly
     assert_eq!(stats.ledger, sim.ledger, "tiered ledger diverged");
     assert_eq!(stats.switches, sim.switches, "switch decisions diverged");
     assert_eq!(

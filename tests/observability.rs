@@ -1,7 +1,7 @@
 //! Workspace-level observability integration tests: the `oreo-obs` layer
 //! must *describe* a run without *changing* it. The event journal of a
-//! single-worker FIFO run replays to exactly the `CostLedger` the engine
-//! (and `oreo-sim`'s sequential OREO) computed — in memory mode and
+//! two-worker run driven in lockstep replays to exactly the `CostLedger`
+//! the engine (and `oreo-sim`'s served-order OREO) computed — in memory mode and
 //! through the disk tier — every query's lifecycle span is complete, and
 //! the metrics exporter streams JSONL snapshots with the documented
 //! schema and monotone counters.
@@ -37,8 +37,9 @@ fn workload(rows: usize, queries: usize) -> (DatasetBundle, QueryStream) {
     (bundle, stream)
 }
 
-/// A single-worker FIFO run with the journal sized so nothing is dropped.
-fn run_fifo(
+/// A two-worker run driven in lockstep, with the journal sized so nothing
+/// is dropped.
+fn run_lockstep(
     bundle: &DatasetBundle,
     stream: &QueryStream,
     seed: u64,
@@ -49,19 +50,20 @@ fn run_fifo(
         default_spec(bundle, config(seed).partitions, seed),
         make_generator(Technique::QdTree, bundle),
         config(seed),
-        EngineConfig::sequential_parity()
+        EngineConfig::default()
+            .with_workers(2)
             .with_mode(mode)
             .with_journal_capacity(stream.queries.len() * 8 + 4096),
     );
     for q in &stream.queries {
         engine.submit(q.clone());
+        engine.drain();
     }
-    engine.drain();
     engine.shutdown()
 }
 
 /// Replaying the journal's policy events reproduces the engine's ledger
-/// bit-for-bit, and that ledger is the sequential simulator's — the trace
+/// bit-for-bit, and that ledger is the served-order simulator's — the trace
 /// is a faithful record of the bookkeeping, not an approximation of it.
 fn assert_trace_parity(stats: &EngineStats, sim_ledger: &CostLedger, queries: u64) {
     assert_eq!(stats.events_dropped, 0, "journal sized for the run");
@@ -107,9 +109,9 @@ fn journal_replay_matches_sim_in_memory_mode() {
     let seed = 3;
     let (bundle, stream) = workload(4_000, 500);
     let setup = PolicySetup::new(bundle.clone(), Technique::QdTree, config(seed));
-    let sim = run_policy(&mut setup.oreo(), &stream.queries, 0);
+    let sim = run_policy(&mut setup.served_order(), &stream.queries, 0);
 
-    let stats = run_fifo(&bundle, &stream, seed, ServeMode::Memory);
+    let stats = run_lockstep(&bundle, &stream, seed, ServeMode::Memory);
     assert_trace_parity(&stats, &sim.ledger, 500);
 }
 
@@ -118,11 +120,11 @@ fn journal_replay_matches_sim_in_tiered_mode() {
     let seed = 3;
     let (bundle, stream) = workload(4_000, 500);
     let setup = PolicySetup::new(bundle.clone(), Technique::QdTree, config(seed));
-    let sim = run_policy(&mut setup.oreo(), &stream.queries, 0);
+    let sim = run_policy(&mut setup.served_order(), &stream.queries, 0);
 
     let root = std::env::temp_dir().join(format!("oreo-obs-tiered-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let stats = run_fifo(
+    let stats = run_lockstep(
         &bundle,
         &stream,
         seed,

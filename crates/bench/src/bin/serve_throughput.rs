@@ -2,7 +2,7 @@
 //! provide, and one measured serving cell.
 //!
 //! The default mode replays the TPC-H drift stream through `oreo-sim`'s
-//! served-order OREO ([`oreo_sim::ServedOrderPolicy`]) and through the engine's
+//! served-order OREO (`oreo_sim::Schedule::Served`) and through the engine's
 //! default configuration at two workers, driven in lockstep (each query
 //! submitted once the engine has drained the one before) with the event
 //! journal enabled, and asserts two parities: the engine's ledger equals
@@ -60,7 +60,7 @@ use oreo_engine::{
 use oreo_obs::render_trace;
 use oreo_sim::{
     adversarial_bound, compare_oreo_static, default_spec, fmt_f, make_generator, run_policy,
-    zoo_stream, PolicySetup, RunResult, Technique,
+    zoo_stream, PolicySetup, RunResult, Schedule, Technique,
 };
 use oreo_workload::{
     telemetry_bundle, tpch_bundle, DatasetBundle, QueryStream, Scenario, ScenarioConfig,
@@ -340,7 +340,7 @@ fn run_default(scale: Scale, tiered: bool, json_path: Option<PathBuf>, obs: &Obs
     // Parity runs in the *same* serve mode as the measured cell, so the
     // check covers the tiered path too.
     let setup = PolicySetup::new(bundle.clone(), Technique::QdTree, config.clone());
-    let sim = run_policy(&mut setup.served_order(), &stream.queries, 0);
+    let sim = run_policy(&mut setup.scheduled(Schedule::Served), &stream.queries, 0);
     let parity = assert_parity(
         &bundle,
         &stream,
@@ -479,7 +479,7 @@ fn run_suite(scale: Scale, tiered: bool, json_path: Option<PathBuf>) {
             ((oreo_total - static_total) / static_total * 100.0).abs(),
             oreo_run.switches,
         );
-        let served = run_policy(&mut setup.served_order(), &stream.queries, 0);
+        let served = run_policy(&mut setup.scheduled(Schedule::Served), &stream.queries, 0);
         let parity = assert_parity(&bundle, &stream, &config, &served, tiered, None);
 
         if let Some(b) = &bound {
@@ -829,7 +829,11 @@ fn run_multitenant(
     let mut parity_ok = true;
     for (case, ten) in cases.iter().zip(&parity.tenants) {
         let setup = PolicySetup::new(case.bundle.clone(), Technique::QdTree, case.config.clone());
-        let sim = run_policy(&mut setup.served_order(), &case.stream.queries, 0);
+        let sim = run_policy(
+            &mut setup.scheduled(Schedule::Served),
+            &case.stream.queries,
+            0,
+        );
         let matches = ten.ledger == sim.ledger && ten.switches == sim.switches;
         parity_ok &= matches;
         println!(

@@ -14,7 +14,7 @@
 
 use oreo_bench::common::{banner, check_args, default_config, make_stream, Scale};
 use oreo_core::CandidateSource;
-use oreo_sim::{fmt_f, fmt_pct_change, run_policy, AsciiTable, PolicySetup, Technique};
+use oreo_sim::{fmt_f, fmt_pct_change, run_policy, AsciiTable, PolicySetup, Schedule, Technique};
 use oreo_workload::all_bundles;
 
 struct Cell {
@@ -25,12 +25,13 @@ struct Cell {
 fn run_variant(
     bundle: &oreo_workload::DatasetBundle,
     stream: &oreo_workload::QueryStream,
+    delay: u64,
     mutate: impl FnOnce(&mut oreo_core::OreoConfig),
 ) -> Cell {
     let mut config = default_config(3);
     mutate(&mut config);
     let setup = PolicySetup::new(bundle.clone(), Technique::QdTree, config);
-    let mut oreo = setup.oreo();
+    let mut oreo = setup.scheduled(Schedule::Configured(delay));
     let r = run_policy(&mut oreo, &stream.queries, 0);
     Cell {
         query: r.ledger.query_cost,
@@ -58,7 +59,7 @@ fn main() {
         let cells: Vec<Cell> = bundles
             .iter()
             .zip(&streams)
-            .map(|(b, s)| run_variant(b, s, |c| c.gamma = gamma))
+            .map(|(b, s)| run_variant(b, s, 0, |c| c.gamma = gamma))
             .collect();
         let tag = if gamma == 1.0 { "*" } else { "" };
         rows.push((format!("γ={gamma:.0} {tag}").trim().to_string(), cells));
@@ -75,7 +76,7 @@ fn main() {
         let cells: Vec<Cell> = bundles
             .iter()
             .zip(&streams)
-            .map(|(b, s)| run_variant(b, s, |c| c.candidate_source = source))
+            .map(|(b, s)| run_variant(b, s, 0, |c| c.candidate_source = source))
             .collect();
         rows.push((label.to_string(), cells));
     }
@@ -92,7 +93,7 @@ fn main() {
         let cells: Vec<Cell> = bundles
             .iter()
             .zip(&streams)
-            .map(|(b, s)| run_variant(b, s, |c| c.reorg_delay = delta))
+            .map(|(b, s)| run_variant(b, s, delta, |_| {}))
             .collect();
         let tag = if delta == 0 { "*" } else { "" };
         rows.push((format!("Δ={delta} {tag}").trim().to_string(), cells));

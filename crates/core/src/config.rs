@@ -30,13 +30,6 @@ pub struct OreoConfig {
     pub data_sample_rows: usize,
     /// Workload-sample source for candidate generation (SW/RS/Both).
     pub candidate_source: CandidateSource,
-    /// Optional cap on the dynamic state-space size.
-    pub max_states: Option<usize>,
-    /// Reorganization delay Δ in queries: the physical layout switch takes
-    /// effect this many queries after the decision (§VI-D5). The simulator's
-    /// [`crate::Oreo::observe`] applies it; the serving engine ignores it,
-    /// because there a switch lands when its rebuilt snapshot publishes.
-    pub reorg_delay: u64,
     /// Master RNG seed.
     pub seed: u64,
 }
@@ -52,8 +45,6 @@ impl Default for OreoConfig {
             partitions: 32,
             data_sample_rows: 2000,
             candidate_source: CandidateSource::SlidingWindow,
-            max_states: None,
-            reorg_delay: 0,
             seed: 0,
         }
     }
@@ -88,7 +79,6 @@ impl OreoConfig {
             generation_interval: self.generation_interval,
             reservoir_capacity: self.window,
             source: self.candidate_source,
-            max_states: self.max_states,
             // decorrelate manager sampling from reorganizer transitions
             seed: self.seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1),
         }
@@ -118,12 +108,6 @@ impl OreoConfig {
         self
     }
 
-    /// Sets the reorganization delay Δ in queries.
-    pub fn with_delay(mut self, delay: u64) -> Self {
-        self.reorg_delay = delay;
-        self
-    }
-
     /// Sets the partition count k.
     pub fn with_partitions(mut self, k: usize) -> Self {
         self.partitions = k;
@@ -143,7 +127,6 @@ mod tests {
         assert_eq!(c.epsilon, 0.08);
         assert_eq!(c.gamma, 1.0);
         assert_eq!(c.window, 200);
-        assert_eq!(c.reorg_delay, 0);
         assert_eq!(c.candidate_source, CandidateSource::SlidingWindow);
         let d = c.dumts_config();
         assert!(d.stay_on_reset && d.mid_phase_admission);
@@ -163,12 +146,10 @@ mod tests {
             .with_alpha(10.0)
             .with_epsilon(0.2)
             .with_seed(9)
-            .with_delay(40)
             .with_partitions(16);
         assert_eq!(c.alpha, 10.0);
         assert_eq!(c.epsilon, 0.2);
         assert_eq!(c.seed, 9);
-        assert_eq!(c.reorg_delay, 40);
         assert_eq!(c.partitions, 16);
     }
 

@@ -127,7 +127,7 @@ pub struct Dumts {
     switches: u64,
     queries: u64,
     /// Largest |S| ever (the `|S_max|` of Theorem IV.1).
-    max_states: usize,
+    peak_states: usize,
     /// Externally supplied predictor scores (§IV-C's `p(s, S_A)`), e.g.
     /// skipped fractions measured on a recent query sample. When present
     /// they replace the last-phase weights in jump draws.
@@ -158,7 +158,7 @@ impl Dumts {
         }
         let ids: Vec<StateId> = states.keys().copied().collect();
         let current = ids[rand::Rng::random_range(&mut rng, 0..ids.len())];
-        let max_states = states.len();
+        let peak_states = states.len();
         Self {
             config,
             states,
@@ -167,7 +167,7 @@ impl Dumts {
             phases: 1,
             switches: 0,
             queries: 0,
-            max_states,
+            peak_states,
             external_weights: None,
         }
     }
@@ -226,7 +226,7 @@ impl Dumts {
 
     /// Largest state-set size seen (|S_max| in Theorem IV.1).
     pub fn max_states_seen(&self) -> usize {
-        self.max_states
+        self.peak_states
     }
 
     /// Add a state (Algorithm 4 lines 12–13). By default mid-phase
@@ -268,7 +268,7 @@ impl Dumts {
             }
         };
         self.states.insert(s, entry);
-        self.max_states = self.max_states.max(self.states.len());
+        self.peak_states = self.peak_states.max(self.states.len());
     }
 
     /// Install (or clear) external predictor scores for jump draws — the

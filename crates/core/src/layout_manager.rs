@@ -11,9 +11,6 @@
 //!    an R-TBS time-biased query sample and admit only if its normalized L1
 //!    distance to *every* existing state exceeds ε — keeping the state space
 //!    compact, which directly tightens the `2H(|S_max|)` competitive ratio.
-//! 3. **Pruning** (§V-B): optionally cap the state-space size, evicting the
-//!    member of the closest pair (never a protected state, e.g. the one the
-//!    system currently lives in).
 //!
 //! A generation boundary is three steps, and only the first and last touch
 //! the manager: [`LayoutManager::capture`] pushes the query into the samples
@@ -66,9 +63,6 @@ pub struct ManagerConfig {
     pub reservoir_capacity: usize,
     /// Workload sample source for candidate generation.
     pub source: CandidateSource,
-    /// Hard cap on the state-space size (`None` = unbounded; admission's ε
-    /// test already keeps it compact in practice).
-    pub max_states: Option<usize>,
     /// RNG seed (sampling + generator randomness).
     pub seed: u64,
 }
@@ -81,7 +75,6 @@ impl Default for ManagerConfig {
             generation_interval: 200,
             reservoir_capacity: 200,
             source: CandidateSource::SlidingWindow,
-            max_states: None,
             seed: 0,
         }
     }
@@ -110,15 +103,6 @@ impl std::fmt::Debug for ManagedLayout {
     }
 }
 
-/// State-space change notifications for the consumer (the REORGANIZER).
-#[derive(Clone, Debug, PartialEq)]
-pub enum ManagerEvent {
-    /// A layout was admitted into the state space.
-    Added(LayoutId),
-    /// A layout was evicted from the state space.
-    Removed(LayoutId),
-}
-
 /// Bookkeeping counters (Fig. 6 reports state-space size; the docs report
 /// admission rates).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -129,8 +113,6 @@ pub struct ManagerStats {
     pub admitted: u64,
     /// Candidates rejected as too close to an existing state.
     pub rejected: u64,
-    /// States evicted to respect the state-space cap.
-    pub pruned: u64,
     /// Generation boundaries whose [`CandidateTask`] a driver discarded
     /// unbuilt because a newer boundary fired first
     /// ([`LayoutManager::discard`]); always 0 under
@@ -268,7 +250,7 @@ pub struct Admission {
 /// for i in 0..100i64 {
 ///     let lo = (i * 9) % 900;
 ///     let q = QueryBuilder::new(&schema).between("v", lo, lo + 40).build();
-///     let _events = manager.observe(&q);
+///     let _admitted = manager.observe(&q);
 /// }
 /// assert!(manager.states().contains_key(&initial_id));
 /// assert!(manager.stats().generated > 0);
@@ -385,16 +367,14 @@ impl LayoutManager {
     }
 
     /// Observe one query: update samples; on generation boundaries, produce
-    /// candidates and run admission. Returns state-space change events.
+    /// candidates and run admission. Returns the layouts admitted.
     /// This is [`LayoutManager::capture`] → [`CandidateTask::build`] →
     /// [`LayoutManager::admit`] with nothing in between.
-    pub fn observe(&mut self, query: &Query) -> Vec<ManagerEvent> {
-        let Some(task) = self.capture(query) else {
-            return Vec::new();
-        };
-        let admission = self.admit(task.build());
-        let added = admission.admitted.into_iter();
-        added.map(ManagerEvent::Added).collect()
+    pub fn observe(&mut self, query: &Query) -> Vec<LayoutId> {
+        match self.capture(query) {
+            Some(task) => self.admit(task.build()).admitted,
+            None => Vec::new(),
+        }
     }
 
     /// The capture step: push `query` into the samples and, on a
@@ -491,52 +471,6 @@ impl LayoutManager {
         self.stats.superseded += 1;
     }
 
-    /// Enforce `max_states` by evicting members of the closest pairs
-    /// (never a protected id). Returns removal events to forward to the
-    /// REORGANIZER.
-    pub fn prune(&mut self, protected: &[LayoutId]) -> Vec<ManagerEvent> {
-        let mut events = Vec::new();
-        let Some(cap) = self.config.max_states else {
-            return events;
-        };
-        while self.states.len() > cap {
-            let sample = self.rtbs.to_vec();
-            let ids: Vec<LayoutId> = self.states.keys().copied().collect();
-            let vectors: BTreeMap<LayoutId, Vec<f64>> = ids
-                .iter()
-                .map(|&id| (id, self.states[&id].model.cost_vector(&sample)))
-                .collect();
-            // find the globally closest pair, evict its evictable member
-            let mut best: Option<(f64, LayoutId)> = None;
-            for (i, &a) in ids.iter().enumerate() {
-                for &b in &ids[i + 1..] {
-                    let d = cost_vector_distance(&vectors[&a], &vectors[&b]);
-                    // prefer evicting the newer (larger id) member; fall back
-                    // to the older if the newer is protected
-                    let victim = if !protected.contains(&b) {
-                        Some(b)
-                    } else if !protected.contains(&a) {
-                        Some(a)
-                    } else {
-                        None
-                    };
-                    if let Some(v) = victim {
-                        if best.is_none_or(|(bd, _)| d < bd) {
-                            best = Some((d, v));
-                        }
-                    }
-                }
-            }
-            let Some((_, victim)) = best else {
-                break; // everything is protected
-            };
-            self.states.remove(&victim);
-            self.stats.pruned += 1;
-            events.push(ManagerEvent::Removed(victim));
-        }
-        events
-    }
-
     /// The sliding window contents. The Greedy baseline weighs each
     /// boundary's candidates on it; the candidates themselves come from
     /// this manager too, so every online policy sees the same ones.
@@ -569,14 +503,13 @@ mod tests {
         b.finish()
     }
 
-    fn manager(epsilon: f64, max_states: Option<usize>) -> (LayoutManager, LayoutId, Table) {
+    fn manager(epsilon: f64) -> (LayoutManager, LayoutId, Table) {
         let t = table(2000);
         let initial = Arc::new(RangeLayout::from_sample(&t, 0, 8));
         let cfg = ManagerConfig {
             epsilon,
             window: 50,
             generation_interval: 50,
-            max_states,
             ..Default::default()
         };
         let (m, id) = LayoutManager::new(
@@ -598,14 +531,10 @@ mod tests {
 
     #[test]
     fn generates_on_interval_and_admits_useful_layouts() {
-        let (mut m, initial, t) = manager(0.05, None);
+        let (mut m, initial, t) = manager(0.05);
         let mut added = Vec::new();
         for i in 0..100 {
-            for e in m.observe(&a_query(&t, i % 10)) {
-                if let ManagerEvent::Added(id) = e {
-                    added.push(id);
-                }
-            }
+            added.extend(m.observe(&a_query(&t, i % 10)));
         }
         // two generation rounds; a qd-tree on `a` is very different from the
         // initial range-on-ts layout, so the first candidate is admitted
@@ -617,7 +546,7 @@ mod tests {
 
     #[test]
     fn duplicate_layouts_are_rejected() {
-        let (mut m, _, t) = manager(0.05, None);
+        let (mut m, _, t) = manager(0.05);
         // constant workload → generated qd-trees are identical; only the
         // first can be admitted
         for i in 0..500 {
@@ -633,36 +562,12 @@ mod tests {
 
     #[test]
     fn epsilon_one_admits_nothing() {
-        let (mut m, _, t) = manager(1.0, None);
+        let (mut m, _, t) = manager(1.0);
         for i in 0..300 {
             let _ = m.observe(&a_query(&t, i % 7));
         }
         assert_eq!(m.num_states(), 1, "ε=1 must reject everything");
         assert_eq!(m.stats().admitted, 0);
-    }
-
-    #[test]
-    fn prune_respects_protected_states() {
-        let (mut m, initial, t) = manager(0.0, Some(1));
-        // drift the workload to force several admissions
-        for i in 0..400i64 {
-            let q = QueryBuilder::new(t.schema())
-                .between(
-                    if i % 100 < 50 { "a" } else { "b" },
-                    (i * 3) % 500,
-                    (i * 3) % 500 + 150,
-                )
-                .build();
-            let _ = m.observe(&q);
-        }
-        let before = m.num_states();
-        let events = m.prune(&[initial]);
-        assert!(m.num_states() <= before);
-        assert_eq!(m.num_states(), 1, "cap of 1 must be enforced");
-        assert!(m.state(initial).is_some(), "protected state survived");
-        for e in events {
-            assert_ne!(e, ManagerEvent::Removed(initial));
-        }
     }
 
     #[test]

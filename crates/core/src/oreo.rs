@@ -7,9 +7,11 @@
 //!    layouts (forwarded to the reorganizer as state-add events);
 //! 2. steps the reorganizer with the *estimated* (metadata-only) costs of
 //!    all states — a switch decision charges α immediately;
-//! 3. applies the reorganization delay Δ: the *physical* layout changes only
-//!    Δ queries after the decision (queries keep running on the old layout
-//!    while background reorganization is in flight, §III-B/§VI-D5);
+//! 3. lands a decided switch on the *physical* layout only when its
+//!    reorganization completes ([`Oreo::complete_reorg`]): queries keep
+//!    running on the old layout while it is in flight, so when it lands —
+//!    the reorganization delay Δ of §III-B/§VI-D5 — is the driver's to
+//!    say;
 //! 4. charges the query's service cost against the physical layout's
 //!    *exact* (fully materialized) metadata — decisions use estimates, the
 //!    bill uses ground truth.
@@ -17,9 +19,7 @@
 use crate::config::OreoConfig;
 use crate::cost::CostLedger;
 use crate::dumts::Dumts;
-use crate::layout_manager::{
-    Admission, BuiltCandidates, CandidateTask, LayoutManager, ManagerEvent,
-};
+use crate::layout_manager::{Admission, BuiltCandidates, CandidateTask, LayoutManager};
 use oreo_layout::{build_exact_model, LayoutGenerator, SharedSpec};
 use oreo_obs::{EventKind, EventSink, NullSink};
 use oreo_query::Query;
@@ -35,15 +35,14 @@ pub struct StepReport {
     /// Service cost charged (fraction of table read on the physical layout).
     pub service_cost: f64,
     /// `Some(target)` when the reorganizer decided to switch this step
-    /// (α was charged now; the physical switch lands after Δ queries).
+    /// (α was charged now; the physical switch lands when
+    /// [`Oreo::complete_reorg`] is called for it).
     pub reorg_decision: Option<LayoutId>,
     /// The D-UMTS phase ended this step.
     pub phase_reset: bool,
     /// Layouts admitted to the state space this step.
     pub admitted: Vec<LayoutId>,
-    /// Layouts pruned from the state space this step.
-    pub removed: Vec<LayoutId>,
-    /// Layout queries physically run on (after delay handling).
+    /// Layout the query physically ran on.
     pub physical: LayoutId,
     /// The reorganizer's logical current state.
     pub logical: LayoutId,
@@ -101,12 +100,12 @@ pub struct Oreo {
     /// Routing specs per live state (needed to materialize on switch).
     specs: HashMap<LayoutId, SharedSpec>,
     /// Exact models, materialized lazily the first time a layout becomes
-    /// physical. Retained even for pruned states (cheap: metadata only).
+    /// physical.
     exact: HashMap<LayoutId, LayoutModel>,
     /// Layout the queries are physically served on.
     physical: LayoutId,
-    /// Pending switches: (effective sequence number, target layout).
-    pending: VecDeque<(u64, LayoutId)>,
+    /// Targets of decided switches that have not landed, in decision order.
+    pending: VecDeque<LayoutId>,
     ledger: CostLedger,
     seq: u64,
     /// Where policy events go. [`NullSink`] (the default) makes every
@@ -172,21 +171,29 @@ impl Oreo {
 
     /// Observe (and "run") one query, advancing the whole framework.
     ///
-    /// This is the sequential composition [`Oreo::decide`] →
-    /// [`Oreo::apply_due`] → [`Oreo::settle`]: switch decisions use the
-    /// *configured* delay Δ ([`OreoConfig::reorg_delay`]), landing
-    /// automatically Δ queries after the decision. A concurrent driver
-    /// (`oreo-engine`) calls the three halves itself so the physical switch
-    /// can instead land when its background reorganization actually
-    /// completes (measured Δ).
+    /// This is the order the serving engine (`oreo-engine`) runs a query in
+    /// when it is driven in lockstep: [`Oreo::capture`] → [`Oreo::step`] →
+    /// [`Oreo::settle`], then the admission of the boundary's candidates
+    /// ([`Oreo::admit`]), then the landing of the switch the query decided
+    /// ([`Oreo::complete_reorg`]). A boundary's candidates join after its
+    /// query is decided, and a switch lands right after the query that
+    /// decided it. Admission and landing commute: admitting reads neither
+    /// the physical layout nor the pending switches, and landing touches
+    /// neither the layout manager nor D-UMTS.
     pub fn observe(&mut self, query: &Query) -> StepReport {
-        let mut report = self.decide(query);
-        self.apply_due(report.seq);
+        let (mut report, task) = self.capture(query);
+        self.step(query, &mut report);
         self.settle(query, &mut report);
+        if let Some(task) = task {
+            report.admitted = self.admit(task.build()).admitted;
+        }
+        if let Some(target) = report.reorg_decision {
+            self.complete_reorg(target);
+        }
         report
     }
 
-    /// Decision half of [`Oreo::observe`]: advance the layout manager
+    /// Decide one query without settling it: advance the layout manager
     /// (sampling, candidate generation, ε-admission), refresh the
     /// sample-based predictor, and step the D-UMTS reorganizer. A switch
     /// decision charges α to the ledger immediately and enqueues the target
@@ -195,10 +202,9 @@ impl Oreo {
     /// This is [`Oreo::capture`] → [`CandidateTask::build`] →
     /// [`Oreo::admit`] → [`Oreo::step`] with nothing in between: a
     /// candidate exists before the query that triggered it is decided —
-    /// what the simulator, configured-Δ serving and every parity gate run.
-    /// A driver that must not build under its lock calls the pieces itself
-    /// and admits later; Theorem IV.1 holds for states that join at any
-    /// point of the stream.
+    /// what the simulator's figures run. [`Oreo::observe`] and the engine
+    /// admit after the step instead; Theorem IV.1 holds for states that
+    /// join at any point of the stream.
     pub fn decide(&mut self, query: &Query) -> StepReport {
         let (mut report, task) = self.capture(query);
         if let Some(task) = task {
@@ -208,7 +214,7 @@ impl Oreo {
         report
     }
 
-    /// Capture piece of [`Oreo::decide`]: assign the query its stream
+    /// Capture piece of [`Oreo::observe`]: assign the query its stream
     /// position and push it into the manager's samples. On a generation
     /// boundary the second value owns everything candidate construction
     /// reads; build it anywhere and hand the result to [`Oreo::admit`].
@@ -222,7 +228,7 @@ impl Oreo {
         (report, self.manager.capture(query))
     }
 
-    /// Admit piece of [`Oreo::decide`]: ε-test a boundary's built
+    /// Admit piece of [`Oreo::observe`]: ε-test a boundary's built
     /// candidates against the states live now, install the survivors in
     /// the manager and the reorganizer, and refresh the sample-based
     /// predictor (§IV-C: transition scores = skipped fraction on the
@@ -257,7 +263,7 @@ impl Oreo {
         self.manager.discard(task);
     }
 
-    /// Step piece of [`Oreo::decide`]: one D-UMTS step over the estimated
+    /// Step piece of [`Oreo::observe`]: one D-UMTS step over the estimated
     /// costs of the states live now.
     pub fn step(&mut self, query: &Query, report: &mut StepReport) {
         let seq = report.seq;
@@ -271,10 +277,9 @@ impl Oreo {
             self.sink.emit(EventKind::PhaseReset { stream_seq: seq });
         }
         if let Some(target) = outcome.switched_to {
-            // The decision pays α now; the physical swap lands after Δ.
+            // The decision pays α now; the physical swap lands later.
             self.ledger.add_reorg(self.config.alpha);
-            self.pending
-                .push_back((seq + self.config.reorg_delay, target));
+            self.pending.push_back(target);
             report.reorg_decision = Some(target);
             if self.sink.enabled() {
                 self.sink.emit(EventKind::SwitchDecided {
@@ -288,28 +293,13 @@ impl Oreo {
         }
     }
 
-    /// Land every pending switch whose configured delay has elapsed by
-    /// stream position `seq` (the sequential Δ semantics, §VI-D5).
-    pub fn apply_due(&mut self, seq: u64) {
-        while let Some(&(effective, target)) = self.pending.front() {
-            if effective > seq {
-                break;
-            }
-            self.pending.pop_front();
-            self.physical = target;
-            if self.sink.enabled() {
-                self.sink.emit(EventKind::ReorgApplied { target });
-            }
-        }
-    }
-
-    /// Land pending switches up to and including `target` *now*, regardless
-    /// of the configured delay — the measured-Δ path: a concurrent driver
-    /// calls this when its background reorganization toward `target` has
-    /// published. Pending switches are FIFO, so decisions that preceded
-    /// `target` (already superseded builds) land with it. Returns `true` if
-    /// `target` was pending; when it is not, the pending queue is left
-    /// untouched.
+    /// Land pending switches up to and including `target` *now*: a driver
+    /// calls this when its reorganization toward `target` has completed
+    /// (the engine when the snapshot publishes, the simulator when its
+    /// schedule says so). Pending switches are FIFO, so decisions that
+    /// preceded `target` (already superseded builds) land with it. Returns
+    /// `true` if `target` was pending; when it is not, the pending queue is
+    /// left untouched.
     pub fn complete_reorg(&mut self, target: LayoutId) -> bool {
         self.complete_reorg_with(target, None)
     }
@@ -321,14 +311,14 @@ impl Oreo {
     /// lazily would otherwise run a full-table routing pass under whatever
     /// lock serializes the framework.
     pub fn complete_reorg_with(&mut self, target: LayoutId, exact: Option<LayoutModel>) -> bool {
-        if !self.pending.iter().any(|&(_, t)| t == target) {
+        if !self.pending.contains(&target) {
             return false;
         }
         if let Some(model) = exact {
             debug_assert_eq!(model.id(), target, "exact model is for another layout");
             self.exact.entry(target).or_insert(model);
         }
-        while let Some((_, t)) = self.pending.pop_front() {
+        while let Some(t) = self.pending.pop_front() {
             self.physical = t;
             if self.sink.enabled() {
                 self.sink.emit(EventKind::ReorgApplied { target: t });
@@ -340,11 +330,9 @@ impl Oreo {
         true
     }
 
-    /// Settlement half of [`Oreo::observe`]: charge the query's service
-    /// cost against the physical layout's exact metadata and prune the
-    /// state space (protecting the current, physical, and pending states).
+    /// Settlement piece of [`Oreo::observe`]: charge the query's service
+    /// cost against the physical layout's exact metadata.
     pub fn settle(&mut self, query: &Query, report: &mut StepReport) {
-        // 4. Charge the service cost on the physical layout's exact model.
         let service = self.exact_model(self.physical).cost(query);
         self.ledger.add_query(service);
         report.service_cost = service;
@@ -357,28 +345,6 @@ impl Oreo {
                 logical,
                 counter: self.reorganizer.counter(logical).unwrap_or(0.0),
             });
-        }
-
-        // 5. Optional pruning, protecting the states the system depends on.
-        let mut protected = vec![self.reorganizer.current(), self.physical];
-        protected.extend(self.pending.iter().map(|&(_, t)| t));
-        for event in self.manager.prune(&protected) {
-            if let ManagerEvent::Removed(id) = event {
-                self.estimated.remove(&id);
-                self.specs.remove(&id);
-                let o = self.reorganizer.remove_state(id);
-                debug_assert!(
-                    o.switched_to.is_none(),
-                    "pruning never evicts the current state"
-                );
-                report.removed.push(id);
-                if self.sink.enabled() {
-                    self.sink.emit(EventKind::StateRemoved {
-                        stream_seq: report.seq,
-                        layout: id,
-                    });
-                }
-            }
         }
 
         report.physical = self.physical;
@@ -442,16 +408,10 @@ impl Oreo {
         &self.table
     }
 
-    /// Routing spec of a live (or pending/physical) state, if still known —
-    /// what a concurrent driver materializes a snapshot from.
+    /// Routing spec of a state in the state space — what a concurrent
+    /// driver materializes a snapshot from.
     pub fn spec(&self, id: LayoutId) -> Option<SharedSpec> {
         self.specs.get(&id).cloned()
-    }
-
-    /// Targets of decided switches whose physical reorganization has not
-    /// landed yet, in decision order.
-    pub fn pending_targets(&self) -> Vec<LayoutId> {
-        self.pending.iter().map(|&(_, t)| t).collect()
     }
 
     /// The layout queries are physically served on.
@@ -600,125 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn delay_defers_physical_switch() {
-        let t = table(2000);
-        let config = OreoConfig {
-            alpha: 3.0,
-            window: 30,
-            generation_interval: 30,
-            partitions: 8,
-            data_sample_rows: 500,
-            reorg_delay: 25,
-            ..Default::default()
-        };
-        let mut oreo = framework(&t, config);
-        let queries = drifting_queries(&t, 500);
-        let mut decision_seq = None;
-        let mut physical_change_seq = None;
-        let mut last_physical = oreo.physical_layout();
-        for q in &queries {
-            let r = oreo.observe(q);
-            if decision_seq.is_none() && r.reorg_decision.is_some() {
-                decision_seq = Some(r.seq);
-            }
-            if physical_change_seq.is_none() && r.physical != last_physical {
-                physical_change_seq = Some(r.seq);
-            }
-            last_physical = r.physical;
-        }
-        let (d, p) = (
-            decision_seq.expect("a switch decision"),
-            physical_change_seq.expect("a physical switch"),
-        );
-        assert_eq!(p, d + 25, "physical switch must land Δ after the decision");
-    }
-
-    #[test]
-    fn delayed_costs_are_at_least_immediate_costs() {
-        let t = table(2000);
-        let base = OreoConfig {
-            alpha: 5.0,
-            window: 40,
-            generation_interval: 40,
-            partitions: 8,
-            data_sample_rows: 500,
-            ..Default::default()
-        };
-        let queries = drifting_queries(&t, 600);
-        let run = |delay: u64| {
-            let mut oreo = framework(&t, base.clone().with_delay(delay));
-            for q in &queries {
-                oreo.observe(q);
-            }
-            *oreo.ledger()
-        };
-        let immediate = run(0);
-        let delayed = run(40);
-        // same decisions (same seeds), same reorg cost; delay only hurts
-        // query cost (§VI-D5)
-        assert_eq!(immediate.switches, delayed.switches);
-        assert!(
-            delayed.query_cost >= immediate.query_cost - 1e-9,
-            "delayed {} < immediate {}",
-            delayed.query_cost,
-            immediate.query_cost
-        );
-    }
-
-    #[test]
-    fn max_states_cap_is_enforced() {
-        let t = table(2000);
-        let config = OreoConfig {
-            alpha: 5.0,
-            window: 30,
-            generation_interval: 30,
-            partitions: 8,
-            data_sample_rows: 500,
-            epsilon: 0.0,
-            max_states: Some(3),
-            ..Default::default()
-        };
-        let mut oreo = framework(&t, config);
-        for q in drifting_queries(&t, 500) {
-            oreo.observe(&q);
-            assert!(
-                oreo.num_states() <= 3,
-                "cap violated: {}",
-                oreo.num_states()
-            );
-        }
-    }
-
-    #[test]
-    fn split_halves_compose_to_observe() {
-        let t = table(2000);
-        let config = OreoConfig {
-            alpha: 5.0,
-            window: 40,
-            generation_interval: 40,
-            partitions: 8,
-            data_sample_rows: 500,
-            reorg_delay: 10,
-            ..Default::default()
-        };
-        let queries = drifting_queries(&t, 400);
-        let mut whole = framework(&t, config.clone());
-        let mut split = framework(&t, config);
-        for q in &queries {
-            let a = whole.observe(q);
-            let mut b = split.decide(q);
-            split.apply_due(b.seq);
-            split.settle(q, &mut b);
-            assert_eq!(a.seq, b.seq);
-            assert_eq!(a.reorg_decision, b.reorg_decision);
-            assert_eq!(a.physical, b.physical);
-            assert_eq!(a.logical, b.logical);
-            assert!((a.service_cost - b.service_cost).abs() < 1e-12);
-        }
-        assert_eq!(*whole.ledger(), *split.ledger());
-    }
-
-    #[test]
     fn complete_reorg_lands_pending_switch_early() {
         let t = table(2000);
         let config = OreoConfig {
@@ -727,7 +568,6 @@ mod tests {
             generation_interval: 30,
             partitions: 8,
             data_sample_rows: 500,
-            reorg_delay: 1_000_000, // never lands via apply_due
             ..Default::default()
         };
         let mut oreo = framework(&t, config);
@@ -736,13 +576,13 @@ mod tests {
         let mut landed = false;
         for q in &queries {
             let mut r = oreo.decide(q);
-            // measured-Δ path: no apply_due; land explicitly on decision
+            // nothing lands until the driver says so
             if let Some(target) = r.reorg_decision {
-                assert_eq!(oreo.pending_targets().last(), Some(&target));
+                assert_eq!(oreo.pending.back(), Some(&target));
                 assert!(oreo.spec(target).is_some(), "pending target has a spec");
                 // a miss must not disturb the pending queue
                 assert!(!oreo.complete_reorg(u64::MAX));
-                assert_eq!(oreo.pending_targets().last(), Some(&target));
+                assert_eq!(oreo.pending.back(), Some(&target));
                 assert!(oreo.complete_reorg(target));
                 assert_eq!(oreo.physical_layout(), target);
                 landed = true;
@@ -751,7 +591,7 @@ mod tests {
         }
         assert!(landed, "no switch decided");
         assert_ne!(oreo.physical_layout(), initial);
-        assert!(oreo.pending_targets().is_empty());
+        assert!(oreo.pending.is_empty());
         assert!(!oreo.complete_reorg(12345), "nothing pending");
     }
 
@@ -766,7 +606,6 @@ mod tests {
             generation_interval: 40,
             partitions: 8,
             data_sample_rows: 500,
-            reorg_delay: 10,
             ..Default::default()
         };
         let journal = Arc::new(Journal::new(1, 1 << 14));
@@ -798,7 +637,7 @@ mod tests {
             .count();
         assert_eq!(observed as u64, oreo.ledger().queries);
         assert_eq!(decided as u64, oreo.ledger().switches);
-        assert_eq!(applied as u64, oreo.ledger().switches, "delay 10: all land");
+        assert_eq!(applied as u64, oreo.ledger().switches, "every switch lands");
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!    queries keep running on the old snapshot for the whole window, which
 //!    is exactly the paper's reorganization delay Δ, now measured: the
 //!    logical switch lands when the snapshot publishes
-//!    ([`oreo_core::Oreo::complete_reorg_with`]), and the engine ignores
-//!    `OreoConfig::reorg_delay`;
+//!    ([`oreo_core::Oreo::complete_reorg_with`]);
 //! 4. a generation boundary only *captures* its inputs under the core
 //!    mutex. The worker that hit it finishes the batch, fulfils its results,
 //!    and then builds and costs the candidate layout with no lock held,
@@ -37,8 +36,9 @@
 //! Driven in lockstep — each query submitted once [`Engine::drain`] has
 //! returned for the previous one — the engine runs each query's capture →
 //! step → settle, then its boundary's admission, then the landing of the
-//! switch it decided: the *served order* `oreo_sim::ServedOrderPolicy`
-//! replays, so on any worker count the ledger equals that replay exactly.
+//! switch it decided: the *served order* [`oreo_core::Oreo::observe`] runs
+//! (`oreo-sim`'s `Schedule::Served`), so on any worker count the ledger
+//! equals that replay exactly.
 //!
 //! # One OREO per tenant
 //!
@@ -726,7 +726,7 @@ pub struct TenantStats {
     /// Switch decisions this tenant's instance made.
     pub switches: u64,
     /// The tenant's layout-manager counters: candidates generated /
-    /// admitted / rejected, boundaries superseded, states pruned.
+    /// admitted / rejected, boundaries superseded, peak state-space size.
     /// `generated == admitted + rejected` once the engine has shut down.
     pub manager: ManagerStats,
     /// Snapshots the reorganizer published for this tenant.
@@ -1896,9 +1896,9 @@ fn serve_scanned(
         m.ledger_reorg_cost.set(ledger.reorg_cost);
         m.ledger_total.set(ledger.total());
         let num_states: usize = core.iter().map(Oreo::num_states).sum();
-        let max_states: usize = core.iter().map(Oreo::max_states_seen).sum();
+        let peak_states: usize = core.iter().map(Oreo::max_states_seen).sum();
         m.num_states.set(num_states as f64);
-        m.max_states_seen.set(max_states as f64);
+        m.max_states_seen.set(peak_states as f64);
         for (tenant_index, (ten, oreo)) in shared.tenants.iter().zip(core.iter()).enumerate() {
             if !touched[tenant_index] {
                 continue;

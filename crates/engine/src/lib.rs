@@ -40,8 +40,8 @@
 //! runs through the same [`oreo_core::Oreo`] pieces as the simulator. Driven
 //! in lockstep — each query submitted after [`Engine::drain`] returned for
 //! the one before — the engine's decisions and ledger equal
-//! `oreo_sim::ServedOrderPolicy`'s replay of the stream exactly, on any
-//! number of workers.
+//! [`oreo_core::Oreo::observe`]'s replay of the stream exactly (`oreo-sim`'s
+//! `Schedule::Served`), on any number of workers.
 //!
 //! ## Quickstart
 //!
@@ -199,13 +199,7 @@ mod tests {
     fn measured_delay_lands_switches_at_publish_time() {
         let t = table(2000);
         let queries = drifting_queries(&t, 400);
-        let engine = start(
-            &t,
-            // a huge configured delay, which the engine ignores: switches
-            // land when their snapshot publishes
-            config().with_delay(1_000_000),
-            EngineConfig::default().with_workers(2),
-        );
+        let engine = start(&t, config(), EngineConfig::default().with_workers(2));
         let initial = engine.pin().layout();
         for q in &queries {
             engine.submit(q.clone());

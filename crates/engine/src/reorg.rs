@@ -50,8 +50,8 @@ pub struct ReorgWindow {
     /// serving).
     pub generation: u64,
     /// Queries the tenant's stream served *during* the window — the
-    /// measured Δ in queries, the unit `OreoConfig::reorg_delay`
-    /// configures in the sequential simulator.
+    /// measured Δ in queries, the unit `oreo-sim`'s
+    /// `Schedule::Configured` takes in the sequential simulator.
     pub queries_during: u64,
     /// Rows re-routed into the new snapshot.
     pub rows: u64,

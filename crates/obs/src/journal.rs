@@ -133,13 +133,6 @@ pub enum EventKind {
         /// The admitted layout.
         layout: u64,
     },
-    /// Pruning removed a state from the state space.
-    StateRemoved {
-        /// Stream position assigned by the bookkeeping core.
-        stream_seq: u64,
-        /// The removed layout.
-        layout: u64,
-    },
     /// A pending switch landed: queries are physically served on
     /// `target` from here on.
     ReorgApplied {
@@ -413,9 +406,6 @@ fn describe(kind: &EventKind) -> String {
         ),
         EventKind::StateAdmitted { stream_seq, layout } => {
             format!("state {layout} admitted at seq {stream_seq}")
-        }
-        EventKind::StateRemoved { stream_seq, layout } => {
-            format!("state {layout} pruned at seq {stream_seq}")
         }
         EventKind::ReorgApplied { target } => {
             format!("reorg applied: physical layout is now {target}")

@@ -7,16 +7,18 @@
 //! * [`policies`] — Static, Greedy, Regret, OREO, MTS-Optimal and
 //!   Offline-Optimal implementations. Greedy and Regret draw their
 //!   candidates from OREO's own `LayoutManager` (§VI-A3: all online methods
-//!   see the same candidates). [`ServedOrderPolicy`] feeds OREO in the
-//!   serving engine's order, the reference of every engine ledger parity;
+//!   see the same candidates). OREO is one [`ScheduledPolicy`] whose
+//!   [`Schedule`] says when candidates join and switches land: the paper's
+//!   configured delay Δ, or the serving engine's order, the reference of
+//!   every engine ledger parity;
 //! * [`mutable`] — the row-level mutable oracle the live-ingestion
 //!   equivalence tests compare delta-aware scans against;
 //! * [`offline_dp`] — the *true* offline UMTS optimum by dynamic
 //!   programming, used to verify Theorem IV.1 empirically;
 //! * [`setup`] — one-stop assembly of comparable policy sets per dataset;
 //! * [`report`] — ASCII tables for the figure/table harnesses;
-//! * [`zoo`] — the workload zoo's live adversary oracle and the 2·H(n)
-//!   bound measurement against the offline DP.
+//! * [`zoo`] — the workload zoo's streams (the adaptive adversary attacks
+//!   a live OREO) and the 2·H(n) bound measurement against the offline DP.
 
 pub mod mutable;
 pub mod offline_dp;
@@ -29,18 +31,18 @@ pub mod zoo;
 pub use mutable::MutableOracle;
 pub use offline_dp::{offline_optimum, OfflineOptimum};
 pub use policies::{
-    GreedyPolicy, MtsOptimalPolicy, OfflineTemplatePolicy, OreoPolicy, RegretPolicy,
-    ServedOrderPolicy, StaticPolicy, TemplateLayouts,
+    GreedyPolicy, MtsOptimalPolicy, OfflineTemplatePolicy, RegretPolicy, Schedule, ScheduledPolicy,
+    StaticPolicy, TemplateLayouts,
 };
 pub use policy::{run_policy, ReorgPolicy, RunResult, StepCost};
 pub use report::{fmt_f, fmt_pct_change, AsciiTable};
 pub use setup::{default_spec, make_generator, PolicySetup, Technique};
-pub use zoo::{adversarial_bound, compare_oreo_static, zoo_stream, AdversarialBound, OreoOracle};
+pub use zoo::{adversarial_bound, compare_oreo_static, zoo_stream, AdversarialBound};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oreo_core::{Dumts, DumtsConfig, OreoConfig, TransitionPolicy};
+    use oreo_core::{CostLedger, Dumts, DumtsConfig, OreoConfig, TransitionPolicy};
     use oreo_workload::{tpch_bundle, StreamConfig};
 
     // NOTE: the former `policy_ordering_matches_paper_narrative` test
@@ -203,5 +205,90 @@ mod tests {
                 assert_eq!(got, want, "{} on {}", run.name, technique.label());
             }
         }
+    }
+
+    /// OREO's bill under [`Schedule::Configured`] on the stream above,
+    /// pinned to the bit at Δ = 0 (what the figures run) and Δ = 40 (a
+    /// Table II row). The values predate the schedule: they were taken when
+    /// Δ was an `OreoConfig` field that `Oreo::observe` applied itself.
+    #[test]
+    fn configured_schedule_ledgers_are_pinned() {
+        let bundle = tpch_bundle(8_000, 4);
+        let stream = bundle.stream(StreamConfig {
+            total_queries: 1_200,
+            segments: 4,
+            seed: 11,
+            ..Default::default()
+        });
+        let config = OreoConfig {
+            alpha: 20.0,
+            partitions: 16,
+            window: 100,
+            generation_interval: 100,
+            data_sample_rows: 1_000,
+            seed: 3,
+            ..Default::default()
+        };
+        let setup = PolicySetup::new(bundle, Technique::QdTree, config);
+        let ledger = |query_cost: f64| CostLedger {
+            query_cost,
+            reorg_cost: 60.0,
+            switches: 3,
+            queries: 1_200,
+            compaction_cost: 0.0,
+            compactions: 0,
+        };
+        for (delay, want) in [
+            (0, ledger(343.9767500000032)),
+            (40, ledger(421.63375000000417)),
+        ] {
+            let mut policy = setup.scheduled(Schedule::Configured(delay));
+            let run = run_policy(&mut policy, &stream.queries, 0);
+            assert_eq!(run.ledger, want, "Δ = {delay}");
+            assert_eq!(*policy.framework().ledger(), want, "Δ = {delay}");
+            assert_eq!(run.switches, 3, "Δ = {delay}");
+        }
+    }
+
+    /// Under `Configured(Δ)` a switch decided at query `d` moves the
+    /// physical layout at query `d + Δ`.
+    #[test]
+    fn delay_defers_physical_switch() {
+        let bundle = tpch_bundle(4_000, 4);
+        let stream = bundle.stream(StreamConfig {
+            total_queries: 600,
+            segments: 3,
+            seed: 5,
+            ..Default::default()
+        });
+        let config = OreoConfig {
+            alpha: 3.0,
+            partitions: 8,
+            window: 30,
+            generation_interval: 30,
+            data_sample_rows: 500,
+            ..Default::default()
+        };
+        let setup = PolicySetup::new(bundle, Technique::QdTree, config);
+        let mut policy = setup.scheduled(Schedule::Configured(25));
+        let mut decided = None;
+        let mut moved = None;
+        let mut physical = policy.framework().physical_layout();
+        for (i, q) in stream.queries.iter().enumerate() {
+            let step = policy.observe(q);
+            if decided.is_none() && step.switched {
+                decided = Some(i);
+            }
+            let now = policy.framework().physical_layout();
+            if moved.is_none() && now != physical {
+                moved = Some(i);
+            }
+            physical = now;
+        }
+        let (d, m) = (
+            decided.expect("a switch decision"),
+            moved.expect("a physical switch"),
+        );
+        assert_eq!(m, d + 25, "physical switch must land Δ after the decision");
     }
 }

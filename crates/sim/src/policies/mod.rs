@@ -14,7 +14,7 @@ pub use greedy::GreedyPolicy;
 pub use mts_optimal::MtsOptimalPolicy;
 pub use offline_template::OfflineTemplatePolicy;
 pub(crate) use online::OnlineBaseline;
-pub use oreo_adapter::{OreoPolicy, ServedOrderPolicy};
+pub use oreo_adapter::{Schedule, ScheduledPolicy};
 pub use regret::RegretPolicy;
 pub use static_layout::StaticPolicy;
 pub use templates::TemplateLayouts;

@@ -1,99 +1,99 @@
-//! [`ReorgPolicy`] adapters for the full OREO framework.
+//! The full OREO framework as a simulator policy, driven by a [`Schedule`].
 
 use crate::policy::{ReorgPolicy, StepCost};
-use oreo_core::{Oreo, OreoConfig, StepReport};
-use oreo_layout::{LayoutGenerator, SharedSpec};
+use oreo_core::Oreo;
 use oreo_query::Query;
-use oreo_storage::Table;
-use std::sync::Arc;
+use oreo_storage::LayoutId;
+use oreo_workload::LayoutOracle;
+use std::collections::VecDeque;
 
-/// OREO as a simulator policy.
-pub struct OreoPolicy {
-    inner: Oreo,
+/// When a boundary's candidates join the state space and when a decided
+/// switch lands on the physical layout.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Schedule {
+    /// The paper's simulator (§VI-D5): a boundary's candidates are admitted
+    /// before its query is decided ([`Oreo::decide`]), and a switch lands
+    /// Δ queries after the query that decided it — before that later
+    /// query's settle, so Δ = 0 bills the deciding query on the new layout.
+    /// Table II sweeps Δ; the other paper harnesses run Δ = 0.
+    Configured(u64),
+    /// The order the serving engine runs a query in when driven in
+    /// lockstep ([`Oreo::observe`]): a boundary's candidates join after its
+    /// query is decided, and a switch lands right after the query that
+    /// decided it. The reference of every engine ledger parity.
+    Served,
 }
 
-impl OreoPolicy {
-    /// Wraps a full OREO instance behind the [`crate::ReorgPolicy`] interface.
-    pub fn new(
-        table: Arc<Table>,
-        initial_spec: SharedSpec,
-        generator: Arc<dyn LayoutGenerator>,
-        config: OreoConfig,
-    ) -> Self {
+/// OREO as a simulator policy, fed in the order its [`Schedule`] says.
+///
+/// It is also the workload zoo's [`LayoutOracle`]: probing reads a query's
+/// exact cost on the current *physical* layout without advancing
+/// anything ([`Oreo::physical_cost`]), and serving observes the query.
+/// Because generation interleaves probe and serve against the very
+/// instance being attacked, the policy's ledger after generation *is*
+/// OREO's online cost on the emitted stream, and — everything being
+/// seeded — a fresh, identically built policy replaying the stream
+/// reproduces it exactly.
+pub struct ScheduledPolicy {
+    inner: Oreo,
+    schedule: Schedule,
+    /// Under [`Schedule::Configured`]: (stream position at which the
+    /// switch lands, target), in decision order.
+    due: VecDeque<(u64, LayoutId)>,
+}
+
+impl ScheduledPolicy {
+    /// Drive `oreo` by `schedule` from here on.
+    pub fn new(oreo: Oreo, schedule: Schedule) -> Self {
         Self {
-            inner: Oreo::new(table, initial_spec, generator, config),
+            inner: oreo,
+            schedule,
+            due: VecDeque::new(),
         }
     }
 
-    /// Access the wrapped framework (for state-space statistics).
-    pub fn framework(&self) -> &Oreo {
-        &self.inner
-    }
-}
-
-impl ReorgPolicy for OreoPolicy {
-    fn name(&self) -> String {
-        "OREO".into()
-    }
-
-    fn observe(&mut self, query: &Query) -> StepCost {
-        let report = self.inner.observe(query);
-        step_cost(&report, self.inner.config().alpha)
-    }
-
-    fn switches(&self) -> u64 {
-        self.inner.switches()
-    }
-}
-
-/// OREO in the order the serving engine (`oreo-engine`) runs it when each
-/// query is submitted only after the engine has drained the one before:
-/// capture → step → settle under the engine's lock, then the admission of
-/// the boundary's candidates, built off the lock, then the landing of the
-/// switch the query decided, when its snapshot publishes. Unlike
-/// [`OreoPolicy`], a boundary's candidates join after its query is decided,
-/// and a switch lands after the query that decided it, whatever
-/// `OreoConfig::reorg_delay` says. Admission and landing commute: admitting
-/// reads neither the physical layout nor the pending switches, and landing
-/// touches neither the layout manager nor D-UMTS. This is the reference
-/// every engine-vs-simulator ledger parity compares against.
-pub struct ServedOrderPolicy {
-    inner: Oreo,
-}
-
-impl From<OreoPolicy> for ServedOrderPolicy {
-    /// Feeds `policy`'s framework in served order from here on.
-    fn from(policy: OreoPolicy) -> Self {
-        Self {
-            inner: policy.inner,
-        }
-    }
-}
-
-impl ServedOrderPolicy {
     /// Access the wrapped framework (for layouts and state-space statistics).
     pub fn framework(&self) -> &Oreo {
         &self.inner
     }
 }
 
-impl ReorgPolicy for ServedOrderPolicy {
+impl ReorgPolicy for ScheduledPolicy {
     fn name(&self) -> String {
-        "OREO (served order)".into()
+        match self.schedule {
+            Schedule::Configured(_) => "OREO".into(),
+            Schedule::Served => "OREO (served order)".into(),
+        }
     }
 
     fn observe(&mut self, query: &Query) -> StepCost {
         let oreo = &mut self.inner;
-        let (mut report, task) = oreo.capture(query);
-        oreo.step(query, &mut report);
-        oreo.settle(query, &mut report);
-        if let Some(task) = task {
-            oreo.admit(task.build());
+        let report = match self.schedule {
+            Schedule::Configured(delay) => {
+                let mut report = oreo.decide(query);
+                if let Some(target) = report.reorg_decision {
+                    self.due.push_back((report.seq + delay, target));
+                }
+                // One landing per due decision, oldest first: each lands
+                // exactly the switch at the front of the pending queue.
+                while let Some(&(at, target)) = self.due.front() {
+                    if at > report.seq {
+                        break;
+                    }
+                    self.due.pop_front();
+                    oreo.complete_reorg(target);
+                }
+                oreo.settle(query, &mut report);
+                report
+            }
+            Schedule::Served => oreo.observe(query),
+        };
+        let switched = report.reorg_decision.is_some();
+        StepCost {
+            service: report.service_cost,
+            reorg: if switched { oreo.config().alpha } else { 0.0 },
+            switched,
         }
-        if let Some(target) = report.reorg_decision {
-            oreo.complete_reorg(target);
-        }
-        step_cost(&report, oreo.config().alpha)
     }
 
     fn switches(&self) -> u64 {
@@ -101,12 +101,12 @@ impl ReorgPolicy for ServedOrderPolicy {
     }
 }
 
-/// What one observed query cost: its service, and α if it decided a switch.
-fn step_cost(report: &StepReport, alpha: f64) -> StepCost {
-    let switched = report.reorg_decision.is_some();
-    StepCost {
-        service: report.service_cost,
-        reorg: if switched { alpha } else { 0.0 },
-        switched,
+impl LayoutOracle for ScheduledPolicy {
+    fn probe_cost(&mut self, query: &Query) -> f64 {
+        self.inner.physical_cost(query)
+    }
+
+    fn serve(&mut self, query: &Query) {
+        ReorgPolicy::observe(self, query);
     }
 }

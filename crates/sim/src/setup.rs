@@ -4,12 +4,12 @@
 use crate::policies::greedy::GreedyPolicy;
 use crate::policies::mts_optimal::MtsOptimalPolicy;
 use crate::policies::offline_template::OfflineTemplatePolicy;
-use crate::policies::oreo_adapter::{OreoPolicy, ServedOrderPolicy};
+use crate::policies::oreo_adapter::{Schedule, ScheduledPolicy};
 use crate::policies::regret::RegretPolicy;
 use crate::policies::static_layout::StaticPolicy;
 use crate::policies::templates::TemplateLayouts;
 use crate::policies::OnlineBaseline;
-use oreo_core::OreoConfig;
+use oreo_core::{Oreo, OreoConfig};
 use oreo_layout::{LayoutGenerator, QdTreeGenerator, RangeLayout, SharedSpec, ZOrderGenerator};
 use oreo_query::Query;
 use oreo_workload::{DatasetBundle, Segment};
@@ -90,20 +90,21 @@ impl PolicySetup {
         default_spec(&self.bundle, self.config.partitions, self.config.seed)
     }
 
-    /// The OREO policy.
-    pub fn oreo(&self) -> OreoPolicy {
-        OreoPolicy::new(
+    /// The OREO policy as the paper's figures run it:
+    /// [`Schedule::Configured`] with Δ = 0.
+    pub fn oreo(&self) -> ScheduledPolicy {
+        self.scheduled(Schedule::Configured(0))
+    }
+
+    /// The OREO policy driven by `schedule`.
+    pub fn scheduled(&self, schedule: Schedule) -> ScheduledPolicy {
+        let oreo = Oreo::new(
             Arc::clone(&self.bundle.table),
             self.initial_spec(),
             self.generator(),
             self.config.clone(),
-        )
-    }
-
-    /// The OREO policy fed in the serving engine's order (see
-    /// [`ServedOrderPolicy`]).
-    pub fn served_order(&self) -> ServedOrderPolicy {
-        ServedOrderPolicy::from(self.oreo())
+        );
+        ScheduledPolicy::new(oreo, schedule)
     }
 
     /// What Greedy and Regret share: OREO's candidate producer over the

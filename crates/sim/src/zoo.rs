@@ -2,65 +2,22 @@
 //! OREO instance and check Theorem IV.2's 2·H(n) bound against the true
 //! offline DP optimum.
 //!
-//! `oreo-workload` defines the scenarios and the [`LayoutOracle`] trait the
-//! adversary interrogates; this module supplies the real oracle (a full
-//! [`Oreo`] framework probed via [`Oreo::physical_cost`]) plus the offline
-//! state space the bound is measured against: one probe-optimal layout per
-//! adversary family and the shared default layout, all costed with exact
-//! full-table models — the same surface OREO's own ledger is billed on.
+//! `oreo-workload` defines the scenarios and the `LayoutOracle` trait the
+//! adversary interrogates; the real oracle is [`PolicySetup::oreo`]'s
+//! policy (see [`crate::ScheduledPolicy`]). This module supplies the
+//! offline state space the bound is measured against: one probe-optimal
+//! layout per adversary family and the shared default layout, all costed
+//! with exact full-table models — the same surface OREO's own ledger is
+//! billed on.
 
 use crate::offline_dp::{offline_optimum, OfflineOptimum};
 use crate::policy::{run_policy, RunResult};
 use crate::setup::{default_spec, make_generator, PolicySetup};
-use oreo_core::Oreo;
 use oreo_layout::build_exact_model;
 use oreo_query::Query;
-use oreo_workload::{adversary_probes, LayoutOracle, QueryStream, Scenario, ScenarioConfig};
+use oreo_workload::{adversary_probes, QueryStream, Scenario, ScenarioConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
-
-/// A live OREO framework behind the adversary's observation interface.
-///
-/// Probing reads the exact cost of a candidate on OREO's *current physical*
-/// layout without advancing anything; serving feeds the emitted query
-/// through [`Oreo::observe`]. Because generation interleaves probe/serve
-/// against the very instance being attacked, the oracle's final ledger *is*
-/// OREO's online cost on the returned stream — and since everything is
-/// seeded, replaying the stream through an identically configured fresh
-/// instance reproduces that ledger exactly.
-pub struct OreoOracle {
-    oreo: Oreo,
-}
-
-impl OreoOracle {
-    /// Build the attacked instance exactly as [`PolicySetup::oreo`] would.
-    pub fn new(setup: &PolicySetup) -> Self {
-        let spec = default_spec(&setup.bundle, setup.config.partitions, setup.config.seed);
-        let oreo = Oreo::new(
-            Arc::clone(&setup.bundle.table),
-            spec,
-            make_generator(setup.technique, &setup.bundle),
-            setup.config.clone(),
-        );
-        Self { oreo }
-    }
-
-    /// The attacked framework (ledger, switch count, state space).
-    pub fn framework(&self) -> &Oreo {
-        &self.oreo
-    }
-}
-
-impl LayoutOracle for OreoOracle {
-    fn probe_cost(&mut self, query: &Query) -> f64 {
-        self.oreo.physical_cost(query)
-    }
-
-    fn serve(&mut self, query: &Query) {
-        self.oreo.observe(query);
-    }
-}
 
 /// Generate one zoo stream for a policy setup: oblivious scenarios generate
 /// directly; the adversarial scenario runs against a fresh live OREO
@@ -69,7 +26,7 @@ impl LayoutOracle for OreoOracle {
 pub fn zoo_stream(setup: &PolicySetup, scenario: Scenario, cfg: ScenarioConfig) -> QueryStream {
     match scenario {
         Scenario::Adversarial => {
-            let mut oracle = OreoOracle::new(setup);
+            let mut oracle = setup.oreo();
             scenario.generate_with_oracle(setup.bundle.table.schema(), cfg, &mut oracle)
         }
         _ => scenario.generate(setup.bundle.table.schema(), cfg),
@@ -124,7 +81,7 @@ pub fn adversarial_bound(
     cfg: ScenarioConfig,
     slack_alphas: f64,
 ) -> (QueryStream, AdversarialBound) {
-    let mut oracle = OreoOracle::new(setup);
+    let mut oracle = setup.oreo();
     let stream =
         Scenario::Adversarial.generate_with_oracle(setup.bundle.table.schema(), cfg, &mut oracle);
     let oreo_total = oracle.framework().ledger().total();
@@ -248,7 +205,7 @@ mod tests {
             total_queries: 250,
             seed: 8,
         };
-        let mut oracle = OreoOracle::new(&setup);
+        let mut oracle = setup.oreo();
         let stream = Scenario::Adversarial.generate_with_oracle(
             setup.bundle.table.schema(),
             cfg,
@@ -256,11 +213,7 @@ mod tests {
         );
         let attacked = *oracle.framework().ledger();
 
-        let mut replay = OreoOracle::new(&setup);
-        for q in &stream.queries {
-            replay.serve(q);
-        }
-        let replayed = *replay.framework().ledger();
+        let replayed = run_policy(&mut setup.oreo(), &stream.queries, 0).ledger;
         assert_eq!(attacked, replayed);
     }
 

@@ -1809,5 +1809,139 @@ mod tests {
                 fs::remove_dir_all(&dir).unwrap();
             }
         }
+
+        /// The numeric keys every manifest carries, in emission order.
+        const NUMERIC_KEYS: [&str; 6] = [
+            "generation",
+            "layout",
+            "partitions",
+            "rows",
+            "folded",
+            "next_row",
+        ];
+
+        /// What [`read_manifest`] must make of `bytes`, decided without it:
+        /// the six numbers and the name when the bytes are UTF-8, the first
+        /// line is the magic, the first `key=` line of each numeric key holds
+        /// a `u64` and a `name=` line exists; `None` otherwise. Lines end at
+        /// `\n`, dropping one `\r` before it, as [`str::lines`] splits them.
+        fn manifest_oracle(bytes: &[u8]) -> Option<([u64; 6], String)> {
+            let text = std::str::from_utf8(bytes).ok()?;
+            let mut lines: Vec<&str> = text.split('\n').collect();
+            let last = lines.len() - 1;
+            for line in &mut lines[..last] {
+                *line = line.strip_suffix('\r').unwrap_or(line);
+            }
+            if lines[0] != MANIFEST_MAGIC {
+                return None;
+            }
+            let value = |key: &str| {
+                lines
+                    .iter()
+                    .find_map(|line| line.strip_prefix(key)?.strip_prefix('='))
+            };
+            let mut numbers = [0u64; 6];
+            for (number, key) in numbers.iter_mut().zip(NUMERIC_KEYS) {
+                *number = value(key)?.parse().ok()?;
+            }
+            Some((numbers, value("name")?.to_string()))
+        }
+
+        /// Bytes for a name: letters, digits, `=`, line breaks and
+        /// non-ASCII characters.
+        fn name_of(picks: &[usize]) -> String {
+            const ALPHABET: [char; 12] = [
+                'a', 'Z', '0', '7', ' ', '=', '\r', '\n', 'é', 'ß', '漢', '🦀',
+            ];
+            picks
+                .iter()
+                .map(|&i| ALPHABET[i % ALPHABET.len()])
+                .collect()
+        }
+
+        proptest! {
+            /// `read_manifest` on arbitrary bytes, and on a real manifest cut
+            /// at any byte or with one to three bytes changed, never panics
+            /// and is `Ok` exactly when the oracle parses the text — with the
+            /// oracle's numbers and name.
+            #[test]
+            fn manifest_decoder_accepts_exactly_what_parses(
+                noise in proptest::collection::vec(any::<u8>(), 0..160),
+                picks in proptest::collection::vec(0usize..64, 0..12),
+                numbers in (any::<u64>(), any::<u64>(), any::<u64>()),
+                flips in proptest::collection::vec((any::<u32>(), 1u8..=255), 1..4),
+                cut in any::<usize>(),
+            ) {
+                let t = table(64);
+                let (generation, folded, next_row) = numbers;
+                let snapshot = TableSnapshot::build(&t, &[0; 64], 1, 9, name_of(&picks));
+                let text = manifest_text(&snapshot, generation, folded, next_row).into_bytes();
+                let mut flipped = text.clone();
+                for &(at, mask) in &flips {
+                    flipped[at as usize % text.len()] ^= mask;
+                }
+                let mut noisy = format!("{MANIFEST_MAGIC}\n").into_bytes();
+                noisy.extend_from_slice(&noise);
+                let cases = [
+                    text.clone(),
+                    text[..cut % (text.len() + 1)].to_vec(),
+                    flipped,
+                    noise.clone(),
+                    noisy,
+                ];
+                let dir = tmproot("manifest");
+                fs::create_dir_all(&dir).unwrap();
+                let path = dir.join(MANIFEST);
+                for bytes in cases {
+                    fs::write(&path, &bytes).unwrap();
+                    let read = read_manifest(&path);
+                    match (manifest_oracle(&bytes), read) {
+                        (Some((n, name)), Ok(m)) => {
+                            prop_assert_eq!(
+                                [m.layout, m.partitions as u64, m.rows, m.folded, m.next_row],
+                                [n[1], n[2], n[3], n[4], n[5]]
+                            );
+                            prop_assert_eq!(m.name, name);
+                        }
+                        (None, Err(_)) => {}
+                        (want, got) => prop_assert!(
+                            false,
+                            "{:?}: oracle {:?}, read_manifest ok = {}",
+                            String::from_utf8_lossy(&bytes),
+                            want,
+                            got.is_ok()
+                        ),
+                    }
+                }
+                fs::remove_dir_all(&dir).unwrap();
+            }
+
+            /// `manifest_text` round-trips through `read_manifest` whatever
+            /// the snapshot's name holds: `=`, line breaks (written as
+            /// spaces) and non-ASCII characters.
+            #[test]
+            fn manifest_text_round_trips_any_name(
+                picks in proptest::collection::vec(0usize..64, 0..24),
+                numbers in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+                k in 1usize..5,
+            ) {
+                let t = table(40);
+                let (generation, layout, folded, next_row) = numbers;
+                let name = name_of(&picks);
+                let assignment: Vec<u32> = (0..40).map(|r| r % k as u32).collect();
+                let snapshot = TableSnapshot::build(&t, &assignment, k, layout, name.clone());
+                let dir = tmproot("manifest-name");
+                fs::create_dir_all(&dir).unwrap();
+                let path = dir.join(MANIFEST);
+                fs::write(&path, manifest_text(&snapshot, generation, folded, next_row)).unwrap();
+                let m = read_manifest(&path).unwrap();
+                prop_assert_eq!(m.name, name.replace(['\n', '\r'], " "));
+                prop_assert_eq!(
+                    [m.layout, m.partitions as u64, m.rows, m.folded, m.next_row],
+                    [layout, k as u64, 40, folded, next_row]
+                );
+                fs::remove_dir_all(&dir).unwrap();
+            }
+        }
     }
 }

@@ -47,7 +47,7 @@ pub const ADVERSARY_PROBE_FAMILIES: usize = 6;
 /// the *current physical layout* would pay for a candidate query.
 ///
 /// The trait lives in `oreo-workload` (which depends on nothing above
-/// storage) and is implemented by `oreo-sim`'s `OreoOracle` over a live
+/// storage) and is implemented by `oreo-sim`'s `ScheduledPolicy` over a live
 /// OREO instance; [`RotorOracle`] is a deterministic oblivious stand-in.
 pub trait LayoutOracle {
     /// Cost of serving `query` on the current physical layout (fraction of

@@ -5,7 +5,7 @@
 
 use oreo::core::OreoConfig;
 use oreo::engine::{Engine, EngineConfig};
-use oreo::sim::{default_spec, make_generator, run_policy, PolicySetup, Technique};
+use oreo::sim::{default_spec, make_generator, run_policy, PolicySetup, Schedule, Technique};
 use oreo::storage::{SnapshotCell, TableSnapshot, TieredStore};
 use oreo::workload::{tpch_bundle, StreamConfig};
 use rand::{Rng, SeedableRng};
@@ -39,7 +39,7 @@ fn engine_ledger_matches_sequential_sim_on_fixed_stream() {
     });
 
     let setup = PolicySetup::new(bundle.clone(), Technique::QdTree, config(seed));
-    let mut reference = setup.served_order();
+    let mut reference = setup.scheduled(Schedule::Served);
     let sim = run_policy(&mut reference, &stream.queries, 0);
     let reference = reference.framework();
 
@@ -153,7 +153,7 @@ fn tiered_engine_replays_sim_ledger_and_recovers_generation() {
     });
 
     let setup = PolicySetup::new(bundle.clone(), Technique::QdTree, config(seed));
-    let sim = run_policy(&mut setup.served_order(), &stream.queries, 0);
+    let sim = run_policy(&mut setup.scheduled(Schedule::Served), &stream.queries, 0);
 
     let root = std::env::temp_dir().join(format!("oreo-itest-tiered-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);

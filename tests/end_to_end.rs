@@ -2,7 +2,7 @@
 //! dataset at small scale (fast enough for debug-mode CI).
 
 use oreo::prelude::*;
-use oreo::sim::{run_policy, PolicySetup, Technique};
+use oreo::sim::{run_policy, PolicySetup, Schedule, Technique};
 use std::sync::Arc;
 
 fn small_config() -> OreoConfig {
@@ -111,7 +111,7 @@ fn framework_is_deterministic_end_to_end() {
 }
 
 #[test]
-fn reorg_delay_only_hurts_query_cost() {
+fn configured_delay_only_hurts_query_cost() {
     let bundle = oreo::workload::tpch_bundle(6_000, 4);
     let stream = bundle.stream(StreamConfig {
         total_queries: 900,
@@ -119,15 +119,13 @@ fn reorg_delay_only_hurts_query_cost() {
         seed: 11,
         ..Default::default()
     });
-    let run_with_delay = |delay: u64| {
-        let mut config = small_config();
-        config.reorg_delay = delay;
-        let setup = PolicySetup::new(bundle.clone(), Technique::QdTree, config);
-        let mut oreo = setup.oreo();
+    let setup = PolicySetup::new(bundle, Technique::QdTree, small_config());
+    let run_at = |delay: u64| {
+        let mut oreo = setup.scheduled(Schedule::Configured(delay));
         run_policy(&mut oreo, &stream.queries, 0).ledger
     };
-    let immediate = run_with_delay(0);
-    let delayed = run_with_delay(30);
+    let immediate = run_at(0);
+    let delayed = run_at(30);
     // decisions are identical (same seeds) → same reorg cost; the delay can
     // only increase the query bill (§VI-D5)
     assert_eq!(immediate.switches, delayed.switches);

@@ -9,7 +9,7 @@
 use oreo::core::{CostLedger, OreoConfig};
 use oreo::engine::{Engine, EngineConfig, EngineStats, ObsConfig, ServeMode};
 use oreo::obs::EventKind;
-use oreo::sim::{default_spec, make_generator, run_policy, PolicySetup, Technique};
+use oreo::sim::{default_spec, make_generator, run_policy, PolicySetup, Schedule, Technique};
 use oreo::workload::{tpch_bundle, DatasetBundle, QueryStream, StreamConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -109,7 +109,7 @@ fn journal_replay_matches_sim_in_memory_mode() {
     let seed = 3;
     let (bundle, stream) = workload(4_000, 500);
     let setup = PolicySetup::new(bundle.clone(), Technique::QdTree, config(seed));
-    let sim = run_policy(&mut setup.served_order(), &stream.queries, 0);
+    let sim = run_policy(&mut setup.scheduled(Schedule::Served), &stream.queries, 0);
 
     let stats = run_lockstep(&bundle, &stream, seed, ServeMode::Memory);
     assert_trace_parity(&stats, &sim.ledger, 500);
@@ -120,7 +120,7 @@ fn journal_replay_matches_sim_in_tiered_mode() {
     let seed = 3;
     let (bundle, stream) = workload(4_000, 500);
     let setup = PolicySetup::new(bundle.clone(), Technique::QdTree, config(seed));
-    let sim = run_policy(&mut setup.served_order(), &stream.queries, 0);
+    let sim = run_policy(&mut setup.scheduled(Schedule::Served), &stream.queries, 0);
 
     let root = std::env::temp_dir().join(format!("oreo-obs-tiered-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);

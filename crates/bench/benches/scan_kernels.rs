@@ -1,6 +1,7 @@
 //! Vectorized scan-kernel microbenchmark: chunked selection-vector
-//! evaluation ([`oreo_storage::kernel`]) vs the row-at-a-time interpreter
-//! it replaced, on the in-memory and buffer-pooled scan paths.
+//! evaluation ([`oreo_storage::kernel`]) vs a row-at-a-time interpreter
+//! kept here as the baseline ([`rowwise_scan`]), on the in-memory and
+//! buffer-pooled scan paths.
 //!
 //! Variants (all over the same TPC-H lineitem table, round-robin layout):
 //!
@@ -41,7 +42,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use oreo_bench::common::{json_path_arg, write_json_report, Json};
 use oreo_query::{Predicate, QueryBuilder};
-use oreo_storage::{BufferPool, BufferPoolConfig, SnapshotScan, TableSnapshot, TieredStore};
+use oreo_storage::{
+    atom_matches_ref, BufferPool, BufferPoolConfig, Column, TableSnapshot, TieredStore,
+};
 use oreo_workload::tpch;
 use std::hint::black_box;
 use std::time::Instant;
@@ -57,6 +60,66 @@ struct Measurement {
     mean_scan_us: f64,
 }
 
+/// The row-at-a-time baseline the kernels are measured against: prune a
+/// partition by its metadata, take its predicate columns — resident, or
+/// with `pool` fetched through the buffer pool, verified when the read
+/// touched disk, and decoded — test every atom on every row with
+/// [`atom_matches_ref`] on [`Column::get`], and sort the matches.
+fn rowwise_scan(snap: &TableSnapshot, pred: &Predicate, pool: Option<&BufferPool>) -> Vec<u32> {
+    let columns = pred.columns();
+    // Each atom's position in `columns`, resolved once per scan.
+    let slots: Vec<usize> = pred
+        .atoms()
+        .iter()
+        .map(|a| {
+            columns
+                .iter()
+                .position(|&c| c == a.col())
+                .expect("atom column")
+        })
+        .collect();
+    let mut out = Vec::new();
+    for (index, part) in snap.partitions().iter().enumerate() {
+        if !part.meta.may_match(pred) {
+            continue;
+        }
+        let decoded: Vec<Column>;
+        let cols: Vec<&Column> = match pool {
+            None => columns.iter().map(|&c| part.data.column(c)).collect(),
+            Some(pool) => {
+                let generation = snap.generation().expect("a tiered snapshot");
+                let extents = part.extents.as_ref().expect("a page index");
+                let fetch = |c: usize| {
+                    let extent = extents[c];
+                    let (payload, io) = pool
+                        .read_blob(generation, index as u32, extent.offset, extent.len)
+                        .expect("pooled read");
+                    if io.cold_bytes > 0 {
+                        extent.verify(&payload, c).expect("payload checksum");
+                    }
+                    let nrows = part.rows().len();
+                    extent
+                        .decode_trusted(&payload, nrows, c)
+                        .expect("payload decode")
+                };
+                decoded = columns.iter().map(|&c| fetch(c)).collect();
+                decoded.iter().collect()
+            }
+        };
+        let atoms = pred.atoms().iter().zip(&slots);
+        for (local, &row) in part.rows().iter().enumerate() {
+            if atoms
+                .clone()
+                .all(|(a, &slot)| atom_matches_ref(a, cols[slot].get(local)))
+            {
+                out.push(row);
+            }
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
 /// Time `iters` runs of `scan`, verifying each run returns `expected`
 /// matches, and convert to rows/sec over the full (unpruned) table.
 fn measure(
@@ -64,13 +127,13 @@ fn measure(
     rows: usize,
     iters: usize,
     expected: &[u32],
-    mut scan: impl FnMut() -> SnapshotScan,
+    mut scan: impl FnMut() -> Vec<u32>,
 ) -> Measurement {
-    // Warmup run, doubling as the correctness oracle check.
+    // Warmup run, doubling as the correctness check.
     let first = scan();
     assert_eq!(
-        first.matches, expected,
-        "{name}: scan disagrees with the oracle row set"
+        first, expected,
+        "{name}: scan disagrees with the baseline row set"
     );
     let start = Instant::now();
     for _ in 0..iters {
@@ -137,9 +200,9 @@ fn scan_kernels(c: &mut Criterion) {
     let pred = bench_predicate(&table);
     let assignment: Vec<u32> = (0..rows).map(|i| i as u32 % PARTITIONS).collect();
     let snap = TableSnapshot::build(&table, &assignment, PARTITIONS as usize, 0, "bench");
-    let expected = snap.scan_rowwise(&pred).matches;
+    let expected = rowwise_scan(&snap, &pred, None);
     let wide = wide_predicate(&table);
-    let expected_wide = snap.scan_rowwise(&wide).matches;
+    let expected_wide = rowwise_scan(&snap, &wide, None);
 
     println!(
         "== scan_kernels: {rows} rows, {PARTITIONS} partitions, 4-atom predicate \
@@ -150,27 +213,27 @@ fn scan_kernels(c: &mut Criterion) {
 
     // Criterion latency lines for the two memory variants.
     c.bench_function("scan_memory_rowwise", |b| {
-        b.iter(|| black_box(snap.scan_rowwise(&pred)))
+        b.iter(|| black_box(rowwise_scan(&snap, &pred, None)))
     });
     c.bench_function("scan_memory_vectorized", |b| {
         b.iter(|| black_box(snap.scan(&pred)))
     });
 
     let mem_rowwise = measure("memory_rowwise", rows, iters, &expected, || {
-        snap.scan_rowwise(&pred)
+        rowwise_scan(&snap, &pred, None)
     });
     let mem_vectorized = measure("memory_vectorized", rows, iters, &expected, || {
-        snap.scan(&pred)
+        snap.scan(&pred).matches
     });
     let mem_rowwise_wide = measure("memory_rowwise_wide", rows, iters, &expected_wide, || {
-        snap.scan_rowwise(&wide)
+        rowwise_scan(&snap, &wide, None)
     });
     let mem_vectorized_wide = measure(
         "memory_vectorized_wide",
         rows,
         iters,
         &expected_wide,
-        || snap.scan(&wide),
+        || snap.scan(&wide).matches,
     );
 
     let by_quantity = quantity_range_assignment(&table);
@@ -181,7 +244,7 @@ fn scan_kernels(c: &mut Criterion) {
         rows,
         iters,
         &expected_wide,
-        || covered_snap.scan(&wide),
+        || covered_snap.scan(&wide).matches,
     );
 
     // Disk-backed snapshot for the pooled variants.
@@ -196,14 +259,13 @@ fn scan_kernels(c: &mut Criterion) {
     let warm_pool = BufferPool::new(BufferPoolConfig::default());
 
     let warm_rowwise = measure("pooled_warm_rowwise", rows, iters, &expected, || {
-        tiered_snap
-            .scan_pooled_rowwise(&pred, &warm_pool)
-            .expect("pooled scan")
+        rowwise_scan(&tiered_snap, &pred, Some(&warm_pool))
     });
     let warm_vectorized = measure("pooled_warm_vectorized", rows, iters, &expected, || {
         tiered_snap
             .scan_pooled(&pred, &warm_pool)
             .expect("pooled scan")
+            .matches
     });
     let warm_vectorized_wide = measure(
         "pooled_warm_vectorized_wide",
@@ -214,6 +276,7 @@ fn scan_kernels(c: &mut Criterion) {
             tiered_snap
                 .scan_pooled(&wide, &warm_pool)
                 .expect("pooled scan")
+                .matches
         },
     );
     let covered_root = root.with_extension("range");
@@ -230,6 +293,7 @@ fn scan_kernels(c: &mut Criterion) {
             covered_snap
                 .scan_pooled(&wide, &covered_pool)
                 .expect("pooled scan")
+                .matches
         },
     );
     let covered_scan = covered_snap
@@ -246,6 +310,7 @@ fn scan_kernels(c: &mut Criterion) {
             tiered_snap
                 .scan_pooled(&pred, &cold_pool)
                 .expect("pooled scan")
+                .matches
         },
     );
 

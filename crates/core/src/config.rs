@@ -84,7 +84,7 @@ impl OreoConfig {
         }
     }
 
-    /// Builder-style setters for the common sweep parameters.
+    /// Sets the relative reorganization cost α.
     pub fn with_alpha(mut self, alpha: f64) -> Self {
         self.alpha = alpha;
         self
@@ -93,24 +93,6 @@ impl OreoConfig {
     /// Sets the admission threshold ε.
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
         self.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the transition-weighting exponent γ.
-    pub fn with_gamma(mut self, gamma: f64) -> Self {
-        self.gamma = gamma;
-        self
-    }
-
-    /// Sets the master RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the partition count k.
-    pub fn with_partitions(mut self, k: usize) -> Self {
-        self.partitions = k;
         self
     }
 }
@@ -136,26 +118,27 @@ mod tests {
 
     #[test]
     fn gamma_zero_is_uniform_policy() {
-        let c = OreoConfig::default().with_gamma(0.0);
+        let c = OreoConfig {
+            gamma: 0.0,
+            ..OreoConfig::default()
+        };
         assert_eq!(c.transition_policy(), TransitionPolicy::Uniform);
     }
 
     #[test]
     fn builders_chain() {
-        let c = OreoConfig::default()
-            .with_alpha(10.0)
-            .with_epsilon(0.2)
-            .with_seed(9)
-            .with_partitions(16);
+        let c = OreoConfig::default().with_alpha(10.0).with_epsilon(0.2);
         assert_eq!(c.alpha, 10.0);
         assert_eq!(c.epsilon, 0.2);
-        assert_eq!(c.seed, 9);
-        assert_eq!(c.partitions, 16);
+        assert_eq!(c.gamma, OreoConfig::default().gamma, "the rest untouched");
     }
 
     #[test]
     fn manager_seed_decorrelated() {
-        let c = OreoConfig::default().with_seed(5);
+        let c = OreoConfig {
+            seed: 5,
+            ..OreoConfig::default()
+        };
         assert_ne!(c.manager_config().seed, 5);
     }
 }

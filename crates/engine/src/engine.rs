@@ -2056,46 +2056,38 @@ fn execute_reorg(
     // Freeze the delta prefix: captured runs and tombstones fold into the
     // rewritten base; batches arriving during the build merge only among
     // themselves and surface as the published snapshot's overlay.
-    let (mut capture, base, base_ids, ids_identity, prev_folded, prev_next) = {
+    let (mut capture, base, base_ids, prev_folded, prev_next) = {
         let mut ing = ten.ingest.lock().expect("ingest poisoned");
         (
             ing.buffer.freeze_for_fold(),
             Arc::clone(&ing.base),
             Arc::clone(&ing.base_ids),
-            ing.ids_identity,
             ing.folded,
             ing.buffer.next_row(),
         )
     };
-    let built = build_fold_snapshot(
-        &base,
-        &base_ids,
-        ids_identity,
-        capture.as_ref(),
-        &req.spec,
-        req.target,
-    )
-    .unwrap_or_else(|e| {
-        // The merge failed before anything published: unfreeze (the
-        // captured state lives only in the buffer) and fall back to a pure
-        // layout rewrite of the current base.
-        let msg = format!(
-            "fold build for layout {} failed: {e} (deltas kept in memory)",
-            req.target
-        );
-        eprintln!("oreo-reorg: {msg}");
-        {
-            let mut ing = ten.ingest.lock().expect("ingest poisoned");
-            ing.buffer.abort_fold();
-            ing.errors.push(msg);
-        }
-        for m in metric_views(shared, ten) {
-            m.tiered_errors.inc();
-        }
-        capture = None;
-        build_fold_snapshot(&base, &base_ids, ids_identity, None, &req.spec, req.target)
-            .expect("base-only build is infallible")
-    });
+    let built = build_fold_snapshot(&base, &base_ids, capture.as_ref(), &req.spec, req.target)
+        .unwrap_or_else(|e| {
+            // The merge failed before anything published: unfreeze (the
+            // captured state lives only in the buffer) and fall back to a pure
+            // layout rewrite of the current base.
+            let msg = format!(
+                "fold build for layout {} failed: {e} (deltas kept in memory)",
+                req.target
+            );
+            eprintln!("oreo-reorg: {msg}");
+            {
+                let mut ing = ten.ingest.lock().expect("ingest poisoned");
+                ing.buffer.abort_fold();
+                ing.errors.push(msg);
+            }
+            for m in metric_views(shared, ten) {
+                m.tiered_errors.inc();
+            }
+            capture = None;
+            build_fold_snapshot(&base, &base_ids, None, &req.spec, req.target)
+                .expect("base-only build is infallible")
+        });
     let FoldBuild {
         mut snapshot,
         merged,
@@ -2173,7 +2165,6 @@ fn execute_reorg(
             ing.buffer.complete_fold();
             ing.base = Arc::clone(table);
             ing.base_ids = Arc::clone(ids);
-            ing.ids_identity = ids_identity && cap.tombstones.is_empty();
             ing.folded = cap.watermark;
             folded_rows = cap.delta_rows;
             // The folded base is durable (or this is memory serving): WAL

@@ -37,9 +37,6 @@ pub(crate) struct IngestState {
     /// Global row id of each `base` position. Identity at boot; folds
     /// install the concatenated surviving ids.
     pub base_ids: Arc<[u32]>,
-    /// True while `base_ids[i] == i` — lets the no-ingest reorganization
-    /// path stay bit-for-bit the pre-ingestion build.
-    pub ids_identity: bool,
     /// Highest ingest sequence folded into `base` (the WAL GC watermark).
     pub folded: u64,
     /// Write-path degradations (WAL open/append/truncate failures). Merged
@@ -61,7 +58,6 @@ impl IngestState {
             wal,
             base,
             base_ids: base_ids.into(),
-            ids_identity: true,
             folded: 0,
             errors,
         }
@@ -85,32 +81,26 @@ pub(crate) struct FoldBuild {
 /// survivors concatenate (base first, then runs oldest-first — global ids
 /// stay ascending), and the merged table is routed by `spec`.
 ///
-/// With no capture and identity ids this is exactly the pre-ingestion
-/// [`crate::reorg::materialize`] — the no-ingest bit-parity path.
+/// With no capture the base is routed as it stands, each row carrying its
+/// id; with identity ids (no fold yet) that is exactly
+/// [`crate::reorg::materialize`].
 pub(crate) fn build_fold_snapshot(
     base: &Arc<Table>,
     base_ids: &Arc<[u32]>,
-    ids_identity: bool,
     capture: Option<&FoldCapture>,
     spec: &SharedSpec,
     target: LayoutId,
 ) -> Result<FoldBuild> {
     let Some(cap) = capture else {
-        let snapshot = if ids_identity {
-            crate::reorg::materialize(base, spec, target)
-        } else {
-            // Prior folds re-identified the base rows; route positions,
-            // carry the surviving ids.
-            let assignment = spec.assign(base);
-            TableSnapshot::build_with_rows(
-                base,
-                base_ids,
-                &assignment,
-                spec.k(),
-                target,
-                spec.describe(),
-            )
-        };
+        let assignment = spec.assign(base);
+        let snapshot = TableSnapshot::build_with_rows(
+            base,
+            base_ids,
+            &assignment,
+            spec.k(),
+            target,
+            spec.describe(),
+        );
         return Ok(FoldBuild {
             snapshot,
             merged: None,
@@ -191,7 +181,7 @@ mod tests {
         let cap = buf.freeze_for_fold().unwrap();
         let spec: SharedSpec = Arc::new(RangeLayout::from_sample(&t, 0, 4));
         let ids: Arc<[u32]> = (0..100u32).collect::<Vec<_>>().into();
-        let built = build_fold_snapshot(&t, &ids, true, Some(&cap), &spec, 5).unwrap();
+        let built = build_fold_snapshot(&t, &ids, Some(&cap), &spec, 5).unwrap();
         let (merged, merged_ids) = built.merged.expect("fold merged");
         // 100 base − 1 tombstone + 3 delta − 1 delta tombstone = 101 rows
         assert_eq!(merged.num_rows(), 101);
@@ -216,10 +206,30 @@ mod tests {
         let shrunk = Arc::new(t.project_rows(&keep));
         let ids: Arc<[u32]> = keep.into();
         let spec: SharedSpec = Arc::new(RangeLayout::from_sample(&shrunk, 0, 2));
-        let built = build_fold_snapshot(&shrunk, &ids, false, None, &spec, 1).unwrap();
+        let built = build_fold_snapshot(&shrunk, &ids, None, &spec, 1).unwrap();
         assert!(built.merged.is_none());
         let mut cover = built.snapshot.row_cover();
         cover.sort_unstable();
         assert_eq!(cover, ids.to_vec());
+
+        // Identity ids (no fold yet): exactly `reorg::materialize`'s
+        // partitions — row ids, data and metadata.
+        let ids: Arc<[u32]> = (0..10u32).collect::<Vec<_>>().into();
+        let spec: SharedSpec = Arc::new(RangeLayout::from_sample(&t, 0, 3));
+        let built = build_fold_snapshot(&t, &ids, None, &spec, 2).unwrap();
+        assert!(built.merged.is_none());
+        let want = crate::reorg::materialize(&t, &spec, 2);
+        let (got, want) = (&built.snapshot, &want);
+        assert_eq!((got.layout(), got.name()), (want.layout(), want.name()));
+        assert_eq!(got.num_partitions(), want.num_partitions());
+        for (g, w) in got.partitions().iter().zip(want.partitions()) {
+            assert_eq!(g.rows(), w.rows());
+            assert_eq!(g.meta, w.meta);
+            assert_eq!(g.bytes, w.bytes);
+            assert_eq!(g.data.num_rows(), w.data.num_rows());
+            for r in 0..g.data.num_rows() {
+                assert_eq!(g.data.scalar(r, 0), w.data.scalar(r, 0));
+            }
+        }
     }
 }

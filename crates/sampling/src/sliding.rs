@@ -12,8 +12,6 @@ use std::collections::VecDeque;
 pub struct SlidingWindow<T> {
     items: VecDeque<T>,
     capacity: usize,
-    /// Total number of items ever pushed (not just retained).
-    pushed: u64,
 }
 
 impl<T> SlidingWindow<T> {
@@ -26,7 +24,6 @@ impl<T> SlidingWindow<T> {
         Self {
             items: VecDeque::with_capacity(capacity),
             capacity,
-            pushed: 0,
         }
     }
 
@@ -36,7 +33,6 @@ impl<T> SlidingWindow<T> {
             self.items.pop_front();
         }
         self.items.push_back(item);
-        self.pushed += 1;
     }
 
     /// Number of items currently held.
@@ -52,16 +48,6 @@ impl<T> SlidingWindow<T> {
     /// Maximum number of items the window keeps.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// True once the window has filled to capacity at least once.
-    pub fn is_full(&self) -> bool {
-        self.items.len() == self.capacity
-    }
-
-    /// Total items pushed over the window's lifetime.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
     }
 
     /// Oldest-to-newest iteration.
@@ -94,16 +80,14 @@ mod tests {
             w.push(i);
         }
         assert_eq!(w.to_vec(), vec![2, 3, 4]);
-        assert_eq!(w.len(), 3);
-        assert!(w.is_full());
-        assert_eq!(w.total_pushed(), 5);
+        assert_eq!(w.len(), w.capacity());
     }
 
     #[test]
     fn not_full_until_capacity() {
         let mut w = SlidingWindow::new(4);
         w.push(1);
-        assert!(!w.is_full());
+        assert!(w.len() < w.capacity());
         assert_eq!(w.to_vec(), vec![1]);
     }
 

@@ -105,11 +105,6 @@ impl LayoutModel {
         accessed / self.total_rows
     }
 
-    /// Fraction of rows skipped: `1 - cost`.
-    pub fn skipped_fraction(&self, query: &Query) -> f64 {
-        1.0 - self.cost(query)
-    }
-
     /// Cost vector over a query sample — the representation Algorithm 5
     /// compares layouts with.
     pub fn cost_vector(&self, queries: &[Query]) -> Vec<f64> {
@@ -433,7 +428,6 @@ mod tests {
     fn full_scan_costs_one() {
         let (m, _) = model();
         assert_eq!(m.cost(&Query::full_scan()), 1.0);
-        assert_eq!(m.skipped_fraction(&Query::full_scan()), 0.0);
     }
 
     #[test]

@@ -30,19 +30,14 @@
 //!    split into cold (disk) and cached (pool) bytes — instead of bytes
 //!    merely accounted at file sizes.
 //!
-//! All snapshot scans run one driver (prune by metadata → fetch the
-//! predicate's columns → evaluate → assemble the ascending result minus
-//! tombstones in linear time),
-//! parameterised by where the columns come from (resident data, or pages
-//! through the [`BufferPool`]) and how rows are tested. Both serving
-//! entry points ([`TableSnapshot::scan`], [`TableSnapshot::scan_pooled`])
-//! evaluate through the vectorized [`kernel`] layer: compiled per-column
-//! plans ([`oreo_query::compile`]) run over [`CHUNK_ROWS`]-row chunks into
-//! reusable selection vectors, ANDed cheapest-selectivity-first with late
-//! materialization of global row ids. [`TableSnapshot::scan_rowwise`] /
-//! [`TableSnapshot::scan_pooled_rowwise`] are the same driver with the
-//! row-at-a-time reference evaluator — the correctness oracle the property
-//! tests and the `scan_kernels` microbench compare against.
+//! Both snapshot scans ([`TableSnapshot::scan`] over resident data,
+//! [`TableSnapshot::scan_pooled`] over pages through the [`BufferPool`])
+//! run one driver: prune by metadata → fetch the predicate's columns →
+//! evaluate through the vectorized [`kernel`] layer → assemble the
+//! ascending result minus tombstones in linear time. The kernels run
+//! compiled per-column plans ([`oreo_query::compile`]) over
+//! [`CHUNK_ROWS`]-row chunks into reusable selection vectors, ANDed
+//! cheapest-selectivity-first with late materialization of global row ids.
 
 pub mod bufpool;
 pub mod column;

@@ -15,8 +15,9 @@
 //!
 //! # The scan path
 //!
-//! All four entry points run one driver ([`TableSnapshot::scan`] documents
-//! it in full). Per partition it asks the pruning metadata two questions
+//! Both entry points — [`TableSnapshot::scan`] over resident data and
+//! [`TableSnapshot::scan_pooled`] through a [`BufferPool`] — run one driver
+//! (`drive`). Per partition it asks the pruning metadata two questions
 //! before it touches a value: *can any row match* — no skips the partition
 //! — and, per predicate column, *must every row match*
 //! ([`ColumnStats::covered_by`](crate::partition::ColumnStats::covered_by)).
@@ -127,8 +128,7 @@ pub struct SnapshotScan {
     /// same — `rows_read`, `bytes_scanned` and the pool see them exactly
     /// as they see any other surviving partition — which makes
     /// `partitions_covered / partitions_read` the finer number beside the
-    /// paper's fraction, not a replacement for it. On the row-at-a-time
-    /// oracle paths only a tautological predicate covers anything.
+    /// paper's fraction, not a replacement for it.
     pub partitions_covered: usize,
     /// Column payloads a pooled scan decoded, or read as packed frames:
     /// one per surviving base partition and predicate column the metadata
@@ -137,7 +137,7 @@ pub struct SnapshotScan {
     pub columns_decoded: u64,
     /// Kernel evaluations of a packed integer frame that its header
     /// answered without unpacking ([`KernelCounters::frames_decided`]).
-    /// Zero for memory-resident scans and on the oracle paths.
+    /// Zero for memory-resident scans.
     pub frames_decided: u64,
     /// Total partitions in the snapshot.
     pub partitions_total: usize,
@@ -147,12 +147,11 @@ pub struct SnapshotScan {
     /// Page bytes this scan served from the buffer pool (hits). Zero for
     /// memory-resident scans.
     pub io_cached_bytes: u64,
-    /// Selection-vector chunks the vectorized kernels evaluated (zero on
-    /// the row-at-a-time oracle paths, for tautological predicates and for
-    /// covered partitions).
+    /// Selection-vector chunks the vectorized kernels evaluated (zero for
+    /// tautological predicates and for covered partitions).
     pub chunks_evaluated: u64,
     /// Row × kernel evaluations the adaptive AND order skipped because the
-    /// selection vector had already shrunk (zero on the oracle paths).
+    /// selection vector had already shrunk.
     pub rows_short_circuited: u64,
     /// Bytes of *delta-run* partitions this scan evaluated — a subset of
     /// `bytes_scanned`. Delta runs are always memory-resident, so on the
@@ -162,18 +161,6 @@ pub struct SnapshotScan {
     pub delta_bytes_scanned: u64,
 }
 
-impl SnapshotScan {
-    /// Fraction of the table read — the same unit as the cost model's
-    /// `c(s, q)`.
-    pub fn fraction_read(&self, total_rows: u64) -> f64 {
-        if total_rows == 0 {
-            0.0
-        } else {
-            self.rows_read as f64 / total_rows as f64
-        }
-    }
-}
-
 /// Where a scan gets a surviving base partition's predicate columns, and
 /// what reading them costs.
 #[derive(Clone, Copy)]
@@ -181,14 +168,13 @@ enum ColumnSource<'a> {
     /// Borrow the materialized `part.data`; charge `part.bytes`.
     Resident,
     /// Fetch the columns' page ranges of the backing generation through
-    /// the pool and decode them; charge the page bytes, split cold/cached.
+    /// the pool and open them; charge the page bytes, split cold/cached.
     Pooled(&'a BufferPool),
 }
 
 /// A predicate column a pooled scan fetched.
 enum Fetched {
-    /// Decoded (every column on the oracle path; float and dictionary
-    /// columns on the kernel path).
+    /// A float or dictionary payload, decoded.
     Decoded(Column),
     /// An integer payload's frames, left packed for the kernels.
     Packed(IntFrames),
@@ -199,61 +185,6 @@ impl Fetched {
         match self {
             Fetched::Decoded(column) => ColumnInput::Decoded(column),
             Fetched::Packed(frames) => ColumnInput::Packed(frames),
-        }
-    }
-}
-
-/// How a scan tests a partition's rows.
-#[derive(Clone, Copy)]
-enum Evaluator {
-    /// The vectorized [`kernel`] layer.
-    Kernel,
-    /// The row-at-a-time reference ([`RowwiseEvaluator`]).
-    Rowwise,
-}
-
-/// The row-at-a-time reference interpreter: every atom re-dispatched per
-/// row against its column's cell. Atom → column lookups go through a slot
-/// index computed once per scan, not a per-row search.
-pub(crate) struct RowwiseEvaluator<'p> {
-    predicate: &'p Predicate,
-    /// For each atom, the position of its column in
-    /// [`Predicate::columns`].
-    slots: Vec<usize>,
-}
-
-impl<'p> RowwiseEvaluator<'p> {
-    pub(crate) fn new(predicate: &'p Predicate) -> Self {
-        let cols = predicate.columns();
-        let slots = predicate
-            .atoms()
-            .iter()
-            .map(|a| {
-                cols.iter()
-                    .position(|&c| c == a.col())
-                    .expect("atom column in predicate.columns()")
-            })
-            .collect();
-        Self { predicate, slots }
-    }
-
-    /// Call `hit(row)` for each of the `nrows` rows satisfying every atom.
-    /// `cols` must align with [`Predicate::columns`].
-    pub(crate) fn for_each_match(
-        &self,
-        cols: &[&Column],
-        nrows: usize,
-        mut hit: impl FnMut(usize),
-    ) {
-        let atoms = self.predicate.atoms();
-        for row in 0..nrows {
-            if atoms
-                .iter()
-                .zip(&self.slots)
-                .all(|(a, &slot)| crate::column::atom_matches_ref(a, cols[slot].get(row)))
-            {
-                hit(row);
-            }
         }
     }
 }
@@ -656,7 +587,8 @@ impl TableSnapshot {
         }
     }
 
-    /// The one scan loop behind all four entry points. Per partition:
+    /// The one scan loop behind [`TableSnapshot::scan`] and
+    /// [`TableSnapshot::scan_pooled`]. Per partition:
     ///
     /// 1. *prune* — metadata proves no row can match: skip it;
     /// 2. *count* it as read, and charge what reading it costs — a resident
@@ -664,10 +596,9 @@ impl TableSnapshot {
     ///    predicate column, fetched through `source`;
     /// 3. *decide by metadata* — drop each predicate column whose stored
     ///    min/max or distinct set proves every row passes
-    ///    ([`crate::partition::ColumnStats::covered_by`]); the row-at-a-time
-    ///    oracle decides nothing and evaluates every atom on every row;
-    /// 4. *evaluate the rest* with `eval` — with no column left the
-    ///    partition's row ids are its matches as they stand.
+    ///    ([`crate::partition::ColumnStats::covered_by`]);
+    /// 4. *evaluate the rest* through [`kernel::scan_partition`] — with no
+    ///    column left the partition's row ids are its matches as they stand.
     ///
     /// Each partition's matches are one ascending run; [`assemble_runs`]
     /// orders the runs (ascending global ids, so results are
@@ -676,12 +607,7 @@ impl TableSnapshot {
     /// Base partitions and delta runs share the body. A run is a resident
     /// partition whatever the `source` — it is never on disk — whose bytes
     /// also count as `delta_bytes_scanned`.
-    fn drive(
-        &self,
-        predicate: &Predicate,
-        source: ColumnSource<'_>,
-        eval: Evaluator,
-    ) -> Result<SnapshotScan> {
+    fn drive(&self, predicate: &Predicate, source: ColumnSource<'_>) -> Result<SnapshotScan> {
         let pooled = match source {
             ColumnSource::Resident => None,
             ColumnSource::Pooled(pool) => Some((
@@ -693,7 +619,6 @@ impl TableSnapshot {
         };
         let compiled = CompiledPredicate::compile(predicate);
         let plans = compiled.columns();
-        let rowwise = matches!(eval, Evaluator::Rowwise).then(|| RowwiseEvaluator::new(predicate));
         // A tautology needs no cell values, so a pooled scan of one reads
         // no payload: its honest I/O cost is zero bytes.
         let payload_free = pooled.is_some() && compiled.is_tautology();
@@ -726,16 +651,14 @@ impl TableSnapshot {
                 out.matches.extend_from_slice(&part.rows);
                 continue;
             }
-            let undecided = |cp: &ColumnPredicate| {
-                rowwise.is_some() || !part.meta.columns[cp.col()].covered_by(cp.plan())
-            };
+            let undecided =
+                |cp: &ColumnPredicate| !part.meta.columns[cp.col()].covered_by(cp.plan());
             let fetched;
             let fetched_refs: Vec<(&ColumnPlan, ColumnInput)>;
             let conjuncts: &[(&ColumnPlan, ColumnInput)] = match (pooled, base_index) {
                 (Some(tier), Some(index)) => {
-                    let packed = rowwise.is_none();
-                    fetched = self
-                        .fetch_undecided_columns(tier, index, plans, undecided, packed, &mut out)?;
+                    fetched =
+                        self.fetch_undecided_columns(tier, index, plans, undecided, &mut out)?;
                     fetched_refs = fetched.iter().map(|(plan, c)| (*plan, c.input())).collect();
                     &fetched_refs
                 }
@@ -751,29 +674,13 @@ impl TableSnapshot {
                 }
             };
             out.partitions_covered += usize::from(conjuncts.is_empty());
-            match &rowwise {
-                None => kernel::scan_partition(
-                    conjuncts,
-                    &part.rows,
-                    &mut scratch,
-                    &mut out.matches,
-                    &mut counters,
-                ),
-                Some(rowwise) => {
-                    // Undecided is everything here, and decoded: the
-                    // columns line up with `Predicate::columns`.
-                    let cols: Vec<&Column> = conjuncts
-                        .iter()
-                        .map(|&(_, input)| match input {
-                            ColumnInput::Decoded(column) => column,
-                            ColumnInput::Packed(_) => unreachable!("the oracle decodes"),
-                        })
-                        .collect();
-                    rowwise.for_each_match(&cols, part.rows.len(), |local| {
-                        out.matches.push(part.rows[local]);
-                    })
-                }
-            }
+            kernel::scan_partition(
+                conjuncts,
+                &part.rows,
+                &mut scratch,
+                &mut out.matches,
+                &mut counters,
+            );
         }
         out.chunks_evaluated = counters.chunks_evaluated;
         out.rows_short_circuited = counters.rows_short_circuited;
@@ -789,28 +696,16 @@ impl TableSnapshot {
     /// [`kernel`] layer, and report the matching *global*
     /// row ids (ascending, so results are layout-independent).
     pub fn scan(&self, predicate: &Predicate) -> SnapshotScan {
-        self.drive(predicate, ColumnSource::Resident, Evaluator::Kernel)
-            .expect("resident columns are borrowed, never fetched")
-    }
-
-    /// Row-at-a-time reference implementation of [`TableSnapshot::scan`]:
-    /// the same driver with the original interpreter as evaluator — every
-    /// atom on every row of every surviving partition, no metadata
-    /// shortcut — kept as the correctness oracle for the vectorized kernels
-    /// (property tests assert result equality) and as the baseline the
-    /// `scan_kernels` microbench measures against. Kernel counters stay
-    /// zero.
-    pub fn scan_rowwise(&self, predicate: &Predicate) -> SnapshotScan {
-        self.drive(predicate, ColumnSource::Resident, Evaluator::Rowwise)
+        self.drive(predicate, ColumnSource::Resident)
             .expect("resident columns are borrowed, never fetched")
     }
 
     /// Read the payload of every predicate column (`plans`) of base
     /// partition `index` through the pool, accumulating byte accounting
     /// into `out`, and open the ones `undecided` selects; returned in
-    /// `plans` order, each with its plan. With `packed`, an integer payload
-    /// is opened as its frames — headers walked, values left packed —
-    /// instead of decoded.
+    /// `plans` order, each with its plan. An integer payload is opened as
+    /// its frames — headers walked, values left packed — and any other
+    /// payload decoded.
     ///
     /// A decided column is read all the same — same page ranges, same
     /// hits, misses and evictions, same `bytes_scanned` — because
@@ -826,7 +721,6 @@ impl TableSnapshot {
         index: usize,
         plans: &'p [ColumnPredicate],
         undecided: impl Fn(&ColumnPredicate) -> bool,
-        packed: bool,
         out: &mut SnapshotScan,
     ) -> Result<Vec<(&'p ColumnPlan, Fetched)>> {
         let part = &self.partitions[index];
@@ -861,7 +755,7 @@ impl TableSnapshot {
             out.columns_decoded += 1;
             fetched.push((
                 cp.plan(),
-                if packed && extent.is_int() {
+                if extent.is_int() {
                     Fetched::Packed(extent.frames_trusted(payload, nrows, col)?)
                 } else {
                     Fetched::Decoded(extent.decode_trusted(&payload, nrows, col)?)
@@ -874,8 +768,9 @@ impl TableSnapshot {
     /// Execute one predicate against the snapshot's *on-disk* generation
     /// through a [`BufferPool`]: prune partitions by metadata, then for
     /// each surviving partition fetch only the pages covering the
-    /// predicate's column payloads, decode into chunk-ready columns, and
-    /// evaluate through the vectorized [`kernel`] layer.
+    /// predicate's column payloads, open the ones the metadata cannot
+    /// decide (integer payloads as packed frames), and evaluate them
+    /// through the vectorized [`kernel`] layer.
     ///
     /// Returns exactly the matches [`TableSnapshot::scan`] returns, but the
     /// bytes actually travel through the pool: `bytes_scanned` counts the
@@ -890,21 +785,7 @@ impl TableSnapshot {
     /// index) or on I/O/corruption errors; callers degrade to the
     /// in-memory [`TableSnapshot::scan`].
     pub fn scan_pooled(&self, predicate: &Predicate, pool: &BufferPool) -> Result<SnapshotScan> {
-        self.drive(predicate, ColumnSource::Pooled(pool), Evaluator::Kernel)
-    }
-
-    /// Row-at-a-time reference implementation of
-    /// [`TableSnapshot::scan_pooled`]: identical I/O (same column payloads
-    /// through the same pool, including the zero-I/O empty-predicate rule)
-    /// but per-row atom interpretation — the correctness oracle for the
-    /// pooled kernel path and the baseline the `scan_kernels` microbench
-    /// measures against. Kernel counters stay zero.
-    pub fn scan_pooled_rowwise(
-        &self,
-        predicate: &Predicate,
-        pool: &BufferPool,
-    ) -> Result<SnapshotScan> {
-        self.drive(predicate, ColumnSource::Pooled(pool), Evaluator::Rowwise)
+        self.drive(predicate, ColumnSource::Pooled(pool))
     }
 
     /// The metadata-only [`LayoutModel`] view of this snapshot (exact, since
@@ -1072,6 +953,71 @@ mod tests {
         hits
     }
 
+    /// What a scan reported reading: `(partitions_read, rows_read,
+    /// bytes_scanned, delta_bytes_scanned)`.
+    fn billed(scan: &SnapshotScan) -> (usize, u64, u64, u64) {
+        (
+            scan.partitions_read,
+            scan.rows_read,
+            scan.bytes_scanned,
+            scan.delta_bytes_scanned,
+        )
+    }
+
+    /// What a scan of `pred` must report reading (as [`billed`] lists it),
+    /// from the metadata and the page index alone: every partition
+    /// `may_match` keeps, base or delta run, is read. A resident scan
+    /// (`page_bytes: None`) pays each one's `bytes`. A pooled scan pays,
+    /// per surviving base partition, the pages of its blob that each
+    /// predicate column's extent touches (the blob's last page is short),
+    /// and per surviving delta run its `bytes`; a tautology reads no
+    /// payload at all.
+    fn expected_bill(
+        snap: &TableSnapshot,
+        pred: &Predicate,
+        page_bytes: Option<u64>,
+    ) -> (usize, u64, u64, u64) {
+        let (mut parts, mut rows, mut bytes, mut delta_bytes) = (0, 0, 0, 0);
+        let payload_free = page_bytes.is_some() && pred.atoms().is_empty();
+        let base = snap
+            .partitions()
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (Some(i), p));
+        let runs = snap.delta().into_iter().flat_map(|d| &d.runs);
+        for (index, part) in base.chain(runs.map(|r| (None, r))) {
+            if !part.meta.may_match(pred) {
+                continue;
+            }
+            parts += 1;
+            rows += part.rows().len() as u64;
+            match (page_bytes, index) {
+                _ if payload_free => {}
+                (Some(page), Some(index)) => {
+                    let generation = snap.generation().expect("pooled scans need one");
+                    let (_, blob_len) = generation.blob(index as u32).unwrap();
+                    let extents = part.extents.as_ref().expect("page index");
+                    for col in pred.columns() {
+                        let ColumnExtent { offset, len, .. } = extents[col];
+                        if len > 0 {
+                            let pages = offset / page..=(offset + len - 1) / page;
+                            bytes += pages
+                                .map(|p| blob_len.min((p + 1) * page) - p * page)
+                                .sum::<u64>();
+                        }
+                    }
+                }
+                _ => {
+                    bytes += part.bytes;
+                    if index.is_none() {
+                        delta_bytes += part.bytes;
+                    }
+                }
+            }
+        }
+        (parts, rows, bytes, delta_bytes)
+    }
+
     #[test]
     fn scan_matches_direct_filter_on_any_layout() {
         use crate::delta::{DeltaBuffer, IngestOp, MergePolicy};
@@ -1110,9 +1056,10 @@ mod tests {
             assert!(scan.rows_read >= expected.len() as u64);
             assert_eq!(scan.partitions_total, k);
 
-            // All four entry points share one driver, so none of them may
-            // serve as another's oracle: with delta runs and tombstones
-            // attached, each is held to the plain filter over live rows.
+            // Both entry points share one driver, so neither may serve as
+            // the other's oracle: with delta runs and tombstones attached,
+            // each is held to the plain filter over live rows and to the
+            // bill its metadata and page index imply.
             let root = std::env::temp_dir().join(format!(
                 "oreo-snap-oracle-{}-{}",
                 std::process::id(),
@@ -1130,13 +1077,15 @@ mod tests {
                 Predicate::always_true(),
             ] {
                 let want = live_filter(&t, &snap, &pred);
-                assert_eq!(snap.scan(&pred).matches, want, "k={k} {pred:?}");
-                assert_eq!(snap.scan_rowwise(&pred).matches, want, "k={k} {pred:?}");
+                let mem = snap.scan(&pred);
+                assert_eq!(mem.matches, want, "k={k} {pred:?}");
+                assert_eq!(billed(&mem), expected_bill(&snap, &pred, None));
+                let page = pool.stats().page_bytes;
                 for round in ["cold", "warm"] {
                     let pooled = snap.scan_pooled(&pred, &pool).unwrap();
                     assert_eq!(pooled.matches, want, "k={k} {round} {pred:?}");
-                    let pooled = snap.scan_pooled_rowwise(&pred, &pool).unwrap();
-                    assert_eq!(pooled.matches, want, "k={k} {round} {pred:?}");
+                    let bill = expected_bill(&snap, &pred, Some(page));
+                    assert_eq!(billed(&pooled), bill, "k={k} {round} {pred:?}");
                 }
             }
             assert_eq!(
@@ -1158,7 +1107,6 @@ mod tests {
         let scan = snap.scan(&between(0, 0, 24));
         assert_eq!(scan.partitions_read, 1);
         assert_eq!(scan.rows_read, 25);
-        assert_eq!(scan.fraction_read(snap.total_rows()), 0.25);
         // and the model view agrees with the physical fraction read
         let q = oreo_query::Query::new(between(0, 0, 24));
         assert!((snap.model().cost(&q) - 0.25).abs() < 1e-12);
@@ -1204,7 +1152,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_scan_equals_rowwise_at_chunk_boundaries() {
+    fn kernel_scan_equals_filter_at_chunk_boundaries() {
         // Partition sizes straddling the 1024-row chunk: 1023/1024/1025
         // plus two-chunk sizes, on every column representation.
         for n in [1023i64, 1024, 1025, 2048, 2049] {
@@ -1213,11 +1161,9 @@ mod tests {
             let snap = TableSnapshot::build(&t, &assign, 2, 0, "mod2");
             let pred = rich_pred();
             let fast = snap.scan(&pred);
-            let oracle = snap.scan_rowwise(&pred);
-            assert_eq!(fast.matches, oracle.matches, "n={n}");
-            assert_eq!(fast.rows_read, oracle.rows_read);
-            assert_eq!(fast.bytes_scanned, oracle.bytes_scanned);
-            assert_eq!(fast.partitions_read, oracle.partitions_read);
+            assert_eq!(fast.matches, live_filter(&t, &snap, &pred), "n={n}");
+            assert_eq!(billed(&fast), expected_bill(&snap, &pred, None), "n={n}");
+            assert_eq!(fast.partitions_covered, 0, "w spans 0..100 in both");
             let expected_chunks: u64 = snap
                 .partitions()
                 .iter()
@@ -1225,8 +1171,6 @@ mod tests {
                 .map(|p| (p.rows.len() as u64).div_ceil(1024))
                 .sum();
             assert_eq!(fast.chunks_evaluated, expected_chunks, "n={n}");
-            assert_eq!(oracle.chunks_evaluated, 0, "oracle path runs no kernels");
-            assert_eq!(oracle.rows_short_circuited, 0);
         }
     }
 
@@ -1255,14 +1199,12 @@ mod tests {
         ));
         let (store, _) = crate::tiered::TieredStore::create(&root, &mut snap).unwrap();
         let pool = crate::bufpool::BufferPool::new(crate::bufpool::BufferPoolConfig::default());
-        for scan in [
-            snap.scan_pooled(&Predicate::always_true(), &pool).unwrap(),
-            snap.scan_pooled_rowwise(&Predicate::always_true(), &pool)
-                .unwrap(),
-        ] {
+        for _round in ["cold", "warm"] {
+            let scan = snap.scan_pooled(&Predicate::always_true(), &pool).unwrap();
             assert_eq!(scan.matches, (0..300u32).collect::<Vec<_>>());
             assert_eq!(scan.rows_read, 300);
-            assert_eq!(scan.partitions_read, 3);
+            assert_eq!((scan.partitions_read, scan.partitions_covered), (3, 3));
+            assert_eq!((scan.columns_decoded, scan.chunks_evaluated), (0, 0));
             assert_eq!(scan.bytes_scanned, 0, "tautology needs no column payload");
             assert_eq!(scan.io_cold_bytes, 0);
             assert_eq!(scan.io_cached_bytes, 0);
@@ -1348,20 +1290,17 @@ mod tests {
         assert_eq!(delta_hit.matches, vec![100, 101]);
         assert!(delta_hit.delta_bytes_scanned > 0, "delta runs evaluated");
 
-        // the rowwise oracle agrees on matches *and* accounting
+        // the plain filter agrees on matches, the metadata on accounting
+        let runs = snap.delta().unwrap().runs.len();
         for pred in [
             between(0, 0, 99),
             between(0, 150, 400),
             Predicate::always_true(),
         ] {
             let fast = snap.scan(&pred);
-            let oracle = snap.scan_rowwise(&pred);
-            assert_eq!(fast.matches, oracle.matches);
-            assert_eq!(fast.rows_read, oracle.rows_read);
-            assert_eq!(fast.bytes_scanned, oracle.bytes_scanned);
-            assert_eq!(fast.delta_bytes_scanned, oracle.delta_bytes_scanned);
-            assert_eq!(fast.partitions_read, oracle.partitions_read);
-            assert_eq!(fast.partitions_total, oracle.partitions_total);
+            assert_eq!(fast.matches, live_filter(&t, &snap, &pred), "{pred:?}");
+            assert_eq!(billed(&fast), expected_bill(&snap, &pred, None), "{pred:?}");
+            assert_eq!(fast.partitions_total, 4 + runs);
         }
         assert_eq!(
             snap.scan(&Predicate::always_true()).matches.len() as u64,
@@ -1397,20 +1336,16 @@ mod tests {
         let pred = between(0, 10, 130);
         let mem = snap.scan(&pred);
         assert_eq!(mem.matches, live_filter(&t, &snap, &pred));
+        let bill = expected_bill(&snap, &pred, Some(pool.stats().page_bytes));
         for round in 0..2 {
             let pooled = snap.scan_pooled(&pred, &pool).unwrap();
-            let oracle = snap.scan_pooled_rowwise(&pred, &pool).unwrap();
             assert_eq!(pooled.matches, mem.matches, "round {round}");
-            assert_eq!(pooled.matches, oracle.matches);
+            assert_eq!(billed(&pooled), bill, "round {round}");
             assert!(pooled.delta_bytes_scanned > 0);
             assert_eq!(
                 pooled.io_cold_bytes + pooled.io_cached_bytes + pooled.delta_bytes_scanned,
                 pooled.bytes_scanned,
                 "delta bytes never travel through the pool"
-            );
-            assert_eq!(
-                oracle.io_cold_bytes + oracle.io_cached_bytes + oracle.delta_bytes_scanned,
-                oracle.bytes_scanned
             );
         }
         // tautology takes every live row without touching any payload
@@ -1428,7 +1363,7 @@ mod tests {
     /// every other's), a wide range that returns 40 % of the rows, bases
     /// whose ids are dense, folded-but-dense and folded-sparse, and
     /// tombstones on base rows (the extreme ids included) and on rows of
-    /// both delta runs. Every entry point is held to the plain filter.
+    /// both delta runs. Both entry points are held to the plain filter.
     #[test]
     fn wide_scans_assemble_interleaved_sparse_and_tombstoned_results() {
         use crate::delta::{DeltaBuffer, IngestOp, MergePolicy};
@@ -1486,11 +1421,8 @@ mod tests {
                     "{label}: a wide scan returns at least 30 % of the live rows"
                 );
                 assert_eq!(snap.scan(&pred).matches, want, "{label} {pred:?}");
-                assert_eq!(snap.scan_rowwise(&pred).matches, want, "{label} {pred:?}");
                 for round in ["cold", "warm"] {
                     let pooled = snap.scan_pooled(&pred, &pool).unwrap();
-                    assert_eq!(pooled.matches, want, "{label} {round} {pred:?}");
-                    let pooled = snap.scan_pooled_rowwise(&pred, &pool).unwrap();
                     assert_eq!(pooled.matches, want, "{label} {round} {pred:?}");
                 }
             }
@@ -1565,19 +1497,17 @@ mod tests {
         let mem = snap.scan(&pred);
         assert_eq!((mem.matches, mem.partitions_covered), (want.clone(), 2));
         assert_eq!((mem.columns_decoded, mem.chunks_evaluated), (0, 2));
-        assert_eq!(snap.scan_rowwise(&pred).partitions_covered, 0);
         // wholly inside the layout's cuts: nothing is decoded, cold or
         // warm, and what was read is what any scan of those partitions reads
         let inner = between(0, 1000, 2999);
+        let bill = expected_bill(&snap, &inner, Some(config.page_bytes as u64));
+        assert!(bill.2 > 0, "covered partitions are read all the same");
         for round in ["cold", "warm"] {
             let scan = snap.scan_pooled(&inner, &pool).unwrap();
             assert_eq!(scan.matches, (1000..3000).collect::<Vec<u32>>(), "{round}");
             assert_eq!((scan.partitions_read, scan.partitions_covered), (2, 2));
             assert_eq!((scan.columns_decoded, scan.chunks_evaluated), (0, 0));
-            let oracle = snap.scan_pooled_rowwise(&inner, &pool).unwrap();
-            assert_eq!(scan.bytes_scanned, oracle.bytes_scanned, "{round}");
-            assert_eq!(scan.rows_read, oracle.rows_read);
-            assert_eq!(oracle.columns_decoded, 2, "the oracle decodes all it reads");
+            assert_eq!(billed(&scan), bill, "{round}");
         }
 
         // flip one byte in the middle of covered partition 1's `v` payload
@@ -1603,7 +1533,7 @@ mod tests {
     /// A pooled scan reads an undecided `Int` column as its packed frames:
     /// a frame whose header bound lies outside or inside the range is
     /// answered without unpacking, and the result and the bill are the
-    /// oracle's. One partition of `v = 0..6000` — six frames of 1 024
+    /// plain filter's and the page index's. One partition of `v = 0..6000` — six frames of 1 024
     /// consecutive values — cut by `1500..=4000`.
     #[test]
     fn pooled_scan_decides_frames_by_header() {
@@ -1624,10 +1554,8 @@ mod tests {
             // frames 0, 4 and 5 lie outside, frame 2 inside; 1 and 3 straddle
             assert_eq!((scan.frames_decided, scan.chunks_evaluated), (4, 6));
             assert_eq!(scan.columns_decoded, 1);
-            let oracle = snap.scan_pooled_rowwise(&pred, &pool).unwrap();
-            assert_eq!(oracle.matches, want);
-            assert_eq!((oracle.frames_decided, oracle.columns_decoded), (0, 1));
-            assert_eq!(scan.bytes_scanned, oracle.bytes_scanned);
+            let bill = expected_bill(&snap, &pred, Some(pool.stats().page_bytes));
+            assert_eq!(billed(&scan), bill, "{round}");
         }
         assert_eq!(
             snap.scan(&pred).frames_decided,
@@ -2000,7 +1928,8 @@ mod tests {
             /// columns, one of them at the distinct-set cap and one just
             /// past it, on range, mod-k and cut-by-value layouts, with
             /// delta runs and tombstones attached, return the plain filter
-            /// over the live rows through every entry point, cold and warm.
+            /// over the live rows through both entry points, cold and warm,
+            /// and read what the metadata and the page index say they read.
             #[test]
             fn covered_partitions_scan_exactly(
                 types in proptest::collection::vec(0usize..3, 1..5),
@@ -2088,8 +2017,9 @@ mod tests {
                     prop_assert_eq!(&mem.matches, &want, "scan {:?}", pred);
                     prop_assert!(mem.partitions_covered <= mem.partitions_read);
                     prop_assert_eq!(mem.columns_decoded, 0);
-                    prop_assert_eq!(&snap.scan_rowwise(&pred).matches, &want, "rowwise {:?}", pred);
+                    prop_assert_eq!(billed(&mem), expected_bill(&snap, &pred, None));
                     let columns = pred.columns().len();
+                    let bill = expected_bill(&snap, &pred, Some(page_bytes as u64));
                     for round in ["cold", "warm"] {
                         let pooled = snap.scan_pooled(&pred, &pool).unwrap();
                         prop_assert_eq!(&pooled.matches, &want, "{} {:?}", round, pred);
@@ -2098,11 +2028,7 @@ mod tests {
                         prop_assert!(
                             pooled.columns_decoded <= (pooled.partitions_read * columns) as u64
                         );
-                        let oracle = snap.scan_pooled_rowwise(&pred, &pool).unwrap();
-                        prop_assert_eq!(&oracle.matches, &want, "{} rowwise {:?}", round, pred);
-                        prop_assert_eq!(pooled.bytes_scanned, oracle.bytes_scanned);
-                        prop_assert_eq!(pooled.rows_read, oracle.rows_read);
-                        prop_assert_eq!(pooled.partitions_read, oracle.partitions_read);
+                        prop_assert_eq!(billed(&pooled), bill, "{} {:?}", round, pred);
                     }
                 }
                 drop(store);
@@ -2280,42 +2206,53 @@ mod tests {
 
         proptest! {
             /// Snapshot build never loses or duplicates rows, whatever the
-            /// assignment, and scans return exactly the predicate's row set.
+            /// assignment, and the vectorized scan returns exactly the plain
+            /// filter's row set and reads what the metadata says it reads —
+            /// over random layouts, chunk-straddling row counts, and
+            /// predicates including empty, contradictory and multi-atom
+            /// conjunctions over every physical column representation.
             #[test]
             fn build_and_scan_preserve_row_sets(
-                n in 1usize..120,
+                n in 1usize..2200,
                 k in 1usize..6,
                 seedish in proptest::collection::vec(0u32..6, 1..120),
-                lo in -10i64..110,
-                span in 0i64..60,
+                pred in pred_any(),
             ) {
-                let t = table(n as i64);
+                let t = rich_table(n as i64);
                 let assignment: Vec<u32> = (0..n)
                     .map(|i| seedish[i % seedish.len()] % k as u32)
                     .collect();
                 let snap = TableSnapshot::build(&t, &assignment, k, 0, "p");
                 prop_assert_eq!(snap.row_cover(), (0..n as u32).collect::<Vec<_>>());
-                let pred = between(0, lo, lo + span);
-                let expected: Vec<u32> = (0..n as u32)
-                    .filter(|&r| t.row_matches(r as usize, &pred))
-                    .collect();
-                prop_assert_eq!(snap.scan(&pred).matches, expected);
+                let scan = snap.scan(&pred);
+                prop_assert_eq!(&scan.matches, &live_filter(&t, &snap, &pred), "pred {:?}", pred);
+                prop_assert_eq!(billed(&scan), expected_bill(&snap, &pred, None));
+                prop_assert!(scan.partitions_covered <= scan.partitions_read);
+                let chunk_bound: u64 = snap
+                    .partitions()
+                    .iter()
+                    .filter(|p| p.meta.may_match(&pred))
+                    .map(|p| (p.rows.len() as u64).div_ceil(kernel::CHUNK_ROWS as u64))
+                    .sum();
+                prop_assert!(scan.chunks_evaluated <= chunk_bound);
             }
 
             /// Pooled (page-granular, disk-backed) scans return exactly
-            /// what in-memory scans return, for random layouts, page
-            /// sizes, pool capacities, and predicates — cold and warm.
+            /// what in-memory scans and the plain filter return, and read
+            /// the pages the page index says they read, split cold/cached —
+            /// for random layouts, page sizes, pool capacities, and
+            /// predicates over every physical column representation — cold
+            /// and warm.
             #[test]
             fn pooled_scan_equals_memory_scan(
-                n in 1usize..100,
+                n in 1usize..120,
                 k in 1usize..5,
                 seedish in proptest::collection::vec(0u32..5, 1..100),
                 page_pow in 5u32..12,   // 32 B .. 2 KiB pages
                 cap_pages in 1u64..32,
-                lo in -10i64..110,
-                span in 0i64..60,
+                pred in pred_any(),
             ) {
-                let t = table(n as i64);
+                let t = rich_table(n as i64);
                 let assignment: Vec<u32> = (0..n)
                     .map(|i| seedish[i % seedish.len()] % k as u32)
                     .collect();
@@ -2331,95 +2268,16 @@ mod tests {
                     capacity_bytes: cap_pages * page_bytes as u64,
                     page_bytes,
                 });
-                let pred = between(0, lo, lo + span);
                 let mem = snap.scan(&pred);
+                prop_assert_eq!(&mem.matches, &live_filter(&t, &snap, &pred), "pred {:?}", pred);
+                let bill = expected_bill(&snap, &pred, Some(page_bytes as u64));
                 for round in 0..2 {  // cold pass, then (possibly) warm
                     let pooled = snap.scan_pooled(&pred, &pool).unwrap();
                     prop_assert_eq!(&pooled.matches, &mem.matches, "round {}", round);
-                    prop_assert_eq!(pooled.rows_read, mem.rows_read);
-                    prop_assert_eq!(pooled.partitions_read, mem.partitions_read);
+                    prop_assert_eq!(billed(&pooled), bill, "round {} {:?}", round, pred);
                     prop_assert_eq!(
                         pooled.io_cold_bytes + pooled.io_cached_bytes,
                         pooled.bytes_scanned
-                    );
-                }
-                drop(store);
-                drop(snap);
-                let _ = std::fs::remove_dir_all(&root);
-            }
-
-            /// The vectorized in-memory scan path is indistinguishable from
-            /// the row-at-a-time oracle — matches *and* accounting — over
-            /// random layouts, chunk-straddling row counts, and predicates
-            /// including empty, contradictory, and multi-atom conjunctions
-            /// over every physical column representation.
-            #[test]
-            fn vectorized_scan_equals_rowwise_oracle(
-                n in 1usize..2200,
-                k in 1usize..6,
-                seedish in proptest::collection::vec(0u32..6, 1..60),
-                pred in pred_any(),
-            ) {
-                let t = rich_table(n as i64);
-                let assignment: Vec<u32> = (0..n)
-                    .map(|i| seedish[i % seedish.len()] % k as u32)
-                    .collect();
-                let snap = TableSnapshot::build(&t, &assignment, k, 0, "p");
-                let fast = snap.scan(&pred);
-                let oracle = snap.scan_rowwise(&pred);
-                prop_assert_eq!(&fast.matches, &oracle.matches, "pred {:?}", pred);
-                prop_assert_eq!(fast.rows_read, oracle.rows_read);
-                prop_assert_eq!(fast.bytes_scanned, oracle.bytes_scanned);
-                prop_assert_eq!(fast.partitions_read, oracle.partitions_read);
-                prop_assert_eq!(oracle.chunks_evaluated, 0);
-                prop_assert_eq!(oracle.rows_short_circuited, 0);
-            }
-
-            /// The vectorized pooled scan path is indistinguishable from the
-            /// pooled row-at-a-time oracle — matches, rows, payload bytes,
-            /// and the cold/cached I/O invariant — cold and warm, and both
-            /// agree with the in-memory scan's row set.
-            #[test]
-            fn pooled_vectorized_equals_pooled_oracle(
-                n in 1usize..120,
-                k in 1usize..5,
-                seedish in proptest::collection::vec(0u32..5, 1..60),
-                page_pow in 5u32..12,
-                cap_pages in 1u64..32,
-                pred in pred_any(),
-            ) {
-                let t = rich_table(n as i64);
-                let assignment: Vec<u32> = (0..n)
-                    .map(|i| seedish[i % seedish.len()] % k as u32)
-                    .collect();
-                let mut snap = TableSnapshot::build(&t, &assignment, k, 0, "p");
-                let root = std::env::temp_dir().join(format!(
-                    "oreo-snap-vprop-{}-{}",
-                    std::process::id(),
-                    rand::random::<u64>()
-                ));
-                let (store, _) = crate::tiered::TieredStore::create(&root, &mut snap).unwrap();
-                let page_bytes = 1usize << page_pow;
-                let pool = crate::bufpool::BufferPool::new(crate::bufpool::BufferPoolConfig {
-                    capacity_bytes: cap_pages * page_bytes as u64,
-                    page_bytes,
-                });
-                let mem = snap.scan(&pred);
-                for round in 0..2 {
-                    let fast = snap.scan_pooled(&pred, &pool).unwrap();
-                    let oracle = snap.scan_pooled_rowwise(&pred, &pool).unwrap();
-                    prop_assert_eq!(&fast.matches, &mem.matches, "round {}", round);
-                    prop_assert_eq!(&fast.matches, &oracle.matches);
-                    prop_assert_eq!(fast.rows_read, oracle.rows_read);
-                    prop_assert_eq!(fast.partitions_read, oracle.partitions_read);
-                    prop_assert_eq!(fast.bytes_scanned, oracle.bytes_scanned);
-                    prop_assert_eq!(
-                        fast.io_cold_bytes + fast.io_cached_bytes,
-                        fast.bytes_scanned
-                    );
-                    prop_assert_eq!(
-                        oracle.io_cold_bytes + oracle.io_cached_bytes,
-                        oracle.bytes_scanned
                     );
                 }
                 drop(store);

@@ -69,13 +69,6 @@ pub struct MutationStream {
     pub expected_live: u64,
 }
 
-impl MutationStream {
-    /// Total ops across all batches.
-    pub fn total_ops(&self) -> usize {
-        self.batches.iter().map(|b| b.ops.len()).sum()
-    }
-}
-
 /// Draw one row of cell values for `schema`. Ints land in a fresh
 /// six-digit band so ingested rows are distinguishable from typical base
 /// domains; strings draw from a small tag pool (dictionary-friendly).
@@ -180,7 +173,8 @@ mod tests {
         assert_eq!(a.appended, 10 * (8 + 2));
         assert_eq!(a.deleted, 10 * (2 + 3));
         assert_eq!(a.expected_live, 100 + 100 - 50);
-        assert_eq!(a.total_ops(), 10 * (8 + 2 + 3));
+        let ops: usize = a.batches.iter().map(|b| b.ops.len()).sum();
+        assert_eq!(ops, 10 * (8 + 2 + 3));
         // positions spread monotonically over the stream
         let positions: Vec<usize> = a.batches.iter().map(|b| b.after_query).collect();
         assert!(positions.windows(2).all(|w| w[0] <= w[1]));

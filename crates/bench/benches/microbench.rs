@@ -183,7 +183,7 @@ fn bench_dumts_step(c: &mut Criterion) {
         let states: Vec<u64> = (0..24).collect();
         b.iter_batched(
             || {
-                Dumts::new(
+                let mut d = Dumts::new(
                     &states,
                     DumtsConfig {
                         alpha: 80.0,
@@ -192,7 +192,12 @@ fn bench_dumts_step(c: &mut Criterion) {
                         mid_phase_admission: true,
                         seed: 1,
                     },
-                )
+                );
+                // jump weights as OREO sets them: a skipped fraction per state
+                for &s in &states {
+                    d.set_weight(s, ((s * 37) % 24) as f64 / 24.0);
+                }
+                d
             },
             |mut d| {
                 for i in 0..100u64 {

@@ -39,7 +39,7 @@ fn main() {
         let stats = oreo.framework().manager_stats();
         table.row([
             fmt_f(epsilon, 2),
-            stats.peak_states.to_string(),
+            oreo.framework().max_states_seen().to_string(),
             stats.admitted.to_string(),
             stats.rejected.to_string(),
             fmt_f(r.ledger.query_cost, 0),

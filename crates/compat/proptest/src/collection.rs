@@ -5,6 +5,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeSet;
 use std::ops::Range;
+use std::rc::Rc;
 
 /// A range of collection sizes, mirroring `proptest::collection::SizeRange`.
 #[derive(Clone, Copy, Debug)]
@@ -70,35 +71,41 @@ where
 
 /// Vector shrinking: drop to the minimum length first (the most aggressive
 /// candidate), then remove single elements, then shrink elements in place.
+/// Each candidate copies the vector, so they are built only as the runner
+/// pulls them.
 fn vec_shrinkable<T: Clone + 'static>(
     elems: Vec<Shrinkable<T>>,
     min_len: usize,
 ) -> Shrinkable<Vec<T>> {
     let value: Vec<T> = elems.iter().map(|e| e.value.clone()).collect();
+    let elems: Rc<[Shrinkable<T>]> = elems.into();
     Shrinkable::with_children(value, move || {
         let n = elems.len();
-        let mut out = Vec::new();
-        if n > min_len {
-            // Halve toward the minimum, keeping the prefix…
-            let keep = min_len.max(n / 2);
-            if keep < n {
-                out.push(vec_shrinkable(elems[..keep].to_vec(), min_len));
-            }
-            // …then drop one element at a time.
-            for i in 0..n {
-                let mut fewer = elems.clone();
-                fewer.remove(i);
-                out.push(vec_shrinkable(fewer, min_len));
-            }
-        }
-        for i in 0..n {
-            for child in elems[i].children() {
-                let mut simpler = elems.clone();
+        let shorter = if n > min_len { n } else { 0 };
+        // Halve toward the minimum, keeping the prefix…
+        let keep = min_len.max(n / 2);
+        let halved = (keep < shorter).then(|| Rc::clone(&elems));
+        let halved = halved
+            .into_iter()
+            .map(move |e| vec_shrinkable(e[..keep].to_vec(), min_len));
+        // …then drop one element at a time…
+        let all = Rc::clone(&elems);
+        let dropped = (0..shorter).map(move |i| {
+            let mut fewer = all.to_vec();
+            fewer.remove(i);
+            vec_shrinkable(fewer, min_len)
+        });
+        // …then shrink one element in place.
+        let all = Rc::clone(&elems);
+        let simpler = (0..n).flat_map(move |i| {
+            let all = Rc::clone(&all);
+            all[i].children().map(move |child| {
+                let mut simpler = all.to_vec();
                 simpler[i] = child;
-                out.push(vec_shrinkable(simpler, min_len));
-            }
-        }
-        out
+                vec_shrinkable(simpler, min_len)
+            })
+        });
+        Box::new(halved.chain(dropped).chain(simpler))
     })
 }
 
@@ -170,10 +177,36 @@ mod tests {
         let mut node = s.generate_shrinkable(&mut rng);
         // Greedy first-child descent must bottom out at the minimal
         // length with every element at the range origin.
-        while let Some(k) = node.children().into_iter().next() {
+        while let Some(k) = node.children().next() {
             node = k;
         }
         assert_eq!(node.value, vec![0i64, 0]);
+    }
+
+    #[test]
+    fn vec_children_are_built_as_they_are_pulled() {
+        // Counts every element candidate a vector child is built from: a
+        // fixed-length vector shrinks only in place, one element candidate
+        // per child.
+        let built = Rc::new(std::cell::Cell::new(0usize));
+        let counter = Rc::clone(&built);
+        let element = (1i64..1000).prop_map(move |v| {
+            counter.set(counter.get() + 1);
+            v
+        });
+        let s = vec(element, 256);
+        let mut rng = case_rng(11, 0);
+        let tree = s.generate_shrinkable(&mut rng);
+        built.set(0);
+        // The runner pulls children one at a time up to its attempt cap.
+        let cap = 400;
+        let pulled = tree.children().take(cap).count();
+        assert_eq!(pulled, cap);
+        assert!(
+            built.get() <= cap,
+            "{} children built for {cap} pulled from 256 elements",
+            built.get()
+        );
     }
 
     #[test]

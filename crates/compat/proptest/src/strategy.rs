@@ -7,18 +7,23 @@
 //! (binary-search steps toward the origin for integers, componentwise for
 //! tuples, length-then-element for vectors), so the reported
 //! counterexample is locally minimal rather than the first random hit.
+//! Children are built one at a time as the runner pulls them, so its
+//! attempt cap — not the size of the input — bounds the work.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SampleUniform};
 use std::ops::{Range, RangeInclusive};
 use std::rc::Rc;
 
+/// The simpler candidates of a [`Shrinkable`], built as they are pulled.
+pub type Children<T> = Box<dyn Iterator<Item = Shrinkable<T>>>;
+
 /// One generated value plus a lazy tree of simpler candidates, mirroring
 /// `proptest::strategy::ValueTree`.
 pub struct Shrinkable<T> {
     /// The generated (or shrunk-to) value.
     pub value: T,
-    children: Rc<dyn Fn() -> Vec<Shrinkable<T>>>,
+    children: Rc<dyn Fn() -> Children<T>>,
 }
 
 impl<T: Clone> Clone for Shrinkable<T> {
@@ -35,22 +40,23 @@ impl<T: 'static> Shrinkable<T> {
     pub fn leaf(value: T) -> Self {
         Shrinkable {
             value,
-            children: Rc::new(Vec::new),
+            children: Rc::new(|| Box::new(std::iter::empty())),
         }
     }
 
     /// A value whose simpler candidates are produced on demand by
     /// `children` (ordered most-aggressive first — the shrinker takes the
     /// first child that still fails).
-    pub fn with_children(value: T, children: impl Fn() -> Vec<Shrinkable<T>> + 'static) -> Self {
+    pub fn with_children(value: T, children: impl Fn() -> Children<T> + 'static) -> Self {
         Shrinkable {
             value,
             children: Rc::new(children),
         }
     }
 
-    /// The simpler candidates, most aggressive first.
-    pub fn children(&self) -> Vec<Shrinkable<T>> {
+    /// The simpler candidates, most aggressive first, each built when it
+    /// is pulled.
+    pub fn children(&self) -> Children<T> {
         (self.children)()
     }
 }
@@ -61,11 +67,8 @@ impl<T: Clone + 'static> Shrinkable<T> {
         let value = f(self.value.clone());
         let inner = self.clone();
         Shrinkable::with_children(value, move || {
-            inner
-                .children()
-                .iter()
-                .map(|c| c.map(Rc::clone(&f)))
-                .collect()
+            let f = Rc::clone(&f);
+            Box::new(inner.children().map(move |c| c.map(Rc::clone(&f))))
         })
     }
 }
@@ -143,10 +146,9 @@ impl_shrink_noop!(f32, f64);
 fn shrink_toward<T: Shrink>(value: T, origin: T) -> Shrinkable<T> {
     let v = value.clone();
     Shrinkable::with_children(value, move || {
-        v.shrink_candidates(&origin)
-            .into_iter()
-            .map(|c| shrink_toward(c, origin.clone()))
-            .collect()
+        let origin = origin.clone();
+        let candidates = v.shrink_candidates(&origin).into_iter();
+        Box::new(candidates.map(move |c| shrink_toward(c, origin.clone())))
     })
 }
 
@@ -347,13 +349,14 @@ macro_rules! impl_strategy_for_tuple {
         ) -> Shrinkable<($($s,)+)> {
             let value = ($(parts.$idx.value.clone(),)+);
             Shrinkable::with_children(value, move || {
-                let mut out = Vec::new();
+                let out: Children<($($s,)+)> = Box::new(std::iter::empty());
                 $(
-                    for child in parts.$idx.children() {
-                        let mut next = parts.clone();
+                    let base = parts.clone();
+                    let out = Box::new(out.chain(parts.$idx.children().map(move |child| {
+                        let mut next = base.clone();
                         next.$idx = child;
-                        out.push($combine(next));
-                    }
+                        $combine(next)
+                    })));
                 )+
                 out
             })
@@ -446,7 +449,7 @@ mod tests {
         let mut node = strat.generate_shrinkable(&mut rng);
         // Greedily follow first children (most aggressive shrink): must
         // terminate at the range's low bound.
-        while let Some(k) = node.children().into_iter().next() {
+        while let Some(k) = node.children().next() {
             node = k;
         }
         assert_eq!(node.value, 10);
@@ -458,7 +461,7 @@ mod tests {
         let mut rng = case_rng(9, 3);
         let node = strat.generate_shrinkable(&mut rng);
         let (a, b) = node.value;
-        let kids = node.children();
+        let kids: Vec<_> = node.children().collect();
         assert!(!kids.is_empty(), "non-origin tuple must offer shrinks");
         for child in kids {
             let (ca, cb) = child.value;
@@ -474,7 +477,7 @@ mod tests {
         let strat = (0i64..1000).prop_map(|v| v * 2);
         let mut rng = case_rng(10, 0);
         let mut node = strat.generate_shrinkable(&mut rng);
-        while let Some(k) = node.children().into_iter().next() {
+        while let Some(k) = node.children().next() {
             node = k;
         }
         assert_eq!(node.value, 0, "mapped shrink must bottom out at f(origin)");

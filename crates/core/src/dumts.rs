@@ -8,15 +8,18 @@
 //! over a fixed state space: [`TransitionPolicy::Uniform`] with
 //! `stay_on_reset` and `mid_phase_admission` off is the textbook solver.
 //!
-//!
 //! * every state carries a counter accumulating its service costs; a counter
 //!   is **full** at `α` (the uniform switching cost);
+//! * each query costs only the *active* states (counter not full): a full
+//!   counter cannot change before the phase ends, so an inactive state's
+//!   cost is never asked for;
 //! * when the current state's counter fills, the system jumps to a random
-//!   not-full ("active") state — uniformly, or biased by a predictor
-//!   (§IV-C, [`TransitionPolicy`]);
+//!   active state — uniformly, or biased by the jump weights the caller
+//!   sets with [`Dumts::set_weight`] (§IV-C, [`TransitionPolicy`]; a state
+//!   never given a weight draws with weight 0);
 //! * when all counters are full the **phase** ends: counters reset and all
-//!   states (including additions deferred mid-phase) become active again;
-//! * additions mid-phase are deferred to the next phase; removals mid-phase
+//!   states (including those added mid-phase) become active again;
+//! * additions mid-phase wait for the next phase; removals mid-phase
 //!   set the victim's counter to `α` (and force a jump if it was current).
 //!
 //! The paper's stay-in-place optimization (§IV-A) is on by default: a new
@@ -45,7 +48,7 @@ pub struct DumtsConfig {
     /// a new state joins the *current* phase with its counter set to the
     /// median of the costs incurred so far by existing states (so a
     /// freshly-generated layout is immediately switchable-to). When `false`,
-    /// additions are deferred to the next phase (Algorithm 4 verbatim).
+    /// additions wait for the next phase (Algorithm 4 verbatim).
     pub mid_phase_admission: bool,
     /// RNG seed (the adversary must not see these bits — §III-A).
     pub seed: u64,
@@ -69,14 +72,8 @@ struct StateEntry {
     counter: f64,
     /// In the active set `S_A` (counter not full, participating this phase)?
     active: bool,
-    /// Added mid-phase; joins `S_A` at the next reset.
-    deferred: bool,
-    /// Service cost accumulated over the *whole* current phase (for the
-    /// predictor weight = average fraction skipped).
-    phase_cost_sum: f64,
-    phase_cost_n: u64,
-    /// Predictor weight from the last completed phase (avg skipped ∈ [0,1]).
-    last_phase_weight: f64,
+    /// Jump weight `p(s, S_A)` of §IV-C, as the caller last set it.
+    weight: f64,
 }
 
 /// What a step did, so callers can account costs.
@@ -128,10 +125,6 @@ pub struct Dumts {
     queries: u64,
     /// Largest |S| ever (the `|S_max|` of Theorem IV.1).
     peak_states: usize,
-    /// Externally supplied predictor scores (§IV-C's `p(s, S_A)`), e.g.
-    /// skipped fractions measured on a recent query sample. When present
-    /// they replace the last-phase weights in jump draws.
-    external_weights: Option<BTreeMap<StateId, f64>>,
 }
 
 impl Dumts {
@@ -149,10 +142,7 @@ impl Dumts {
                 StateEntry {
                     counter: 0.0,
                     active: true,
-                    deferred: false,
-                    phase_cost_sum: 0.0,
-                    phase_cost_n: 0,
-                    last_phase_weight: 0.0,
+                    weight: 0.0,
                 },
             );
         }
@@ -168,7 +158,6 @@ impl Dumts {
             switches: 0,
             queries: 0,
             peak_states,
-            external_weights: None,
         }
     }
 
@@ -230,17 +219,15 @@ impl Dumts {
     }
 
     /// Add a state (Algorithm 4 lines 12–13). By default mid-phase
-    /// additions are deferred: the state joins the active set at the next
+    /// additions wait: the state joins the active set at the next
     /// reset. With [`DumtsConfig::mid_phase_admission`] the state instead
     /// joins the current phase with its counter initialized to the median of
-    /// the active counters (§IV-C). Its predictor weight starts at the
-    /// median of current weights either way.
+    /// the active counters (§IV-C). Its jump weight is 0 until the caller
+    /// sets one.
     pub fn add_state(&mut self, s: StateId) {
         if self.states.contains_key(&s) {
             return;
         }
-        let weights: Vec<f64> = self.states.values().map(|e| e.last_phase_weight).collect();
-        let seed_weight = median_or(&weights, 0.0);
         let entry = if self.config.mid_phase_admission {
             let active_counters: Vec<f64> = self
                 .states
@@ -252,31 +239,27 @@ impl Dumts {
             StateEntry {
                 counter,
                 active: counter < self.config.alpha,
-                deferred: false,
-                phase_cost_sum: 0.0,
-                phase_cost_n: 0,
-                last_phase_weight: seed_weight,
+                weight: 0.0,
             }
         } else {
             StateEntry {
                 counter: self.config.alpha, // not usable this phase
                 active: false,
-                deferred: true,
-                phase_cost_sum: 0.0,
-                phase_cost_n: 0,
-                last_phase_weight: seed_weight,
+                weight: 0.0,
             }
         };
         self.states.insert(s, entry);
         self.peak_states = self.peak_states.max(self.states.len());
     }
 
-    /// Install (or clear) external predictor scores for jump draws — the
-    /// user-supplied `p(s, S_A)` of §IV-C. Scores should live in `[0, 1]`
-    /// (e.g. fraction of data skipped on a recent query sample); missing
-    /// states fall back to their last-phase weight.
-    pub fn set_external_weights(&mut self, weights: Option<BTreeMap<StateId, f64>>) {
-        self.external_weights = weights;
+    /// Set the jump weight of state `s` — the caller-supplied `p(s, S_A)`
+    /// of §IV-C, in `[0, 1]`: OREO's is the fraction of data `s` skips on
+    /// its admission sample. Draws use the weights as last set; a state not
+    /// in `S` is ignored.
+    pub fn set_weight(&mut self, s: StateId, weight: f64) {
+        if let Some(entry) = self.states.get_mut(&s) {
+            entry.weight = weight;
+        }
     }
 
     /// Remove a state (Algorithm 4 lines 5–11). Returns the outcome: the
@@ -312,22 +295,16 @@ impl Dumts {
     }
 
     /// Process one service query (Algorithm 3 within Algorithm 4 line 15).
-    /// `cost(s)` must return `c(s, q) ∈ [0, 1]` for any state in `S`.
+    /// `cost(s)` must return `c(s, q) ∈ [0, 1]`; it is called once for each
+    /// state active before the step, and for no other.
     pub fn observe_query(&mut self, cost: impl Fn(StateId) -> f64) -> StepOutcome {
         self.queries += 1;
         let alpha = self.config.alpha;
 
-        // Update counters of active states; track phase costs of all states
-        // (the predictor's weight covers the whole phase).
-        for (&s, entry) in self.states.iter_mut() {
-            let c = cost(s).clamp(0.0, 1.0);
-            entry.phase_cost_sum += c;
-            entry.phase_cost_n += 1;
-            if entry.active {
-                entry.counter += c;
-                if entry.counter >= alpha {
-                    entry.active = false;
-                }
+        for (&s, entry) in self.states.iter_mut().filter(|(_, e)| e.active) {
+            entry.counter += cost(s).clamp(0.0, 1.0);
+            if entry.counter >= alpha {
+                entry.active = false;
             }
         }
 
@@ -338,7 +315,7 @@ impl Dumts {
         }
 
         if self.no_active_states() {
-            // Phase over: reset counters, admit deferred states.
+            // Phase over: reset counters; states added mid-phase join.
             self.reset_states();
             outcome.phase_reset = true;
             if !self.config.stay_on_reset || !self.states.contains_key(&self.current) {
@@ -366,35 +343,22 @@ impl Dumts {
     }
 
     /// Reset: start a new phase with all states active, counters at 0
-    /// (Algorithm 2), sealing last-phase predictor weights.
+    /// (Algorithm 2).
     fn reset_states(&mut self) {
         for entry in self.states.values_mut() {
-            if entry.phase_cost_n > 0 {
-                let avg_cost = entry.phase_cost_sum / entry.phase_cost_n as f64;
-                entry.last_phase_weight = (1.0 - avg_cost).clamp(0.0, 1.0);
-            }
             entry.counter = 0.0;
             entry.active = true;
-            entry.deferred = false;
-            entry.phase_cost_sum = 0.0;
-            entry.phase_cost_n = 0;
         }
         self.phases += 1;
     }
 
     /// Draw the next state among active states per the transition policy.
     fn draw_next_state(&mut self) -> StateId {
-        let candidates: Vec<StateId> = self.active_states();
+        let (candidates, weights): (Vec<StateId>, Vec<f64>) = (self.states.iter())
+            .filter(|(_, e)| e.active)
+            .map(|(&s, e)| (s, e.weight))
+            .unzip();
         assert!(!candidates.is_empty(), "no active state to jump to");
-        let weights: Vec<f64> = candidates
-            .iter()
-            .map(|s| {
-                self.external_weights
-                    .as_ref()
-                    .and_then(|m| m.get(s).copied())
-                    .unwrap_or(self.states[s].last_phase_weight)
-            })
-            .collect();
         let idx = self.config.transition.sample(&weights, &mut self.rng);
         candidates[idx]
     }
@@ -476,7 +440,7 @@ mod tests {
     }
 
     #[test]
-    fn added_state_deferred_to_next_phase() {
+    fn added_state_waits_for_next_phase() {
         let mut d = Dumts::new(&[1, 2], uniform_config(4.0, 2)).with_initial_state(1);
         d.observe_query(|_| 1.0);
         d.add_state(3);
@@ -551,6 +515,24 @@ mod tests {
         d.observe_query(|_| 100.0);
         assert!(d.counter(1).unwrap() <= 3.0 + 1.0);
         assert_eq!(d.phases(), 1);
+    }
+
+    /// A step asks `cost` once for each state active before it and for no
+    /// other: an inactive state's counter is full until the phase ends.
+    #[test]
+    fn observe_query_costs_only_active_states() {
+        let mut d = Dumts::new(&[1, 2, 3, 4], uniform_config(2.0, 9)).with_initial_state(1);
+        for _ in 0..2 {
+            d.observe_query(|s| if s >= 3 { 1.0 } else { 0.0 });
+        }
+        let active = d.active_states();
+        assert_eq!(active, vec![1, 2]);
+        let costed = std::cell::RefCell::new(Vec::new());
+        d.observe_query(|s| {
+            costed.borrow_mut().push(s);
+            0.5
+        });
+        assert_eq!(costed.into_inner(), active);
     }
 
     #[test]

@@ -12,16 +12,19 @@
 //!    distance to *every* existing state exceeds ε — keeping the state space
 //!    compact, which directly tightens the `2H(|S_max|)` competitive ratio.
 //!
-//! A generation boundary is three steps, and only the first and last touch
-//! the manager: [`LayoutManager::capture`] pushes the query into the samples
-//! and, on a boundary, hands back a [`CandidateTask`] that owns everything
-//! generation reads; [`CandidateTask::build`] generates, models and costs
-//! the candidates on whatever thread holds the task; and
-//! [`LayoutManager::admit`] runs the ε-test against the states live *then*
-//! and installs the survivors. [`LayoutManager::observe`] is the three in a
-//! row. D-UMTS keeps its bound for states that join at any point of the
-//! stream (Theorem IV.1), so a driver may answer the boundary query — and
-//! many after it — before the candidate it triggered exists.
+//! The manager keeps the samples, the generator and the id allocator; the
+//! state space itself is the caller's ([`crate::Oreo`] keeps each live
+//! layout once), and the two steps that read it are handed the live
+//! `(id, sample model)` pairs. A generation boundary is three steps, and
+//! only the first and last touch the manager: [`LayoutManager::capture`]
+//! pushes the query into the samples and, on a boundary, hands back a
+//! [`CandidateTask`] that owns everything generation reads;
+//! [`CandidateTask::build`] generates, models and costs the candidates on
+//! whatever thread holds the task; and [`LayoutManager::admit`] runs the
+//! ε-test against the states live *then* and returns the survivors for the
+//! caller to install. D-UMTS keeps its bound for states that join at any
+//! point of the stream (Theorem IV.1), so a driver may answer the boundary
+//! query — and many after it — before the candidate it triggered exists.
 
 use crate::config::OreoConfig;
 use oreo_layout::{build_model, LayoutGenerator, SharedSpec};
@@ -80,31 +83,8 @@ impl Default for ManagerConfig {
     }
 }
 
-/// A state owned by the manager: the routing spec plus its estimated
-/// (sample-scaled) metadata model.
-#[derive(Clone)]
-pub struct ManagedLayout {
-    /// Stable identifier, shared with the reorganizer's state space.
-    pub id: LayoutId,
-    /// The routing spec (how rows map to partitions).
-    pub spec: SharedSpec,
-    /// Estimated per-partition metadata used for cost evaluation. Shared:
-    /// a [`CandidateTask`] costs its candidate against every live state's
-    /// model, and capturing one is a pointer copy.
-    pub model: Arc<LayoutModel>,
-}
-
-impl std::fmt::Debug for ManagedLayout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ManagedLayout")
-            .field("id", &self.id)
-            .field("name", &self.model.name())
-            .finish()
-    }
-}
-
-/// Bookkeeping counters (Fig. 6 reports state-space size; the docs report
-/// admission rates).
+/// Bookkeeping counters (Fig. 6 reports admissions and rejections beside
+/// the peak state-space size, which D-UMTS counts).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ManagerStats {
     /// Candidate layouts produced by the generator.
@@ -116,10 +96,8 @@ pub struct ManagerStats {
     /// Generation boundaries whose [`CandidateTask`] a driver discarded
     /// unbuilt because a newer boundary fired first
     /// ([`LayoutManager::discard`]); always 0 under
-    /// [`LayoutManager::observe`].
+    /// [`crate::Oreo::observe`].
     pub superseded: u64,
-    /// Largest state-space size observed (the paper's |S_max|).
-    pub peak_states: usize,
 }
 
 /// One generation boundary's inputs, captured under whatever lock guards
@@ -209,7 +187,7 @@ pub struct Admission {
     /// generation order.
     pub admitted: Vec<LayoutId>,
     /// Queries the manager observed between the boundary's capture and
-    /// this admission (0 under [`LayoutManager::observe`]).
+    /// this admission (0 under [`crate::Oreo::observe`]).
     pub lag_queries: u64,
     /// §IV-C predictor score — skipped fraction on the admission sample,
     /// `1 − mean cost` — of every state live after the admission. Empty
@@ -226,6 +204,7 @@ pub struct Admission {
 /// use oreo_layout::{QdTreeGenerator, RangeLayout, SharedSpec};
 /// use oreo_query::{ColumnType, QueryBuilder, Scalar, Schema};
 /// use oreo_storage::TableBuilder;
+/// use std::collections::BTreeMap;
 /// use std::sync::Arc;
 ///
 /// // a tiny one-column table
@@ -243,18 +222,26 @@ pub struct Admission {
 ///     generation_interval: 50,
 ///     ..Default::default()
 /// };
-/// let (mut manager, initial_id) =
+/// let (mut manager, initial) =
 ///     LayoutManager::new(table, 1_000.0, Arc::new(QdTreeGenerator::new()), 8, initial, config);
+///
+/// // the caller keeps the live states: here, id → sample model
+/// let mut live = BTreeMap::from([(initial.id(), Arc::new(initial))]);
 ///
 /// // every `generation_interval` queries the manager proposes candidates
 /// for i in 0..100i64 {
 ///     let lo = (i * 9) % 900;
 ///     let q = QueryBuilder::new(&schema).between("v", lo, lo + 40).build();
-///     let _admitted = manager.observe(&q);
+///     if let Some(task) = manager.capture(&q, live.iter().map(|(&id, m)| (id, m))) {
+///         let built = task.build();
+///         let (_admission, admitted) = manager.admit(built, live.iter().map(|(&id, m)| (id, m)));
+///         for (_spec, model) in admitted {
+///             live.insert(model.id(), Arc::new(model));
+///         }
+///     }
 /// }
-/// assert!(manager.states().contains_key(&initial_id));
-/// assert!(manager.stats().generated > 0);
-/// assert_eq!(manager.num_states(), manager.states().len());
+/// assert_eq!(manager.stats().generated, 2);
+/// assert_eq!(live.len() as u64, 1 + manager.stats().admitted);
 /// ```
 pub struct LayoutManager {
     config: ManagerConfig,
@@ -268,7 +255,6 @@ pub struct LayoutManager {
     window: SlidingWindow<Query>,
     reservoir: Reservoir<Query>,
     rtbs: TimeBiasedReservoir<Query>,
-    states: BTreeMap<LayoutId, ManagedLayout>,
     next_id: LayoutId,
     queries_seen: u64,
     rng: StdRng,
@@ -277,7 +263,8 @@ pub struct LayoutManager {
 
 impl LayoutManager {
     /// Create a manager seeded with one initial (default) layout spec.
-    /// Returns the manager and the initial state's id.
+    /// Returns the manager and the initial state's sample model, which
+    /// carries the initial state's id.
     pub fn new(
         data_sample: Table,
         full_rows: f64,
@@ -285,7 +272,7 @@ impl LayoutManager {
         k: usize,
         initial_spec: SharedSpec,
         config: ManagerConfig,
-    ) -> (Self, LayoutId) {
+    ) -> (Self, LayoutModel) {
         assert!(k >= 1);
         assert!(config.epsilon >= 0.0 && config.epsilon <= 1.0);
         let mut this = Self {
@@ -298,14 +285,13 @@ impl LayoutManager {
             data_sample: Arc::new(data_sample),
             full_rows,
             k,
-            states: BTreeMap::new(),
             next_id: 0,
             queries_seen: 0,
             stats: ManagerStats::default(),
         };
         let model = build_model(initial_spec.as_ref(), 0, &this.data_sample, full_rows);
-        let id = this.install(initial_spec, model);
-        (this, id)
+        let model = this.assign_id(model);
+        (this, model)
     }
 
     /// The manager [`crate::Oreo::new`] builds over `table`: generation runs
@@ -317,7 +303,7 @@ impl LayoutManager {
         initial_spec: SharedSpec,
         generator: Arc<dyn LayoutGenerator>,
         config: &OreoConfig,
-    ) -> (Self, LayoutId) {
+    ) -> (Self, LayoutModel) {
         let mut sample_rng = StdRng::seed_from_u64(config.seed ^ 0xD5A7);
         let data_sample = table.sample(&mut sample_rng, config.data_sample_rows);
         Self::new(
@@ -330,28 +316,14 @@ impl LayoutManager {
         )
     }
 
-    /// Enter `spec` into the state space under the next id; `model` is its
-    /// sample model under any id.
-    fn install(&mut self, spec: SharedSpec, model: LayoutModel) -> LayoutId {
+    /// `model` under the next state id.
+    fn assign_id(&mut self, model: LayoutModel) -> LayoutModel {
         let id = self.next_id;
         self.next_id += 1;
-        let model = Arc::new(model.with_id(id));
-        self.states.insert(id, ManagedLayout { id, spec, model });
-        self.stats.peak_states = self.stats.peak_states.max(self.states.len());
-        id
+        model.with_id(id)
     }
 
-    /// Current state space (id → managed layout).
-    pub fn states(&self) -> &BTreeMap<LayoutId, ManagedLayout> {
-        &self.states
-    }
-
-    /// Current state-space size |S|.
-    pub fn num_states(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Admission/eviction counters so far.
+    /// Generation and admission counters so far.
     pub fn stats(&self) -> ManagerStats {
         self.stats
     }
@@ -361,26 +333,16 @@ impl LayoutManager {
         &self.config
     }
 
-    /// A state's managed entry.
-    pub fn state(&self, id: LayoutId) -> Option<&ManagedLayout> {
-        self.states.get(&id)
-    }
-
-    /// Observe one query: update samples; on generation boundaries, produce
-    /// candidates and run admission. Returns the layouts admitted.
-    /// This is [`LayoutManager::capture`] → [`CandidateTask::build`] →
-    /// [`LayoutManager::admit`] with nothing in between.
-    pub fn observe(&mut self, query: &Query) -> Vec<LayoutId> {
-        match self.capture(query) {
-            Some(task) => self.admit(task.build()).admitted,
-            None => Vec::new(),
-        }
-    }
-
     /// The capture step: push `query` into the samples and, on a
     /// generation boundary, hand back everything candidate construction
-    /// reads. Cost is the samples' clones plus one pointer per live state.
-    pub fn capture(&mut self, query: &Query) -> Option<CandidateTask> {
+    /// reads, `live` — the states live now, as `(id, sample model)` pairs —
+    /// included. `live` is read only on a boundary. Cost is the samples'
+    /// clones plus one pointer per live state.
+    pub fn capture<'a>(
+        &mut self,
+        query: &Query,
+        live: impl IntoIterator<Item = (LayoutId, &'a Arc<LayoutModel>)>,
+    ) -> Option<CandidateTask> {
         self.queries_seen += 1;
         self.window.push(query.clone());
         self.reservoir.push(query.clone(), &mut self.rng);
@@ -397,7 +359,6 @@ impl LayoutManager {
             CandidateSource::Reservoir => vec![self.reservoir.to_vec()],
             CandidateSource::Both => vec![self.window.to_vec(), self.reservoir.to_vec()],
         };
-        let states = self.states.values();
         Some(CandidateTask {
             generator: Arc::clone(&self.generator),
             data_sample: Arc::clone(&self.data_sample),
@@ -406,31 +367,39 @@ impl LayoutManager {
             rng: self.rng.clone(),
             workloads,
             sample: self.rtbs.to_vec(),
-            states: states.map(|s| (s.id, Arc::clone(&s.model))).collect(),
+            states: (live.into_iter())
+                .map(|(id, model)| (id, Arc::clone(model)))
+                .collect(),
             captured_at: self.queries_seen,
         })
     }
 
     /// The admit step — Algorithm 5: a candidate joins iff its cost vector
     /// over the boundary's R-TBS sample is more than ε away (normalized L1)
-    /// from that of every state live *now*, earlier candidates of the same
-    /// boundary included. A state that joined after the capture is costed
-    /// here, on the same sample; one that left is ignored. O(states)
-    /// vector distances when the state space did not change in between.
-    pub fn admit(&mut self, built: BuiltCandidates) -> Admission {
+    /// from that of every state in `live` — the states live *now*, as
+    /// `(id, sample model)` pairs — and of the earlier candidates of the
+    /// same boundary. A state that joined after the capture is costed here,
+    /// on the same sample; one that left is ignored. O(states) vector
+    /// distances when the state space did not change in between.
+    ///
+    /// Returns what happened and the admitted layouts, as `(spec, sample
+    /// model)` pairs in generation order, each model under its new state
+    /// id, for the caller to install.
+    pub fn admit<'a>(
+        &mut self,
+        built: BuiltCandidates,
+        live: impl IntoIterator<Item = (LayoutId, &'a Arc<LayoutModel>)>,
+    ) -> (Admission, Vec<(SharedSpec, LayoutModel)>) {
         let BuiltCandidates {
             sample,
             mut state_costs,
             candidates,
             captured_at,
         } = built;
-        let mut live: Vec<(LayoutId, Vec<f64>)> = (self.states.values())
-            .map(|s| {
-                let captured = state_costs.remove(&s.id);
-                (
-                    s.id,
-                    captured.unwrap_or_else(|| s.model.cost_vector(&sample)),
-                )
+        let mut live: Vec<(LayoutId, Vec<f64>)> = (live.into_iter())
+            .map(|(id, model)| {
+                let captured = state_costs.remove(&id);
+                (id, captured.unwrap_or_else(|| model.cost_vector(&sample)))
             })
             .collect();
         let mut admitted = Vec::new();
@@ -441,9 +410,9 @@ impl LayoutManager {
                 .fold(f64::INFINITY, f64::min);
             if min_dist > self.config.epsilon {
                 self.stats.admitted += 1;
-                let id = self.install(spec, model);
-                live.push((id, costs));
-                admitted.push(id);
+                let model = self.assign_id(model);
+                live.push((model.id(), costs));
+                admitted.push((spec, model));
             } else {
                 self.stats.rejected += 1;
             }
@@ -457,11 +426,12 @@ impl LayoutManager {
             };
             live.iter().map(|(id, c)| (*id, score(c))).collect()
         };
-        Admission {
-            admitted,
+        let admission = Admission {
+            admitted: admitted.iter().map(|(_, model)| model.id()).collect(),
             lag_queries: self.queries_seen - captured_at,
             weights,
-        }
+        };
+        (admission, admitted)
     }
 
     /// Drop a captured boundary unbuilt — a driver that constructs off the
@@ -503,7 +473,9 @@ mod tests {
         b.finish()
     }
 
-    fn manager(epsilon: f64) -> (LayoutManager, LayoutId, Table) {
+    type Live = BTreeMap<LayoutId, Arc<LayoutModel>>;
+
+    fn manager(epsilon: f64) -> (LayoutManager, Live, Table) {
         let t = table(2000);
         let initial = Arc::new(RangeLayout::from_sample(&t, 0, 8));
         let cfg = ManagerConfig {
@@ -512,7 +484,7 @@ mod tests {
             generation_interval: 50,
             ..Default::default()
         };
-        let (m, id) = LayoutManager::new(
+        let (m, initial) = LayoutManager::new(
             t.clone(),
             2000.0,
             Arc::new(QdTreeGenerator::new()),
@@ -520,7 +492,22 @@ mod tests {
             initial,
             cfg,
         );
-        (m, id, t)
+        (m, Live::from([(initial.id(), Arc::new(initial))]), t)
+    }
+
+    /// The caller's side of one query: capture, and on a boundary build and
+    /// admit against `live`, installing the survivors there. Returns the
+    /// ids admitted.
+    fn observe(m: &mut LayoutManager, live: &mut Live, q: &Query) -> Vec<LayoutId> {
+        let Some(task) = m.capture(q, live.iter().map(|(&id, model)| (id, model))) else {
+            return Vec::new();
+        };
+        let built = task.build();
+        let (admission, admitted) = m.admit(built, live.iter().map(|(&id, model)| (id, model)));
+        for (_, model) in admitted {
+            live.insert(model.id(), Arc::new(model));
+        }
+        admission.admitted
     }
 
     fn a_query(t: &Table, lo: i64) -> Query {
@@ -531,42 +518,39 @@ mod tests {
 
     #[test]
     fn generates_on_interval_and_admits_useful_layouts() {
-        let (mut m, initial, t) = manager(0.05);
+        let (mut m, mut live, t) = manager(0.05);
+        let initial = *live.keys().next().unwrap();
         let mut added = Vec::new();
         for i in 0..100 {
-            added.extend(m.observe(&a_query(&t, i % 10)));
+            added.extend(observe(&mut m, &mut live, &a_query(&t, i % 10)));
         }
         // two generation rounds; a qd-tree on `a` is very different from the
         // initial range-on-ts layout, so the first candidate is admitted
         assert!(!added.is_empty(), "no layout admitted");
-        assert!(m.num_states() >= 2);
+        assert!(live.len() >= 2);
         assert_ne!(added[0], initial);
         assert!(m.stats().generated >= 2);
     }
 
     #[test]
     fn duplicate_layouts_are_rejected() {
-        let (mut m, _, t) = manager(0.05);
+        let (mut m, mut live, t) = manager(0.05);
         // constant workload → generated qd-trees are identical; only the
         // first can be admitted
         for i in 0..500 {
-            let _ = m.observe(&a_query(&t, 100).with_seq(i));
+            let _ = observe(&mut m, &mut live, &a_query(&t, 100).with_seq(i));
         }
-        assert!(
-            m.num_states() <= 3,
-            "state space exploded: {}",
-            m.num_states()
-        );
+        assert!(live.len() <= 3, "state space exploded: {}", live.len());
         assert!(m.stats().rejected > 0, "expected rejections");
     }
 
     #[test]
     fn epsilon_one_admits_nothing() {
-        let (mut m, _, t) = manager(1.0);
+        let (mut m, mut live, t) = manager(1.0);
         for i in 0..300 {
-            let _ = m.observe(&a_query(&t, i % 7));
+            let _ = observe(&mut m, &mut live, &a_query(&t, i % 7));
         }
-        assert_eq!(m.num_states(), 1, "ε=1 must reject everything");
+        assert_eq!(live.len(), 1, "ε=1 must reject everything");
         assert_eq!(m.stats().admitted, 0);
     }
 
@@ -581,7 +565,7 @@ mod tests {
             source: CandidateSource::Both,
             ..Default::default()
         };
-        let (mut m, _) = LayoutManager::new(
+        let (mut m, initial) = LayoutManager::new(
             t.clone(),
             1000.0,
             Arc::new(RangeGenerator::new(1)),
@@ -589,8 +573,9 @@ mod tests {
             initial,
             cfg,
         );
+        let mut live = Live::from([(initial.id(), Arc::new(initial))]);
         for i in 0..20 {
-            let _ = m.observe(&a_query(&t, i));
+            let _ = observe(&mut m, &mut live, &a_query(&t, i));
         }
         // Both → two candidates per round
         assert_eq!(m.stats().generated, 2);

@@ -26,11 +26,11 @@ pub use config::OreoConfig;
 pub use cost::{AlphaEstimator, CostLedger};
 pub use dumts::{Dumts, DumtsConfig, StateId, StepOutcome};
 pub use layout_manager::{
-    Admission, BuiltCandidates, CandidateSource, CandidateTask, LayoutManager, ManagedLayout,
-    ManagerConfig, ManagerStats,
+    Admission, BuiltCandidates, CandidateSource, CandidateTask, LayoutManager, ManagerConfig,
+    ManagerStats,
 };
 pub use oreo::{Oreo, StepReport};
-pub use predictor::{median_or, TransitionPolicy};
+pub use predictor::TransitionPolicy;
 
 #[cfg(test)]
 mod proptests {
@@ -42,7 +42,8 @@ mod proptests {
 
         /// Structural invariants of D-UMTS under arbitrary cost streams and
         /// dynamic state churn: the current state exists, active counters
-        /// stay below α, and |S_max| is monotone.
+        /// stay below α, and |S_max| is monotone. Each state gets one jump
+        /// weight when it is added, as OREO's admission sets one.
         #[test]
         fn dumts_invariants(
             seed in 0u64..1000,
@@ -58,6 +59,9 @@ mod proptests {
                 mid_phase_admission: false,
                 seed,
             });
+            for s in 0..3 {
+                d.set_weight(s, rng.random());
+            }
             let mut next_state = 3u64;
             let mut max_seen = d.max_states_seen();
             for _ in 0..steps {
@@ -65,6 +69,7 @@ mod proptests {
                 match action {
                     0 => {
                         d.add_state(next_state);
+                        d.set_weight(next_state, rng.random());
                         next_state += 1;
                     }
                     1 => {

@@ -4,9 +4,10 @@
 //! Per query, the framework:
 //!
 //! 1. lets the manager update its samples and possibly admit new candidate
-//!    layouts (forwarded to the reorganizer as state-add events);
+//!    layouts (installed in the state table and forwarded to the
+//!    reorganizer as state-add events);
 //! 2. steps the reorganizer with the *estimated* (metadata-only) costs of
-//!    all states — a switch decision charges α immediately;
+//!    its active states — a switch decision charges α immediately;
 //! 3. lands a decided switch on the *physical* layout only when its
 //!    reorganization completes ([`Oreo::complete_reorg`]): queries keep
 //!    running on the old layout while it is in flight, so when it lands —
@@ -24,8 +25,22 @@ use oreo_layout::{build_exact_model, LayoutGenerator, SharedSpec};
 use oreo_obs::{EventKind, EventSink, NullSink};
 use oreo_query::Query;
 use oreo_storage::{LayoutId, LayoutModel, Table};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
+
+/// One layout of the state space, kept once: by [`Oreo`], for the layout
+/// manager, the reorganizer and the bill alike.
+struct LiveLayout {
+    /// Routing spec (what a switch materializes).
+    spec: SharedSpec,
+    /// Estimated (sample-scaled) model — the costing surface for D-UMTS
+    /// counters and the admission ε-test. Shared with the candidate tasks
+    /// captured while the layout is live.
+    estimated: Arc<LayoutModel>,
+    /// Exact model, materialized lazily the first time the layout is
+    /// physical, and dropped when the table changes.
+    exact: Option<LayoutModel>,
+}
 
 /// What happened while observing one query.
 #[derive(Clone, Debug, Default)]
@@ -94,14 +109,9 @@ pub struct Oreo {
     table: Arc<Table>,
     manager: LayoutManager,
     reorganizer: Dumts,
-    /// Estimated (sample-scaled) models per live state — the costing surface
-    /// for D-UMTS counters. Kept in sync with the manager's state space.
-    estimated: HashMap<LayoutId, Arc<LayoutModel>>,
-    /// Routing specs per live state (needed to materialize on switch).
-    specs: HashMap<LayoutId, SharedSpec>,
-    /// Exact models, materialized lazily the first time a layout becomes
-    /// physical.
-    exact: HashMap<LayoutId, LayoutModel>,
+    /// The state space: every live layout, by id — the reorganizer's
+    /// states.
+    live: BTreeMap<LayoutId, LiveLayout>,
     /// Layout the queries are physically served on.
     physical: LayoutId,
     /// Targets of decided switches that have not landed, in decision order.
@@ -126,32 +136,25 @@ impl Oreo {
         generator: Arc<dyn LayoutGenerator>,
         config: OreoConfig,
     ) -> Self {
-        let (manager, initial_id) =
+        let (manager, estimated) =
             LayoutManager::for_table(&table, Arc::clone(&initial_spec), generator, &config);
+        let initial_id = estimated.id();
 
         let reorganizer =
             Dumts::new(&[initial_id], config.dumts_config()).with_initial_state(initial_id);
 
-        let mut estimated = HashMap::new();
-        let mut specs = HashMap::new();
-        let entry = manager.state(initial_id).expect("initial state installed");
-        estimated.insert(initial_id, Arc::clone(&entry.model));
-        specs.insert(initial_id, Arc::clone(&entry.spec));
-
-        let mut exact = HashMap::new();
-        exact.insert(
-            initial_id,
-            build_exact_model(initial_spec.as_ref(), initial_id, &table),
-        );
+        let initial = LiveLayout {
+            exact: Some(build_exact_model(initial_spec.as_ref(), initial_id, &table)),
+            spec: initial_spec,
+            estimated: Arc::new(estimated),
+        };
 
         Self {
             config,
             table,
             manager,
             reorganizer,
-            estimated,
-            specs,
-            exact,
+            live: BTreeMap::from([(initial_id, initial)]),
             physical: initial_id,
             pending: VecDeque::new(),
             ledger: CostLedger::new(),
@@ -225,25 +228,34 @@ impl Oreo {
             seq,
             ..Default::default()
         };
-        (report, self.manager.capture(query))
+        let live = self.live.iter().map(|(&id, l)| (id, &l.estimated));
+        (report, self.manager.capture(query, live))
     }
 
     /// Admit piece of [`Oreo::observe`]: ε-test a boundary's built
     /// candidates against the states live now, install the survivors in
-    /// the manager and the reorganizer, and refresh the sample-based
-    /// predictor (§IV-C: transition scores = skipped fraction on the
-    /// boundary's admission sample). O(states); builds nothing.
+    /// the state table and the reorganizer, and refresh the sample-based
+    /// predictor (§IV-C: each live state's jump weight = its skipped
+    /// fraction on the boundary's admission sample). O(states); builds
+    /// nothing.
     pub fn admit(&mut self, built: BuiltCandidates) -> Admission {
-        let admission = self.manager.admit(built);
-        for &id in &admission.admitted {
-            let entry = self.manager.state(id).expect("just added");
-            self.estimated.insert(id, Arc::clone(&entry.model));
-            self.specs.insert(id, Arc::clone(&entry.spec));
+        let live = self.live.iter().map(|(&id, l)| (id, &l.estimated));
+        let (admission, admitted) = self.manager.admit(built, live);
+        for (spec, model) in admitted {
+            let id = model.id();
+            let estimated = Arc::new(model);
+            self.live.insert(
+                id,
+                LiveLayout {
+                    spec,
+                    estimated,
+                    exact: None,
+                },
+            );
             self.reorganizer.add_state(id);
         }
-        if !admission.weights.is_empty() {
-            self.reorganizer
-                .set_external_weights(Some(admission.weights.clone()));
+        for (&id, &weight) in &admission.weights {
+            self.reorganizer.set_weight(id, weight);
         }
         if self.sink.enabled() {
             for &layout in &admission.admitted {
@@ -264,14 +276,12 @@ impl Oreo {
     }
 
     /// Step piece of [`Oreo::observe`]: one D-UMTS step over the estimated
-    /// costs of the states live now.
+    /// costs of the states active now.
     pub fn step(&mut self, query: &Query, report: &mut StepReport) {
         let seq = report.seq;
         let logical_before = self.reorganizer.current();
-        let estimated = &self.estimated;
-        let outcome = self
-            .reorganizer
-            .observe_query(|s| estimated.get(&s).map_or(1.0, |m| m.cost(query)));
+        let live = &self.live;
+        let outcome = (self.reorganizer).observe_query(|s| live[&s].estimated.cost(query));
         report.phase_reset = outcome.phase_reset;
         if report.phase_reset && self.sink.enabled() {
             self.sink.emit(EventKind::PhaseReset { stream_seq: seq });
@@ -316,7 +326,11 @@ impl Oreo {
         }
         if let Some(model) = exact {
             debug_assert_eq!(model.id(), target, "exact model is for another layout");
-            self.exact.entry(target).or_insert(model);
+            let live = self
+                .live
+                .get_mut(&target)
+                .expect("a pending target is live");
+            live.exact.get_or_insert(model);
         }
         while let Some(t) = self.pending.pop_front() {
             self.physical = t;
@@ -353,12 +367,9 @@ impl Oreo {
 
     /// Materialize (or fetch) the exact metadata model of a layout.
     fn exact_model(&mut self, id: LayoutId) -> &LayoutModel {
-        if !self.exact.contains_key(&id) {
-            let spec = self.specs.get(&id).expect("physical layout has a spec");
-            let model = build_exact_model(spec.as_ref(), id, &self.table);
-            self.exact.insert(id, model);
-        }
-        &self.exact[&id]
+        let table = &self.table;
+        let live = self.live.get_mut(&id).expect("physical layout is live");
+        (live.exact).get_or_insert_with(|| build_exact_model(live.spec.as_ref(), id, table))
     }
 
     /// Exact service cost `query` would incur on the *current physical*
@@ -380,7 +391,9 @@ impl Oreo {
     /// design, §IV-C); only the billing surface must be exact immediately.
     pub fn set_table(&mut self, table: Arc<Table>) {
         self.table = table;
-        self.exact.clear();
+        for live in self.live.values_mut() {
+            live.exact = None;
+        }
     }
 
     /// Charge compaction work (folding ingested deltas into the base
@@ -411,7 +424,7 @@ impl Oreo {
     /// Routing spec of a state in the state space — what a concurrent
     /// driver materializes a snapshot from.
     pub fn spec(&self, id: LayoutId) -> Option<SharedSpec> {
-        self.specs.get(&id).cloned()
+        self.live.get(&id).map(|l| Arc::clone(&l.spec))
     }
 
     /// The layout queries are physically served on.
@@ -426,7 +439,7 @@ impl Oreo {
 
     /// Current dynamic state-space size.
     pub fn num_states(&self) -> usize {
-        self.manager.num_states()
+        self.live.len()
     }
 
     /// Largest state space seen (|S_max| of the competitive bound).
@@ -451,10 +464,7 @@ impl Oreo {
 
     /// Human-readable name of a layout, when still known.
     pub fn layout_name(&self, id: LayoutId) -> Option<String> {
-        self.estimated
-            .get(&id)
-            .map(|m| m.name().to_string())
-            .or_else(|| self.exact.get(&id).map(|m| m.name().to_string()))
+        self.live.get(&id).map(|l| l.estimated.name().to_string())
     }
 
     /// The configuration in force.

@@ -2,13 +2,17 @@
 //!
 //! When the current state's counter fills, the algorithm jumps to another
 //! active state. Uniform jumps give the classic `2H(n)` ratio; a predictor
-//! that biases jumps toward states that performed well in the *last phase*
+//! that biases jumps toward states likely to serve the coming queries well
 //! provably improves the ratio (`O(log_{1/(1−β)} n)` when the predictor
-//! lands in the top-β fraction of ranks in expectation).
+//! lands in the top-β fraction of ranks in expectation), and Theorem IV.2
+//! holds for any predictor.
 //!
-//! The concrete predictor from the paper: weight each state by the average
-//! fraction of data it *skipped* during the last phase and jump with
-//! probability `w^γ / Σ w^γ`. `γ = 0` recovers the uniform distribution.
+//! This module holds only the distribution: jump with probability
+//! `w^γ / Σ w^γ`, where `w ∈ [0, 1]` is a state's weight; `γ = 0` recovers
+//! the uniform distribution. The weights come from the caller through
+//! [`crate::Dumts::set_weight`]: OREO's is each state's skipped fraction on
+//! the admission sample, and the simulator's MTS Optimal uses each state's
+//! skipped fraction over the last completed phase.
 
 use rand::Rng;
 
@@ -17,8 +21,8 @@ use rand::Rng;
 pub enum TransitionPolicy {
     /// Uniform over active states (the classic BLS algorithm).
     Uniform,
-    /// Weight states by `w^γ` where `w` is last-phase average skipped
-    /// fraction (§IV-C). `gamma = 0.0` degenerates to `Uniform`.
+    /// Weight states by `w^γ` where `w` is the state's jump weight, a
+    /// skipped fraction (§IV-C). `gamma = 0.0` degenerates to `Uniform`.
     SkippedWeighted {
         /// The weighting exponent; higher values favor historically
         /// well-skipping states more aggressively.
@@ -34,9 +38,8 @@ impl TransitionPolicy {
 
     /// Sample an index into `candidates` given their weights.
     ///
-    /// `weights[i]` is the last-phase skipped fraction of `candidates[i]`
-    /// (in `[0, 1]`). Degenerate weight vectors (all zero, NaN…) fall back
-    /// to uniform.
+    /// `weights[i]` is the jump weight of `candidates[i]` (in `[0, 1]`).
+    /// Degenerate weight vectors (all zero, NaN…) fall back to uniform.
     pub fn sample(&self, weights: &[f64], rng: &mut impl Rng) -> usize {
         assert!(!weights.is_empty(), "no candidates to transition to");
         match self {
@@ -69,9 +72,9 @@ impl TransitionPolicy {
     }
 }
 
-/// Median of a slice (used to seed weights/counters of states admitted
+/// Median of a slice (used to seed the counters of states admitted
 /// mid-phase, §IV-C). Returns `default` for an empty slice.
-pub fn median_or(values: &[f64], default: f64) -> f64 {
+pub(crate) fn median_or(values: &[f64], default: f64) -> f64 {
     if values.is_empty() {
         return default;
     }

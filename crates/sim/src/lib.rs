@@ -207,6 +207,50 @@ mod tests {
         }
     }
 
+    /// MTS Optimal's bill on the stream above, pinned to the bit for both
+    /// candidate techniques. It runs D-UMTS over the fixed per-template
+    /// states with no sample predictor: its jump weights are each state's
+    /// skipped fraction over the last completed phase, which the policy
+    /// keeps itself, so a change to that predictor or to which states are
+    /// costed shows here.
+    #[test]
+    fn mts_optimal_ledger_is_pinned() {
+        let bundle = tpch_bundle(8_000, 4);
+        let stream = bundle.stream(StreamConfig {
+            total_queries: 1_200,
+            segments: 4,
+            seed: 11,
+            ..Default::default()
+        });
+        let config = OreoConfig {
+            alpha: 20.0,
+            partitions: 16,
+            window: 100,
+            generation_interval: 100,
+            data_sample_rows: 1_000,
+            seed: 3,
+            ..Default::default()
+        };
+        let ledger = |query_cost: f64, switches: u64| CostLedger {
+            query_cost,
+            reorg_cost: switches as f64 * 20.0,
+            switches,
+            queries: 1_200,
+            compaction_cost: 0.0,
+            compactions: 0,
+        };
+        for (technique, want) in [
+            (Technique::QdTree, ledger(163.40012500000185, 7)),
+            (Technique::ZOrder, ledger(323.0660000000021, 6)),
+        ] {
+            let setup = PolicySetup::new(bundle.clone(), technique, config.clone());
+            let layouts = setup.template_layouts(&stream);
+            let run = run_policy(&mut setup.mts_optimal(&layouts), &stream.queries, 0);
+            assert_eq!(run.ledger, want, "{}", technique.label());
+            assert_eq!(run.switches, want.switches, "{}", technique.label());
+        }
+    }
+
     /// OREO's bill under [`Schedule::Configured`] on the stream above,
     /// pinned to the bit at Δ = 0 (what the figures run) and Δ = 40 (a
     /// Table II row). The values predate the schedule: they were taken when

@@ -2,6 +2,10 @@
 //! *fixed, precomputed* state space containing the best layout for each
 //! query template (segment) — isolating the value of workload knowledge in
 //! state-space construction from the online switching algorithm itself.
+//!
+//! With no admission sample to score states on, its jump predictor (§IV-C)
+//! is the last phase: when a phase ends, each state's weight becomes the
+//! average fraction of data it skipped over that phase.
 
 use crate::policies::templates::TemplateLayouts;
 use crate::policy::{ReorgPolicy, StepCost};
@@ -14,6 +18,11 @@ pub struct MtsOptimalPolicy {
     reorganizer: Dumts,
     /// state id (= segment index) → exact model
     models: Vec<LayoutModel>,
+    /// Per state: its cost, clamped to `[0, 1]`, summed over the running
+    /// phase.
+    phase_costs: Vec<f64>,
+    /// Queries in the running phase.
+    phase_queries: u64,
     alpha: f64,
 }
 
@@ -27,6 +36,8 @@ impl MtsOptimalPolicy {
         let reorganizer = Dumts::new(&ids, config);
         Self {
             reorganizer,
+            phase_costs: vec![0.0; models.len()],
+            phase_queries: 0,
             models,
             alpha,
         }
@@ -39,11 +50,24 @@ impl ReorgPolicy for MtsOptimalPolicy {
     }
 
     fn observe(&mut self, query: &Query) -> StepCost {
-        let models = &self.models;
-        let outcome = self
-            .reorganizer
-            .observe_query(|s| models[s as usize].cost(query));
-        let service = self.models[self.reorganizer.current() as usize].cost(query);
+        let costs: Vec<f64> = self.models.iter().map(|m| m.cost(query)).collect();
+        let outcome = self.reorganizer.observe_query(|s| costs[s as usize]);
+        for (sum, c) in self.phase_costs.iter_mut().zip(&costs) {
+            *sum += c.clamp(0.0, 1.0);
+        }
+        self.phase_queries += 1;
+        if outcome.phase_reset {
+            // The phase this query closed scores the next one's jumps. The
+            // step that reset drew no jump: OREO's D-UMTS configuration
+            // stays in place on a reset.
+            for (s, sum) in self.phase_costs.iter_mut().enumerate() {
+                let mean = *sum / self.phase_queries as f64;
+                (self.reorganizer).set_weight(s as u64, (1.0 - mean).clamp(0.0, 1.0));
+                *sum = 0.0;
+            }
+            self.phase_queries = 0;
+        }
+        let service = costs[self.reorganizer.current() as usize];
         StepCost {
             service,
             reorg: if outcome.switched_to.is_some() {

@@ -16,7 +16,8 @@ use std::sync::Arc;
 pub(crate) struct OnlineBaseline {
     /// Built as [`oreo_core::Oreo::new`] builds OREO's. Its ε-test is never
     /// run: at any ε it rejects exact duplicates, and a recurring template
-    /// regenerates an identical layout the baselines must still see.
+    /// regenerates an identical layout the baselines must still see. So it
+    /// is handed no live states: only the ε-test reads their costs.
     manager: LayoutManager,
     table: Arc<Table>,
     alpha: f64,
@@ -36,11 +37,9 @@ impl OnlineBaseline {
         generator: Arc<dyn LayoutGenerator>,
         config: &OreoConfig,
     ) -> Self {
-        let (manager, initial) =
+        let (manager, estimate) =
             LayoutManager::for_table(&table, Arc::clone(&initial_spec), generator, config);
-        let estimate = manager.state(initial).expect("initial state installed");
-        let estimate = estimate.model.as_ref().clone();
-        let exact = build_exact_model(initial_spec.as_ref(), initial, &table);
+        let exact = build_exact_model(initial_spec.as_ref(), estimate.id(), &table);
         Self {
             manager,
             table,
@@ -55,7 +54,7 @@ impl OnlineBaseline {
     /// the candidates it generated, as `(spec, sample model)` pairs;
     /// otherwise none.
     pub(crate) fn candidates(&mut self, query: &Query) -> Vec<(SharedSpec, LayoutModel)> {
-        let task = self.manager.capture(query);
+        let task = self.manager.capture(query, std::iter::empty());
         task.map(|t| t.build().into_candidates())
             .unwrap_or_default()
     }

@@ -133,9 +133,13 @@ fn dynamic_state_space_respects_theorem_bound() {
 fn biased_transitions_do_not_break_the_bound() {
     // Theorem IV.2: a predictor can only improve the expected ratio when it
     // favors good states; verify the γ-biased variant stays within the
-    // uniform bound on the same stream.
+    // uniform bound on the same stream. The predictor is the kind OREO
+    // runs: every `window` queries, each state's weight becomes its skipped
+    // fraction (1 − mean cost) over the last `window` rows, as OREO scores
+    // states on its admission sample at each generation boundary.
     let n = 8;
     let alpha = 10.0;
+    let window = 50;
     let costs = block_stream(n, 3_000, 250, 42);
     let opt = offline_optimum(&costs, alpha);
 
@@ -154,7 +158,14 @@ fn biased_transitions_do_not_break_the_bound() {
             },
         );
         let mut cost = 0.0;
-        for row in &costs {
+        for (t, row) in costs.iter().enumerate() {
+            if t > 0 && t % window == 0 {
+                let recent = &costs[t - window..t];
+                for s in 0..n {
+                    let mean = recent.iter().map(|r| r[s]).sum::<f64>() / window as f64;
+                    d.set_weight(s as u64, 1.0 - mean);
+                }
+            }
             let o = d.observe_query(|s| row[s as usize]);
             cost += row[d.current() as usize];
             if o.switched_to.is_some() {

@@ -9,7 +9,7 @@ use oreo_layout::{
 };
 use oreo_query::QueryBuilder;
 use oreo_sim::offline_optimum;
-use oreo_storage::{build_metadata, cost_vector_distance, TableSnapshot, TieredStore};
+use oreo_storage::{cost_vector_distance, TableSnapshot, TieredStore};
 use oreo_workload::{telemetry, tpch, Scenario, ScenarioConfig, StreamConfig};
 use std::hint::black_box;
 
@@ -84,10 +84,12 @@ fn bench_rewrite_passes(c: &mut Criterion) {
     c.bench_function("qdtree_assign_300k_k64", |b| {
         b.iter(|| black_box(LayoutSpec::assign(&tree, &table)))
     });
-    let assignment = LayoutSpec::assign(&tree, &table);
-    c.bench_function("build_metadata_300k_k64", |b| {
-        b.iter(|| black_box(build_metadata(&table, &assignment, tree.k())))
+    // The exact model of that layout, as the simulator prices every query
+    // it serves with: route the whole table, compile the model.
+    c.bench_function("build_exact_model_300k_k64", |b| {
+        b.iter(|| black_box(build_exact_model(&tree, 0, &table)))
     });
+    let assignment = LayoutSpec::assign(&tree, &table);
     // The reorganization window's two halves on the same rewrite: regroup
     // + metadata in memory, then encode + write + fsync + rename. The
     // publish timing includes removing the generation it supersedes.
@@ -153,7 +155,7 @@ fn bench_cost_eval(c: &mut Criterion) {
     );
     let tree = QdTreeBuilder::new(32).build(&data_sample, &stream.queries[4_000..4_100]);
     // The other half of a candidate's construction, after the tree: route
-    // the sample, gather its metadata, compile the model.
+    // the sample and compile its model from the sample's columns.
     c.bench_function("build_model_1500_sample_k32_correlated", |b| {
         b.iter(|| black_box(build_model(&tree, 0, &data_sample, table.num_rows() as f64)))
     });

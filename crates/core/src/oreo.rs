@@ -136,6 +136,29 @@ impl Oreo {
         generator: Arc<dyn LayoutGenerator>,
         config: OreoConfig,
     ) -> Self {
+        Self::with_initial_model(
+            Arc::clone(&table),
+            Arc::clone(&initial_spec),
+            generator,
+            config,
+            |id| build_exact_model(initial_spec.as_ref(), id, &table),
+        )
+    }
+
+    /// As [`Oreo::new`], with the initial layout's exact model built by
+    /// `exact` from the state id the framework gives that layout. A caller
+    /// that materializes the initial layout anyway — the serving engine —
+    /// hands over its snapshot's model
+    /// ([`oreo_storage::TableSnapshot::model`], the model
+    /// [`Oreo::complete_reorg_with`] takes for every later layout) instead
+    /// of having the whole table routed a second time.
+    pub fn with_initial_model(
+        table: Arc<Table>,
+        initial_spec: SharedSpec,
+        generator: Arc<dyn LayoutGenerator>,
+        config: OreoConfig,
+        exact: impl FnOnce(LayoutId) -> LayoutModel,
+    ) -> Self {
         let (manager, estimated) =
             LayoutManager::for_table(&table, Arc::clone(&initial_spec), generator, &config);
         let initial_id = estimated.id();
@@ -143,8 +166,10 @@ impl Oreo {
         let reorganizer =
             Dumts::new(&[initial_id], config.dumts_config()).with_initial_state(initial_id);
 
+        let exact = exact(initial_id);
+        assert_eq!(exact.id(), initial_id, "exact model is for another layout");
         let initial = LiveLayout {
-            exact: Some(build_exact_model(initial_spec.as_ref(), initial_id, &table)),
+            exact: Some(exact),
             spec: initial_spec,
             estimated: Arc::new(estimated),
         };

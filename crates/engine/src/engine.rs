@@ -1117,17 +1117,25 @@ impl Engine {
         let mut tenants = Vec::with_capacity(specs.len());
         let mut any_tiered = false;
         for (index, spec) in specs.into_iter().enumerate() {
-            let mut oreo = Oreo::new(
+            // The initial layout is routed once: its snapshot's model is
+            // the core's exact model of it.
+            let mut initial_snapshot = None;
+            let mut oreo = Oreo::with_initial_model(
                 Arc::clone(&spec.table),
                 Arc::clone(&spec.initial_spec),
                 spec.generator,
                 spec.oreo,
+                |initial_id| {
+                    let snapshot = materialize(&spec.table, &spec.initial_spec, initial_id);
+                    let model = snapshot.model();
+                    initial_snapshot = Some(snapshot);
+                    model
+                },
             );
+            let mut initial_snapshot = initial_snapshot.expect("initial layout materialized");
             oreo.set_event_sink(Arc::clone(&sink));
             let run_ahead = oreo.config().generation_interval / 4;
-            let initial_id = oreo.physical_layout();
             core.push(oreo);
-            let mut initial_snapshot = materialize(&spec.table, &spec.initial_spec, initial_id);
             // A single tenant keeps the pre-tenancy flat layout (store +
             // wal.log directly at the root); N tenants get subdirectories.
             let tenant_root = match &config.mode {

@@ -6,10 +6,10 @@
 //! * `generate_layout(D, Q, k)` → [`LayoutGenerator::generate`] builds a
 //!   [`LayoutSpec`] from a dataset *sample* and a workload sample;
 //! * `eval_skipped(s, Q)` → routing a sample through the spec yields
-//!   estimated partition metadata ([`build_model`]), whose
+//!   an estimated metadata model ([`build_model`]), whose
 //!   [`LayoutModel::cost`] is the skipping estimate.
 
-use oreo_storage::{build_metadata, LayoutModel, Table};
+use oreo_storage::{LayoutModel, Table};
 use rand::rngs::StdRng;
 use std::sync::Arc;
 
@@ -44,17 +44,20 @@ pub type SharedSpec = Arc<dyn LayoutSpec>;
 
 /// Build the metadata-only [`LayoutModel`] of a spec by routing `sample`
 /// and scaling partition row counts to `full_rows` — the paper's
-/// "sample-estimated" costing of candidate layouts.
+/// "sample-estimated" costing of candidate layouts. The model is compiled
+/// straight from the sample's columns and the routing
+/// ([`LayoutModel::from_assignment`]): per partition its row count, and per
+/// column its min and max and, up to the distinct-set cap, its distinct
+/// values — no per-partition metadata is built on the way.
 pub fn build_model(spec: &dyn LayoutSpec, id: u64, sample: &Table, full_rows: f64) -> LayoutModel {
     let assignment = spec.assign(sample);
-    let mut meta = build_metadata(sample, &assignment, spec.k());
-    if sample.num_rows() > 0 && full_rows > 0.0 {
-        let factor = full_rows / sample.num_rows() as f64;
-        for m in &mut meta {
-            m.scale_rows(factor);
-        }
-    }
-    LayoutModel::new(id, spec.describe(), meta)
+    let n = sample.num_rows();
+    let scale = if n > 0 && full_rows > 0.0 {
+        full_rows / n as f64
+    } else {
+        1.0
+    };
+    LayoutModel::from_assignment(id, spec.describe(), sample, &assignment, spec.k(), scale)
 }
 
 /// Build the *exact* model by routing the full table (what materialization

@@ -2,14 +2,13 @@
 //!
 //! This is the "state" the MTS machinery works with: evaluating the service
 //! cost `c(s, q)` of a query on a layout requires only the layout's
-//! partition metadata, never the data itself (§III-B of the paper, the
+//! partition statistics, never the data itself (§III-B of the paper, the
 //! `eval_skipped` functionality).
 //!
 //! The D-UMTS step costs every live state on every query, and each
 //! generation boundary costs every state and candidate over the admission
-//! sample (Algorithm 5), so [`LayoutModel::new`] compiles the partitions'
-//! [`PartitionMetadata`] once, in one pass over the statistics, into
-//! per-column arrays a query is costed on in one pass:
+//! sample (Algorithm 5), so a model is compiled once into per-column arrays
+//! a query is costed on in one pass:
 //!
 //! * every statistic becomes an integer key whose order is [`Scalar`]'s:
 //!   an int is itself, a float its `total_cmp` image, a string its position
@@ -26,11 +25,26 @@
 //!   ANDs its atoms' masks, and the rows of the set bits are summed in
 //!   partition order.
 //!
+//! There are two ways in. [`LayoutModel::from_assignment`] compiles the
+//! arrays straight from a table's typed columns and a row → partition
+//! assignment — what every candidate a generation boundary builds on the
+//! data sample goes through, and every exact model the simulator routes
+//! the whole table for: per column, one pass over its rows collects each
+//! partition's row count, min and max and capped distinct set as keys,
+//! strings as their positions in the dictionary sorted once. No
+//! [`PartitionMetadata`] is built. [`LayoutModel::new`] compiles the
+//! metadata a materialized snapshot already holds
+//! ([`crate::TableSnapshot::model`]).
+//!
 //! [`PartitionMetadata::may_match`] is the reference semantics: the cost is
 //! the same f64 sum, in the same order, of the rows of the partitions it
-//! keeps, so every ledger built on it is unchanged to the bit.
+//! keeps, so every ledger built on it is unchanged to the bit; and
+//! `from_assignment` compiles exactly what `new` compiles from
+//! [`crate::build_metadata`]'s partitions, their rows scaled alike.
 
-use crate::partition::{word_bits, ColumnStats, PartitionMetadata};
+use crate::column::Column;
+use crate::partition::{set_bits, word_bits, ColumnStats, PartitionMetadata, DEFAULT_DISTINCT_CAP};
+use crate::table::Table;
 use oreo_query::{Atom, CompareOp, Predicate, Query, Scalar};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -50,14 +64,41 @@ pub struct LayoutModel {
 }
 
 impl LayoutModel {
-    /// A model named `name` over the given partition metadata.
+    /// A model named `name` over the given partition metadata — how a
+    /// materialized snapshot, which holds its partitions' metadata, is
+    /// costed.
     pub fn new(id: LayoutId, name: impl Into<String>, partitions: Vec<PartitionMetadata>) -> Self {
-        let total_rows = partitions.iter().map(|p| p.rows).sum();
+        Self::compiled(id, name, CompiledStats::new(&partitions))
+    }
+
+    /// A model named `name` of the layout that puts row `r` of `table` in
+    /// partition `assignment[r]` of `k`, each partition's row count
+    /// multiplied by `scale` — compiled from the table's columns with no
+    /// [`PartitionMetadata`] in between. It is the model [`LayoutModel::new`]
+    /// compiles from [`crate::build_metadata`]`(table, assignment, k)` with
+    /// every partition's rows scaled by `scale`, to the bit.
+    ///
+    /// # Panics
+    /// Panics if `assignment` does not have one entry per row, or names a
+    /// partition past `k`.
+    pub fn from_assignment(
+        id: LayoutId,
+        name: impl Into<String>,
+        table: &Table,
+        assignment: &[u32],
+        k: usize,
+        scale: f64,
+    ) -> Self {
+        let stats = CompiledStats::from_assignment(table, assignment, k, scale);
+        Self::compiled(id, name, stats)
+    }
+
+    fn compiled(id: LayoutId, name: impl Into<String>, stats: CompiledStats) -> Self {
         Self {
             id,
             name: name.into(),
-            stats: Arc::new(CompiledStats::new(&partitions)),
-            total_rows,
+            total_rows: stats.rows.iter().sum(),
+            stats: Arc::new(stats),
         }
     }
 
@@ -136,20 +177,41 @@ struct CompiledStats {
 
 impl CompiledStats {
     fn new(partitions: &[PartitionMetadata]) -> Self {
-        let mut live = vec![0u64; partitions.len().div_ceil(64)];
-        for (p, meta) in partitions.iter().enumerate() {
+        let ncols = partitions.iter().map(|p| p.columns.len()).max();
+        Self::with_rows(
+            partitions.iter().map(|p| p.rows).collect(),
+            (0..ncols.unwrap_or(0))
+                .map(|col| ColumnArrays::new(partitions, col))
+                .collect(),
+        )
+    }
+
+    fn from_assignment(table: &Table, assignment: &[u32], k: usize, scale: f64) -> Self {
+        assert_eq!(assignment.len(), table.num_rows(), "assignment length");
+        let mut counts = vec![0usize; k];
+        for &p in assignment {
+            counts[p as usize] += 1;
+        }
+        Self::with_rows(
+            counts.iter().map(|&n| n as f64 * scale).collect(),
+            (table.columns().iter())
+                .map(|column| ColumnArrays::from_column(column, assignment, &counts))
+                .collect(),
+        )
+    }
+
+    fn with_rows(rows: Vec<f64>, columns: Vec<ColumnArrays>) -> Self {
+        let mut live = vec![0u64; rows.len().div_ceil(64)];
+        for (p, &r) in rows.iter().enumerate() {
             // `may_match` tests `rows <= 0`, which a NaN row count fails.
-            if meta.rows > 0.0 || meta.rows.is_nan() {
+            if r > 0.0 || r.is_nan() {
                 live[p / 64] |= 1 << (p % 64);
             }
         }
-        let ncols = partitions.iter().map(|p| p.columns.len()).max();
         Self {
-            rows: partitions.iter().map(|p| p.rows).collect(),
+            rows,
             live,
-            columns: (0..ncols.unwrap_or(0))
-                .map(|col| ColumnArrays::new(partitions, col))
-                .collect(),
+            columns,
         }
     }
 
@@ -209,20 +271,28 @@ type Key = i128;
 /// member.
 fn key(dict: &[String], value: &Scalar) -> Key {
     match value {
-        Scalar::Int(v) => compose(0, *v),
-        // `f64::total_cmp`'s own mapping onto signed integers.
-        Scalar::Float(v) => {
-            let bits = v.to_bits() as i64;
-            compose(1, bits ^ (((bits >> 63) as u64) >> 1) as i64)
-        }
-        Scalar::Str(s) => {
-            let slot = match dict.binary_search(s) {
-                Ok(at) => 2 * at + 1,
-                Err(at) => 2 * at,
-            };
-            compose(2, slot as i64)
-        }
+        Scalar::Int(v) => int_key(*v),
+        Scalar::Float(v) => float_key(*v),
+        Scalar::Str(s) => match dict.binary_search(s) {
+            Ok(at) => str_key(at),
+            Err(at) => compose(2, 2 * at as i64),
+        },
     }
+}
+
+fn int_key(v: i64) -> Key {
+    compose(0, v)
+}
+
+/// `f64::total_cmp`'s own mapping onto signed integers.
+fn float_key(v: f64) -> Key {
+    let bits = v.to_bits() as i64;
+    compose(1, bits ^ (((bits >> 63) as u64) >> 1) as i64)
+}
+
+/// The key of the string at `position` in the column's dictionary.
+fn str_key(position: usize) -> Key {
+    compose(2, (2 * position + 1) as i64)
 }
 
 /// A type's rank (`Int < Float < Str`, [`Scalar`]'s cross-type order)
@@ -250,27 +320,85 @@ struct ColumnArrays {
     dict: Vec<String>,
 }
 
+/// What answers one partition's column.
+enum Kind {
+    Set,
+    Range,
+    Nothing,
+}
+
+/// A [`ColumnArrays`] being filled partition by partition, in order.
+struct Filling {
+    has_stats: Vec<u64>,
+    has_set: Vec<u64>,
+    start: Vec<usize>,
+}
+
+impl Filling {
+    fn new(k: usize) -> Self {
+        let words = k.div_ceil(64);
+        let mut start = Vec::with_capacity(k + 1);
+        start.push(0);
+        Self {
+            has_stats: vec![0; words],
+            has_set: vec![0; words],
+            start,
+        }
+    }
+
+    /// Closes the next partition as `kind`, its keys ending at `end`.
+    fn close(&mut self, kind: Kind, end: usize) {
+        let p = self.start.len() - 1;
+        let bit = 1 << (p % 64);
+        match kind {
+            Kind::Set => {
+                self.has_set[p / 64] |= bit;
+                self.has_stats[p / 64] |= bit;
+            }
+            Kind::Range => self.has_stats[p / 64] |= bit,
+            Kind::Nothing => {}
+        }
+        self.start.push(end);
+    }
+
+    fn finish(self, keys: Vec<Key>, dict: Vec<String>) -> ColumnArrays {
+        let start = self.start;
+        let first_last = |p: usize| {
+            let own = &keys[start[p]..start[p + 1]];
+            own.first()
+                .zip(own.last())
+                .map_or((0, 0), |(&a, &b)| (a, b))
+        };
+        let (min, max) = (0..start.len() - 1).map(first_last).unzip();
+        ColumnArrays {
+            has_stats: self.has_stats,
+            has_set: self.has_set,
+            min,
+            max,
+            start,
+            keys,
+            dict,
+        }
+    }
+}
+
 impl ColumnArrays {
     fn new(partitions: &[PartitionMetadata], col: usize) -> Self {
-        let words = partitions.len().div_ceil(64);
-        let (mut has_stats, mut has_set) = (vec![0; words], vec![0; words]);
-        let mut start = vec![0];
+        let mut filling = Filling::new(partitions.len());
         let mut held: Vec<&Scalar> = Vec::new();
-        for (p, meta) in partitions.iter().enumerate() {
-            let bit = 1 << (p % 64);
-            match Held::of(meta.columns.get(col)) {
+        for meta in partitions {
+            let kind = match Held::of(meta.columns.get(col)) {
                 Held::Set(set) => {
-                    has_set[p / 64] |= bit;
-                    has_stats[p / 64] |= bit;
                     held.extend(set);
+                    Kind::Set
                 }
                 Held::Range(min, max) => {
-                    has_stats[p / 64] |= bit;
                     held.extend([min, max]);
+                    Kind::Range
                 }
-                Held::Nothing => {}
-            }
-            start.push(held.len());
+                Held::Nothing => Kind::Nothing,
+            };
+            filling.close(kind, held.len());
         }
         // The strings' dictionary positions: one hash lookup per string
         // held, then a sort of the distinct ones — the same strings recur
@@ -292,28 +420,147 @@ impl ColumnArrays {
         for (at, &id) in sorted.iter().enumerate() {
             position[id] = at;
         }
-        let keys: Vec<Key> = (held.iter().zip(first_seen))
+        let keys = (held.iter().zip(first_seen))
             .map(|(v, id)| match id {
-                Some(id) => compose(2, (2 * position[id] + 1) as i64),
+                Some(id) => str_key(position[id]),
                 None => key(&[], v),
             })
             .collect();
-        let first_last = |p: usize| {
-            let own = &keys[start[p]..start[p + 1]];
-            own.first()
-                .zip(own.last())
-                .map_or((0, 0), |(&a, &b)| (a, b))
+        let dict = sorted.iter().map(|&id| by_id[id].to_owned()).collect();
+        filling.finish(keys, dict)
+    }
+
+    /// The arrays [`ColumnArrays::new`] compiles from
+    /// [`crate::build_metadata`]'s partitions, straight from `column` when
+    /// its row `r` lies in partition `assignment[r]`, which holds
+    /// `counts[p]` rows: one pass over the rows, then one over the
+    /// partitions, with every statistic held as a key from the start.
+    fn from_column(column: &Column, assignment: &[u32], counts: &[usize]) -> Self {
+        let k = counts.len();
+        let cap = DEFAULT_DISTINCT_CAP;
+        let mut filling = Filling::new(k);
+        let mut keys = Vec::new();
+        let dict = match column {
+            Column::Int(values) => {
+                let (mut min, mut max) = (vec![i64::MAX; k], vec![i64::MIN; k]);
+                // Partition p's distinct values so far, ascending, are
+                // `held[p * cap..][..len[p]]`; `len[p]` passes the cap when
+                // one more turns up, and the partition keeps only its range.
+                // A value equal to the partition's previous one is already
+                // held (runs of zeros, sorted keys) and skips the search.
+                let mut held = vec![0i64; k * cap];
+                let mut len = vec![0usize; k];
+                let mut last = vec![None; k];
+                for (&v, &p) in values.iter().zip(assignment) {
+                    let p = p as usize;
+                    min[p] = min[p].min(v);
+                    max[p] = max[p].max(v);
+                    if len[p] > cap || last[p] == Some(v) {
+                        continue;
+                    }
+                    last[p] = Some(v);
+                    let set = &mut held[p * cap..][..cap];
+                    if let Err(at) = set[..len[p]].binary_search(&v) {
+                        if len[p] < cap {
+                            set.copy_within(at..len[p], at + 1);
+                            set[at] = v;
+                        }
+                        len[p] += 1;
+                    }
+                }
+                for p in 0..k {
+                    let kind = if counts[p] == 0 {
+                        Kind::Nothing
+                    } else if len[p] <= cap {
+                        keys.extend(held[p * cap..][..len[p]].iter().map(|&v| int_key(v)));
+                        Kind::Set
+                    } else {
+                        keys.extend([int_key(min[p]), int_key(max[p])]);
+                        Kind::Range
+                    };
+                    filling.close(kind, keys.len());
+                }
+                Vec::new()
+            }
+            Column::Float(values) => {
+                let (mut min, mut max) = (vec![f64::INFINITY; k], vec![f64::NEG_INFINITY; k]);
+                for (&v, &p) in values.iter().zip(assignment) {
+                    let p = p as usize;
+                    if v.total_cmp(&min[p]).is_lt() {
+                        min[p] = v;
+                    }
+                    if v.total_cmp(&max[p]).is_gt() {
+                        max[p] = v;
+                    }
+                }
+                for p in 0..k {
+                    let kind = if counts[p] == 0 {
+                        Kind::Nothing
+                    } else {
+                        keys.extend([float_key(min[p]), float_key(max[p])]);
+                        Kind::Range
+                    };
+                    filling.close(kind, keys.len());
+                }
+                Vec::new()
+            }
+            Column::Str(column) => {
+                // Each code's rank among the column's distinct strings, from
+                // the dictionary sorted once: from here on a string is its
+                // rank, and string order is integer order.
+                let mut order: Vec<u32> = (0..column.cardinality() as u32).collect();
+                order.sort_unstable_by_key(|&code| column.decode(code));
+                let mut rank = vec![0; order.len()];
+                let mut names: Vec<&str> = Vec::new();
+                for &code in &order {
+                    let s = column.decode(code);
+                    if names.last() != Some(&s) {
+                        names.push(s);
+                    }
+                    rank[code as usize] = names.len() - 1;
+                }
+                // The ranks each partition holds, as a bitset of
+                // `words` words per partition: the only per-row work.
+                let words = names.len().div_ceil(64);
+                let mut seen = vec![0u64; k * words];
+                for (&code, &p) in column.codes().iter().zip(assignment) {
+                    let r = rank[code as usize];
+                    seen[p as usize * words + r / 64] |= 1 << (r % 64);
+                }
+                // Keys hold ranks until the dictionary of the strings the
+                // statistics keep is known.
+                for p in 0..k {
+                    let marked = &seen[p * words..][..words];
+                    let distinct: u32 = marked.iter().map(|w| w.count_ones()).sum();
+                    let kind = if distinct == 0 {
+                        Kind::Nothing
+                    } else if distinct as usize <= cap {
+                        keys.extend(set_bits(marked).map(Key::from));
+                        Kind::Set
+                    } else {
+                        let mut ranks = set_bits(marked).map(Key::from);
+                        keys.extend(ranks.next().into_iter().chain(ranks.last()));
+                        Kind::Range
+                    };
+                    filling.close(kind, keys.len());
+                }
+                let mut used = vec![false; names.len()];
+                for &r in &keys {
+                    used[r as usize] = true;
+                }
+                let mut position = vec![0; names.len()];
+                let mut dict = Vec::new();
+                for (r, _) in used.iter().enumerate().filter(|(_, &u)| u) {
+                    position[r] = dict.len();
+                    dict.push(names[r].to_owned());
+                }
+                for key in &mut keys {
+                    *key = str_key(position[*key as usize]);
+                }
+                dict
+            }
         };
-        let (min, max) = (0..partitions.len()).map(first_last).unzip();
-        ColumnArrays {
-            has_stats,
-            has_set,
-            min,
-            max,
-            start,
-            keys,
-            dict: sorted.iter().map(|&id| by_id[id].to_owned()).collect(),
-        }
+        filling.finish(keys, dict)
     }
 
     /// The partitions among `among` (bits of word `word`) the statistics
@@ -507,6 +754,43 @@ mod tests {
                 }
                 let got: Vec<u64> = model.cost_vector(&queries).iter().map(|c| c.to_bits()).collect();
                 prop_assert_eq!(got, want);
+            }
+
+            /// The model compiled straight from the table is the one
+            /// compiled from [`build_metadata`]'s partitions, their rows
+            /// scaled alike: the same arrays, dictionaries and keys, so the
+            /// same partitions kept and the same cost to the bit. Tables as
+            /// above — int and string partitions of exactly the cap's
+            /// distinct values and of one more, floats with NaN, ±0.0 and
+            /// ±∞, empty partitions, tables with no rows (so no strings at
+            /// all), layouts of more than 64 partitions —, and every atom
+            /// kind, inverted `BETWEEN`s, foreign literals and strings no
+            /// dictionary holds.
+            #[test]
+            fn from_assignment_equals_metadata_model(
+                shapes in arb::shapes(),
+                pad in prop_oneof![Just(0usize), Just(60), Just(127)],
+                full_rows in prop_oneof![Just(0.0), (1u32..400).prop_map(|r| r as f64 * 37.5)],
+                queries in proptest::collection::vec(arb::raw_atoms(), 1..6),
+            ) {
+                let k = shapes.len() + pad;
+                let (t, assignment) = arb::table(&shapes, k);
+                let n = t.num_rows();
+                let scale = if n > 0 && full_rows > 0.0 { full_rows / n as f64 } else { 1.0 };
+                let mut meta = build_metadata(&t, &assignment, k);
+                for m in &mut meta {
+                    m.scale_rows(scale);
+                }
+                let want = LayoutModel::new(5, "oracle", meta);
+                let got = LayoutModel::from_assignment(5, "direct", &t, &assignment, k, scale);
+                prop_assert_eq!(format!("{:?}", got.stats), format!("{:?}", want.stats));
+                prop_assert_eq!(got.num_partitions(), k);
+                prop_assert_eq!(got.total_rows().to_bits(), want.total_rows().to_bits());
+                for raw in &queries {
+                    let q = Query::new(arb::predicate(raw));
+                    prop_assert_eq!(got.relevant_partitions(&q), want.relevant_partitions(&q), "{:?}", q);
+                    prop_assert_eq!(got.cost(&q).to_bits(), want.cost(&q).to_bits(), "{:?}", q);
+                }
             }
         }
     }

@@ -63,9 +63,7 @@ pub use error::{Result, StorageError};
 pub use format::{ColumnExtent, PartitionFooter};
 pub use kernel::{KernelCounters, CHUNK_ROWS};
 pub use layout_model::{cost_vector_distance, LayoutId, LayoutModel};
-pub use partition::{
-    build_metadata, build_metadata_capped, PartitionMetadata, DEFAULT_DISTINCT_CAP,
-};
+pub use partition::{build_metadata, PartitionMetadata, DEFAULT_DISTINCT_CAP};
 pub use snapshot::{SnapshotCell, SnapshotPartition, SnapshotScan, TableSnapshot};
 pub use table::{concat_tables, Table, TableBuilder};
 pub use tiered::{FullScan, Generation, PublishReceipt, RecoveryReport, TieredStore};

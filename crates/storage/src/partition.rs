@@ -108,18 +108,15 @@ impl PartitionMetadata {
 pub const DEFAULT_DISTINCT_CAP: usize = 64;
 
 /// Builds metadata for all `k` partitions of a layout in one pass over the
-/// table, given the row → partition assignment.
+/// table, given the row → partition assignment, keeping a distinct set
+/// wherever a partition holds at most [`DEFAULT_DISTINCT_CAP`] values.
+///
+/// No product path calls it: a layout's model is compiled straight from the
+/// table ([`crate::LayoutModel::from_assignment`]), and a rewrite gathers
+/// each partition's metadata while its columns are in cache
+/// ([`crate::TableSnapshot::build`]). It is the test oracle of both — the
+/// metadata they must agree with, spelled out as statistics.
 pub fn build_metadata(table: &Table, assignment: &[u32], k: usize) -> Vec<PartitionMetadata> {
-    build_metadata_capped(table, assignment, k, DEFAULT_DISTINCT_CAP)
-}
-
-/// As [`build_metadata`] with an explicit distinct-set cap.
-pub fn build_metadata_capped(
-    table: &Table,
-    assignment: &[u32],
-    k: usize,
-    distinct_cap: usize,
-) -> Vec<PartitionMetadata> {
     assert_eq!(assignment.len(), table.num_rows(), "assignment length");
     let ncols = table.num_columns();
     let mut rows = vec![0u64; k];
@@ -160,7 +157,7 @@ pub fn build_metadata_capped(
                     if let Some(set) = sets[b].as_mut() {
                         if let Err(at) = set.binary_search(&v) {
                             set.insert(at, v);
-                            if set.len() > distinct_cap {
+                            if set.len() > DEFAULT_DISTINCT_CAP {
                                 sets[b] = None;
                             }
                         }
@@ -211,7 +208,7 @@ pub fn build_metadata_capped(
                     let range = held.iter().min().zip(held.iter().max());
                     stats[b][col_id].range =
                         range.map(|(lo, hi)| (Scalar::from(*lo), Scalar::from(*hi)));
-                    if !held.is_empty() && held.len() <= distinct_cap {
+                    if !held.is_empty() && held.len() <= DEFAULT_DISTINCT_CAP {
                         stats[b][col_id].distinct =
                             Some(held.into_iter().map(Scalar::from).collect());
                     }
@@ -249,7 +246,7 @@ pub(crate) fn table_metadata(table: &Table) -> PartitionMetadata {
                 let (min, max) = values
                     .iter()
                     .fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-                // The exact set `build_metadata_capped` keeps, given up at
+                // The exact set `build_metadata` keeps, given up at
                 // the first value past the cap — after a few dozen rows of
                 // a high-cardinality column, which is why it has a loop of
                 // its own. A value equal to its predecessor is already held.
@@ -316,7 +313,7 @@ pub(crate) fn table_metadata(table: &Table) -> PartitionMetadata {
 }
 
 /// Positions of the set bits of `words`, ascending.
-fn set_bits(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
     (words.iter().enumerate())
         .flat_map(|(w, &word)| word_bits(word, w * 64))
         .map(|bit| bit as u32)
@@ -658,16 +655,39 @@ mod tests {
         assert!(!meta[1].may_match(&q2));
     }
 
+    /// An int and a string column over `2 * cap + 1` distinct values:
+    /// partition 0 holds the first [`DEFAULT_DISTINCT_CAP`] of them,
+    /// partition 1 the rest — one more than the cap.
+    fn past_the_cap() -> (Table, Vec<u32>) {
+        let cap = DEFAULT_DISTINCT_CAP;
+        let s = Arc::new(Schema::from_pairs([
+            ("v", ColumnType::Int),
+            ("c", ColumnType::Str),
+        ]));
+        let mut b = TableBuilder::new(Arc::clone(&s));
+        for i in 0..2 * cap + 1 {
+            b.push_row(&[Scalar::Int(i as i64), Scalar::from(format!("s{i:03}"))]);
+        }
+        let assignment = (0..2 * cap + 1).map(|i| (i >= cap) as u32).collect();
+        (b.finish(), assignment)
+    }
+
     #[test]
     fn distinct_cap_degrades_to_range() {
-        let t = table();
-        let assignment = vec![0u32; 100];
-        // cap 1 forces the 2-value partition to range-only
-        let meta = build_metadata_capped(&t, &assignment, 1, 1);
-        assert!(meta[0].columns[2].distinct.is_none());
+        let (t, assignment) = past_the_cap();
+        let meta = build_metadata(&t, &assignment, 2);
+        for col in 0..2 {
+            let held = meta[0].columns[col].distinct.as_ref().map(BTreeSet::len);
+            assert_eq!(held, Some(DEFAULT_DISTINCT_CAP));
+            assert!(meta[1].columns[col].distinct.is_none());
+        }
         assert_eq!(
-            meta[0].columns[2].range,
-            Some((Scalar::from("high"), Scalar::from("low")))
+            meta[1].columns[0].range,
+            Some((Scalar::Int(64), Scalar::Int(128)))
+        );
+        assert_eq!(
+            meta[1].columns[1].range,
+            Some((Scalar::from("s064"), Scalar::from("s128")))
         );
     }
 
@@ -693,11 +713,12 @@ mod tests {
             assert_eq!(r.len(), 0, "codec must consume exactly its bytes");
         }
         // degraded (range-only) metadata round-trips too
-        let capped = build_metadata_capped(&t, &vec![0u32; 100], 1, 1);
+        let (t, assignment) = past_the_cap();
+        let capped = build_metadata(&t, &assignment, 2);
         let mut buf = bytes::BytesMut::new();
-        encode_metadata(&mut buf, &capped[0]);
+        encode_metadata(&mut buf, &capped[1]);
         let mut r: &[u8] = &buf;
-        assert_eq!(decode_metadata(&mut r).unwrap(), capped[0]);
+        assert_eq!(decode_metadata(&mut r).unwrap(), capped[1]);
     }
 
     #[test]
@@ -729,7 +750,8 @@ mod tests {
             /// The single-pass builder equals the old per-row / rescanning
             /// one field for field: empty partitions, dictionaries that
             /// straddle a 64-code bitset word, and partition cardinalities
-            /// on both sides of the cap.
+            /// on both sides of the cap — ints of a narrow domain or of one
+            /// wider than the cap, strings of up to 150.
             #[test]
             fn single_pass_equals_reference(
                 rows in proptest::collection::vec(
@@ -738,7 +760,7 @@ mod tests {
                 ),
                 k in 1usize..9,
                 narrow in 1usize..150,
-                cap in prop_oneof![Just(0usize), Just(1), Just(3), Just(64)],
+                wide in any::<bool>(),
             ) {
                 let s = Arc::new(Schema::from_pairs([
                     ("v", ColumnType::Int),
@@ -754,12 +776,13 @@ mod tests {
                     let word = word % narrow;
                     let f = if f == -3 { f64::NAN } else { f as f64 / 2.0 };
                     let word_str = Scalar::from(format!("w{word:03}"));
+                    let v = if wide { v + 16 * word as i64 } else { v };
                     b.push_row(&[Scalar::Int(v), Scalar::Float(f), word_str]);
                     assignment.push(((word / 8 + salt / 3) % live) as u32);
                 }
                 let t = b.finish();
-                let got = build_metadata_capped(&t, &assignment, k, cap);
-                let want = reference_metadata_capped(&t, &assignment, k, cap);
+                let got = build_metadata(&t, &assignment, k);
+                let want = reference_metadata_capped(&t, &assignment, k, DEFAULT_DISTINCT_CAP);
                 prop_assert_eq!(got, want);
             }
 

@@ -54,19 +54,21 @@
 //! ([`Engine::start`]) is the N = 1 case.
 
 use crate::ingest::{build_fold_snapshot, FoldBuild, IngestState};
-use crate::metrics::as_micros_u64;
+use crate::metrics::{
+    alpha_readings, as_micros_u64, as_nanos_u64, EngineStats, LiveMetrics, TenantStats,
+};
 use crate::queue::ShardedQueue;
 use crate::reorg::{materialize, ReorgRequest, ReorgWindow};
-use oreo_core::{AlphaEstimator, CandidateTask, CostLedger, ManagerStats, Oreo, OreoConfig};
+use oreo_core::{AlphaEstimator, CandidateTask, CostLedger, Oreo, OreoConfig};
 use oreo_layout::{LayoutGenerator, SharedSpec};
 use oreo_obs::{
-    Counter, Event, EventKind, EventSink, Gauge, Histogram, HistogramStats, Journal, NullSink,
-    Registry, ReorgPhaseKind, SnapshotWriter,
+    Counter, EventKind, EventSink, Gauge, Histogram, Journal, NullSink, Registry, ReorgPhaseKind,
+    SnapshotWriter,
 };
 use oreo_query::Query;
 use oreo_storage::{
     ApplyReceipt, BufferPool, BufferPoolConfig, DeltaBuffer, IngestOp, LayoutId, MergePolicy,
-    PoolStats, SnapshotCell, SnapshotScan, Table, TableSnapshot, TieredStore, Wal,
+    SnapshotCell, SnapshotScan, Table, TableSnapshot, TieredStore, Wal,
 };
 use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
@@ -291,205 +293,6 @@ struct Job {
     tenant: u32,
 }
 
-/// Pre-resolved registry handles for everything the serving hot path
-/// publishes — resolved once at startup so workers touch only atomics.
-/// Scan times are accumulated in nanoseconds (counters are integers; a
-/// sub-µs scan would otherwise vanish).
-struct LiveMetrics {
-    queries_submitted: Arc<Counter>,
-    queries_completed: Arc<Counter>,
-    rows_scanned: Arc<Counter>,
-    rows_matched: Arc<Counter>,
-    bytes_scanned: Arc<Counter>,
-    scan_ns: Arc<Counter>,
-    cold_scans: Arc<Counter>,
-    cold_scan_bytes: Arc<Counter>,
-    cold_scan_ns: Arc<Counter>,
-    warm_scan_bytes: Arc<Counter>,
-    warm_scan_ns: Arc<Counter>,
-    io_cold_bytes: Arc<Counter>,
-    io_cached_bytes: Arc<Counter>,
-    scan_io_errors: Arc<Counter>,
-    chunks_evaluated: Arc<Counter>,
-    rows_short_circuited: Arc<Counter>,
-    partitions_read: Arc<Counter>,
-    partitions_covered: Arc<Counter>,
-    columns_decoded: Arc<Counter>,
-    frames_decided: Arc<Counter>,
-    columns_read: Arc<Counter>,
-    latency_us: Arc<Histogram>,
-    scan_us: Arc<Histogram>,
-    switches: Arc<Counter>,
-    snapshots_published: Arc<Counter>,
-    reorg_windows: Arc<Counter>,
-    reorg_build_ns: Arc<Counter>,
-    reorg_bytes_written: Arc<Counter>,
-    reorg_delta_queries: Arc<Counter>,
-    persisted: Arc<Counter>,
-    persist_ns: Arc<Counter>,
-    tiered_errors: Arc<Counter>,
-    ingest_batches: Arc<Counter>,
-    ingest_rows: Arc<Counter>,
-    ingest_deletes: Arc<Counter>,
-    ingest_rows_written: Arc<Counter>,
-    delta_bytes_scanned: Arc<Counter>,
-    folds: Arc<Counter>,
-    folded_rows: Arc<Counter>,
-    delta_rows: Arc<Gauge>,
-    wal_bytes: Arc<Gauge>,
-    ledger_query_cost: Arc<Gauge>,
-    ledger_reorg_cost: Arc<Gauge>,
-    ledger_total: Arc<Gauge>,
-    num_states: Arc<Gauge>,
-    max_states_seen: Arc<Gauge>,
-    qps: Arc<Gauge>,
-    table_bytes: Arc<Gauge>,
-    alpha_hat: Arc<Gauge>,
-    alpha_cold: Arc<Gauge>,
-    alpha_warm: Arc<Gauge>,
-    pool_hit_rate: Arc<Gauge>,
-    pool_hits: Arc<Gauge>,
-    pool_misses: Arc<Gauge>,
-    pool_evictions: Arc<Gauge>,
-    pool_pages_resident: Arc<Gauge>,
-    /// Time spent waiting for / holding the core mutex, per acquisition.
-    /// There is one core mutex per engine, so only the aggregate view
-    /// records these.
-    lock_wait_us: Arc<Histogram>,
-    lock_hold_us: Arc<Histogram>,
-    /// Generation boundaries whose candidates were built and ε-tested /
-    /// dropped unbuilt for a newer boundary.
-    candidates_built: Arc<Counter>,
-    candidates_superseded: Arc<Counter>,
-    /// Queries observed between a boundary's capture and its admission.
-    candidate_lag_queries: Arc<Histogram>,
-    /// Time a worker spent waiting for an admission with queries it held
-    /// back at the run-ahead allowance (recorded only when it waited).
-    admission_wait_us: Arc<Histogram>,
-    /// Queries served past the run-ahead allowance because their boundary
-    /// was older than [`ADMISSION_GUARD`]: 0 unless a generator hangs.
-    admission_overruns: Arc<Counter>,
-}
-
-impl LiveMetrics {
-    /// The aggregate (unprefixed) series — always registered, so the
-    /// fleet-wide schema is identical whether the engine serves 1 tenant
-    /// or N.
-    fn new(r: &Registry) -> Self {
-        Self::with_prefix(r, "")
-    }
-
-    /// Resolve the same series under `prefix` (e.g. `tenant.0.`) — the
-    /// per-tenant namespace of a multi-tenant engine. Workers publish into
-    /// both the aggregate and the tenant's prefixed handles.
-    fn with_prefix(r: &Registry, prefix: &str) -> Self {
-        let c = |name: &str| r.counter(&format!("{prefix}{name}"));
-        let g = |name: &str| r.gauge(&format!("{prefix}{name}"));
-        let h = |name: &str| r.histogram(&format!("{prefix}{name}"));
-        Self {
-            queries_submitted: c("engine.queries_submitted"),
-            queries_completed: c("engine.queries_completed"),
-            rows_scanned: c("engine.rows_scanned"),
-            rows_matched: c("engine.rows_matched"),
-            bytes_scanned: c("engine.bytes_scanned"),
-            scan_ns: c("engine.scan_ns"),
-            cold_scans: c("engine.cold_scans"),
-            cold_scan_bytes: c("engine.cold_scan_bytes"),
-            cold_scan_ns: c("engine.cold_scan_ns"),
-            warm_scan_bytes: c("engine.warm_scan_bytes"),
-            warm_scan_ns: c("engine.warm_scan_ns"),
-            io_cold_bytes: c("engine.io_cold_bytes"),
-            io_cached_bytes: c("engine.io_cached_bytes"),
-            scan_io_errors: c("engine.scan_io_errors"),
-            chunks_evaluated: c("engine.chunks_evaluated"),
-            rows_short_circuited: c("engine.rows_short_circuited"),
-            partitions_read: c("engine.scan.partitions_read"),
-            partitions_covered: c("engine.scan.partitions_covered"),
-            columns_decoded: c("engine.scan.columns_decoded"),
-            frames_decided: c("engine.scan.frames_decided"),
-            columns_read: c("engine.scan.columns_read"),
-            latency_us: h("engine.latency_us"),
-            scan_us: h("engine.scan_us"),
-            switches: c("reorg.switches"),
-            snapshots_published: c("reorg.snapshots_published"),
-            reorg_windows: c("reorg.windows"),
-            reorg_build_ns: c("reorg.build_ns"),
-            reorg_bytes_written: c("reorg.bytes_written"),
-            reorg_delta_queries: c("reorg.delta_queries_total"),
-            persisted: c("reorg.persisted"),
-            persist_ns: c("reorg.persist_ns"),
-            tiered_errors: c("reorg.tiered_errors"),
-            ingest_batches: c("ingest.batches"),
-            ingest_rows: c("ingest.rows_appended"),
-            ingest_deletes: c("ingest.rows_deleted"),
-            ingest_rows_written: c("ingest.rows_written"),
-            delta_bytes_scanned: c("engine.delta_bytes_scanned"),
-            folds: c("reorg.folds"),
-            folded_rows: c("reorg.folded_rows"),
-            delta_rows: g("ingest.delta_rows"),
-            wal_bytes: g("ingest.wal_bytes"),
-            ledger_query_cost: g("ledger.query_cost"),
-            ledger_reorg_cost: g("ledger.reorg_cost"),
-            ledger_total: g("ledger.total"),
-            num_states: g("core.num_states"),
-            max_states_seen: g("core.max_states_seen"),
-            qps: g("engine.qps"),
-            table_bytes: g("alpha.table_bytes"),
-            alpha_hat: g("alpha.hat"),
-            alpha_cold: g("alpha.cold"),
-            alpha_warm: g("alpha.warm"),
-            pool_hit_rate: g("pool.hit_rate"),
-            pool_hits: g("pool.hits"),
-            pool_misses: g("pool.misses"),
-            pool_evictions: g("pool.evictions"),
-            pool_pages_resident: g("pool.pages_resident"),
-            lock_wait_us: h("core.lock_wait_us"),
-            lock_hold_us: h("core.lock_hold_us"),
-            candidates_built: c("core.candidates_built"),
-            candidates_superseded: c("core.candidates_superseded"),
-            candidate_lag_queries: h("core.candidate_lag_queries"),
-            admission_wait_us: h("core.admission_wait_us"),
-            admission_overruns: c("core.admission_overruns"),
-        }
-    }
-
-    /// Publish one scan's accounting and its wall time — the only place a
-    /// scan's quantities are summed; [`Engine::shutdown`] reads them back.
-    /// `predicate_columns` is how many columns the scanned predicate
-    /// constrains: with `partitions_read` it bounds what the scan can have
-    /// decoded.
-    fn record_scan(&self, scan: &SnapshotScan, predicate_columns: usize, wall: Duration) {
-        let ns = as_nanos_u64(wall);
-        self.partitions_read.add(scan.partitions_read as u64);
-        self.partitions_covered.add(scan.partitions_covered as u64);
-        self.columns_decoded.add(scan.columns_decoded);
-        self.frames_decided.add(scan.frames_decided);
-        self.columns_read
-            .add((scan.partitions_read * predicate_columns) as u64);
-        self.rows_scanned.add(scan.rows_read);
-        self.rows_matched.add(scan.matches.len() as u64);
-        self.bytes_scanned.add(scan.bytes_scanned);
-        self.scan_ns.add(ns);
-        self.io_cold_bytes.add(scan.io_cold_bytes);
-        self.io_cached_bytes.add(scan.io_cached_bytes);
-        self.chunks_evaluated.add(scan.chunks_evaluated);
-        self.rows_short_circuited.add(scan.rows_short_circuited);
-        self.delta_bytes_scanned.add(scan.delta_bytes_scanned);
-        self.scan_us.record(as_micros_u64(wall));
-        // Temperature classification: a scan is "cold" when the majority
-        // of its page bytes came from disk. Memory scans (no pooled I/O at
-        // all) are warm by definition.
-        if scan.io_cold_bytes > 0 && scan.io_cold_bytes >= scan.io_cached_bytes {
-            self.cold_scans.inc();
-            self.cold_scan_bytes.add(scan.bytes_scanned);
-            self.cold_scan_ns.add(ns);
-        } else {
-            self.warm_scan_bytes.add(scan.bytes_scanned);
-            self.warm_scan_ns.add(ns);
-        }
-    }
-}
-
 /// One tenant's serving state: its write path, snapshot cell, disk tier,
 /// and the counters its per-tenant report is assembled from. The policy
 /// state is the `Oreo` at the tenant's *index* behind the core mutex; the
@@ -614,11 +417,6 @@ fn set_fleet_gauge(
     gauge(&shared.metrics).set(set_values.sum());
 }
 
-/// Duration → whole nanoseconds, saturating (counters are integers).
-fn as_nanos_u64(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
 struct Shared {
     /// The policy brain: one OREO instance per tenant, indexed like
     /// `tenants`, behind one lock, so each tenant's D-UMTS bookkeeping stays
@@ -707,324 +505,6 @@ impl Drop for CoreGuard<'_> {
     fn drop(&mut self) {
         self.hold_us.record(as_micros_u64(self.acquired.elapsed()));
     }
-}
-
-/// One tenant's slice of a run, returned inside [`EngineStats::tenants`].
-/// The ledger is the tenant's own OREO instance's — byte-identical to an
-/// independent single-tenant run over the same substream.
-#[derive(Clone, Debug)]
-pub struct TenantStats {
-    /// Tenant name (the routing key).
-    pub name: String,
-    /// Queries fully served for this tenant.
-    pub queries: u64,
-    /// Per-query service latency summary for this tenant, in µs. In a
-    /// single-tenant run this is the aggregate histogram.
-    pub latency: HistogramStats,
-    /// The tenant's own D-UMTS cost ledger.
-    pub ledger: CostLedger,
-    /// Switch decisions this tenant's instance made.
-    pub switches: u64,
-    /// The tenant's layout-manager counters: candidates generated /
-    /// admitted / rejected, boundaries superseded, peak state-space size.
-    /// `generated == admitted + rejected` once the engine has shut down.
-    pub manager: ManagerStats,
-    /// Snapshots the reorganizer published for this tenant.
-    pub snapshots_published: u64,
-    /// Page bytes this tenant's pooled scans read from disk.
-    pub io_cold_bytes: u64,
-    /// Page bytes this tenant's pooled scans served from the shared pool.
-    pub io_cached_bytes: u64,
-    /// Partitions this tenant's scans read (after pruning).
-    pub partitions_read: u64,
-    /// Partitions among them answered from their metadata alone (see
-    /// [`EngineStats::partitions_covered`]).
-    pub partitions_covered: u64,
-    /// Column payloads this tenant's pooled scans decoded, or read as
-    /// packed frames.
-    pub columns_decoded: u64,
-    /// Packed integer frames whose header answered a kernel for this
-    /// tenant's pooled scans (see [`EngineStats::frames_decided`]).
-    pub frames_decided: u64,
-    /// Physical layout when the engine stopped.
-    pub final_physical: LayoutId,
-    /// Logical (D-UMTS) layout when the engine stopped.
-    pub final_logical: LayoutId,
-}
-
-impl TenantStats {
-    /// The tenant's share of the shared pool's hit rate: cached page bytes
-    /// over all page bytes its scans requested (0.0 without pooled I/O).
-    pub fn pool_hit_rate(&self) -> f64 {
-        let total = self.io_cold_bytes + self.io_cached_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            self.io_cached_bytes as f64 / total as f64
-        }
-    }
-}
-
-/// Aggregate statistics returned by [`Engine::shutdown`].
-#[derive(Clone, Debug)]
-pub struct EngineStats {
-    /// Worker threads the engine ran with.
-    pub workers: usize,
-    /// Queries fully served.
-    pub queries: u64,
-    /// Wall-clock from engine start to shutdown.
-    pub elapsed: Duration,
-    /// Queries per second over `elapsed`.
-    pub qps: f64,
-    /// Per-query service latency summary (worker pickup → completion), in
-    /// µs.
-    pub latency: HistogramStats,
-    /// The bookkeeping core's cost ledger (identical semantics to the
-    /// sequential simulator).
-    pub ledger: CostLedger,
-    /// Switch decisions made.
-    pub switches: u64,
-    /// Tenant 0's layout-manager counters (see [`TenantStats::manager`]).
-    pub manager: ManagerStats,
-    /// Snapshots the background reorganizer published.
-    pub snapshots_published: u64,
-    /// Measured reorganization windows, in decision order.
-    pub windows: Vec<ReorgWindow>,
-    /// Disk-tier publish failures the reorganizer survived (the affected
-    /// switches degraded to memory-only publishes and their windows carry
-    /// `bytes_written == 0`). Always empty in [`ServeMode::Memory`].
-    pub tiered_errors: Vec<String>,
-    /// Per-tenant breakdowns, in tenant-index order (exactly one entry
-    /// for a single-tenant engine).
-    pub tenants: Vec<TenantStats>,
-    /// Rows read across all scans (after pruning).
-    pub rows_scanned: u64,
-    /// Rows matched across all scans.
-    pub rows_matched: u64,
-    /// Bytes read across all scans: in-memory partition bytes in
-    /// [`ServeMode::Memory`], page bytes actually fetched through the
-    /// buffer pool in [`ServeMode::Tiered`].
-    pub bytes_scanned: u64,
-    /// Wall-clock seconds spent inside snapshot scans, summed across
-    /// workers.
-    pub scan_seconds: f64,
-    /// Cold-classified scans (bytes mostly from disk), with their byte and
-    /// wall-clock volumes — the disk-throughput calibration for α̂.
-    pub cold_scans: u64,
-    /// Bytes of cold-classified scans.
-    pub cold_scan_bytes: u64,
-    /// Wall-clock seconds of cold-classified scans.
-    pub cold_scan_seconds: f64,
-    /// Bytes of warm-classified scans (memory-resident or pool-served).
-    pub warm_scan_bytes: u64,
-    /// Wall-clock seconds of warm-classified scans.
-    pub warm_scan_seconds: f64,
-    /// Page bytes read from disk across all pooled scans.
-    pub io_cold_bytes: u64,
-    /// Page bytes served from the buffer pool across all pooled scans.
-    pub io_cached_bytes: u64,
-    /// Buffer-pool counters at shutdown (`None` in [`ServeMode::Memory`]).
-    pub pool: Option<PoolStats>,
-    /// Pooled scans that failed and fell back to the in-memory path.
-    pub scan_io_errors: u64,
-    /// 1024-row chunks the vectorized scan kernels evaluated across all
-    /// scans.
-    pub chunks_evaluated: u64,
-    /// Rows for which the adaptive AND order skipped at least one later
-    /// kernel (already filtered out by a cheaper atom).
-    pub rows_short_circuited: u64,
-    /// Partitions read across all scans (after pruning) — the count
-    /// behind the paper's fraction, and the base of
-    /// [`Self::partitions_covered`].
-    pub partitions_read: u64,
-    /// Partitions among [`Self::partitions_read`] whose min/max or
-    /// distinct-set metadata proved every row matches, so the scan
-    /// returned their row ids without decoding or evaluating a column.
-    /// They are read and billed like any other: this is the finer number
-    /// *beside* the fraction of data a layout cannot skip, the share of
-    /// that fraction it serves without looking.
-    pub partitions_covered: u64,
-    /// Column payloads pooled scans decoded, or read as packed frames —
-    /// at most one per partition read and predicate column, fewer where
-    /// metadata decided a column (0 in [`ServeMode::Memory`]).
-    pub columns_decoded: u64,
-    /// Kernel evaluations of a packed integer frame that the frame's
-    /// header answered without unpacking a value: the frame lies wholly
-    /// outside the predicate's range or wholly inside it (0 in
-    /// [`ServeMode::Memory`]).
-    pub frames_decided: u64,
-    /// Bytes scanned in delta runs across all scans (subset of
-    /// [`Self::bytes_scanned`]; 0 when nothing was ingested).
-    pub delta_bytes_scanned: u64,
-    /// Ingest batches accepted by [`Engine::ingest`].
-    pub ingest_batches: u64,
-    /// Rows appended (including the re-append half of updates).
-    pub rows_appended: u64,
-    /// Rows tombstoned (deletes + the tombstone half of updates).
-    pub rows_deleted: u64,
-    /// Rows written building and merging delta runs — the
-    /// write-amplification numerator over [`Self::rows_appended`].
-    pub ingest_rows_written: u64,
-    /// Delta rows still unfolded at shutdown.
-    pub delta_rows: u64,
-    /// Tombstones still unfolded at shutdown.
-    pub tombstones: u64,
-    /// WAL size at shutdown (0 in memory serving or after degradation).
-    pub wal_bytes: u64,
-    /// Bytes a full (unpruned) scan of the final snapshot reads — the α
-    /// denominator's table size.
-    pub table_bytes: u64,
-    /// The serve mode the engine ran in.
-    pub mode: ServeMode,
-    /// Physical layout when the engine stopped.
-    pub final_physical: LayoutId,
-    /// Logical (D-UMTS) layout when the engine stopped.
-    pub final_logical: LayoutId,
-    /// Live state-space size at shutdown.
-    pub num_states: usize,
-    /// |S_max| of the competitive bound.
-    pub max_states_seen: usize,
-    /// The drained event journal, seq-ordered (empty unless
-    /// [`ObsConfig::journal_capacity`] was set). For a single-tenant run,
-    /// on any number of workers, `CostLedger::replay(&events)` reproduces
-    /// [`Self::ledger`] bit-for-bit.
-    pub events: Vec<Event>,
-    /// Events the journal overwrote because a ring filled. Replay parity
-    /// requires 0.
-    pub events_dropped: u64,
-}
-
-impl EngineStats {
-    /// Mean measured Δ in queries (`None` without completed windows).
-    pub fn mean_delta_queries(&self) -> Option<f64> {
-        if self.windows.is_empty() {
-            return None;
-        }
-        Some(
-            self.windows
-                .iter()
-                .map(|w| w.queries_during as f64)
-                .sum::<f64>()
-                / self.windows.len() as f64,
-        )
-    }
-
-    /// Mean measured Δ in seconds (`None` without completed windows).
-    pub fn mean_delta_seconds(&self) -> Option<f64> {
-        if self.windows.is_empty() {
-            return None;
-        }
-        Some(
-            self.windows
-                .iter()
-                .map(|w| w.wall.as_secs_f64())
-                .sum::<f64>()
-                / self.windows.len() as f64,
-        )
-    }
-
-    /// Total bytes written by aside rewrites (0 in memory-only serving).
-    pub fn reorg_bytes_written(&self) -> u64 {
-        self.windows.iter().map(|w| w.bytes_written).sum()
-    }
-
-    /// Folds completed (reorganizations that merged deltas into the base).
-    pub fn folds(&self) -> u64 {
-        self.windows.iter().filter(|w| w.folded_rows > 0).count() as u64
-    }
-
-    /// Delta rows folded into the base across all reorganizations.
-    pub fn folded_rows(&self) -> u64 {
-        self.windows.iter().map(|w| w.folded_rows).sum()
-    }
-
-    /// Measured write amplification of the ingest path: delta-run rows
-    /// written per row appended. `None` before any append. Folds are
-    /// *excluded* — the fold rewrite is the layout switch the α charge
-    /// already bills; this ratio isolates the merge policy the
-    /// `dynamization` bench bounds.
-    pub fn write_amplification(&self) -> Option<f64> {
-        if self.rows_appended == 0 {
-            return None;
-        }
-        Some(self.ingest_rows_written as f64 / self.rows_appended as f64)
-    }
-
-    /// The run's measurements assembled into the cost-model accumulator:
-    /// every scan calibrates the substrate's read throughput — cold
-    /// (disk-dominated) and warm (memory/pool-served) scans feed separate
-    /// buckets, so α̂ extrapolates a full *disk* scan from the cold
-    /// throughput instead of from memory bandwidth — and every *persisted*
-    /// rewrite contributes its wall-clock (build + write).
-    /// Memory-only rewrites (`bytes_written == 0`) are excluded — Table
-    /// I's α is the cost of the physical rewrite, and a build-only ratio
-    /// would silently under-report it by the whole disk persist.
-    pub fn alpha_estimator(&self) -> AlphaEstimator {
-        let mut est = AlphaEstimator::new(self.table_bytes);
-        // Workers aggregate; feed each temperature bucket as one sample —
-        // the estimator only uses the byte/second ratios.
-        if self.cold_scan_seconds > 0.0 {
-            est.record_cold_scan(self.cold_scan_bytes, self.cold_scan_seconds);
-        }
-        if self.warm_scan_seconds > 0.0 {
-            est.record_scan(self.warm_scan_bytes, self.warm_scan_seconds);
-        }
-        for w in self.windows.iter().filter(|w| w.bytes_written > 0) {
-            est.record_reorg((w.build + w.write).as_secs_f64());
-        }
-        est
-    }
-
-    /// The empirical α of this serving run: mean aside-rewrite wall-clock
-    /// over the extrapolated full-scan wall-clock, both measured on the
-    /// same query stream. `None` until the run has both persisted rewrites
-    /// and non-pruned scans — in particular, always `None` in
-    /// [`ServeMode::Memory`] (no physical rewrite to bill), and `None`
-    /// when any tiered publish or pooled scan failed mid-run: the degraded
-    /// scans serve with in-memory byte accounting, so the scan-throughput
-    /// calibration would mix units and the ratio would be wrong.
-    pub fn empirical_alpha(&self) -> Option<f64> {
-        self.alpha_readings()[0]
-    }
-
-    /// α̂ from the cold (disk) scan throughput only; `None` without cold
-    /// scans or under the degradations that void [`Self::empirical_alpha`].
-    pub fn alpha_cold(&self) -> Option<f64> {
-        self.alpha_readings()[1]
-    }
-
-    /// α̂ from the warm (pool-hit / memory) scan throughput only.
-    pub fn alpha_warm(&self) -> Option<f64> {
-        self.alpha_readings()[2]
-    }
-
-    fn alpha_readings(&self) -> [Option<f64>; 3] {
-        alpha_readings(
-            &self.alpha_estimator(),
-            self.scan_io_errors,
-            self.tiered_errors.len() as u64,
-        )
-    }
-
-    /// Buffer-pool hit rate over the run (0.0 without a pool).
-    pub fn pool_hit_rate(&self) -> f64 {
-        self.pool.map_or(0.0, |p| p.hit_rate())
-    }
-}
-
-/// `[α̂, α̂ cold, α̂ warm]` of `est` — the one rule the shutdown report and the
-/// live `alpha.*` gauges share: nothing is reported once a pooled scan or a
-/// tiered publish degraded, because the fallback scans serve with in-memory
-/// byte accounting and the scan-throughput calibration would mix units.
-fn alpha_readings(
-    est: &AlphaEstimator,
-    scan_io_errors: u64,
-    tiered_errors: u64,
-) -> [Option<f64>; 3] {
-    if scan_io_errors > 0 || tiered_errors > 0 {
-        return [None; 3];
-    }
-    [est.alpha(), est.alpha_cold(), est.alpha_warm()]
 }
 
 /// What the reorganizer thread returns at join: every completed window and

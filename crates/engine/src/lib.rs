@@ -12,8 +12,9 @@
 //! * [`reorg`] — the background build + the [`ReorgWindow`] measurement:
 //!   the paper's reorganization delay Δ (§VI-D5) as a *measured* wall-clock
 //!   and query-count window, not a configured constant;
-//! * [`metrics`] — latency bookkeeping over `oreo_obs` streaming
-//!   histograms (fixed memory, live percentiles).
+//! * `metrics` (private) — the run's statistics: the registry handles the
+//!   hot paths publish into, and the [`EngineStats`] / [`TenantStats`]
+//!   report [`Engine::shutdown`] reads back from them.
 //!
 //! The engine publishes into a live `oreo_obs::Registry` as it runs —
 //! query/scan/reorg counters, streaming latency histograms, ledger and
@@ -89,14 +90,14 @@
 
 pub mod engine;
 pub mod ingest;
-pub mod metrics;
+mod metrics;
 pub mod queue;
 pub mod reorg;
 
 pub use engine::{
-    Engine, EngineConfig, EngineStats, ObsConfig, QueryOutcome, ResultHandle, ServeMode,
-    TenantSpec, TenantStats,
+    Engine, EngineConfig, ObsConfig, QueryOutcome, ResultHandle, ServeMode, TenantSpec,
 };
+pub use metrics::{EngineStats, TenantStats};
 pub use oreo_storage::{ApplyReceipt, IngestOp};
 pub use queue::ShardedQueue;
 pub use reorg::{materialize, ReorgRequest, ReorgWindow};

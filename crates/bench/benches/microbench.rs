@@ -190,8 +190,6 @@ fn bench_dumts_step(c: &mut Criterion) {
                     DumtsConfig {
                         alpha: 80.0,
                         transition: TransitionPolicy::default_biased(),
-                        stay_on_reset: true,
-                        mid_phase_admission: true,
                         seed: 1,
                     },
                 );

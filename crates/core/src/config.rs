@@ -65,8 +65,6 @@ impl OreoConfig {
         DumtsConfig {
             alpha: self.alpha,
             transition: self.transition_policy(),
-            stay_on_reset: true,
-            mid_phase_admission: true,
             seed: self.seed,
         }
     }
@@ -110,8 +108,6 @@ mod tests {
         assert_eq!(c.gamma, 1.0);
         assert_eq!(c.window, 200);
         assert_eq!(c.candidate_source, CandidateSource::SlidingWindow);
-        let d = c.dumts_config();
-        assert!(d.stay_on_reset && d.mid_phase_admission);
         assert_eq!(RTBS_CAPACITY, 64);
         assert_eq!(RTBS_LAMBDA, 0.005);
     }

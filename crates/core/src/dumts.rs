@@ -4,9 +4,9 @@
 //! Borodin–Linial–Saks counter algorithm (Algorithms 1–3; Borodin, Linial &
 //! Saks, JACM 1992) with *state update queries* that add and remove states
 //! mid-stream while preserving a tight competitive ratio of `2·H(|S_max|)`
-//! (Theorem IV.1). With no add/remove events it *is* the classic algorithm
-//! over a fixed state space: [`TransitionPolicy::Uniform`] with
-//! `stay_on_reset` and `mid_phase_admission` off is the textbook solver.
+//! (Theorem IV.1). With no add/remove events and
+//! [`TransitionPolicy::Uniform`] it is the classic algorithm over a fixed
+//! state space, save that a new phase keeps the current state (below).
 //!
 //! * every state carries a counter accumulating its service costs; a counter
 //!   is **full** at `α` (the uniform switching cost);
@@ -18,13 +18,15 @@
 //!   sets with [`Dumts::set_weight`] (§IV-C, [`TransitionPolicy`]; a state
 //!   never given a weight draws with weight 0);
 //! * when all counters are full the **phase** ends: counters reset and all
-//!   states (including those added mid-phase) become active again;
-//! * additions mid-phase wait for the next phase; removals mid-phase
-//!   set the victim's counter to `α` (and force a jump if it was current).
+//!   states become active again;
+//! * a state added mid-phase joins the running phase with its counter at
+//!   the median of the active counters (§IV-C), so a fresh layout can be
+//!   jumped to at once; a removal mid-phase drops the victim (and forces a
+//!   jump if it was current).
 //!
-//! The paper's stay-in-place optimization (§IV-A) is on by default: a new
-//! phase keeps the current state instead of paying for a random move; this
-//! does not change the asymptotic ratio but measurably cuts reorganizations.
+//! The paper's stay-in-place optimization (§IV-A) is always on: a new phase
+//! keeps the current state instead of paying for a random move; this does
+//! not change the asymptotic ratio but measurably cuts reorganizations.
 
 use crate::predictor::{median_or, TransitionPolicy};
 use rand::rngs::StdRng;
@@ -41,15 +43,6 @@ pub struct DumtsConfig {
     pub alpha: f64,
     /// Jump distribution when the current counter fills.
     pub transition: TransitionPolicy,
-    /// Keep the current state when a phase resets (§IV-A optimization)
-    /// instead of the classic random re-draw.
-    pub stay_on_reset: bool,
-    /// §IV-C counter initialization for states added mid-phase: when `true`,
-    /// a new state joins the *current* phase with its counter set to the
-    /// median of the costs incurred so far by existing states (so a
-    /// freshly-generated layout is immediately switchable-to). When `false`,
-    /// additions wait for the next phase (Algorithm 4 verbatim).
-    pub mid_phase_admission: bool,
     /// RNG seed (the adversary must not see these bits — §III-A).
     pub seed: u64,
 }
@@ -59,8 +52,6 @@ impl Default for DumtsConfig {
         Self {
             alpha: 80.0,
             transition: TransitionPolicy::default_biased(),
-            stay_on_reset: true,
-            mid_phase_admission: false,
             seed: 0,
         }
     }
@@ -129,8 +120,8 @@ pub struct Dumts {
 
 impl Dumts {
     /// Start with a non-empty initial state set; the initial state is drawn
-    /// uniformly (Algorithm 1 line 2) unless `stay_on_reset` callers prefer
-    /// to pin it via [`Dumts::with_initial_state`].
+    /// uniformly (Algorithm 1 line 2) unless the caller pins it via
+    /// [`Dumts::with_initial_state`].
     pub fn new(initial_states: &[StateId], config: DumtsConfig) -> Self {
         assert!(!initial_states.is_empty(), "need at least one state");
         assert!(config.alpha >= 1.0, "alpha must be >= 1");
@@ -218,37 +209,28 @@ impl Dumts {
         self.peak_states
     }
 
-    /// Add a state (Algorithm 4 lines 12–13). By default mid-phase
-    /// additions wait: the state joins the active set at the next
-    /// reset. With [`DumtsConfig::mid_phase_admission`] the state instead
-    /// joins the current phase with its counter initialized to the median of
-    /// the active counters (§IV-C). Its jump weight is 0 until the caller
-    /// sets one.
+    /// Add a state (Algorithm 4 lines 12–13). The state joins the running
+    /// phase with its counter initialized to the median of the active
+    /// counters (§IV-C). Its jump weight is 0 until the caller sets one.
     pub fn add_state(&mut self, s: StateId) {
         if self.states.contains_key(&s) {
             return;
         }
-        let entry = if self.config.mid_phase_admission {
-            let active_counters: Vec<f64> = self
-                .states
-                .values()
-                .filter(|e| e.active)
-                .map(|e| e.counter)
-                .collect();
-            let counter = median_or(&active_counters, 0.0);
+        let active_counters: Vec<f64> = self
+            .states
+            .values()
+            .filter(|e| e.active)
+            .map(|e| e.counter)
+            .collect();
+        let counter = median_or(&active_counters, 0.0);
+        self.states.insert(
+            s,
             StateEntry {
                 counter,
                 active: counter < self.config.alpha,
                 weight: 0.0,
-            }
-        } else {
-            StateEntry {
-                counter: self.config.alpha, // not usable this phase
-                active: false,
-                weight: 0.0,
-            }
-        };
-        self.states.insert(s, entry);
+            },
+        );
         self.peak_states = self.peak_states.max(self.states.len());
     }
 
@@ -315,17 +297,9 @@ impl Dumts {
         }
 
         if self.no_active_states() {
-            // Phase over: reset counters; states added mid-phase join.
+            // Phase over: reset counters and stay put (§IV-A).
             self.reset_states();
             outcome.phase_reset = true;
-            if !self.config.stay_on_reset || !self.states.contains_key(&self.current) {
-                let next = self.draw_next_state();
-                if next != self.current {
-                    self.current = next;
-                    self.switches += 1;
-                    outcome.switched_to = Some(next);
-                }
-            }
             return outcome;
         }
 
@@ -373,18 +347,7 @@ mod tests {
         DumtsConfig {
             alpha,
             transition: TransitionPolicy::Uniform,
-            stay_on_reset: true,
-            mid_phase_admission: false,
             seed,
-        }
-    }
-
-    /// The textbook fixed-space algorithm: uniform transitions and a random
-    /// move at each phase start.
-    fn classic_config(alpha: f64, seed: u64) -> DumtsConfig {
-        DumtsConfig {
-            stay_on_reset: false,
-            ..uniform_config(alpha, seed)
         }
     }
 
@@ -425,35 +388,22 @@ mod tests {
     }
 
     #[test]
-    fn classic_reset_draws_random_state() {
-        let mut cfg = uniform_config(2.0, 7);
-        cfg.stay_on_reset = false;
-        let mut d = Dumts::new(&[1, 2, 3], cfg).with_initial_state(1);
-        let mut saw_switch_on_reset = false;
-        for _ in 0..100 {
-            let o = d.observe_query(|_| 1.0);
-            if o.phase_reset && o.switched_to.is_some() {
-                saw_switch_on_reset = true;
-            }
-        }
-        assert!(saw_switch_on_reset, "classic variant should move on reset");
-    }
-
-    #[test]
-    fn added_state_waits_for_next_phase() {
-        let mut d = Dumts::new(&[1, 2], uniform_config(4.0, 2)).with_initial_state(1);
-        d.observe_query(|_| 1.0);
-        d.add_state(3);
-        // not active mid-phase
-        assert_eq!(d.active_states(), vec![1, 2]);
-        assert_eq!(d.states(), vec![1, 2, 3]);
-        // finish the phase (counters at 1 → need 3 more)
+    fn added_state_joins_running_phase_at_median() {
+        let mut d = Dumts::new(&[1, 2, 3], uniform_config(4.0, 2)).with_initial_state(1);
+        d.observe_query(|s| [0.0, 0.5, 1.0, 3.0][s as usize]);
+        // active counters 0.5, 1.0, 3.0 → the newcomer starts at 1.0
+        d.add_state(4);
+        assert_eq!(d.counter(4), Some(1.0));
+        assert_eq!(d.active_states(), vec![1, 2, 3, 4]);
+        assert_eq!(d.max_states_seen(), 4);
+        // it runs with the phase: it fills on the query that fills state 2
         for _ in 0..3 {
             d.observe_query(|_| 1.0);
         }
+        assert_eq!(d.active_states(), vec![1]);
+        d.observe_query(|_| 1.0);
         assert_eq!(d.phases(), 2);
-        assert_eq!(d.active_states(), vec![1, 2, 3]);
-        assert_eq!(d.max_states_seen(), 3);
+        assert_eq!(d.active_states(), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -610,7 +560,7 @@ mod tests {
         let mut total_cost = 0.0;
         let mut total_phases = 0u64;
         for seed in 0..trials {
-            let mut d = Dumts::new(&states, classic_config(alpha, seed));
+            let mut d = Dumts::new(&states, uniform_config(alpha, seed));
             let mut cost = 0.0;
             for q in &stream {
                 let o = d.observe_query(|s| q[s as usize]);
@@ -638,7 +588,7 @@ mod tests {
     fn phases_last_at_least_alpha_queries() {
         let alpha = 25.0;
         let states: Vec<StateId> = (0..5).collect();
-        let mut d = Dumts::new(&states, classic_config(alpha, 3));
+        let mut d = Dumts::new(&states, uniform_config(alpha, 3));
         let mut rng = StdRng::seed_from_u64(17);
         let mut queries_in_phase = 0u64;
         for _ in 0..5000 {
@@ -653,31 +603,5 @@ mod tests {
                 queries_in_phase = 0;
             }
         }
-    }
-
-    /// Classic vs stay-in-place: the optimization must not increase the
-    /// number of switches (it strictly removes the per-phase initial jump).
-    #[test]
-    fn stay_in_place_reduces_switches() {
-        let states: Vec<StateId> = (0..6).collect();
-        let alpha = 8.0;
-        let mut classic_switches = 0u64;
-        let mut stay_switches = 0u64;
-        for seed in 0..20 {
-            let mut classic = Dumts::new(&states, classic_config(alpha, seed));
-            let mut stay = Dumts::new(&states, uniform_config(alpha, seed));
-            let mut rng = StdRng::seed_from_u64(1000 + seed);
-            for _ in 0..4000 {
-                let costs: Vec<f64> = (0..6).map(|_| rng.random::<f64>()).collect();
-                classic.observe_query(|s| costs[s as usize]);
-                stay.observe_query(|s| costs[s as usize]);
-            }
-            classic_switches += classic.switches();
-            stay_switches += stay.switches();
-        }
-        assert!(
-            stay_switches < classic_switches,
-            "stay {stay_switches} vs classic {classic_switches}"
-        );
     }
 }

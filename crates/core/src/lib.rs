@@ -23,7 +23,7 @@ pub mod oreo;
 pub mod predictor;
 
 pub use config::OreoConfig;
-pub use cost::{AlphaEstimator, CostLedger};
+pub use cost::CostLedger;
 pub use dumts::{Dumts, DumtsConfig, StateId, StepOutcome};
 pub use layout_manager::{
     Admission, BuiltCandidates, CandidateSource, CandidateTask, LayoutManager, ManagerConfig,
@@ -55,8 +55,6 @@ mod proptests {
             let mut d = Dumts::new(&[0, 1, 2], DumtsConfig {
                 alpha,
                 transition: TransitionPolicy::default_biased(),
-                stay_on_reset: true,
-                mid_phase_admission: false,
                 seed,
             });
             for s in 0..3 {

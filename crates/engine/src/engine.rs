@@ -59,10 +59,10 @@ use crate::metrics::{
 };
 use crate::queue::ShardedQueue;
 use crate::reorg::{materialize, ReorgRequest, ReorgWindow};
-use oreo_core::{AlphaEstimator, CandidateTask, CostLedger, Oreo, OreoConfig};
+use oreo_core::{CandidateTask, CostLedger, Oreo, OreoConfig};
 use oreo_layout::{LayoutGenerator, SharedSpec};
 use oreo_obs::{
-    Counter, EventKind, EventSink, Gauge, Histogram, Journal, NullSink, Registry, ReorgPhaseKind,
+    EventKind, EventSink, Gauge, Histogram, Journal, NullSink, Registry, ReorgPhaseKind,
     SnapshotWriter,
 };
 use oreo_query::Query;
@@ -999,12 +999,6 @@ impl Engine {
             None => (Vec::new(), 0),
         };
         let elapsed = self.started.elapsed();
-        let table_bytes = self
-            .shared
-            .tenants
-            .iter()
-            .map(|t| t.cell.pin().total_bytes())
-            .sum();
         let core = self.shared.core.lock().expect("core poisoned");
         for (ten, oreo) in self.shared.tenants.iter().zip(core.iter()) {
             // The workers have exited, and a worker builds or supersedes
@@ -1043,7 +1037,6 @@ impl Engine {
                 "more columns decoded than partitions read × predicate columns"
             );
         }
-        let seconds = |ns: &Counter| ns.get() as f64 / 1e9;
         let tenants: Vec<TenantStats> = self
             .shared
             .tenants
@@ -1069,12 +1062,11 @@ impl Engine {
                     frames_decided: tm.frames_decided.get(),
                     final_physical: oreo.physical_layout(),
                     final_logical: oreo.logical_layout(),
+                    num_states: oreo.num_states(),
+                    max_states_seen: oreo.max_states_seen(),
                 }
             })
             .collect();
-        // Single-tenant compatibility: the engine-level layout/state-space
-        // readings are tenant 0's.
-        let first = &core[0];
         EngineStats {
             workers: self.shared.config.workers.max(1),
             queries,
@@ -1087,19 +1079,13 @@ impl Engine {
             latency: m.latency_us.stats(),
             ledger: total_ledger(&core),
             switches: tenants.iter().map(|t| t.switches).sum(),
-            manager: first.manager_stats(),
             snapshots_published: m.snapshots_published.get(),
             windows,
             tiered_errors,
             rows_scanned: m.rows_scanned.get(),
             rows_matched: m.rows_matched.get(),
             bytes_scanned: m.bytes_scanned.get(),
-            scan_seconds: seconds(&m.scan_ns),
-            cold_scans: m.cold_scans.get(),
-            cold_scan_bytes: m.cold_scan_bytes.get(),
-            cold_scan_seconds: seconds(&m.cold_scan_ns),
-            warm_scan_bytes: m.warm_scan_bytes.get(),
-            warm_scan_seconds: seconds(&m.warm_scan_ns),
+            scan_seconds: m.scan_ns.get() as f64 / 1e9,
             io_cold_bytes: m.io_cold_bytes.get(),
             io_cached_bytes: m.io_cached_bytes.get(),
             pool: self.shared.pool.as_ref().map(|p| p.stats()),
@@ -1118,12 +1104,9 @@ impl Engine {
             delta_rows,
             tombstones,
             wal_bytes,
-            table_bytes,
+            table_bytes: m.table_bytes.get() as u64,
             mode: self.shared.config.mode.clone(),
-            final_physical: first.physical_layout(),
-            final_logical: first.logical_layout(),
-            num_states: first.num_states(),
-            max_states_seen: first.max_states_seen(),
+            alpha: alpha_readings(m),
             tenants,
             events,
             events_dropped,
@@ -1144,9 +1127,9 @@ impl Drop for Engine {
     }
 }
 
-/// Recompute the derived gauges — qps, α̂ (rebuilt from the monotone
-/// scan/rewrite counters via [`AlphaEstimator`], `NaN` when a side has no
-/// samples yet or the run degraded), and the buffer-pool readings.
+/// Recompute the derived gauges — qps, α̂ ([`alpha_readings`], `NaN` when a
+/// side has no samples yet or the run degraded), and the buffer-pool
+/// readings.
 fn update_derived_gauges(shared: &Shared) {
     let m = &shared.metrics;
     let elapsed = shared.started.elapsed().as_secs_f64();
@@ -1162,17 +1145,10 @@ fn update_derived_gauges(shared: &Shared) {
         m.pool_evictions.set(stats.evictions as f64);
         m.pool_pages_resident.set(stats.pages_resident as f64);
     }
-    let table_bytes = m.table_bytes.get();
-    if table_bytes.is_finite() && table_bytes > 0.0 {
-        let mut est = AlphaEstimator::new(table_bytes as u64);
-        est.record_cold_scan(m.cold_scan_bytes.get(), m.cold_scan_ns.get() as f64 / 1e9);
-        est.record_scan(m.warm_scan_bytes.get(), m.warm_scan_ns.get() as f64 / 1e9);
-        est.record_reorgs(m.persist_ns.get() as f64 / 1e9, m.persisted.get());
-        let [hat, cold, warm] = alpha_readings(&est, m.scan_io_errors.get(), m.tiered_errors.get());
-        m.alpha_hat.set(hat.unwrap_or(f64::NAN));
-        m.alpha_cold.set(cold.unwrap_or(f64::NAN));
-        m.alpha_warm.set(warm.unwrap_or(f64::NAN));
-    }
+    let [hat, cold, warm] = alpha_readings(m);
+    m.alpha_hat.set(hat.unwrap_or(f64::NAN));
+    m.alpha_cold.set(cold.unwrap_or(f64::NAN));
+    m.alpha_warm.set(warm.unwrap_or(f64::NAN));
 }
 
 /// The periodic JSON exporter: one snapshot line immediately, one per
@@ -1628,7 +1604,7 @@ fn execute_reorg(
         None => (Duration::ZERO, 0, 0),
     };
     // Read after the publish, which sizes the partitions as their encoded
-    // blobs: the unit `EngineStats::table_bytes` and its α̂ use.
+    // blobs: the unit of `alpha.table_bytes`, the full scan α̂ extrapolates to.
     let snapshot_bytes = snapshot.total_bytes();
     if bytes_written > 0 {
         for m in metric_views(shared, ten) {

@@ -209,7 +209,7 @@ mod tests {
         let stats = engine.shutdown();
         assert!(stats.switches >= 1);
         assert_ne!(
-            stats.final_physical, initial,
+            stats.tenants[0].final_physical, initial,
             "measured switch never landed"
         );
         assert!(stats.mean_delta_queries().is_some());
@@ -285,8 +285,9 @@ mod tests {
             .snapshot()
             .gauge("alpha.hat")
             .expect("alpha.hat gauge");
-        assert!(
-            (gauge - alpha).abs() <= 1e-9 * alpha,
+        assert_eq!(
+            gauge.to_bits(),
+            alpha.to_bits(),
             "alpha.hat gauge {gauge} vs EngineStats::empirical_alpha {alpha}"
         );
         std::fs::remove_file(&prom).unwrap();
@@ -722,14 +723,17 @@ mod tests {
         let stats = engine.shutdown();
 
         assert!(stats.scan_io_errors > 0, "no pooled scan hit the damage");
-        assert!(
-            stats.alpha_estimator().alpha().is_some(),
-            "the run measured both sides of α̂"
-        );
         assert_eq!(stats.empirical_alpha(), None);
         assert_eq!(stats.alpha_cold(), None);
         assert_eq!(stats.alpha_warm(), None);
+        // Only the degradation voided α̂: the run measured both its sides.
         let snap = registry.snapshot();
+        let counter = |name| snap.counter(name).expect("counter registered");
+        assert!(counter("reorg.persisted") > 0, "no rewrite persisted");
+        assert!(
+            counter("engine.cold_scan_bytes") + counter("engine.warm_scan_bytes") > 0,
+            "no scan bytes measured"
+        );
         assert_eq!(
             snap.counter("engine.scan_io_errors"),
             Some(stats.scan_io_errors)

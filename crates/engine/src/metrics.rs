@@ -1,5 +1,10 @@
-//! Latency bookkeeping for the serving layer, built on `oreo-obs`
-//! streaming histograms.
+//! The serving layer's statistics. `LiveMetrics` holds pre-resolved
+//! handles into the engine's `oreo_obs::Registry`, the only accumulator:
+//! the hot paths add to its counters and histograms as they run, the
+//! exporter snapshots it live, and [`EngineStats`] / [`TenantStats`] are
+//! what [`Engine::shutdown`](crate::Engine::shutdown) reads back from it.
+//! The measured α̂ is computed from those counters in one place
+//! (`alpha_readings`), for the live `alpha.*` gauges and the report alike.
 //!
 //! Workers record each query's latency, in microseconds, into a shared
 //! log-bucketed [`oreo_obs::Histogram`] as it completes, so percentiles are
@@ -12,14 +17,14 @@
 
 use crate::engine::ServeMode;
 use crate::reorg::ReorgWindow;
-use oreo_core::{AlphaEstimator, CostLedger, ManagerStats};
+use oreo_core::{CostLedger, ManagerStats};
 use oreo_obs::{Counter, Event, Gauge, Histogram, HistogramStats, Registry};
 use oreo_storage::{LayoutId, PoolStats, SnapshotScan};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Duration → whole microseconds, saturating.
-pub fn as_micros_u64(d: Duration) -> u64 {
+pub(crate) fn as_micros_u64(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
@@ -249,7 +254,7 @@ pub struct TenantStats {
     /// Switch decisions this tenant's instance made.
     pub switches: u64,
     /// The tenant's layout-manager counters: candidates generated /
-    /// admitted / rejected, boundaries superseded, peak state-space size.
+    /// admitted / rejected, boundaries superseded.
     /// `generated == admitted + rejected` once the engine has shut down.
     pub manager: ManagerStats,
     /// Snapshots the reorganizer published for this tenant.
@@ -273,6 +278,10 @@ pub struct TenantStats {
     pub final_physical: LayoutId,
     /// Logical (D-UMTS) layout when the engine stopped.
     pub final_logical: LayoutId,
+    /// Live state-space size at shutdown.
+    pub num_states: usize,
+    /// |S_max| of the competitive bound.
+    pub max_states_seen: usize,
 }
 
 impl TenantStats {
@@ -307,8 +316,6 @@ pub struct EngineStats {
     pub ledger: CostLedger,
     /// Switch decisions made.
     pub switches: u64,
-    /// Tenant 0's layout-manager counters (see [`TenantStats::manager`]).
-    pub manager: ManagerStats,
     /// Snapshots the background reorganizer published.
     pub snapshots_published: u64,
     /// Measured reorganization windows, in decision order.
@@ -331,17 +338,6 @@ pub struct EngineStats {
     /// Wall-clock seconds spent inside snapshot scans, summed across
     /// workers.
     pub scan_seconds: f64,
-    /// Cold-classified scans (bytes mostly from disk), with their byte and
-    /// wall-clock volumes — the disk-throughput calibration for α̂.
-    pub cold_scans: u64,
-    /// Bytes of cold-classified scans.
-    pub cold_scan_bytes: u64,
-    /// Wall-clock seconds of cold-classified scans.
-    pub cold_scan_seconds: f64,
-    /// Bytes of warm-classified scans (memory-resident or pool-served).
-    pub warm_scan_bytes: u64,
-    /// Wall-clock seconds of warm-classified scans.
-    pub warm_scan_seconds: f64,
     /// Page bytes read from disk across all pooled scans.
     pub io_cold_bytes: u64,
     /// Page bytes served from the buffer pool across all pooled scans.
@@ -394,19 +390,14 @@ pub struct EngineStats {
     pub tombstones: u64,
     /// WAL size at shutdown (0 in memory serving or after degradation).
     pub wal_bytes: u64,
-    /// Bytes a full (unpruned) scan of the final snapshot reads — the α
-    /// denominator's table size.
+    /// Bytes a full (unpruned) scan of the final snapshots reads, summed
+    /// over tenants — the `alpha.table_bytes` gauge α̂'s full scan is
+    /// extrapolated to.
     pub table_bytes: u64,
     /// The serve mode the engine ran in.
     pub mode: ServeMode,
-    /// Physical layout when the engine stopped.
-    pub final_physical: LayoutId,
-    /// Logical (D-UMTS) layout when the engine stopped.
-    pub final_logical: LayoutId,
-    /// Live state-space size at shutdown.
-    pub num_states: usize,
-    /// |S_max| of the competitive bound.
-    pub max_states_seen: usize,
+    /// `[α̂, α̂ cold, α̂ warm]` at shutdown ([`alpha_readings`]).
+    pub(crate) alpha: [Option<f64>; 3],
     /// The drained event journal, seq-ordered (empty unless
     /// [`ObsConfig::journal_capacity`](crate::ObsConfig::journal_capacity) was set). For a single-tenant run,
     /// on any number of workers, `CostLedger::replay(&events)` reproduces
@@ -473,31 +464,6 @@ impl EngineStats {
         Some(self.ingest_rows_written as f64 / self.rows_appended as f64)
     }
 
-    /// The run's measurements assembled into the cost-model accumulator:
-    /// every scan calibrates the substrate's read throughput — cold
-    /// (disk-dominated) and warm (memory/pool-served) scans feed separate
-    /// buckets, so α̂ extrapolates a full *disk* scan from the cold
-    /// throughput instead of from memory bandwidth — and every *persisted*
-    /// rewrite contributes its wall-clock (build + write).
-    /// Memory-only rewrites (`bytes_written == 0`) are excluded — Table
-    /// I's α is the cost of the physical rewrite, and a build-only ratio
-    /// would silently under-report it by the whole disk persist.
-    pub fn alpha_estimator(&self) -> AlphaEstimator {
-        let mut est = AlphaEstimator::new(self.table_bytes);
-        // Workers aggregate; feed each temperature bucket as one sample —
-        // the estimator only uses the byte/second ratios.
-        if self.cold_scan_seconds > 0.0 {
-            est.record_cold_scan(self.cold_scan_bytes, self.cold_scan_seconds);
-        }
-        if self.warm_scan_seconds > 0.0 {
-            est.record_scan(self.warm_scan_bytes, self.warm_scan_seconds);
-        }
-        for w in self.windows.iter().filter(|w| w.bytes_written > 0) {
-            est.record_reorg((w.build + w.write).as_secs_f64());
-        }
-        est
-    }
-
     /// The empirical α of this serving run: mean aside-rewrite wall-clock
     /// over the extrapolated full-scan wall-clock, both measured on the
     /// same query stream. `None` until the run has both persisted rewrites
@@ -507,26 +473,18 @@ impl EngineStats {
     /// scans serve with in-memory byte accounting, so the scan-throughput
     /// calibration would mix units and the ratio would be wrong.
     pub fn empirical_alpha(&self) -> Option<f64> {
-        self.alpha_readings()[0]
+        self.alpha[0]
     }
 
     /// α̂ from the cold (disk) scan throughput only; `None` without cold
     /// scans or under the degradations that void [`Self::empirical_alpha`].
     pub fn alpha_cold(&self) -> Option<f64> {
-        self.alpha_readings()[1]
+        self.alpha[1]
     }
 
     /// α̂ from the warm (pool-hit / memory) scan throughput only.
     pub fn alpha_warm(&self) -> Option<f64> {
-        self.alpha_readings()[2]
-    }
-
-    fn alpha_readings(&self) -> [Option<f64>; 3] {
-        alpha_readings(
-            &self.alpha_estimator(),
-            self.scan_io_errors,
-            self.tiered_errors.len() as u64,
-        )
+        self.alpha[2]
     }
 
     /// Buffer-pool hit rate over the run (0.0 without a pool).
@@ -535,17 +493,142 @@ impl EngineStats {
     }
 }
 
-/// `[α̂, α̂ cold, α̂ warm]` of `est` — the one rule the shutdown report and the
-/// live `alpha.*` gauges share: nothing is reported once a pooled scan or a
-/// tiered publish degraded, because the fallback scans serve with in-memory
-/// byte accounting and the scan-throughput calibration would mix units.
-pub(crate) fn alpha_readings(
-    est: &AlphaEstimator,
-    scan_io_errors: u64,
-    tiered_errors: u64,
-) -> [Option<f64>; 3] {
-    if scan_io_errors > 0 || tiered_errors > 0 {
+/// `[α̂, α̂ cold, α̂ warm]` from `m`'s counters — the paper's Table I ratio,
+/// the wall-clock of one reorganization over that of one full-table scan,
+/// observed on the served stream. Both the live `alpha.*` gauges and
+/// [`EngineStats`] read it.
+///
+/// * The numerator is the mean persisted rewrite (`reorg.persist_ns` over
+///   `reorg.persisted`: build + write + fsync + commit). Memory-only
+///   rewrites are not counted — Table I's α is the cost of the physical
+///   rewrite, and a build-only ratio would under-report it by the whole
+///   disk persist.
+/// * The denominator is a full scan of `alpha.table_bytes` at a measured
+///   scan throughput: pruned queries calibrate the throughput, the full
+///   scan is extrapolated. A scan is cold when most of its page bytes came
+///   from disk, warm otherwise. α̂ cold and α̂ warm use their own
+///   throughput; α̂ uses the cold one when there are cold samples, since
+///   Table I's full scan is a disk scan, and otherwise the combined one.
+///
+/// A reading is `None` until its two sides have samples (scans with
+/// nonzero bytes and time, one persisted rewrite). All three are `None`
+/// once a pooled scan or a tiered publish degraded: the fallback scans
+/// serve with in-memory byte accounting, so the throughput would mix
+/// units.
+pub(crate) fn alpha_readings(m: &LiveMetrics) -> [Option<f64>; 3] {
+    let table_bytes = m.table_bytes.get();
+    let persisted = m.persisted.get();
+    let degraded = m.scan_io_errors.get() > 0 || m.tiered_errors.get() > 0;
+    // An unset table size reads NaN: no full scan to extrapolate.
+    let measurable = persisted > 0 && table_bytes > 0.0;
+    if degraded || !measurable {
         return [None; 3];
     }
-    [est.alpha(), est.alpha_cold(), est.alpha_warm()]
+    let reorg_seconds = m.persist_ns.get() as f64 / 1e9 / persisted as f64;
+    // Rewrite time over the full scan that `bytes` read in `ns` implies.
+    let alpha = |bytes: u64, ns: u64| {
+        (bytes > 0 && ns > 0).then(|| {
+            let bytes_per_second = bytes as f64 / (ns as f64 / 1e9);
+            reorg_seconds / (table_bytes / bytes_per_second)
+        })
+    };
+    let (cold_bytes, cold_ns) = (m.cold_scan_bytes.get(), m.cold_scan_ns.get());
+    let (warm_bytes, warm_ns) = (m.warm_scan_bytes.get(), m.warm_scan_ns.get());
+    let cold = alpha(cold_bytes, cold_ns);
+    let combined = || alpha(cold_bytes + warm_bytes, cold_ns + warm_ns);
+    [cold.or_else(combined), cold, alpha(warm_bytes, warm_ns)]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Fresh handles on a private registry, `alpha.table_bytes` set.
+    fn metrics(table_bytes: f64) -> LiveMetrics {
+        let m = LiveMetrics::new(&Registry::new());
+        m.table_bytes.set(table_bytes);
+        m
+    }
+
+    fn warm(m: &LiveMetrics, bytes: u64, seconds: f64) {
+        m.warm_scan_bytes.add(bytes);
+        m.warm_scan_ns.add((seconds * 1e9) as u64);
+    }
+
+    fn cold(m: &LiveMetrics, bytes: u64, seconds: f64) {
+        m.cold_scan_bytes.add(bytes);
+        m.cold_scan_ns.add((seconds * 1e9) as u64);
+    }
+
+    fn persisted(m: &LiveMetrics, seconds: f64) {
+        m.persisted.inc();
+        m.persist_ns.add((seconds * 1e9) as u64);
+    }
+
+    fn close(reading: Option<f64>, want: f64) -> bool {
+        reading.is_some_and(|v| (v - want).abs() <= 1e-9 * want)
+    }
+
+    #[test]
+    fn alpha_needs_both_sides() {
+        let m = metrics(2_000_000.0);
+        assert_eq!(alpha_readings(&m), [None; 3]);
+        warm(&m, 1_000_000, 0.01); // 100 MB/s → full scan 0.02 s
+        assert_eq!(alpha_readings(&m), [None; 3], "no rewrite persisted yet");
+        persisted(&m, 1.0);
+        persisted(&m, 3.0); // mean 2.0 s
+        assert!(close(alpha_readings(&m)[0], 100.0));
+        // without a table size there is no full scan to extrapolate
+        m.table_bytes.set(f64::NAN);
+        assert_eq!(alpha_readings(&m), [None; 3]);
+    }
+
+    #[test]
+    fn cold_scans_dominate_alpha_when_present() {
+        let m = metrics(1_000_000.0);
+        // warm: 1 GB/s; cold: 100 MB/s — a 10x temperature gap
+        warm(&m, 1_000_000, 0.001);
+        cold(&m, 1_000_000, 0.01);
+        persisted(&m, 1.0);
+        let [hat, cold, warm] = alpha_readings(&m);
+        // α̂ uses the cold throughput: full scan = 0.01 s → α = 100
+        assert!(close(hat, 100.0));
+        assert!(close(cold, 100.0));
+        // the warm reading is 10x larger (scan looks 10x cheaper)
+        assert!(close(warm, 1000.0));
+    }
+
+    #[test]
+    fn warm_only_runs_fall_back_to_combined_throughput() {
+        let m = metrics(1_000_000.0);
+        warm(&m, 500_000, 0.005); // 100 MB/s
+        persisted(&m, 0.8);
+        let [hat, cold, warm] = alpha_readings(&m);
+        assert!(close(hat, 80.0));
+        assert_eq!(cold, None, "no cold samples");
+        assert!(close(warm, 80.0));
+    }
+
+    #[test]
+    fn alpha_ignores_zero_byte_scans() {
+        let m = metrics(1_000.0);
+        warm(&m, 0, 0.5); // fully pruned queries calibrate nothing
+        persisted(&m, 1.0);
+        assert_eq!(alpha_readings(&m), [None; 3]);
+    }
+
+    #[test]
+    fn bulk_rewrites_read_like_one_by_one() {
+        let one_by_one = metrics(1_000_000.0);
+        warm(&one_by_one, 500_000, 0.005);
+        persisted(&one_by_one, 0.5);
+        persisted(&one_by_one, 1.5);
+        let bulk = metrics(1_000_000.0);
+        warm(&bulk, 500_000, 0.005);
+        bulk.persisted.add(2);
+        bulk.persist_ns.add(2_000_000_000);
+        assert_eq!(alpha_readings(&one_by_one), alpha_readings(&bulk));
+        // the numerator is the mean rewrite: 1.0 s over a 0.01 s full scan
+        assert!(close(alpha_readings(&bulk)[0], 100.0));
+    }
 }

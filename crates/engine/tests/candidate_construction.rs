@@ -185,7 +185,7 @@ fn candidate_construction_does_not_hold_the_core_lock() {
         h.wait();
     }
     let stats = engine.shutdown();
-    let m = stats.manager;
+    let m = stats.tenants[0].manager;
     assert_eq!(m.generated, 1);
     assert_eq!(m.generated, m.admitted + m.rejected);
     assert_eq!(
@@ -193,7 +193,7 @@ fn candidate_construction_does_not_hold_the_core_lock() {
         "a qd-tree on `a` is far from range-on-ts: {m:?}"
     );
     assert_eq!(m.superseded, 0);
-    assert_eq!(stats.num_states as u64, 1 + m.admitted);
+    assert_eq!(stats.tenants[0].num_states as u64, 1 + m.admitted);
     assert_eq!(counter(&registry, "core.candidates_built"), 1);
     assert_eq!(counter(&registry, "core.admission_overruns"), 0);
     // The stream stood exactly at the bound when the candidate joined.
@@ -230,8 +230,8 @@ fn two_boundaries_during_one_build_supersede() {
     let seqs = |w: &[Query]| w.iter().map(|q| q.seq).collect::<Vec<_>>();
     assert_eq!(seqs(&workloads[0]), (0..50).collect::<Vec<_>>());
     assert_eq!(seqs(&workloads[1]), (100..150).collect::<Vec<_>>());
-    assert_eq!(stats.manager.superseded, 1);
-    assert_eq!(stats.manager.generated, 2);
+    assert_eq!(stats.tenants[0].manager.superseded, 1);
+    assert_eq!(stats.tenants[0].manager.generated, 2);
     // Every query past the first boundary's allowance went through on the
     // guard, and is counted.
     let allowance = INTERVAL / 4 - 1;
@@ -398,11 +398,11 @@ fn measured_mode_conserves_costs_with_deferred_admission() {
         // allowance none fired while another waited: each was built.
         assert_eq!(built, (600 / INTERVAL) as u64);
         assert_eq!(superseded, 0);
-        assert_eq!(stats.manager.generated, built);
-        assert_eq!(stats.manager.superseded, superseded);
+        assert_eq!(stats.tenants[0].manager.generated, built);
+        assert_eq!(stats.tenants[0].manager.superseded, superseded);
         assert_eq!(
-            stats.manager.generated,
-            stats.manager.admitted + stats.manager.rejected
+            stats.tenants[0].manager.generated,
+            stats.tenants[0].manager.admitted + stats.tenants[0].manager.rejected
         );
     }
 }
@@ -428,14 +428,14 @@ fn one_worker_constructs_inline_and_drains() {
     // All six boundaries are built, each within the allowance — the rest
     // of the boundary's batch (16), cut at a quarter interval — and with
     // nobody else to wait for.
-    assert_eq!(stats.manager.generated, (300 / INTERVAL) as u64);
-    assert_eq!(stats.manager.superseded, 0);
+    assert_eq!(stats.tenants[0].manager.generated, (300 / INTERVAL) as u64);
+    assert_eq!(stats.tenants[0].manager.superseded, 0);
     let lag = registry.histogram("core.candidate_lag_queries").stats();
     assert_eq!(lag.count, 6);
     assert!(lag.max < INTERVAL as u64 / 4, "admission lag {lag:?}");
     assert_eq!(registry.histogram("core.admission_wait_us").count(), 0);
     assert_eq!(counter(&registry, "core.admission_overruns"), 0);
-    assert!(stats.manager.admitted >= 1);
+    assert!(stats.tenants[0].manager.admitted >= 1);
 }
 
 /// A qd-tree generator that sleeps inside `generate`: a slow build.
@@ -482,5 +482,5 @@ fn drain_waits_for_admissions_and_landings() {
     assert_eq!(counter(&registry, "reorg.snapshots_published"), switches);
     assert_eq!(counter(&registry, "reorg.windows"), switches);
     let stats = engine.shutdown();
-    assert_eq!(stats.manager.superseded, 0);
+    assert_eq!(stats.tenants[0].manager.superseded, 0);
 }

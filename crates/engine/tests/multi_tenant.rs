@@ -156,18 +156,18 @@ fn materialize(tables: &[Arc<Table>], trace: &[(u8, u8, u16)]) -> (Vec<(usize, O
 /// Assert tenant `i` of the interleaved run matches its solo oracle
 /// exactly — ledger byte-for-byte, switch count, and final layouts.
 fn assert_tenant_parity(multi: &EngineStats, i: usize, solo: &EngineStats, label: &str) {
-    let ten = &multi.tenants[i];
+    let (ten, solo_ten) = (&multi.tenants[i], &solo.tenants[0]);
     assert_eq!(
         ten.ledger, solo.ledger,
         "{label}: tenant {i} ledger diverged from its solo run"
     );
     assert_eq!(ten.switches, solo.switches, "{label}: tenant {i} switches");
     assert_eq!(
-        ten.final_physical, solo.final_physical,
+        ten.final_physical, solo_ten.final_physical,
         "{label}: tenant {i} physical layout"
     );
     assert_eq!(
-        ten.final_logical, solo.final_logical,
+        ten.final_logical, solo_ten.final_logical,
         "{label}: tenant {i} logical layout"
     );
 }

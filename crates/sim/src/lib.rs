@@ -99,8 +99,6 @@ mod tests {
                 DumtsConfig {
                     alpha,
                     transition: TransitionPolicy::Uniform,
-                    stay_on_reset: true,
-                    mid_phase_admission: false,
                     seed,
                 },
             );

@@ -1,8 +1,8 @@
 //! Release-profile integration test: the paper's policy-ordering narrative
 //! (§VI-C) on a drifting TPC-H stream.
 //!
-//! Compiled away under `debug_assertions` — the four policy runs cost
-//! ~60 s even in release, and an order of magnitude more unoptimized. Run
+//! Compiled away under `debug_assertions` — the four policy runs take a
+//! few seconds in release and an order of magnitude more unoptimized. Run
 //! with:
 //!
 //! ```sh

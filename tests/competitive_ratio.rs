@@ -41,8 +41,6 @@ fn run_dumts(costs: &[Vec<f64>], alpha: f64, seed: u64) -> f64 {
         DumtsConfig {
             alpha,
             transition: TransitionPolicy::Uniform,
-            stay_on_reset: true,
-            mid_phase_admission: false,
             seed,
         },
     );
@@ -99,8 +97,6 @@ fn dynamic_state_space_respects_theorem_bound() {
             DumtsConfig {
                 alpha,
                 transition: TransitionPolicy::Uniform,
-                stay_on_reset: true,
-                mid_phase_admission: false,
                 seed,
             },
         );
@@ -152,8 +148,6 @@ fn biased_transitions_do_not_break_the_bound() {
             DumtsConfig {
                 alpha,
                 transition: TransitionPolicy::SkippedWeighted { gamma: 1.0 },
-                stay_on_reset: true,
-                mid_phase_admission: false,
                 seed,
             },
         );

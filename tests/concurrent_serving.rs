@@ -59,9 +59,10 @@ fn engine_ledger_matches_sequential_sim_on_fixed_stream() {
     assert_eq!(stats.ledger, sim.ledger, "ledger diverged from oreo-sim");
     assert_eq!(stats.switches, sim.switches, "switch decisions diverged");
     assert!(stats.switches >= 1, "stream never reorganized");
-    assert_eq!(stats.final_physical, reference.physical_layout());
-    assert_eq!(stats.final_logical, reference.logical_layout());
-    assert_eq!(stats.max_states_seen, reference.max_states_seen());
+    let tenant = &stats.tenants[0];
+    assert_eq!(tenant.final_physical, reference.physical_layout());
+    assert_eq!(tenant.final_logical, reference.logical_layout());
+    assert_eq!(tenant.max_states_seen, reference.max_states_seen());
     assert_eq!(stats.queries, 600);
 
     // PR 9 regression: with ingestion never invoked, the write path is

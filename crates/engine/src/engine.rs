@@ -55,7 +55,7 @@
 
 use crate::ingest::{build_fold_snapshot, FoldBuild, IngestState};
 use crate::metrics::{
-    alpha_readings, as_micros_u64, as_nanos_u64, EngineStats, LiveMetrics, TenantStats,
+    alpha_readings, as_micros_u64, as_nanos_u64, EngineStats, LiveMetrics, PoolGauges, TenantStats,
 };
 use crate::queue::ShardedQueue;
 use crate::reorg::{materialize, ReorgRequest, ReorgWindow};
@@ -72,7 +72,7 @@ use oreo_storage::{
 };
 use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -291,6 +291,8 @@ struct Job {
     submit_id: u64,
     /// Index into the engine's tenant map.
     tenant: u32,
+    /// When the job was pushed onto the work queue.
+    enqueued: Instant,
 }
 
 /// One tenant's serving state: its write path, snapshot cell, disk tier,
@@ -436,10 +438,15 @@ struct Shared {
     completed: AtomicU64,
     drain_lock: Mutex<()>,
     drain_cv: Condvar,
+    /// Callers blocked in [`Engine::drain`]: `drain_cv` is notified only
+    /// while one waits.
+    drainers: AtomicUsize,
     /// The live metrics registry (always on).
     registry: Arc<Registry>,
     /// Pre-resolved handles into `registry` for the hot paths.
     metrics: LiveMetrics,
+    /// The shared buffer pool's gauges (aggregate only).
+    pool_gauges: PoolGauges,
     /// The bounded event journal, when configured.
     journal: Option<Arc<Journal>>,
     /// `journal` as a sink (or [`NullSink`]) for span events.
@@ -470,6 +477,15 @@ impl Shared {
         self.completed.load(Ordering::Acquire) >= self.submitted.load(Ordering::Relaxed)
             && self.tenants.iter().all(idle)
             && m.reorg_windows.get() >= m.switches.get()
+    }
+
+    /// Wake the callers blocked in [`Engine::drain`], if any: a futex
+    /// `notify_all` is a syscall even with no waiter, and the workers call
+    /// this once a batch.
+    fn wake_drainers(&self) {
+        if self.drainers.load(Ordering::SeqCst) > 0 {
+            self.drain_cv.notify_all();
+        }
     }
 
     /// Take the core mutex, recording the wait in `core.lock_wait_us`.
@@ -582,6 +598,7 @@ impl Engine {
         }
         let registry = Arc::new(Registry::new());
         let metrics = LiveMetrics::new(&registry);
+        let pool_gauges = PoolGauges::new(&registry);
         let journal = (config.obs.journal_capacity > 0).then(|| {
             // Shard per thread that emits: workers + reorganizer + the
             // submitting front end, capped to keep per-journal memory sane.
@@ -707,8 +724,10 @@ impl Engine {
             completed: AtomicU64::new(0),
             drain_lock: Mutex::new(()),
             drain_cv: Condvar::new(),
+            drainers: AtomicUsize::new(0),
             registry,
             metrics,
+            pool_gauges,
             journal,
             sink,
             started,
@@ -817,6 +836,7 @@ impl Engine {
             slot,
             submit_id,
             tenant: tenant as u32,
+            enqueued: Instant::now(),
         });
     }
 
@@ -909,6 +929,9 @@ impl Engine {
     pub fn drain(&self) {
         let shared = &self.shared;
         let mut guard = shared.drain_lock.lock().expect("drain poisoned");
+        // Counted before the first look, so a change after it notifies; one
+        // that slips between a look and the wait costs one timeout.
+        shared.drainers.fetch_add(1, Ordering::SeqCst);
         while !shared.quiescent() {
             guard = shared
                 .drain_cv
@@ -916,6 +939,7 @@ impl Engine {
                 .expect("drain poisoned")
                 .0;
         }
+        shared.drainers.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Pin tenant 0's currently served snapshot.
@@ -1127,28 +1151,17 @@ impl Drop for Engine {
     }
 }
 
-/// Recompute the derived gauges — qps, α̂ ([`alpha_readings`], `NaN` when a
-/// side has no samples yet or the run degraded), and the buffer-pool
-/// readings.
+/// Recompute the derived gauges — qps and α̂ of the aggregate view and of
+/// each tenant's, each from its own counters, and the buffer-pool readings.
 fn update_derived_gauges(shared: &Shared) {
-    let m = &shared.metrics;
     let elapsed = shared.started.elapsed().as_secs_f64();
-    let completed = shared.completed.load(Ordering::Relaxed);
-    if elapsed > 0.0 {
-        m.qps.set(completed as f64 / elapsed);
+    let tenant_views = shared.tenants.iter().filter_map(|t| t.metrics.as_ref());
+    for m in std::iter::once(&shared.metrics).chain(tenant_views) {
+        m.update_derived(elapsed);
     }
     if let Some(pool) = &shared.pool {
-        let stats = pool.stats();
-        m.pool_hit_rate.set(stats.hit_rate());
-        m.pool_hits.set(stats.hits as f64);
-        m.pool_misses.set(stats.misses as f64);
-        m.pool_evictions.set(stats.evictions as f64);
-        m.pool_pages_resident.set(stats.pages_resident as f64);
+        shared.pool_gauges.set(&pool.stats());
     }
-    let [hat, cold, warm] = alpha_readings(m);
-    m.alpha_hat.set(hat.unwrap_or(f64::NAN));
-    m.alpha_cold.set(cold.unwrap_or(f64::NAN));
-    m.alpha_warm.set(warm.unwrap_or(f64::NAN));
 }
 
 /// The periodic JSON exporter: one snapshot line immediately, one per
@@ -1212,6 +1225,10 @@ fn worker_loop(shared: &Shared, home: usize, reorg_tx: Sender<ReorgRequest>) {
                 });
             }
             let ten = &shared.tenants[job.tenant as usize];
+            let queue_wait_us = as_micros_u64(picked.saturating_duration_since(job.enqueued));
+            for m in metric_views(shared, ten) {
+                m.queue_wait_us.record(queue_wait_us);
+            }
             let snapshot = ten.cell.pin();
             let scan = match (&shared.pool, snapshot.generation()) {
                 (Some(pool), Some(_)) => match snapshot.scan_pooled(&job.query.predicate, pool) {
@@ -1402,7 +1419,7 @@ fn serve_scanned(
         }
         shared.completed.fetch_add(1, Ordering::Release);
     }
-    shared.drain_cv.notify_all();
+    shared.wake_drainers();
 
     // Phase 4 — candidate construction, after the batch is answered.
     construct_candidates(shared);
@@ -1486,7 +1503,7 @@ fn build_waiting(shared: &Shared, tenant_index: usize) -> bool {
         m.candidates_built.inc();
         m.candidate_lag_queries.record(admission.lag_queries);
     }
-    shared.drain_cv.notify_all();
+    shared.wake_drainers();
     true
 }
 
@@ -1725,7 +1742,7 @@ fn execute_reorg(
         m.reorg_build_ns.add(as_nanos_u64(build));
         m.reorg_delta_queries.add(queries_during);
     }
-    shared.drain_cv.notify_all();
+    shared.wake_drainers();
     ReorgWindow {
         tenant: ten.name.clone(),
         target: req.target,

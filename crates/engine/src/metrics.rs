@@ -61,6 +61,8 @@ pub(crate) struct LiveMetrics {
     pub(crate) columns_read: Arc<Counter>,
     pub(crate) latency_us: Arc<Histogram>,
     pub(crate) scan_us: Arc<Histogram>,
+    /// Time each query spent on the work queue: enqueue → worker pickup.
+    pub(crate) queue_wait_us: Arc<Histogram>,
     pub(crate) switches: Arc<Counter>,
     pub(crate) snapshots_published: Arc<Counter>,
     pub(crate) reorg_windows: Arc<Counter>,
@@ -89,11 +91,6 @@ pub(crate) struct LiveMetrics {
     pub(crate) alpha_hat: Arc<Gauge>,
     pub(crate) alpha_cold: Arc<Gauge>,
     pub(crate) alpha_warm: Arc<Gauge>,
-    pub(crate) pool_hit_rate: Arc<Gauge>,
-    pub(crate) pool_hits: Arc<Gauge>,
-    pub(crate) pool_misses: Arc<Gauge>,
-    pub(crate) pool_evictions: Arc<Gauge>,
-    pub(crate) pool_pages_resident: Arc<Gauge>,
     /// Time spent waiting for / holding the core mutex, per acquisition.
     /// There is one core mutex per engine, so only the aggregate view
     /// records these.
@@ -152,6 +149,7 @@ impl LiveMetrics {
             columns_read: c("engine.scan.columns_read"),
             latency_us: h("engine.latency_us"),
             scan_us: h("engine.scan_us"),
+            queue_wait_us: h("engine.queue_wait_us"),
             switches: c("reorg.switches"),
             snapshots_published: c("reorg.snapshots_published"),
             reorg_windows: c("reorg.windows"),
@@ -180,11 +178,6 @@ impl LiveMetrics {
             alpha_hat: g("alpha.hat"),
             alpha_cold: g("alpha.cold"),
             alpha_warm: g("alpha.warm"),
-            pool_hit_rate: g("pool.hit_rate"),
-            pool_hits: g("pool.hits"),
-            pool_misses: g("pool.misses"),
-            pool_evictions: g("pool.evictions"),
-            pool_pages_resident: g("pool.pages_resident"),
             lock_wait_us: h("core.lock_wait_us"),
             lock_hold_us: h("core.lock_hold_us"),
             candidates_built: c("core.candidates_built"),
@@ -193,6 +186,19 @@ impl LiveMetrics {
             admission_wait_us: h("core.admission_wait_us"),
             admission_overruns: c("core.admission_overruns"),
         }
+    }
+
+    /// Recompute the gauges derived from this view's own counters: qps
+    /// over `elapsed` seconds and α̂ ([`alpha_readings`], `NaN` when a side
+    /// has no samples yet or the run degraded).
+    pub(crate) fn update_derived(&self, elapsed: f64) {
+        if elapsed > 0.0 {
+            self.qps.set(self.queries_completed.get() as f64 / elapsed);
+        }
+        let [hat, cold, warm] = alpha_readings(self);
+        self.alpha_hat.set(hat.unwrap_or(f64::NAN));
+        self.alpha_cold.set(cold.unwrap_or(f64::NAN));
+        self.alpha_warm.set(warm.unwrap_or(f64::NAN));
     }
 
     /// Publish one scan's accounting and its wall time — the only place a
@@ -234,6 +240,36 @@ impl LiveMetrics {
             self.warm_scan_bytes.add(scan.bytes_scanned);
             self.warm_scan_ns.add(ns);
         }
+    }
+}
+
+/// The shared buffer pool's readings. There is one pool per engine, so
+/// these exist only as aggregate series: no tenant has a value of its own.
+pub(crate) struct PoolGauges {
+    hit_rate: Arc<Gauge>,
+    hits: Arc<Gauge>,
+    misses: Arc<Gauge>,
+    evictions: Arc<Gauge>,
+    pages_resident: Arc<Gauge>,
+}
+
+impl PoolGauges {
+    pub(crate) fn new(r: &Registry) -> Self {
+        Self {
+            hit_rate: r.gauge("pool.hit_rate"),
+            hits: r.gauge("pool.hits"),
+            misses: r.gauge("pool.misses"),
+            evictions: r.gauge("pool.evictions"),
+            pages_resident: r.gauge("pool.pages_resident"),
+        }
+    }
+
+    pub(crate) fn set(&self, stats: &PoolStats) {
+        self.hit_rate.set(stats.hit_rate());
+        self.hits.set(stats.hits as f64);
+        self.misses.set(stats.misses as f64);
+        self.evictions.set(stats.evictions as f64);
+        self.pages_resident.set(stats.pages_resident as f64);
     }
 }
 

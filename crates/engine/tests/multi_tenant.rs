@@ -9,7 +9,7 @@
 //! deterministic, memory and tiered+pooled) against that oracle.
 
 use oreo_core::OreoConfig;
-use oreo_engine::{Engine, EngineConfig, EngineStats, TenantSpec};
+use oreo_engine::{Engine, EngineConfig, EngineStats, ObsConfig, TenantSpec};
 use oreo_layout::RangeLayout;
 use oreo_obs::MetricsSnapshot;
 use oreo_query::{ColumnType, Query, QueryBuilder, Scalar, Schema};
@@ -453,6 +453,112 @@ fn ingest_gauges_aggregate_as_fleet_sums() {
     assert_eq!(wal_bytes, per_tenant[0] + per_tenant[1]);
     assert_eq!(wal_bytes, stats.wal_bytes as f64);
     assert_eq!(stats.wal_bytes, wal_at_rest);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// α̂ as the engine defines it, recomputed from the `prefix` series of a
+/// drained registry: the mean rewrite time over the time a full scan of
+/// `alpha.table_bytes` takes at the measured scan throughput — of the cold
+/// scans when there are any, of all scans otherwise. `None` before a
+/// rewrite was persisted or after a degradation.
+fn alpha_hat_from_counters(snap: &MetricsSnapshot, prefix: &str) -> Option<f64> {
+    let c = |name: &str| snap.counter(&format!("{prefix}{name}")).unwrap();
+    let table_bytes = snap.gauge(&format!("{prefix}alpha.table_bytes")).unwrap();
+    let persisted = c("reorg.persisted");
+    let degraded = c("engine.scan_io_errors") + c("reorg.tiered_errors") > 0;
+    if degraded || persisted == 0 || table_bytes.is_nan() || table_bytes <= 0.0 {
+        return None;
+    }
+    let rewrite_seconds = c("reorg.persist_ns") as f64 / 1e9 / persisted as f64;
+    let (cold_bytes, cold_ns) = (c("engine.cold_scan_bytes"), c("engine.cold_scan_ns"));
+    let (bytes, ns) = if cold_bytes > 0 && cold_ns > 0 {
+        (cold_bytes, cold_ns)
+    } else {
+        (
+            cold_bytes + c("engine.warm_scan_bytes"),
+            cold_ns + c("engine.warm_scan_ns"),
+        )
+    };
+    let bytes_per_second = bytes as f64 / (ns as f64 / 1e9);
+    (bytes > 0 && ns > 0).then(|| rewrite_seconds / (table_bytes / bytes_per_second))
+}
+
+/// Each tenant's derived gauges come from its own counters: after a
+/// two-tenant tiered lockstep run, `tenant.<i>.alpha.hat` is that tenant's
+/// α̂ and `tenant.<i>.engine.qps` its own rate, while the one shared pool
+/// has no per-tenant series. Every view's queue-wait histogram holds one
+/// sample per query it completed.
+#[test]
+fn tenant_views_carry_their_own_derived_gauges_and_queue_waits() {
+    let tables = [table(0, 1200), table(3, 1200)];
+    let names = ["drifting", "steady"];
+    let root = tmproot("derived");
+    let prom = root.with_extension("prom");
+    let specs = (0..2)
+        .map(|i| tenant_spec(names[i], &tables[i], oreo_config(83 + i as u64)))
+        .collect();
+    // The Prometheus dump at shutdown refreshes the derived gauges.
+    let config = EngineConfig {
+        workers: 2,
+        obs: ObsConfig {
+            metrics_prom: Some(prom.clone()),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let engine = Engine::start_tenants(specs, config.tiered(&root));
+    let registry = Arc::clone(engine.registry());
+    // Tenant 0 drifts from column a to b, so it rewrites; tenant 1 stays on
+    // a.
+    let script: Vec<(usize, Op)> = (0..320)
+        .map(|i| {
+            let tenant = i % 2;
+            let col = if tenant == 0 && i >= 160 { "b" } else { "a" };
+            let lo = ((i * 37) % 900) as i64;
+            let q = QueryBuilder::new(tables[tenant].schema())
+                .between(col, lo, lo + 60)
+                .build()
+                .with_seq((i / 2) as u64);
+            (tenant, Op::Query(q))
+        })
+        .collect();
+    drive(&engine, &script);
+    let stats = engine.shutdown();
+    assert!(stats.tiered_errors.is_empty(), "{:?}", stats.tiered_errors);
+    assert!(stats.tenants[0].switches >= 1, "tenant 0 never rewrote");
+    let snap = registry.snapshot();
+    let hat = snap.gauge("tenant.0.alpha.hat").expect("registered");
+    let want = alpha_hat_from_counters(&snap, "tenant.0.").expect("tenant 0's α̂");
+    assert!(hat.is_finite(), "tenant.0.alpha.hat = {hat}");
+    assert!(
+        (hat - want).abs() <= 1e-12 * want,
+        "tenant.0.alpha.hat {hat} vs tenant 0's counters {want}"
+    );
+    let tenant_1 = snap.gauge("tenant.1.alpha.hat").expect("registered");
+    match alpha_hat_from_counters(&snap, "tenant.1.") {
+        Some(want) => assert!((tenant_1 - want).abs() <= 1e-12 * want),
+        None => assert!(tenant_1.is_nan()),
+    }
+    let qps = |prefix: &str| snap.gauge(&format!("{prefix}engine.qps")).unwrap();
+    assert!(qps("tenant.1.") > 0.0 && qps("tenant.1.") < qps(""));
+    assert!(snap.gauge("pool.hit_rate").is_some());
+    for i in 0..2 {
+        assert!(
+            snap.get(&format!("tenant.{i}.pool.hit_rate")).is_none(),
+            "the shared pool has no per-tenant series"
+        );
+    }
+    for prefix in ["", "tenant.0.", "tenant.1."] {
+        let waits = snap
+            .histogram(&format!("{prefix}engine.queue_wait_us"))
+            .expect("registered");
+        assert_eq!(
+            Some(waits.count),
+            snap.counter(&format!("{prefix}engine.queries_completed")),
+            "{prefix}engine.queue_wait_us"
+        );
+    }
+    std::fs::remove_file(&prom).unwrap();
     std::fs::remove_dir_all(&root).unwrap();
 }
 

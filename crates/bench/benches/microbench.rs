@@ -3,15 +3,17 @@
 //! admission distances, and the on-disk codec.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use oreo_core::{Dumts, DumtsConfig, TransitionPolicy};
+use oreo_core::{Dumts, DumtsConfig, LayoutManager, ManagerConfig, TransitionPolicy};
 use oreo_layout::{
-    build_exact_model, build_model, morton_encode, LayoutSpec, QdTreeBuilder, ZOrderLayout,
+    build_exact_model, build_model, morton_encode, LayoutSpec, QdTreeBuilder, QdTreeGenerator,
+    RangeLayout, ZOrderLayout,
 };
 use oreo_query::QueryBuilder;
 use oreo_sim::offline_optimum;
 use oreo_storage::{cost_vector_distance, TableSnapshot, TieredStore};
 use oreo_workload::{telemetry, tpch, Scenario, ScenarioConfig, StreamConfig};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_morton(c: &mut Criterion) {
     c.bench_function("morton_encode_3d_8bit", |b| {
@@ -50,6 +52,7 @@ fn bench_qdtree_build(c: &mut Criterion) {
     use rand::SeedableRng;
     let table = telemetry::telemetry_table(20_000, 7);
     let sample = table.sample(&mut rand::rngs::StdRng::seed_from_u64(5), 1_500);
+    let sample = sample.prepared();
     let stream = Scenario::CorrelatedColumns.generate(
         table.schema(),
         ScenarioConfig {
@@ -146,6 +149,7 @@ fn bench_cost_eval(c: &mut Criterion) {
     use rand::SeedableRng;
     let table = telemetry::telemetry_table(20_000, 7);
     let data_sample = table.sample(&mut rand::rngs::StdRng::seed_from_u64(5), 1_500);
+    let data_sample = data_sample.prepared();
     let stream = Scenario::CorrelatedColumns.generate(
         table.schema(),
         ScenarioConfig {
@@ -167,6 +171,41 @@ fn bench_cost_eval(c: &mut Criterion) {
     let admission = &stream.queries[4_100..4_164];
     c.bench_function("cost_vector_64q_k32_sample_correlated", |b| {
         b.iter(|| black_box(model.cost_vector(admission)))
+    });
+
+    // The whole construct step of that boundary (`CandidateTask::build`),
+    // as a layout manager captures it: grow the window's tree on the
+    // manager's prepared sample, compile its sample model, and cost it and
+    // the 3 states live at capture over the admission sample.
+    let full_rows = table.num_rows() as f64;
+    let initial = Arc::new(RangeLayout::from_sample(&data_sample, 0, 32));
+    let config = ManagerConfig {
+        window: 100,
+        generation_interval: 100,
+        ..Default::default()
+    };
+    let generator = Arc::new(QdTreeGenerator::new());
+    let (mut manager, initial) = LayoutManager::new(
+        data_sample.clone(),
+        full_rows,
+        generator,
+        32,
+        initial,
+        config,
+    );
+    let mut live = vec![(initial.id(), Arc::new(initial))];
+    for (id, window) in [(1, 3_800..3_900), (2, 3_900..4_000)] {
+        let tree = QdTreeBuilder::new(32).build(&data_sample, &stream.queries[window]);
+        live.push((
+            id,
+            Arc::new(build_model(&tree, id, &data_sample, full_rows)),
+        ));
+    }
+    let task = (stream.queries[4_000..4_100].iter())
+        .find_map(|q| manager.capture(q, live.iter().map(|(id, m)| (*id, m))))
+        .expect("the window's last query is a boundary");
+    c.bench_function("candidate_task_build_1500_sample_k32_correlated", |b| {
+        b.iter_batched(|| task.clone(), |task| task.build(), BatchSize::SmallInput)
     });
 }
 

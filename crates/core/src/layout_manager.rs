@@ -104,7 +104,8 @@ pub struct ManagerStats {
 /// the manager and built without it: the workload sample(s) to generate
 /// from, the R-TBS admission sample, the generator, the data sample and the
 /// sample models of the states live at capture. `Send`, and everything
-/// large in it is behind an `Arc`.
+/// large in it is behind an `Arc`; a clone builds the same candidates.
+#[derive(Clone)]
 pub struct CandidateTask {
     generator: Arc<dyn LayoutGenerator>,
     data_sample: Arc<Table>,
@@ -246,7 +247,9 @@ pub struct Admission {
 pub struct LayoutManager {
     config: ManagerConfig,
     generator: Arc<dyn LayoutGenerator>,
-    /// Small data sample used for `generate_layout` and candidate costing.
+    /// Small data sample used for `generate_layout` and candidate costing,
+    /// fixed for the manager's life and so prepared once
+    /// ([`Table::prepared`]): no build re-sorts it.
     data_sample: Arc<Table>,
     /// Row count of the full table (for scaling sample metadata).
     full_rows: f64,
@@ -282,7 +285,7 @@ impl LayoutManager {
             rng: StdRng::seed_from_u64(config.seed),
             config,
             generator,
-            data_sample: Arc::new(data_sample),
+            data_sample: Arc::new(data_sample.prepared()),
             full_rows,
             k,
             next_id: 0,
@@ -579,5 +582,100 @@ mod tests {
         }
         // Both → two candidates per round
         assert_eq!(m.stats().generated, 2);
+    }
+}
+
+#[cfg(test)]
+mod pinned {
+    use super::*;
+    use oreo_layout::{QdTreeGenerator, RangeLayout};
+    use oreo_workload::{telemetry, Scenario, ScenarioConfig};
+
+    /// FNV-1a over the bits of a cost vector: equal digests mean equal
+    /// vectors, bit for bit.
+    fn digest(costs: &[f64]) -> u64 {
+        costs.iter().fold(0xcbf2_9ce4_8422_2325, |h, c| {
+            (c.to_bits().to_le_bytes().iter())
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        })
+    }
+
+    /// What candidate construction outputs on the `correlated` stream over
+    /// a 1 500-row telemetry sample (k = 32, window and interval 100, the
+    /// default ε): per boundary, every candidate's name and cost vector
+    /// over the admission sample, and the ids admitted — captured before
+    /// the sample was prepared once per manager, so a construction that
+    /// grows another tree, compiles another model or costs a query
+    /// differently shows here.
+    #[test]
+    fn construction_output_is_pinned() {
+        let table = telemetry::telemetry_table(20_000, 7);
+        let sample = table.sample(&mut StdRng::seed_from_u64(5), 1_500);
+        let stream = Scenario::CorrelatedColumns.generate(
+            table.schema(),
+            ScenarioConfig {
+                total_queries: 2_200,
+                seed: 7,
+            },
+        );
+        let initial = Arc::new(RangeLayout::from_sample(&sample, 0, 32));
+        let config = ManagerConfig {
+            window: 100,
+            generation_interval: 100,
+            ..Default::default()
+        };
+        let (mut manager, initial) = LayoutManager::new(
+            sample,
+            table.num_rows() as f64,
+            Arc::new(QdTreeGenerator::new()),
+            32,
+            initial,
+            config,
+        );
+        let mut live = BTreeMap::from([(initial.id(), Arc::new(initial))]);
+        // (cost-vector digest of the boundary's one candidate, ids admitted)
+        let pinned: [(u64, &[LayoutId]); 22] = [
+            (0x305fb77b9f660aad, &[1]),
+            (0x943e5ac85372cea4, &[]),
+            (0x8966c8a3a9f0cdec, &[]),
+            (0xaa3fe3bf16f9cb46, &[]),
+            (0x12bda9455af497d2, &[]),
+            (0x91d2f3264d3a5ef1, &[2]),
+            (0x9151dd18e2aef5f9, &[3]),
+            (0xd4d0292fed4d2cee, &[]),
+            (0xa5447de36413f104, &[]),
+            (0x56e4b54eb8362aec, &[]),
+            (0x528bca328577fb14, &[]),
+            (0x724bcb71fec44852, &[4]),
+            (0x8a9906bdf6001c59, &[]),
+            (0x339a7455e31ab074, &[]),
+            (0x091d54c3366b0d71, &[]),
+            (0xaf1dc1e29aa3648a, &[]),
+            (0x4ba2f73d3e141fd6, &[5]),
+            (0x8db5d952516144e7, &[6]),
+            (0x908bc49838353108, &[]),
+            (0x1ede332b558adeb8, &[]),
+            (0xbfe0deb977479db5, &[]),
+            (0x021b3afec7804c91, &[]),
+        ];
+        let mut boundaries = 0;
+        for q in &stream.queries {
+            let Some(task) = manager.capture(q, live.iter().map(|(&id, m)| (id, m))) else {
+                continue;
+            };
+            let built = task.build();
+            let got: Vec<(&str, u64)> = (built.candidates.iter())
+                .map(|c| (c.model.name(), digest(&c.costs)))
+                .collect();
+            let (want, want_admitted) = pinned[boundaries];
+            assert_eq!(got, [("qdtree(k=32)", want)], "boundary {boundaries}");
+            let (admission, admitted) = manager.admit(built, live.iter().map(|(&id, m)| (id, m)));
+            assert_eq!(admission.admitted, want_admitted, "boundary {boundaries}");
+            for (_, model) in admitted {
+                live.insert(model.id(), Arc::new(model));
+            }
+            boundaries += 1;
+        }
+        assert_eq!(boundaries, pinned.len());
     }
 }

@@ -1495,13 +1495,16 @@ fn build_waiting(shared: &Shared, tenant_index: usize) -> bool {
         b.building = Some(stamp);
         task
     };
+    let started = Instant::now();
     let built = task.build();
+    let constructed = as_micros_u64(started.elapsed());
     let admission = shared.lock_core()[tenant_index].admit(built);
     ten.boundaries.lock().expect("boundaries poisoned").building = None;
     ten.admitted.notify_all();
     for m in metric_views(shared, ten) {
         m.candidates_built.inc();
         m.candidate_lag_queries.record(admission.lag_queries);
+        m.construct_us.record(constructed);
     }
     shared.wake_drainers();
     true

@@ -102,6 +102,8 @@ pub(crate) struct LiveMetrics {
     pub(crate) candidates_superseded: Arc<Counter>,
     /// Queries observed between a boundary's capture and its admission.
     pub(crate) candidate_lag_queries: Arc<Histogram>,
+    /// Wall time of one boundary's construct step ([`oreo_core::CandidateTask::build`]).
+    pub(crate) construct_us: Arc<Histogram>,
     /// Time a worker spent waiting for an admission with queries it held
     /// back at the run-ahead allowance (recorded only when it waited).
     pub(crate) admission_wait_us: Arc<Histogram>,
@@ -183,6 +185,7 @@ impl LiveMetrics {
             candidates_built: c("core.candidates_built"),
             candidates_superseded: c("core.candidates_superseded"),
             candidate_lag_queries: h("core.candidate_lag_queries"),
+            construct_us: h("core.construct_us"),
             admission_wait_us: h("core.admission_wait_us"),
             admission_overruns: c("core.admission_overruns"),
         }

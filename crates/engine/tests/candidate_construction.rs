@@ -484,3 +484,23 @@ fn drain_waits_for_admissions_and_landings() {
     let stats = engine.shutdown();
     assert_eq!(stats.tenants[0].manager.superseded, 0);
 }
+
+/// (g) The construct step's wall time is recorded once per built boundary —
+/// `core.construct_us` counts what `core.candidates_built` counts — and it
+/// times the build itself: every sample covers the generator's sleep.
+#[test]
+fn construct_time_is_recorded_per_built_boundary() {
+    let t = table(3000);
+    let queries = drifting_queries(&t, 300);
+    let generator = Arc::new(SlowGenerator(QdTreeGenerator::new()));
+    let engine = start(&t, generator, EngineConfig::default().with_workers(2));
+    let registry = Arc::clone(engine.registry());
+    lockstep(&engine, &queries);
+    engine.drain();
+    let built = counter(&registry, "core.candidates_built");
+    let construct = registry.histogram("core.construct_us").stats();
+    assert_eq!(built, (300 / INTERVAL) as u64);
+    assert_eq!(construct.count, built);
+    assert!(construct.min >= 30_000, "{construct:?}");
+    engine.shutdown();
+}

@@ -487,7 +487,8 @@ fn alpha_hat_from_counters(snap: &MetricsSnapshot, prefix: &str) -> Option<f64> 
 /// two-tenant tiered lockstep run, `tenant.<i>.alpha.hat` is that tenant's
 /// α̂ and `tenant.<i>.engine.qps` its own rate, while the one shared pool
 /// has no per-tenant series. Every view's queue-wait histogram holds one
-/// sample per query it completed.
+/// sample per query it completed, and its construct-time histogram one per
+/// boundary it built.
 #[test]
 fn tenant_views_carry_their_own_derived_gauges_and_queue_waits() {
     let tables = [table(0, 1200), table(3, 1200)];
@@ -556,6 +557,14 @@ fn tenant_views_carry_their_own_derived_gauges_and_queue_waits() {
             Some(waits.count),
             snap.counter(&format!("{prefix}engine.queries_completed")),
             "{prefix}engine.queue_wait_us"
+        );
+        let constructs = snap
+            .histogram(&format!("{prefix}core.construct_us"))
+            .expect("registered");
+        assert_eq!(
+            Some(constructs.count),
+            snap.counter(&format!("{prefix}core.candidates_built")),
+            "{prefix}core.construct_us"
         );
     }
     std::fs::remove_file(&prom).unwrap();

@@ -20,24 +20,39 @@
 //! benefit of `a` at any node is the integer `n_sub·|R_no| + n_dis·|R_yes|`.
 //! When every query's set on a column is an integer interval, both counts
 //! are binary searches over the window's interval ends, sorted once per
-//! column (a cut bounded on both sides still counts `n_sub` query by
-//! query). Which rows `a` matches does not depend on the node either: each
-//! candidate is evaluated once over the whole sample into a bitmap — an
-//! integer range from a [`RankIndex`] of its column, sorted once per build,
-//! anything else by a typed column kernel pass — and a node's `|R_yes|` is
-//! the popcount of its own row bitmap ANDed with the candidate's. A build
-//! costs O(Σ n log n + C·(log n + n/64) + C·W + C·k·n/64) for C
-//! candidates, W window queries, n sample rows, k leaves and one sort per
-//! cut column, where the per-node row-by-row greedy paid O(k·C·(n + W)).
+//! column (a cut bounded on both sides still counts `n_sub` over the
+//! queries whose interval starts inside it). Which rows `a` matches does
+//! not depend on the node either, so it is found once per build: a cut
+//! that is an integer range on an integer column matches the ranks
+//! `start..end` of its column's [`RankIndex`] (two binary searches), any
+//! other cut the rows of a bitmap that one typed column kernel pass writes
+//! into a flat arena. A leaf keeps its rows as a bitmap and, per ranked
+//! column, as a bitmap over that column's ranks with the set bits before
+//! every word; so `|R_yes|` of a ranked cut is two partial-word popcounts,
+//! and only an arena cut ANDs two bitmaps. A split derives each ranked
+//! bitmap of its children from the smaller child's rows.
+//!
+//! **Preparation.** The rank indexes depend only on the sample. A table
+//! prepared once ([`Table::prepared`], the layout manager's data sample)
+//! holds them, so a build sorts nothing; on a plain table a build sorts
+//! each integer cut column once. With C candidates, W window queries, n
+//! sample rows, k leaves and c ranked columns, a build costs
+//! O(C·(log n + W) + k·c·n + C·k) plus one n/64-word pass per arena cut
+//! and per arena cut at every split, where the per-node row-by-row greedy
+//! paid O(k·C·(n + W)). Candidates are borrowed from the window and
+//! deduplicated by one stable sort of their keys; only the k − 1 cuts the
+//! tree keeps are cloned into atoms.
 
 use crate::satset::{predicate_satset, SatSet};
 use crate::spec::{LayoutGenerator, LayoutSpec, SharedSpec};
-use oreo_query::{Atom, ColId, ColumnPlan, CompareOp, Query};
+use oreo_query::{Atom, ColId, ColumnPlan, CompareOp, Query, Scalar};
 use oreo_storage::kernel::{self, RankIndex};
 use oreo_storage::{atom_matches_ref, Table};
 use rand::rngs::StdRng;
+use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A built Qd-tree.
@@ -173,60 +188,87 @@ impl QdTreeBuilder {
     /// Greedily build a Qd-tree from a data sample and workload sample.
     pub fn build(&self, sample: &Table, workload: &[Query]) -> QdTree {
         let nrows = sample.num_rows();
+        let words = nrows.div_ceil(64);
         let min_leaf = self
             .min_leaf_rows
             .unwrap_or_else(|| (nrows / (4 * self.k)).max(1));
 
         // The node-independent part of every benefit, once per build: how
         // many workload queries each candidate spares its no-side (`n_sub`)
-        // or its yes-side (`n_dis`), and which sample rows it matches. A
+        // or its yes-side (`n_dis`), and which sample rows it matches — a
+        // rank range of its integer column, or a bitmap in `arena`. A
         // candidate that spares no query has benefit 0 at every node and
         // could never be picked, so it is dropped here.
         struct Cut<'a> {
-            atom: &'a Atom,
+            cand: Cand<'a>,
             n_sub: u64,
             n_dis: u64,
-            rows: Vec<u64>,
+            rows: CutRows,
         }
         let candidates = candidate_cuts(workload);
-        let mut query_sats: HashMap<ColId, ColumnSats> = HashMap::new();
-        let mut indexes: HashMap<ColId, RankIndex<'_>> = HashMap::new();
+        let ncols = candidates.iter().map(|c| c.col() + 1).max().unwrap_or(0);
+        let mut query_sats: Vec<Option<ColumnSats>> = (0..ncols).map(|_| None).collect();
+        // The rank index of every integer column a cut is on, and its slot.
+        let mut indexes: Vec<Cow<'_, RankIndex>> = Vec::new();
+        let mut slot_of: Vec<Option<usize>> = vec![None; ncols];
+        let mut arena: Vec<u64> = Vec::new();
         let mut cuts: Vec<Cut<'_>> = Vec::new();
-        for atom in &candidates {
-            let col = atom.col();
-            let sats = query_sats
-                .entry(col)
-                .or_insert_with(|| ColumnSats::new(workload, col));
-            let cut_sat = SatSet::of_atom(atom);
-            let (n_sub, n_dis) = match (&sats.keys, cut_sat.int_interval_keys()) {
+        for cand in candidates {
+            let col = cand.col();
+            let sats = query_sats[col].get_or_insert_with(|| ColumnSats::new(workload, col));
+            let (n_sub, n_dis) = match (&sats.keys, cand.int_interval_keys()) {
                 (Some(keys), Some(cut)) => keys.counts(cut),
-                _ => sats.counts(&cut_sat),
+                _ => sats.counts(&SatSet::of_atom(&cand.to_atom())),
             };
-            if n_sub + n_dis > 0 {
-                let index = indexes
-                    .entry(col)
-                    .or_insert_with(|| RankIndex::new(sample.column(col)));
-                cuts.push(Cut {
-                    atom,
-                    n_sub,
-                    n_dis,
-                    rows: index.bitmap(&ColumnPlan::of_atom(atom)),
-                });
+            if n_sub + n_dis == 0 {
+                continue;
             }
+            let slot = match slot_of[col] {
+                Some(slot) => Some(slot),
+                None => sample.rank_index(col).map(|index| {
+                    indexes.push(index);
+                    *slot_of[col].insert(indexes.len() - 1)
+                }),
+            };
+            let ranked = slot.and_then(|slot| {
+                let ranks = match cand.int_range() {
+                    Some(Some((lo, hi))) => indexes[slot].between(lo, hi),
+                    Some(None) => 0..0,
+                    None => indexes[slot].ranks(&cand.plan())?,
+                };
+                Some(CutRows::Ranks { slot, ranks })
+            });
+            let rows = ranked.unwrap_or_else(|| {
+                let at = arena.len();
+                arena.resize(at + words, 0);
+                kernel::bitmap_into(&cand.plan(), sample.column(col), &mut arena[at..]);
+                CutRows::Bitmap(at)
+            });
+            cuts.push(Cut {
+                cand,
+                n_sub,
+                n_dis,
+                rows,
+            });
         }
 
-        // A leaf: its sample rows as a bitmap, how many there are, and the
-        // cuts that can still split it, each with the rows it would send to
-        // its yes-side. A side smaller than `min_leaf` at a node is smaller
-        // still at every descendant, so a child tests only its parent's
-        // list; and a cut's yes-rows in the no-child are its yes-rows in the
-        // parent less those in the yes-child, so a split intersects bitmaps
-        // for one child only.
+        // A leaf: its sample rows as a bitmap and over every ranked
+        // column's order, how many there are, and the cuts that can still
+        // split it, each with the rows it would send to its yes-side. A
+        // side smaller than `min_leaf` at a node is smaller still at every
+        // descendant, so a child tests only its parent's list; and a cut's
+        // yes-rows in the no-child are its yes-rows in the parent less
+        // those in the yes-child, so a split counts for one child only.
         struct Leaf {
             rows: Vec<u64>,
+            ranked: Vec<RankedRows>,
             size: usize,
             feasible: Vec<(usize, usize)>,
         }
+        let in_leaf = |leaf: &Leaf, cut: &Cut<'_>| match &cut.rows {
+            CutRows::Ranks { slot, ranks } => leaf.ranked[*slot].count(ranks),
+            CutRows::Bitmap(at) => and_count(&leaf.rows, &arena[*at..][..words]),
+        };
         let feasible_at = |size: usize, yes: usize| yes >= min_leaf && size - yes >= min_leaf;
         // The best cut of a leaf: candidate order and a strict `>`, so the
         // earliest candidate wins a tie.
@@ -246,7 +288,7 @@ impl QdTreeBuilder {
         enum Slot<'a> {
             Leaf(Leaf),
             Inner {
-                atom: &'a Atom,
+                atom: Cand<'a>,
                 yes: usize,
                 no: usize,
             },
@@ -265,13 +307,17 @@ impl QdTreeBuilder {
             }
             slots.push(Slot::Leaf(leaf));
         };
-        let root = Leaf {
+        let mut root = Leaf {
             rows: full_bitmap(nrows),
-            size: nrows,
-            feasible: (cuts.iter().map(|cut| count(&cut.rows)).enumerate())
-                .filter(|&(_, yes)| feasible_at(nrows, yes))
+            ranked: (indexes.iter())
+                .map(|_| RankedRows::new(full_bitmap(nrows)))
                 .collect(),
+            size: nrows,
+            feasible: Vec::new(),
         };
+        root.feasible = (cuts.iter().map(|cut| in_leaf(&root, cut)).enumerate())
+            .filter(|&(_, yes)| feasible_at(nrows, yes))
+            .collect();
         add_leaf(root, &mut slots, &mut heap);
 
         let mut leaf_count = 1usize;
@@ -279,38 +325,89 @@ impl QdTreeBuilder {
             let Some((_, _, slot, cut)) = heap.pop() else {
                 break; // no more beneficial cuts
             };
-            let Cut { atom, rows, .. } = &cuts[cut];
             let (yes, no) = (slots.len(), slots.len() + 1);
-            let inner = Slot::Inner { atom, yes, no };
+            let inner = Slot::Inner {
+                atom: cuts[cut].cand,
+                yes,
+                no,
+            };
             let Slot::Leaf(leaf) = std::mem::replace(&mut slots[slot], inner) else {
                 unreachable!("a slot is offered to the heap once, while it is a leaf");
             };
-            let matched = leaf.rows.iter().zip(rows);
-            let yes_rows: Vec<u64> = matched.clone().map(|(l, c)| l & c).collect();
-            let no_rows = matched.map(|(l, c)| l & !c).collect();
+            // The yes-side's rows, then each ranked order split alike: a
+            // cut's own order by its rank range, any other by looking each
+            // of the leaf's rows up in the yes-side's bitmap.
+            let yes_rows: Vec<u64> = match &cuts[cut].rows {
+                CutRows::Bitmap(at) => (leaf.rows.iter().zip(&arena[*at..][..words]))
+                    .map(|(l, c)| l & c)
+                    .collect(),
+                CutRows::Ranks { slot, ranks } => {
+                    let mut yes_rows = vec![0; words];
+                    let rank_rows = indexes[*slot].rows();
+                    for r in ones(&leaf.ranked[*slot].bits, ranks.clone()) {
+                        set(&mut yes_rows, rank_rows[r] as usize);
+                    }
+                    yes_rows
+                }
+            };
+            let no_rows = and_not(&leaf.rows, &yes_rows);
             let yes_size = count(&yes_rows);
             let no_size = leaf.size - yes_size;
-            let (mut yes_feasible, mut no_feasible) = (Vec::new(), Vec::new());
-            for (ci, in_leaf) in leaf.feasible {
-                let in_yes = and_count(&yes_rows, &cuts[ci].rows);
-                if feasible_at(yes_size, in_yes) {
-                    yes_feasible.push((ci, in_yes));
-                }
-                if feasible_at(no_size, in_leaf - in_yes) {
-                    no_feasible.push((ci, in_leaf - in_yes));
-                }
-            }
-            for (rows, size, feasible) in [
-                (yes_rows, yes_size, yes_feasible),
-                (no_rows, no_size, no_feasible),
-            ] {
-                let child = Leaf {
-                    rows,
-                    size,
-                    feasible,
+            let (mut yes_ranked, mut no_ranked) = (Vec::new(), Vec::new());
+            for (j, parent) in leaf.ranked.iter().enumerate() {
+                let (yes_bits, no_bits) = match &cuts[cut].rows {
+                    CutRows::Ranks { slot, ranks } if *slot == j => {
+                        let yes_bits = in_range(&parent.bits, ranks);
+                        let no_bits = and_not(&parent.bits, &yes_bits);
+                        (yes_bits, no_bits)
+                    }
+                    // The smaller side's rows, placed by rank; the other
+                    // side is the rest of the parent's.
+                    _ => {
+                        let rank_of = indexes[j].rank_of();
+                        let smaller = if yes_size <= no_size {
+                            &yes_rows
+                        } else {
+                            &no_rows
+                        };
+                        let mut bits = vec![0; words];
+                        for row in ones(smaller, 0..nrows) {
+                            set(&mut bits, rank_of[row] as usize);
+                        }
+                        let rest = and_not(&parent.bits, &bits);
+                        match yes_size <= no_size {
+                            true => (bits, rest),
+                            false => (rest, bits),
+                        }
+                    }
                 };
-                add_leaf(child, &mut slots, &mut heap);
+                yes_ranked.push(RankedRows::new(yes_bits));
+                no_ranked.push(RankedRows::new(no_bits));
             }
+            let mut yes_leaf = Leaf {
+                rows: yes_rows,
+                ranked: yes_ranked,
+                size: yes_size,
+                feasible: Vec::new(),
+            };
+            let mut no_feasible = Vec::new();
+            for (ci, in_parent) in leaf.feasible {
+                let in_yes = in_leaf(&yes_leaf, &cuts[ci]);
+                if feasible_at(yes_size, in_yes) {
+                    yes_leaf.feasible.push((ci, in_yes));
+                }
+                if feasible_at(no_size, in_parent - in_yes) {
+                    no_feasible.push((ci, in_parent - in_yes));
+                }
+            }
+            let no_leaf = Leaf {
+                rows: no_rows,
+                ranked: no_ranked,
+                size: no_size,
+                feasible: no_feasible,
+            };
+            add_leaf(yes_leaf, &mut slots, &mut heap);
+            add_leaf(no_leaf, &mut slots, &mut heap);
             leaf_count += 1;
         }
 
@@ -323,7 +420,7 @@ impl QdTreeBuilder {
                     Node::Leaf(bid)
                 }
                 Slot::Inner { atom, yes, no } => Node::Inner {
-                    atom: (*atom).clone(),
+                    atom: atom.to_atom(),
                     yes: Box::new(freeze(slots, *yes, next_bid)),
                     no: Box::new(freeze(slots, *no, next_bid)),
                 },
@@ -337,6 +434,50 @@ impl QdTreeBuilder {
             k: next_bid as usize,
             name,
         }
+    }
+}
+
+/// The sample rows a candidate cut matches.
+enum CutRows {
+    /// The rows of ranks `ranks` in the order of the integer column whose
+    /// rank index is in slot `slot`.
+    Ranks { slot: usize, ranks: Range<usize> },
+    /// A bitmap at this offset of the cut arena.
+    Bitmap(usize),
+}
+
+/// A leaf's rows over one integer column's order — bit `r` for the row of
+/// rank `r` — with how many precede every word, so the leaf's rows in any
+/// rank range are counted in O(1).
+struct RankedRows {
+    bits: Vec<u64>,
+    /// `before[w]`: the set bits of `bits[..w]`.
+    before: Vec<u32>,
+}
+
+impl RankedRows {
+    fn new(bits: Vec<u64>) -> Self {
+        let mut before = Vec::with_capacity(bits.len() + 1);
+        before.push(0);
+        for w in &bits {
+            before.push(before[before.len() - 1] + w.count_ones());
+        }
+        RankedRows { bits, before }
+    }
+
+    /// The set bits below rank `r`.
+    fn below(&self, r: usize) -> usize {
+        let (w, b) = (r / 64, r % 64);
+        let partial = match b {
+            0 => 0,
+            b => (self.bits[w] & ((1 << b) - 1)).count_ones(),
+        };
+        (self.before[w] + partial) as usize
+    }
+
+    /// The set bits in `ranks`.
+    fn count(&self, ranks: &Range<usize>) -> usize {
+        self.below(ranks.end) - self.below(ranks.start)
     }
 }
 
@@ -375,46 +516,154 @@ impl ColumnSats {
     }
 }
 
-/// A column's query intervals as [`SatSet::int_interval_keys`] pairs, with
-/// each end also sorted on its own.
+/// A column's query intervals as [`SatSet::int_interval_keys`] pairs, sorted,
+/// with their high ends also sorted on their own.
 struct IntervalKeys {
     pairs: Vec<(i128, i128)>,
-    lows: Vec<i128>,
     highs: Vec<i128>,
 }
 
 impl IntervalKeys {
-    fn new(pairs: Vec<(i128, i128)>) -> Self {
+    fn new(mut pairs: Vec<(i128, i128)>) -> Self {
         // `predicate_satset` returns `Empty`, not an inverted interval, for
         // a contradiction, so every pair is ordered.
         debug_assert!(pairs.iter().all(|(lo, hi)| lo <= hi));
-        let mut lows: Vec<i128> = pairs.iter().map(|p| p.0).collect();
+        pairs.sort_unstable();
         let mut highs: Vec<i128> = pairs.iter().map(|p| p.1).collect();
-        lows.sort_unstable();
         highs.sort_unstable();
-        IntervalKeys { pairs, lows, highs }
+        IntervalKeys { pairs, highs }
     }
 
     /// `(n_sub, n_dis)` of a cut keyed `(lo, hi)`, `lo <= hi`. An interval
     /// is disjoint from the cut iff it ends below `lo` or starts above `hi`
     /// (one at most, as it is ordered), and is then not inside it; so
     /// `n_dis` is two binary searches, and so is `n_sub` of a cut open on
-    /// one side. Only a cut bounded on both sides counts `n_sub` pair by
-    /// pair.
+    /// one side. A cut bounded on both sides counts `n_sub` over the
+    /// intervals that start inside it, pair by pair.
     fn counts(&self, (lo, hi): (i128, i128)) -> (u64, u64) {
+        let starting_below = |k: i128| self.pairs.partition_point(|p| p.0 < k);
         let below = |keys: &[i128], k: i128| keys.partition_point(|&x| x < k);
-        let at_most = |keys: &[i128], k: i128| keys.partition_point(|&x| x <= k);
         let n = self.pairs.len();
-        let n_dis = below(&self.highs, lo) + (n - at_most(&self.lows, hi));
+        let n_dis = below(&self.highs, lo) + (n - self.pairs.partition_point(|p| p.0 <= hi));
         let n_sub = if hi == i128::MAX {
-            n - below(&self.lows, lo)
+            n - starting_below(lo)
         } else if lo == i128::MIN {
-            at_most(&self.highs, hi)
+            self.highs.partition_point(|&x| x <= hi)
         } else {
-            let inside = |&&(l, h): &&(i128, i128)| l >= lo && h <= hi;
-            self.pairs.iter().filter(inside).count()
+            let starting_inside = self.pairs[starting_below(lo)..].iter();
+            let starting_inside = starting_inside.take_while(|&&(l, _)| l <= hi);
+            starting_inside.filter(|&&(_, h)| h <= hi).count()
         };
         (n_sub as u64, n_dis as u64)
+    }
+}
+
+/// A candidate cut, borrowed from the window: a comparison — one of the
+/// window's own, or a bound of a `BETWEEN` or a member of an `IN` list taken
+/// as one — or a window atom of another kind as it stands. A comparison has
+/// one form whichever way it arose, so equal cuts have equal
+/// [`Cand::key`]s, and a candidate is cloned into an [`Atom`] only when it
+/// becomes one of the tree's cuts.
+#[derive(Clone, Copy, Debug)]
+enum Cand<'a> {
+    Compare {
+        col: ColId,
+        op: CompareOp,
+        value: &'a Scalar,
+    },
+    /// A `BETWEEN` or an `IN` list.
+    Atom(&'a Atom),
+}
+
+impl<'a> Cand<'a> {
+    fn of(atom: &'a Atom) -> Self {
+        match atom {
+            Atom::Compare { col, op, value } => Cand::Compare {
+                col: *col,
+                op: *op,
+                value,
+            },
+            _ => Cand::Atom(atom),
+        }
+    }
+
+    fn col(&self) -> ColId {
+        match self {
+            Cand::Compare { col, .. } => *col,
+            Cand::Atom(atom) => atom.col(),
+        }
+    }
+
+    /// The cut's identity as an ordered key: equal keys, equal cuts.
+    fn key(&self) -> (ColId, u8, [Option<&'a Scalar>; 2], &'a [Scalar]) {
+        match *self {
+            Cand::Compare { col, op, value } => (col, op as u8, [Some(value), None], &[]),
+            // `Cand::of` keeps a comparison as `Cand::Compare`.
+            Cand::Atom(Atom::Compare { col, op, value }) => {
+                (*col, *op as u8, [Some(value), None], &[])
+            }
+            Cand::Atom(Atom::Between { col, low, high }) => (*col, 5, [Some(low), Some(high)], &[]),
+            Cand::Atom(Atom::InSet { col, set }) => (*col, 6, [None, None], set),
+        }
+    }
+
+    fn to_atom(self) -> Atom {
+        match self {
+            Cand::Compare { col, op, value } => Atom::Compare {
+                col,
+                op,
+                value: value.clone(),
+            },
+            Cand::Atom(atom) => atom.clone(),
+        }
+    }
+
+    /// The cut's rows as a column plan (an integer comparison clones no
+    /// heap data to build one).
+    fn plan(self) -> ColumnPlan {
+        match self {
+            Cand::Atom(atom) => ColumnPlan::of_atom(atom),
+            compare => ColumnPlan::of_atom(&compare.to_atom()),
+        }
+    }
+
+    /// The values `lo..=hi` an integer interval cut
+    /// ([`Cand::int_interval_keys`]) matches on an integer column, `None`
+    /// inside when it matches none — the range its column plan folds to.
+    fn int_range(self) -> Option<Option<(i64, i64)>> {
+        let (lo, hi) = self.int_interval_keys()?;
+        // A key is twice an integer, or one inward of that: round inward.
+        let lo = ((lo + 1).div_euclid(2)).max(i64::MIN.into());
+        let hi = (hi.div_euclid(2)).min(i64::MAX.into());
+        Some((lo <= hi).then_some((lo as i64, hi as i64)))
+    }
+
+    /// [`SatSet::int_interval_keys`] of the cut's satisfying set, without
+    /// building the set: an integer comparison other than `=`, or a
+    /// `BETWEEN` of two ordered integers.
+    fn int_interval_keys(self) -> Option<(i128, i128)> {
+        match self {
+            Cand::Compare {
+                op,
+                value: &Scalar::Int(v),
+                ..
+            } => {
+                let v = 2 * i128::from(v);
+                match op {
+                    CompareOp::Lt => Some((i128::MIN, v - 1)),
+                    CompareOp::Le => Some((i128::MIN, v)),
+                    CompareOp::Gt => Some((v + 1, i128::MAX)),
+                    CompareOp::Ge => Some((v, i128::MAX)),
+                    CompareOp::Eq => None,
+                }
+            }
+            Cand::Atom(Atom::Between {
+                low: Scalar::Int(lo),
+                high: Scalar::Int(hi),
+                ..
+            }) if lo <= hi => Some((2 * i128::from(*lo), 2 * i128::from(*hi))),
+            _ => None,
+        }
     }
 }
 
@@ -423,41 +672,43 @@ impl IntervalKeys {
 /// `BETWEEN lo AND hi` rarely makes a feasible cut by itself (its yes-side
 /// is tiny), but its component bounds `>= lo` / `<= hi` split well and
 /// compose hierarchically, which is how Qd-tree uses workload predicates.
-fn candidate_cuts(workload: &[Query]) -> Vec<Atom> {
-    let mut seen: HashSet<Atom> = HashSet::new();
-    let mut candidates: Vec<Atom> = Vec::new();
-    let mut push = |atom: Atom| {
-        if seen.insert(atom.clone()) {
-            candidates.push(atom);
-        }
-    };
+/// Every candidate borrows from the workload; nothing is cloned or hashed.
+fn candidate_cuts<'a>(workload: &'a [Query]) -> Vec<Cand<'a>> {
+    let mut uses: Vec<Cand<'a>> = Vec::new();
     for q in workload {
         for a in q.predicate.atoms() {
-            push(a.clone());
+            uses.push(Cand::of(a));
             match a {
                 Atom::Between { col, low, high } => {
                     for (op, value) in [(CompareOp::Ge, low), (CompareOp::Le, high)] {
-                        push(Atom::Compare {
+                        uses.push(Cand::Compare {
                             col: *col,
                             op,
-                            value: value.clone(),
+                            value,
                         });
                     }
                 }
                 Atom::InSet { col, set } if set.len() <= 4 => {
-                    for v in set {
-                        push(Atom::Compare {
-                            col: *col,
-                            op: CompareOp::Eq,
-                            value: v.clone(),
-                        });
+                    for value in set {
+                        let (col, op) = (*col, CompareOp::Eq);
+                        uses.push(Cand::Compare { col, op, value });
                     }
                 }
                 _ => {}
             }
         }
     }
-    candidates
+    // Uses sorted by candidate, equal ones in use order (a stable sort):
+    // the first of every run of equals is that candidate's first use.
+    let mut by_cand: Vec<usize> = (0..uses.len()).collect();
+    by_cand.sort_by_key(|&i| uses[i].key());
+    let mut first = vec![false; uses.len()];
+    for (at, &i) in by_cand.iter().enumerate() {
+        first[i] = at == 0 || uses[by_cand[at - 1]].key() != uses[i].key();
+    }
+    (uses.into_iter().zip(first))
+        .filter_map(|(cand, first)| first.then_some(cand))
+        .collect()
 }
 
 /// The entries of `rows` (positions in `table`, order kept) that satisfy
@@ -483,6 +734,42 @@ fn full_bitmap(nrows: usize) -> Vec<u64> {
     words
 }
 
+fn set(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+/// The set bits of `bits` in `range`, as a bitmap.
+fn in_range(bits: &[u64], range: &Range<usize>) -> Vec<u64> {
+    let word = |w: usize| {
+        let lo = range.start.saturating_sub(w * 64).min(64);
+        let hi = range.end.saturating_sub(w * 64).min(64);
+        match hi > lo {
+            true => bits[w] & (u64::MAX >> (64 - (hi - lo))) << lo,
+            false => 0,
+        }
+    };
+    (0..bits.len()).map(word).collect()
+}
+
+/// The set bits of `bits` in `range`, ascending.
+fn ones(bits: &[u64], range: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+    let words = range.start / 64..range.end.div_ceil(64);
+    words.flat_map(move |w| {
+        let mut word = bits[w];
+        if w == range.start / 64 {
+            word &= u64::MAX << (range.start % 64);
+        }
+        if w == (range.end - 1) / 64 && !range.end.is_multiple_of(64) {
+            word &= (1 << (range.end % 64)) - 1;
+        }
+        std::iter::from_fn(move || {
+            let bit = (word != 0).then(|| word.trailing_zeros() as usize)?;
+            word &= word - 1;
+            Some(w * 64 + bit)
+        })
+    })
+}
+
 /// `|a|` of a bitmap.
 fn count(a: &[u64]) -> usize {
     a.iter().map(|w| w.count_ones() as usize).sum()
@@ -492,6 +779,11 @@ fn count(a: &[u64]) -> usize {
 fn and_count(a: &[u64], b: &[u64]) -> usize {
     let words = a.iter().zip(b);
     words.map(|(x, y)| (x & y).count_ones() as usize).sum()
+}
+
+/// `a \ b` of two equal-length bitmaps.
+fn and_not(a: &[u64], b: &[u64]) -> Vec<u64> {
+    a.iter().zip(b).map(|(x, y)| x & !y).collect()
 }
 
 /// Generator wrapper for the LAYOUT MANAGER.
@@ -535,6 +827,7 @@ mod tests {
     use crate::spec::build_exact_model;
     use oreo_query::{ColumnType, QueryBuilder, Scalar, Schema};
     use oreo_storage::TableBuilder;
+    use std::collections::{HashMap, HashSet};
 
     /// The per-node, row-by-row greedy this module shipped before the bitmap
     /// builder, kept verbatim (the builder is `b`) as the differential oracle.
@@ -912,7 +1205,13 @@ mod tests {
         }
 
         fn rows() -> impl Strategy<Value = Vec<(i64, i64, usize)>> {
-            proptest::collection::vec((-6i64..14, -7i64..9, 0usize..6), 0..130)
+            rows_up_to(130)
+        }
+
+        /// Up to `max` rows: past four 64-row words at 300, so rank ranges
+        /// and leaves straddle word edges.
+        fn rows_up_to(max: usize) -> impl Strategy<Value = Vec<(i64, i64, usize)>> {
+            proptest::collection::vec((-6i64..14, -7i64..9, 0usize..6), 0..max)
         }
 
         /// A literal for some column: of the column's type nine times in
@@ -993,23 +1292,71 @@ mod tests {
             })
         }
 
+        /// `tree` is `oracle`: same cuts in the same DFS order, same
+        /// leaves, same name, same routing of `t`.
+        fn same_tree(tree: &QdTree, oracle: &QdTree, t: &Table) {
+            prop_assert_eq!(tree.cuts(), oracle.cuts());
+            prop_assert_eq!(tree.k(), oracle.k());
+            prop_assert_eq!(tree.describe(), oracle.describe());
+            prop_assert_eq!(tree.assign(t), oracle.assign(t));
+        }
+
         proptest! {
-            /// The bitmap builder grows the very tree the row-by-row greedy
-            /// grew: same cuts in the same DFS order, same leaves, same
-            /// name, same routing.
+            /// The builder grows the very tree the row-by-row greedy grew,
+            /// on the plain table and on the prepared one.
             #[test]
             fn build_equals_reference_greedy(
-                rows in rows(),
+                rows in rows_up_to(300),
                 workload in workload(),
                 builder in builder(),
             ) {
                 let t = table_of(&rows);
-                let tree = builder.build(&t, &workload);
                 let oracle = reference_build(&builder, &t, &workload);
-                prop_assert_eq!(tree.cuts(), oracle.cuts());
-                prop_assert_eq!(tree.k(), oracle.k());
-                prop_assert_eq!(tree.describe(), oracle.describe());
-                prop_assert_eq!(tree.assign(&t), oracle.assign(&t));
+                same_tree(&builder.build(&t, &workload), &oracle, &t);
+                let prepared = t.clone().prepared();
+                same_tree(&builder.build(&prepared, &workload), &oracle, &t);
+            }
+
+            /// Two windows built one after the other on one prepared
+            /// sample, as a layout manager builds them: each is the tree
+            /// the reference grows on the plain sample, so nothing one
+            /// build leaves reaches the next.
+            #[test]
+            fn consecutive_builds_share_one_prepared_sample(
+                rows in rows_up_to(300),
+                first in workload(),
+                second in workload(),
+                builder in builder(),
+            ) {
+                let t = table_of(&rows);
+                let prepared = t.clone().prepared();
+                for workload in [&first, &second, &first] {
+                    let oracle = reference_build(&builder, &t, workload);
+                    same_tree(&builder.build(&prepared, workload), &oracle, &t);
+                }
+            }
+
+            /// A candidate keyed or ranged straight from the window's atoms
+            /// is what its satisfying set and its column plan say: the same
+            /// interval keys as [`SatSet::int_interval_keys`], and on an
+            /// integer column the same rows as the plan's ranks.
+            #[test]
+            fn candidate_keys_and_ranges_equal_sets_and_plans(
+                atom in atom(),
+                values in proptest::collection::vec(-8i64..16, 0..80),
+            ) {
+                let index = RankIndex::new(&values);
+                let workload = [Query::new(Predicate::new(vec![atom]))];
+                for cand in candidate_cuts(&workload) {
+                    let set = SatSet::of_atom(&cand.to_atom());
+                    prop_assert_eq!(cand.int_interval_keys(), set.int_interval_keys());
+                    let ranks = index.ranks(&cand.plan());
+                    match cand.int_range() {
+                        Some(Some((lo, hi))) => prop_assert_eq!(ranks, Some(index.between(lo, hi))),
+                        Some(None) => prop_assert_eq!(ranks.map(|r| r.len()), Some(0)),
+                        None => {}
+                    }
+                }
             }
 
             /// Where every query on a column is an integer interval, the

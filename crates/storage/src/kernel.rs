@@ -50,8 +50,8 @@
 use crate::column::Column;
 use crate::encode::{FrameHeader, IntFrames, FRAME_ROWS};
 use oreo_query::ColumnPlan;
-use std::cell::OnceCell;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Rows evaluated per selection-vector chunk. 1024 positions keep the
 /// selection vector (4 KiB) and one `i64` column chunk (8 KiB) resident in
@@ -186,46 +186,7 @@ impl ColumnKernel {
     /// Specialize `plan` against the physical `column`.
     fn build(plan: &ColumnPlan, column: ColumnInput<'_>) -> ColumnKernel {
         match column {
-            ColumnInput::Decoded(Column::Int(_)) | ColumnInput::Packed(_) => match plan {
-                ColumnPlan::Never => ColumnKernel::Never,
-                ColumnPlan::Range { lo, hi } => {
-                    // Fold strict endpoints into the inclusive [lo, hi]
-                    // form; a strict bound at the domain edge is empty.
-                    let lo_i = match lo {
-                        None => i64::MIN,
-                        Some(b) => match (b.value.as_int(), b.inclusive) {
-                            (Some(v), true) => v,
-                            (Some(i64::MAX), false) => return ColumnKernel::Never,
-                            (Some(v), false) => v + 1,
-                            (None, _) => return ColumnKernel::Never,
-                        },
-                    };
-                    let hi_i = match hi {
-                        None => i64::MAX,
-                        Some(b) => match (b.value.as_int(), b.inclusive) {
-                            (Some(v), true) => v,
-                            (Some(i64::MIN), false) => return ColumnKernel::Never,
-                            (Some(v), false) => v - 1,
-                            (None, _) => return ColumnKernel::Never,
-                        },
-                    };
-                    if lo_i > hi_i {
-                        ColumnKernel::Never
-                    } else {
-                        ColumnKernel::IntRange { lo: lo_i, hi: hi_i }
-                    }
-                }
-                ColumnPlan::Set(members) => {
-                    // Members arrive sorted by Scalar order; ints sort
-                    // naturally within it, so the filtered list is sorted.
-                    let set: Vec<i64> = members.iter().filter_map(|m| m.as_int()).collect();
-                    if set.is_empty() {
-                        ColumnKernel::Never
-                    } else {
-                        ColumnKernel::IntSet { set }
-                    }
-                }
-            },
+            ColumnInput::Decoded(Column::Int(_)) | ColumnInput::Packed(_) => Self::int(plan),
             ColumnInput::Decoded(Column::Float(_)) => match plan {
                 ColumnPlan::Never => ColumnKernel::Never,
                 ColumnPlan::Range { lo, hi } => {
@@ -262,6 +223,50 @@ impl ColumnKernel {
                     ColumnKernel::CodeMask { mask }
                 } else {
                     ColumnKernel::Never
+                }
+            }
+        }
+    }
+
+    /// Specialize `plan` against an integer column, decoded or packed.
+    fn int(plan: &ColumnPlan) -> ColumnKernel {
+        match plan {
+            ColumnPlan::Never => ColumnKernel::Never,
+            ColumnPlan::Range { lo, hi } => {
+                // Fold strict endpoints into the inclusive [lo, hi]
+                // form; a strict bound at the domain edge is empty.
+                let lo_i = match lo {
+                    None => i64::MIN,
+                    Some(b) => match (b.value.as_int(), b.inclusive) {
+                        (Some(v), true) => v,
+                        (Some(i64::MAX), false) => return ColumnKernel::Never,
+                        (Some(v), false) => v + 1,
+                        (None, _) => return ColumnKernel::Never,
+                    },
+                };
+                let hi_i = match hi {
+                    None => i64::MAX,
+                    Some(b) => match (b.value.as_int(), b.inclusive) {
+                        (Some(v), true) => v,
+                        (Some(i64::MIN), false) => return ColumnKernel::Never,
+                        (Some(v), false) => v - 1,
+                        (None, _) => return ColumnKernel::Never,
+                    },
+                };
+                if lo_i > hi_i {
+                    ColumnKernel::Never
+                } else {
+                    ColumnKernel::IntRange { lo: lo_i, hi: hi_i }
+                }
+            }
+            ColumnPlan::Set(members) => {
+                // Members arrive sorted by Scalar order; ints sort
+                // naturally within it, so the filtered list is sorted.
+                let set: Vec<i64> = members.iter().filter_map(|m| m.as_int()).collect();
+                if set.is_empty() {
+                    ColumnKernel::Never
+                } else {
+                    ColumnKernel::IntSet { set }
                 }
             }
         }
@@ -431,140 +436,120 @@ impl ColumnKernel {
     }
 
     /// Every row of `column` — the column this kernel was built against —
-    /// as one bit per row in `u64` words (bits past the last row stay
-    /// clear).
-    fn bitmap(&self, column: &Column) -> Vec<u64> {
+    /// as one bit per row in `u64` words, written over `out` (one word per
+    /// 64 rows; bits past the last row stay clear).
+    fn bitmap_into(&self, column: &Column, out: &mut [u64]) {
         match (self, column) {
-            (ColumnKernel::Never, _) => vec![0; column.len().div_ceil(64)],
+            (ColumnKernel::Never, _) => out.fill(0),
             (ColumnKernel::IntRange { lo, hi }, Column::Int(values)) => {
                 // lo <= hi, so lo <= x <= hi is one unsigned comparison of
                 // offsets from lo.
                 let span = hi.wrapping_sub(*lo) as u64;
-                bits_with(values, |x| x.wrapping_sub(*lo) as u64 <= span)
+                bits_with(values, out, |x| x.wrapping_sub(*lo) as u64 <= span)
             }
             (ColumnKernel::IntSet { set }, Column::Int(values)) => {
-                bits_with(values, |x| set.binary_search(&x).is_ok())
+                bits_with(values, out, |x| set.binary_search(&x).is_ok())
             }
             (ColumnKernel::FloatRange { lo, hi }, Column::Float(values)) => {
-                bits_with(values, |x| {
+                bits_with(values, out, |x| {
                     float_bound_ok(x, lo, Ordering::Greater)
                         && float_bound_ok(x, hi, Ordering::Less)
                 })
             }
             (ColumnKernel::FloatSet { set }, Column::Float(values)) => {
-                bits_with(values, |x| set.binary_search(&x.to_bits()).is_ok())
+                bits_with(values, out, |x| set.binary_search(&x.to_bits()).is_ok())
             }
             (ColumnKernel::CodeMask { mask }, Column::Str(dict)) => {
-                bits_with(dict.codes(), |c| mask[c as usize])
+                bits_with(dict.codes(), out, |c| mask[c as usize])
             }
             _ => unreachable!("kernel evaluated against a column it was not built for"),
         }
     }
 }
 
-/// `pred` of every value, one bit per value, a 64-value word at a time.
+/// `pred` of every value, one bit per value, a 64-value word of `out` at a
+/// time.
 #[inline]
-fn bits_with<T: Copy>(values: &[T], mut pred: impl FnMut(T) -> bool) -> Vec<u64> {
-    let word = |chunk: &[T]| {
+fn bits_with<T: Copy>(values: &[T], out: &mut [u64], mut pred: impl FnMut(T) -> bool) {
+    for (word, chunk) in out.iter_mut().zip(values.chunks(64)) {
         let bits = chunk.iter().enumerate();
-        bits.fold(0u64, |w, (i, &x)| w | u64::from(pred(x)) << i)
-    };
-    values.chunks(64).map(word).collect()
+        *word = bits.fold(0u64, |w, (i, &x)| w | u64::from(pred(x)) << i);
+    }
 }
 
-/// One column's verdicts on many plans, each as a bitmap: bit `r % 64` of
-/// word `r / 64` is row `r`'s verdict. For a caller that wants whole-column
-/// verdicts as sets to intersect (the Qd-tree builder's candidate cuts),
-/// where [`filter_rows`] would have it copy, filter and re-scatter a row
-/// list.
-///
-/// A plan that folds to an integer range is answered from a rank index
-/// built on first use: the rows sorted by `(value, row)`, and the bitmap of
-/// the first `64·j` ranked rows for every `j`. The rows in `lo..=hi` are
-/// the ranks `start..end` found by two binary searches, so their bitmap is
-/// `prefix(end) ⊕ prefix(start)` — two stored prefixes and at most 2 × 63
-/// single-bit fix-ups, O(log n + n/64) where a scan is O(n). Every other
-/// plan is one typed kernel pass.
-pub struct RankIndex<'a> {
-    column: &'a Column,
-    ranks: OnceCell<IntRanks>,
+/// `plan`'s verdict on every row of `column`, as one bit per row in `u64`
+/// words written over `out` — bit `r % 64` of word `r / 64` is row `r`'s
+/// verdict, bits past the last row stay clear. One typed kernel pass, for a
+/// caller that wants whole-column verdicts as sets to intersect (the
+/// Qd-tree builder's candidate cuts), where [`filter_rows`] would have it
+/// copy, filter and re-scatter a row list.
+pub fn bitmap_into(plan: &ColumnPlan, column: &Column, out: &mut [u64]) {
+    assert_eq!(out.len(), column.len().div_ceil(64), "bitmap length");
+    ColumnKernel::build(plan, column.into()).bitmap_into(column, out)
 }
 
-/// An integer column in value order, with every 64th prefix as a bitmap.
-struct IntRanks {
+/// An integer column in value order: its rows sorted by `(value, row)`.
+/// The rows a plan that folds to an integer range `lo..=hi` selects are
+/// then the ranks `start..end` two binary searches find — a range of
+/// positions, not a pass over the column. The Qd-tree builder counts a
+/// leaf's rows in such a range in O(1) per candidate cut; a table prepared
+/// once ([`crate::Table::prepared`]) holds the index of every integer
+/// column, so no build sorts one.
+#[derive(Clone, Debug)]
+pub struct RankIndex {
     /// The column's values, ascending.
-    values: Vec<i64>,
+    pub(crate) values: Vec<i64>,
     /// Row ids in `(value, row)` order.
-    rows: Vec<u32>,
-    /// The bitmaps of `rows[..64·j]` for `j = 0..=n/64`, back to back.
-    prefixes: Vec<u64>,
+    pub(crate) rows: Vec<u32>,
+    /// `rank_of[row]`: the inverse of `rows`.
+    rank_of: Vec<u32>,
 }
 
-impl IntRanks {
-    fn new(column: &[i64]) -> IntRanks {
+impl RankIndex {
+    /// Sort `column` (one `(value, row)` sort).
+    pub fn new(column: &[i64]) -> RankIndex {
         let mut ranked: Vec<(i64, u32)> =
             (column.iter().zip(0u32..)).map(|(&v, r)| (v, r)).collect();
         ranked.sort_unstable();
         let (values, rows): (Vec<i64>, Vec<u32>) = ranked.into_iter().unzip();
-        let words = rows.len().div_ceil(64);
-        let mut prefixes = Vec::with_capacity((rows.len() / 64 + 1) * words);
-        let mut acc = vec![0u64; words];
-        prefixes.extend_from_slice(&acc);
-        for block in rows.chunks_exact(64) {
-            block.iter().for_each(|&r| toggle(&mut acc, r));
-            prefixes.extend_from_slice(&acc);
+        let mut rank_of = vec![0; rows.len()];
+        for (&row, rank) in rows.iter().zip(0u32..) {
+            rank_of[row as usize] = rank;
         }
-        IntRanks {
+        RankIndex {
             values,
             rows,
-            prefixes,
+            rank_of,
         }
     }
 
-    /// The rows of ranks `start..end` as a bitmap.
-    fn between(&self, start: usize, end: usize) -> Vec<u64> {
-        let words = self.rows.len().div_ceil(64);
-        let prefix = |j: usize| &self.prefixes[j * words..(j + 1) * words];
-        let (a, b) = (start / 64, end / 64);
-        let mut out: Vec<u64> = (prefix(a).iter().zip(prefix(b)))
-            .map(|(x, y)| x ^ y)
-            .collect();
-        let fix_ups = self.rows[a * 64..start]
-            .iter()
-            .chain(&self.rows[b * 64..end]);
-        fix_ups.for_each(|&r| toggle(&mut out, r));
-        out
+    /// The row of every rank: row ids in `(value, row)` order.
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
     }
-}
 
-/// Flip row `r`'s bit.
-#[inline]
-fn toggle(words: &mut [u64], r: u32) {
-    words[r as usize / 64] ^= 1 << (r % 64);
-}
+    /// The rank of every row: the inverse of [`RankIndex::rows`].
+    pub fn rank_of(&self) -> &[u32] {
+        &self.rank_of
+    }
 
-impl<'a> RankIndex<'a> {
-    /// An index over `column`; it sorts nothing until an integer range is
-    /// asked for.
-    pub fn new(column: &'a Column) -> Self {
-        RankIndex {
-            column,
-            ranks: OnceCell::new(),
+    /// The ranks of the rows whose value satisfies `plan`, when it folds to
+    /// an integer range (an empty range when it folds to nothing): exactly
+    /// the rows [`bitmap_into`] sets. `None` for a plan that folds to a set
+    /// of values, whose rows no single rank range holds.
+    pub fn ranks(&self, plan: &ColumnPlan) -> Option<Range<usize>> {
+        match ColumnKernel::int(plan) {
+            ColumnKernel::IntRange { lo, hi } => Some(self.between(lo, hi)),
+            ColumnKernel::IntSet { .. } => None,
+            _ => Some(0..0),
         }
     }
 
-    /// The rows whose value satisfies `plan`, as a bitmap (bits past the
-    /// last row stay clear).
-    pub fn bitmap(&self, plan: &ColumnPlan) -> Vec<u64> {
-        match (ColumnKernel::build(plan, self.column.into()), self.column) {
-            (ColumnKernel::IntRange { lo, hi }, Column::Int(values)) => {
-                let ranks = self.ranks.get_or_init(|| IntRanks::new(values));
-                let start = ranks.values.partition_point(|&v| v < lo);
-                let end = ranks.values.partition_point(|&v| v <= hi);
-                ranks.between(start, end)
-            }
-            (kernel, column) => kernel.bitmap(column),
-        }
+    /// The ranks of the rows whose value lies in `lo..=hi` (`lo <= hi`).
+    pub fn between(&self, lo: i64, hi: i64) -> Range<usize> {
+        let start = self.values.partition_point(|&v| v < lo);
+        let end = self.values.partition_point(|&v| v <= hi);
+        start..end
     }
 }
 
@@ -935,7 +920,7 @@ mod tests {
             (&ints, ge(Scalar::from("foreign type"))),
             (&floats, ge(Scalar::Float(0.0))),
             (&strs, ge(Scalar::from("eu"))),
-            // answered from the rank index: inclusive, strict, one-sided
+            // one-sided ranges, inclusive and strict
             (&ints, ge(Scalar::Int(4))),
             (
                 &ints,
@@ -946,8 +931,9 @@ mod tests {
                 },
             ),
         ] {
-            let words = RankIndex::new(col).bitmap(&ColumnPlan::of_atom(&atom));
-            assert_eq!(words.len(), n.div_ceil(64));
+            // every word is written over, whatever it held
+            let mut words = vec![u64::MAX; n.div_ceil(64)];
+            bitmap_into(&ColumnPlan::of_atom(&atom), col, &mut words);
             for r in 0..words.len() * 64 {
                 let bit = words[r / 64] >> (r % 64) & 1 == 1;
                 let want = r < n && atom_matches_ref(&atom, col.get(r));
@@ -961,8 +947,8 @@ mod tests {
         use crate::column::atom_matches_ref;
         use proptest::prelude::*;
 
-        /// The lengths around the index's 64-row prefix stride, and the
-        /// sample size of a generation boundary.
+        /// The lengths around a bitmap's 64-row word, and the sample size
+        /// of a generation boundary.
         const LENGTHS: [usize; 7] = [0, 1, 63, 64, 65, 128, 1_500];
 
         /// An integer: mostly from a tiny domain (heavy duplicates), else a
@@ -1164,9 +1150,12 @@ mod tests {
                 );
             }
 
-            /// Every plan the index answers — one atom's, or two atoms'
-            /// folded together — is the row-by-row verdict, bit for bit,
-            /// from one index shared by all of them.
+            /// Every plan on an integer column — one atom's, or two atoms'
+            /// folded together — is the row-by-row verdict, bit for bit:
+            /// the rows of the ranks one index gives every range plan, as a
+            /// bitmap, and the kernel pass's bitmap of any plan, written
+            /// into a buffer that held the previous plan's. A plan the
+            /// index has no range for folds to a set of values.
             #[test]
             fn rank_index_bitmap_is_the_row_verdict(
                 len in 0usize..LENGTHS.len(),
@@ -1175,7 +1164,8 @@ mod tests {
             ) {
                 let n = LENGTHS[len];
                 let col = Column::Int(values[..n].to_vec());
-                let index = RankIndex::new(&col);
+                let index = RankIndex::new(&values[..n]);
+                let mut words = vec![u64::MAX; n.div_ceil(64)];
                 let mut plans: Vec<(ColumnPlan, Vec<&Atom>)> = atoms
                     .iter()
                     .map(|a| (ColumnPlan::of_atom(a), vec![a]))
@@ -1183,12 +1173,24 @@ mod tests {
                 let both = compile(atoms[..2.min(atoms.len())].to_vec());
                 plans.push((both.columns()[0].plan().clone(), atoms.iter().take(2).collect()));
                 for (plan, conj) in &plans {
-                    let words = index.bitmap(plan);
-                    prop_assert_eq!(words.len(), n.div_ceil(64));
-                    for r in 0..words.len() * 64 {
-                        let bit = words[r / 64] >> (r % 64) & 1 == 1;
-                        let want = r < n && conj.iter().all(|a| atom_matches_ref(a, col.get(r)));
-                        prop_assert_eq!(bit, want, "{:?} row {}", conj, r);
+                    let mut verdicts = vec![];
+                    if let Some(ranks) = index.ranks(plan) {
+                        let mut ranked = vec![0u64; n.div_ceil(64)];
+                        for &r in &index.rows()[ranks] {
+                            ranked[r as usize / 64] |= 1 << (r % 64);
+                        }
+                        verdicts.push(ranked);
+                    } else {
+                        prop_assert!(matches!(plan, ColumnPlan::Set(_)), "{:?}", plan);
+                    }
+                    bitmap_into(plan, &col, &mut words);
+                    verdicts.push(words.clone());
+                    for words in &verdicts {
+                        for r in 0..words.len() * 64 {
+                            let bit = words[r / 64] >> (r % 64) & 1 == 1;
+                            let want = r < n && conj.iter().all(|a| atom_matches_ref(a, col.get(r)));
+                            prop_assert_eq!(bit, want, "{:?} row {}", conj, r);
+                        }
                     }
                 }
             }

@@ -31,8 +31,11 @@
 //! data sample goes through, and every exact model the simulator routes
 //! the whole table for: per column, one pass over its rows collects each
 //! partition's row count, min and max and capped distinct set as keys,
-//! strings as their positions in the dictionary sorted once. No
-//! [`PartitionMetadata`] is built. [`LayoutModel::new`] compiles the
+//! strings as their positions in the dictionary sorted once. On a prepared
+//! table ([`Table::prepared`], the layout manager's data sample) the pass
+//! over an integer column runs in value order, so distinct values are only
+//! appended, and the dictionary's order is the one prepared with the
+//! table. No [`PartitionMetadata`] is built. [`LayoutModel::new`] compiles the
 //! metadata a materialized snapshot already holds
 //! ([`crate::TableSnapshot::model`]).
 //!
@@ -43,6 +46,7 @@
 //! [`crate::build_metadata`]'s partitions, their rows scaled alike.
 
 use crate::column::Column;
+use crate::order::{ColumnOrder, DictRanks};
 use crate::partition::{set_bits, word_bits, ColumnStats, PartitionMetadata, DEFAULT_DISTINCT_CAP};
 use crate::table::Table;
 use oreo_query::{Atom, CompareOp, Predicate, Query, Scalar};
@@ -194,8 +198,11 @@ impl CompiledStats {
         }
         Self::with_rows(
             counts.iter().map(|&n| n as f64 * scale).collect(),
-            (table.columns().iter())
-                .map(|column| ColumnArrays::from_column(column, assignment, &counts))
+            (table.columns().iter().enumerate())
+                .map(|(col, column)| {
+                    let order = table.column_order(col);
+                    ColumnArrays::from_column(column, order, assignment, &counts)
+                })
                 .collect(),
         )
     }
@@ -435,7 +442,16 @@ impl ColumnArrays {
     /// its row `r` lies in partition `assignment[r]`, which holds
     /// `counts[p]` rows: one pass over the rows, then one over the
     /// partitions, with every statistic held as a key from the start.
-    fn from_column(column: &Column, assignment: &[u32], counts: &[usize]) -> Self {
+    /// `order` is the column's prepared order, if its table was prepared:
+    /// an integer column is then walked in value order, so every
+    /// partition's distinct values arrive ascending and are only appended,
+    /// and a string column's dictionary is not sorted again.
+    fn from_column(
+        column: &Column,
+        order: Option<&ColumnOrder>,
+        assignment: &[u32],
+        counts: &[usize],
+    ) -> Self {
         let k = counts.len();
         let cap = DEFAULT_DISTINCT_CAP;
         let mut filling = Filling::new(k);
@@ -451,21 +467,42 @@ impl ColumnArrays {
                 let mut held = vec![0i64; k * cap];
                 let mut len = vec![0usize; k];
                 let mut last = vec![None; k];
-                for (&v, &p) in values.iter().zip(assignment) {
-                    let p = p as usize;
-                    min[p] = min[p].min(v);
-                    max[p] = max[p].max(v);
-                    if len[p] > cap || last[p] == Some(v) {
-                        continue;
-                    }
-                    last[p] = Some(v);
-                    let set = &mut held[p * cap..][..cap];
-                    if let Err(at) = set[..len[p]].binary_search(&v) {
-                        if len[p] < cap {
-                            set.copy_within(at..len[p], at + 1);
-                            set[at] = v;
+                match order {
+                    // In value order every partition's values arrive
+                    // ascending: a new one is appended, never searched for.
+                    Some(ColumnOrder::Int(index)) => {
+                        for (&v, &r) in index.values.iter().zip(&index.rows) {
+                            let p = assignment[r as usize] as usize;
+                            min[p] = min[p].min(v);
+                            max[p] = v;
+                            if len[p] > cap || last[p] == Some(v) {
+                                continue;
+                            }
+                            last[p] = Some(v);
+                            if len[p] < cap {
+                                held[p * cap + len[p]] = v;
+                            }
+                            len[p] += 1;
                         }
-                        len[p] += 1;
+                    }
+                    _ => {
+                        for (&v, &p) in values.iter().zip(assignment) {
+                            let p = p as usize;
+                            min[p] = min[p].min(v);
+                            max[p] = max[p].max(v);
+                            if len[p] > cap || last[p] == Some(v) {
+                                continue;
+                            }
+                            last[p] = Some(v);
+                            let set = &mut held[p * cap..][..cap];
+                            if let Err(at) = set[..len[p]].binary_search(&v) {
+                                if len[p] < cap {
+                                    set.copy_within(at..len[p], at + 1);
+                                    set[at] = v;
+                                }
+                                len[p] += 1;
+                            }
+                        }
                     }
                 }
                 for p in 0..k {
@@ -506,25 +543,23 @@ impl ColumnArrays {
             }
             Column::Str(column) => {
                 // Each code's rank among the column's distinct strings, from
-                // the dictionary sorted once: from here on a string is its
-                // rank, and string order is integer order.
-                let mut order: Vec<u32> = (0..column.cardinality() as u32).collect();
-                order.sort_unstable_by_key(|&code| column.decode(code));
-                let mut rank = vec![0; order.len()];
-                let mut names: Vec<&str> = Vec::new();
-                for &code in &order {
-                    let s = column.decode(code);
-                    if names.last() != Some(&s) {
-                        names.push(s);
+                // the dictionary sorted once — with the table, if it was
+                // prepared: from here on a string is its rank, and string
+                // order is integer order.
+                let sorted;
+                let DictRanks { rank, names } = match order {
+                    Some(ColumnOrder::Str(ranks)) => ranks,
+                    _ => {
+                        sorted = DictRanks::new(column);
+                        &sorted
                     }
-                    rank[code as usize] = names.len() - 1;
-                }
+                };
                 // The ranks each partition holds, as a bitset of
                 // `words` words per partition: the only per-row work.
                 let words = names.len().div_ceil(64);
                 let mut seen = vec![0u64; k * words];
                 for (&code, &p) in column.codes().iter().zip(assignment) {
-                    let r = rank[code as usize];
+                    let r = rank[code as usize] as usize;
                     seen[p as usize * words + r / 64] |= 1 << (r % 64);
                 }
                 // Keys hold ranks until the dictionary of the strings the
@@ -552,7 +587,7 @@ impl ColumnArrays {
                 let mut dict = Vec::new();
                 for (r, _) in used.iter().enumerate().filter(|(_, &u)| u) {
                     position[r] = dict.len();
-                    dict.push(names[r].to_owned());
+                    dict.push(column.decode(names[r]).to_owned());
                 }
                 for key in &mut keys {
                     *key = str_key(position[*key as usize]);
@@ -765,7 +800,9 @@ mod tests {
             /// ±∞, empty partitions, tables with no rows (so no strings at
             /// all), layouts of more than 64 partitions —, and every atom
             /// kind, inverted `BETWEEN`s, foreign literals and strings no
-            /// dictionary holds.
+            /// dictionary holds. Compiled from the plain table (row order,
+            /// the dictionary sorted per model) and from the prepared one
+            /// (value order, the dictionary ranked beforehand) alike.
             #[test]
             fn from_assignment_equals_metadata_model(
                 shapes in arb::shapes(),
@@ -782,14 +819,16 @@ mod tests {
                     m.scale_rows(scale);
                 }
                 let want = LayoutModel::new(5, "oracle", meta);
-                let got = LayoutModel::from_assignment(5, "direct", &t, &assignment, k, scale);
-                prop_assert_eq!(format!("{:?}", got.stats), format!("{:?}", want.stats));
-                prop_assert_eq!(got.num_partitions(), k);
-                prop_assert_eq!(got.total_rows().to_bits(), want.total_rows().to_bits());
-                for raw in &queries {
-                    let q = Query::new(arb::predicate(raw));
-                    prop_assert_eq!(got.relevant_partitions(&q), want.relevant_partitions(&q), "{:?}", q);
-                    prop_assert_eq!(got.cost(&q).to_bits(), want.cost(&q).to_bits(), "{:?}", q);
+                for t in [t.clone(), t.prepared()] {
+                    let got = LayoutModel::from_assignment(5, "direct", &t, &assignment, k, scale);
+                    prop_assert_eq!(format!("{:?}", got.stats), format!("{:?}", want.stats));
+                    prop_assert_eq!(got.num_partitions(), k);
+                    prop_assert_eq!(got.total_rows().to_bits(), want.total_rows().to_bits());
+                    for raw in &queries {
+                        let q = Query::new(arb::predicate(raw));
+                        prop_assert_eq!(got.relevant_partitions(&q), want.relevant_partitions(&q), "{:?}", q);
+                        prop_assert_eq!(got.cost(&q).to_bits(), want.cost(&q).to_bits(), "{:?}", q);
+                    }
                 }
             }
         }

@@ -47,6 +47,7 @@ pub mod error;
 pub mod format;
 pub mod kernel;
 pub mod layout_model;
+mod order;
 pub mod partition;
 pub mod snapshot;
 pub mod table;

@@ -2,8 +2,11 @@
 
 use crate::column::{atom_matches_ref, Column, DictBuilder, ValueRef};
 use crate::error::{Result, StorageError};
+use crate::kernel::RankIndex;
+use crate::order::ColumnOrder;
 use oreo_query::{ColId, ColumnType, Predicate, Scalar, Schema};
 use rand::Rng;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A columnar table. Immutable once built; layouts are expressed as
@@ -13,6 +16,8 @@ pub struct Table {
     schema: Arc<Schema>,
     columns: Vec<Column>,
     rows: usize,
+    /// One entry per column once [`Table::prepared`]; shared by clones.
+    order: Option<Arc<[ColumnOrder]>>,
 }
 
 impl Table {
@@ -31,6 +36,40 @@ impl Table {
             schema,
             columns,
             rows,
+            order: None,
+        }
+    }
+
+    /// The same table with every column's value order computed once: each
+    /// integer column sorted by `(value, row)`, each string column's
+    /// dictionary ranked by string. Every Qd-tree grown on it then counts
+    /// its integer cuts on the sorted columns ([`Table::rank_index`]), and
+    /// every model compiled from it ([`crate::LayoutModel::from_assignment`])
+    /// walks them, instead of sorting per build. For a table that many
+    /// layouts are built and modelled on — the layout manager's data
+    /// sample; the order takes 16 bytes per integer row, so a whole table
+    /// is not prepared. A table derived from this one
+    /// ([`Table::project_rows`], a proper [`Table::sample`]) is not
+    /// prepared.
+    pub fn prepared(mut self) -> Table {
+        if self.order.is_none() {
+            self.order = Some(self.columns.iter().map(ColumnOrder::new).collect());
+        }
+        self
+    }
+
+    /// The prepared order of column `col`, if the table is prepared.
+    pub(crate) fn column_order(&self, col: ColId) -> Option<&ColumnOrder> {
+        self.order.as_deref().map(|order| &order[col])
+    }
+
+    /// The rank index of integer column `col`: the prepared one, or one
+    /// sorted now. `None` for a column of another type.
+    pub fn rank_index(&self, col: ColId) -> Option<Cow<'_, RankIndex>> {
+        match (self.column_order(col), &self.columns[col]) {
+            (Some(ColumnOrder::Int(index)), _) => Some(Cow::Borrowed(index)),
+            (_, Column::Int(values)) => Some(Cow::Owned(RankIndex::new(values))),
+            _ => None,
         }
     }
 
@@ -94,6 +133,7 @@ impl Table {
             schema: Arc::clone(&self.schema),
             columns: self.columns.iter().map(|c| c.project_rows(rows)).collect(),
             rows: rows.len(),
+            order: None,
         }
     }
 

@@ -40,8 +40,8 @@
 //! O(C·(log n + W) + k·c·n + C·k) plus one n/64-word pass per arena cut
 //! and per arena cut at every split, where the per-node row-by-row greedy
 //! paid O(k·C·(n + W)). Candidates are borrowed from the window and
-//! deduplicated by one stable sort of their keys; only the k − 1 cuts the
-//! tree keeps are cloned into atoms.
+//! deduplicated by one stable sort of their keys, not by hashing cloned
+//! atoms.
 
 use crate::satset::{predicate_satset, SatSet};
 use crate::spec::{LayoutGenerator, LayoutSpec, SharedSpec};
@@ -216,9 +216,11 @@ impl QdTreeBuilder {
         for cand in candidates {
             let col = cand.col();
             let sats = query_sats[col].get_or_insert_with(|| ColumnSats::new(workload, col));
-            let (n_sub, n_dis) = match (&sats.keys, cand.int_interval_keys()) {
+            let atom = cand.atom();
+            let cut_sat = SatSet::of_atom(&atom);
+            let (n_sub, n_dis) = match (&sats.keys, cut_sat.int_interval_keys()) {
                 (Some(keys), Some(cut)) => keys.counts(cut),
-                _ => sats.counts(&SatSet::of_atom(&cand.to_atom())),
+                _ => sats.counts(&cut_sat),
             };
             if n_sub + n_dis == 0 {
                 continue;
@@ -230,18 +232,15 @@ impl QdTreeBuilder {
                     *slot_of[col].insert(indexes.len() - 1)
                 }),
             };
+            let plan = ColumnPlan::of_atom(&atom);
             let ranked = slot.and_then(|slot| {
-                let ranks = match cand.int_range() {
-                    Some(Some((lo, hi))) => indexes[slot].between(lo, hi),
-                    Some(None) => 0..0,
-                    None => indexes[slot].ranks(&cand.plan())?,
-                };
+                let ranks = indexes[slot].ranks(&plan)?;
                 Some(CutRows::Ranks { slot, ranks })
             });
             let rows = ranked.unwrap_or_else(|| {
                 let at = arena.len();
                 arena.resize(at + words, 0);
-                kernel::bitmap_into(&cand.plan(), sample.column(col), &mut arena[at..]);
+                kernel::bitmap_into(&plan, sample.column(col), &mut arena[at..]);
                 CutRows::Bitmap(at)
             });
             cuts.push(Cut {
@@ -420,7 +419,7 @@ impl QdTreeBuilder {
                     Node::Leaf(bid)
                 }
                 Slot::Inner { atom, yes, no } => Node::Inner {
-                    atom: atom.to_atom(),
+                    atom: atom.atom().into_owned(),
                     yes: Box::new(freeze(slots, *yes, next_bid)),
                     no: Box::new(freeze(slots, *no, next_bid)),
                 },
@@ -562,8 +561,7 @@ impl IntervalKeys {
 /// window's own, or a bound of a `BETWEEN` or a member of an `IN` list taken
 /// as one — or a window atom of another kind as it stands. A comparison has
 /// one form whichever way it arose, so equal cuts have equal
-/// [`Cand::key`]s, and a candidate is cloned into an [`Atom`] only when it
-/// becomes one of the tree's cuts.
+/// [`Cand::key`]s.
 #[derive(Clone, Copy, Debug)]
 enum Cand<'a> {
     Compare {
@@ -607,62 +605,16 @@ impl<'a> Cand<'a> {
         }
     }
 
-    fn to_atom(self) -> Atom {
+    /// The cut as an atom: the window's own, or a comparison built from
+    /// its parts (an integer comparison clones no heap data).
+    fn atom(self) -> Cow<'a, Atom> {
         match self {
-            Cand::Compare { col, op, value } => Atom::Compare {
+            Cand::Compare { col, op, value } => Cow::Owned(Atom::Compare {
                 col,
                 op,
                 value: value.clone(),
-            },
-            Cand::Atom(atom) => atom.clone(),
-        }
-    }
-
-    /// The cut's rows as a column plan (an integer comparison clones no
-    /// heap data to build one).
-    fn plan(self) -> ColumnPlan {
-        match self {
-            Cand::Atom(atom) => ColumnPlan::of_atom(atom),
-            compare => ColumnPlan::of_atom(&compare.to_atom()),
-        }
-    }
-
-    /// The values `lo..=hi` an integer interval cut
-    /// ([`Cand::int_interval_keys`]) matches on an integer column, `None`
-    /// inside when it matches none — the range its column plan folds to.
-    fn int_range(self) -> Option<Option<(i64, i64)>> {
-        let (lo, hi) = self.int_interval_keys()?;
-        // A key is twice an integer, or one inward of that: round inward.
-        let lo = ((lo + 1).div_euclid(2)).max(i64::MIN.into());
-        let hi = (hi.div_euclid(2)).min(i64::MAX.into());
-        Some((lo <= hi).then_some((lo as i64, hi as i64)))
-    }
-
-    /// [`SatSet::int_interval_keys`] of the cut's satisfying set, without
-    /// building the set: an integer comparison other than `=`, or a
-    /// `BETWEEN` of two ordered integers.
-    fn int_interval_keys(self) -> Option<(i128, i128)> {
-        match self {
-            Cand::Compare {
-                op,
-                value: &Scalar::Int(v),
-                ..
-            } => {
-                let v = 2 * i128::from(v);
-                match op {
-                    CompareOp::Lt => Some((i128::MIN, v - 1)),
-                    CompareOp::Le => Some((i128::MIN, v)),
-                    CompareOp::Gt => Some((v + 1, i128::MAX)),
-                    CompareOp::Ge => Some((v, i128::MAX)),
-                    CompareOp::Eq => None,
-                }
-            }
-            Cand::Atom(Atom::Between {
-                low: Scalar::Int(lo),
-                high: Scalar::Int(hi),
-                ..
-            }) if lo <= hi => Some((2 * i128::from(*lo), 2 * i128::from(*hi))),
-            _ => None,
+            }),
+            Cand::Atom(atom) => Cow::Borrowed(atom),
         }
     }
 }
@@ -1333,29 +1285,6 @@ mod tests {
                 for workload in [&first, &second, &first] {
                     let oracle = reference_build(&builder, &t, workload);
                     same_tree(&builder.build(&prepared, workload), &oracle, &t);
-                }
-            }
-
-            /// A candidate keyed or ranged straight from the window's atoms
-            /// is what its satisfying set and its column plan say: the same
-            /// interval keys as [`SatSet::int_interval_keys`], and on an
-            /// integer column the same rows as the plan's ranks.
-            #[test]
-            fn candidate_keys_and_ranges_equal_sets_and_plans(
-                atom in atom(),
-                values in proptest::collection::vec(-8i64..16, 0..80),
-            ) {
-                let index = RankIndex::new(&values);
-                let workload = [Query::new(Predicate::new(vec![atom]))];
-                for cand in candidate_cuts(&workload) {
-                    let set = SatSet::of_atom(&cand.to_atom());
-                    prop_assert_eq!(cand.int_interval_keys(), set.int_interval_keys());
-                    let ranks = index.ranks(&cand.plan());
-                    match cand.int_range() {
-                        Some(Some((lo, hi))) => prop_assert_eq!(ranks, Some(index.between(lo, hi))),
-                        Some(None) => prop_assert_eq!(ranks.map(|r| r.len()), Some(0)),
-                        None => {}
-                    }
                 }
             }
 

@@ -539,17 +539,14 @@ impl RankIndex {
     /// of values, whose rows no single rank range holds.
     pub fn ranks(&self, plan: &ColumnPlan) -> Option<Range<usize>> {
         match ColumnKernel::int(plan) {
-            ColumnKernel::IntRange { lo, hi } => Some(self.between(lo, hi)),
+            ColumnKernel::IntRange { lo, hi } => {
+                let start = self.values.partition_point(|&v| v < lo);
+                let end = self.values.partition_point(|&v| v <= hi);
+                Some(start..end)
+            }
             ColumnKernel::IntSet { .. } => None,
             _ => Some(0..0),
         }
-    }
-
-    /// The ranks of the rows whose value lies in `lo..=hi` (`lo <= hi`).
-    pub fn between(&self, lo: i64, hi: i64) -> Range<usize> {
-        let start = self.values.partition_point(|&v| v < lo);
-        let end = self.values.partition_point(|&v| v <= hi);
-        start..end
     }
 }
 

@@ -1,13 +1,13 @@
-//! The serving engine: a worker pool executing snapshot-isolated scans, a
-//! mutex-serialized OREO bookkeeping core, and a dedicated background
-//! reorganizer thread that never blocks readers.
+//! The serving engine: a worker pool executing snapshot-isolated scans,
+//! OREO bookkeeping serialized per tenant by one mutex, and a dedicated
+//! background reorganizer thread that never blocks readers.
 //!
 //! Data path per query (Fig. 1, made concurrent):
 //!
 //! 1. a worker pins the current [`TableSnapshot`] and scans it — the only
 //!    expensive phase, and it runs with **no lock held**;
 //! 2. the worker feeds the query to [`oreo_core::Oreo`]'s capture, step and
-//!    settle pieces under the core mutex, so D-UMTS and layout-manager
+//!    settle pieces under its tenant's mutex, so D-UMTS and layout-manager
 //!    bookkeeping run the same code as the sequential simulator;
 //! 3. a switch decision is handed to the reorganizer thread, which
 //!    materializes the target layout aside and atomically publishes it —
@@ -15,7 +15,7 @@
 //!    is exactly the paper's reorganization delay Δ, now measured: the
 //!    logical switch lands when the snapshot publishes
 //!    ([`oreo_core::Oreo::complete_reorg_with`]);
-//! 4. a generation boundary only *captures* its inputs under the core
+//! 4. a generation boundary only *captures* its inputs under the tenant's
 //!    mutex. The worker that hit it finishes the batch, fulfils its results,
 //!    and then builds and costs the candidate layout with no lock held,
 //!    re-taking the mutex for the O(states) admission. The mutex is held for
@@ -43,11 +43,11 @@
 //! # One OREO per tenant
 //!
 //! The engine serves N tenants (tables) from one process, as §VIII puts
-//! it: "each table can maintain its own instance of OREO". The core mutex
-//! guards one [`oreo_core::Oreo`] per tenant, indexed by the tenant index
-//! that jobs, pool page keys and tiered generations carry, so each
-//! tenant's D-UMTS bookkeeping is byte-identical to an independent
-//! single-tenant run. The tenants share one worker pool, one
+//! it: "each table can maintain its own instance of OREO". Each tenant's
+//! [`oreo_core::Oreo`], pending boundaries and query count sit behind its
+//! own core mutex (taken after its ingest lock, never two tenants' at
+//! once), so each tenant's D-UMTS bookkeeping is byte-identical to an
+//! independent single-tenant run. The tenants share one worker pool, one
 //! [`BufferPool`] and one reorganizer thread, which executes switch
 //! decisions in the order they were made (FIFO overall, hence within a
 //! tenant — the order `Oreo::pending` expects). Single-tenant construction
@@ -62,8 +62,7 @@ use crate::reorg::{materialize, ReorgRequest, ReorgWindow};
 use oreo_core::{CandidateTask, CostLedger, Oreo, OreoConfig};
 use oreo_layout::{LayoutGenerator, SharedSpec};
 use oreo_obs::{
-    EventKind, EventSink, Gauge, Histogram, Journal, NullSink, Registry, ReorgPhaseKind,
-    SnapshotWriter,
+    EventKind, EventSink, Gauge, Journal, NullSink, Registry, ReorgPhaseKind, SnapshotWriter,
 };
 use oreo_query::Query;
 use oreo_storage::{
@@ -176,8 +175,8 @@ pub struct TenantSpec {
 pub struct EngineConfig {
     /// Scan worker threads; the work queue has one shard per worker.
     pub workers: usize,
-    /// Max queries a worker claims per queue pop (bookkeeping is one core
-    /// lock per batch).
+    /// Max queries a worker claims per queue pop (bookkeeping takes each
+    /// of the batch's tenants' core mutexes once).
     pub batch: usize,
     /// Snapshot persistence: memory-only or disk-tiered.
     pub mode: ServeMode,
@@ -255,8 +254,9 @@ pub struct QueryOutcome {
     /// Service cost charged to the ledger for this query.
     pub service_cost: f64,
     /// Service latency: worker pickup → completion (scan + bookkeeping,
-    /// including core-mutex wait; excludes time queued behind other
-    /// queries, which a closed-loop harness would otherwise dominate with).
+    /// including the tenant's core-mutex wait; excludes time queued behind
+    /// other queries, which a closed-loop harness would otherwise dominate
+    /// with).
     pub latency: Duration,
 }
 
@@ -296,9 +296,8 @@ struct Job {
 }
 
 /// One tenant's serving state: its write path, snapshot cell, disk tier,
-/// and the counters its per-tenant report is assembled from. The policy
-/// state is the `Oreo` at the tenant's *index* behind the core mutex; the
-/// same index is the table id stamped on pool page keys and tiered
+/// policy state, and the counters its per-tenant report is assembled from.
+/// The tenant's index is the table id stamped on pool page keys and tiered
 /// generations.
 struct Tenant {
     /// Tenant name — the report label.
@@ -312,21 +311,26 @@ struct Tenant {
     cell: SnapshotCell,
     /// The tenant's disk tier, in [`ServeMode::Tiered`] runs.
     tiered: Option<TieredStore>,
-    /// The tenant's generation boundaries awaiting admission (see
-    /// [`construct_candidates`]). Filled under the core mutex, emptied with
-    /// no other lock held.
-    boundaries: Mutex<Boundaries>,
-    /// Notified when one of `boundaries` is admitted.
+    /// The tenant's policy state. Bookkeeping takes it through
+    /// [`Shared::lock_core`]; polls and waits through
+    /// [`Tenant::lock_untimed`].
+    core: Mutex<TenantCore>,
+    /// Notified when one of the tenant's boundaries is admitted.
     admitted: Condvar,
-    /// Queries the tenant's stream may run past a boundary whose candidate
-    /// is not in yet: a quarter of its generation interval.
-    run_ahead: u64,
-    /// Queries whose bookkeeping completed for this tenant.
-    observed: AtomicU64,
     /// The tenant's namespaced metric handles (`tenant.<index>.<metric>`)
     /// — only in multi-tenant runs, so a single-tenant registry stays
     /// byte-identical to the pre-tenancy schema.
     metrics: Option<LiveMetrics>,
+}
+
+/// What a tenant's bookkeeping reads and writes, behind its core mutex.
+struct TenantCore {
+    oreo: Oreo,
+    /// Queries whose bookkeeping completed for this tenant.
+    observed: u64,
+    /// The tenant's generation boundaries awaiting admission (see
+    /// [`construct_candidates`]).
+    boundaries: Boundaries,
 }
 
 /// When a generation boundary was captured: the clock, and the tenant's
@@ -357,31 +361,24 @@ impl Boundaries {
     }
 }
 
-impl Tenant {
+impl TenantCore {
     /// `None` when the tenant's stream may take another query; otherwise it
-    /// is a full run-ahead allowance past its oldest boundary in `b`, and
-    /// the value is what is left of that boundary's [`ADMISSION_GUARD`].
-    fn hold_left(&self, b: &Boundaries) -> Option<Duration> {
-        let stamp = b.oldest()?;
-        let ahead = self.observed.load(Ordering::Relaxed) - stamp.observed;
-        (ahead >= self.run_ahead)
+    /// is a full run-ahead allowance — a quarter of its generation interval
+    /// — past its oldest boundary, and the value is what is left of that
+    /// boundary's [`ADMISSION_GUARD`].
+    fn hold_left(&self) -> Option<Duration> {
+        let stamp = self.boundaries.oldest()?;
+        let run_ahead = self.oreo.config().generation_interval / 4;
+        (self.observed - stamp.observed >= run_ahead)
             .then(|| (stamp.at + ADMISSION_GUARD).saturating_duration_since(Instant::now()))
     }
+}
 
-    /// Must the tenant's next query wait for an admission? Called under the
-    /// core mutex. A query let past the bound by the guard is counted.
-    fn holds_back(&self, shared: &Shared) -> bool {
-        let b = self.boundaries.lock().expect("boundaries poisoned");
-        match self.hold_left(&b) {
-            None => false,
-            Some(left) if left.is_zero() => {
-                for m in metric_views(shared, self) {
-                    m.admission_overruns.inc();
-                }
-                false
-            }
-            Some(_) => true,
-        }
+impl Tenant {
+    /// Take the tenant's core mutex untimed: polls, waits and the hand-off
+    /// of a boundary's task are not bookkeeping (`core.lock_*_us`).
+    fn lock_untimed(&self) -> MutexGuard<'_, TenantCore> {
+        self.core.lock().expect("tenant core poisoned")
     }
 }
 
@@ -396,11 +393,11 @@ fn metric_views<'a>(
 }
 
 /// Set a gauge whose aggregate series is the fleet *sum* (table bytes, WAL
-/// bytes, unfolded delta rows): `tenant`'s namespaced gauge takes `value`
-/// and the aggregate is republished as the sum over the tenants that have
-/// set theirs. A single-tenant engine has no namespaced series — the
-/// aggregate *is* the tenant. Callers serialize per tenant (ingest lock or
-/// reorganizer thread), so a tenant's own gauge never goes backwards.
+/// bytes, unfolded delta rows, ledger, states): `tenant`'s namespaced gauge
+/// takes `value` and the aggregate is republished as the sum over the
+/// tenants that have set theirs. A single-tenant engine has no namespaced
+/// series — the aggregate *is* the tenant. Callers serialize per tenant (a
+/// lock or the reorganizer thread), so its own gauge never goes backwards.
 fn set_fleet_gauge(
     shared: &Shared,
     tenant: &Tenant,
@@ -420,10 +417,6 @@ fn set_fleet_gauge(
 }
 
 struct Shared {
-    /// The policy brain: one OREO instance per tenant, indexed like
-    /// `tenants`, behind one lock, so each tenant's D-UMTS bookkeeping stays
-    /// byte-identical to an independent single-tenant run.
-    core: Mutex<Vec<Oreo>>,
     /// The tenant map, indexed by the `tenant` tag jobs carry.
     tenants: Vec<Tenant>,
     /// Page cache shared by every tenant's tiered scans (page keys carry
@@ -455,12 +448,13 @@ struct Shared {
     started: Instant,
 }
 
-/// The core mutex, held: derefs to the policy brain and, on drop, records
-/// how long it was held in `core.lock_hold_us`.
+/// A tenant's core mutex, held for bookkeeping: derefs to its policy state
+/// and, on drop, records how long it was held in `core.lock_hold_us`.
 struct CoreGuard<'a> {
-    core: MutexGuard<'a, Vec<Oreo>>,
+    core: MutexGuard<'a, TenantCore>,
     acquired: Instant,
-    hold_us: &'a Histogram,
+    shared: &'a Shared,
+    tenant: &'a Tenant,
 }
 
 impl Shared {
@@ -469,10 +463,7 @@ impl Shared {
     /// `completed` that this `Acquire` load pairs with, so both are seen
     /// once the query is; a switch's window is counted after it lands.
     fn quiescent(&self) -> bool {
-        let idle = |ten: &Tenant| {
-            let b = ten.boundaries.lock().expect("boundaries poisoned");
-            b.oldest().is_none()
-        };
+        let idle = |ten: &Tenant| ten.lock_untimed().boundaries.oldest().is_none();
         let m = &self.metrics;
         self.completed.load(Ordering::Acquire) >= self.submitted.load(Ordering::Relaxed)
             && self.tenants.iter().all(idle)
@@ -488,38 +479,45 @@ impl Shared {
         }
     }
 
-    /// Take the core mutex, recording the wait in `core.lock_wait_us`.
-    /// Lock order is ingest → core → a tenant's `boundaries`.
-    fn lock_core(&self) -> CoreGuard<'_> {
+    /// Take `ten`'s core mutex for bookkeeping, recording the wait in
+    /// `core.lock_wait_us`. Lock order is ingest → core, one tenant's core
+    /// at a time.
+    fn lock_core<'a>(&'a self, ten: &'a Tenant) -> CoreGuard<'a> {
         let asked = Instant::now();
-        let core = self.core.lock().expect("core poisoned");
+        let core = ten.core.lock().expect("tenant core poisoned");
         let acquired = Instant::now();
         let waited = as_micros_u64(acquired - asked);
-        self.metrics.lock_wait_us.record(waited);
+        for m in metric_views(self, ten) {
+            m.lock_wait_us.record(waited);
+        }
         CoreGuard {
             core,
             acquired,
-            hold_us: &self.metrics.lock_hold_us,
+            shared: self,
+            tenant: ten,
         }
     }
 }
 
 impl Deref for CoreGuard<'_> {
-    type Target = [Oreo];
-    fn deref(&self) -> &[Oreo] {
+    type Target = TenantCore;
+    fn deref(&self) -> &TenantCore {
         &self.core
     }
 }
 
 impl DerefMut for CoreGuard<'_> {
-    fn deref_mut(&mut self) -> &mut [Oreo] {
+    fn deref_mut(&mut self) -> &mut TenantCore {
         &mut self.core
     }
 }
 
 impl Drop for CoreGuard<'_> {
     fn drop(&mut self) {
-        self.hold_us.record(as_micros_u64(self.acquired.elapsed()));
+        let held = as_micros_u64(self.acquired.elapsed());
+        for m in metric_views(self.shared, self.tenant) {
+            m.lock_hold_us.record(held);
+        }
     }
 }
 
@@ -610,7 +608,6 @@ impl Engine {
             None => Arc::new(NullSink),
         };
         let multi_tenant = specs.len() > 1;
-        let mut core = Vec::with_capacity(specs.len());
         let mut tenants = Vec::with_capacity(specs.len());
         let mut any_tiered = false;
         for (index, spec) in specs.into_iter().enumerate() {
@@ -631,8 +628,6 @@ impl Engine {
             );
             let mut initial_snapshot = initial_snapshot.expect("initial layout materialized");
             oreo.set_event_sink(Arc::clone(&sink));
-            let run_ahead = oreo.config().generation_interval / 4;
-            core.push(oreo);
             // A single tenant keeps the pre-tenancy flat layout (store +
             // wal.log directly at the root); N tenants get subdirectories.
             let tenant_root = match &config.mode {
@@ -695,10 +690,12 @@ impl Engine {
                 ingest: Mutex::new(ingest),
                 cell: SnapshotCell::new(initial_snapshot),
                 tiered,
-                boundaries: Mutex::new(Boundaries::default()),
+                core: Mutex::new(TenantCore {
+                    oreo,
+                    observed: 0,
+                    boundaries: Boundaries::default(),
+                }),
                 admitted: Condvar::new(),
-                run_ahead,
-                observed: AtomicU64::new(0),
                 metrics: tenant_metrics,
             });
         }
@@ -714,7 +711,6 @@ impl Engine {
         let worker_count = config.workers.max(1);
         let started = Instant::now();
         let shared = Arc::new(Shared {
-            core: Mutex::new(core),
             tenants,
             pool,
             queue: ShardedQueue::new(worker_count),
@@ -903,8 +899,8 @@ impl Engine {
         // full rewrite, which costs α.
         if receipt.rows_written > 0 {
             let live = ing.base.num_rows() as u64 + ing.buffer.delta_rows();
-            let mut core = shared.lock_core();
-            let oreo = &mut core[tenant];
+            let mut core = shared.lock_core(ten);
+            let oreo = &mut core.oreo;
             let alpha = oreo.config().alpha;
             oreo.charge_compaction(
                 alpha * receipt.rows_written as f64 / live.max(1) as f64,
@@ -924,8 +920,8 @@ impl Engine {
     /// completed, no tenant has a generation boundary waiting or building,
     /// and every decided switch has landed. An engine driven in lockstep —
     /// submit one query, then `drain` — thus runs the served order of the
-    /// [module docs](self). It never takes the core mutex, so it adds no
-    /// samples to `core.lock_wait_us` or `core.lock_hold_us`.
+    /// [module docs](self). It polls the tenants' core mutexes untimed, so
+    /// it adds no samples to `core.lock_wait_us` or `core.lock_hold_us`.
     pub fn drain(&self) {
         let shared = &self.shared;
         let mut guard = shared.drain_lock.lock().expect("drain poisoned");
@@ -964,10 +960,12 @@ impl Engine {
         self.shared.pool.as_ref()
     }
 
-    /// Snapshot of the bookkeeping ledger, aggregated across tenants (for
+    /// The bookkeeping ledger, summed over tenants read one at a time (for
     /// a single-tenant engine this *is* the tenant's ledger).
     pub fn ledger(&self) -> CostLedger {
-        total_ledger(&self.shared.lock_core())
+        let shared = &self.shared;
+        let ledger = |ten| *shared.lock_core(ten).oreo.ledger();
+        total_ledger(shared.tenants.iter().map(ledger))
     }
 
     /// Queries fully served so far.
@@ -1023,24 +1021,6 @@ impl Engine {
             None => (Vec::new(), 0),
         };
         let elapsed = self.started.elapsed();
-        let core = self.shared.core.lock().expect("core poisoned");
-        for (ten, oreo) in self.shared.tenants.iter().zip(core.iter()) {
-            // The workers have exited, and a worker builds or supersedes
-            // every boundary it captured before it does.
-            let unresolved = ten.boundaries.lock().expect("boundaries poisoned").oldest();
-            assert!(
-                unresolved.is_none(),
-                "tenant {}: a boundary was dropped",
-                ten.name
-            );
-            let m = oreo.manager_stats();
-            assert_eq!(
-                m.generated,
-                m.admitted + m.rejected,
-                "tenant {}: a generated candidate was neither admitted nor rejected",
-                ten.name
-            );
-        }
         let queries = self.shared.completed.load(Ordering::Relaxed);
         // The registry is the only accumulator: the report is a read of it.
         let m = &self.shared.metrics;
@@ -1065,8 +1045,23 @@ impl Engine {
             .shared
             .tenants
             .iter()
-            .zip(core.iter())
-            .map(|(ten, oreo)| {
+            .map(|ten| {
+                let core = ten.lock_untimed();
+                // The workers have exited, and a worker builds or supersedes
+                // every boundary it captured before it does.
+                assert!(
+                    core.boundaries.oldest().is_none(),
+                    "tenant {}: a boundary was dropped",
+                    ten.name
+                );
+                let oreo = &core.oreo;
+                let manager = oreo.manager_stats();
+                assert_eq!(
+                    manager.generated,
+                    manager.admitted + manager.rejected,
+                    "tenant {}: a generated candidate was neither admitted nor rejected",
+                    ten.name
+                );
                 // A single tenant has no namespaced series: it is the
                 // aggregate.
                 let tm = ten.metrics.as_ref().unwrap_or(m);
@@ -1076,7 +1071,7 @@ impl Engine {
                     latency: tm.latency_us.stats(),
                     ledger: *oreo.ledger(),
                     switches: oreo.switches(),
-                    manager: oreo.manager_stats(),
+                    manager,
                     snapshots_published: tm.snapshots_published.get(),
                     io_cold_bytes: tm.io_cold_bytes.get(),
                     io_cached_bytes: tm.io_cached_bytes.get(),
@@ -1101,7 +1096,7 @@ impl Engine {
                 0.0
             },
             latency: m.latency_us.stats(),
-            ledger: total_ledger(&core),
+            ledger: total_ledger(tenants.iter().map(|t| t.ledger)),
             switches: tenants.iter().map(|t| t.switches).sum(),
             snapshots_published: m.snapshots_published.get(),
             windows,
@@ -1285,47 +1280,59 @@ fn worker_loop(shared: &Shared, home: usize, reorg_tx: Sender<ReorgRequest>) {
 type Scanned = (Job, Instant, SnapshotScan, LayoutId, u64);
 
 /// Phases 2–4 of [`worker_loop`] for one batch of scanned queries. Returns
-/// the queries it held back, in order: those whose tenant's stream is a full
-/// run-ahead allowance past a boundary still awaiting admission. Everything
-/// else is answered, and a boundary this batch captured is built, before it
-/// returns.
+/// the queries it held back, grouped by tenant and in batch order within a
+/// tenant: those whose tenant's stream is a full run-ahead allowance past a
+/// boundary still awaiting admission. Everything else is answered, and a
+/// boundary this batch captured is built, before it returns.
 fn serve_scanned(
     shared: &Shared,
-    scanned: Vec<Scanned>,
+    mut scanned: Vec<Scanned>,
     reorg_tx: &Sender<ReorgRequest>,
 ) -> Vec<Scanned> {
-    let mut held = Vec::new();
-    // Phase 2 — bookkeeping for the whole batch under one core lock.
-    // Each query flows through its own tenant's OREO instance, so the
-    // per-tenant decision stream is exactly the single-tenant one.
+    let (mut held, mut captured) = (Vec::new(), false);
+    // Phase 2 — bookkeeping under one tenant's core mutex at a time, taken
+    // once per tenant in the batch: the stable sort keeps each tenant's
+    // queries in batch order, so each tenant's decision stream is exactly
+    // the single-tenant one.
+    scanned.sort_by_key(|(job, ..)| job.tenant);
     let mut fulfilled = Vec::with_capacity(scanned.len());
-    {
-        let mut core = shared.lock_core();
-        let mut touched = vec![false; shared.tenants.len()];
-        for (job, picked, scan, served_layout, served_epoch) in scanned {
-            let tenant_index = job.tenant as usize;
-            let ten = &shared.tenants[tenant_index];
+    let mut scanned = scanned.into_iter().peekable();
+    while let Some((first, ..)) = scanned.peek() {
+        let tenant_index = first.tenant as usize;
+        let ten = &shared.tenants[tenant_index];
+        let mut core = shared.lock_core(ten);
+        while let Some((job, picked, scan, served_layout, served_epoch)) =
+            scanned.next_if(|(job, ..)| job.tenant as usize == tenant_index)
+        {
             // `observed` moves under this lock only, so the bound is
             // exact: no stream is ever further past a pending boundary
-            // than its allowance.
-            if ten.holds_back(shared) {
-                held.push((job, picked, scan, served_layout, served_epoch));
-                continue;
+            // than its allowance. A query the guard lets past it is counted.
+            if let Some(left) = core.hold_left() {
+                if !left.is_zero() {
+                    held.push((job, picked, scan, served_layout, served_epoch));
+                    continue;
+                }
+                for m in metric_views(shared, ten) {
+                    m.admission_overruns.inc();
+                }
             }
-            touched[tenant_index] = true;
-            let oreo = &mut core[tenant_index];
+            let TenantCore {
+                oreo,
+                observed,
+                boundaries,
+            } = &mut *core;
             // `Oreo::decide` without its build: a boundary's task waits
             // with the tenant until this batch is answered
             // (`construct_candidates`). Latest wins: a task it replaces
             // (fault guard only) is never built.
             let (mut report, task) = oreo.capture(&job.query);
             if let Some(task) = task {
+                captured = true;
                 let stamp = Stamp {
                     at: Instant::now(),
-                    observed: ten.observed.load(Ordering::Relaxed),
+                    observed: *observed,
                 };
-                let mut b = ten.boundaries.lock().expect("boundaries poisoned");
-                if let Some((stale, _)) = b.waiting.replace((task, stamp)) {
+                if let Some((stale, _)) = boundaries.waiting.replace((task, stamp)) {
                     oreo.discard(stale);
                     for m in metric_views(shared, ten) {
                         m.candidates_superseded.inc();
@@ -1334,21 +1341,21 @@ fn serve_scanned(
             }
             oreo.step(&job.query, &mut report);
             oreo.settle(&job.query, &mut report);
-            let observed_now = ten.observed.fetch_add(1, Ordering::Relaxed) + 1;
+            *observed += 1;
             if let Some(target) = report.reorg_decision {
                 for m in metric_views(shared, ten) {
                     m.switches.inc();
                 }
                 let spec = oreo.spec(target).expect("decided target has a spec");
-                // Send while holding the core lock so the build queue and
-                // `Oreo::pending` stay in the same order.
+                // Send while holding the tenant's core mutex so the build
+                // queue and `Oreo::pending` stay in the same order.
                 let _ = reorg_tx.send(ReorgRequest {
                     tenant: job.tenant,
                     target,
                     spec,
                     decided_seq: report.seq,
                     decided_at: Instant::now(),
-                    tenant_observed_at_decision: observed_now,
+                    tenant_observed_at_decision: *observed,
                 });
             }
             fulfilled.push((
@@ -1367,32 +1374,16 @@ fn serve_scanned(
                 },
             ));
         }
-        // Batch-granular gauges, read while the lock already serializes
-        // the core: the live ledger and state-space views, aggregated
-        // across tenants plus the namespaced view of each tenant this
-        // batch touched.
-        let m = &shared.metrics;
-        let ledger = total_ledger(&core);
-        m.ledger_query_cost.set(ledger.query_cost);
-        m.ledger_reorg_cost.set(ledger.reorg_cost);
-        m.ledger_total.set(ledger.total());
-        let num_states: usize = core.iter().map(Oreo::num_states).sum();
-        let peak_states: usize = core.iter().map(Oreo::max_states_seen).sum();
-        m.num_states.set(num_states as f64);
-        m.max_states_seen.set(peak_states as f64);
-        for (tenant_index, (ten, oreo)) in shared.tenants.iter().zip(core.iter()).enumerate() {
-            if !touched[tenant_index] {
-                continue;
-            }
-            if let Some(tm) = &ten.metrics {
-                let ledger = oreo.ledger();
-                tm.ledger_query_cost.set(ledger.query_cost);
-                tm.ledger_reorg_cost.set(ledger.reorg_cost);
-                tm.ledger_total.set(ledger.total());
-                tm.num_states.set(oreo.num_states() as f64);
-                tm.max_states_seen.set(oreo.max_states_seen() as f64);
-            }
-        }
+        // Batch-granular gauges, read under the tenant's mutex: its live
+        // ledger and state-space views.
+        let oreo = &core.oreo;
+        let ledger = *oreo.ledger();
+        let (states, peak_states) = (oreo.num_states(), oreo.max_states_seen());
+        set_fleet_gauge(shared, ten, |m| &m.ledger_query_cost, ledger.query_cost);
+        set_fleet_gauge(shared, ten, |m| &m.ledger_reorg_cost, ledger.reorg_cost);
+        set_fleet_gauge(shared, ten, |m| &m.ledger_total, ledger.total());
+        set_fleet_gauge(shared, ten, |m| &m.num_states, states as f64);
+        set_fleet_gauge(shared, ten, |m| &m.max_states_seen, peak_states as f64);
     }
 
     // Phase 3 — fulfill results and wake drainers.
@@ -1421,8 +1412,11 @@ fn serve_scanned(
     }
     shared.wake_drainers();
 
-    // Phase 4 — candidate construction, after the batch is answered.
-    construct_candidates(shared);
+    // Phase 4 — candidate construction, after the batch is answered, only
+    // by a worker that left a boundary: its polls take core mutexes.
+    if captured {
+        construct_candidates(shared);
+    }
     held
 }
 
@@ -1432,14 +1426,14 @@ fn serve_scanned(
 /// to build: the caller has been through [`construct_candidates`] since it
 /// last captured a boundary, so it is not waiting for itself.
 fn await_admission(shared: &Shared, ten: &Tenant) {
-    let mut b = ten.boundaries.lock().expect("boundaries poisoned");
+    let mut core = ten.lock_untimed();
     let mut waited_since = None;
-    while let Some(left) = ten.hold_left(&b).filter(|left| !left.is_zero()) {
+    while let Some(left) = core.hold_left().filter(|left| !left.is_zero()) {
         waited_since.get_or_insert_with(Instant::now);
-        b = ten
+        core = ten
             .admitted
-            .wait_timeout(b, left)
-            .expect("boundaries poisoned")
+            .wait_timeout(core, left)
+            .expect("tenant core poisoned")
             .0;
     }
     if let Some(since) = waited_since {
@@ -1452,8 +1446,8 @@ fn await_admission(shared: &Shared, ten: &Tenant) {
 
 /// Build, cost and admit every waiting generation boundary, on the calling
 /// worker's thread: the construct and admit steps of `Oreo::decide`, which
-/// the bookkeeping under the core mutex left out. Construction holds no
-/// lock; admission takes the core mutex for O(states) work.
+/// the bookkeeping under the tenant's core mutex left out. Construction
+/// holds no lock; admission takes the core mutex for O(states) work.
 ///
 /// At most one worker constructs at a time — a second would only admit
 /// candidates fitted to older windows later — and it does not return to the
@@ -1463,10 +1457,7 @@ fn await_admission(shared: &Shared, ten: &Tenant) {
 /// the last worker exits, every captured boundary has been admitted or
 /// superseded.
 fn construct_candidates(shared: &Shared) {
-    let none_waiting = |ten: &Tenant| {
-        let b = ten.boundaries.lock().expect("boundaries poisoned");
-        b.waiting.is_none()
-    };
+    let none_waiting = |ten: &Tenant| ten.lock_untimed().boundaries.waiting.is_none();
     loop {
         if shared.constructing.swap(true, Ordering::SeqCst) {
             return;
@@ -1488,7 +1479,7 @@ fn construct_candidates(shared: &Shared) {
 fn build_waiting(shared: &Shared, tenant_index: usize) -> bool {
     let ten = &shared.tenants[tenant_index];
     let task = {
-        let mut b = ten.boundaries.lock().expect("boundaries poisoned");
+        let b = &mut ten.lock_untimed().boundaries;
         let Some((task, stamp)) = b.waiting.take() else {
             return false;
         };
@@ -1498,14 +1489,19 @@ fn build_waiting(shared: &Shared, tenant_index: usize) -> bool {
     let started = Instant::now();
     let built = task.build();
     let constructed = as_micros_u64(started.elapsed());
-    let admission = shared.lock_core()[tenant_index].admit(built);
-    ten.boundaries.lock().expect("boundaries poisoned").building = None;
-    ten.admitted.notify_all();
-    for m in metric_views(shared, ten) {
-        m.candidates_built.inc();
-        m.candidate_lag_queries.record(admission.lag_queries);
-        m.construct_us.record(constructed);
+    {
+        let mut core = shared.lock_core(ten);
+        let admission = core.oreo.admit(built);
+        core.boundaries.building = None;
+        // Counted before the mutex is released, so a drain that sees the
+        // boundary resolved sees it counted.
+        for m in metric_views(shared, ten) {
+            m.candidates_built.inc();
+            m.candidate_lag_queries.record(admission.lag_queries);
+            m.construct_us.record(constructed);
+        }
     }
+    ten.admitted.notify_all();
     shared.wake_drainers();
     true
 }
@@ -1720,9 +1716,9 @@ fn execute_reorg(
         m.snapshots_published.inc();
     }
     set_fleet_gauge(shared, ten, |m| &m.table_bytes, snapshot_bytes as f64);
-    {
-        let mut core = shared.lock_core();
-        let oreo = &mut core[tenant_index];
+    let queries_during = {
+        let mut core = shared.lock_core(ten);
+        let oreo = &mut core.oreo;
         if let Some((table, _)) = merged {
             // Deltas folded in: the tenant's exact models must rebuild
             // against the merged base, and the merge work beyond the
@@ -1735,11 +1731,9 @@ fn execute_reorg(
             }
         }
         oreo.complete_reorg_with(req.target, Some(exact));
-    }
-    let queries_during = ten
-        .observed
-        .load(Ordering::Relaxed)
-        .saturating_sub(req.tenant_observed_at_decision);
+        core.observed
+            .saturating_sub(req.tenant_observed_at_decision)
+    };
     for m in metric_views(shared, ten) {
         m.reorg_windows.inc();
         m.reorg_build_ns.add(as_nanos_u64(build));
@@ -1763,9 +1757,9 @@ fn execute_reorg(
 }
 
 /// The fleet's ledger: every tenant's, merged (the bill the user pays).
-fn total_ledger(core: &[Oreo]) -> CostLedger {
-    core.iter().fold(CostLedger::new(), |mut total, oreo| {
-        total.merge(oreo.ledger());
+fn total_ledger(ledgers: impl Iterator<Item = CostLedger>) -> CostLedger {
+    ledgers.fold(CostLedger::new(), |mut total, ledger| {
+        total.merge(&ledger);
         total
     })
 }

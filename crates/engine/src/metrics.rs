@@ -91,9 +91,10 @@ pub(crate) struct LiveMetrics {
     pub(crate) alpha_hat: Arc<Gauge>,
     pub(crate) alpha_cold: Arc<Gauge>,
     pub(crate) alpha_warm: Arc<Gauge>,
-    /// Time spent waiting for / holding the core mutex, per acquisition.
-    /// There is one core mutex per engine, so only the aggregate view
-    /// records these.
+    /// Time spent waiting for / holding a tenant's core mutex, per
+    /// acquisition for bookkeeping (a batch's queries, an admission, a
+    /// landing, a compaction charge, a ledger read); polls and waits are
+    /// not timed.
     pub(crate) lock_wait_us: Arc<Histogram>,
     pub(crate) lock_hold_us: Arc<Histogram>,
     /// Generation boundaries whose candidates were built and ε-tested /

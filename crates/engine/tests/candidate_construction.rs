@@ -504,3 +504,31 @@ fn construct_time_is_recorded_per_built_boundary() {
     assert!(construct.min >= 30_000, "{construct:?}");
     engine.shutdown();
 }
+
+/// (h) The lock histograms time bookkeeping only: in a lockstep run with
+/// one query a batch, the core mutex is taken once per query, once per
+/// admission and once per landing. `Engine::drain`'s polls and the
+/// hand-off of a boundary's task take it untimed.
+#[test]
+fn lock_histograms_count_only_bookkeeping() {
+    let t = table(3000);
+    let queries = drifting_queries(&t, 300);
+    let cfg = EngineConfig {
+        batch: 1,
+        ..EngineConfig::default().with_workers(2)
+    };
+    let engine = start(&t, Arc::new(QdTreeGenerator::new()), cfg);
+    let registry = Arc::clone(engine.registry());
+    for q in &queries {
+        engine.submit(q.clone());
+        engine.drain();
+    }
+    let built = counter(&registry, "core.candidates_built");
+    let windows = counter(&registry, "reorg.windows");
+    assert_eq!(built, (300 / INTERVAL) as u64);
+    assert!(windows >= 1, "stream never landed a switch");
+    let holds = registry.histogram("core.lock_hold_us").count();
+    assert_eq!(holds, queries.len() as u64 + built + windows);
+    assert_eq!(registry.histogram("core.lock_wait_us").count(), holds);
+    engine.shutdown();
+}

@@ -241,17 +241,25 @@ proptest! {
     }
 }
 
-/// Every admission wait the fleet series counts is counted in exactly one
-/// tenant's series too.
-fn assert_admission_waits_add_up(snap: &MetricsSnapshot, tenants: usize) {
-    let waits = |prefix: &str| {
-        let name = format!("{prefix}core.admission_wait_us");
-        snap.histogram(&name)
-            .unwrap_or_else(|| panic!("{name} registered"))
-            .count
-    };
-    let per_tenant: u64 = (0..tenants).map(|i| waits(&format!("tenant.{i}."))).sum();
-    assert_eq!(waits(""), per_tenant, "admission waits: fleet != Σ tenants");
+/// Every admission wait and every acquisition of a tenant's core mutex the
+/// fleet series counts is counted in exactly one tenant's series too. Read
+/// it on a drained engine: a sample is recorded in the fleet series just
+/// before its tenant's.
+fn assert_core_histograms_add_up(snap: &MetricsSnapshot, tenants: usize) {
+    for metric in [
+        "core.admission_wait_us",
+        "core.lock_wait_us",
+        "core.lock_hold_us",
+    ] {
+        let count = |prefix: &str| {
+            let name = format!("{prefix}{metric}");
+            snap.histogram(&name)
+                .unwrap_or_else(|| panic!("{name} registered"))
+                .count
+        };
+        let per_tenant: u64 = (0..tenants).map(|i| count(&format!("tenant.{i}."))).sum();
+        assert_eq!(count(""), per_tenant, "{metric}: fleet != Σ tenants");
+    }
 }
 
 /// Deterministic three-tenant fold parity through tiered+pooled serving,
@@ -314,7 +322,7 @@ fn three_tenants_fold_parity_and_namespaces_tiered() {
         Some(per_tenant_completed),
         "aggregate must equal the sum of tenant series"
     );
-    assert_admission_waits_add_up(&snap, 3);
+    assert_core_histograms_add_up(&snap, 3);
 
     let multi = engine.shutdown();
     assert!(multi.tiered_errors.is_empty(), "{:?}", multi.tiered_errors);
@@ -636,7 +644,8 @@ fn scan_accounting_is_conserved_across_workers_and_tenants() {
             per_tenant[tenant][slot] += v;
         }
     }
-    assert_admission_waits_add_up(&engine.registry().snapshot(), 2);
+    engine.drain();
+    assert_core_histograms_add_up(&engine.registry().snapshot(), 2);
     let stats = engine.shutdown();
     assert_eq!(stats.scan_io_errors, 0, "a fallback would void the sums");
     assert_eq!(

@@ -43,7 +43,8 @@
 //! the same f64 sum, in the same order, of the rows of the partitions it
 //! keeps, so every ledger built on it is unchanged to the bit; and
 //! `from_assignment` compiles exactly what `new` compiles from
-//! [`crate::build_metadata`]'s partitions, their rows scaled alike.
+//! `build_metadata`'s partitions (the test oracle in `partition.rs`), their
+//! rows scaled alike.
 
 use crate::column::Column;
 use crate::order::{ColumnOrder, DictRanks};
@@ -79,7 +80,7 @@ impl LayoutModel {
     /// partition `assignment[r]` of `k`, each partition's row count
     /// multiplied by `scale` — compiled from the table's columns with no
     /// [`PartitionMetadata`] in between. It is the model [`LayoutModel::new`]
-    /// compiles from [`crate::build_metadata`]`(table, assignment, k)` with
+    /// compiles from `build_metadata(table, assignment, k)` with
     /// every partition's rows scaled by `scale`, to the bit.
     ///
     /// # Panics
@@ -438,7 +439,7 @@ impl ColumnArrays {
     }
 
     /// The arrays [`ColumnArrays::new`] compiles from
-    /// [`crate::build_metadata`]'s partitions, straight from `column` when
+    /// `build_metadata`'s partitions, straight from `column` when
     /// its row `r` lies in partition `assignment[r]`, which holds
     /// `counts[p]` rows: one pass over the rows, then one over the
     /// partitions, with every statistic held as a key from the start.

@@ -64,7 +64,7 @@ pub use error::{Result, StorageError};
 pub use format::{ColumnExtent, PartitionFooter};
 pub use kernel::{KernelCounters, CHUNK_ROWS};
 pub use layout_model::{cost_vector_distance, LayoutId, LayoutModel};
-pub use partition::{build_metadata, PartitionMetadata, DEFAULT_DISTINCT_CAP};
+pub use partition::{PartitionMetadata, DEFAULT_DISTINCT_CAP};
 pub use snapshot::{SnapshotCell, SnapshotPartition, SnapshotScan, TableSnapshot};
 pub use table::{concat_tables, Table, TableBuilder};
 pub use tiered::{FullScan, Generation, PublishReceipt, RecoveryReport, TieredStore};
@@ -73,6 +73,7 @@ pub use wal::{Wal, WalRecord, WalRecovery};
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::partition::build_metadata;
     use oreo_query::{ColumnType, Scalar, Schema};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};

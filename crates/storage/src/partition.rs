@@ -111,12 +111,17 @@ pub const DEFAULT_DISTINCT_CAP: usize = 64;
 /// table, given the row → partition assignment, keeping a distinct set
 /// wherever a partition holds at most [`DEFAULT_DISTINCT_CAP`] values.
 ///
-/// No product path calls it: a layout's model is compiled straight from the
-/// table ([`crate::LayoutModel::from_assignment`]), and a rewrite gathers
-/// each partition's metadata while its columns are in cache
+/// Test builds only: a layout's model is compiled straight from the table
+/// ([`crate::LayoutModel::from_assignment`]), and a rewrite gathers each
+/// partition's metadata while its columns are in cache
 /// ([`crate::TableSnapshot::build`]). It is the test oracle of both — the
 /// metadata they must agree with, spelled out as statistics.
-pub fn build_metadata(table: &Table, assignment: &[u32], k: usize) -> Vec<PartitionMetadata> {
+#[cfg(test)]
+pub(crate) fn build_metadata(
+    table: &Table,
+    assignment: &[u32],
+    k: usize,
+) -> Vec<PartitionMetadata> {
     assert_eq!(assignment.len(), table.num_rows(), "assignment length");
     let ncols = table.num_columns();
     let mut rows = vec![0u64; k];
@@ -228,13 +233,13 @@ pub fn build_metadata(table: &Table, assignment: &[u32], k: usize) -> Vec<Partit
 }
 
 /// Metadata of the one partition made of all of `table`'s rows, under
-/// [`DEFAULT_DISTINCT_CAP`] — what [`build_metadata`] returns for `k = 1`,
+/// [`DEFAULT_DISTINCT_CAP`] — what `build_metadata` returns for `k = 1`,
 /// without an assignment to consult: every column is read front to back.
 ///
 /// The rewrite path ([`crate::TableSnapshot::build`]) calls this on each
 /// partition's columns right after gathering them, while they are still in
 /// cache, instead of a second pass over the base table that scatters every
-/// row into `k` accumulators. [`build_metadata`] is its oracle.
+/// row into `k` accumulators. `build_metadata` is its oracle.
 pub(crate) fn table_metadata(table: &Table) -> PartitionMetadata {
     let rows = table.num_rows();
     let columns = table.columns().iter().map(|column| {

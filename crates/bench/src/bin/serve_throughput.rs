@@ -57,7 +57,7 @@ use oreo_core::{CostLedger, OreoConfig};
 use oreo_engine::{
     Engine, EngineConfig, EngineStats, ObsConfig, ServeMode, TenantSpec, TenantStats,
 };
-use oreo_obs::render_trace;
+use oreo_obs::{render_trace, Registry};
 use oreo_sim::{
     adversarial_bound, compare_oreo_static, default_spec, fmt_f, make_generator, run_policy,
     zoo_stream, PolicySetup, RunResult, Schedule, Technique,
@@ -298,6 +298,25 @@ fn cell_fields(elapsed: f64, stats: &EngineStats, tiered: bool) -> Vec<(&'static
     ]
 }
 
+/// A cell is healthy when no construction outlived the engine's
+/// `ADMISSION_GUARD`: no query went past a run-ahead bound on the guard
+/// (`core.admission_overruns`) and no boundary was dropped unbuilt for a
+/// newer one (`superseded`).
+fn assert_healthy(tag: &str, registry: &Registry, stats: &EngineStats) {
+    assert_eq!(
+        registry.counter("core.admission_overruns").get(),
+        0,
+        "[{tag}] queries went past a run-ahead bound on the fault guard"
+    );
+    for ten in &stats.tenants {
+        assert_eq!(
+            ten.manager.superseded, 0,
+            "[{tag}] tenant {}: boundaries superseded",
+            ten.name
+        );
+    }
+}
+
 fn main() {
     check_args(FLAGS);
     let scale = Scale::from_args();
@@ -364,6 +383,7 @@ fn run_default(scale: Scale, tiered: bool, json_path: Option<PathBuf>, obs: &Obs
             .with_mode(mode.clone())
             .with_obs(obs.cell_config("cell")),
     );
+    let registry = Arc::clone(engine.registry());
     let started = Instant::now();
     for q in &stream.queries {
         engine.submit(q.clone());
@@ -373,6 +393,7 @@ fn run_default(scale: Scale, tiered: bool, json_path: Option<PathBuf>, obs: &Obs
     let stats = engine.shutdown();
     cleanup(&mode);
     print_degradations("cell", &stats);
+    assert_healthy("cell", &registry, &stats);
     println!(
         "[cell] {CELL_WORKERS} workers: {} qps, p50 {} µs, p99 {} µs, {} switches, {} reorgs, \
          mean Δ = {} queries / {}s",
@@ -643,7 +664,8 @@ const MT_INFLIGHT: usize = 4;
 
 /// Start an N-tenant engine, submit every tenant's stream round-robin
 /// interleaved (each tenant firing every [`TenantCase::stride`] rounds),
-/// drain, and return (elapsed, stats). `closed_loop` bounds each tenant
+/// drain, assert the run healthy ([`assert_healthy`]), and return
+/// (elapsed, stats). `closed_loop` bounds each tenant
 /// to its [`TenantCase::inflight`] outstanding queries (the measured
 /// cell); otherwise the run is the parity replay, in lockstep: each query
 /// is submitted once the engine has drained the one before.
@@ -653,6 +675,7 @@ fn run_multitenant_cell(
     closed_loop: bool,
 ) -> (f64, EngineStats) {
     let engine = Engine::start_tenants(cases.iter().map(TenantCase::spec).collect(), config);
+    let registry = Arc::clone(engine.registry());
     let started = Instant::now();
     let rounds = cases
         .iter()
@@ -688,6 +711,7 @@ fn run_multitenant_cell(
     let elapsed = started.elapsed().as_secs_f64();
     let stats = engine.shutdown();
     print_degradations("multitenant", &stats);
+    assert_healthy("multitenant", &registry, &stats);
     (elapsed, stats)
 }
 

@@ -360,7 +360,10 @@ impl Oreo {
         while let Some(t) = self.pending.pop_front() {
             self.physical = t;
             if self.sink.enabled() {
-                self.sink.emit(EventKind::ReorgApplied { target: t });
+                self.sink.emit(EventKind::ReorgApplied {
+                    stream_seq: self.seq.saturating_sub(1),
+                    target: t,
+                });
             }
             if t == target {
                 break;
@@ -673,6 +676,41 @@ mod tests {
         assert_eq!(observed as u64, oreo.ledger().queries);
         assert_eq!(decided as u64, oreo.ledger().switches);
         assert_eq!(applied as u64, oreo.ledger().switches, "every switch lands");
+    }
+
+    /// Under `observe` (the served order) a switch lands right after the
+    /// query that decided it, so each `ReorgApplied` carries its
+    /// `SwitchDecided`'s stream position.
+    #[test]
+    fn reorg_applied_carries_the_deciding_seq_under_observe() {
+        use oreo_obs::Journal;
+
+        let t = table(2000);
+        let config = OreoConfig {
+            alpha: 5.0,
+            window: 40,
+            generation_interval: 40,
+            partitions: 8,
+            data_sample_rows: 500,
+            ..Default::default()
+        };
+        let journal = Arc::new(Journal::new(1, 1 << 14));
+        let mut oreo = framework(&t, config);
+        oreo.set_event_sink(Arc::clone(&journal) as Arc<dyn EventSink>);
+        for q in drifting_queries(&t, 400) {
+            oreo.observe(&q);
+        }
+        assert_eq!(journal.events_dropped(), 0, "journal sized for the run");
+        let (mut decided, mut applied) = (Vec::new(), Vec::new());
+        for e in journal.events() {
+            match e.kind {
+                EventKind::SwitchDecided { stream_seq, .. } => decided.push(stream_seq),
+                EventKind::ReorgApplied { stream_seq, .. } => applied.push(stream_seq),
+                _ => {}
+            }
+        }
+        assert!(!decided.is_empty(), "want at least one switch");
+        assert_eq!(applied, decided);
     }
 
     #[test]

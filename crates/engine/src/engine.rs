@@ -27,11 +27,12 @@
 //!    worker that would take it further answers the rest of its batch and
 //!    then waits — holding no lock — for the admission. The bound is in
 //!    queries, not in time, so a slow host changes latencies and never
-//!    which states the policy sees. One construction runs per engine at a
-//!    time. Only past [`ADMISSION_GUARD`] (a generator that does not
-//!    return) do queries flow again; a boundary that fires then replaces
-//!    its tenant's waiting task (latest wins, the older one is counted
-//!    superseded).
+//!    which states the policy sees. Each tenant builds one boundary at a
+//!    time, and different tenants' constructions run side by side on
+//!    different workers. Only past [`ADMISSION_GUARD`] (a generator that
+//!    does not return) do queries flow again; a boundary that fires then
+//!    waits for its tenant's build in place of any older waiting one
+//!    (latest wins, the older one is counted superseded).
 //!
 //! Driven in lockstep — each query submitted once [`Engine::drain`] has
 //! returned for the previous one — the engine runs each query's capture →
@@ -71,7 +72,7 @@ use oreo_storage::{
 };
 use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -328,9 +329,14 @@ struct TenantCore {
     oreo: Oreo,
     /// Queries whose bookkeeping completed for this tenant.
     observed: u64,
-    /// The tenant's generation boundaries awaiting admission (see
-    /// [`construct_candidates`]).
-    boundaries: Boundaries,
+    /// The boundary a worker is building right now (see [`build_captured`]).
+    building: Option<Stamp>,
+    /// The newest boundary captured during that build, which its builder
+    /// takes next: `Some` only while `building` is. One deep: a newer
+    /// boundary replaces it (latest wins) — which takes a stream let past
+    /// its bound by [`ADMISSION_GUARD`], since the bound is under an
+    /// interval.
+    waiting: Option<(CandidateTask, Stamp)>,
 }
 
 /// When a generation boundary was captured: the clock, and the tenant's
@@ -341,33 +347,14 @@ struct Stamp {
     observed: u64,
 }
 
-/// A tenant's generation boundaries between capture and admission.
-#[derive(Default)]
-struct Boundaries {
-    /// The newest boundary nobody has started building. One deep: a newer
-    /// boundary replaces it (latest wins) — which takes a stream let past
-    /// its bound by [`ADMISSION_GUARD`], since the bound is under an
-    /// interval.
-    waiting: Option<(CandidateTask, Stamp)>,
-    /// The boundary a worker is building right now.
-    building: Option<Stamp>,
-}
-
-impl Boundaries {
-    /// The oldest boundary whose candidate is not in yet.
-    fn oldest(&self) -> Option<Stamp> {
-        self.building
-            .or(self.waiting.as_ref().map(|(_, stamp)| *stamp))
-    }
-}
-
 impl TenantCore {
     /// `None` when the tenant's stream may take another query; otherwise it
     /// is a full run-ahead allowance — a quarter of its generation interval
-    /// — past its oldest boundary, and the value is what is left of that
-    /// boundary's [`ADMISSION_GUARD`].
+    /// — past the boundary being built, the oldest one not in yet, and the
+    /// value is what is left of that boundary's [`ADMISSION_GUARD`].
     fn hold_left(&self) -> Option<Duration> {
-        let stamp = self.boundaries.oldest()?;
+        debug_assert!(self.waiting.is_none() || self.building.is_some());
+        let stamp = self.building?;
         let run_ahead = self.oreo.config().generation_interval / 4;
         (self.observed - stamp.observed >= run_ahead)
             .then(|| (stamp.at + ADMISSION_GUARD).saturating_duration_since(Instant::now()))
@@ -375,8 +362,8 @@ impl TenantCore {
 }
 
 impl Tenant {
-    /// Take the tenant's core mutex untimed: polls, waits and the hand-off
-    /// of a boundary's task are not bookkeeping (`core.lock_*_us`).
+    /// Take the tenant's core mutex untimed: polls and waits are not
+    /// bookkeeping (`core.lock_*_us`).
     fn lock_untimed(&self) -> MutexGuard<'_, TenantCore> {
         self.core.lock().expect("tenant core poisoned")
     }
@@ -424,9 +411,6 @@ struct Shared {
     pool: Option<Arc<BufferPool>>,
     queue: ShardedQueue<Job>,
     config: EngineConfig,
-    /// Set while a worker is building candidates ([`construct_candidates`]):
-    /// at most one construction runs per engine.
-    constructing: AtomicBool,
     submitted: AtomicU64,
     completed: AtomicU64,
     drain_lock: Mutex<()>,
@@ -463,7 +447,7 @@ impl Shared {
     /// `completed` that this `Acquire` load pairs with, so both are seen
     /// once the query is; a switch's window is counted after it lands.
     fn quiescent(&self) -> bool {
-        let idle = |ten: &Tenant| ten.lock_untimed().boundaries.oldest().is_none();
+        let idle = |ten: &Tenant| ten.lock_untimed().building.is_none();
         let m = &self.metrics;
         self.completed.load(Ordering::Acquire) >= self.submitted.load(Ordering::Relaxed)
             && self.tenants.iter().all(idle)
@@ -693,7 +677,8 @@ impl Engine {
                 core: Mutex::new(TenantCore {
                     oreo,
                     observed: 0,
-                    boundaries: Boundaries::default(),
+                    building: None,
+                    waiting: None,
                 }),
                 admitted: Condvar::new(),
                 metrics: tenant_metrics,
@@ -715,7 +700,6 @@ impl Engine {
             pool,
             queue: ShardedQueue::new(worker_count),
             config,
-            constructing: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             drain_lock: Mutex::new(()),
@@ -1047,10 +1031,11 @@ impl Engine {
             .iter()
             .map(|ten| {
                 let core = ten.lock_untimed();
-                // The workers have exited, and a worker builds or supersedes
-                // every boundary it captured before it does.
+                // The workers have exited, and each one builds the
+                // boundaries it started, and those left waiting meanwhile,
+                // before it does.
                 assert!(
-                    core.boundaries.oldest().is_none(),
+                    core.building.is_none() && core.waiting.is_none(),
                     "tenant {}: a boundary was dropped",
                     ten.name
                 );
@@ -1282,14 +1267,15 @@ type Scanned = (Job, Instant, SnapshotScan, LayoutId, u64);
 /// Phases 2–4 of [`worker_loop`] for one batch of scanned queries. Returns
 /// the queries it held back, grouped by tenant and in batch order within a
 /// tenant: those whose tenant's stream is a full run-ahead allowance past a
-/// boundary still awaiting admission. Everything else is answered, and a
-/// boundary this batch captured is built, before it returns.
+/// boundary still awaiting admission. Everything else is answered, and
+/// every boundary this batch started building is admitted, before it
+/// returns.
 fn serve_scanned(
     shared: &Shared,
     mut scanned: Vec<Scanned>,
     reorg_tx: &Sender<ReorgRequest>,
 ) -> Vec<Scanned> {
-    let (mut held, mut captured) = (Vec::new(), false);
+    let (mut held, mut captured) = (Vec::new(), Vec::new());
     // Phase 2 — bookkeeping under one tenant's core mutex at a time, taken
     // once per tenant in the batch: the stable sort keeps each tenant's
     // queries in batch order, so each tenant's decision stream is exactly
@@ -1319,20 +1305,23 @@ fn serve_scanned(
             let TenantCore {
                 oreo,
                 observed,
-                boundaries,
+                building,
+                waiting,
             } = &mut *core;
-            // `Oreo::decide` without its build: a boundary's task waits
-            // with the tenant until this batch is answered
-            // (`construct_candidates`). Latest wins: a task it replaces
-            // (fault guard only) is never built.
+            // `Oreo::decide` without its build: this worker builds a
+            // boundary's task once the batch is answered, or, if the tenant
+            // has a build running (fault guard only), leaves it for that
+            // builder. Latest wins: a waiting task it replaces is never built.
             let (mut report, task) = oreo.capture(&job.query);
             if let Some(task) = task {
-                captured = true;
                 let stamp = Stamp {
                     at: Instant::now(),
                     observed: *observed,
                 };
-                if let Some((stale, _)) = boundaries.waiting.replace((task, stamp)) {
+                if building.is_none() {
+                    *building = Some(stamp);
+                    captured.push((tenant_index, task));
+                } else if let Some((stale, _)) = waiting.replace((task, stamp)) {
                     oreo.discard(stale);
                     for m in metric_views(shared, ten) {
                         m.candidates_superseded.inc();
@@ -1412,10 +1401,9 @@ fn serve_scanned(
     }
     shared.wake_drainers();
 
-    // Phase 4 — candidate construction, after the batch is answered, only
-    // by a worker that left a boundary: its polls take core mutexes.
-    if captured {
-        construct_candidates(shared);
+    // Phase 4 — candidate construction, after the batch is answered.
+    for (tenant_index, task) in captured {
+        build_captured(shared, &shared.tenants[tenant_index], task);
     }
     held
 }
@@ -1423,8 +1411,8 @@ fn serve_scanned(
 /// Wait, holding no lock, until `ten`'s stream may move again: until the
 /// boundary that holds it at its run-ahead bound is admitted (or, a fault,
 /// is older than [`ADMISSION_GUARD`]). The candidate is some other worker's
-/// to build: the caller has been through [`construct_candidates`] since it
-/// last captured a boundary, so it is not waiting for itself.
+/// to build: the caller admitted every boundary it started building before
+/// [`serve_scanned`] returned, so it is not waiting for itself.
 fn await_admission(shared: &Shared, ten: &Tenant) {
     let mut core = ten.lock_untimed();
     let mut waited_since = None;
@@ -1444,66 +1432,39 @@ fn await_admission(shared: &Shared, ten: &Tenant) {
     }
 }
 
-/// Build, cost and admit every waiting generation boundary, on the calling
-/// worker's thread: the construct and admit steps of `Oreo::decide`, which
-/// the bookkeeping under the tenant's core mutex left out. Construction
-/// holds no lock; admission takes the core mutex for O(states) work.
-///
-/// At most one worker constructs at a time — a second would only admit
-/// candidates fitted to older windows later — and it does not return to the
-/// queue while any tenant has a boundary waiting. A worker that leaves one
-/// calls this after answering its batch, and either becomes the constructor
-/// or finds one that has yet to look again, so no task is left behind: when
-/// the last worker exits, every captured boundary has been admitted or
-/// superseded.
-fn construct_candidates(shared: &Shared) {
-    let none_waiting = |ten: &Tenant| ten.lock_untimed().boundaries.waiting.is_none();
-    loop {
-        if shared.constructing.swap(true, Ordering::SeqCst) {
-            return;
+/// Build, cost and admit the boundary whose `building` slot the calling
+/// worker set for `ten`, then each boundary left waiting meanwhile: the
+/// construct and admit steps of `Oreo::decide`, which the bookkeeping under
+/// the tenant's core mutex left out. Construction holds no lock; admission
+/// takes the core mutex for O(states) work, and in the same section either
+/// takes the waiting task or clears `building`, so no task is left behind:
+/// when the last worker exits, every captured boundary has been admitted or
+/// superseded. A generator that never returns pins this worker: its
+/// tenant's adaptation waits, and so does that of any later tenant whose
+/// boundary the same batch captured.
+fn build_captured(shared: &Shared, ten: &Tenant, task: CandidateTask) {
+    let mut next = Some(task);
+    while let Some(task) = next {
+        let started = Instant::now();
+        let built = task.build();
+        let constructed = as_micros_u64(started.elapsed());
+        {
+            let mut core = shared.lock_core(ten);
+            let admission = core.oreo.admit(built);
+            // Counted before the mutex is released, so a drain that sees the
+            // boundary resolved sees it counted.
+            for m in metric_views(shared, ten) {
+                m.candidates_built.inc();
+                m.candidate_lag_queries.record(admission.lag_queries);
+                m.construct_us.record(constructed);
+            }
+            let waiting = core.waiting.take();
+            core.building = waiting.as_ref().map(|&(_, stamp)| stamp);
+            next = waiting.map(|(task, _)| task);
         }
-        // Every tenant in each pass (no short circuit), so none starves.
-        let pass = |built: bool, tenant_index| build_waiting(shared, tenant_index) | built;
-        while (0..shared.tenants.len()).fold(false, pass) {}
-        shared.constructing.store(false, Ordering::SeqCst);
-        // A boundary left after the last look, by a worker that then saw
-        // the flag still set and went away, is this worker's to build.
-        if shared.tenants.iter().all(none_waiting) {
-            return;
-        }
+        ten.admitted.notify_all();
+        shared.wake_drainers();
     }
-}
-
-/// Build and admit the waiting boundary of the tenant at `tenant_index`, if
-/// it has one (whether it had).
-fn build_waiting(shared: &Shared, tenant_index: usize) -> bool {
-    let ten = &shared.tenants[tenant_index];
-    let task = {
-        let b = &mut ten.lock_untimed().boundaries;
-        let Some((task, stamp)) = b.waiting.take() else {
-            return false;
-        };
-        b.building = Some(stamp);
-        task
-    };
-    let started = Instant::now();
-    let built = task.build();
-    let constructed = as_micros_u64(started.elapsed());
-    {
-        let mut core = shared.lock_core(ten);
-        let admission = core.oreo.admit(built);
-        core.boundaries.building = None;
-        // Counted before the mutex is released, so a drain that sees the
-        // boundary resolved sees it counted.
-        for m in metric_views(shared, ten) {
-            m.candidates_built.inc();
-            m.candidate_lag_queries.record(admission.lag_queries);
-            m.construct_us.record(constructed);
-        }
-    }
-    ten.admitted.notify_all();
-    shared.wake_drainers();
-    true
 }
 
 /// The reorganizer, run on the `oreo-reorg` thread: switch decisions

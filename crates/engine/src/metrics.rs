@@ -94,7 +94,9 @@ pub(crate) struct LiveMetrics {
     /// Time spent waiting for / holding a tenant's core mutex, per
     /// acquisition for bookkeeping (a batch's queries, an admission, a
     /// landing, a compaction charge, a ledger read); polls and waits are
-    /// not timed.
+    /// not timed. A hold is wall time, so its max and far tail include the
+    /// holder being descheduled inside the section: on a 2-vCPU host,
+    /// holds of 1.1–4.4 ms around 5–10 µs of bookkeeping.
     pub(crate) lock_wait_us: Arc<Histogram>,
     pub(crate) lock_hold_us: Arc<Histogram>,
     /// Generation boundaries whose candidates were built and ε-tested /

@@ -14,7 +14,7 @@
 //! for them; nothing there depends on how long the sleep is.
 
 use oreo_core::{CandidateSource, CostLedger, Oreo, OreoConfig};
-use oreo_engine::{Engine, EngineConfig, EngineStats, IngestOp};
+use oreo_engine::{Engine, EngineConfig, EngineStats, IngestOp, TenantSpec};
 use oreo_layout::{LayoutGenerator, QdTreeGenerator, RangeLayout, SharedSpec};
 use oreo_obs::{EventSink, Journal, Registry};
 use oreo_query::{ColumnType, Query, QueryBuilder, Scalar, Schema};
@@ -507,8 +507,8 @@ fn construct_time_is_recorded_per_built_boundary() {
 
 /// (h) The lock histograms time bookkeeping only: in a lockstep run with
 /// one query a batch, the core mutex is taken once per query, once per
-/// admission and once per landing. `Engine::drain`'s polls and the
-/// hand-off of a boundary's task take it untimed.
+/// admission and once per landing. `Engine::drain`'s polls take it
+/// untimed.
 #[test]
 fn lock_histograms_count_only_bookkeeping() {
     let t = table(3000);
@@ -531,4 +531,53 @@ fn lock_histograms_count_only_bookkeeping() {
     assert_eq!(holds, queries.len() as u64 + built + windows);
     assert_eq!(registry.histogram("core.lock_wait_us").count(), holds);
     engine.shutdown();
+}
+
+/// (i) Each tenant builds its own candidates: while tenant 0's build is
+/// stuck inside `generate`, pinning one of the two workers, tenant 1's
+/// boundary is built and admitted by the other, and its stream runs past
+/// the run-ahead bound without waiting on the fault guard.
+#[test]
+fn a_stuck_build_does_not_hold_another_tenants_construction() {
+    let t = table(3000);
+    let queries = drifting_queries(&t, INTERVAL + INTERVAL / 4 + 1);
+    let (generator, entered, gate) = gated();
+    let initial = Arc::new(RangeLayout::from_sample(&t, 0, config().partitions));
+    let spec = |name: &str, generator: Arc<dyn LayoutGenerator>| TenantSpec {
+        name: name.into(),
+        table: Arc::clone(&t),
+        initial_spec: Arc::clone(&initial) as SharedSpec,
+        generator,
+        oreo: config(),
+    };
+    let engine = Engine::start_tenants(
+        vec![
+            spec("gated", generator),
+            spec("free", Arc::new(QdTreeGenerator::new())),
+        ],
+        EngineConfig::default().with_workers(2),
+    );
+    let registry = Arc::clone(engine.registry());
+
+    for q in &queries[..INTERVAL] {
+        engine.submit_tracked_to(0, q.clone()).wait();
+    }
+    entered.recv().expect("the gated boundary reaches generate");
+    // One query past tenant 1's allowance: at a bound its own build must
+    // lift, not the guard.
+    for q in &queries {
+        engine.submit_tracked_to(1, q.clone()).wait();
+    }
+    assert_eq!(counter(&registry, "tenant.1.core.candidates_built"), 1);
+    assert_eq!(counter(&registry, "tenant.1.core.admission_overruns"), 0);
+    assert_eq!(counter(&registry, "tenant.0.core.candidates_built"), 0);
+
+    drop(gate);
+    let stats = engine.shutdown();
+    assert_eq!(counter(&registry, "tenant.0.core.candidates_built"), 1);
+    assert_eq!(counter(&registry, "core.admission_overruns"), 0);
+    for ten in &stats.tenants {
+        let m = ten.manager;
+        assert_eq!((m.generated, m.superseded), (1, 0), "{}: {m:?}", ten.name);
+    }
 }

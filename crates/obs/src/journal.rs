@@ -136,6 +136,9 @@ pub enum EventKind {
     /// A pending switch landed: queries are physically served on
     /// `target` from here on.
     ReorgApplied {
+        /// The owning OREO instance's stream position when the switch
+        /// landed: the last query it observed.
+        stream_seq: u64,
         /// The layout that became physical.
         target: u64,
     },
@@ -407,8 +410,8 @@ fn describe(kind: &EventKind) -> String {
         EventKind::StateAdmitted { stream_seq, layout } => {
             format!("state {layout} admitted at seq {stream_seq}")
         }
-        EventKind::ReorgApplied { target } => {
-            format!("reorg applied: physical layout is now {target}")
+        EventKind::ReorgApplied { stream_seq, target } => {
+            format!("reorg applied at seq {stream_seq}: physical layout is now {target}")
         }
         EventKind::ReorgPhase {
             target,
